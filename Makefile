@@ -1,9 +1,10 @@
 # Development targets. `make check` is the pre-commit gate: formatting,
-# vet, and the full test suite under the race detector.
+# vet, the full test suite under the race detector, and the benchmark's
+# smoke test.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchcheck fuzz faults linkcheck shardcheck livecheck anncheck httpshardcheck throughputcheck
+.PHONY: all build test race vet fmt check bench benchcheck benchsmoke fuzz faults linkcheck
 
 all: check
 
@@ -30,42 +31,17 @@ fmt:
 linkcheck:
 	$(GO) test -run '^TestDocLinks$$' .
 
-# Shard-count invariance battery under the race detector (docs/SHARDING.md):
-# sharded rankings must be bit-identical to unsharded ones, concurrently.
-shardcheck:
-	$(GO) test -race -run '^Test(Shard|Coordinator)' . ./internal/shard
+# The benchmark (bench/, named by BENCHMARK.json) is its own module, so
+# `go build ./...` never compiles it: vet it and run its smoke test — every
+# workload in both trace modes on a small lake, rankings verified — so a
+# change to the public API cannot break the benchmark unnoticed (~10 s).
+benchsmoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Rebuild-equivalence battery under the race detector (docs/LIVE_INDEX.md):
-# after any add/remove sequence against live indexes, rankings must be
-# bit-identical to a from-scratch build, including under concurrent queries
-# and delta-log restart replay.
-livecheck:
-	$(GO) test -race -run '^TestLive' .
-
-# Shard-over-HTTP battery under the race detector (docs/SHARDING.md
-# §"Shard-over-HTTP"): remote scatter-gather must rank bit-identically to
-# in-process sharding and the unsharded system — clean and under every
-# injected fault class (refusal, 500s, corruption, stalls, slow-loris) —
-# plus the retry/hedge/failover/breaker unit tests and the /shard/*
-# endpoint handlers.
-httpshardcheck:
-	$(GO) test -race -run '^Test(HTTPShard|RemoteShard|ReadOnly)' ./internal/server ./internal/remote
-
-# ANN serving battery under the race detector (docs/ANN.md): HNSW graph
-# invariants, off-mode bit-identity, parallelism/shard determinism, epoch
-# fallback + rebuild, and the recall/NDCG thresholds of the differential
-# harness (`benchrunner -exp ann`).
-anncheck:
-	$(GO) test -race -run '^Test(ANN|HNSW)' . ./internal/embedding ./internal/experiments
-
-# Throughput battery under the race detector (docs/THROUGHPUT.md): batch
-# search must be bit-identical to sequential calls across the scoring
-# matrix (including truncation and mutation races), and the cross-query σ
-# cache must never change a ranking before or after epoch invalidation.
-throughputcheck:
-	$(GO) test -race -run '^Test(Batch|CrossCache)' . ./internal/core ./internal/server
-
-check: fmt vet build race linkcheck shardcheck livecheck anncheck httpshardcheck throughputcheck
+# `race` runs every differential battery (shard-count invariance, live
+# rebuild-equivalence, ANN, shard-over-HTTP, batch/cross-cache) by package,
+# not by test-name regex, so a renamed test cannot leave the gate.
+check: fmt vet build race linkcheck benchsmoke
 
 # Replays every fuzz target's seed corpus (f.Add seeds + testdata/fuzz/)
 # as a fast regression suite. Live exploration happens in CI and via

@@ -63,9 +63,10 @@ func buildAnnState(store *embedding.Store, ef int, epoch uint64) *annState {
 // resolves a pooled candidate set — the union of each query entity's k
 // nearest store entities through an HNSW graph — scores exact cosine inside
 // it and 0 against everything else (docs/ANN.md). ef is the search beam
-// width (0 uses the default, 64). The graph is built synchronously here;
-// call after UseEmbeddingSimilarity, alongside the other setup-time
-// configuration.
+// width (0 uses the default, 64). One graph is built over the shared
+// embedding store, synchronously here, and every shard engine scores
+// through it; call after UseEmbeddingSimilarity, alongside the other
+// setup-time configuration.
 func (s *System) EnableAnnTopK(k, ef int) error {
 	if k <= 0 {
 		return errors.New("thetis: EnableAnnTopK needs k > 0")
@@ -73,28 +74,29 @@ func (s *System) EnableAnnTopK(k, ef int) error {
 	if ef <= 0 {
 		ef = embedding.DefaultHNSWConfig().EfSearch
 	}
-	if s.store == nil || s.ec == nil || s.engine == nil || s.engine.Sim != Similarity(s.ec) {
+	if s.store == nil || !s.embeddingSim() {
 		return errAnnNeedsEmbeddings
 	}
 	s.annTopK, s.annEf = k, ef
-	s.ann.Store(buildAnnState(s.store, ef, s.lake.Epoch()))
-	s.engine.SigmaTopK = k
-	s.engine.Ann = s.annIndex
+	s.ann.Store(buildAnnState(s.store, ef, s.epoch.Load()))
+	s.eachEngine(func(e *core.Engine) { e.SigmaTopK, e.Ann = k, s.annIndex })
 	return nil
 }
 
-// DisableAnnTopK returns the engine to exact σ scoring and drops the
+// DisableAnnTopK returns the engines to exact σ scoring and drops the
 // graph.
 func (s *System) DisableAnnTopK() {
 	s.annTopK, s.annEf = 0, 0
 	s.ann.Store(nil)
-	if s.engine != nil {
-		s.engine.SigmaTopK = 0
-		s.engine.Ann = nil
+	for _, sh := range s.shards {
+		if eng := sh.Engine(); eng != nil {
+			eng.SigmaTopK = 0
+			eng.Ann = nil
+		}
 	}
 }
 
-// annIndex is the engine's AnnSource: the current graph when it matches
+// annIndex is the engines' AnnSource: the current graph when it matches
 // the corpus epoch, or nil — exact-σ fallback — while a rebuild is in
 // flight.
 func (s *System) annIndex() core.AnnIndex {
@@ -102,7 +104,7 @@ func (s *System) annIndex() core.AnnIndex {
 	if st == nil {
 		return nil
 	}
-	if epoch := s.lake.Epoch(); st.epoch != epoch {
+	if epoch := s.epoch.Load(); st.epoch != epoch {
 		s.kickAnnRebuild(epoch)
 		return nil
 	}
@@ -124,83 +126,10 @@ func (s *System) kickAnnRebuild(epoch uint64) {
 	}()
 }
 
-// reenableAnnLocked restores ANN mode on a freshly installed engine
-// (Refresh recreates engines, which clears their SigmaTopK wiring).
-func (s *System) reenableAnnLocked() {
-	if s.annTopK > 0 && s.ec != nil && s.engine != nil && s.engine.Sim == Similarity(s.ec) {
-		_ = s.EnableAnnTopK(s.annTopK, s.annEf)
-	}
-}
-
 // AnnStatus reports the current ANN serving state.
 func (s *System) AnnStatus() AnnStatus {
 	st := s.ann.Load()
-	out := AnnStatus{Enabled: s.annTopK > 0, TopK: s.annTopK, EfSearch: s.annEf, Epoch: s.lake.Epoch()}
-	if st != nil {
-		out.GraphNodes = st.ix.Len()
-		out.BuiltEpoch = st.epoch
-		out.Current = st.epoch == out.Epoch
-	}
-	return out
-}
-
-// EnableAnnTopK is System.EnableAnnTopK for a sharded deployment: one
-// graph is built over the shared embedding store (the store is a graph
-// property, identical across shards) and every shard engine scores
-// through it; trace stages from shard legs carry the shard label.
-func (ss *ShardedSystem) EnableAnnTopK(k, ef int) error {
-	if k <= 0 {
-		return errors.New("thetis: EnableAnnTopK needs k > 0")
-	}
-	if ef <= 0 {
-		ef = embedding.DefaultHNSWConfig().EfSearch
-	}
-	if ss.store == nil || ss.ec == nil {
-		return errAnnNeedsEmbeddings
-	}
-	for _, sh := range ss.shards {
-		if eng := sh.Engine(); eng == nil || eng.Sim != Similarity(ss.ec) {
-			return errAnnNeedsEmbeddings
-		}
-	}
-	ss.annTopK, ss.annEf = k, ef
-	ss.ann.Store(buildAnnState(ss.store, ef, ss.epoch.Load()))
-	for _, sh := range ss.shards {
-		eng := sh.Engine()
-		eng.SigmaTopK = k
-		eng.Ann = ss.annIndex
-	}
-	return nil
-}
-
-// annIndex mirrors System.annIndex against the deployment-wide epoch.
-func (ss *ShardedSystem) annIndex() core.AnnIndex {
-	st := ss.ann.Load()
-	if st == nil {
-		return nil
-	}
-	if epoch := ss.epoch.Load(); st.epoch != epoch {
-		ss.kickAnnRebuild(epoch)
-		return nil
-	}
-	return st.ix
-}
-
-func (ss *ShardedSystem) kickAnnRebuild(epoch uint64) {
-	if !ss.annBuilding.CompareAndSwap(false, true) {
-		return
-	}
-	store, ef := ss.store, ss.annEf
-	go func() {
-		defer ss.annBuilding.Store(false)
-		ss.ann.Store(buildAnnState(store, ef, epoch))
-	}()
-}
-
-// AnnStatus reports the deployment-wide ANN serving state.
-func (ss *ShardedSystem) AnnStatus() AnnStatus {
-	st := ss.ann.Load()
-	out := AnnStatus{Enabled: ss.annTopK > 0, TopK: ss.annTopK, EfSearch: ss.annEf, Epoch: ss.epoch.Load()}
+	out := AnnStatus{Enabled: s.annTopK > 0, TopK: s.annTopK, EfSearch: s.annEf, Epoch: s.epoch.Load()}
 	if st != nil {
 		out.GraphNodes = st.ix.Len()
 		out.BuiltEpoch = st.epoch

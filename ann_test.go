@@ -1,10 +1,12 @@
 package thetis
 
 // ANN serving battery (docs/ANN.md): top-k σ must be a pure serving-time
-// overlay — off means bit-identical exact rankings, on means deterministic
-// rankings across parallelism and shard counts, and a corpus mutation
-// degrades to exact σ (never a stale graph) until the background rebuild
-// lands. The concurrency legs run under -race via `make anncheck`.
+// overlay — off means rankings bit-identical to the core-assembled exact
+// reference (internal/reference), on means rankings bit-identical to the
+// reference with the same graph wired into its engine, at every shard count
+// and parallelism, and a corpus mutation degrades to exact σ (never a stale
+// graph) until the background rebuild lands. The concurrency legs run under
+// -race via `make race`.
 
 import (
 	"fmt"
@@ -13,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"thetis/internal/core"
+	"thetis/internal/embedding"
 	"thetis/internal/obs"
+	"thetis/internal/reference"
 )
 
 var (
@@ -39,22 +44,26 @@ func annEnv(t *testing.T) (*EmbeddingStore, []*Table, []Query) {
 	return annStore, tables, annQueries
 }
 
-// annSystem builds a System over n battery tables with embedding σ
-// selected; enable ANN per test.
-func annSystem(t *testing.T, n int) *System {
+// annSystem builds a System partitioned by part over the first n battery
+// tables with embedding σ selected; enable ANN per test.
+func annSystem(t *testing.T, n int, part Partitioner) *System {
 	t.Helper()
 	store, tables, _ := annEnv(t)
-	kgEnv, _, _ := batteryEnv(t)
-	sys := New(kgEnv.Graph)
-	if n > len(tables) {
-		n = len(tables)
-	}
+	sys := NewSharded(batteryKG.Graph, part)
 	for _, tb := range tables[:n] {
 		sys.AddTable(tb)
 	}
 	sys.SetEmbeddings(store)
 	sys.UseEmbeddingSimilarity()
 	return sys
+}
+
+// annReference is the core-assembled exact-σ reference over the first n
+// battery tables; wire a graph into its engine per test.
+func annReference(t *testing.T, n int) *reference.Reference {
+	t.Helper()
+	store, tables, _ := annEnv(t)
+	return reference.New(batteryKG.Graph, tables[:n], core.NewEmbeddingCosine(batteryKG.Graph, store))
 }
 
 func rankingsEqual(a, b []Result) bool {
@@ -69,18 +78,18 @@ func rankingsEqual(a, b []Result) bool {
 	return true
 }
 
-// TestANNOffBitIdentical: enabling then disabling ANN must leave the engine
-// scoring bit-identically to a system that never turned it on.
+// TestANNOffBitIdentical: enabling then disabling ANN must leave the engines
+// scoring bit-identically to the exact reference.
 func TestANNOffBitIdentical(t *testing.T) {
 	_, _, queries := annEnv(t)
-	plain := annSystem(t, 200)
-	toggled := annSystem(t, 200)
+	plain := annReference(t, 200)
+	toggled := annSystem(t, 200, NewHashPartitioner(2))
 	if err := toggled.EnableAnnTopK(10, 64); err != nil {
 		t.Fatal(err)
 	}
 	toggled.DisableAnnTopK()
 	for qi, q := range queries {
-		want := plain.Search(q, 10)
+		want, _ := plain.Search(q, 10)
 		got := toggled.Search(q, 10)
 		if !rankingsEqual(want, got) {
 			t.Fatalf("q%d: rankings differ after enable/disable round trip", qi)
@@ -93,7 +102,7 @@ func TestANNOffBitIdentical(t *testing.T) {
 // worker count.
 func TestANNDeterministicAcrossParallelism(t *testing.T) {
 	_, _, queries := annEnv(t)
-	sys := annSystem(t, 200)
+	sys := annSystem(t, 200, NewHashPartitioner(1))
 	if err := sys.EnableAnnTopK(10, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -113,35 +122,30 @@ func TestANNDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestANNShardedMatchesUnsharded: one shared graph serves every shard, so a
-// sharded deployment with ANN on must rank bit-identically to the unsharded
-// system with ANN on.
-func TestANNShardedMatchesUnsharded(t *testing.T) {
-	store, tables, queries := annEnv(t)
-	kgEnv, _, _ := batteryEnv(t)
-	sys := annSystem(t, 200)
-	ss := NewShardedSystem(kgEnv.Graph, NewHashPartitioner(4))
-	for _, tb := range tables[:200] {
-		ss.AddTable(tb)
-	}
-	ss.SetEmbeddings(store)
-	ss.UseEmbeddingSimilarity()
-	if err := sys.EnableAnnTopK(10, 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := ss.EnableAnnTopK(10, 64); err != nil {
-		t.Fatal(err)
-	}
-	for qi, q := range queries {
-		want := sys.Search(q, 10)
-		got := ss.Search(q, 10)
-		if !rankingsEqual(want, got) {
-			t.Fatalf("q%d: sharded ANN ranking differs from unsharded", qi)
+// TestANNMatchesReferenceAtEveryShardCount: one shared graph serves every
+// shard, so with ANN on a system must rank bit-identically to the reference
+// engine scoring through the same (deterministically built) graph.
+func TestANNMatchesReferenceAtEveryShardCount(t *testing.T) {
+	store, _, queries := annEnv(t)
+	ref := annReference(t, 200)
+	cfg := embedding.DefaultHNSWConfig()
+	cfg.EfSearch = 64
+	ref.Engine.SigmaTopK = 10
+	ref.Engine.Ann = core.StaticAnn(embedding.BuildHNSW(store, cfg))
+	for _, ax := range shardAxes() {
+		ss := annSystem(t, 200, ax.part())
+		if err := ss.EnableAnnTopK(10, 64); err != nil {
+			t.Fatal(err)
 		}
-	}
-	st := ss.AnnStatus()
-	if !st.Enabled || !st.Current || st.GraphNodes == 0 {
-		t.Fatalf("sharded AnnStatus = %+v", st)
+		for qi, q := range queries {
+			want, _ := ref.Search(q, 10)
+			if got := ss.Search(q, 10); !rankingsEqual(want, got) {
+				t.Fatalf("%s q%d: ANN ranking differs from the reference", ax.name, qi)
+			}
+		}
+		if st := ss.AnnStatus(); !st.Enabled || !st.Current || st.GraphNodes == 0 {
+			t.Fatalf("%s: AnnStatus = %+v", ax.name, st)
+		}
 	}
 }
 
@@ -150,8 +154,8 @@ func TestANNShardedMatchesUnsharded(t *testing.T) {
 // the background rebuild must converge to a current graph.
 func TestANNEpochFallbackAndRebuild(t *testing.T) {
 	_, tables, queries := annEnv(t)
-	sys := annSystem(t, 200)
-	exact := annSystem(t, 200) // stays in exact mode, mutated in lockstep
+	sys := annSystem(t, 200, NewHashPartitioner(2))
+	exact := annReference(t, 201) // exact σ over the corpus after the mutation
 	if err := sys.EnableAnnTopK(10, 64); err != nil {
 		t.Fatal(err)
 	}
@@ -160,14 +164,13 @@ func TestANNEpochFallbackAndRebuild(t *testing.T) {
 	}
 
 	sys.AddTable(tables[200])
-	exact.AddTable(tables[200])
 	if st := sys.AnnStatus(); st.Current {
 		t.Fatalf("AnnStatus still current after mutation: %+v", st)
 	}
 	// The first search after the epoch bump serves the degraded exact
 	// fallback — bit-identical to the pure exact system.
 	for qi, q := range queries {
-		if !rankingsEqual(exact.Search(q, 10), sys.Search(q, 10)) {
+		if want, _ := exact.Search(q, 10); !rankingsEqual(want, sys.Search(q, 10)) {
 			t.Fatalf("q%d: degraded fallback differs from exact", qi)
 		}
 	}
@@ -188,11 +191,11 @@ func TestANNEpochFallbackAndRebuild(t *testing.T) {
 
 // TestANNConcurrentSearchScrapeRebuild hammers one ANN-enabled system with
 // concurrent searches and /metrics scrapes while corpus mutations force
-// epoch rebuilds mid-flight. Run under -race (make anncheck); the assertion
+// epoch rebuilds mid-flight. Run under -race (make race); the assertion
 // is the absence of races/panics plus non-empty results throughout.
 func TestANNConcurrentSearchScrapeRebuild(t *testing.T) {
 	_, tables, queries := annEnv(t)
-	sys := annSystem(t, 200)
+	sys := annSystem(t, 200, NewHashPartitioner(2))
 	if err := sys.EnableAnnTopK(10, 64); err != nil {
 		t.Fatal(err)
 	}

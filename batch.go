@@ -2,7 +2,6 @@ package thetis
 
 import (
 	"context"
-	"time"
 
 	"thetis/internal/core"
 	"thetis/internal/obs"
@@ -14,9 +13,14 @@ import (
 // sequential Search calls; EnableCrossCache persists σ pairs across
 // searches under mutation-epoch invalidation.
 
-// CrossCacheStats snapshots the cross-query σ cache (CrossCacheStats
-// methods on System/ShardedSystem).
+// CrossCacheStats snapshots the cross-query σ cache
+// (System.CrossCacheStats).
 type CrossCacheStats = core.CrossCacheStats
+
+var (
+	mBatchSearches = obs.SearchBatchTotal()
+	mBatchQueries  = obs.SearchBatchQueries()
+)
 
 // SearchBatch scores every query of the batch and returns per-query
 // top-k rankings in query order. It is SearchBatchContext with a
@@ -25,132 +29,64 @@ func (s *System) SearchBatch(queries []Query, k int) ([][]Result, []SearchStats)
 	return s.SearchBatchContext(context.Background(), queries, k)
 }
 
-// SearchBatchContext scores a batch of queries in one pass over the
-// corpus under a single read lock: every query sees the same corpus
-// epoch, each query keeps its own LSEI prefilter (with the usual
-// full-scan fallback), and scoring shares a batch-scoped σ cache over the
-// union of the queries' entities, so a σ pair touched by several queries
-// is computed once per batch. Results and stats come back in query order
-// and are bit-identical to issuing the queries sequentially through
-// SearchStatsContext against an unchanged corpus.
+// SearchBatchContext runs a batch of queries through the shard coordinator
+// under a single read lock: every query sees the same corpus epoch, each
+// keeps its own LSEI prefilter (with the usual full-scan rescatter), and
+// every scatter leg of every query shares one batch-scoped σ cache covering
+// the union of the batch's entities (core.WithBatchSigma), so a σ pair
+// touched by several queries is computed once per batch. Results and stats
+// come back in query order and are bit-identical to issuing the queries
+// sequentially through SearchStatsContext against an unchanged corpus.
 //
-// Cancellation truncates the whole batch at a table boundary: every
-// query's results are a correctly ranked prefix and its stats are marked
-// Truncated (the scoring pass is table-major, so the cutoff is a batch
-// property, not a per-query one).
+// Cancellation truncates the batch from the query it interrupts onwards:
+// that query and every later one return a correctly ranked (possibly
+// empty) prefix marked Truncated.
+//
+// In coordinator mode the legs run in other processes, so there is no
+// local σ cache to share; each daemon applies its own caching.
 func (s *System) SearchBatchContext(ctx context.Context, queries []Query, k int) ([][]Result, []SearchStats) {
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	start := time.Now()
-	ix := s.index.Load()
-	votes := int(s.votes.Load())
-	var (
-		cands [][]TableID
-		pres  []*obs.Trace
-	)
-	if ix != nil {
-		cands = make([][]TableID, len(queries))
-		pres = make([]*obs.Trace, len(queries))
-		for i, q := range queries {
-			pre := obs.NewTrace("prefilter")
-			c := ix.CandidatesTracedContext(ctx, q, votes, pre)
-			if len(c) > 0 {
-				cands[i] = c
-			}
-			// An empty candidate set keeps cands[i] nil: the batch engine
-			// full-scans that query, mirroring FallbackFullScan.
-			pres[i] = pre
-		}
-	}
-	results, stats := s.engine.SearchBatchContext(ctx, queries, cands, k)
-	if ix != nil {
-		for i := range stats {
-			if ctx.Err() != nil {
-				// A prefilter cut short also truncates the search, matching
-				// core.SearchWithIndex.
-				stats[i].Truncated = true
-			}
-			stats[i].Trace.Prepend(pres[i].Stages...)
-			stats[i].Trace.Total = time.Since(start)
-		}
-	}
-	return results, stats
-}
-
-// SearchBatch scores every query of the batch across all shards and
-// returns per-query top-k rankings in query order (see the System method;
-// sharded batches share σ through a batch-scoped cache planted in the
-// scatter context rather than a table-major pass).
-func (ss *ShardedSystem) SearchBatch(queries []Query, k int) ([][]Result, []SearchStats) {
-	return ss.SearchBatchContext(context.Background(), queries, k)
-}
-
-// SearchBatchContext runs the batch through the shard coordinator under
-// one read lock. Every scatter leg of every query shares one batch-scoped
-// σ cache covering the union of the batch's entities (core.WithBatchSigma),
-// so cross-query σ reuse survives sharding; rankings are bit-identical to
-// sequential SearchStatsContext calls against an unchanged corpus.
-func (ss *ShardedSystem) SearchBatchContext(ctx context.Context, queries []Query, k int) ([][]Result, []SearchStats) {
-	ss.mustEngines()
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
 	mBatchSearches.Inc()
 	mBatchQueries.Observe(float64(len(queries)))
-	if eng := ss.shards[0].Engine(); eng != nil && ss.graph != nil {
-		ctx = core.WithBatchSigma(ctx, core.NewBatchSigma(queries, eng.Sim, ss.graph.NumEntities()))
+	if s.remotes == nil {
+		ctx = core.WithBatchSigma(ctx, core.NewBatchSigma(queries, s.engine().Sim, s.graph.NumEntities()))
 	}
 	results := make([][]Result, len(queries))
 	stats := make([]SearchStats, len(queries))
 	for i, q := range queries {
-		results[i], stats[i] = ss.coord.Search(ctx, q, k)
+		results[i], stats[i] = s.coord.Search(ctx, q, k)
 	}
 	return results, stats
 }
 
-// SearchBatchContext answers a batch against remote shards, query by
-// query in order — remote legs run in other processes, so there is no
-// local σ cache to share; each daemon applies its own caching. Present so
-// the -shard-urls coordinator serves POST /search/batch.
-func (rs *RemoteSharded) SearchBatchContext(ctx context.Context, queries []Query, k int) ([][]Result, []SearchStats) {
-	mBatchSearches.Inc()
-	mBatchQueries.Observe(float64(len(queries)))
-	results := make([][]Result, len(queries))
-	stats := make([]SearchStats, len(queries))
-	for i, q := range queries {
-		results[i], stats[i] = rs.SearchStatsContext(ctx, q, k)
-	}
-	return results, stats
-}
-
-var (
-	mBatchSearches = obs.SearchBatchTotal()
-	mBatchQueries  = obs.SearchBatchQueries()
-)
-
-// EnableCrossCache attaches a cross-query σ cache of roughly maxBytes to
-// the system (docs/THROUGHPUT.md). Call it at setup time, after selecting
-// a similarity; later similarity changes and Refresh reattach (and flush)
-// it automatically, and every mutation advances its epoch so stale
-// entries lazily invalidate. Pass the previous cache's bytes again to
-// resize by re-enabling. Results are bit-identical with or without it.
+// EnableCrossCache attaches one cross-query σ cache of roughly maxBytes,
+// shared by every shard's engine — σ is a global entity-pair property, so
+// shards can share entries (docs/THROUGHPUT.md). Call it at setup time,
+// after selecting a similarity; later similarity changes and Refresh
+// reattach (and flush) it automatically, and every mutation advances its
+// epoch so stale entries lazily invalidate. Resize by enabling again.
+// Results are bit-identical with or without it.
 func (s *System) EnableCrossCache(maxBytes int64) {
 	s.mustEngine()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cross = core.NewCrossCache(maxBytes)
-	s.cross.SetEpoch(s.lake.Epoch())
-	s.engine.Cross = s.cross
+	cross := core.NewCrossCache(maxBytes)
+	cross.SetEpoch(s.epoch.Load())
+	s.attachCross(cross)
 }
 
 // DisableCrossCache detaches the cross-query σ cache — the runtime escape
 // hatch mirroring DisableSigmaCache's role for the query-scoped cache.
-func (s *System) DisableCrossCache() {
+func (s *System) DisableCrossCache() { s.attachCross(nil) }
+
+func (s *System) attachCross(cross *core.CrossCache) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cross = nil
-	if s.engine != nil {
-		s.engine.Cross = nil
+	s.cross = cross
+	for _, sh := range s.shards {
+		if eng := sh.Engine(); eng != nil {
+			eng.Cross = cross
+		}
 	}
 }
 
@@ -163,71 +99,4 @@ func (s *System) CrossCacheStats() (CrossCacheStats, bool) {
 		return CrossCacheStats{}, false
 	}
 	return s.cross.Stats(), true
-}
-
-// attachCross re-attaches the enabled cross cache to a freshly built
-// engine (similarity selection, Refresh). The σ function may have
-// changed, so the cache is flushed — its epoch alone cannot express
-// "same epoch, different σ".
-func (s *System) attachCross() {
-	if s.cross == nil {
-		return
-	}
-	s.cross.Flush()
-	s.cross.SetEpoch(s.lake.Epoch())
-	s.engine.Cross = s.cross
-}
-
-// EnableCrossCache attaches one deployment-wide cross-query σ cache of
-// roughly maxBytes, shared by every shard's engine (σ is a global
-// entity-pair property, so shards can share entries). See the System
-// method for lifecycle semantics.
-func (ss *ShardedSystem) EnableCrossCache(maxBytes int64) {
-	ss.mustEngines()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.cross = core.NewCrossCache(maxBytes)
-	ss.cross.SetEpoch(ss.epoch.Load())
-	for _, sh := range ss.shards {
-		if eng := sh.Engine(); eng != nil {
-			eng.Cross = ss.cross
-		}
-	}
-}
-
-// DisableCrossCache detaches the cross-query σ cache from every shard.
-func (ss *ShardedSystem) DisableCrossCache() {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	ss.cross = nil
-	for _, sh := range ss.shards {
-		if eng := sh.Engine(); eng != nil {
-			eng.Cross = nil
-		}
-	}
-}
-
-// CrossCacheStats snapshots the deployment-wide cross-query σ cache; ok
-// is false when the cache is not enabled.
-func (ss *ShardedSystem) CrossCacheStats() (CrossCacheStats, bool) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	if ss.cross == nil {
-		return CrossCacheStats{}, false
-	}
-	return ss.cross.Stats(), true
-}
-
-// attachCross mirrors System.attachCross for installEngines.
-func (ss *ShardedSystem) attachCross() {
-	if ss.cross == nil {
-		return
-	}
-	ss.cross.Flush()
-	ss.cross.SetEpoch(ss.epoch.Load())
-	for _, sh := range ss.shards {
-		if eng := sh.Engine(); eng != nil {
-			eng.Cross = ss.cross
-		}
-	}
 }

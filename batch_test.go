@@ -1,10 +1,11 @@
 package thetis
 
 // Throughput battery (docs/THROUGHPUT.md): SearchBatch must be
-// bit-identical to sequential Search calls across aggregation × score mode
-// × parallelism × shard count × LSH, truncation must cut the whole batch
-// to correctly ranked prefixes, and the cross-query σ cache must never
-// change a ranking — before or after mutation-epoch invalidation.
+// bit-identical to sequential searches of the core-assembled reference
+// (internal/reference) across aggregation × score mode × parallelism ×
+// shard count × partitioner × LSH, truncation must cut the batch to
+// correctly ranked prefixes, and the cross-query σ cache must never change
+// a ranking — before or after mutation-epoch invalidation.
 
 import (
 	"context"
@@ -12,19 +13,19 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"thetis/internal/core"
+	"thetis/internal/reference"
 )
 
 // assertBatchEquals compares one SearchBatch answer against per-query
-// sequential SearchStats on the same system: same IDs, same scores (bit
-// for bit), same order.
-func assertBatchEquals(t *testing.T, label string, s interface {
-	SearchBatch(queries []Query, k int) ([][]Result, []SearchStats)
-	SearchStats(q Query, k int) ([]Result, SearchStats)
-}, queries []Query, k int) {
+// sequential searches of the reference: same IDs, same scores (bit for
+// bit), same order.
+func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *System, queries []Query, k int) {
 	t.Helper()
 	got, gotStats := s.SearchBatch(queries, k)
 	for qi, q := range queries {
-		want, wantStats := s.SearchStats(q, k)
+		want, wantStats := ref.Search(q, k)
 		if gotStats[qi].Truncated || wantStats.Truncated {
 			t.Fatalf("%s q%d: unexpected truncation (batch=%v sequential=%v)",
 				label, qi, gotStats[qi].Truncated, wantStats.Truncated)
@@ -43,64 +44,41 @@ func assertBatchEquals(t *testing.T, label string, s interface {
 	}
 }
 
-// TestBatchMatchesSequentialFullScan sweeps the scoring matrix on an
-// unsharded, unindexed System: the table-major batch pass must reproduce
-// the sequential rankings under every aggregation, score mode, and
-// parallelism, at top-10 and unbounded k.
-func TestBatchMatchesSequentialFullScan(t *testing.T) {
-	kgEnv, tables, queries := batteryEnv(t)
-	sys := New(kgEnv.Graph)
-	for _, tb := range tables {
-		sys.AddTable(tb)
-	}
-	sys.UseTypeSimilarity()
-	for _, cfg := range []struct {
-		name string
-		agg  Aggregation
-		mode ScoreMode
-		par  int
-	}{
-		{"max-entitywise-par0", AggregateMax, ModeEntityWise, 0},
-		{"avg-entitywise-par1", AggregateAvg, ModeEntityWise, 1},
-		{"max-pairwise-par4", AggregateMax, ModePairwise, 4},
-		{"avg-pairwise-par1", AggregateAvg, ModePairwise, 1},
-	} {
-		sys.SetAggregation(cfg.agg)
-		sys.SetScoreMode(cfg.mode)
-		sys.SetParallelism(cfg.par)
-		assertBatchEquals(t, cfg.name, sys, queries, 10)
-		assertBatchEquals(t, cfg.name+"/all", sys, queries[:2], -1)
-	}
-}
-
-// TestBatchMatchesSequentialWithLSH adds the LSEI prefilter: per-query
-// candidate sets (with full-scan fallback on empty ones) must flow through
-// the union pass without changing any ranking, at every vote threshold.
-func TestBatchMatchesSequentialWithLSH(t *testing.T) {
-	kgEnv, tables, queries := batteryEnv(t)
-	sys := New(kgEnv.Graph)
-	for _, tb := range tables {
-		sys.AddTable(tb)
-	}
-	sys.UseTypeSimilarity()
-	sys.BuildIndex(DefaultIndexConfig())
-	for _, votes := range []int{1, 2, 3} {
-		sys.SetVotes(votes)
-		assertBatchEquals(t, "lsh", sys, queries, 10)
-	}
-}
-
-// TestBatchMatchesSequentialSharded runs the same contract through the
-// scatter-gather coordinator, where the batch shares σ via the
-// context-planted cache instead of the table-major pass.
-func TestBatchMatchesSequentialSharded(t *testing.T) {
+// TestBatchMatchesSequential sweeps the deployment axis and the scoring
+// matrix: a batch — every scatter leg of every query sharing one σ cache —
+// must reproduce the reference's sequential rankings under every shard
+// count, partitioner, aggregation, score mode, and parallelism, at top-10
+// and unbounded k, unindexed and then LSEI-prefiltered (per-query candidate
+// sets, full-scan rescatter on empty ones) at every vote threshold.
+func TestBatchMatchesSequential(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	for _, n := range []int{1, 2, 4} {
-		_, ss := buildPair(t, n, NewHashPartitioner(n))
-		assertBatchEquals(t, "sharded", ss, queries, 10)
-		ss.BuildIndex(DefaultIndexConfig())
-		ss.SetVotes(2)
-		assertBatchEquals(t, "sharded-lsh", ss, queries, 10)
+	for _, ax := range shardAxes() {
+		ref, sys := buildPair(t, ax.part())
+		for _, cfg := range []struct {
+			name string
+			agg  Aggregation
+			mode ScoreMode
+			par  int
+		}{
+			{"max-entitywise-par0", AggregateMax, ModeEntityWise, 0},
+			{"avg-entitywise-par1", AggregateAvg, ModeEntityWise, 1},
+			{"max-pairwise-par4", AggregateMax, ModePairwise, 4},
+			{"avg-pairwise-par1", AggregateAvg, ModePairwise, 1},
+		} {
+			ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
+			sys.SetAggregation(cfg.agg)
+			sys.SetScoreMode(cfg.mode)
+			sys.SetParallelism(cfg.par)
+			assertBatchEquals(t, ax.name+"/"+cfg.name, ref, sys, queries, 10)
+			assertBatchEquals(t, ax.name+"/"+cfg.name+"/all", ref, sys, queries[:2], -1)
+		}
+		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, DefaultIndexConfig())
+		sys.BuildIndex(DefaultIndexConfig())
+		for _, votes := range []int{1, 2, 3} {
+			ref.Votes = votes
+			sys.SetVotes(votes)
+			assertBatchEquals(t, ax.name+"/lsh", ref, sys, queries, 10)
+		}
 	}
 }
 
@@ -232,13 +210,9 @@ func TestBatchMutationDuringBatch(t *testing.T) {
 
 	// The mutation loop always removed what it added, so a from-scratch
 	// rebuild over the original tables must agree bit for bit.
-	ref := New(kgEnv.Graph)
-	for _, tb := range tables {
-		ref.AddTable(tb)
-	}
-	ref.UseTypeSimilarity()
+	ref := typeReference(t, tables)
 	for qi, q := range queries {
-		want, _ := ref.SearchStats(q, 10)
+		want, _ := ref.Search(q, 10)
 		got, _ := sys.SearchStats(q, 10)
 		if len(got) != len(want) {
 			t.Fatalf("q%d: post-mutation system returned %d results, rebuild %d", qi, len(got), len(want))
@@ -252,23 +226,16 @@ func TestBatchMutationDuringBatch(t *testing.T) {
 }
 
 // TestCrossCacheExactness runs the full query set twice with the cross
-// cache on and compares every ranking against a cache-less twin: hit or
-// miss, σ values are deterministic, so rankings must be bit-identical —
-// and the second pass must actually hit.
+// cache on and compares every ranking against the cache-less reference:
+// hit or miss, σ values are deterministic, so rankings must be
+// bit-identical — and the second pass must actually hit.
 func TestCrossCacheExactness(t *testing.T) {
-	kgEnv, tables, queries := batteryEnv(t)
-	cached := New(kgEnv.Graph)
-	plain := New(kgEnv.Graph)
-	for _, tb := range tables {
-		cached.AddTable(tb)
-		plain.AddTable(tb)
-	}
-	cached.UseTypeSimilarity()
-	plain.UseTypeSimilarity()
+	_, _, queries := batteryEnv(t)
+	plain, cached := buildPair(t, NewHashPartitioner(1))
 	cached.EnableCrossCache(16 << 20)
 	for pass := 0; pass < 2; pass++ {
 		for qi, q := range queries {
-			want, _ := plain.SearchStats(q, -1)
+			want, _ := plain.Search(q, -1)
 			got, _ := cached.SearchStats(q, -1)
 			if len(got) != len(want) {
 				t.Fatalf("pass %d q%d: cached returned %d results, plain %d", pass, qi, len(got), len(want))
@@ -326,21 +293,16 @@ func TestCrossCacheInvalidationOnEpochBump(t *testing.T) {
 
 	// From-scratch reference over the survivors, in the live-ID order the
 	// mutated system reports (tables 2..n-1, then the re-added table 1).
-	ref := New(kgEnv.Graph)
+	ref := typeReference(t, append(append([]*Table(nil), tables[2:]...), tables[1]))
 	liveIDs := make([]TableID, 0, len(tables)-1)
-	for _, tb := range tables[2:] {
-		ref.AddTable(tb)
-	}
-	ref.AddTable(tables[1])
 	for i := 2; i < len(tables); i++ {
 		liveIDs = append(liveIDs, TableID(i))
 	}
 	liveIDs = append(liveIDs, readded)
-	ref.UseTypeSimilarity()
 
 	for pass := 0; pass < 2; pass++ { // second pass answers from the repopulated cache
 		for qi, q := range queries {
-			want, _ := ref.SearchStats(q, 10)
+			want, _ := ref.Search(q, 10)
 			got, _ := sys.SearchStats(q, 10)
 			if len(got) != len(want) {
 				t.Fatalf("pass %d q%d: mutated returned %d results, rebuild %d", pass, qi, len(got), len(want))
@@ -358,10 +320,10 @@ func TestCrossCacheInvalidationOnEpochBump(t *testing.T) {
 
 // TestCrossCacheSharded checks the deployment-wide cache: one CrossCache
 // shared by every shard engine must leave sharded rankings identical to
-// the unsharded system and collect hits across shards.
+// the reference and collect hits across shards.
 func TestCrossCacheSharded(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	sys, ss := buildPair(t, 2, NewHashPartitioner(2))
+	sys, ss := buildPair(t, NewHashPartitioner(2))
 	ss.EnableCrossCache(16 << 20)
 	for pass := 0; pass < 2; pass++ {
 		assertIdenticalRankings(t, "cross-sharded", sys, ss, queries, 10)

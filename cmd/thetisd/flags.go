@@ -45,10 +45,7 @@ func validateFlags(c flagConfig) error {
 		return fmt.Errorf("-shard-by must be hash or size (got %q)", c.ShardBy)
 	}
 	if c.Shards > 1 && c.IndexFile != "" {
-		return fmt.Errorf("-indexfile requires -shards 1 (snapshots cover one unsharded index)")
-	}
-	if c.Shards > 1 && c.DeltaLog != "" {
-		return fmt.Errorf("-delta-log requires -shards 1 (the log replays into one unsharded system)")
+		return fmt.Errorf("-indexfile requires -shards 1 (snapshots cover one shard's index)")
 	}
 	if c.AnnTopK < 0 || (c.AnnTopK > 0 && c.Sim != "embeddings") {
 		return fmt.Errorf("-ann-topk needs a positive K and -sim embeddings")

@@ -13,15 +13,16 @@
 //
 // Sharded serving (docs/SHARDING.md): -shards N partitions the corpus into
 // N in-process shards (-shard-by picks hash or size-balanced placement)
-// searched by scatter-gather; rankings are identical to -shards 1, and each
-// shard's LSEI builds and hot-swaps independently (per-shard states on
-// /readyz and thetis_shard_* metrics). -indexfile requires -shards 1:
-// snapshots cover one unsharded index.
+// searched by scatter-gather; the default -shards 1 is the same system with
+// one shard, rankings are identical at every N, and each shard's LSEI
+// builds and hot-swaps independently (per-shard states on /readyz and
+// thetis_shard_* metrics). -indexfile requires -shards 1: snapshots cover
+// one shard's index.
 //
 // Shard-over-HTTP (docs/SHARDING.md §"Shard-over-HTTP"): -shard-urls turns
 // the daemon into a scatter-gather coordinator over remote shard daemons
-// (plain unsharded thetisd instances each serving its hash-assigned slice
-// of the corpus). The coordinator loads the full corpus locally for query
+// (plain thetisd instances each serving its hash-assigned slice of the
+// corpus). The coordinator loads the full corpus locally for query
 // parsing, keyword search, and the global-artifact bootstrap it ships to
 // every shard, but answers /search by scattering over HTTP with retries,
 // hedging, replica failover, and per-replica circuit breakers
@@ -59,10 +60,11 @@
 //
 // Live mutation (docs/LIVE_INDEX.md): POST /tables and DELETE /tables/{id}
 // fold additions and removals into every live index without a restart.
-// -delta-log (requires -shards 1) write-ahead-logs each mutation to a
-// checksummed append-only file and replays it over the base corpus on the
-// next start — a corrupt log refuses to start rather than serve a wrong
-// index. -compact-every periodically rebuilds the LSEI aside to shed
+// -delta-log write-ahead-logs each mutation to a checksummed append-only
+// file and replays it over the base corpus on the next start (restart with
+// the same -shards and -shard-by) — a corrupt log refuses to start rather
+// than serve a wrong index, and a log that stops logging mid-run turns
+// /readyz degraded and sets thetis_delta_log_failed. -compact-every periodically rebuilds the LSEI aside to shed
 // tombstones; searches keep flowing through each compaction.
 //
 // Operational endpoints (docs/OBSERVABILITY.md): GET /metrics exposes
@@ -76,7 +78,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -100,7 +101,7 @@ func main() {
 	annTopK := flag.Int("ann-topk", 0, "approximate top-k sigma: each query entity keeps its K nearest store entities via HNSW, 0 = exact (requires -sim embeddings)")
 	annEf := flag.Int("ann-ef", 64, "HNSW search beam width for -ann-topk (higher = better recall, slower)")
 	crossMB := flag.Int("cross-cache-mb", 0, "cross-query sigma cache budget in MiB, invalidated on corpus mutation (0 disables; see docs/THROUGHPUT.md)")
-	shards := flag.Int("shards", 1, "in-process shard count for scatter-gather serving (1 = unsharded)")
+	shards := flag.Int("shards", 1, "in-process shard count for scatter-gather serving")
 	shardBy := flag.String("shard-by", "hash", "partitioning strategy for -shards > 1: hash | size")
 	shardURLs := flag.String("shard-urls", "", "serve as a scatter-gather coordinator over remote shard daemons: shards comma-separated, replicas of one shard |-separated (requires -shard-by hash)")
 	probeEvery := flag.Duration("probe-every", 3*time.Second, "remote-replica health probe interval for -shard-urls (0 disables probing)")
@@ -112,7 +113,7 @@ func main() {
 	lenient := flag.Bool("lenient-ingest", false, "skip malformed KG lines and corpus tables instead of aborting (see /debug/ingest)")
 	budget := flag.Int("ingest-budget", 1000, "max records lenient ingestion may quarantine before giving up (-1 = unlimited)")
 	maxLine := flag.Int("max-line", 0, "max bytes per KG/corpus line (0 = 16 MiB default)")
-	deltaLog := flag.String("delta-log", "", "write-ahead mutation log, replayed over the base corpus on restart (requires -shards 1)")
+	deltaLog := flag.String("delta-log", "", "write-ahead mutation log, replayed over the base corpus on restart")
 	compactEvery := flag.Duration("compact-every", 0, "rebuild live indexes this often to shed removal tombstones (0 disables)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request search deadline; expiring searches return partial results (0 disables)")
 	maxInflight := flag.Int("max-inflight", 8*runtime.GOMAXPROCS(0), "max concurrent search requests before shedding with 429 (0 disables)")
@@ -145,7 +146,7 @@ func main() {
 	}
 
 	report := thetis.NewIngestReport()
-	sys, single, sharded := load(*kgPath, *corpusPath, *shards, *shardBy, thetis.IngestOptions{
+	sys := load(*kgPath, *corpusPath, *shards, *shardBy, thetis.IngestOptions{
 		Lenient:      *lenient,
 		MaxLineBytes: *maxLine,
 		ErrorBudget:  *budget,
@@ -161,7 +162,7 @@ func main() {
 	}
 	if *deltaLog != "" {
 		base := sys.NumTables()
-		if err := single.AttachDeltaLog(*deltaLog); err != nil {
+		if err := sys.AttachDeltaLog(*deltaLog); err != nil {
 			log.Fatalf("delta log %s: %v (restore the base corpus and a clean log)", *deltaLog, err)
 		}
 		if n := sys.NumTables(); n != base {
@@ -210,8 +211,6 @@ func main() {
 		server.WithMaxInFlight(*maxInflight),
 		server.WithIngestReport(report),
 	}
-	var backend server.Backend = sys
-	var shardGroups [][]string
 	stopProbes := func() {}
 	if *shardURLs != "" {
 		// Coordinator mode (docs/SHARDING.md §"Shard-over-HTTP"): the full
@@ -222,49 +221,40 @@ func main() {
 		if err != nil {
 			log.Fatal(err) // unreachable: validateFlags already parsed it
 		}
-		shardGroups = groups
 		var hedge float64
 		if *timeout > 0 {
 			hedge = 0.95
 		}
-		rsys, stop := startCoordinator(single, groups, cfg, *useLSH, *votes, *probeEvery, hedge)
-		backend = rsys
-		stopProbes = stop
-		opts = append(opts, server.WithRemoteShardStatus(rsys.ShardStatuses))
-	} else if *useLSH && sharded != nil {
-		// Sharded: every shard's index builds in the background and
-		// hot-swaps independently; /readyz reports the per-shard lifecycle.
-		rds := server.NewShardReadinesses(nil, sharded.NumShards())
-		opts = append(opts, server.WithShardReadiness(rds))
-		done := server.ActivateShardIndexes(sharded, rds, cfg, *votes)
-		go logShardActivation(rds, done)
+		var shardCfg *thetis.IndexConfig
+		if *useLSH {
+			shardCfg = &cfg
+		}
+		stopProbes = startCoordinator(sys, groups, shardCfg, *votes, *probeEvery, hedge)
+		opts = append(opts, server.WithRemoteShardStatus(sys.ShardStatuses))
 	} else if *useLSH {
-		// Serve immediately — brute force while the index builds in the
-		// background (or loads from a snapshot), then hot-swap.
-		ready := server.NewReadiness(nil)
-		opts = append(opts, server.WithReadiness(ready))
-		var snapshot *os.File
+		// Serve immediately — brute force while every shard's index builds
+		// in the background (or the one shard's loads from a snapshot), then
+		// hot-swap shard by shard; /readyz reports the per-shard lifecycle.
+		rds := server.NewReadinesses(nil, sys.NumShards())
+		opts = append(opts, server.WithReadiness(rds))
+		var done <-chan error
 		if *indexFile != "" {
 			f, err := os.Open(*indexFile)
 			if err != nil {
 				log.Fatal(err)
 			}
-			snapshot = f
-		}
-		if snapshot != nil {
-			done := server.ActivateIndex(single, ready, cfg, *votes, bufio.NewReader(snapshot))
-			snapshot.Close()
+			done = server.ActivateIndex(sys, rds, cfg, *votes, bufio.NewReader(f))
+			f.Close() // the snapshot is read synchronously
 			// A rejected snapshot parks the state at degraded before the
 			// background rebuild starts; surface that in the log so disk
 			// corruption is not hidden behind a successful rebuild.
-			if state, detail, _ := ready.Snapshot(); state == server.StateDegraded {
+			if state, detail, _ := rds[0].Snapshot(); state == server.StateDegraded {
 				log.Printf("%s: %s", *indexFile, detail)
 			}
-			go logActivation(ready, done)
 		} else {
-			done := server.ActivateIndex(single, ready, cfg, *votes, nil)
-			go logActivation(ready, done)
+			done = server.ActivateIndex(sys, rds, cfg, *votes, nil)
 		}
+		go logActivation(rds, done)
 	}
 	if *withPprof {
 		opts = append(opts, server.WithPprof())
@@ -282,57 +272,46 @@ func main() {
 				case <-ctx.Done():
 					return
 				case <-tick.C:
-					if sharded != nil {
-						sharded.Compact()
-					} else {
-						single.Compact()
-					}
+					sys.Compact()
 				}
 			}
 		}()
 	}
-	switch {
-	case *shardURLs != "":
-		log.Printf("coordinating %d tables across %d remote shards on %s (metrics on /metrics, timeout %v, max in-flight %d)",
-			sys.NumTables(), len(shardGroups), *addr, *timeout, *maxInflight)
-	case sharded != nil:
-		log.Printf("serving %d tables across %d shards (%s-partitioned) on %s (metrics on /metrics, timeout %v, max in-flight %d)",
-			sys.NumTables(), sharded.NumShards(), *shardBy, *addr, *timeout, *maxInflight)
-	default:
-		log.Printf("serving %d tables on %s (metrics on /metrics, timeout %v, max in-flight %d)",
-			sys.NumTables(), *addr, *timeout, *maxInflight)
+	role := "serving"
+	if *shardURLs != "" {
+		role = "coordinating"
 	}
-	err := server.Run(ctx, *addr, server.New(backend, opts...), *drain)
+	log.Printf("%s %d tables across %d shards on %s (metrics on /metrics, timeout %v, max in-flight %d)",
+		role, sys.NumTables(), sys.NumShards(), *addr, *timeout, *maxInflight)
+	err := server.Run(ctx, *addr, server.New(sys, opts...), *drain)
 	stopProbes()
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *deltaLog != "" {
-		if err := single.DeltaLogError(); err != nil {
-			log.Printf("delta log %s: stopped logging after error: %v (mutations since are not durable)", *deltaLog, err)
-		}
-		single.CloseDeltaLog()
+	if err := sys.DeltaLogError(); err != nil {
+		log.Printf("delta log %s: stopped logging after error: %v (mutations since are not durable)", *deltaLog, err)
 	}
+	sys.CloseDeltaLog()
 	log.Println("drained in-flight queries, shut down cleanly")
 }
 
-// startCoordinator assembles the remote-sharded backend (thetisd
-// -shard-urls): one RemoteShard client per replica group, global table IDs
-// assigned by replaying the hash partitioner over the local corpus, then a
-// blocking bootstrap that ships the global artifacts (IDF informativeness,
+// startCoordinator puts sys into coordinator mode (thetisd -shard-urls):
+// one RemoteShard client per replica group, global table IDs assigned by
+// replaying the hash partitioner over the local corpus, then a blocking
+// bootstrap that ships the global artifacts (IDF informativeness,
 // frequent-type filter, index spec, votes) to every replica. Bootstrap
 // failure is fatal — serving un-bootstrapped shards would return rankings
-// that differ from the unsharded system.
-func startCoordinator(local *thetis.System, groups [][]string, cfg thetis.IndexConfig, useLSH bool, votes int, probeEvery time.Duration, hedgePct float64) (*thetis.RemoteSharded, func()) {
-	part := thetis.NewHashPartitioner(len(groups))
-	globals := local.ShardGlobalIDs(part)
+// that differ from the in-process system. It returns the probes' stop
+// function.
+func startCoordinator(sys *thetis.System, groups [][]string, cfg *thetis.IndexConfig, votes int, probeEvery time.Duration, hedgePct float64) (stopProbes func()) {
+	globals := sys.ShardGlobalIDs(thetis.NewHashPartitioner(len(groups)))
 	shards := make([]*thetis.RemoteShard, len(groups))
 	for i, urls := range groups {
 		replicas := make([]thetis.RemoteReplica, len(urls))
 		for j, u := range urls {
 			replicas[j] = thetis.RemoteReplica{URL: u}
 		}
-		sh, err := thetis.NewRemoteShard(fmt.Sprintf("%d", i), local.Graph(), globals[i], replicas, thetis.RemoteOptions{
+		sh, err := thetis.NewRemoteShard(fmt.Sprintf("%d", i), sys.Graph(), globals[i], replicas, thetis.RemoteOptions{
 			HedgePercentile: hedgePct,
 		})
 		if err != nil {
@@ -340,38 +319,22 @@ func startCoordinator(local *thetis.System, groups [][]string, cfg thetis.IndexC
 		}
 		shards[i] = sh
 	}
-	rsys := thetis.NewRemoteSharded(local, shards...)
-	if useLSH {
-		rsys.SetIndexConfig(cfg)
-	}
-	rsys.SetVotes(votes)
+	sys.UseRemoteShards(shards...)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 	log.Printf("bootstrapping %d remote shards (global artifacts + index spec)…", len(shards))
-	if err := rsys.Bootstrap(ctx); err != nil {
+	if err := sys.BootstrapShards(ctx, cfg, votes); err != nil {
 		log.Fatalf("bootstrap: %v (start the shard daemons, then restart the coordinator)", err)
 	}
-	stop := func() {}
-	if probeEvery > 0 {
-		stop = rsys.StartProbes(probeEvery)
+	if probeEvery <= 0 {
+		return func() {}
 	}
-	return rsys, stop
+	return sys.StartProbes(probeEvery)
 }
 
 // logActivation reports the index lifecycle outcome without blocking
-// startup.
-func logActivation(ready *server.Readiness, done <-chan error) {
-	if err := <-done; err != nil {
-		log.Printf("index activation failed: %v (still serving, brute force)", err)
-		return
-	}
-	_, detail, _ := ready.Snapshot()
-	log.Printf("index ready: %s", detail)
-}
-
-// logShardActivation is logActivation's sharded variant: it reports how
-// many shard indexes landed once every build has finished.
-func logShardActivation(rds []*server.Readiness, done <-chan error) {
+// startup: how many shard indexes landed once every build has finished.
+func logActivation(rds []*server.Readiness, done <-chan error) {
 	err := <-done
 	ready := 0
 	for _, rd := range rds {
@@ -380,32 +343,17 @@ func logShardActivation(rds []*server.Readiness, done <-chan error) {
 		}
 	}
 	if err != nil {
-		log.Printf("shard index activation: %d/%d shards ready, first failure: %v (failed shards serve brute force)",
+		log.Printf("index activation: %d/%d shards ready, first failure: %v (failed shards serve brute force)",
 			ready, len(rds), err)
 		return
 	}
-	log.Printf("shard indexes ready: %d/%d", ready, len(rds))
+	_, detail, _ := rds[0].Snapshot()
+	log.Printf("shard indexes ready: %d/%d (%s)", ready, len(rds), detail)
 }
 
-// backend is the daemon's view of a lake system: everything the HTTP layer
-// needs (server.Backend) plus the configuration surface main exercises
-// before serving. Both *thetis.System and *thetis.ShardedSystem satisfy it.
-type backend interface {
-	server.Backend
-	IngestCorpus(r io.Reader, opts thetis.IngestOptions) (int, error)
-	UseTypeSimilarity()
-	UseEmbeddingSimilarity()
-	EnableAnnTopK(k, ef int) error
-	EnableCrossCache(maxBytes int64)
-	TrainEmbeddings(w thetis.WalkConfig, t thetis.TrainConfig) *thetis.EmbeddingStore
-	LoadEmbeddings(r io.Reader) error
-	BuildKeywordIndex()
-}
-
-// load builds the graph and ingests the corpus into either an unsharded
-// System (shards == 1) or a ShardedSystem. Exactly one of the two concrete
-// returns is non-nil; sys aliases it as the shared configuration surface.
-func load(kgPath, corpusPath string, shards int, shardBy string, opts thetis.IngestOptions) (sys backend, single *thetis.System, sharded *thetis.ShardedSystem) {
+// load builds the graph and ingests the corpus into a System of the given
+// shard count.
+func load(kgPath, corpusPath string, shards int, shardBy string, opts thetis.IngestOptions) *thetis.System {
 	g := thetis.NewGraph()
 	kf, err := os.Open(kgPath)
 	if err != nil {
@@ -427,20 +375,11 @@ func load(kgPath, corpusPath string, shards int, shardBy string, opts thetis.Ing
 		log.Fatalf("loading KG %s: %v", kgPath, err)
 	}
 
-	if shards > 1 {
-		var part thetis.Partitioner
-		switch shardBy {
-		case "size":
-			part = thetis.NewBalancedPartitioner(shards)
-		default:
-			part = thetis.NewHashPartitioner(shards)
-		}
-		sharded = thetis.NewShardedSystem(g, part)
-		sys = sharded
-	} else {
-		single = thetis.New(g)
-		sys = single
+	part := thetis.NewHashPartitioner(shards)
+	if shardBy == "size" {
+		part = thetis.NewBalancedPartitioner(shards)
 	}
+	sys := thetis.NewSharded(g, part)
 	cf, err := os.Open(corpusPath)
 	if err != nil {
 		log.Fatal(err)
@@ -450,5 +389,5 @@ func load(kgPath, corpusPath string, shards int, shardBy string, opts thetis.Ing
 	if _, err := sys.IngestCorpus(bufio.NewReaderSize(cf, 1<<20), opts); err != nil {
 		log.Fatalf("corpus %s: %v", corpusPath, err)
 	}
-	return sys, single, sharded
+	return sys
 }

@@ -3,10 +3,9 @@ package main
 // Satellite of docs/SHARDING.md's shard-over-HTTP work: the flag
 // incompatibility matrix is pure logic (flags.go), so every rule that used
 // to be an inline os.Exit(2) in main is pinned here without forking a
-// process. The headline regression: -delta-log with -shards > 1 must be
-// rejected at startup — a write-ahead log can only replay into one
-// unsharded system, and accepting the pair used to mean a daemon that
-// started and then served from a corpus the log never covered.
+// process. -delta-log with -shards > 1 is accepted: one mutation path logs
+// global-ID mutations in order at every shard count (the restart-replay
+// rows of live_test.go).
 
 import (
 	"strings"
@@ -48,6 +47,15 @@ func TestValidateFlagsAcceptsBaseline(t *testing.T) {
 	if err := validateFlags(crossed); err != nil {
 		t.Fatalf("cross-cache config rejected: %v", err)
 	}
+	for _, shardBy := range []string{"hash", "size"} {
+		logged := validConfig()
+		logged.Shards = 2
+		logged.ShardBy = shardBy
+		logged.DeltaLog = "d.log"
+		if err := validateFlags(logged); err != nil {
+			t.Fatalf("-delta-log with -shards 2 -shard-by %s rejected: %v", shardBy, err)
+		}
+	}
 }
 
 func TestValidateFlagsRejections(t *testing.T) {
@@ -56,7 +64,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		mutate  func(*flagConfig)
 		wantSub string
 	}{
-		{"delta log with shards", func(c *flagConfig) { c.Shards = 2; c.DeltaLog = "d.log" }, "-delta-log requires -shards 1"},
 		{"indexfile with shards", func(c *flagConfig) { c.Shards = 2; c.IndexFile = "i.bin" }, "-indexfile requires -shards 1"},
 		{"zero shards", func(c *flagConfig) { c.Shards = 0 }, "-shards must be >= 1"},
 		{"zero votes", func(c *flagConfig) { c.Votes = 0 }, "-votes must be >= 1"},

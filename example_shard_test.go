@@ -1,9 +1,8 @@
 package thetis_test
 
 // Runnable godoc examples for the sharded serving seams (docs/SHARDING.md):
-// assembling a ShardedSystem behind a partitioner, and driving a
-// Coordinator over custom Shard implementations. `go test` verifies the
-// outputs.
+// partitioning a System across shards, and driving a Coordinator over
+// custom Shard implementations. `go test` verifies the outputs.
 
 import (
 	"context"
@@ -13,11 +12,12 @@ import (
 	"thetis"
 )
 
-// ExampleNewShardedSystem partitions the README's baseball corpus across
-// two shards and searches it by scatter-gather. Global table IDs are
-// assigned in ingestion order, so the ranking — IDs and scores — is
-// exactly what an unsharded System returns over the same corpus.
-func ExampleNewShardedSystem() {
+// ExampleNewSharded partitions the README's baseball corpus across two
+// shards and searches it by scatter-gather. It is the same System that
+// thetis.New builds with one shard; global table IDs are assigned in
+// ingestion order, so the ranking — IDs and scores — is the same at every
+// shard count.
+func ExampleNewSharded() {
 	g := thetis.NewGraph()
 	triples := `
 <onto/BaseballPlayer> <rdfs:subClassOf> <onto/Athlete> .
@@ -34,7 +34,7 @@ func ExampleNewShardedSystem() {
 	}
 	linker := thetis.NewDictionaryLinker(g)
 
-	ss := thetis.NewShardedSystem(g, thetis.NewHashPartitioner(2))
+	ss := thetis.NewSharded(g, thetis.NewHashPartitioner(2))
 	for _, name := range []string{"Ron Santo", "Mitch Stetter", "Vera Volley"} {
 		t := thetis.NewTable(strings.ToLower(name), []string{"Player"})
 		t.AppendValues(name)

@@ -3,19 +3,18 @@ package thetis
 // Shard-over-HTTP (docs/SHARDING.md §"Shard-over-HTTP"): the pieces that
 // turn the in-process scatter-gather seam into a distributed deployment.
 //
-// Topology: N shard daemons each run an ordinary unsharded thetisd over
-// their slice of the corpus; one coordinator daemon (thetisd -shard-urls)
-// loads the FULL corpus locally — for query parsing, BM25 keyword search,
-// table lookups, and artifact computation — but scatters every semantic
-// search to the shard daemons through remote.Shard clients (one per
-// shard, N replicas each) and merges with the same Coordinator the
-// in-process path uses.
+// Topology: N shard daemons each run an ordinary thetisd over their slice
+// of the corpus; one coordinator daemon (thetisd -shard-urls) loads the
+// FULL corpus locally — for query parsing, BM25 keyword search, table
+// lookups, and artifact computation — but scatters every semantic search to
+// the shard daemons through remote.Shard clients (one per shard, N replicas
+// each) and merges with the same Coordinator the in-process path uses.
 //
 // This file is the root-package glue: the daemon-side handlers a System
 // needs to serve as a remote shard (ServeShardSearch,
 // ApplyShardArtifacts), the coordinator-side artifact computation and
-// global ID mapping, and the RemoteSharded facade that plugs into the
-// HTTP layer as a server.Backend.
+// global ID mapping, and coordinator mode itself — the same System with its
+// scatter legs swapped for remote clients (UseRemoteShards).
 
 import (
 	"context"
@@ -27,7 +26,6 @@ import (
 
 	"thetis/internal/core"
 	"thetis/internal/kg"
-	"thetis/internal/lake"
 	"thetis/internal/remote"
 )
 
@@ -65,7 +63,7 @@ var ErrReadOnly = errors.New("thetis: deployment is read-only (mutate the shard 
 // daemon has never seen, without growing the graph), runs the same
 // SearchShard an in-process scatter leg runs (FallbackNone; the
 // coordinator owns the full-scan decision), and returns the ranking in
-// LOCAL table IDs for the client to translate.
+// this daemon's own table IDs for the client to translate.
 func (s *System) ServeShardSearch(ctx context.Context, req remote.SearchRequest) remote.SearchPayload {
 	q := s.resolveWireQuery(req.Tuples)
 	results, stats := s.SearchShard(ctx, q, req.K, ShardSearchOptions{ForceFullScan: req.ForceFullScan})
@@ -143,7 +141,7 @@ func (s *System) resolveWireQuery(tuples [][]string) Query {
 // serving correct local rankings but breaks the deployment-wide
 // bit-identity until the coordinator re-bootstraps.
 func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
-	if s.engine == nil {
+	if s.engine() == nil {
 		return errors.New("thetis: select a similarity before ApplyShardArtifacts")
 	}
 	var cfg IndexConfig
@@ -163,13 +161,18 @@ func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
 	defer s.maintMu.Unlock()
 
 	s.mu.Lock()
+	if s.remotes != nil {
+		s.mu.Unlock()
+		return ErrReadOnly
+	}
 	weights := make(map[EntityID]float64, len(a.Informativeness))
 	for uri, w := range a.Informativeness {
 		weights[s.graph.AddEntity(uri, "")] = w
 	}
-	var filter map[kg.TypeID]bool
+	// No filter shipped for a type index freezes an empty one rather than
+	// computing a local filter that would diverge across shards.
+	filter := map[kg.TypeID]bool{}
 	if a.HasFilter {
-		filter = make(map[kg.TypeID]bool, len(a.FrequentTypes))
 		for _, uri := range a.FrequentTypes {
 			// A type this graph has not interned cannot appear in any local
 			// entity's type set, so skipping it never changes a signature.
@@ -179,37 +182,31 @@ func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
 		}
 	}
 	// Absent entities weigh 1, exactly like df == 0 under the IDF formula.
-	s.engine.Inf = func(e EntityID) float64 {
+	inf := func(e EntityID) float64 {
 		if w, ok := weights[e]; ok {
 			return w
 		}
 		return 1
 	}
+	for _, sh := range s.shards {
+		sh.Engine().Inf = inf
+	}
 	if a.Votes > 0 {
-		s.votes.Store(int32(a.Votes))
+		s.SetVotes(a.Votes)
 	}
 	s.mu.Unlock()
 
 	if a.Index == nil {
 		return nil
 	}
-	s.indexCfg = cfg
-	if s.ec != nil && s.engine.Sim == Similarity(s.ec) {
-		s.filterState = nil
-		s.index.Store(core.BuildEmbeddingLSEI(s.lake, s.ec, s.store.Dim(), cfg))
-		return nil
-	}
-	if filter == nil {
-		// No filter shipped for a type index: freeze an empty one rather
-		// than computing a local filter that would diverge across shards.
-		filter = map[kg.TypeID]bool{}
-	}
 	// The filter stays a frozen global snapshot — no TypeFilterState, so
 	// later local mutations extend signatures under it without re-balancing
-	// (re-balancing against one shard's sub-corpus would diverge from the
-	// other shards anyway; see the method comment).
-	s.filterState = nil
-	s.index.Store(core.BuildTypeLSEIFiltered(s.lake, s.tj, cfg, filter))
+	// (re-balancing against one daemon's sub-corpus would diverge from the
+	// other daemons anyway; see the method comment).
+	s.indexCfg, s.typeFilter, s.filterState = cfg, filter, nil
+	for i := range s.shards {
+		s.buildShardIndexLocked(i)
+	}
 	return nil
 }
 
@@ -223,9 +220,9 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	inf := core.IDFInformativenessOver([]*lake.Lake{s.lake})
+	inf := core.IDFInformativenessOver(s.lakes)
 	weights := make(map[string]float64)
-	for _, e := range s.lake.DistinctEntities() {
+	for _, e := range s.distinctEntitiesLocked() {
 		weights[s.graph.URI(e)] = inf(e)
 	}
 	a := ShardArtifacts{Informativeness: weights, Votes: votes}
@@ -240,10 +237,10 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 		ColumnAggregation: c.ColumnAggregation,
 		Seed:              c.Seed,
 	}
-	if s.ec != nil && s.engine.Sim == Similarity(s.ec) {
+	if s.embeddingSim() {
 		return a // embedding LSEIs have no type filter
 	}
-	filter := core.FrequentTypesOver([]*lake.Lake{s.lake}, s.tj, thresholdOf(c))
+	filter := core.FrequentTypesOver(s.lakes, s.tj, thresholdOf(c))
 	uris := make([]string, 0, len(filter))
 	for t, dropped := range filter {
 		if dropped {
@@ -267,64 +264,46 @@ func (s *System) ShardGlobalIDs(part Partitioner) [][]TableID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([][]TableID, part.Shards())
-	for id, t := range s.lake.Tables() {
-		if t == nil {
-			continue
+	for id := range s.owner {
+		if t := s.tableLocked(TableID(id)); t != nil {
+			si := part.Assign(t)
+			out[si] = append(out[si], TableID(id))
 		}
-		si := part.Assign(t)
-		out[si] = append(out[si], TableID(id))
 	}
 	return out
 }
 
-// RemoteSharded is the coordinator daemon's backend (thetisd -shard-urls):
-// System's serving surface with semantic search scattered to remote
-// shards. The local System holds the full corpus read-only — it answers
-// ParseQuery, keyword/hybrid's BM25 half, /stats, and /tables/{id} — while
-// SearchStatsContext fans out through the remote clients and merges with
-// the standard Coordinator, so truncation, rescatter, and partial-failure
-// semantics are exactly the in-process ones. Mutations return ErrReadOnly.
-type RemoteSharded struct {
-	local  *System
-	shards []*RemoteShard
-	coord  *Coordinator
-
-	indexCfg *IndexConfig
-	votes    int
-}
-
-// NewRemoteSharded assembles the coordinator backend over a bootstrapped
-// local System (full corpus, similarity selected, keyword index built if
-// hybrid is served) and one RemoteShard client per shard.
-func NewRemoteSharded(local *System, shards ...*RemoteShard) *RemoteSharded {
+// UseRemoteShards turns the system into the coordinator daemon's backend
+// (thetisd -shard-urls): the same serving surface with semantic search
+// scattered to the given remote shards instead of the in-process ones. The
+// local corpus — the FULL corpus, similarity selected, keyword index built
+// if hybrid is served — keeps answering ParseQuery, keyword/hybrid's BM25
+// half, /stats, and /tables/{id}, while every search fans out through the
+// remote clients and merges with the standard Coordinator, so truncation,
+// rescatter, and partial-failure semantics are exactly the in-process ones.
+// From here on the system is read-only: mutations return ErrReadOnly.
+// BootstrapShards must succeed before serving.
+func (s *System) UseRemoteShards(shards ...*RemoteShard) {
 	searchers := make([]Shard, len(shards))
 	for i, sh := range shards {
 		searchers[i] = sh
 	}
-	return &RemoteSharded{
-		local:  local,
-		shards: shards,
-		coord:  NewCoordinator(searchers...),
-		votes:  1,
-	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.remotes = shards
+	s.coord = NewCoordinator(searchers...)
 }
 
-// SetIndexConfig fixes the LSEI configuration Bootstrap ships to the
-// shard daemons. Without it, shards serve unindexed full-scan legs.
-func (rs *RemoteSharded) SetIndexConfig(cfg IndexConfig) { c := cfg; rs.indexCfg = &c }
-
-// SetVotes fixes the vote threshold Bootstrap ships (default 1).
-func (rs *RemoteSharded) SetVotes(v int) { rs.votes = v }
-
-// Bootstrap computes the global artifacts from the local corpus and ships
-// them to every replica of every shard. It must succeed before serving:
-// an un-bootstrapped shard daemon ranks with local weights and filter,
-// which is correct for its own corpus but not bit-identical to the
-// deployment.
-func (rs *RemoteSharded) Bootstrap(ctx context.Context) error {
-	a := rs.local.ComputeShardArtifacts(rs.indexCfg, rs.votes)
+// BootstrapShards computes the global artifacts from the local corpus —
+// with the LSEI configuration the shard daemons must build (nil: they serve
+// unindexed full-scan legs) and the vote threshold — and ships them to
+// every replica of every remote shard. It must succeed before serving: an
+// un-bootstrapped shard daemon ranks with local weights and filter, which
+// is correct for its own corpus but not bit-identical to the deployment.
+func (s *System) BootstrapShards(ctx context.Context, cfg *IndexConfig, votes int) error {
+	a := s.ComputeShardArtifacts(cfg, votes)
 	var errs []string
-	for _, sh := range rs.shards {
+	for _, sh := range s.remotes {
 		if err := sh.PushArtifacts(ctx, a); err != nil {
 			errs = append(errs, err.Error())
 		}
@@ -335,24 +314,21 @@ func (rs *RemoteSharded) Bootstrap(ctx context.Context) error {
 	return nil
 }
 
-// NumShards returns how many shards the coordinator fans out to.
-func (rs *RemoteSharded) NumShards() int { return len(rs.shards) }
-
-// ShardStatuses snapshots every shard's per-replica breaker state (the
-// /readyz breakdown).
-func (rs *RemoteSharded) ShardStatuses() []RemoteStatus {
-	out := make([]RemoteStatus, len(rs.shards))
-	for i, sh := range rs.shards {
+// ShardStatuses snapshots every remote shard's per-replica breaker state
+// (the coordinator's /readyz breakdown); empty outside coordinator mode.
+func (s *System) ShardStatuses() []RemoteStatus {
+	out := make([]RemoteStatus, len(s.remotes))
+	for i, sh := range s.remotes {
 		out[i] = sh.Status()
 	}
 	return out
 }
 
-// StartProbes starts every shard's background health probing; call the
-// returned stop on shutdown.
-func (rs *RemoteSharded) StartProbes(interval time.Duration) (stop func()) {
-	stops := make([]func(), len(rs.shards))
-	for i, sh := range rs.shards {
+// StartProbes starts every remote shard's background health probing; call
+// the returned stop on shutdown.
+func (s *System) StartProbes(interval time.Duration) (stop func()) {
+	stops := make([]func(), len(s.remotes))
+	for i, sh := range s.remotes {
 		stops[i] = sh.StartProbes(interval)
 	}
 	return func() {
@@ -361,64 +337,3 @@ func (rs *RemoteSharded) StartProbes(interval time.Duration) (stop func()) {
 		}
 	}
 }
-
-// ParseQuery resolves a textual query against the local full-corpus graph.
-func (rs *RemoteSharded) ParseQuery(text string) (Query, error) { return rs.local.ParseQuery(text) }
-
-// SearchStatsContext scatters the query to every remote shard and merges
-// (Coordinator.Search): per-shard counters sum, Truncated ORs, remote
-// legs' trace stages arrive labeled per shard, and failed legs surface in
-// Stats.ShardErrors.
-func (rs *RemoteSharded) SearchStatsContext(ctx context.Context, q Query, k int) ([]Result, SearchStats) {
-	return rs.coord.Search(ctx, q, k)
-}
-
-// KeywordSearch runs BM25 over the local full-corpus index (keyword
-// search is global — IDF depends on corpus-wide document frequencies).
-func (rs *RemoteSharded) KeywordSearch(text string, k int) []TableID {
-	return rs.local.KeywordSearch(text, k)
-}
-
-// HybridSearchContext complements the local BM25 ranking with the
-// scattered semantic ranking (System.HybridSearchContext, with the
-// semantic half remote).
-func (rs *RemoteSharded) HybridSearchContext(ctx context.Context, q Query, keywords string, k int) []TableID {
-	sem, _ := rs.coord.Search(ctx, q, k)
-	semIDs := make([]int, len(sem))
-	for i, r := range sem {
-		semIDs[i] = int(r.Table)
-	}
-	bmIDs := rs.local.KeywordSearch(keywords, k)
-	bmInts := make([]int, len(bmIDs))
-	for i, id := range bmIDs {
-		bmInts[i] = int(id)
-	}
-	merged := core.Complement(semIDs, bmInts, k)
-	out := make([]TableID, len(merged))
-	for i, id := range merged {
-		out[i] = TableID(id)
-	}
-	return out
-}
-
-// Stats returns the local full corpus's statistics.
-func (rs *RemoteSharded) Stats() lake.Stats { return rs.local.Stats() }
-
-// GraphCounts returns the local KG's size counters.
-func (rs *RemoteSharded) GraphCounts() GraphCounts { return rs.local.GraphCounts() }
-
-// NumTables returns the full corpus's live table count.
-func (rs *RemoteSharded) NumTables() int { return rs.local.NumTables() }
-
-// Table returns a table by its global ID from the local corpus copy.
-func (rs *RemoteSharded) Table(id TableID) *Table { return rs.local.Table(id) }
-
-// AddTableJSON is not supported: the deployment is read-only.
-func (rs *RemoteSharded) AddTableJSON(data []byte) (TableID, error) { return 0, ErrReadOnly }
-
-// RemoveTable is not supported: the deployment is read-only.
-func (rs *RemoteSharded) RemoveTable(id TableID) error { return ErrReadOnly }
-
-// IndexEpoch returns the local corpus's mutation epoch (always the load
-// epoch — the deployment is read-only).
-func (rs *RemoteSharded) IndexEpoch() uint64 { return rs.local.IndexEpoch() }

@@ -1,39 +1,19 @@
 package core
 
-import (
-	"context"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"thetis/internal/lake"
-	"thetis/internal/obs"
-)
+import "context"
 
 // Batched scoring (docs/THROUGHPUT.md). A batch of N queries shares one
 // σ cache scoped to the union of their distinct entities, so a pair
 // touched by several queries is computed once per batch instead of once
-// per query — the throughput lever of ROADMAP item 5. Two seams deliver
-// it:
+// per query. WithBatchSigma plants the shared cache in a context, and
+// Engine.newSigmaCache picks it up per search leg — which is how every
+// scatter leg of every query of a batch shares σ without widening the
+// shard.Searcher interface.
 //
-//   - Engine.SearchBatchContext scores the batch in a single table-major
-//     pass over the union of the candidate sets (the unsharded path).
-//   - WithBatchSigma plants the shared cache in a context, and
-//     Engine.newSigmaCache picks it up per search leg — which is how the
-//     sharded coordinator's scatter legs share σ without widening the
-//     shard.Searcher interface.
-//
-// Results are bit-identical to N sequential Search calls in both shapes:
-// σ is deterministic, so sharing memoized values across queries can only
-// change *when* a pair is computed, never its value, and each query keeps
-// its own scorer, candidate set, ranking, and top-k cut.
-
-var (
-	mBatchSearches = obs.SearchBatchTotal()
-	mBatchQueries  = obs.SearchBatchQueries()
-)
+// Results are bit-identical to N sequential Search calls: σ is
+// deterministic, so sharing memoized values across queries can only change
+// *when* a pair is computed, never its value, and each query keeps its own
+// scorer, candidate set, ranking, and top-k cut.
 
 // BatchSigma carries one batch's shared σ cache. Build it with
 // NewBatchSigma, plant it with WithBatchSigma, and run ordinary searches
@@ -82,287 +62,4 @@ func WithBatchSigma(ctx context.Context, bs *BatchSigma) context.Context {
 func batchSigmaFrom(ctx context.Context) *BatchSigma {
 	bs, _ := ctx.Value(batchSigmaCtxKey{}).(*BatchSigma)
 	return bs
-}
-
-// SearchBatch scores every query against the lake in one pass and returns
-// per-query top-k rankings, in query order. It is SearchBatchContext with
-// a background context and full-scan candidates.
-func (eng *Engine) SearchBatch(queries []Query, k int) ([][]Result, []Stats) {
-	return eng.SearchBatchContext(context.Background(), queries, nil, k)
-}
-
-// SearchBatchContext scores all queries of a batch in one table-major
-// pass over the union of their candidate sets. candidates[i] restricts
-// query i (nil = full scan, like SearchCandidatesContext); candidates
-// itself may be nil to full-scan every query. Results and stats are
-// returned in query order and are bit-identical to calling
-// SearchCandidatesContext once per query with the same arguments.
-//
-// Cancellation truncates the whole batch at a table boundary: every
-// query's results become a correctly ranked prefix of the tables scored
-// before the cutoff, and every query's Stats.Truncated is set (the pass
-// is table-major, so "how far we got" is a property of the batch, not of
-// one query).
-func (eng *Engine) SearchBatchContext(ctx context.Context, queries []Query, candidates [][]lake.TableID, k int) ([][]Result, []Stats) {
-	start := time.Now()
-	n := len(queries)
-	results := make([][]Result, n)
-	stats := make([]Stats, n)
-	if n == 0 {
-		return results, stats
-	}
-	mBatchSearches.Inc()
-	mBatchQueries.Observe(float64(n))
-
-	// Resolve per-query candidate sets, full-scanning where nil. The live
-	// list is fetched once — all queries of a batch see one corpus state.
-	var live []lake.TableID
-	liveOnce := func() []lake.TableID {
-		if live == nil {
-			live = eng.Lake.LiveTableIDs()
-		}
-		return live
-	}
-	cands := make([][]lake.TableID, n)
-	for i := range queries {
-		if candidates != nil && candidates[i] != nil {
-			cands[i] = candidates[i]
-		} else {
-			cands[i] = liveOnce()
-		}
-	}
-
-	type batchLeg struct {
-		qi    int
-		sim   Similarity
-		sigma *SigmaCache
-		cross *CrossCache
-	}
-	var legs []batchLeg
-	traces := make([]*obs.Trace, n)
-	for i, q := range queries {
-		tr := obs.NewTrace("search")
-		traces[i] = tr
-		stats[i] = Stats{Candidates: len(cands[i]), Trace: tr}
-		mSearches.Inc()
-		mCandidates.Observe(float64(len(cands[i])))
-		if len(q) == 0 || len(cands[i]) == 0 {
-			continue
-		}
-		legs = append(legs, batchLeg{qi: i, sim: eng.searchSim(q, tr)})
-	}
-
-	stop := newCancelProbe(ctx)
-	var truncated atomic.Bool
-	dead := ctx.Err() != nil
-	if dead {
-		truncated.Store(true)
-	}
-
-	var scoreWall time.Duration
-	if len(legs) > 0 && !dead {
-		// The batch cache covers the union of the legs that score with the
-		// engine's exact σ; top-k σ legs keep private query-scoped caches
-		// (their σ values are query-relative and must not be shared).
-		var exactQueries []Query
-		for _, lg := range legs {
-			if lg.sim == eng.Sim {
-				exactQueries = append(exactQueries, queries[lg.qi])
-			}
-		}
-		var shared *SigmaCache
-		if len(exactQueries) > 0 && sigmaCacheBuildEnabled && !eng.DisableSigmaCache &&
-			!sigmaCacheRuntimeOff.Load() && eng.Lake != nil && eng.Lake.Graph != nil {
-			shared = NewBatchSigmaCache(exactQueries, eng.Sim, eng.Lake.Graph.NumEntities())
-		}
-		for li := range legs {
-			lg := &legs[li]
-			if lg.sim == eng.Sim && shared != nil {
-				lg.sigma = shared
-			} else {
-				lg.sigma = eng.newSigmaCache(context.Background(), queries[lg.qi], lg.sim)
-			}
-			lg.cross = eng.crossFor(lg.sim)
-		}
-
-		// Union pass: every table is visited once; want[t] lists the legs
-		// whose candidate set contains it. Tables are processed in
-		// ascending ID order for determinism (per-query results are
-		// re-ranked afterwards, so visit order never affects output).
-		want := make(map[lake.TableID][]int32, len(cands[legs[0].qi]))
-		for li, lg := range legs {
-			for _, tid := range cands[lg.qi] {
-				want[tid] = append(want[tid], int32(li))
-			}
-		}
-		union := make([]lake.TableID, 0, len(want))
-		for tid := range want {
-			union = append(union, tid)
-		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-
-		workers := eng.Parallelism
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(union) {
-			workers = len(union)
-		}
-
-		type bpartial struct {
-			results                []Result
-			mapping                time.Duration
-			panicked               int
-			hits, misses           int64
-			crossHits, crossMisses int64
-		}
-		// parts[w*len(legs)+li] is worker w's partial for leg li.
-		parts := make([]bpartial, workers*len(legs))
-
-		scoreOne := func(sc *scorer, tid lake.TableID) (score float64, mt time.Duration, panicked bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					panicked = true
-					mSearchPanics.Inc()
-				}
-			}()
-			t := eng.Lake.Table(tid)
-			if t == nil {
-				return 0, 0, false
-			}
-			score, mt = sc.scoreTable(t, eng.Lake.ColumnIndex(tid))
-			return
-		}
-
-		var wg sync.WaitGroup
-		scoreStart := time.Now()
-		chunk := (len(union) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(union) {
-				hi = len(union)
-			}
-			if lo >= hi {
-				continue
-			}
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				// One scorer per leg per worker, built lazily on the first
-				// table the leg wants in this chunk; the shared batch cache
-				// is what they all plug into.
-				scorers := make([]*scorer, len(legs))
-				defer func() {
-					for li, sc := range scorers {
-						if sc == nil {
-							continue
-						}
-						p := &parts[w*len(legs)+li]
-						p.hits += sc.hits
-						p.misses += sc.misses
-						p.crossHits += sc.crossHits
-						p.crossMisses += sc.crossMisses
-					}
-				}()
-				for _, tid := range union[lo:hi] {
-					if stop.expired() {
-						truncated.Store(true)
-						return
-					}
-					for _, li := range want[tid] {
-						sc := scorers[li]
-						if sc == nil {
-							lg := legs[li]
-							sc = newScorer(queries[lg.qi], lg.sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, lg.sigma, lg.cross)
-							scorers[li] = sc
-						}
-						score, mt, panicked := scoreOne(sc, tid)
-						p := &parts[w*len(legs)+int(li)]
-						p.mapping += mt
-						if panicked {
-							p.panicked++
-							p.hits += sc.hits
-							p.misses += sc.misses
-							p.crossHits += sc.crossHits
-							p.crossMisses += sc.crossMisses
-							scorers[li] = nil
-							continue
-						}
-						if score > 0 {
-							p.results = append(p.results, Result{Table: tid, Score: score})
-						}
-					}
-				}
-			}(w, lo, hi)
-		}
-		wg.Wait()
-		scoreWall = time.Since(scoreStart)
-
-		for li, lg := range legs {
-			st := &stats[lg.qi]
-			for w := 0; w < workers; w++ {
-				p := &parts[w*len(legs)+li]
-				results[lg.qi] = append(results[lg.qi], p.results...)
-				st.MappingTime += p.mapping
-				st.Panicked += p.panicked
-				st.SigmaHits += p.hits
-				st.SigmaMisses += p.misses
-				st.CrossHits += p.crossHits
-				st.CrossMisses += p.crossMisses
-			}
-			if lg.sigma != nil {
-				lg.sigma.addCounts(st.SigmaHits, st.SigmaMisses)
-				mSigmaHits.Add(st.SigmaHits)
-				mSigmaMisses.Add(st.SigmaMisses)
-			}
-			if lg.cross != nil {
-				lg.cross.addCounts(st.CrossHits, st.CrossMisses)
-				mCrossHits.Add(st.CrossHits)
-				mCrossMisses.Add(st.CrossMisses)
-				mCrossBytes.Set(float64(lg.cross.MemoryBytes()))
-				traces[lg.qi].Add(obs.Stage{Name: "crosscache", Items: int(st.CrossHits)})
-			}
-		}
-		if shared != nil {
-			mSigmaBytes.Set(float64(shared.MemoryBytes()))
-		}
-	}
-
-	// Per-query ranking, identical to the sequential path's rank stage.
-	batchTruncated := truncated.Load()
-	for i := range queries {
-		tr := traces[i]
-		st := &stats[i]
-		if len(queries[i]) > 0 && len(cands[i]) > 0 {
-			// The mapping/score stages ran inside the shared table-major
-			// pass; each query's trace reports the shared score wall with
-			// its own candidate count and CPU mapping time.
-			tr.Add(obs.Stage{Name: "mapping", CPU: st.MappingTime, Items: len(cands[i])})
-			tr.Add(obs.Stage{Name: "score", Wall: scoreWall, Items: len(cands[i])})
-			st.Truncated = batchTruncated
-			if st.Truncated {
-				mTruncated.Inc()
-			}
-		}
-		rank := tr.StartStage("rank")
-		rs := results[i]
-		sort.Slice(rs, func(a, b int) bool {
-			if rs[a].Score != rs[b].Score {
-				return rs[a].Score > rs[b].Score
-			}
-			return rs[a].Table < rs[b].Table
-		})
-		st.Scored = len(rs)
-		if k >= 0 && len(rs) > k {
-			rs = rs[:k]
-		}
-		results[i] = rs
-		rank.SetItems(st.Scored)
-		rank.End()
-		st.TotalTime = time.Since(start)
-		tr.Total = st.TotalTime
-		mSearchSecs.Observe(st.TotalTime.Seconds())
-	}
-	return results, stats
 }

@@ -65,7 +65,7 @@ type crossShard struct {
 
 // CrossCache memoizes σ across queries under an epoch tag, bounded in
 // memory by per-shard clock (second-chance) eviction. Safe for concurrent
-// use; attach one to an Engine via Engine.Cross (or System/ShardedSystem
+// use; attach one to an Engine via Engine.Cross (or System.
 // EnableCrossCache), and keep its epoch current with SetEpoch on every
 // index mutation.
 type CrossCache struct {

@@ -41,6 +41,16 @@ func (eng *Engine) RelaxedSearch(q Query, opt RelaxOptions) ([]Result, Query) {
 // round starts once the context is dead — the last round's best-effort
 // results are returned.
 func (eng *Engine) RelaxedSearchContext(ctx context.Context, q Query, opt RelaxOptions) ([]Result, Query) {
+	return RelaxedSearchWith(ctx, q, opt, eng.Inf, func(ctx context.Context, q Query, k int) []Result {
+		res, _ := eng.SearchContext(ctx, q, k)
+		return res
+	})
+}
+
+// RelaxedSearchWith is the relaxation loop over any search function and
+// informativeness — an engine's own, or a scatter over several engines
+// sharing global weights.
+func RelaxedSearchWith(ctx context.Context, q Query, opt RelaxOptions, inf Informativeness, search func(context.Context, Query, int) []Result) ([]Result, Query) {
 	if opt.MinResults <= 0 {
 		opt.MinResults = opt.K
 	}
@@ -49,7 +59,7 @@ func (eng *Engine) RelaxedSearchContext(ctx context.Context, q Query, opt RelaxO
 		rounds = q.NumEntities()
 	}
 	current := q
-	results, _ := eng.SearchContext(ctx, current, opt.K)
+	results := search(ctx, current, opt.K)
 	for round := 0; round < rounds; round++ {
 		if ctx.Err() != nil {
 			break
@@ -57,12 +67,12 @@ func (eng *Engine) RelaxedSearchContext(ctx context.Context, q Query, opt RelaxO
 		if countAbove(results, opt.MinScore) >= opt.MinResults {
 			break
 		}
-		relaxed, ok := eng.relaxOnce(current)
+		relaxed, ok := relaxOnce(current, inf)
 		if !ok {
 			break
 		}
 		current = relaxed
-		results, _ = eng.SearchContext(ctx, current, opt.K)
+		results = search(ctx, current, opt.K)
 	}
 	return results, current
 }
@@ -79,13 +89,13 @@ func countAbove(results []Result, min float64) int {
 
 // relaxOnce removes the distinct entity with the lowest informativeness
 // from every tuple. It reports false when no tuple can shrink further.
-func (eng *Engine) relaxOnce(q Query) (Query, bool) {
+func relaxOnce(q Query, inf Informativeness) (Query, bool) {
 	distinct := q.DistinctEntities()
 	if len(distinct) == 0 {
 		return q, false
 	}
 	sort.Slice(distinct, func(i, j int) bool {
-		wi, wj := eng.Inf(distinct[i]), eng.Inf(distinct[j])
+		wi, wj := inf(distinct[i]), inf(distinct[j])
 		if wi != wj {
 			return wi < wj
 		}

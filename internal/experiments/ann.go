@@ -26,7 +26,7 @@ import (
 //     informational column: rank swaps among near-tied tables inflate it
 //     without moving retrieval quality.
 //
-// The anncheck gate (ann_test.go, `make anncheck`) pins the k=10/ef=64
+// The ANN gate (ann_test.go) pins the k=10/ef=64
 // operating point to recall ≥ 0.95 and drift ≤ 0.02.
 
 // ANNRow is one swept (k, efSearch) operating point.

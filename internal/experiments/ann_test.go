@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-// TestANNThresholds is the anncheck acceptance gate: at the serving
+// TestANNThresholds is the ANN acceptance gate: at the serving
 // operating point (k=10, efSearch=64) the HNSW index must recover at least
 // 95% of the exact nearest neighbors, and the top-k σ ranking must stay
 // within 0.02 NDCG@10 of the exact σ ranking.

@@ -4,23 +4,21 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"net/http"
 	"net/http/httptest"
 	"time"
 
+	"thetis"
 	"thetis/internal/core"
-	"thetis/internal/kg"
-	"thetis/internal/lake"
-	"thetis/internal/remote"
-	"thetis/internal/shard"
+	"thetis/internal/server"
 )
 
 // HTTPShardRow is one shard count of the shard-over-HTTP sweep.
 type HTTPShardRow struct {
 	Shards int
 	// InProc and InProcP50 are per-query latencies through the in-process
-	// Coordinator; Remote and RemoteP50 go through remote.Shard clients to
-	// loopback HTTP daemons speaking the sealed wire protocol.
+	// n-shard System; Remote and RemoteP50 go through a coordinator-mode
+	// System whose remote.Shard clients reach loopback HTTP daemons speaking
+	// the sealed wire protocol.
 	InProc    time.Duration
 	InProcP50 time.Duration
 	Remote    time.Duration
@@ -48,94 +46,44 @@ type HTTPShardResult struct {
 	Rows    []HTTPShardRow
 }
 
-// loopbackDaemon serves one shard's slice over the sealed wire protocol,
-// exactly as a remote thetisd would: verify the envelope, resolve URIs
-// against its own graph, search the local slice, seal local-ID results.
-func loopbackDaemon(g *kg.Graph, sh *shard.Local) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		var req remote.SearchRequest
-		if err := remote.Open(body, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		q := make(core.Query, 0, len(req.Tuples))
-		for _, uris := range req.Tuples {
-			tuple := make(core.Tuple, 0, len(uris))
-			for _, uri := range uris {
-				if e, ok := g.Lookup(uri); ok {
-					tuple = append(tuple, e)
-				}
-			}
-			q = append(q, tuple)
-		}
-		res, stats := sh.SearchShard(r.Context(), q, req.K, shard.SearchOptions{ForceFullScan: req.ForceFullScan})
-		p := remote.SearchPayload{Results: make([]remote.WireResult, len(res))}
-		for i, rr := range res {
-			p.Results[i] = remote.WireResult{Table: int32(rr.Table), Score: rr.Score}
-		}
-		p.Stats = remote.WireStats{
-			Candidates: stats.Candidates, Scored: stats.Scored,
-			MappingMicro: stats.MappingTime.Microseconds(),
-			TotalMicro:   stats.TotalTime.Microseconds(),
-			Truncated:    stats.Truncated, Panicked: stats.Panicked,
-		}
-		sealed, err := remote.Seal(p)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(sealed)
-	})
-}
-
 // buildHTTPShardedDeployment wires the remote twin of
-// buildShardedDeployment: the same hash partitioning and globally
-// configured per-shard engines, but each shard ingests with DENSE LOCAL
-// IDs behind a loopback HTTP daemon, and the Coordinator scatters through
-// remote.Shard clients that translate local IDs back to global ones.
-// close tears the daemons down.
-func buildHTTPShardedDeployment(env *Env, n int, cfg core.LSEIConfig, votes int) (coord *shard.Coordinator, close func()) {
-	part := lake.NewHashPartitioner(n)
-	locals := make([]*shard.Local, n)
-	globals := make([][]lake.TableID, n)
-	for i := range locals {
-		locals[i] = shard.NewLocal(i, env.KG.Graph)
+// buildShardedDeployment the way thetisd -shard-urls does: one daemon
+// System per hash-assigned slice behind internal/server on a loopback
+// listener, and a coordinator System over the full corpus that scatters
+// through remote clients (translating the daemons' dense local IDs back to
+// global ones) after bootstrapping them with the global artifacts. close
+// tears the daemons down.
+func buildHTTPShardedDeployment(env *Env, n int, cfg core.LSEIConfig, votes int) (coord *thetis.System, close func()) {
+	part := thetis.NewHashPartitioner(n)
+	coord = thetis.New(env.KG.Graph)
+	daemons := make([]*thetis.System, n)
+	for i := range daemons {
+		daemons[i] = thetis.New(env.KG.Graph)
 	}
 	for id := 0; id < env.Lake.NumTables(); id++ {
-		t := env.Lake.Table(lake.TableID(id))
-		si := part.Assign(t)
-		locals[si].Add(t, lake.TableID(len(globals[si]))) // dense local ID
-		globals[si] = append(globals[si], lake.TableID(id))
+		t := env.Lake.Table(thetis.TableID(id))
+		coord.AddTable(t)
+		daemons[part.Assign(t)].AddTable(t)
 	}
-	lakes := make([]*lake.Lake, n)
-	for i, sh := range locals {
-		lakes[i] = sh.Lake()
-	}
-	inf := core.IDFInformativenessOver(lakes)
-	filter := core.FrequentTypesOver(lakes, env.TJ, 0.5)
-	searchers := make([]shard.Searcher, n)
+	coord.UseTypeSimilarity()
+	globals := coord.ShardGlobalIDs(part)
+	clients := make([]*thetis.RemoteShard, n)
 	servers := make([]*httptest.Server, n)
-	for i, sh := range locals {
-		e := core.NewEngine(sh.Lake(), env.TJ)
-		e.Inf = inf
-		sh.SetEngine(e)
-		sh.SetVotes(votes)
-		sh.SetIndex(core.BuildTypeLSEIFiltered(sh.Lake(), env.TJ, cfg, filter))
-		servers[i] = httptest.NewServer(loopbackDaemon(env.KG.Graph, sh))
-		rs, err := remote.NewShard(fmt.Sprintf("exp-http-%d-%d", n, i), env.KG.Graph,
-			globals[i], []remote.Replica{{URL: servers[i].URL}}, remote.Options{})
+	for i, d := range daemons {
+		d.UseTypeSimilarity()
+		servers[i] = httptest.NewServer(server.New(d))
+		rs, err := thetis.NewRemoteShard(fmt.Sprintf("exp-http-%d-%d", n, i), env.KG.Graph,
+			globals[i], []thetis.RemoteReplica{{URL: servers[i].URL}}, thetis.RemoteOptions{})
 		if err != nil {
 			panic(err) // unreachable: one replica is always given
 		}
-		searchers[i] = rs
+		clients[i] = rs
 	}
-	return shard.NewCoordinator(searchers...), func() {
+	coord.UseRemoteShards(clients...)
+	if err := coord.BootstrapShards(context.Background(), &cfg, votes); err != nil {
+		panic(err) // loopback daemons just started; a failed push is a bug
+	}
+	return coord, func() {
 		for _, s := range servers {
 			s.Close()
 		}
@@ -168,15 +116,7 @@ func RunHTTPShard(env *Env) HTTPShardResult {
 	for _, n := range shardSweep(maxShards) {
 		inproc := buildShardedDeployment(env, n, cfg, votes)
 		httpCoord, closeDaemons := buildHTTPShardedDeployment(env, n, cfg, votes)
-		inprocTimes, remoteTimes, inprocRanks, remoteRanks := pairedSweep(queries, reps, topK,
-			func(q core.Query, k int) []core.Result {
-				res, _ := inproc.Search(context.Background(), q, k)
-				return res
-			},
-			func(q core.Query, k int) []core.Result {
-				res, _ := httpCoord.Search(context.Background(), q, k)
-				return res
-			})
+		inprocTimes, remoteTimes, inprocRanks, remoteRanks := pairedSweep(queries, reps, topK, inproc.Search, httpCoord.Search)
 		closeDaemons()
 		identical := true
 		for i := range remoteRanks {

@@ -7,15 +7,15 @@ import (
 	"sort"
 	"time"
 
+	"thetis"
 	"thetis/internal/core"
-	"thetis/internal/lake"
-	"thetis/internal/shard"
 )
 
 // ShardsRow is one shard count of the scatter-gather sweep.
 type ShardsRow struct {
 	Shards int
-	// Mean and P50 are per-query latencies through the Coordinator.
+	// Mean and P50 are per-query latencies through a thetis.System of that
+	// shard count.
 	Mean time.Duration
 	P50  time.Duration
 	// Delta is the relative overhead vs the direct unsharded path
@@ -27,10 +27,12 @@ type ShardsRow struct {
 }
 
 // ShardsResult measures scatter-gather serving (docs/SHARDING.md) against
-// the direct single-engine path on the same corpus: the 1-shard row
-// isolates pure coordinator overhead (goroutine hop + merge), higher
-// counts show how partitioning shifts latency, and the Identical column
-// checks the shard-count-invariance contract end to end.
+// the direct single-engine path on the same corpus: every row is the same
+// thetis.System type at a different shard count, so the 1-shard row
+// isolates what serving through the system costs over calling the engine
+// (serving lock, coordinator, merge), higher counts show how partitioning
+// shifts latency, and the Identical column checks the
+// shard-count-invariance contract end to end.
 //
 // Direct/DirectP50 report the direct path as timed alongside the 1-shard
 // row; every row's Delta is computed against its own interleaved direct
@@ -132,7 +134,7 @@ func RunShards(env *Env) ShardsResult {
 		queries = append(queries, bq.Query)
 	}
 
-	// Direct reference: the exact pipeline System.SearchStatsContext runs,
+	// Direct reference: Algorithm 1 assembled straight from internal/core,
 	// including the empty-prefilter full-scan fallback the Coordinator
 	// replaces with a rescatter.
 	eng := env.EngineTypes()
@@ -148,11 +150,8 @@ func RunShards(env *Env) ShardsResult {
 		maxShards = 4
 	}
 	for _, n := range shardSweep(maxShards) {
-		coord := buildShardedDeployment(env, n, cfg, votes)
-		directTimes, times, directRanks, ranks := pairedSweep(queries, reps, topK, direct, func(q core.Query, k int) []core.Result {
-			res, _ := coord.Search(context.Background(), q, k)
-			return res
-		})
+		sys := buildShardedDeployment(env, n, cfg, votes)
+		directTimes, times, directRanks, ranks := pairedSweep(queries, reps, topK, direct, sys.Search)
 		identical := true
 		for i := range ranks {
 			if !sameRanking(ranks[i], directRanks[i]) {
@@ -174,35 +173,17 @@ func RunShards(env *Env) ShardsResult {
 	return out
 }
 
-// buildShardedDeployment hash-partitions the environment's corpus into n
-// shard.Locals wired exactly like thetis.ShardedSystem wires them: global
-// informativeness, global frequent-type filter, per-shard LSEI.
-func buildShardedDeployment(env *Env, n int, cfg core.LSEIConfig, votes int) *shard.Coordinator {
-	part := lake.NewHashPartitioner(n)
-	locals := make([]*shard.Local, n)
-	for i := range locals {
-		locals[i] = shard.NewLocal(i, env.KG.Graph)
-	}
+// buildShardedDeployment hash-partitions the environment's corpus into an
+// n-shard thetis.System with type-Jaccard σ and a built LSEI.
+func buildShardedDeployment(env *Env, n int, cfg core.LSEIConfig, votes int) *thetis.System {
+	sys := thetis.NewSharded(env.KG.Graph, thetis.NewHashPartitioner(n))
 	for id := 0; id < env.Lake.NumTables(); id++ {
-		t := env.Lake.Table(lake.TableID(id))
-		locals[part.Assign(t)].Add(t, lake.TableID(id))
+		sys.AddTable(env.Lake.Table(thetis.TableID(id)))
 	}
-	lakes := make([]*lake.Lake, n)
-	for i, sh := range locals {
-		lakes[i] = sh.Lake()
-	}
-	inf := core.IDFInformativenessOver(lakes)
-	filter := core.FrequentTypesOver(lakes, env.TJ, 0.5)
-	searchers := make([]shard.Searcher, n)
-	for i, sh := range locals {
-		e := core.NewEngine(sh.Lake(), env.TJ)
-		e.Inf = inf
-		sh.SetEngine(e)
-		sh.SetVotes(votes)
-		sh.SetIndex(core.BuildTypeLSEIFiltered(sh.Lake(), env.TJ, cfg, filter))
-		searchers[i] = sh
-	}
-	return shard.NewCoordinator(searchers...)
+	sys.UseTypeSimilarity()
+	sys.BuildIndex(cfg)
+	sys.SetVotes(votes)
+	return sys
 }
 
 // Render prints the scatter-gather sweep.

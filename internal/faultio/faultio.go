@@ -7,7 +7,7 @@
 // slow-loris. The snapshot and loader test suites drive corruption matrices
 // and partial-write scenarios through the stream wrappers (make faults);
 // the shard-over-HTTP battery drives every remote-leg fault class through
-// FaultTransport (make httpshardcheck). The package depends only on the
+// FaultTransport (internal/server/httpshard_battery_test.go). The package depends only on the
 // standard library and is usable from any test.
 package faultio
 

@@ -65,7 +65,7 @@ func (f Fault) String() string {
 // repeats forever). That makes "fail twice then recover" and "permanently
 // black-holed" replicas both expressible and deterministic, which is what
 // the shard-over-HTTP differential battery needs (docs/SHARDING.md,
-// make httpshardcheck).
+// internal/server/httpshard_battery_test.go).
 //
 // It is safe for concurrent use; concurrent requests consume script slots
 // in arrival order.

@@ -185,17 +185,6 @@ func IngestSkippedTotal(r *Registry, kind string) *Counter {
 		"Records quarantined by lenient corpus ingestion.", nil)
 }
 
-// IndexState gauges the prefilter lifecycle: 0 = building (no index yet),
-// 1 = degraded (snapshot rejected or build failed; serving brute force),
-// 2 = ready (LSEI active).
-func IndexState(r *Registry) *Gauge {
-	if r == nil {
-		r = Default
-	}
-	return r.Gauge("thetis_index_state",
-		"Prefilter index state: 0 building, 1 degraded (brute force), 2 ready.", nil)
-}
-
 // IndexEpoch gauges the corpus mutation epoch: it advances by one on every
 // AddTable/RemoveTable and is what epoch-keyed caches compare against (see
 // docs/LIVE_INDEX.md).
@@ -235,6 +224,18 @@ func IndexCompactionsTotal(r *Registry) *Counter {
 	}
 	return r.Counter("thetis_index_compactions_total",
 		"Background index compactions (rebuild + hot swap).", nil)
+}
+
+// DeltaLogFailed gauges the write-ahead delta log's sticky failure: 0 while
+// every mutation has been durably logged, 1 from the first failed append
+// or fsync on — mutations since are served but not durable
+// (docs/LIVE_INDEX.md).
+func DeltaLogFailed(r *Registry) *Gauge {
+	if r == nil {
+		r = Default
+	}
+	return r.Gauge("thetis_delta_log_failed",
+		"1 once a delta-log append or fsync has failed (later mutations are not durable), else 0.", nil)
 }
 
 // IndexFilterResignsTotal counts items re-signed because a corpus mutation

@@ -132,7 +132,7 @@ type Shard struct {
 // serialized through it as URIs); globals maps the daemon's dense local
 // table IDs to lake-global IDs, in local ID order — it must list exactly
 // the tables the daemon ingested, in the same order, or rankings are
-// garbage (thetis.RemoteSharded derives it by re-running the
+// garbage (thetis.System.ShardGlobalIDs derives it by re-running the
 // deterministic partitioner).
 func NewShard(label string, g *kg.Graph, globals []lake.TableID, replicas []Replica, opt Options) (*Shard, error) {
 	if len(replicas) == 0 {

@@ -12,7 +12,7 @@
 // correctly ranked Truncated prefix an in-process deadline produces.
 //
 // The wire types in this file are shared with the server handlers
-// (internal/server) and the bootstrap path (thetis.RemoteSharded): query
+// (internal/server) and the bootstrap path (thetis.System.BootstrapShards): query
 // tuples travel as entity URIs (process-independent, unlike the dense
 // intern IDs), scores travel as JSON float64 (Go's encoder emits the
 // shortest representation that round-trips bit-exactly), and every search

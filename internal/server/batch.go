@@ -1,11 +1,8 @@
 // POST /search/batch (docs/THROUGHPUT.md): N queries answered against one
-// corpus snapshot with batch-shared σ caching. Mounted only when the
-// backend implements BatchBackend (System, ShardedSystem, and the
-// -shard-urls RemoteSharded coordinator all do).
+// corpus snapshot with batch-shared σ caching.
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,12 +12,6 @@ import (
 
 	"thetis"
 )
-
-// BatchBackend is the optional batch-search surface. Per-query results
-// come back in request order; stats are per query.
-type BatchBackend interface {
-	SearchBatchContext(ctx context.Context, queries []thetis.Query, k int) ([][]thetis.Result, []thetis.SearchStats)
-}
 
 // maxBatchQueries bounds one POST /search/batch request. A batch holds
 // the serving read lock for its whole duration, so an unbounded batch
@@ -80,56 +71,54 @@ func parseBatchRequest(r *http.Request) (BatchSearchRequest, error) {
 	return req, nil
 }
 
-// handleSearchBatch serves POST /search/batch against bb. Parse errors —
+// handleSearchBatch serves POST /search/batch. Parse errors —
 // body decoding and per-query entity resolution alike — reject the whole
 // batch with 400 before any scoring starts; execution-time degradation
 // (deadline, cancellation) instead succeeds with per-query Truncated
 // prefixes, mirroring POST /search.
-func (s *Server) handleSearchBatch(bb BatchBackend) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		req, err := parseBatchRequest(r)
+func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
+	req, err := parseBatchRequest(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	queries := make([]thetis.Query, len(req.Queries))
+	for i, text := range req.Queries {
+		q, err := s.sys.ParseQuery(strings.ReplaceAll(text, ";", "\n"))
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
 			return
 		}
-		queries := make([]thetis.Query, len(req.Queries))
-		for i, text := range req.Queries {
-			q, err := s.sys.ParseQuery(strings.ReplaceAll(text, ";", "\n"))
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("query %d: %w", i, err))
-				return
-			}
-			queries[i] = q
-		}
-		start := time.Now()
-		results, stats := bb.SearchBatchContext(r.Context(), queries, req.K)
-		resp := BatchSearchResponse{
-			Results:    make([]SearchResponse, len(queries)),
-			TookMicros: time.Since(start).Microseconds(),
-		}
-		for i := range queries {
-			one := SearchResponse{
-				Results:    make([]SearchResult, len(results[i])),
-				Candidates: stats[i].Candidates,
-				TookMicros: stats[i].TotalTime.Microseconds(),
-				Truncated:  stats[i].Truncated,
-			}
-			for j, res := range results[i] {
-				name := ""
-				if t := s.sys.Table(res.Table); t != nil {
-					name = t.Name
-				}
-				one.Results[j] = SearchResult{
-					Table: int(res.Table),
-					Name:  name,
-					Score: res.Score,
-				}
-			}
-			if one.Truncated {
-				resp.Truncated = true
-			}
-			resp.Results[i] = one
-		}
-		writeJSON(w, http.StatusOK, resp)
+		queries[i] = q
 	}
+	start := time.Now()
+	results, stats := s.sys.SearchBatchContext(r.Context(), queries, req.K)
+	resp := BatchSearchResponse{
+		Results:    make([]SearchResponse, len(queries)),
+		TookMicros: time.Since(start).Microseconds(),
+	}
+	for i := range queries {
+		one := SearchResponse{
+			Results:    make([]SearchResult, len(results[i])),
+			Candidates: stats[i].Candidates,
+			TookMicros: stats[i].TotalTime.Microseconds(),
+			Truncated:  stats[i].Truncated,
+		}
+		for j, res := range results[i] {
+			name := ""
+			if t := s.sys.Table(res.Table); t != nil {
+				name = t.Name
+			}
+			one.Results[j] = SearchResult{
+				Table: int(res.Table),
+				Name:  name,
+				Score: res.Score,
+			}
+		}
+		if one.Truncated {
+			resp.Truncated = true
+		}
+		resp.Results[i] = one
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

@@ -11,41 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"thetis"
 )
-
-// demoShardedSystem mirrors demoSystem over a 2-shard ShardedSystem.
-func demoShardedSystem(tb testing.TB) *thetis.ShardedSystem {
-	tb.Helper()
-	g := thetis.NewGraph()
-	triples := `
-<onto/BaseballPlayer> <rdfs:subClassOf> <onto/Athlete> .
-<onto/BaseballTeam>   <rdfs:subClassOf> <onto/Organisation> .
-<res/santo> <rdf:type> <onto/BaseballPlayer> .
-<res/santo> <rdfs:label> "Ron Santo" .
-<res/banks> <rdf:type> <onto/BaseballPlayer> .
-<res/banks> <rdfs:label> "Ernie Banks" .
-<res/cubs>  <rdf:type> <onto/BaseballTeam> .
-<res/cubs>  <rdfs:label> "Chicago Cubs" .
-`
-	if err := thetis.LoadTriples(g, strings.NewReader(triples)); err != nil {
-		tb.Fatal(err)
-	}
-	sys := thetis.NewShardedSystem(g, thetis.NewHashPartitioner(2))
-	linker := thetis.NewDictionaryLinker(g)
-	roster := thetis.NewTable("roster", []string{"Player", "Team"})
-	roster.AppendValues("Ron Santo", "Chicago Cubs")
-	thetis.LinkTable(roster, linker)
-	sys.AddTable(roster)
-	other := thetis.NewTable("profiles", []string{"Player"})
-	other.AppendValues("Ernie Banks")
-	thetis.LinkTable(other, linker)
-	sys.AddTable(other)
-	sys.UseTypeSimilarity()
-	sys.BuildKeywordIndex()
-	return sys
-}
 
 func newPost(path, body string) (*http.Request, *httptest.ResponseRecorder) {
 	req := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))
@@ -152,10 +118,10 @@ func TestBatchEndpointLimit(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointSharded runs the same endpoint against a ShardedSystem
+// TestBatchEndpointSharded runs the same endpoint against a two-shard System
 // backend — the coordinator path with the context-planted batch σ cache.
 func TestBatchEndpointSharded(t *testing.T) {
-	sys := demoShardedSystem(t)
+	sys := demoSystemSharded(t, 2)
 	srv := New(sys)
 	queries := []string{"Ron Santo | Chicago Cubs", "Ernie Banks"}
 	body, _ := json.Marshal(map[string]any{"queries": queries, "k": 5})

@@ -48,9 +48,10 @@ func searchTop(t *testing.T, ts *httptest.Server) string {
 // TestReadyzContract: /readyz answers 200 in every state (degraded still
 // serves correct results), while ?full=1 answers 503 until ready.
 func TestReadyzContract(t *testing.T) {
-	ready := NewReadiness(obs.NewRegistry())
+	rds := NewReadinesses(obs.NewRegistry(), 1)
+	ready := rds[0]
 	sys := demoSystem(t)
-	ts := httptest.NewServer(New(sys, WithReadiness(ready)))
+	ts := httptest.NewServer(New(sys, WithReadiness(rds)))
 	t.Cleanup(ts.Close)
 
 	for _, tc := range []struct {
@@ -79,8 +80,9 @@ func TestReadyzContract(t *testing.T) {
 func TestActivateIndexValidSnapshot(t *testing.T) {
 	snap := indexSnapshot(t)
 	sys := demoSystem(t)
-	ready := NewReadiness(obs.NewRegistry())
-	done := ActivateIndex(sys, ready, degradedCfg, 1, bytes.NewReader(snap))
+	rds := NewReadinesses(obs.NewRegistry(), 1)
+	ready := rds[0]
+	done := ActivateIndex(sys, rds, degradedCfg, 1, bytes.NewReader(snap))
 	if ready.State() != StateReady {
 		t.Fatalf("state after valid snapshot = %v, want ready", ready.State())
 	}
@@ -109,11 +111,12 @@ func TestActivateIndexCorruptSnapshot(t *testing.T) {
 		t.Fatal("corrupt snapshot installed an index")
 	}
 
-	ready := NewReadiness(obs.NewRegistry())
-	ts := httptest.NewServer(New(sys, WithReadiness(ready)))
+	rds := NewReadinesses(obs.NewRegistry(), 1)
+	ready := rds[0]
+	ts := httptest.NewServer(New(sys, WithReadiness(rds)))
 	t.Cleanup(ts.Close)
 
-	done := ActivateIndex(sys, ready, degradedCfg, 1, bytes.NewReader(snap))
+	done := ActivateIndex(sys, rds, degradedCfg, 1, bytes.NewReader(snap))
 	// The rejection is synchronous: by the time ActivateIndex returns the
 	// daemon is past building — degraded (brute force), or already ready if
 	// the rebuild won the race. Either way searches are correct.
@@ -149,14 +152,21 @@ func TestActivateIndexCorruptSnapshot(t *testing.T) {
 // TestActivateIndexNoSnapshot: without a snapshot the daemon starts in
 // building state and flips to ready when the background build lands.
 func TestActivateIndexNoSnapshot(t *testing.T) {
-	sys := demoSystem(t)
-	ready := NewReadiness(obs.NewRegistry())
-	done := ActivateIndex(sys, ready, degradedCfg, 1, nil)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if ready.State() != StateReady || !sys.HasIndex() {
-		t.Fatalf("state=%v hasIndex=%v", ready.State(), sys.HasIndex())
+	for _, shards := range []int{1, 3} {
+		sys := demoSystemSharded(t, shards)
+		rds := NewReadinesses(obs.NewRegistry(), shards)
+		done := ActivateIndex(sys, rds, degradedCfg, 1, nil)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		for i, rd := range rds {
+			if rd.State() != StateReady {
+				t.Fatalf("shards=%d: shard %d state=%v", shards, i, rd.State())
+			}
+		}
+		if !sys.HasIndex() {
+			t.Fatalf("shards=%d: not every shard has an index", shards)
+		}
 	}
 }
 
@@ -166,8 +176,9 @@ func TestActivateIndexNoSnapshot(t *testing.T) {
 func TestFaultBuildPanicContained(t *testing.T) {
 	g := thetis.NewGraph()
 	sys := thetis.New(g) // no UseTypeSimilarity: BuildIndex will panic
-	ready := NewReadiness(obs.NewRegistry())
-	done := ActivateIndex(sys, ready, degradedCfg, 1, nil)
+	rds := NewReadinesses(obs.NewRegistry(), 1)
+	ready := rds[0]
+	done := ActivateIndex(sys, rds, degradedCfg, 1, nil)
 	err := <-done
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("done = %v, want contained panic", err)

@@ -1,16 +1,17 @@
 package server
 
 // Shard-over-HTTP differential battery (docs/SHARDING.md
-// §"Shard-over-HTTP"): a coordinator scattering over thetis.RemoteShard
-// clients to real HTTP daemons — each a full server.New(*thetis.System)
-// stack, not a stub handler — must rank bit-for-bit like the in-process
-// ShardedSystem and the unsharded System. Clean, and under every fault
-// class the transport can throw (connection refusal, 500s, truncated and
-// bit-flipped bodies, mid-body stalls, slow-loris): faults the retry
-// budget absorbs must leave rankings untouched; faults that exhaust it
-// must compose into a correctly ranked Truncated prefix with the causes
-// in Stats.ShardErrors — never an error, never a wrong order.
-// `make httpshardcheck` runs this battery under -race.
+// §"Shard-over-HTTP"): a System in coordinator mode scattering over
+// thetis.RemoteShard clients to real HTTP daemons — each a full
+// server.New(*thetis.System) stack, not a stub handler — must rank
+// bit-for-bit like the same corpus sharded in-process and like Algorithm 1
+// assembled straight from internal/core (internal/reference). Clean, and
+// under every fault class the transport can throw (connection refusal,
+// 500s, truncated and bit-flipped bodies, mid-body stalls, slow-loris):
+// faults the retry budget absorbs must leave rankings untouched; faults
+// that exhaust it must compose into a correctly ranked Truncated prefix
+// with the causes in Stats.ShardErrors — never an error, never a wrong
+// order. `make race` runs this battery under -race.
 
 import (
 	"context"
@@ -22,14 +23,18 @@ import (
 	"time"
 
 	"thetis"
+	"thetis/internal/bm25"
+	"thetis/internal/core"
 	"thetis/internal/datagen"
 	"thetis/internal/faultio"
 	"thetis/internal/obs"
+	"thetis/internal/reference"
 )
 
 var (
 	hsOnce    sync.Once
 	hsKG      *datagen.KG
+	hsTJ      *core.TypeJaccard
 	hsTables  []*thetis.Table
 	hsQueries []thetis.Query
 )
@@ -53,21 +58,26 @@ func hsEnv(t *testing.T) (*datagen.KG, []*thetis.Table, []thetis.Query) {
 		}) {
 			hsQueries = append(hsQueries, bq.Truncate(1).Query, bq.Query)
 		}
+		hsTJ = core.NewTypeJaccard(hsKG.Graph)
 	})
 	return hsKG, hsTables, hsQueries
 }
 
 // remoteDeployment is one fully wired shard-over-HTTP test fleet: the
-// coordinator's local full-corpus System (doubling as the unsharded
-// reference), an equivalent in-process ShardedSystem, one daemon System
-// per shard served by a real server.New over httptest, and the
-// RemoteSharded facade scattering to them.
+// core-assembled reference, the same corpus sharded in-process, one daemon
+// System per shard served by a real server.New over httptest, and the
+// coordinator — a System over the full corpus whose scatter legs are the
+// remote clients.
 type remoteDeployment struct {
-	local   *thetis.System
-	ss      *thetis.ShardedSystem
-	rs      *thetis.RemoteSharded
+	ref     *reference.Reference
+	ss      *thetis.System
+	coord   *thetis.System
 	daemons []*thetis.System
 	shards  []*thetis.RemoteShard
+
+	// indexCfg and votes are what bootstrap ships to the daemons.
+	indexCfg *thetis.IndexConfig
+	votes    int
 }
 
 // buildRemoteDeployment assembles an n-shard fleet. transport(shard,
@@ -79,24 +89,24 @@ func buildRemoteDeployment(t *testing.T, label string, n, replicasPer int, opt t
 	kgEnv, tables, _ := hsEnv(t)
 	part := thetis.NewHashPartitioner(n)
 
-	local := thetis.New(kgEnv.Graph)
-	ss := thetis.NewShardedSystem(kgEnv.Graph, part)
+	coord := thetis.New(kgEnv.Graph)
+	ss := thetis.NewSharded(kgEnv.Graph, part)
 	for i, tb := range tables {
-		if local.AddTable(tb) != thetis.TableID(i) || ss.AddTable(tb) != thetis.TableID(i) {
+		if coord.AddTable(tb) != thetis.TableID(i) || ss.AddTable(tb) != thetis.TableID(i) {
 			t.Fatalf("global ID assignment diverged at table %d", i)
 		}
 	}
-	local.UseTypeSimilarity()
+	coord.UseTypeSimilarity()
 	ss.UseTypeSimilarity()
 
 	// One daemon per shard, ingesting exactly its hash-assigned slice in
 	// global ID order — the same replay ShardGlobalIDs performs.
-	globals := local.ShardGlobalIDs(part)
-	d := &remoteDeployment{local: local, ss: ss}
+	globals := coord.ShardGlobalIDs(part)
+	d := &remoteDeployment{ref: reference.New(kgEnv.Graph, tables, hsTJ), ss: ss, coord: coord, votes: 1}
 	for si := 0; si < n; si++ {
 		daemon := thetis.New(kgEnv.Graph)
 		for _, gid := range globals[si] {
-			daemon.AddTable(local.Table(gid))
+			daemon.AddTable(coord.Table(gid))
 		}
 		daemon.UseTypeSimilarity()
 		srv := httptest.NewServer(New(daemon))
@@ -117,8 +127,24 @@ func buildRemoteDeployment(t *testing.T, label string, n, replicasPer int, opt t
 		d.daemons = append(d.daemons, daemon)
 		d.shards = append(d.shards, sh)
 	}
-	d.rs = thetis.NewRemoteSharded(local, d.shards...)
+	coord.UseRemoteShards(d.shards...)
 	return d
+}
+
+// index builds the LSEI everywhere: the reference and the in-process
+// shards build directly; the remote daemons build from the index spec the
+// next bootstrap ships, under the shipped global frequent-type filter.
+func (d *remoteDeployment) index(cfg thetis.IndexConfig) {
+	d.ref.Index = core.BuildTypeLSEI(d.ref.Lake, hsTJ, cfg)
+	d.ss.BuildIndex(cfg)
+	d.indexCfg = &cfg
+}
+
+// setVotes fixes the vote threshold everywhere (remote: on next bootstrap).
+func (d *remoteDeployment) setVotes(votes int) {
+	d.ref.Votes = votes
+	d.ss.SetVotes(votes)
+	d.votes = votes
 }
 
 // bootstrap ships the global artifacts; rankings are only comparable
@@ -127,33 +153,33 @@ func (d *remoteDeployment) bootstrap(t *testing.T) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	if err := d.rs.Bootstrap(ctx); err != nil {
+	if err := d.coord.BootstrapShards(ctx, d.indexCfg, d.votes); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 }
 
-// assertRemoteIdentical checks remote == in-process == unsharded, bit for
+// assertRemoteIdentical checks remote == in-process == reference, bit for
 // bit, for every query.
 func assertRemoteIdentical(t *testing.T, label string, d *remoteDeployment, queries []thetis.Query, k int) {
 	t.Helper()
 	ctx := context.Background()
 	for qi, q := range queries {
-		want, wantStats := d.local.SearchStats(q, k)
+		want, wantStats := d.ref.Search(q, k)
 		inproc, _ := d.ss.SearchStatsContext(ctx, q, k)
-		got, gotStats := d.rs.SearchStatsContext(ctx, q, k)
+		got, gotStats := d.coord.SearchStatsContext(ctx, q, k)
 		if wantStats.Truncated {
-			t.Fatalf("%s q%d: unsharded reference truncated", label, qi)
+			t.Fatalf("%s q%d: reference truncated", label, qi)
 		}
 		if gotStats.Truncated {
 			t.Fatalf("%s q%d: remote truncated: %v", label, qi, gotStats.ShardErrors)
 		}
 		if len(got) != len(want) || len(inproc) != len(want) {
-			t.Fatalf("%s q%d: remote %d / in-process %d / unsharded %d results",
+			t.Fatalf("%s q%d: remote %d / in-process %d / reference %d results",
 				label, qi, len(got), len(inproc), len(want))
 		}
 		for i := range want {
 			if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
-				t.Fatalf("%s q%d rank %d: remote %+v, unsharded %+v", label, qi, i, got[i], want[i])
+				t.Fatalf("%s q%d rank %d: remote %+v, reference %+v", label, qi, i, got[i], want[i])
 			}
 			if inproc[i] != got[i] {
 				t.Fatalf("%s q%d rank %d: remote %+v, in-process %+v", label, qi, i, got[i], inproc[i])
@@ -177,16 +203,9 @@ func TestHTTPShardLSHBitIdentity(t *testing.T) {
 	_, _, queries := hsEnv(t)
 	cfg := thetis.DefaultIndexConfig()
 	d := buildRemoteDeployment(t, "lsh", 3, 1, thetis.RemoteOptions{}, nil)
-	// Index everywhere: the unsharded reference and the in-process shards
-	// build directly; the remote daemons build from the bootstrapped index
-	// spec under the shipped global frequent-type filter.
-	d.local.BuildIndex(cfg)
-	d.ss.BuildIndex(cfg)
-	d.rs.SetIndexConfig(cfg)
+	d.index(cfg)
 	for _, votes := range []int{1, 2, 3} {
-		d.local.SetVotes(votes)
-		d.ss.SetVotes(votes)
-		d.rs.SetVotes(votes)
+		d.setVotes(votes)
 		d.bootstrap(t) // re-ship: votes travel with the artifacts
 		assertRemoteIdentical(t, "lsh", d, queries, 10)
 	}
@@ -196,18 +215,14 @@ func TestHTTPShardRescatterForceFullScan(t *testing.T) {
 	_, _, queries := hsEnv(t)
 	cfg := thetis.DefaultIndexConfig()
 	d := buildRemoteDeployment(t, "rescatter", 2, 1, thetis.RemoteOptions{}, nil)
-	d.local.BuildIndex(cfg)
-	d.ss.BuildIndex(cfg)
-	d.rs.SetIndexConfig(cfg)
+	d.index(cfg)
 	// An unsatisfiable vote threshold empties every shard's prefilter, so
 	// the coordinator's rescatter round must carry ForceFullScan over the
-	// wire — and the final ranking must match the unsharded system's own
-	// fallback full scan.
-	d.local.SetVotes(99)
-	d.ss.SetVotes(99)
-	d.rs.SetVotes(99)
+	// wire — and the final ranking must match the reference's own fallback
+	// full scan.
+	d.setVotes(99)
 	d.bootstrap(t)
-	got, stats := d.rs.SearchStatsContext(context.Background(), queries[1], 10)
+	got, stats := d.coord.SearchStatsContext(context.Background(), queries[1], 10)
 	if len(got) == 0 {
 		t.Fatalf("rescatter produced no results (stats %+v)", stats)
 	}
@@ -260,14 +275,14 @@ func TestHTTPShardFaultMatrixRetriesToBitIdentity(t *testing.T) {
 			// faults, the final attempt goes clean.
 			transports[0].Script = script
 			retriesBefore := obs.RemoteShardRetriesTotal(label + "-0").Value()
-			got, stats := d.rs.SearchStatsContext(context.Background(), queries[0], 10)
+			got, stats := d.coord.SearchStatsContext(context.Background(), queries[0], 10)
 			if stats.Truncated {
 				t.Fatalf("retry budget did not absorb %s: %v", name, stats.ShardErrors)
 			}
-			want, _ := d.local.SearchStats(queries[0], 10)
+			want, _ := d.ref.Search(queries[0], 10)
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("%s rank %d: remote %+v, unsharded %+v", name, i, got[i], want[i])
+					t.Fatalf("%s rank %d: remote %+v, reference %+v", name, i, got[i], want[i])
 				}
 			}
 			if obs.RemoteShardRetriesTotal(label+"-0").Value() == retriesBefore {
@@ -298,22 +313,22 @@ func TestHTTPShardDeadShardDegradesToRankedPrefix(t *testing.T) {
 		return ft
 	})
 	// Bootstrap cannot reach shard 1 either: the push must fail loudly.
-	if err := d.rs.Bootstrap(context.Background()); err == nil {
+	if err := d.coord.BootstrapShards(context.Background(), nil, 1); err == nil {
 		t.Fatal("bootstrap succeeded with an unreachable shard")
 	}
 	// Re-push to the live shards only so their artifacts are in place.
-	a := d.local.ComputeShardArtifacts(nil, 1)
+	a := d.coord.ComputeShardArtifacts(nil, 1)
 	for _, si := range []int{0, 2} {
 		if err := d.shards[si].PushArtifacts(context.Background(), a); err != nil {
 			t.Fatal(err)
 		}
 	}
 	deadTables := map[thetis.TableID]bool{}
-	for _, gid := range d.local.ShardGlobalIDs(thetis.NewHashPartitioner(3))[1] {
+	for _, gid := range d.coord.ShardGlobalIDs(thetis.NewHashPartitioner(3))[1] {
 		deadTables[gid] = true
 	}
 	for qi, q := range queries {
-		got, stats := d.rs.SearchStatsContext(context.Background(), q, 10)
+		got, stats := d.coord.SearchStatsContext(context.Background(), q, 10)
 		if !stats.Truncated {
 			t.Fatalf("q%d: dead shard not surfaced as Truncated", qi)
 		}
@@ -326,9 +341,9 @@ func TestHTTPShardDeadShardDegradesToRankedPrefix(t *testing.T) {
 		if !found {
 			t.Fatalf("q%d: ShardErrors missing the dead shard: %v", qi, stats.ShardErrors)
 		}
-		// The prefix must be exactly the unsharded ranking with the dead
+		// The prefix must be exactly the reference ranking with the dead
 		// shard's tables removed — correctly ranked, nothing invented.
-		full, _ := d.local.SearchStats(q, -1)
+		full, _ := d.ref.Search(q, -1)
 		var want []thetis.Result
 		for _, r := range full {
 			if !deadTables[r.Table] {
@@ -362,7 +377,7 @@ func TestHTTPShardAllShardsDeadExplicitEmpty(t *testing.T) {
 		ft.Loop = true
 		return ft
 	})
-	got, stats := d.rs.SearchStatsContext(context.Background(), queries[0], 10)
+	got, stats := d.coord.SearchStatsContext(context.Background(), queries[0], 10)
 	if len(got) != 0 {
 		t.Fatalf("all-dead fleet returned results: %v", got)
 	}
@@ -432,14 +447,15 @@ func TestHTTPShardHybridAndReadOnly(t *testing.T) {
 	_, _, queries := hsEnv(t)
 	d := buildRemoteDeployment(t, "hybrid", 2, 1, thetis.RemoteOptions{}, nil)
 	d.bootstrap(t)
-	d.local.BuildKeywordIndex()
-	// The hybrid merge must match the unsharded system's: the semantic
-	// half is bit-identical (proved above), the BM25 half is the same
-	// local index, so the complement merge must agree.
+	d.ref.Keyword = bm25.IndexLake(d.ref.Lake)
+	d.coord.BuildKeywordIndex()
+	// The hybrid merge must match the reference's: the semantic half is
+	// bit-identical (proved above), the BM25 half is the coordinator's
+	// local full-corpus index, so the complement merge must agree.
 	kw := "member domain city"
 	for qi, q := range queries[:4] {
-		want := d.local.HybridSearch(q, kw, 10)
-		got := d.rs.HybridSearchContext(context.Background(), q, kw, 10)
+		want := d.ref.HybridSearch(q, kw, 10)
+		got := d.coord.HybridSearchContext(context.Background(), q, kw, 10)
 		if len(got) != len(want) {
 			t.Fatalf("q%d: hybrid %d results, want %d", qi, len(got), len(want))
 		}
@@ -450,25 +466,24 @@ func TestHTTPShardHybridAndReadOnly(t *testing.T) {
 		}
 	}
 	// The deployment is read-only: mutations answer ErrReadOnly.
-	if _, err := d.rs.AddTableJSON([]byte(`{}`)); err != thetis.ErrReadOnly {
+	if _, err := d.coord.AddTableJSON([]byte(`{}`)); err != thetis.ErrReadOnly {
 		t.Fatalf("AddTableJSON = %v, want ErrReadOnly", err)
 	}
-	if err := d.rs.RemoveTable(0); err != thetis.ErrReadOnly {
+	if err := d.coord.RemoveTable(0); err != thetis.ErrReadOnly {
 		t.Fatalf("RemoveTable = %v, want ErrReadOnly", err)
 	}
 }
 
-// TestHTTPShardCoordinatorServesOverHTTP closes the loop: the
-// RemoteSharded facade itself behind server.New — the full
-// coordinator-daemon stack — answers /search identically to the unsharded
-// system, is read-only over HTTP (405), and reports the remote-replica
-// breakdown on /readyz.
+// TestHTTPShardCoordinatorServesOverHTTP closes the loop: the coordinator
+// System itself behind server.New — the full coordinator-daemon stack —
+// answers /search, is read-only over HTTP (405), and reports the
+// remote-replica breakdown on /readyz.
 func TestHTTPShardCoordinatorServesOverHTTP(t *testing.T) {
 	_, _, _ = hsEnv(t)
 	d := buildRemoteDeployment(t, "coord", 2, 1, thetis.RemoteOptions{}, nil)
 	d.bootstrap(t)
-	d.local.BuildKeywordIndex()
-	coord := httptest.NewServer(New(d.rs, WithRemoteShardStatus(d.rs.ShardStatuses)))
+	d.coord.BuildKeywordIndex()
+	coord := httptest.NewServer(New(d.coord, WithRemoteShardStatus(d.coord.ShardStatuses)))
 	t.Cleanup(coord.Close)
 
 	resp, err := http.Get(coord.URL + "/readyz")

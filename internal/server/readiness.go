@@ -2,15 +2,20 @@ package server
 
 // Degraded-mode serving: the daemon binds its listener and answers searches
 // immediately — brute force over the whole corpus, correct but slower —
-// while the LSEI prefilter builds in the background (or after a corrupt
-// snapshot was rejected). When the build finishes, the index is hot-swapped
-// into the live System atomically and the daemon flips to ready. GET
-// /readyz reports the lifecycle so orchestrators can route bulk traffic
-// only at full capacity, while /healthz stays a pure liveness probe.
+// while every shard's LSEI prefilter builds in the background (or after a
+// corrupt snapshot was rejected). Each shard's index is hot-swapped into
+// the live System atomically as it lands, so one shard can still be
+// building while the others already answer prefiltered, and searches stay
+// correct throughout because a shard without an index serves brute force.
+// GET /readyz reports the lifecycle so orchestrators can route bulk
+// traffic only at full capacity, while /healthz stays a pure liveness
+// probe.
 
 import (
 	"fmt"
 	"io"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -20,7 +25,7 @@ import (
 )
 
 // IndexState is the prefilter lifecycle phase reported on /readyz and the
-// thetis_index_state gauge.
+// thetis_shard_index_state gauge.
 type IndexState int32
 
 const (
@@ -47,7 +52,7 @@ func (s IndexState) String() string {
 	}
 }
 
-// Readiness tracks the index lifecycle for one daemon. It is safe for
+// Readiness tracks the index lifecycle of one shard. It is safe for
 // concurrent use; the HTTP handlers read it while ActivateIndex's
 // background build writes it.
 type Readiness struct {
@@ -59,12 +64,17 @@ type Readiness struct {
 	since  time.Time
 }
 
-// NewReadiness creates a tracker in the building state, mirrored on the
-// thetis_index_state gauge of r (obs.Default when nil).
-func NewReadiness(r *obs.Registry) *Readiness {
-	rd := &Readiness{gauge: obs.IndexState(r)}
-	rd.Set(StateBuilding, "index build pending")
-	return rd
+// NewReadinesses creates one lifecycle tracker per shard in the building
+// state, each mirrored on thetis_shard_index_state{shard="i"} of r
+// (obs.Default when nil). Pass the slice to WithReadiness and
+// ActivateIndex.
+func NewReadinesses(r *obs.Registry, n int) []*Readiness {
+	out := make([]*Readiness, n)
+	for i := range out {
+		out[i] = &Readiness{gauge: obs.ShardIndexState(r, strconv.Itoa(i))}
+		out[i].Set(StateBuilding, "index build pending")
+	}
+	return out
 }
 
 // Set transitions the lifecycle, recording a human-readable detail.
@@ -89,45 +99,123 @@ func (rd *Readiness) Snapshot() (state IndexState, detail string, since time.Tim
 	return state, detail, since
 }
 
-// ActivateIndex brings the system's LSEI online without blocking serving.
+// indexReadiness aggregates the per-shard lifecycles for /readyz: the
+// overall state is the worst across shards (any degraded → degraded, else
+// any building → building, else ready) with that shard's detail and
+// transition time, plus the per-shard breakdown.
+func indexReadiness(rds []*Readiness) (IndexState, map[string]any) {
+	severity := [...]int{StateReady: 0, StateBuilding: 1, StateDegraded: 2}
+	worst, body := StateReady, map[string]any{}
+	shards := make([]map[string]any, len(rds))
+	for i, rd := range rds {
+		state, detail, since := rd.Snapshot()
+		at := since.UTC().Format(time.RFC3339Nano)
+		shards[i] = map[string]any{"shard": i, "state": state.String(), "detail": detail, "since": at}
+		if i == 0 || severity[state] > severity[worst] {
+			worst = state
+			body["detail"], body["since"] = detail, at
+		}
+	}
+	body["shards"] = shards
+	return worst, body
+}
+
+// handleReady reports whether the daemon serves at full capacity. It serves
+// correct results in every state — building and degraded just mean
+// brute-force scans, a degraded coordinator Truncated prefixes — so /readyz
+// answers 200 with the state by default. Orchestrators that should route
+// traffic only at full capacity can ask with ?full=1, which answers 503
+// until the state is ready.
+//
+// The state comes from the per-shard index lifecycles (WithReadiness) or
+// the remote-replica breakdown (WithRemoteShardStatus); without either the
+// daemon was configured synchronously and is ready whenever it is alive. A
+// delta log that stopped logging overrides all of them with degraded: the
+// daemon still answers, but accepted mutations are no longer durable.
+func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
+	state, body := StateReady, map[string]any{"detail": "configured synchronously"}
+	switch {
+	case s.remoteStatus != nil:
+		state, body = remoteReadiness(s.remoteStatus())
+	case s.ready != nil:
+		state, body = indexReadiness(s.ready)
+	}
+	if err := s.sys.DeltaLogError(); err != nil {
+		state = StateDegraded
+		body["detail"] = fmt.Sprintf("delta log stopped logging: %v (mutations since are not durable)", err)
+	}
+	body["state"] = state.String()
+	status := http.StatusOK
+	if r.URL.Query().Get("full") == "1" && state != StateReady {
+		status = http.StatusServiceUnavailable
+	}
+	writeJSON(w, status, body)
+}
+
+// ActivateIndex brings every shard's LSEI online without blocking serving.
 // A non-nil snapshot is tried first, synchronously: a valid one activates
 // immediately (ready, no build). A corrupt snapshot is rejected — the
 // typed atomicio.ErrCorruptSnapshot guarantee means a flipped byte can
 // never load wrong — and the daemon enters degraded mode while a full
 // rebuild runs in the background; with no snapshot it starts in building
-// mode the same way. The background build constructs the index aside and
-// hot-swaps it into sys atomically, then flips readiness to ready.
+// mode the same way. Snapshots cover exactly one shard.
 //
-// The returned channel receives the terminal outcome (nil, or the build
-// panic converted to an error) exactly once. A build panic is contained:
-// counted on thetis_panics_total{site="build"}, state parked at degraded,
-// daemon still serving brute force.
-func ActivateIndex(sys *thetis.System, ready *Readiness, cfg thetis.IndexConfig, votes int, snapshot io.Reader) <-chan error {
+// The background build runs the global index preparation (PrepareIndex —
+// one corpus scan for the shared frequent-type filter), then builds each
+// shard's index aside and hot-swaps it, flipping that shard's Readiness to
+// ready as it lands (builds serialize on the system's maintenance lock).
+// Shards serve brute force until their swap, so the daemon answers
+// correctly from the first request.
+//
+// A build panic is contained per shard: counted on
+// thetis_panics_total{site="build"}, that shard parked at degraded (brute
+// force), the other shards unaffected. The returned channel receives the
+// terminal outcome exactly once — nil when every shard landed, or the
+// first failure.
+func ActivateIndex(sys *thetis.System, rds []*Readiness, cfg thetis.IndexConfig, votes int, snapshot io.Reader) <-chan error {
 	done := make(chan error, 1)
+	setAll := func(rds []*Readiness, state IndexState, detail string) {
+		for _, rd := range rds {
+			rd.Set(state, detail)
+		}
+	}
+	sys.SetVotes(votes)
 	if snapshot != nil {
-		if err := sys.LoadIndex(snapshot); err == nil {
-			sys.SetVotes(votes)
-			ready.Set(StateReady, "index loaded from snapshot")
+		err := sys.LoadIndex(snapshot)
+		if err == nil {
+			setAll(rds, StateReady, "index loaded from snapshot")
 			done <- nil
 			return done
-		} else {
-			ready.Set(StateDegraded, fmt.Sprintf("index snapshot rejected (%v); serving brute force while rebuilding", err))
 		}
+		setAll(rds, StateDegraded, fmt.Sprintf("index snapshot rejected (%v); serving brute force while rebuilding", err))
 	} else {
-		ready.Set(StateBuilding, "building index; serving brute force meanwhile")
+		setAll(rds, StateBuilding, "building index; serving brute force meanwhile")
 	}
 	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				obs.PanicsTotal(nil, "build").Inc()
-				ready.Set(StateDegraded, fmt.Sprintf("index build panicked: %v; serving brute force", r))
-				done <- fmt.Errorf("server: index build panicked: %v", r)
+		var first error
+		// contained runs one build step, parking the shards it covers at
+		// degraded when it panics.
+		contained := func(what string, covers []*Readiness, step func()) (ok bool) {
+			defer func() {
+				if r := recover(); r != nil {
+					obs.PanicsTotal(nil, "build").Inc()
+					setAll(covers, StateDegraded, fmt.Sprintf("%s panicked: %v; serving brute force", what, r))
+					if first == nil {
+						first = fmt.Errorf("server: %s panicked: %v", what, r)
+					}
+				}
+			}()
+			step()
+			return true
+		}
+		if contained("index build", rds, func() { sys.PrepareIndex(cfg) }) {
+			for i := range rds {
+				if contained(fmt.Sprintf("shard %d index build", i), rds[i:i+1], func() { sys.BuildShardIndex(i) }) {
+					rds[i].Set(StateReady, "index built")
+				}
 			}
-		}()
-		sys.BuildIndex(cfg)
-		sys.SetVotes(votes)
-		ready.Set(StateReady, "index built")
-		done <- nil
+		}
+		done <- first
 	}()
 	return done
 }

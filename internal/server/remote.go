@@ -2,8 +2,8 @@ package server
 
 // Shard-over-HTTP endpoints (docs/SHARDING.md §"Shard-over-HTTP").
 //
-// Daemon side: a backend that can serve as a remote shard
-// (RemoteShardHost — any *thetis.System) gets two extra routes mounted:
+// Daemon side: every backend can serve as a remote shard through two
+// routes:
 //
 //	POST /shard/search     one scatter leg (CRC32C envelope both ways)
 //	POST /shard/artifacts  global-artifact bootstrap from the coordinator
@@ -14,7 +14,6 @@ package server
 // healthy replica.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -22,22 +21,12 @@ import (
 	"thetis/internal/remote"
 )
 
-// RemoteShardHost is the optional serving surface of a daemon that can
-// answer remote scatter legs (a *thetis.System; sharded and read-only
-// backends deliberately do not implement it).
-type RemoteShardHost interface {
-	// ServeShardSearch answers one scatter leg in LOCAL table IDs.
-	ServeShardSearch(ctx context.Context, req remote.SearchRequest) remote.SearchPayload
-	// ApplyShardArtifacts installs the coordinator's global artifacts.
-	ApplyShardArtifacts(a remote.Artifacts) error
-}
-
 // WithRemoteShardStatus mounts GET /readyz reporting the remote-shard
-// replica breakdown snapshotted by fn (thetis.RemoteSharded.ShardStatuses).
-// The deployment is ready when every shard has at least one closed-breaker
-// replica, degraded otherwise — it still answers searches, just with
-// Truncated prefixes missing the dead shards. Mutually exclusive with
-// WithReadiness/WithShardReadiness.
+// replica breakdown snapshotted by fn (thetis.System.ShardStatuses in
+// coordinator mode). The deployment is ready when every shard has at least
+// one closed-breaker replica, degraded otherwise — it still answers
+// searches, just with Truncated prefixes missing the dead shards. Takes
+// precedence over WithReadiness.
 func WithRemoteShardStatus(fn func() []remote.Status) Option {
 	return func(s *Server) { s.remoteStatus = fn }
 }
@@ -52,81 +41,68 @@ const maxShardBody = 64 << 20
 // malformed payload — are the CLIENT's to retry, so they answer 400, never
 // 500; the search itself cannot fail (panics are contained into Panicked
 // stats by the backend).
-func (s *Server) handleShardSearch(host RemoteShardHost) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardBody))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		var req remote.SearchRequest
-		if err := remote.Open(body, &req); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		payload := host.ServeShardSearch(r.Context(), req)
-		sealed, err := remote.Seal(payload)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(sealed)
+func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
 	}
+	var req remote.SearchRequest
+	if err := remote.Open(body, &req); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	payload := s.sys.ServeShardSearch(r.Context(), req)
+	sealed, err := remote.Seal(payload)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(sealed)
 }
 
 // handleShardArtifacts installs the coordinator's bootstrap payload.
-// A rejected payload (bad index spec, no similarity selected) is 422: the
-// request was well-formed but this daemon cannot honor it.
-func (s *Server) handleShardArtifacts(host RemoteShardHost) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardBody))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-			return
-		}
-		var a remote.Artifacts
-		if err := remote.Open(body, &a); err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := host.ApplyShardArtifacts(a); err != nil {
-			writeError(w, http.StatusUnprocessableEntity, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"applied": true})
+// A rejected payload (bad index spec, no similarity selected, a read-only
+// coordinator) is 422: the request was well-formed but this daemon cannot
+// honor it.
+func (s *Server) handleShardArtifacts(w http.ResponseWriter, r *http.Request) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxShardBody))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+		return
 	}
+	var a remote.Artifacts
+	if err := remote.Open(body, &a); err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := s.sys.ApplyShardArtifacts(a); err != nil {
+		writeError(w, http.StatusUnprocessableEntity, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"applied": true})
 }
 
-// handleReadyRemote is handleReady's coordinator variant (see
+// remoteReadiness is the coordinator's /readyz state (see
 // WithRemoteShardStatus): per-shard, per-replica breaker breakdown.
-func (s *Server) handleReadyRemote(w http.ResponseWriter, r *http.Request) {
-	statuses := s.remoteStatus()
+func remoteReadiness(statuses []remote.Status) (IndexState, map[string]any) {
 	healthy := 0
 	for _, st := range statuses {
-		ok := false
 		for _, rep := range st.Replicas {
 			if rep.Breaker == "closed" {
-				ok = true
+				healthy++
 				break
 			}
-		}
-		if ok {
-			healthy++
 		}
 	}
 	state := StateReady
 	if healthy < len(statuses) {
 		state = StateDegraded
 	}
-	status := http.StatusOK
-	if r.URL.Query().Get("full") == "1" && state != StateReady {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, map[string]any{
-		"state":  state.String(),
+	return state, map[string]any{
 		"detail": fmt.Sprintf("%d/%d remote shards healthy", healthy, len(statuses)),
 		"shards": statuses,
-	})
+	}
 }

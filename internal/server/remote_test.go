@@ -134,8 +134,8 @@ func TestRemoteShardReadyz(t *testing.T) {
 	}
 }
 
-// readOnlyBackend wraps the demo system with mutations rejected the way
-// thetis.RemoteSharded rejects them.
+// readOnlyBackend wraps the demo system with mutations rejected the way a
+// System in coordinator mode rejects them.
 type readOnlyBackend struct{ *thetis.System }
 
 func (readOnlyBackend) AddTableJSON(data []byte) (lake.TableID, error) {
@@ -155,20 +155,5 @@ func TestReadOnlyMutationsAnswer405(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/tables/0", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE /tables/0 on read-only backend = %d, want 405", rec.Code)
-	}
-}
-
-// TestRemoteShardEndpointsAbsentOnNonHosts pins the mounting rule: only
-// backends that implement RemoteShardHost expose /shard/*; a facade that
-// hides it (like readOnlyBackend embedding the system behind an
-// interface) does not accidentally inherit the routes.
-func TestRemoteShardEndpointsOnlyForHosts(t *testing.T) {
-	var _ RemoteShardHost = (*thetis.System)(nil) // the daemon case, compile-checked
-
-	type plainBackend struct{ Backend }
-	srv := New(plainBackend{demoSystem(t)})
-	rec := postSealed(t, srv, "/shard/search", remote.SearchRequest{K: 1})
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("/shard/search on a non-host backend = %d, want 404", rec.Code)
 	}
 }

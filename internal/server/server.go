@@ -3,7 +3,7 @@
 // system (and any production deployment) ultimately is:
 //
 //	GET  /healthz           liveness probe
-//	GET  /readyz            index lifecycle (WithReadiness/WithShardReadiness)
+//	GET  /readyz            serving capacity: index lifecycle, remote shards, delta log
 //	GET  /stats             corpus and KG statistics
 //	GET  /tables/{id}       one table (name, attributes, rows, categories)
 //	POST /tables            live ingestion of one annotated-JSON table
@@ -17,11 +17,13 @@
 //	GET  /debug/ann         ANN top-k σ serving state (docs/ANN.md)
 //	GET  /debug/ingest      quarantine summary of the corpus load (WithIngestReport)
 //	GET  /debug/pprof/*     runtime profiles (opt-in via WithPprof)
+//	POST /shard/search      one scatter leg for a remote coordinator
+//	POST /shard/artifacts   global-artifact bootstrap from a coordinator
 //
-// The backend behind the handlers is the Backend interface: a single
-// *thetis.System or a *thetis.ShardedSystem (thetisd -shards) — scatter-
-// gather is invisible at the HTTP surface except for shard labels in
-// /debug/trace, thetis_shard_* metrics, and /readyz's per-shard breakdown.
+// The backend behind the handlers is the Backend interface, satisfied by
+// *thetis.System at every shard count and in coordinator mode — scatter-
+// gather shows at the HTTP surface only as shard labels in /debug/trace,
+// thetis_shard_* metrics, and /readyz's per-shard breakdown.
 //
 // Queries use the textual format of System.ParseQuery: entities separated
 // by "|", tuples by newlines (or ";"). Every endpoint is instrumented with
@@ -55,13 +57,14 @@ import (
 	"thetis/internal/remote"
 )
 
-// Backend is the serving surface the HTTP layer needs: the query/search/
-// corpus/mutation methods shared by thetis.System (single-node) and
-// thetis.ShardedSystem (scatter-gather, thetisd -shards). Both satisfy it
-// structurally; the handlers never know which one answers.
+// Backend is the serving surface the HTTP layer needs, implemented by
+// *thetis.System. It stays an interface so tests and the benchmark harness
+// can decorate a System (spans around ParseQuery, injected failures); the
+// handlers assert no other interface on it.
 type Backend interface {
 	ParseQuery(text string) (thetis.Query, error)
 	SearchStatsContext(ctx context.Context, q thetis.Query, k int) ([]thetis.Result, thetis.SearchStats)
+	SearchBatchContext(ctx context.Context, queries []thetis.Query, k int) ([][]thetis.Result, []thetis.SearchStats)
 	KeywordSearch(text string, k int) []thetis.TableID
 	HybridSearchContext(ctx context.Context, q thetis.Query, keywords string, k int) []thetis.TableID
 	Stats() lake.Stats
@@ -71,20 +74,24 @@ type Backend interface {
 	AddTableJSON(data []byte) (thetis.TableID, error)
 	RemoveTable(id thetis.TableID) error
 	IndexEpoch() uint64
+	// DeltaLogError is the write-ahead log's sticky failure (nil while
+	// mutations are durable); it must not block behind maintenance.
+	DeltaLogError() error
+	AnnStatus() thetis.AnnStatus
+	// ServeShardSearch answers one remote scatter leg in this backend's own
+	// table IDs; ApplyShardArtifacts installs a coordinator's global
+	// artifacts.
+	ServeShardSearch(ctx context.Context, req remote.SearchRequest) remote.SearchPayload
+	ApplyShardArtifacts(a remote.Artifacts) error
 }
 
-// AnnBackend is the optional ANN-serving surface (docs/ANN.md). Backends
-// that support top-k σ — System and ShardedSystem both do — get a
-// GET /debug/ann endpoint reporting graph size, build epoch, and whether
-// searches are currently served approximately or in exact-σ fallback.
-type AnnBackend interface {
-	AnnStatus() thetis.AnnStatus
-}
+var _ Backend = (*thetis.System)(nil)
 
 // Server is an http.Handler serving one Thetis backend. The underlying
 // system must be fully configured (similarity selected; keyword index built
-// when the keyword/hybrid endpoints are used) and must not be mutated while
-// serving (per-shard index hot-swaps excepted).
+// when the keyword/hybrid endpoints are used). Tables may be added and
+// removed and indexes hot-swapped while it serves (docs/LIVE_INDEX.md);
+// similarity selection stays setup-time.
 type Server struct {
 	sys     Backend
 	mux     *http.ServeMux
@@ -92,8 +99,7 @@ type Server struct {
 	pprof   bool
 	timeout time.Duration
 	sem     chan struct{}
-	ready   *Readiness
-	shardRd []*Readiness
+	ready   []*Readiness
 	ingest  *obs.IngestReport
 
 	// remoteStatus, when set (WithRemoteShardStatus), snapshots the
@@ -147,12 +153,11 @@ func WithMaxInFlight(n int) Option {
 	}
 }
 
-// WithReadiness mounts GET /readyz reporting the index lifecycle tracked
-// by rd (see ActivateIndex). Without it, /readyz is not served: a system
-// configured synchronously is ready whenever it is alive, and /healthz
-// already says so.
-func WithReadiness(rd *Readiness) Option {
-	return func(s *Server) { s.ready = rd }
+// WithReadiness makes GET /readyz report the per-shard index lifecycles
+// tracked by rds (see NewReadinesses, ActivateIndex). Without it a system
+// configured synchronously is ready whenever it is alive.
+func WithReadiness(rds []*Readiness) Option {
+	return func(s *Server) { s.ready = rds }
 }
 
 // WithIngestReport mounts GET /debug/ingest serving the quarantine
@@ -162,16 +167,14 @@ func WithIngestReport(ir *obs.IngestReport) Option {
 	return func(s *Server) { s.ingest = ir }
 }
 
-// New wraps a configured backend (a *thetis.System or *thetis.ShardedSystem).
+// New wraps a configured backend (a *thetis.System).
 func New(sys Backend, opts ...Option) *Server {
 	s := &Server{sys: sys, mux: http.NewServeMux(), reg: obs.Default}
 	for _, opt := range opts {
 		opt(s)
 	}
 	s.handle("GET", "/healthz", s.handleHealth)
-	if s.ready != nil || s.shardRd != nil || s.remoteStatus != nil {
-		s.handle("GET", "/readyz", s.handleReady)
-	}
+	s.handle("GET", "/readyz", s.handleReady)
 	if s.ingest != nil {
 		s.handle("GET", "/debug/ingest", s.handleIngest)
 	}
@@ -180,21 +183,15 @@ func New(sys Backend, opts ...Option) *Server {
 	s.handle("POST", "/tables", s.handleAddTable)
 	s.handle("DELETE", "/tables/{id}", s.handleRemoveTable)
 	s.handle("POST", "/search", s.guard("/search", s.handleSearch))
-	if bb, ok := s.sys.(BatchBackend); ok {
-		s.handle("POST", "/search/batch", s.guard("/search/batch", s.handleSearchBatch(bb)))
-	}
+	s.handle("POST", "/search/batch", s.guard("/search/batch", s.handleSearchBatch))
 	s.handle("POST", "/keyword", s.guard("/keyword", s.handleKeyword))
 	s.handle("POST", "/hybrid", s.guard("/hybrid", s.handleHybrid))
 	s.handle("GET", "/debug/trace", s.guard("/debug/trace", s.handleTrace))
-	if ab, ok := s.sys.(AnnBackend); ok {
-		s.handle("GET", "/debug/ann", func(w http.ResponseWriter, r *http.Request) {
-			writeJSON(w, http.StatusOK, ab.AnnStatus())
-		})
-	}
-	if host, ok := s.sys.(RemoteShardHost); ok {
-		s.handle("POST", "/shard/search", s.handleShardSearch(host))
-		s.handle("POST", "/shard/artifacts", s.handleShardArtifacts(host))
-	}
+	s.handle("GET", "/debug/ann", func(w http.ResponseWriter, r *http.Request) {
+		writeJSON(w, http.StatusOK, s.sys.AnnStatus())
+	})
+	s.handle("POST", "/shard/search", s.handleShardSearch)
+	s.handle("POST", "/shard/artifacts", s.handleShardArtifacts)
 	s.mux.Handle("GET /metrics", s.reg.Handler())
 	if s.pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -352,36 +349,6 @@ type SearchResponse struct {
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleReady reports the index lifecycle (building | degraded | ready).
-// The daemon serves correct results in every state — degraded just means
-// brute-force scans — so /readyz answers 200 with the state by default.
-// Orchestrators that should route traffic only at full capacity can ask
-// with ?full=1, which answers 503 until the state is ready.
-//
-// Sharded daemons (WithShardReadiness) report the worst state across
-// shards — ready only when every shard is — plus a per-shard breakdown,
-// since each shard's index builds and hot-swaps independently.
-func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
-	if s.shardRd != nil {
-		s.handleReadyShards(w, r)
-		return
-	}
-	if s.remoteStatus != nil {
-		s.handleReadyRemote(w, r)
-		return
-	}
-	state, detail, since := s.ready.Snapshot()
-	status := http.StatusOK
-	if r.URL.Query().Get("full") == "1" && state != StateReady {
-		status = http.StatusServiceUnavailable
-	}
-	writeJSON(w, status, map[string]any{
-		"state":  state.String(),
-		"detail": detail,
-		"since":  since.UTC().Format(time.RFC3339Nano),
-	})
 }
 
 // handleIngest serves the quarantine summary of the corpus load: per-kind

@@ -16,7 +16,10 @@ import (
 
 // demoSystem builds the miniature baseball system shared by the endpoint,
 // fuzz, and lifecycle tests. testing.TB so fuzz targets can call it too.
-func demoSystem(tb testing.TB) *thetis.System {
+func demoSystem(tb testing.TB) *thetis.System { return demoSystemSharded(tb, 1) }
+
+// demoSystemSharded is the demo corpus hash-partitioned into n shards.
+func demoSystemSharded(tb testing.TB, n int) *thetis.System {
 	tb.Helper()
 	g := thetis.NewGraph()
 	triples := `
@@ -32,7 +35,7 @@ func demoSystem(tb testing.TB) *thetis.System {
 	if err := thetis.LoadTriples(g, strings.NewReader(triples)); err != nil {
 		tb.Fatal(err)
 	}
-	sys := thetis.New(g)
+	sys := thetis.NewSharded(g, thetis.NewHashPartitioner(n))
 	linker := thetis.NewDictionaryLinker(g)
 	roster := thetis.NewTable("roster", []string{"Player", "Team"})
 	roster.AppendValues("Ron Santo", "Chicago Cubs")

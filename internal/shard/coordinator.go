@@ -94,38 +94,56 @@ func (c *Coordinator) Search(ctx context.Context, q core.Query, k int) ([]core.R
 	return c.gather(start, k, legs, nil)
 }
 
-// scatter runs one concurrent fan-out round. Every shard gets its own
-// goroutine; a panicking shard is contained to an empty truncated leg so
-// the round always completes.
+// SearchShard implements Searcher, so a Coordinator is itself a valid
+// scatter leg: one round with the caller's options and no rescatter — the
+// enclosing coordinator owns the full-scan decision. This is what a daemon
+// runs when it answers POST /shard/search over its own shards.
+func (c *Coordinator) SearchShard(ctx context.Context, q core.Query, k int, opts SearchOptions) ([]core.Result, core.Stats) {
+	start := time.Now()
+	return c.gather(start, k, c.scatter(ctx, q, k, opts), nil)
+}
+
+// scatter runs one concurrent fan-out round. The caller's goroutine takes
+// the first leg and every other shard gets its own, so a one-shard scatter
+// spawns nothing; a panicking shard is contained to an empty truncated leg
+// so the round always completes.
 func (c *Coordinator) scatter(ctx context.Context, q core.Query, k int, opts SearchOptions) []leg {
 	legs := make([]leg, len(c.shards))
 	var wg sync.WaitGroup
-	for i := range c.shards {
+	for i := 1; i < len(c.shards); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			legStart := time.Now()
-			defer func() {
-				if r := recover(); r != nil {
-					c.panics.Inc()
-					legs[i] = leg{stats: core.Stats{
-						Truncated:   true,
-						ShardErrors: []string{fmt.Sprintf("panic: %v", r)},
-						Trace:       obs.NewTrace("search"),
-					}}
-				}
-				legs[i].wall = time.Since(legStart)
-				c.legs[i].searches.Inc()
-				c.legs[i].seconds.Observe(legs[i].wall.Seconds())
-				if legs[i].stats.Truncated {
-					c.legs[i].truncated.Inc()
-				}
-			}()
-			legs[i].results, legs[i].stats = c.shards[i].SearchShard(ctx, q, k, opts)
+			c.runLeg(ctx, i, &legs[i], q, k, opts)
 		}(i)
+	}
+	if len(c.shards) > 0 {
+		c.runLeg(ctx, 0, &legs[0], q, k, opts)
 	}
 	wg.Wait()
 	return legs
+}
+
+// runLeg runs shard i's leg of one round into out.
+func (c *Coordinator) runLeg(ctx context.Context, i int, out *leg, q core.Query, k int, opts SearchOptions) {
+	legStart := time.Now()
+	defer func() {
+		if r := recover(); r != nil {
+			c.panics.Inc()
+			*out = leg{stats: core.Stats{
+				Truncated:   true,
+				ShardErrors: []string{fmt.Sprintf("panic: %v", r)},
+				Trace:       obs.NewTrace("search"),
+			}}
+		}
+		out.wall = time.Since(legStart)
+		c.legs[i].searches.Inc()
+		c.legs[i].seconds.Observe(out.wall.Seconds())
+		if out.stats.Truncated {
+			c.legs[i].truncated.Inc()
+		}
+	}()
+	out.results, out.stats = c.shards[i].SearchShard(ctx, q, k, opts)
 }
 
 // gather merges the deciding round's rankings and stats. When a forced

@@ -20,7 +20,8 @@
 //     zero.
 //
 // The public façade (package thetis) re-exports Searcher as thetis.Shard
-// and wires this machinery into thetis.ShardedSystem and thetisd -shards.
+// and wires this machinery into thetis.System — every System is a
+// Coordinator over one or more Locals (thetisd -shards).
 package shard
 
 import (
@@ -59,7 +60,7 @@ type Searcher interface {
 }
 
 // Local is an in-process shard: one sub-lake plus its private search
-// machinery. The assembler (thetis.ShardedSystem, or a test/benchmark
+// machinery. The assembler (thetis.System, or a test/benchmark
 // harness) routes tables in via Add, installs a configured Engine whose
 // Lake is the shard's lake — with GLOBAL informativeness weights — and
 // optionally hot-swaps an LSEI built with the GLOBAL frequent-type filter.

@@ -54,7 +54,7 @@ func fixture(t testing.TB) (*kg.Graph, []*table.Table, []core.Query) {
 }
 
 // buildLocals round-robins the fixture tables across n shards wired the way
-// ShardedSystem wires them: global informativeness, shared graph.
+// thetis.System wires them: global informativeness, shared graph.
 func buildLocals(g *kg.Graph, tables []*table.Table, n int) []*Local {
 	locals := make([]*Local, n)
 	for i := range locals {

@@ -3,12 +3,13 @@ package thetis
 // Rebuild-equivalence battery for live-lake maintenance (docs/LIVE_INDEX.md):
 // after ANY sequence of AddTable/RemoveTable against live indexes, search
 // results must be bit-identical — same tables, same float64 score bits, same
-// order — to a from-scratch build over the surviving corpus. The battery runs
-// seeded randomized mutation sequences across aggregations, score modes,
-// parallelism, vote thresholds, shard counts, and both similarity families,
-// with and without LSH prefiltering, plus keyword and hybrid search; a
-// failing sequence is automatically shrunk to a minimal reproducer. These
-// tests are `make livecheck` (run under -race) and part of `make check`.
+// order — to a from-scratch build over the surviving corpus, assembled
+// straight from internal/core (internal/reference). The battery runs seeded
+// randomized mutation sequences across aggregations, score modes,
+// parallelism, vote thresholds, shard counts and partitioners, and both
+// similarity families, with and without LSH prefiltering, plus keyword and
+// hybrid search; a failing sequence is automatically shrunk to a minimal
+// reproducer. `make race` runs these under the race detector.
 
 import (
 	"errors"
@@ -22,28 +23,15 @@ import (
 	"testing"
 
 	"thetis/internal/atomicio"
+	"thetis/internal/bm25"
+	"thetis/internal/core"
+	"thetis/internal/faultio"
+	"thetis/internal/obs"
+	"thetis/internal/reference"
 )
 
 // liveKeywords is the fixed keyword query of the keyword/hybrid legs.
 const liveKeywords = "member domain city"
-
-// liveSearcher is the mutable-corpus surface shared by System and
-// ShardedSystem that the battery exercises.
-type liveSearcher interface {
-	AddTable(t *Table) TableID
-	RemoveTable(id TableID) error
-	SearchStats(q Query, k int) ([]Result, SearchStats)
-	KeywordSearch(text string, k int) []TableID
-	HybridSearch(q Query, keywords string, k int) []TableID
-	NumTables() int
-	IndexEpoch() uint64
-	Compact()
-}
-
-var (
-	_ liveSearcher = (*System)(nil)
-	_ liveSearcher = (*ShardedSystem)(nil)
-)
 
 // liveOp is one corpus mutation. Adds name a table by corpus position;
 // removes pick a victim by reducing pick modulo the live count at
@@ -117,7 +105,7 @@ func baseState(n int, tables []*Table) *liveState {
 }
 
 // apply runs one op against the incremental system, keeping st in sync.
-func (st *liveState) apply(m liveSearcher, op liveOp, tables []*Table) error {
+func (st *liveState) apply(m *System, op liveOp, tables []*Table) error {
 	if op.add {
 		id := m.AddTable(tables[op.table])
 		if len(st.ids) > 0 && id <= st.ids[len(st.ids)-1] {
@@ -154,40 +142,33 @@ type liveConfig struct {
 }
 
 // configureLive applies a liveConfig's knobs to a freshly ingested system.
-// Both System and ShardedSystem expose identical configuration surfaces.
-func configureLive(s liveSearcher, cfg liveConfig) {
-	type knobs interface {
-		UseTypeSimilarity()
-		SetAggregation(Aggregation)
-		SetScoreMode(ScoreMode)
-		SetParallelism(int)
-		BuildIndex(IndexConfig)
-		SetVotes(int)
-		BuildKeywordIndex()
-	}
-	k := s.(knobs)
-	k.UseTypeSimilarity()
-	k.SetAggregation(cfg.agg)
-	k.SetScoreMode(cfg.mode)
-	k.SetParallelism(cfg.par)
+func configureLive(s *System, cfg liveConfig) {
+	s.UseTypeSimilarity()
+	s.SetAggregation(cfg.agg)
+	s.SetScoreMode(cfg.mode)
+	s.SetParallelism(cfg.par)
 	if cfg.lsh {
-		k.BuildIndex(DefaultIndexConfig())
-		k.SetVotes(cfg.votes)
+		s.BuildIndex(DefaultIndexConfig())
+		s.SetVotes(cfg.votes)
 	}
 	if cfg.keyword {
-		k.BuildKeywordIndex()
+		s.BuildKeywordIndex()
 	}
 }
 
-// buildLiveReference builds a from-scratch System over the surviving corpus,
-// ingested in ascending live-ID order, configured identically.
-func buildLiveReference(st *liveState, cfg liveConfig) *System {
-	kgEnv := batteryKG
-	ref := New(kgEnv.Graph)
-	for _, tb := range st.tabs {
-		ref.AddTable(tb)
+// buildLiveReference assembles the from-scratch reference over the
+// surviving corpus, ingested in ascending live-ID order, configured
+// identically.
+func buildLiveReference(st *liveState, cfg liveConfig) *reference.Reference {
+	ref := reference.New(batteryKG.Graph, st.tabs, batteryTJ)
+	ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
+	if cfg.lsh {
+		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, DefaultIndexConfig())
+		ref.Votes = cfg.votes
 	}
-	configureLive(ref, cfg)
+	if cfg.keyword {
+		ref.Keyword = bm25.IndexLake(ref.Lake)
+	}
 	return ref
 }
 
@@ -195,7 +176,7 @@ func buildLiveReference(st *liveState, cfg liveConfig) *System {
 // reference. Reference IDs are dense (0..len-1 in survivor order); the
 // incremental system's IDs are st.ids at the same positions — the map is
 // monotone, so rank order and tie-breaks must agree exactly.
-func assertLiveEquivalence(inc liveSearcher, ref *System, st *liveState, cfg liveConfig, queries []Query, k int) error {
+func assertLiveEquivalence(inc *System, ref *reference.Reference, st *liveState, cfg liveConfig, queries []Query, k int) error {
 	if got, want := inc.NumTables(), len(st.ids); got != want {
 		return fmt.Errorf("NumTables = %d, survivors = %d", got, want)
 	}
@@ -206,7 +187,7 @@ func assertLiveEquivalence(inc liveSearcher, ref *System, st *liveState, cfg liv
 		return st.ids[int(refID)], nil
 	}
 	for qi, q := range queries {
-		want, wantStats := ref.SearchStats(q, k)
+		want, wantStats := ref.Search(q, k)
 		got, gotStats := inc.SearchStats(q, k)
 		if wantStats.Truncated || gotStats.Truncated {
 			return fmt.Errorf("q%d: unexpected truncation (rebuild=%v incremental=%v)",
@@ -263,7 +244,7 @@ func assertLiveEquivalence(inc liveSearcher, ref *System, st *liveState, cfg liv
 // runLiveScenario ingests baseN tables into a fresh incremental system (made
 // by mk), configures it, applies ops against the LIVE indexes, then checks
 // rebuild equivalence. Returns nil when the invariant holds.
-func runLiveScenario(mk func() liveSearcher, tables []*Table, queries []Query, cfg liveConfig, baseN int, ops []liveOp) error {
+func runLiveScenario(mk func() *System, tables []*Table, queries []Query, cfg liveConfig, baseN int, ops []liveOp) error {
 	inc := mk()
 	st := baseState(baseN, tables)
 	for _, tb := range st.tabs {
@@ -316,7 +297,7 @@ func shrinkLiveOps(check func([]liveOp) error, ops []liveOp) []liveOp {
 
 // checkLive runs a scenario and, on failure, shrinks the op sequence to a
 // minimal reproducer before failing the test.
-func checkLive(t *testing.T, label string, mk func() liveSearcher, tables []*Table, queries []Query, cfg liveConfig, baseN int, ops []liveOp) {
+func checkLive(t *testing.T, label string, mk func() *System, tables []*Table, queries []Query, cfg liveConfig, baseN int, ops []liveOp) {
 	t.Helper()
 	check := func(ops []liveOp) error {
 		return runLiveScenario(mk, tables, queries, cfg, baseN, ops)
@@ -332,7 +313,7 @@ func checkLive(t *testing.T, label string, mk func() liveSearcher, tables []*Tab
 
 func TestLiveRebuildEquivalence(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
-	mk := func() liveSearcher { return New(kgEnv.Graph) }
+	mk := func() *System { return New(kgEnv.Graph) }
 	const baseN = 200
 	configs := []liveConfig{
 		{name: "max-entitywise-lsh3-kw", agg: AggregateMax, mode: ModeEntityWise,
@@ -360,18 +341,18 @@ func TestLiveRebuildEquivalence(t *testing.T) {
 func TestLiveRebuildEquivalenceSharded(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
 	const baseN = 200
-	for _, shards := range []int{1, 2, 4} {
-		mk := func() liveSearcher { return NewShardedSystem(kgEnv.Graph, NewHashPartitioner(shards)) }
-		cfg := liveConfig{name: fmt.Sprintf("shards%d", shards), agg: AggregateMax,
+	for i, ax := range shardAxes() {
+		mk := func() *System { return NewSharded(kgEnv.Graph, ax.part()) }
+		cfg := liveConfig{name: ax.name, agg: AggregateMax,
 			mode: ModeEntityWise, votes: 2, lsh: true, keyword: true, compactAfter: -1}
-		ops := genLiveOps(int64(100+shards), 50, baseN, baseN, len(tables))
+		ops := genLiveOps(int64(100+i), 50, baseN, baseN, len(tables))
 		checkLive(t, cfg.name, mk, tables, queries, cfg, baseN, ops)
 	}
 }
 
 func TestLiveCompactionPreservesResults(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
-	mk := func() liveSearcher { return New(kgEnv.Graph) }
+	mk := func() *System { return NewSharded(kgEnv.Graph, NewHashPartitioner(2)) }
 	const baseN = 200
 	// Compact mid-sequence AND after the final op; results must still match
 	// the rebuild bit for bit (compaction rebuilds the same structures the
@@ -407,14 +388,10 @@ func TestLiveRebuildEquivalenceEmbeddings(t *testing.T) {
 			t.Fatalf("op %d (%s): %v", i, op, err)
 		}
 	}
-	ref := New(kgEnv.Graph)
-	for _, tb := range st.tabs {
-		ref.AddTable(tb)
-	}
-	ref.SetEmbeddings(store)
-	ref.UseEmbeddingSimilarity()
-	ref.BuildIndex(DefaultIndexConfig())
-	ref.SetVotes(2)
+	ec := core.NewEmbeddingCosine(kgEnv.Graph, store)
+	ref := reference.New(kgEnv.Graph, st.tabs, ec)
+	ref.Index = core.BuildEmbeddingLSEI(ref.Lake, ec, store.Dim(), DefaultIndexConfig())
+	ref.Votes = 2
 	cfg := liveConfig{name: "embeddings"} // semantic legs only
 	if err := assertLiveEquivalence(inc, ref, st, cfg, queries, 10); err != nil {
 		t.Fatalf("embeddings: rebuild equivalence broken: %v\nops: %s", err, opsString(ops))
@@ -475,10 +452,10 @@ func TestLiveConcurrentSearchDuringMutation(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
 	systems := []struct {
 		name string
-		mk   func() liveSearcher
+		mk   func() *System
 	}{
-		{"system", func() liveSearcher { return New(kgEnv.Graph) }},
-		{"sharded2", func() liveSearcher { return NewShardedSystem(kgEnv.Graph, NewHashPartitioner(2)) }},
+		{"shards1", func() *System { return New(kgEnv.Graph) }},
+		{"shards2", func() *System { return NewSharded(kgEnv.Graph, NewHashPartitioner(2)) }},
 	}
 	const baseN = 150
 	for _, sc := range systems {
@@ -542,11 +519,12 @@ func TestLiveConcurrentSearchDuringMutation(t *testing.T) {
 	}
 }
 
-// newLiveBase builds a System over the first baseN battery tables with the
-// default live configuration — the shared starting point of the delta-log
-// tests (a "base snapshot" both the original and the restarted process load).
-func newLiveBase(baseN int) (*System, *liveState) {
-	sys := New(batteryKG.Graph)
+// newLiveBase builds a System of the given partitioning over the first baseN
+// battery tables with the default live configuration — the shared starting
+// point of the delta-log tests (a "base snapshot" both the original and the
+// restarted process load).
+func newLiveBase(baseN int, part Partitioner) (*System, *liveState) {
+	sys := NewSharded(batteryKG.Graph, part)
 	st := baseState(baseN, batteryTables)
 	for _, tb := range st.tabs {
 		sys.AddTable(tb)
@@ -561,78 +539,127 @@ func newLiveBase(baseN int) (*System, *liveState) {
 func TestLiveDeltaLogRestartReplay(t *testing.T) {
 	_, tables, queries := batteryEnv(t)
 	const baseN = 150
-	path := filepath.Join(t.TempDir(), "deltas.log")
+	for _, row := range []struct {
+		name string
+		part func() Partitioner
+	}{
+		{"shards1", func() Partitioner { return NewHashPartitioner(1) }},
+		{"hash2", func() Partitioner { return NewHashPartitioner(2) }},
+		{"size2", func() Partitioner { return NewBalancedPartitioner(2) }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "deltas.log")
 
-	// Original process: base corpus, fresh log, live mutations.
-	orig, st := newLiveBase(baseN)
-	if err := orig.AttachDeltaLog(path); err != nil {
-		t.Fatalf("attach fresh log: %v", err)
-	}
-	ops := genLiveOps(2025, 40, baseN, baseN, len(tables))
-	for i, op := range ops {
-		if err := st.apply(orig, op, tables); err != nil {
-			t.Fatalf("op %d (%s): %v", i, op, err)
-		}
-	}
-	if err := orig.DeltaLogError(); err != nil {
-		t.Fatalf("delta log went sticky-bad during mutation: %v", err)
-	}
-	if err := orig.CloseDeltaLog(); err != nil {
-		t.Fatalf("close log: %v", err)
-	}
-
-	// Restarted process: same base corpus, replay the log into the live
-	// indexes. Every search modality must be bit-identical.
-	restarted, _ := newLiveBase(baseN)
-	if err := restarted.AttachDeltaLog(path); err != nil {
-		t.Fatalf("replay: %v", err)
-	}
-	if got, want := restarted.NumTables(), orig.NumTables(); got != want {
-		t.Fatalf("replayed corpus has %d tables, original %d", got, want)
-	}
-	if got, want := restarted.IndexEpoch(), orig.IndexEpoch(); got != want {
-		t.Fatalf("replayed epoch %d, original %d", got, want)
-	}
-	for qi, q := range queries {
-		want, _ := orig.SearchStats(q, 10)
-		got, _ := restarted.SearchStats(q, 10)
-		if len(got) != len(want) {
-			t.Fatalf("q%d: replay returned %d results, original %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
-				t.Fatalf("q%d rank %d: replay %+v, original %+v", qi, i, got[i], want[i])
+			// Original process: base corpus, fresh log, live mutations.
+			orig, st := newLiveBase(baseN, row.part())
+			if err := orig.AttachDeltaLog(path); err != nil {
+				t.Fatalf("attach fresh log: %v", err)
 			}
-		}
-	}
-	a, b := orig.KeywordSearch(liveKeywords, 10), restarted.KeywordSearch(liveKeywords, 10)
-	if len(a) != len(b) {
-		t.Fatalf("keyword counts diverge after replay: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("keyword rank %d diverges after replay: %d vs %d", i, a[i], b[i])
-		}
-	}
+			ops := genLiveOps(2025, 40, baseN, baseN, len(tables))
+			for i, op := range ops {
+				if err := st.apply(orig, op, tables); err != nil {
+					t.Fatalf("op %d (%s): %v", i, op, err)
+				}
+			}
+			if err := orig.DeltaLogError(); err != nil {
+				t.Fatalf("delta log went sticky-bad during mutation: %v", err)
+			}
+			if err := orig.CloseDeltaLog(); err != nil {
+				t.Fatalf("close log: %v", err)
+			}
 
-	// The restarted process can keep mutating: appends resume at the next
-	// sequence number, and a third process replays the longer log.
-	extra := restarted.AddTable(tables[len(tables)-1])
-	if err := restarted.RemoveTable(extra); err != nil {
-		t.Fatalf("post-replay mutation: %v", err)
+			// Restarted process: same base corpus and partitioning, replay
+			// the log into the live indexes. Every search modality must be
+			// bit-identical — to the original and to a from-scratch
+			// reference over the survivors.
+			restarted, _ := newLiveBase(baseN, row.part())
+			if err := restarted.AttachDeltaLog(path); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+			if got, want := restarted.NumTables(), orig.NumTables(); got != want {
+				t.Fatalf("replayed corpus has %d tables, original %d", got, want)
+			}
+			if got, want := restarted.IndexEpoch(), orig.IndexEpoch(); got != want {
+				t.Fatalf("replayed epoch %d, original %d", got, want)
+			}
+			for qi, q := range queries {
+				want, _ := orig.SearchStats(q, 10)
+				got, _ := restarted.SearchStats(q, 10)
+				if len(got) != len(want) {
+					t.Fatalf("q%d: replay returned %d results, original %d", qi, len(got), len(want))
+				}
+				for i := range want {
+					if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
+						t.Fatalf("q%d rank %d: replay %+v, original %+v", qi, i, got[i], want[i])
+					}
+				}
+			}
+			cfg := liveConfig{agg: AggregateMax, mode: ModeEntityWise, votes: 2, lsh: true, keyword: true}
+			if err := assertLiveEquivalence(restarted, buildLiveReference(st, cfg), st, cfg, queries, 10); err != nil {
+				t.Fatalf("replayed system diverges from a from-scratch build: %v", err)
+			}
+
+			// The restarted process can keep mutating: appends resume at the
+			// next sequence number, and a third process replays the longer
+			// log.
+			extra := restarted.AddTable(tables[len(tables)-1])
+			if err := restarted.RemoveTable(extra); err != nil {
+				t.Fatalf("post-replay mutation: %v", err)
+			}
+			if err := restarted.DeltaLogError(); err != nil {
+				t.Fatalf("resumed log went sticky-bad: %v", err)
+			}
+			if err := restarted.CloseDeltaLog(); err != nil {
+				t.Fatalf("close resumed log: %v", err)
+			}
+			third, _ := newLiveBase(baseN, row.part())
+			if err := third.AttachDeltaLog(path); err != nil {
+				t.Fatalf("second replay: %v", err)
+			}
+			if got, want := third.NumTables(), restarted.NumTables(); got != want {
+				t.Fatalf("second replay has %d tables, want %d", got, want)
+			}
+		})
 	}
-	if err := restarted.DeltaLogError(); err != nil {
-		t.Fatalf("resumed log went sticky-bad: %v", err)
+}
+
+// TestFaultDeltaLogSyncFailureSurfaces: a failed fsync must not stay a
+// shutdown-time log line. The mutation that hit it still applies
+// (availability), but DeltaLogError and thetis_delta_log_failed report it at
+// once — and reading them must not wait on the maintenance lock, which an
+// index build may hold for seconds. (The /readyz half of the contract is
+// deltalog_readyz_test.go.)
+func TestFaultDeltaLogSyncFailureSurfaces(t *testing.T) {
+	_, tables, _ := batteryEnv(t)
+	sys, _ := newLiveBase(20, NewHashPartitioner(2))
+	if err := sys.AttachDeltaLog(filepath.Join(t.TempDir(), "deltas.log")); err != nil {
+		t.Fatal(err)
 	}
-	if err := restarted.CloseDeltaLog(); err != nil {
-		t.Fatalf("close resumed log: %v", err)
+	gauge := obs.DeltaLogFailed(nil)
+
+	sys.AddTable(tables[20])
+	if err := sys.DeltaLogError(); err != nil || gauge.Value() != 0 {
+		t.Fatalf("healthy log reports err=%v gauge=%v", err, gauge.Value())
 	}
-	third, _ := newLiveBase(baseN)
-	if err := third.AttachDeltaLog(path); err != nil {
-		t.Fatalf("second replay: %v", err)
+	sys.FailDeltaLogSyncs()
+	id := sys.AddTable(tables[21])
+	if sys.Table(id) == nil {
+		t.Fatal("the mutation whose log record failed to sync was not applied")
 	}
-	if got, want := third.NumTables(), restarted.NumTables(); got != want {
-		t.Fatalf("second replay has %d tables, want %d", got, want)
+	release := sys.HoldMaintenance()
+	err := sys.DeltaLogError()
+	release()
+	if !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("DeltaLogError = %v, want the injected sync failure", err)
+	}
+	if gauge.Value() != 1 {
+		t.Fatalf("thetis_delta_log_failed = %v after a failed sync, want 1", gauge.Value())
+	}
+	if err := sys.CloseDeltaLog(); err != nil {
+		t.Fatal(err)
+	}
+	if sys.DeltaLogError() != nil || gauge.Value() != 0 {
+		t.Fatal("detaching the failed log must clear the error and the gauge")
 	}
 }
 
@@ -642,7 +669,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "deltas.log")
 
-	orig, st := newLiveBase(baseN)
+	orig, st := newLiveBase(baseN, NewHashPartitioner(2))
 	if err := orig.AttachDeltaLog(path); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -666,7 +693,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sys, _ := newLiveBase(baseTables)
+		sys, _ := newLiveBase(baseTables, NewHashPartitioner(2))
 		return sys.AttachDeltaLog(p)
 	}
 	mustCorrupt := func(t *testing.T, err error) {
@@ -711,7 +738,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 		// A structurally intact log whose remove targets an ID that is not
 		// live in THIS base (the operator paired the log with the wrong
 		// snapshot generation) must be refused as corruption.
-		src, _ := newLiveBase(baseN)
+		src, _ := newLiveBase(baseN, NewHashPartitioner(2))
 		p := filepath.Join(dir, "deadremove.log")
 		if err := src.AttachDeltaLog(p); err != nil {
 			t.Fatal(err)
@@ -722,7 +749,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 		if err := src.CloseDeltaLog(); err != nil {
 			t.Fatal(err)
 		}
-		victim, _ := newLiveBase(baseN)
+		victim, _ := newLiveBase(baseN, NewHashPartitioner(2))
 		if err := victim.RemoveTable(TableID(baseN - 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -732,7 +759,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 
 func TestLiveDoubleAttachRefused(t *testing.T) {
 	batteryEnv(t)
-	sys, _ := newLiveBase(10)
+	sys, _ := newLiveBase(10, NewHashPartitioner(1))
 	dir := t.TempDir()
 	if err := sys.AttachDeltaLog(filepath.Join(dir, "a.log")); err != nil {
 		t.Fatal(err)

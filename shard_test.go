@@ -1,30 +1,37 @@
 package thetis
 
-// Shard-count invariance battery (docs/SHARDING.md): a ShardedSystem must
-// rank bit-for-bit like an unsharded System over the same corpus — same
-// global table IDs, same scores, same order — for every shard count,
-// partitioning strategy, similarity, aggregation, score mode, parallelism,
-// and LSH setting. These tests are the executable form of that contract.
+// Shard-count invariance battery (docs/SHARDING.md): a System must rank
+// bit-for-bit like Algorithm 1 assembled straight from internal/core over
+// one lake (internal/reference) — same global table IDs, same scores, same
+// order — for every shard count, partitioning strategy, similarity,
+// aggregation, score mode, parallelism, and LSH setting. These tests are
+// the executable form of that contract.
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"thetis/internal/bm25"
+	"thetis/internal/core"
 	"thetis/internal/datagen"
+	"thetis/internal/reference"
 )
 
 var (
 	batteryOnce    sync.Once
 	batteryKG      *datagen.KG
+	batteryTJ      *core.TypeJaccard
 	batteryTables  []*Table
 	batteryQueries []Query
 )
 
 // batteryEnv generates a small synthetic corpus once: a typed KG, a few
-// hundred WT2015-profile tables (iterated in ingestion order so System and
-// ShardedSystem assign identical global IDs), and mixed 1-/5-tuple queries.
+// hundred WT2015-profile tables (iterated in ingestion order so the
+// reference lake and every System assign identical global IDs), and mixed
+// 1-/5-tuple queries.
 func batteryEnv(t *testing.T) (*datagen.KG, []*Table, []Query) {
 	t.Helper()
 	batteryOnce.Do(func() {
@@ -41,47 +48,69 @@ func batteryEnv(t *testing.T) (*datagen.KG, []*Table, []Query) {
 		}) {
 			batteryQueries = append(batteryQueries, bq.Truncate(1).Query, bq.Query)
 		}
+		batteryTJ = core.NewTypeJaccard(batteryKG.Graph)
 	})
 	return batteryKG, batteryTables, batteryQueries
 }
 
-// buildPair ingests the same table sequence into an unsharded System and an
-// n-shard ShardedSystem, both with type similarity selected.
-func buildPair(t *testing.T, n int, part Partitioner) (*System, *ShardedSystem) {
+// shardAxis is the deployment axis every battery sweeps: shard counts
+// {1, 2, 4} under both partitioners. part makes a fresh partitioner per
+// system — the size-balanced one is stateful.
+type shardAxis struct {
+	name string
+	part func() Partitioner
+}
+
+func shardAxes() []shardAxis {
+	var out []shardAxis
+	for _, n := range []int{1, 2, 4} {
+		out = append(out,
+			shardAxis{fmt.Sprintf("hash%d", n), func() Partitioner { return NewHashPartitioner(n) }},
+			shardAxis{fmt.Sprintf("size%d", n), func() Partitioner { return NewBalancedPartitioner(n) }})
+	}
+	return out
+}
+
+// typeReference is the core-assembled reference over the given tables with
+// type similarity.
+func typeReference(t *testing.T, tables []*Table) *reference.Reference {
+	t.Helper()
+	kgEnv, _, _ := batteryEnv(t)
+	return reference.New(kgEnv.Graph, tables, batteryTJ)
+}
+
+// buildPair ingests the same table sequence into the core-assembled
+// reference and a System partitioned by part, both with type similarity.
+func buildPair(t *testing.T, part Partitioner) (*reference.Reference, *System) {
 	t.Helper()
 	kgEnv, tables, _ := batteryEnv(t)
-	sys := New(kgEnv.Graph)
-	ss := NewShardedSystem(kgEnv.Graph, part)
+	ss := NewSharded(kgEnv.Graph, part)
 	for i, tb := range tables {
-		if got := sys.AddTable(tb); got != TableID(i) {
+		if got := ss.AddTable(tb); got != TableID(i) {
 			t.Fatalf("System assigned ID %d to table %d", got, i)
 		}
-		if got := ss.AddTable(tb); got != TableID(i) {
-			t.Fatalf("ShardedSystem assigned ID %d to table %d", got, i)
-		}
 	}
-	sys.UseTypeSimilarity()
 	ss.UseTypeSimilarity()
-	return sys, ss
+	return typeReference(t, tables), ss
 }
 
 // assertIdenticalRankings compares every query's ranking — IDs and scores,
-// bit for bit — between the two systems.
-func assertIdenticalRankings(t *testing.T, label string, sys *System, ss *ShardedSystem, queries []Query, k int) {
+// bit for bit — between the reference and the system.
+func assertIdenticalRankings(t *testing.T, label string, ref *reference.Reference, ss *System, queries []Query, k int) {
 	t.Helper()
 	for qi, q := range queries {
-		want, wantStats := sys.SearchStats(q, k)
+		want, wantStats := ref.Search(q, k)
 		got, gotStats := ss.SearchStats(q, k)
 		if len(got) != len(want) {
-			t.Fatalf("%s q%d: sharded returned %d results, unsharded %d", label, qi, len(got), len(want))
+			t.Fatalf("%s q%d: system returned %d results, reference %d", label, qi, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
-				t.Fatalf("%s q%d rank %d: sharded %+v, unsharded %+v", label, qi, i, got[i], want[i])
+				t.Fatalf("%s q%d rank %d: system %+v, reference %+v", label, qi, i, got[i], want[i])
 			}
 		}
 		if wantStats.Truncated || gotStats.Truncated {
-			t.Fatalf("%s q%d: unexpected truncation (unsharded=%v sharded=%v)",
+			t.Fatalf("%s q%d: unexpected truncation (reference=%v system=%v)",
 				label, qi, wantStats.Truncated, gotStats.Truncated)
 		}
 	}
@@ -100,113 +129,100 @@ func TestShardCountInvarianceFullScan(t *testing.T) {
 		{"max-pairwise-par4", AggregateMax, ModePairwise, 4},
 		{"avg-pairwise-par1", AggregateAvg, ModePairwise, 1},
 	}
-	for _, mk := range []struct {
-		name string
-		part func(int) Partitioner
-	}{
-		{"hash", NewHashPartitioner},
-		{"balanced", NewBalancedPartitioner},
-	} {
-		for _, n := range []int{1, 2, 4} {
-			sys, ss := buildPair(t, n, mk.part(n))
-			for _, cfg := range configs {
-				sys.SetAggregation(cfg.agg)
-				ss.SetAggregation(cfg.agg)
-				sys.SetScoreMode(cfg.mode)
-				ss.SetScoreMode(cfg.mode)
-				sys.SetParallelism(cfg.par)
-				ss.SetParallelism(cfg.par)
-				label := mk.name + "/" + cfg.name
-				assertIdenticalRankings(t, label, sys, ss, queries, 10)
-				assertIdenticalRankings(t, label+"/all", sys, ss, queries[:2], -1)
-			}
+	for _, ax := range shardAxes() {
+		ref, ss := buildPair(t, ax.part())
+		for _, cfg := range configs {
+			ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
+			ss.SetAggregation(cfg.agg)
+			ss.SetScoreMode(cfg.mode)
+			ss.SetParallelism(cfg.par)
+			label := ax.name + "/" + cfg.name
+			assertIdenticalRankings(t, label, ref, ss, queries, 10)
+			assertIdenticalRankings(t, label+"/all", ref, ss, queries[:2], -1)
 		}
 	}
 }
 
 func TestShardCountInvarianceWithLSH(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	for _, n := range []int{1, 2, 4} {
-		sys, ss := buildPair(t, n, NewHashPartitioner(n))
+	for _, ax := range shardAxes() {
+		ref, ss := buildPair(t, ax.part())
 		cfg := DefaultIndexConfig()
-		sys.BuildIndex(cfg)
+		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, cfg)
 		ss.BuildIndex(cfg)
 		if !ss.HasIndex() {
-			t.Fatalf("shards=%d: not every shard has an index", n)
+			t.Fatalf("%s: not every shard has an index", ax.name)
 		}
 		for _, votes := range []int{1, 2, 3} {
-			sys.SetVotes(votes)
+			ref.Votes = votes
 			ss.SetVotes(votes)
-			assertIdenticalRankings(t, "lsh", sys, ss, queries, 10)
+			assertIdenticalRankings(t, ax.name+"/lsh", ref, ss, queries, 10)
 		}
 	}
 }
 
 func TestShardCountInvarianceEmbeddings(t *testing.T) {
-	_, _, queries := batteryEnv(t)
-	sys, ss := buildPair(t, 3, NewHashPartitioner(3))
-	store := sys.TrainEmbeddings(
+	kgEnv, tables, queries := batteryEnv(t)
+	_, ss := buildPair(t, NewHashPartitioner(3))
+	store := ss.TrainEmbeddings(
 		WalkConfig{WalksPerEntity: 4, Length: 5, Undirected: true, Seed: 9},
 		TrainConfig{Dim: 16, Window: 3, Negatives: 3, Epochs: 2, LearningRate: 0.03, Seed: 9},
 	)
-	ss.SetEmbeddings(store)
-	sys.UseEmbeddingSimilarity()
 	ss.UseEmbeddingSimilarity()
-	assertIdenticalRankings(t, "embeddings", sys, ss, queries, 10)
+	ec := core.NewEmbeddingCosine(kgEnv.Graph, store)
+	ref := reference.New(kgEnv.Graph, tables, ec)
+	assertIdenticalRankings(t, "embeddings", ref, ss, queries, 10)
 
 	// Hyperplane-LSH prefiltered as well.
 	cfg := DefaultIndexConfig()
-	sys.BuildIndex(cfg)
+	ref.Index = core.BuildEmbeddingLSEI(ref.Lake, ec, store.Dim(), cfg)
+	ref.Votes = 2
 	ss.BuildIndex(cfg)
-	sys.SetVotes(2)
 	ss.SetVotes(2)
-	assertIdenticalRankings(t, "embeddings-lsh", sys, ss, queries, 10)
+	assertIdenticalRankings(t, "embeddings-lsh", ref, ss, queries, 10)
 }
 
-func TestShardedKeywordAndHybridMatchUnsharded(t *testing.T) {
+func assertSameIDs(t *testing.T, label string, want, got []TableID) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s result counts differ: reference %d, system %d", label, len(want), len(got))
+	}
+	for i := range want {
+		if want[i] != got[i] {
+			t.Fatalf("%s rank %d differs: reference %d, system %d", label, i, want[i], got[i])
+		}
+	}
+}
+
+func TestShardedKeywordAndHybridMatchReference(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	sys, ss := buildPair(t, 4, NewHashPartitioner(4))
-	sys.BuildKeywordIndex()
+	ref, ss := buildPair(t, NewHashPartitioner(4))
+	ref.Keyword = bm25.IndexLake(ref.Lake)
 	ss.BuildKeywordIndex()
 	kw := "member domain city"
-	a := sys.KeywordSearch(kw, 10)
-	b := ss.KeywordSearch(kw, 10)
-	if len(a) != len(b) {
-		t.Fatalf("keyword result counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("keyword rank %d differs: %d vs %d", i, a[i], b[i])
-		}
-	}
-	ha := sys.HybridSearch(queries[1], kw, 10)
-	hb := ss.HybridSearch(queries[1], kw, 10)
-	if len(ha) != len(hb) {
-		t.Fatalf("hybrid result counts differ: %d vs %d", len(ha), len(hb))
-	}
-	for i := range ha {
-		if ha[i] != hb[i] {
-			t.Fatalf("hybrid rank %d differs: %d vs %d", i, ha[i], hb[i])
-		}
-	}
+	assertSameIDs(t, "keyword", ref.KeywordSearch(kw, 10), ss.KeywordSearch(kw, 10))
+	assertSameIDs(t, "hybrid", ref.HybridSearch(queries[1], kw, 10), ss.HybridSearch(queries[1], kw, 10))
 }
 
 func TestShardedIncrementalIngestionKeepsInvariance(t *testing.T) {
 	_, tables, queries := batteryEnv(t)
-	sys, ss := buildPair(t, 3, NewHashPartitioner(3))
+	_, ss := buildPair(t, NewHashPartitioner(3))
 	cfg := DefaultIndexConfig()
-	sys.BuildIndex(cfg)
 	ss.BuildIndex(cfg)
 	// Re-ingest a few tables under fresh IDs after the indexes were built:
-	// both sides must extend incrementally and stay identical.
-	for _, tb := range tables[:5] {
-		if sys.AddTable(tb) != ss.AddTable(tb) {
-			t.Fatal("post-index global IDs diverged")
+	// the system must extend incrementally and rank like a from-scratch
+	// reference over the longer sequence.
+	all := append(append([]*Table(nil), tables...), tables[:5]...)
+	for i, tb := range tables[:5] {
+		if got, want := ss.AddTable(tb), TableID(len(tables)+i); got != want {
+			t.Fatalf("post-index global ID %d, want %d", got, want)
 		}
 	}
-	sys.SetVotes(2)
+	ref := typeReference(t, all)
+	ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, cfg)
+	ref.Votes = 2
 	ss.SetVotes(2)
-	assertIdenticalRankings(t, "incremental", sys, ss, queries, 10)
+	assertIdenticalRankings(t, "incremental", ref, ss, queries, 10)
 }
 
 // staticShard is a Shard returning a fixed ranking — the public-API
@@ -328,7 +344,7 @@ func TestCoordinatorCrossShardTiesStableUnderShardOrder(t *testing.T) {
 
 func TestShardedSearchContextCancellation(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	_, ss := buildPair(t, 2, NewHashPartitioner(2))
+	_, ss := buildPair(t, NewHashPartitioner(2))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, stats := ss.SearchStatsContext(ctx, queries[1], 10)
@@ -337,9 +353,9 @@ func TestShardedSearchContextCancellation(t *testing.T) {
 	}
 }
 
-func TestShardedSystemStatsMatchUnsharded(t *testing.T) {
-	sys, ss := buildPair(t, 4, NewBalancedPartitioner(4))
-	a, b := sys.Stats(), ss.Stats()
+func TestShardedStatsMatchReference(t *testing.T) {
+	ref, ss := buildPair(t, NewBalancedPartitioner(4))
+	a, b := ref.Lake.ComputeStats(), ss.Stats()
 	if a.Tables != b.Tables || a.DistinctEntities != b.DistinctEntities {
 		t.Fatalf("aggregate stats diverge: %+v vs %+v", a, b)
 	}

@@ -1,29 +1,20 @@
 package thetis
 
 import (
-	"bytes"
 	"context"
-	"fmt"
-	"io"
 	"strconv"
-	"sync"
-	"sync/atomic"
 
-	"thetis/internal/bm25"
 	"thetis/internal/core"
-	"thetis/internal/embedding"
-	"thetis/internal/kg"
 	"thetis/internal/lake"
 	"thetis/internal/obs"
 	"thetis/internal/shard"
-	"thetis/internal/table"
 )
 
 // Sharded scatter-gather serving (docs/SHARDING.md). These are the public
 // seams of internal/shard: the Shard interface a scatter leg runs against,
 // the Coordinator that fans out and merges, the Partitioner strategies
-// that place tables, and ShardedSystem — the multi-shard counterpart of
-// System behind the same serving surface (thetisd -shards).
+// that place tables, and the N-shard constructor of System (thetisd
+// -shards).
 type (
 	// Shard is one partition of a scatter-gather deployment: anything that
 	// can answer a query with a ranked slice of GLOBAL table IDs. See
@@ -53,6 +44,48 @@ func NewHashPartitioner(n int) Partitioner { return lake.NewHashPartitioner(n) }
 // order-dependent placement (thetisd -shard-by size).
 func NewBalancedPartitioner(n int) Partitioner { return lake.NewBalancedPartitioner(n) }
 
+// shardLoc locates a global table ID: which shard owns it, under which
+// shard-local ID. A removed table keeps its slot with shard == -1 — global
+// IDs, like lake slots, are never reused.
+type shardLoc struct {
+	shard int32
+	local lake.TableID
+}
+
+// NewSharded creates an empty semantic data lake over graph g partitioned
+// into part.Shards() in-process shards, placing tables with part (e.g.
+// NewHashPartitioner(4)). It ranks bit-for-bit like New(g) over the same
+// ingestion sequence, regardless of shard count, partitioning strategy,
+// aggregation, score mode, or parallelism.
+func NewSharded(g *Graph, part Partitioner) *System {
+	if part == nil || part.Shards() < 1 {
+		panic("thetis: NewSharded needs a partitioner with at least 1 shard")
+	}
+	n := part.Shards()
+	s := &System{graph: g, part: part}
+	s.shards = make([]*shard.Local, n)
+	s.lakes = make([]*lake.Lake, n)
+	searchers := make([]Shard, n)
+	for i := 0; i < n; i++ {
+		s.shards[i] = shard.NewLocal(i, g)
+		s.lakes[i] = s.shards[i].Lake()
+		searchers[i] = s.shards[i]
+	}
+	s.coord = NewCoordinator(searchers...)
+	return s
+}
+
+// NumShards returns how many shards a search fans out to.
+func (s *System) NumShards() int { return s.coord.NumShards() }
+
+// ShardNumTables returns how many live tables in-process shard i owns
+// (partitioning balance; also exported per shard on thetis_shard_tables).
+func (s *System) ShardNumTables(i int) int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.shards[i].NumTables()
+}
+
 // SearchShard implements Shard, making a System usable as one scatter leg
 // of a Coordinator — the shape a shard-over-HTTP deployment takes, where
 // each remote daemon hosts one System (docs/SHARDING.md). The returned
@@ -65,475 +98,33 @@ func (s *System) SearchShard(ctx context.Context, q Query, k int, opts ShardSear
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ix := s.index.Load()
-	if opts.ForceFullScan {
-		ix = nil
-	}
-	return core.SearchWithIndex(ctx, s.engine, ix, int(s.votes.Load()), q, k, core.FallbackNone)
-}
-
-// SetParallelism bounds the scoring worker count per search (0 = one
-// worker per CPU). In sharded deployments the same budget fans out once
-// per shard; see docs/SHARDING.md for how to split it.
-func (s *System) SetParallelism(p int) {
-	s.mustEngine()
-	s.engine.Parallelism = p
-}
-
-// shardLoc locates a global table ID: which shard owns it, under which
-// shard-local ID. A removed table keeps its slot with shard == -1 — global
-// IDs, like lake slots, are never reused.
-type shardLoc struct {
-	shard int
-	local lake.TableID
-}
-
-// ShardedSystem is a semantic data lake partitioned into N in-process
-// shards, searched by scatter-gather. It mirrors System's serving surface
-// (ingest, similarity selection, index building, search, keyword/hybrid
-// search), so thetisd and the HTTP layer treat the two interchangeably;
-// the differential test battery proves a ShardedSystem ranks bit-for-bit
-// like an unsharded System over the same corpus, regardless of shard
-// count, partitioning strategy, aggregation, score mode, or parallelism.
-//
-// What stays global: table IDs (assigned in ingestion order, so they match
-// the unsharded System's), IDF informativeness weights, the LSEI
-// frequent-type filter, the BM25 keyword index, and the full-scan
-// fallback decision. What each shard owns: its slice of the tables, its
-// LSEI and LSH buckets, its column-index memos, and its query-scoped σ
-// caches. Similarity selection and embedding training remain setup-time,
-// but like System, mutations (AddTable/AddTableJSON/RemoveTable) may run
-// concurrently with searches: the locking is system-wide, not per-shard,
-// because scoring on one shard reads global structures (IDF weights over
-// every lake, the shared frequent-type filter, the global keyword index).
-type ShardedSystem struct {
-	graph *Graph
-	part  Partitioner
-
-	shards []*shard.Local
-	lakes  []*lake.Lake
-	owner  []shardLoc
-	live   int // owner slots not tombstoned
-	coord  *Coordinator
-
-	tj    *core.TypeJaccard
-	ec    *core.EmbeddingCosine
-	store *embedding.Store
-
-	indexCfg   IndexConfig
-	typeFilter map[kg.TypeID]bool
-	votes      int
-
-	keyword *bm25.Index
-
-	// mu/maintMu mirror System's serving and maintenance locks
-	// (docs/LIVE_INDEX.md); epoch mirrors lake.Epoch for the whole
-	// deployment, bumped once per mutation.
-	mu          sync.RWMutex
-	maintMu     sync.Mutex
-	filterState *core.TypeFilterState
-	epoch       atomic.Uint64
-
-	// ann mirrors System's top-k σ state: one shared graph for the whole
-	// deployment (the embedding store is a graph property, identical on
-	// every shard). See ann.go / docs/ANN.md.
-	ann            atomic.Pointer[annState]
-	annBuilding    atomic.Bool
-	annTopK, annEf int
-
-	// cross, when enabled, is the deployment-wide cross-query σ cache,
-	// shared by every shard's engine — σ is a global (entity, entity)
-	// property, so one cache serves all shards (EnableCrossCache,
-	// docs/THROUGHPUT.md).
-	cross *core.CrossCache
-}
-
-// NewShardedSystem creates an empty sharded lake over graph g, placing
-// tables with part (e.g. NewHashPartitioner(4)).
-func NewShardedSystem(g *Graph, part Partitioner) *ShardedSystem {
-	if part == nil || part.Shards() < 1 {
-		panic("thetis: NewShardedSystem needs a partitioner with at least 1 shard")
-	}
-	n := part.Shards()
-	ss := &ShardedSystem{graph: g, part: part, votes: 1}
-	ss.shards = make([]*shard.Local, n)
-	ss.lakes = make([]*lake.Lake, n)
-	searchers := make([]Shard, n)
-	for i := 0; i < n; i++ {
-		ss.shards[i] = shard.NewLocal(i, g)
-		ss.lakes[i] = ss.shards[i].Lake()
-		searchers[i] = ss.shards[i]
-	}
-	ss.coord = NewCoordinator(searchers...)
-	return ss
-}
-
-// Graph returns the underlying knowledge graph.
-func (ss *ShardedSystem) Graph() *Graph { return ss.graph }
-
-// NumShards returns the shard count.
-func (ss *ShardedSystem) NumShards() int { return len(ss.shards) }
-
-// ShardNumTables returns how many live tables shard i owns (partitioning
-// balance; also exported per shard on thetis_shard_tables).
-func (ss *ShardedSystem) ShardNumTables(i int) int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.shards[i].NumTables()
-}
-
-// NumTables returns the total number of live tables across shards.
-func (ss *ShardedSystem) NumTables() int {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.live
-}
-
-// Table returns an ingested table by its global ID, or nil when the ID was
-// never assigned or the table has been removed.
-func (ss *ShardedSystem) Table(id TableID) *Table {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.tableLocked(id)
-}
-
-func (ss *ShardedSystem) tableLocked(id TableID) *Table {
-	if id < 0 || int(id) >= len(ss.owner) {
-		return nil
-	}
-	loc := ss.owner[int(id)]
-	if loc.shard < 0 {
-		return nil
-	}
-	return ss.shards[loc.shard].Lake().Table(loc.local)
-}
-
-// AddTable ingests a table: the partitioner picks its shard, and the
-// returned global ID is assigned in ingestion order — the same ID an
-// unsharded System would assign. Like System.AddTable, live per-shard
-// LSEIs, the shared frequent-type filter, and the keyword index are
-// extended incrementally; the result ranks bit-identically to rebuilding
-// the deployment from scratch. May run concurrently with searches.
-func (ss *ShardedSystem) AddTable(t *Table) TableID {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	return ss.addTableLocked(t)
-}
-
-func (ss *ShardedSystem) addTableLocked(t *Table) TableID {
-	si := ss.part.Assign(t)
-	if si < 0 || si >= len(ss.shards) {
-		panic(fmt.Sprintf("thetis: partitioner assigned shard %d outside [0, %d)", si, len(ss.shards)))
-	}
-	if ss.filterState != nil {
-		// Re-balance the shared filter before the table joins, so its own
-		// signatures are computed under the filter that includes it.
-		ss.filterState.AddTable(t, ss.liveIndexes()...)
-	}
-	global := TableID(len(ss.owner))
-	local := ss.shards[si].Add(t, global)
-	ss.owner = append(ss.owner, shardLoc{shard: si, local: local})
-	ss.live++
-	if ss.keyword != nil {
-		ss.keyword.Add(int32(global), bm25.TableText(t))
-		ss.keyword.Finish()
-	}
-	mDeltaAdds.Inc()
-	ss.noteEpochLocked()
-	return global
-}
-
-// AddTableJSON ingests one table in the annotated JSON interchange format
-// (the body of the daemon's POST /tables), interning any entity URIs into
-// the graph, and returns its global ID.
-func (ss *ShardedSystem) AddTableJSON(data []byte) (TableID, error) {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	t, err := table.ReadJSON(ss.graph, bytes.NewReader(data))
-	if err != nil {
-		return 0, err
-	}
-	return ss.addTableLocked(t), nil
-}
-
-// RemoveTable removes a table by its global ID from its owning shard's
-// lake and LSEI, re-balances the shared frequent-type filter across every
-// shard's index, and drops its keyword postings. The global ID is
-// tombstoned, never reused. May run concurrently with searches.
-func (ss *ShardedSystem) RemoveTable(id TableID) error {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.tableLocked(id) == nil {
-		return ErrNoSuchTable
-	}
-	loc := ss.owner[int(id)]
-	// The owning shard's LSEI sheds the table's signatures under the OLD
-	// filter (signatures must match to be found); the filter re-balances
-	// after.
-	t := ss.shards[loc.shard].Remove(loc.local)
-	if ss.filterState != nil {
-		ss.filterState.RemoveTable(t, ss.liveIndexes()...)
-	}
-	if ss.keyword != nil {
-		ss.keyword.Remove(int32(id))
-		ss.keyword.Finish()
-	}
-	ss.owner[int(id)] = shardLoc{shard: -1}
-	ss.live--
-	mDeltaRemoves.Inc()
-	ss.noteEpochLocked()
-	return nil
-}
-
-// liveIndexes collects every shard's active LSEI (shards still building
-// serve brute-force and have none; their eventual build uses the filter's
-// then-current state).
-func (ss *ShardedSystem) liveIndexes() []*core.LSEI {
-	var out []*core.LSEI
-	for _, sh := range ss.shards {
-		if ix := sh.Index(); ix != nil {
-			out = append(out, ix)
-		}
-	}
-	return out
-}
-
-// IndexEpoch returns the deployment's mutation epoch, bumped once per
-// AddTable/RemoveTable (compaction does not bump it).
-func (ss *ShardedSystem) IndexEpoch() uint64 { return ss.epoch.Load() }
-
-func (ss *ShardedSystem) noteEpochLocked() {
-	ss.epoch.Add(1)
-	mIndexEpoch.Set(float64(ss.epoch.Load()))
-	mTombstones.Set(float64(len(ss.owner) - ss.live))
-	if ss.cross != nil {
-		// Lazily invalidate the cross-query σ cache (docs/THROUGHPUT.md).
-		ss.cross.SetEpoch(ss.epoch.Load())
-	}
-}
-
-// Compact rebuilds every shard's LSEI (and the shared frequent-type filter
-// state) from the live corpus, shedding tombstoned slots and emptied
-// buckets. Shards hot-swap one by one; searches keep flowing. A no-op
-// until an index has been prepared.
-func (ss *ShardedSystem) Compact() {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	if !ss.hasAnyIndexLocked() {
-		return
-	}
-	ss.prepareIndexLocked(ss.indexCfg)
-	for i := range ss.shards {
-		ss.buildShardIndexLocked(i)
-	}
-	mCompactions.Inc()
-}
-
-func (ss *ShardedSystem) hasAnyIndexLocked() bool {
-	for _, sh := range ss.shards {
-		if sh.Index() != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// GraphCounts returns the KG's size counters at one corpus epoch
-// (System.GraphCounts).
-func (ss *ShardedSystem) GraphCounts() GraphCounts {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return GraphCounts{
-		Entities:   ss.graph.NumEntities(),
-		Types:      ss.graph.NumTypes(),
-		Predicates: ss.graph.NumPredicates(),
-		Edges:      ss.graph.NumEdges(),
-	}
-}
-
-// IngestCorpus streams a JSONL corpus into the sharded lake, exactly like
-// System.IngestCorpus but routing each table through the partitioner.
-func (ss *ShardedSystem) IngestCorpus(r io.Reader, opts IngestOptions) (int, error) {
-	var q *obs.Quarantine
-	if opts.Report != nil {
-		q = opts.Report.Tables
-	}
-	jr := newCorpusReader(ss.graph, r, opts, q)
-	n := 0
-	for {
-		t, err := jr.Next()
-		if err == io.EOF {
-			return n, nil
-		}
-		if err != nil {
-			return n, err
-		}
-		ss.AddTable(t)
-		q.Accept()
-		n++
-	}
-}
-
-// TrainEmbeddings trains skip-gram entity embeddings over the KG, shared
-// by every shard (embeddings are a graph property, not a corpus one).
-func (ss *ShardedSystem) TrainEmbeddings(w WalkConfig, t TrainConfig) *EmbeddingStore {
-	ss.store = embedding.TrainGraph(ss.graph, w, t)
-	return ss.store
-}
-
-// SetEmbeddings installs externally trained embeddings.
-func (ss *ShardedSystem) SetEmbeddings(store *EmbeddingStore) { ss.store = store }
-
-// SaveEmbeddings serializes the trained embeddings (binary format).
-func (ss *ShardedSystem) SaveEmbeddings(w io.Writer) error {
-	if ss.store == nil {
-		return errNoEmbeddings
-	}
-	return ss.store.Write(w)
-}
-
-// LoadEmbeddings installs embeddings previously written by SaveEmbeddings.
-func (ss *ShardedSystem) LoadEmbeddings(r io.Reader) error {
-	store, err := embedding.ReadStore(r)
-	if err != nil {
-		return err
-	}
-	ss.store = store
-	return nil
-}
-
-// installEngines gives every shard a fresh engine over the chosen
-// similarity with GLOBAL informativeness weights — the first of the three
-// globals that keep sharded rankings identical to unsharded ones.
-func (ss *ShardedSystem) installEngines(sim Similarity) {
-	inf := core.IDFInformativenessOver(ss.lakes)
-	for _, sh := range ss.shards {
-		eng := core.NewEngine(sh.Lake(), sim)
-		eng.Inf = inf
-		sh.SetEngine(eng)
-	}
-	ss.typeFilter = nil
-	ss.filterState = nil
-	ss.attachCross()
-}
-
-// UseTypeSimilarity configures σ as the adjusted Jaccard of taxonomy-
-// expanded entity type sets on every shard (System.UseTypeSimilarity).
-func (ss *ShardedSystem) UseTypeSimilarity() {
-	if ss.tj == nil {
-		ss.tj = core.NewTypeJaccard(ss.graph)
-	}
-	ss.installEngines(ss.tj)
-}
-
-// UseEmbeddingSimilarity configures σ as the clamped cosine of entity
-// embeddings on every shard (System.UseEmbeddingSimilarity).
-func (ss *ShardedSystem) UseEmbeddingSimilarity() {
-	if ss.store == nil {
-		panic("thetis: UseEmbeddingSimilarity before TrainEmbeddings/SetEmbeddings")
-	}
-	ss.ec = core.NewEmbeddingCosine(ss.graph, ss.store)
-	ss.installEngines(ss.ec)
-}
-
-// UseCombinedSimilarity configures σ as a weighted blend of the type and
-// embedding similarities on every shard (System.UseCombinedSimilarity).
-func (ss *ShardedSystem) UseCombinedSimilarity(typeWeight, embeddingWeight float64) {
-	if ss.store == nil {
-		panic("thetis: UseCombinedSimilarity before TrainEmbeddings/SetEmbeddings")
-	}
-	if ss.tj == nil {
-		ss.tj = core.NewTypeJaccard(ss.graph)
-	}
-	ss.ec = core.NewEmbeddingCosine(ss.graph, ss.store)
-	ss.installEngines(core.NewCombinedSimilarity(
-		[]core.Similarity{ss.tj, ss.ec},
-		[]float64{typeWeight, embeddingWeight}))
-}
-
-// UsePredicateSimilarity configures σ as the Jaccard of directional
-// predicate sets on every shard (System.UsePredicateSimilarity). LSH
-// prefiltering is not available for this similarity.
-func (ss *ShardedSystem) UsePredicateSimilarity() {
-	ss.installEngines(core.NewPredicateJaccard(ss.graph))
-}
-
-// SetAggregation switches MAX/AVG row-score aggregation on every shard.
-func (ss *ShardedSystem) SetAggregation(a Aggregation) {
-	ss.mustEngines()
-	for _, sh := range ss.shards {
-		sh.Engine().Agg = a
-	}
-}
-
-// SetScoreMode switches entity-wise/pairwise SemRel on every shard.
-func (ss *ShardedSystem) SetScoreMode(m ScoreMode) {
-	ss.mustEngines()
-	for _, sh := range ss.shards {
-		sh.Engine().Mode = m
-	}
-}
-
-// SetMapping switches the query-to-column assignment on every shard.
-func (ss *ShardedSystem) SetMapping(m MappingMethod) {
-	ss.mustEngines()
-	for _, sh := range ss.shards {
-		sh.Engine().Mapping = m
-	}
-}
-
-// SetParallelism bounds the scoring worker count per shard per search
-// (0 = one worker per CPU, in every shard at once — fine for throughput,
-// see docs/SHARDING.md for latency tuning).
-func (ss *ShardedSystem) SetParallelism(p int) {
-	ss.mustEngines()
-	for _, sh := range ss.shards {
-		sh.Engine().Parallelism = p
-	}
-}
-
-// embeddingSim reports whether the active similarity is the plain
-// embedding cosine (which indexes via hyperplane LSH instead of MinHash),
-// mirroring System.BuildIndex's dispatch.
-func (ss *ShardedSystem) embeddingSim() bool {
-	return ss.ec != nil && ss.shards[0].Engine().Sim == Similarity(ss.ec)
+	return s.coord.SearchShard(ctx, q, k, opts)
 }
 
 // PrepareIndex fixes the index configuration and computes the GLOBAL
 // frequent-type filter every shard's LSEI will share — the second global
-// that keeps sharded prefiltering identical to unsharded: LSH signatures
+// that keeps prefiltering independent of the shard count: LSH signatures
 // depend only on entity type sets, the filter, and the seed, so with one
 // global filter a shard's candidate set is exactly the global candidate
 // set intersected with the shard. Call it once, then BuildShardIndex per
 // shard (BuildIndex does both).
-func (ss *ShardedSystem) PrepareIndex(cfg IndexConfig) {
-	ss.mustEngines()
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	ss.prepareIndexLocked(cfg)
+func (s *System) PrepareIndex(cfg IndexConfig) {
+	s.mustEngine()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	s.prepareIndexLocked(cfg)
 }
 
-func (ss *ShardedSystem) prepareIndexLocked(cfg IndexConfig) {
-	if cfg.FrequentTypeThreshold == 0 {
-		cfg.FrequentTypeThreshold = 0.5
-	}
-	ss.indexCfg = cfg
-	if ss.embeddingSim() {
-		ss.typeFilter = nil
-		ss.filterState = nil
-	} else {
+func (s *System) prepareIndexLocked(cfg IndexConfig) {
+	cfg.FrequentTypeThreshold = thresholdOf(cfg)
+	s.indexCfg = cfg
+	s.typeFilter, s.filterState = nil, nil
+	if !s.embeddingSim() {
 		// The filter state both computes the global filter (equal to
 		// FrequentTypesOver) and keeps it — and every shard's signatures —
 		// current under later mutations.
-		fs := core.NewTypeFilterState(ss.lakes, ss.tj, cfg.FrequentTypeThreshold)
-		ss.typeFilter = fs.Filter()
-		ss.filterState = fs
+		s.filterState = core.NewTypeFilterState(s.lakes, s.tj, cfg.FrequentTypeThreshold)
+		s.typeFilter = s.filterState.Filter()
 	}
 }
 
@@ -542,205 +133,62 @@ func (ss *ShardedSystem) prepareIndexLocked(cfg IndexConfig) {
 // concurrently with searches (the shard serves brute force until the
 // swap); builds serialize with mutations and each other on the
 // maintenance lock — the mechanism behind per-shard degraded-mode serving
-// (server.ActivateShardIndexes).
-func (ss *ShardedSystem) BuildShardIndex(i int) {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	ss.buildShardIndexLocked(i)
+// (server.ActivateIndex).
+func (s *System) BuildShardIndex(i int) {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	s.buildShardIndexLocked(i)
 }
 
-func (ss *ShardedSystem) buildShardIndexLocked(i int) {
-	sh := ss.shards[i]
+func (s *System) buildShardIndexLocked(i int) {
+	sh := s.shards[i]
 	var ix *core.LSEI
-	if ss.embeddingSim() {
-		ix = core.BuildEmbeddingLSEI(sh.Lake(), ss.ec, ss.store.Dim(), ss.indexCfg)
+	if s.embeddingSim() {
+		ix = core.BuildEmbeddingLSEI(sh.Lake(), s.ec, s.store.Dim(), s.indexCfg)
 	} else {
-		ix = core.BuildTypeLSEIFiltered(sh.Lake(), ss.tj, ss.indexCfg, ss.typeFilter)
+		ix = core.BuildTypeLSEIFiltered(sh.Lake(), s.tj, s.indexCfg, s.typeFilter)
 	}
 	sh.SetIndex(ix)
 	obs.ShardIndexItems(nil, strconv.Itoa(i)).Set(float64(ix.NumItems()))
 }
 
-// BuildIndex builds every shard's LSEI synchronously (PrepareIndex +
-// BuildShardIndex for each shard). The daemon instead activates shards in
-// the background so they hot-swap independently.
-func (ss *ShardedSystem) BuildIndex(cfg IndexConfig) {
-	ss.mustEngines()
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	ss.prepareIndexLocked(cfg)
-	for i := range ss.shards {
-		ss.buildShardIndexLocked(i)
+// BuildIndex builds the LSH prefiltering index (LSEI) of every shard for
+// the currently selected similarity, synchronously (PrepareIndex +
+// BuildShardIndex for each shard).
+//
+// Each index is built aside and installed atomically, so BuildIndex may
+// run concurrently with searches (which serve brute-force until the swap).
+// It serializes against ingestion via the maintenance lock; similarity
+// changes remain setup-time. The daemon instead activates shards in the
+// background so they hot-swap independently.
+func (s *System) BuildIndex(cfg IndexConfig) {
+	s.mustEngine()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	s.rebuildIndexesLocked(cfg)
+}
+
+func (s *System) rebuildIndexesLocked(cfg IndexConfig) {
+	s.prepareIndexLocked(cfg)
+	for i := range s.shards {
+		s.buildShardIndexLocked(i)
 	}
 }
 
 // HasIndex reports whether every shard has an active LSEI.
-func (ss *ShardedSystem) HasIndex() bool {
-	for _, sh := range ss.shards {
-		if sh.Index() == nil {
-			return false
+func (s *System) HasIndex() bool { return len(s.liveIndexes()) == len(s.shards) }
+
+func (s *System) hasAnyIndex() bool { return len(s.liveIndexes()) > 0 }
+
+// liveIndexes collects every shard's active LSEI (shards still building
+// serve brute-force and have none; their eventual build uses the filter's
+// then-current state).
+func (s *System) liveIndexes() []*core.LSEI {
+	var out []*core.LSEI
+	for _, sh := range s.shards {
+		if ix := sh.Index(); ix != nil {
+			out = append(out, ix)
 		}
-	}
-	return true
-}
-
-// SetVotes sets the LSEI vote threshold on every shard. Votes threshold
-// per-entity collision counts within one shard, and a table's collisions
-// all come from its own shard, so the per-shard tally equals the global
-// one and the threshold needs no rescaling.
-func (ss *ShardedSystem) SetVotes(v int) {
-	ss.votes = v
-	for _, sh := range ss.shards {
-		sh.SetVotes(v)
-	}
-}
-
-// Search ranks tables across all shards by scatter-gather and returns the
-// global top-k (k < 0 returns all relevant tables).
-func (ss *ShardedSystem) Search(q Query, k int) []Result {
-	res, _ := ss.SearchStats(q, k)
-	return res
-}
-
-// SearchContext is Search honoring cancellation and deadlines; every
-// scatter leg shares ctx, so a deadline truncates all shards and the
-// merged result is the correctly ranked prefix of what completed.
-func (ss *ShardedSystem) SearchContext(ctx context.Context, q Query, k int) []Result {
-	res, _ := ss.SearchStatsContext(ctx, q, k)
-	return res
-}
-
-// SearchStats is Search returning aggregated statistics: per-shard
-// counters sum, Truncated ORs across shards, and the Trace carries every
-// shard's stages labeled with its shard plus the coordinator's merge
-// stage.
-func (ss *ShardedSystem) SearchStats(q Query, k int) ([]Result, SearchStats) {
-	return ss.SearchStatsContext(context.Background(), q, k)
-}
-
-// SearchStatsContext is SearchStats honoring cancellation and deadlines.
-func (ss *ShardedSystem) SearchStatsContext(ctx context.Context, q Query, k int) ([]Result, SearchStats) {
-	ss.mustEngines()
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.coord.Search(ctx, q, k)
-}
-
-// ParseQuery resolves a textual query into entity tuples (System.ParseQuery).
-func (ss *ShardedSystem) ParseQuery(text string) (Query, error) {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return core.ParseQuery(ss.graph, text)
-}
-
-// BuildKeywordIndex builds the BM25 index used by KeywordSearch and
-// HybridSearch. The keyword index is global — BM25's IDF depends on
-// corpus-wide document frequencies, so sharding it would change scores.
-// Later AddTable/RemoveTable calls keep it current.
-func (ss *ShardedSystem) BuildKeywordIndex() {
-	ss.maintMu.Lock()
-	defer ss.maintMu.Unlock()
-	kw := bm25.NewIndex()
-	for gid, loc := range ss.owner {
-		if loc.shard < 0 {
-			continue
-		}
-		kw.Add(int32(gid), bm25.TableText(ss.shards[loc.shard].Lake().Table(loc.local)))
-	}
-	kw.Finish()
-	ss.mu.Lock()
-	ss.keyword = kw
-	ss.mu.Unlock()
-}
-
-// KeywordSearch runs BM25 keyword search over table text and returns the
-// top-k global table IDs.
-func (ss *ShardedSystem) KeywordSearch(text string, k int) []TableID {
-	ss.mustKeyword()
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	return ss.keywordSearchLocked(text, k)
-}
-
-func (ss *ShardedSystem) keywordSearchLocked(text string, k int) []TableID {
-	hits := ss.keyword.Search(text, k)
-	out := make([]TableID, len(hits))
-	for i, h := range hits {
-		out[i] = TableID(h.Doc)
 	}
 	return out
-}
-
-// HybridSearch complements BM25 keyword search with sharded semantic
-// search (System.HybridSearch).
-func (ss *ShardedSystem) HybridSearch(q Query, keywords string, k int) []TableID {
-	return ss.HybridSearchContext(context.Background(), q, keywords, k)
-}
-
-// HybridSearchContext is HybridSearch honoring cancellation on its
-// semantic half.
-func (ss *ShardedSystem) HybridSearchContext(ctx context.Context, q Query, keywords string, k int) []TableID {
-	ss.mustEngines()
-	ss.mustKeyword()
-	// One read lock across both halves (see System.HybridSearchContext).
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	sem, _ := ss.coord.Search(ctx, q, k)
-	semIDs := make([]int, len(sem))
-	for i, r := range sem {
-		semIDs[i] = int(r.Table)
-	}
-	bmIDs := ss.keywordSearchLocked(keywords, k)
-	bmInts := make([]int, len(bmIDs))
-	for i, id := range bmIDs {
-		bmInts[i] = int(id)
-	}
-	merged := core.Complement(semIDs, bmInts, k)
-	out := make([]TableID, len(merged))
-	for i, id := range merged {
-		out[i] = TableID(id)
-	}
-	return out
-}
-
-// Stats aggregates corpus statistics across shards, weighting per-shard
-// means by table count and unioning distinct entities (an entity mentioned
-// on two shards counts once, like in one lake).
-func (ss *ShardedSystem) Stats() lake.Stats {
-	ss.mu.RLock()
-	defer ss.mu.RUnlock()
-	agg := lake.Stats{}
-	distinct := make(map[kg.EntityID]struct{})
-	var rows, cols, cov float64
-	for _, l := range ss.lakes {
-		st := l.ComputeStats()
-		agg.Tables += st.Tables
-		n := float64(st.Tables)
-		rows += st.MeanRows * n
-		cols += st.MeanColumns * n
-		cov += st.MeanCoverage * n
-		for _, e := range l.DistinctEntities() {
-			distinct[e] = struct{}{}
-		}
-	}
-	agg.DistinctEntities = len(distinct)
-	if agg.Tables > 0 {
-		n := float64(agg.Tables)
-		agg.MeanRows = rows / n
-		agg.MeanColumns = cols / n
-		agg.MeanCoverage = cov / n
-	}
-	return agg
-}
-
-func (ss *ShardedSystem) mustEngines() {
-	if ss.shards[0].Engine() == nil {
-		panic("thetis: select a similarity first (UseTypeSimilarity or UseEmbeddingSimilarity)")
-	}
-}
-
-func (ss *ShardedSystem) mustKeyword() {
-	if ss.keyword == nil {
-		panic("thetis: BuildKeywordIndex before keyword/hybrid search")
-	}
 }

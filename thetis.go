@@ -36,6 +36,7 @@ import (
 	"thetis/internal/lake"
 	"thetis/internal/linking"
 	"thetis/internal/obs"
+	"thetis/internal/shard"
 	"thetis/internal/table"
 )
 
@@ -161,73 +162,93 @@ func DefaultWalkConfig() WalkConfig { return embedding.DefaultWalkConfig() }
 func DefaultTrainConfig() TrainConfig { return embedding.DefaultTrainConfig() }
 
 // System is a semantic data lake with its search machinery: the KG, the
-// table corpus, an entity similarity, optional LSH prefiltering indexes,
-// and a BM25 keyword index for hybrid search. Ingest tables first, then
-// choose a similarity, then search.
+// table corpus partitioned into one or more in-process shards, an entity
+// similarity, optional LSH prefiltering indexes, and a BM25 keyword index
+// for hybrid search. Ingest tables first, then choose a similarity, then
+// search. New builds the one-shard system; NewSharded partitions the corpus
+// (docs/SHARDING.md). Every search is a scatter over the shards merged by
+// one Coordinator, and one shard is simply the smallest scatter — rankings
+// are bit-identical at every shard count.
+//
+// What stays global: table IDs (assigned in ingestion order), IDF
+// informativeness weights, the LSEI frequent-type filter, the BM25 keyword
+// index, the mutation epoch and delta log, and the full-scan fallback
+// decision. What each shard owns: its slice of the tables, its LSEI and LSH
+// buckets, its column-index memos, and its query-scoped σ caches.
 //
 // Once configured, a System is safe for concurrent searches AND concurrent
 // mutations (AddTable/AddTableJSON/RemoveTable, docs/LIVE_INDEX.md): search
 // paths hold a read lock for their full duration, mutations a brief write
-// lock, so every search observes the corpus, the LSEI, the frequent-type
-// filter, and the keyword index at one consistent epoch. Configuration
-// calls (similarity selection, embedding training) remain setup-time and
-// must not race with serving.
+// lock, so every search observes the corpus, the LSEIs, the frequent-type
+// filter, and the keyword index at one consistent epoch. The locking is
+// system-wide, not per shard, because scoring on one shard reads global
+// structures. Configuration calls (similarity selection, embedding
+// training) remain setup-time and must not race with serving.
 type System struct {
 	graph *Graph
-	lake  *lake.Lake
+	part  Partitioner
+
+	// shards are the in-process partitions and lakes their sub-lakes, in
+	// shard order; owner locates every global table ID. coord scatters over
+	// the shards — or, in coordinator mode (UseRemoteShards), over remotes.
+	shards  []*shard.Local
+	lakes   []*lake.Lake
+	owner   []shardLoc
+	live    int // owner slots not tombstoned
+	coord   *Coordinator
+	remotes []*RemoteShard
 
 	tj    *core.TypeJaccard
 	ec    *core.EmbeddingCosine
 	store *embedding.Store
 
-	engine *core.Engine
-	// index holds the active LSEI behind an atomic pointer so a background
-	// build (degraded-mode serving) can hot-swap it under live searches:
-	// searches Load once per query, builders Store a fully built index.
-	index    atomic.Pointer[core.LSEI]
-	indexCfg IndexConfig
-	votes    atomic.Int32
+	// indexCfg and typeFilter are what every shard's LSEI is built with
+	// (PrepareIndex); filterState keeps the filter — and through it every
+	// shard's signatures — current under mutation (nil for embedding
+	// indexes, frozen shipped filters, or when no index is prepared).
+	// Guarded by maintMu for structure, mu for the shared filter map.
+	indexCfg    IndexConfig
+	typeFilter  map[kg.TypeID]bool
+	filterState *core.TypeFilterState
 
 	keyword *bm25.Index
 
-	// ann holds the HNSW graph backing top-k σ mode and the epoch it was
-	// built at (nil when the mode is off); annBuilding single-flights the
-	// background rebuild after an epoch bump. See ann.go / docs/ANN.md.
-	ann            atomic.Pointer[annState]
-	annBuilding    atomic.Bool
-	annTopK, annEf int
-
 	// mu is the serving lock: searches (and other corpus reads) hold RLock
-	// for their full duration, mutations hold Lock while they patch the
-	// lake, LSEI, filter, and keyword index together.
+	// for their full duration, mutations hold Lock while they patch a shard,
+	// the filter, and the keyword index together.
 	mu sync.RWMutex
 	// maintMu serializes maintenance against mutations: AddTable/
-	// RemoveTable, BuildIndex/LoadIndex, Compact, and AttachDeltaLog all
+	// RemoveTable, index builds and loads, Compact, and AttachDeltaLog all
 	// hold it (lock order: maintMu before mu). Index builds run under
 	// maintMu alone so searches keep flowing while a fresh index is built
 	// aside and hot-swapped in.
 	maintMu sync.Mutex
-	// filterState tracks the frequent-type filter under mutation for the
-	// type-similarity LSEI (nil for embedding indexes or when no index is
-	// live). Guarded by maintMu for structure, mu for the shared filter map.
-	filterState *core.TypeFilterState
+	// epoch counts mutations (one bump per AddTable/RemoveTable); memoized
+	// state — the ANN graph, the cross cache — is validated against it.
+	epoch atomic.Uint64
 	// delta, when attached, write-ahead-logs every mutation so a restart
-	// can replay base snapshot + deltas (AttachDeltaLog).
-	delta *deltaLog
+	// can replay base corpus + deltas (AttachDeltaLog). deltaErr is its
+	// sticky failure, readable without any lock (DeltaLogError).
+	delta    *deltaLog
+	deltaErr atomic.Pointer[error]
+
+	// ann holds the HNSW graph backing top-k σ mode and the epoch it was
+	// built at (nil when the mode is off); annBuilding single-flights the
+	// background rebuild after an epoch bump. One graph serves every shard:
+	// the embedding store is a graph property. See ann.go / docs/ANN.md.
+	ann            atomic.Pointer[annState]
+	annBuilding    atomic.Bool
+	annTopK, annEf int
 
 	// cross, when enabled, memoizes σ across queries under epoch
-	// invalidation (EnableCrossCache, docs/THROUGHPUT.md). Mutations keep
-	// its epoch current via noteEpochLocked; similarity changes reattach
-	// and flush it (attachCross).
+	// invalidation, shared by every shard's engine (EnableCrossCache,
+	// docs/THROUGHPUT.md).
 	cross *core.CrossCache
 }
 
-// New creates an empty semantic data lake over the knowledge graph g.
-func New(g *Graph) *System {
-	s := &System{graph: g, lake: lake.New(g)}
-	s.votes.Store(1)
-	return s
-}
+// New creates an empty semantic data lake over the knowledge graph g, held
+// in one shard.
+func New(g *Graph) *System { return NewSharded(g, NewHashPartitioner(1)) }
 
 // Graph returns the underlying knowledge graph.
 func (s *System) Graph() *Graph { return s.graph }
@@ -236,38 +257,26 @@ func (s *System) Graph() *Graph { return s.graph }
 func (s *System) NumTables() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lake.NumTables()
+	return s.live
 }
 
-// Table returns an ingested table by ID, or nil when the ID was never
-// assigned or the table has been removed.
+// Table returns an ingested table by its global ID, or nil when the ID was
+// never assigned or the table has been removed.
 func (s *System) Table(id TableID) *Table {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lake.Table(id)
+	return s.tableLocked(id)
 }
 
-// AddTable ingests a table (annotations included) and returns its ID.
-// Tables must be fully annotated before ingestion; use LinkTable first when
-// links come from a Linker.
-//
-// Ingestion is incremental: tables added after BuildIndex or
-// BuildKeywordIndex are folded into the live indexes — LSH signatures
-// inserted, the frequent-type filter re-balanced, BM25 postings extended —
-// honoring the semantic-data-lake principle of effortless dataset
-// addition, and the result is bit-identical to rebuilding from scratch
-// (docs/LIVE_INDEX.md). AddTable may run concurrently with searches; it
-// blocks them briefly. Similarity structures cover the KG as it was when
-// the similarity was selected — tables mentioning entities added to the
-// graph afterwards still ingest fine, but call Refresh to make the new
-// entities similar to anything.
-func (s *System) AddTable(t *Table) TableID {
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logAddLocked(t)
-	return s.addTableLocked(t)
+func (s *System) tableLocked(id TableID) *Table {
+	if id < 0 || int(id) >= len(s.owner) {
+		return nil
+	}
+	loc := s.owner[int(id)]
+	if loc.shard < 0 {
+		return nil
+	}
+	return s.lakes[loc.shard].Table(loc.local)
 }
 
 // IngestOptions configures IngestCorpus. The zero value is strict
@@ -298,7 +307,13 @@ func (s *System) IngestCorpus(r io.Reader, opts IngestOptions) (int, error) {
 	if opts.Report != nil {
 		q = opts.Report.Tables
 	}
-	jr := newCorpusReader(s.graph, r, opts, q)
+	jr := table.NewJSONReaderOpts(s.graph, r, table.ReadOptions{
+		Lenient:      opts.Lenient,
+		MaxLineBytes: opts.MaxLineBytes,
+		ErrorBudget:  opts.ErrorBudget,
+		Source:       opts.Source,
+		Quarantine:   q,
+	})
 	n := 0
 	for {
 		t, err := jr.Next()
@@ -314,41 +329,32 @@ func (s *System) IngestCorpus(r io.Reader, opts IngestOptions) (int, error) {
 	}
 }
 
-// newCorpusReader is the shared JSONL corpus reader configuration of
-// System.IngestCorpus and ShardedSystem.IngestCorpus.
-func newCorpusReader(g *Graph, r io.Reader, opts IngestOptions, q *obs.Quarantine) *table.JSONReader {
-	return table.NewJSONReaderOpts(g, r, table.ReadOptions{
-		Lenient:      opts.Lenient,
-		MaxLineBytes: opts.MaxLineBytes,
-		ErrorBudget:  opts.ErrorBudget,
-		Source:       opts.Source,
-		Quarantine:   q,
-	})
-}
-
 // Refresh rebuilds the similarity structures, informativeness weights, and
 // any built indexes against the current state of the graph and lake. Call
 // it after ingesting tables that mention newly added KG entities, or after
 // large ingestion batches to refresh corpus-frequency weights.
 func (s *System) Refresh() {
-	rebuildIndex := s.index.Load() != nil
+	rebuildIndex := s.hasAnyIndex()
 	rebuildKeyword := s.keyword != nil
 	switch {
-	case s.engine == nil:
+	case s.engine() == nil:
 		// Nothing configured yet.
-	case s.ec != nil && s.engine.Sim == Similarity(s.ec):
+	case s.embeddingSim():
 		s.UseEmbeddingSimilarity()
 	default:
 		s.tj = nil
 		s.UseTypeSimilarity()
 	}
-	if rebuildIndex && s.engine != nil {
+	if rebuildIndex && s.engine() != nil {
 		s.BuildIndex(s.indexCfg)
 	}
 	if rebuildKeyword {
 		s.BuildKeywordIndex()
 	}
-	s.reenableAnnLocked()
+	if s.annTopK > 0 && s.embeddingSim() {
+		// Fresh engines lost their top-k σ wiring.
+		_ = s.EnableAnnTopK(s.annTopK, s.annEf)
+	}
 }
 
 // LinkTable annotates a table's cells with l before ingestion.
@@ -356,6 +362,7 @@ func LinkTable(t *Table, l Linker) int { return linking.LinkTable(t, l) }
 
 // TrainEmbeddings generates random walks over the KG and trains skip-gram
 // entity embeddings (the RDF2Vec substitute), storing them on the system.
+// Embeddings are a graph property, shared by every shard.
 func (s *System) TrainEmbeddings(w WalkConfig, t TrainConfig) *EmbeddingStore {
 	s.store = embedding.TrainGraph(s.graph, w, t)
 	return s.store
@@ -382,16 +389,35 @@ func (s *System) LoadEmbeddings(r io.Reader) error {
 	return nil
 }
 
+// installEngines gives every shard a fresh engine over the chosen
+// similarity with GLOBAL informativeness weights — the first of the three
+// globals that keep rankings independent of the shard count. Installing an
+// engine drops the shard's index (signatures depend on the similarity).
+func (s *System) installEngines(sim Similarity) {
+	inf := core.IDFInformativenessOver(s.lakes)
+	if s.cross != nil {
+		// The σ function may have changed, so the cache is flushed — its
+		// epoch alone cannot express "same epoch, different σ".
+		s.cross.Flush()
+		s.cross.SetEpoch(s.epoch.Load())
+	}
+	for _, sh := range s.shards {
+		eng := core.NewEngine(sh.Lake(), sim)
+		eng.Inf = inf
+		eng.Cross = s.cross
+		sh.SetEngine(eng)
+	}
+	s.typeFilter = nil
+	s.filterState = nil
+}
+
 // UseTypeSimilarity configures σ as the adjusted Jaccard of taxonomy-
 // expanded entity type sets (Equation 4; the paper's STST).
 func (s *System) UseTypeSimilarity() {
 	if s.tj == nil {
 		s.tj = core.NewTypeJaccard(s.graph)
 	}
-	s.engine = core.NewEngine(s.lake, s.tj)
-	s.index.Store(nil)
-	s.filterState = nil
-	s.attachCross()
+	s.installEngines(s.tj)
 }
 
 // UseEmbeddingSimilarity configures σ as the clamped cosine of entity
@@ -402,10 +428,7 @@ func (s *System) UseEmbeddingSimilarity() {
 		panic("thetis: UseEmbeddingSimilarity before TrainEmbeddings/SetEmbeddings")
 	}
 	s.ec = core.NewEmbeddingCosine(s.graph, s.store)
-	s.engine = core.NewEngine(s.lake, s.ec)
-	s.index.Store(nil)
-	s.filterState = nil
-	s.attachCross()
+	s.installEngines(s.ec)
 }
 
 // UseCombinedSimilarity configures σ as a weighted blend of the type and
@@ -420,13 +443,17 @@ func (s *System) UseCombinedSimilarity(typeWeight, embeddingWeight float64) {
 		s.tj = core.NewTypeJaccard(s.graph)
 	}
 	s.ec = core.NewEmbeddingCosine(s.graph, s.store)
-	comb := core.NewCombinedSimilarity(
+	s.installEngines(core.NewCombinedSimilarity(
 		[]core.Similarity{s.tj, s.ec},
-		[]float64{typeWeight, embeddingWeight})
-	s.engine = core.NewEngine(s.lake, comb)
-	s.index.Store(nil)
-	s.filterState = nil
-	s.attachCross()
+		[]float64{typeWeight, embeddingWeight}))
+}
+
+// UsePredicateSimilarity configures σ as the Jaccard of the directional
+// predicate sets around entities — the alternative set similarity the paper
+// suggests for KGs with thin taxonomies but rich relation vocabularies.
+// LSH prefiltering is not available for this similarity.
+func (s *System) UsePredicateSimilarity() {
+	s.installEngines(core.NewPredicateJaccard(s.graph))
 }
 
 // RelaxedSearch is Search with automatic relaxation of over-specialized
@@ -440,74 +467,47 @@ func (s *System) RelaxedSearch(q Query, k, minResults int, minScore float64) ([]
 
 // RelaxedSearchContext is RelaxedSearch honoring cancellation: each round's
 // search is truncatable and no new relaxation round starts once ctx is
-// dead.
+// dead. Every round scores the whole lake (no LSH prefilter).
 func (s *System) RelaxedSearchContext(ctx context.Context, q Query, k, minResults int, minScore float64) ([]Result, Query) {
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.engine.RelaxedSearchContext(ctx, q, core.RelaxOptions{K: k, MinResults: minResults, MinScore: minScore})
+	opt := core.RelaxOptions{K: k, MinResults: minResults, MinScore: minScore}
+	return core.RelaxedSearchWith(ctx, q, opt, s.engine().Inf, func(ctx context.Context, q Query, k int) []Result {
+		res, _ := s.coord.SearchShard(ctx, q, k, ShardSearchOptions{ForceFullScan: true})
+		return res
+	})
 }
 
-// UsePredicateSimilarity configures σ as the Jaccard of the directional
-// predicate sets around entities — the alternative set similarity the paper
-// suggests for KGs with thin taxonomies but rich relation vocabularies.
-// LSH prefiltering is not available for this similarity.
-func (s *System) UsePredicateSimilarity() {
-	s.engine = core.NewEngine(s.lake, core.NewPredicateJaccard(s.graph))
-	s.index.Store(nil)
-	s.filterState = nil
+// eachEngine applies a knob to every shard's engine.
+func (s *System) eachEngine(set func(*core.Engine)) {
+	s.mustEngine()
+	for _, sh := range s.shards {
+		set(sh.Engine())
+	}
 }
 
 // SetAggregation switches between MAX (default, recommended) and AVG
 // row-score aggregation.
 func (s *System) SetAggregation(a Aggregation) {
-	s.mustEngine()
-	s.engine.Agg = a
+	s.eachEngine(func(e *core.Engine) { e.Agg = a })
 }
 
 // SetScoreMode switches between entity-wise (default) and pairwise SemRel.
 func (s *System) SetScoreMode(m ScoreMode) {
-	s.mustEngine()
-	s.engine.Mode = m
+	s.eachEngine(func(e *core.Engine) { e.Mode = m })
 }
 
 // SetMapping switches the query-to-column assignment algorithm.
 func (s *System) SetMapping(m MappingMethod) {
-	s.mustEngine()
-	s.engine.Mapping = m
+	s.eachEngine(func(e *core.Engine) { e.Mapping = m })
 }
 
-// BuildIndex builds the LSH prefiltering index (LSEI) for the currently
-// selected similarity. Votes sets the table vote threshold (1 disables
-// voting; the paper finds 3 faster at equal quality).
-//
-// The index is built aside and installed atomically, so BuildIndex may run
-// concurrently with searches (which serve brute-force until the swap) —
-// the mechanism behind the daemon's degraded-mode serving. It serializes
-// against ingestion via the maintenance lock; similarity changes remain
-// setup-time.
-func (s *System) BuildIndex(cfg IndexConfig) {
-	s.mustEngine()
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	s.indexCfg = cfg
-	s.rebuildIndexLocked()
-}
-
-// rebuildIndexLocked builds a fresh LSEI (and, for the type path, a fresh
-// frequent-type filter state sharing one map with it) over the live corpus
-// and hot-swaps it in. Caller holds maintMu; searches keep flowing.
-func (s *System) rebuildIndexLocked() {
-	cfg := s.indexCfg
-	if s.ec != nil && s.engine.Sim == Similarity(s.ec) {
-		s.filterState = nil
-		s.index.Store(core.BuildEmbeddingLSEI(s.lake, s.ec, s.store.Dim(), cfg))
-		return
-	}
-	fs := core.NewTypeFilterState([]*lake.Lake{s.lake}, s.tj, thresholdOf(cfg))
-	ix := core.BuildTypeLSEIFiltered(s.lake, s.tj, cfg, fs.Filter())
-	s.index.Store(ix)
-	s.filterState = fs
+// SetParallelism bounds the scoring worker count per shard per search
+// (0 = one worker per CPU, in every shard at once — fine for throughput,
+// see docs/SHARDING.md for latency tuning).
+func (s *System) SetParallelism(p int) {
+	s.eachEngine(func(e *core.Engine) { e.Parallelism = p })
 }
 
 // thresholdOf resolves the effective frequent-type threshold of a config
@@ -519,18 +519,27 @@ func thresholdOf(cfg IndexConfig) float64 {
 	return cfg.FrequentTypeThreshold
 }
 
-// HasIndex reports whether an LSEI is currently active.
-func (s *System) HasIndex() bool { return s.index.Load() != nil }
+// SetVotes sets the LSEI vote threshold used by Search (1 disables voting;
+// the paper finds 3 faster at equal quality). Votes threshold per-entity
+// collision counts within one shard, and a table's collisions all come from
+// its own shard, so the threshold needs no rescaling across shard counts.
+func (s *System) SetVotes(v int) {
+	for _, sh := range s.shards {
+		sh.SetVotes(v)
+	}
+}
 
-// SetVotes sets the LSEI vote threshold used by Search.
-func (s *System) SetVotes(v int) { s.votes.Store(int32(v)) }
+var errSnapshotOneShard = errors.New("thetis: index snapshots cover exactly one shard")
 
 // SaveIndex serializes the built LSEI so a later process can LoadIndex
-// instead of re-hashing the corpus.
+// instead of re-hashing the corpus. Snapshots cover one shard.
 func (s *System) SaveIndex(w io.Writer) error {
+	if len(s.shards) != 1 {
+		return errSnapshotOneShard
+	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ix := s.index.Load()
+	ix := s.shards[0].Index()
 	if ix == nil {
 		return errors.New("thetis: no index built")
 	}
@@ -545,28 +554,30 @@ func (s *System) SaveIndex(w io.Writer) error {
 // the previously active index (if any) in place.
 func (s *System) LoadIndex(r io.Reader) error {
 	s.mustEngine()
+	if len(s.shards) != 1 {
+		return errSnapshotOneShard
+	}
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	if s.ec != nil && s.engine.Sim == Similarity(s.ec) {
-		x, err := core.LoadEmbeddingLSEI(s.lake, s.ec, r)
+	sh := s.shards[0]
+	if s.embeddingSim() {
+		x, err := core.LoadEmbeddingLSEI(sh.Lake(), s.ec, r)
 		if err != nil {
 			return err
 		}
-		s.indexCfg = x.Config()
-		s.filterState = nil
-		s.index.Store(x)
+		s.indexCfg, s.typeFilter, s.filterState = x.Config(), nil, nil
+		sh.SetIndex(x)
 		return nil
 	}
-	x, err := core.LoadTypeLSEI(s.lake, s.tj, r)
+	x, err := core.LoadTypeLSEI(sh.Lake(), s.tj, r)
 	if err != nil {
 		return err
 	}
 	// Adopt the snapshot's filter map as live mutation state so later
 	// AddTable/RemoveTable keep filter and signatures in lockstep.
-	s.indexCfg = x.Config()
-	s.filterState = core.ResumeTypeFilterState(
-		x.TypeFilter(), []*lake.Lake{s.lake}, s.tj, thresholdOf(x.Config()), x)
-	s.index.Store(x)
+	s.indexCfg, s.typeFilter = x.Config(), x.TypeFilter()
+	s.filterState = core.ResumeTypeFilterState(x.TypeFilter(), s.lakes, s.tj, thresholdOf(x.Config()), x)
+	sh.SetIndex(x)
 	return nil
 }
 
@@ -587,34 +598,30 @@ func (s *System) SearchContext(ctx context.Context, q Query, k int) []Result {
 	return res
 }
 
-// SearchStats is Search returning timing statistics as well. When the
-// prefilter yields no candidates at all (e.g. every query entity's types
-// were dropped by the frequent-type filter), the search falls back to a
-// full scan rather than silently returning nothing.
+// SearchStats is Search returning aggregated statistics as well: per-shard
+// counters sum, Truncated ORs across shards, TotalTime is the slowest
+// shard's engine time (the quantity of the paper's Table 3), and the Trace
+// carries every shard's scatter leg and stages labeled with its shard —
+// probe and vote when an index is built, then mapping/score/rank — plus the
+// coordinator's merge stage; Trace.Total spans everything.
 //
-// The returned stats carry a structured Trace covering the whole pipeline:
-// with an index built, the prefilter's probe and vote stages precede the
-// engine's mapping/score/rank stages, and Trace.Total spans everything
-// (Stats.TotalTime remains engine-only, the quantity of the paper's
-// Table 3).
+// When the prefilter yields no candidates on any shard (e.g. every query
+// entity's types were dropped by the frequent-type filter), the search
+// rescatters as a full scan rather than silently returning nothing.
 func (s *System) SearchStats(q Query, k int) ([]Result, SearchStats) {
 	return s.SearchStatsContext(context.Background(), q, k)
 }
 
 // SearchStatsContext is SearchStats honoring cancellation and deadlines.
-// When ctx dies mid-search the results are a best-effort, correctly ranked
-// subset and Stats.Truncated is set — graceful degradation, not an error.
+// Every scatter leg shares ctx; when it dies mid-search the results are a
+// best-effort, correctly ranked subset and Stats.Truncated is set —
+// graceful degradation, not an error. In coordinator mode failed remote
+// legs additionally surface in Stats.ShardErrors.
 func (s *System) SearchStatsContext(ctx context.Context, q Query, k int) ([]Result, SearchStats) {
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.searchStatsLocked(ctx, q, k)
-}
-
-// searchStatsLocked is the search pipeline body; the caller holds mu.RLock
-// so the corpus, index, filter, and keyword structures stay at one epoch.
-func (s *System) searchStatsLocked(ctx context.Context, q Query, k int) ([]Result, SearchStats) {
-	return core.SearchWithIndex(ctx, s.engine, s.index.Load(), int(s.votes.Load()), q, k, core.FallbackFullScan)
+	return s.coord.Search(ctx, q, k)
 }
 
 // ParseQuery resolves a textual query ("entity | entity" per line, matching
@@ -626,12 +633,20 @@ func (s *System) ParseQuery(text string) (Query, error) {
 }
 
 // BuildKeywordIndex builds the BM25 index used by KeywordSearch and
-// HybridSearch. Later AddTable/RemoveTable calls keep it current, so one
-// build after bulk ingestion suffices.
+// HybridSearch. The keyword index is global — BM25's IDF depends on
+// corpus-wide document frequencies, so sharding it would change scores.
+// Later AddTable/RemoveTable calls keep it current, so one build after
+// bulk ingestion suffices.
 func (s *System) BuildKeywordIndex() {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	kw := bm25.IndexLake(s.lake)
+	kw := bm25.NewIndex()
+	for gid := range s.owner {
+		if t := s.tableLocked(TableID(gid)); t != nil {
+			kw.Add(int32(gid), bm25.TableText(t))
+		}
+	}
+	kw.Finish()
 	s.mu.Lock()
 	s.keyword = kw
 	s.mu.Unlock()
@@ -673,7 +688,7 @@ func (s *System) HybridSearchContext(ctx context.Context, q Query, keywords stri
 	// safely under a waiting writer).
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sem, _ := s.searchStatsLocked(ctx, q, k)
+	sem, _ := s.coord.Search(ctx, q, k)
 	semIDs := make([]int, len(sem))
 	for i, r := range sem {
 		semIDs[i] = int(r.Table)
@@ -692,17 +707,61 @@ func (s *System) HybridSearchContext(ctx context.Context, q Query, keywords stri
 }
 
 // Stats returns corpus statistics (table count, mean rows/columns, link
-// coverage).
+// coverage) across all shards; an entity mentioned on two shards counts
+// once, like in one lake.
 func (s *System) Stats() lake.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.lake.ComputeStats()
+	st := lake.Stats{Tables: s.live, DistinctEntities: len(s.distinctEntitiesLocked())}
+	if st.Tables == 0 {
+		return st
+	}
+	var rows, cols, cov float64
+	for _, l := range s.lakes {
+		for _, t := range l.Tables() {
+			if t == nil {
+				continue
+			}
+			rows += float64(t.NumRows())
+			cols += float64(t.NumColumns())
+			cov += t.LinkCoverage()
+		}
+	}
+	n := float64(st.Tables)
+	st.MeanRows, st.MeanColumns, st.MeanCoverage = rows/n, cols/n, cov/n
+	return st
+}
+
+// distinctEntitiesLocked unions the entities mentioned on any shard.
+func (s *System) distinctEntitiesLocked() []EntityID {
+	seen := make(map[EntityID]struct{})
+	var out []EntityID
+	for _, l := range s.lakes {
+		for _, e := range l.DistinctEntities() {
+			if _, dup := seen[e]; !dup {
+				seen[e] = struct{}{}
+				out = append(out, e)
+			}
+		}
+	}
+	return out
 }
 
 var errNoEmbeddings = errors.New("thetis: no embeddings trained or loaded")
 
+// engine returns shard 0's scoring engine — nil until a similarity is
+// selected. Every shard's engine carries the same similarity, knobs, and
+// global informativeness, so any one speaks for all.
+func (s *System) engine() *core.Engine { return s.shards[0].Engine() }
+
+// embeddingSim reports whether the active similarity is the plain
+// embedding cosine, which indexes via hyperplane LSH instead of MinHash.
+func (s *System) embeddingSim() bool {
+	return s.ec != nil && s.engine() != nil && s.engine().Sim == Similarity(s.ec)
+}
+
 func (s *System) mustEngine() {
-	if s.engine == nil {
+	if s.engine() == nil {
 		panic("thetis: select a similarity first (UseTypeSimilarity or UseEmbeddingSimilarity)")
 	}
 }
