@@ -1,10 +1,10 @@
 # Development targets. `make check` is the pre-commit gate: formatting,
-# vet, the full test suite under the race detector, and the benchmark's
-# smoke test.
+# vet, the full test suite under the race detector, the benchmark's smoke
+# test, and one iteration of each scoring benchmark.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchcheck benchsmoke fuzz faults linkcheck
+.PHONY: all build test race vet fmt check bench benchrun benchcheck benchsmoke fuzz faults linkcheck
 
 all: check
 
@@ -38,10 +38,16 @@ linkcheck:
 benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
+# One iteration of each scoring benchmark (the per-table scoring loop, the
+# wide-query mapping guard, the assignment solver fresh and reused), so one
+# that panics or no longer compiles fails the gate instead of rotting.
+benchrun:
+	$(GO) test -run '^$$' -bench 'TableScoring|MappingWideQuery|Maximize|Solver' -benchtime 1x . ./internal/hungarian
+
 # `race` runs every differential battery (shard-count invariance, live
 # rebuild-equivalence, ANN, shard-over-HTTP, batch/cross-cache) by package,
 # not by test-name regex, so a renamed test cannot leave the gate.
-check: fmt vet build race linkcheck benchsmoke
+check: fmt vet build race linkcheck benchsmoke benchrun
 
 # Replays every fuzz target's seed corpus (f.Add seeds + testdata/fuzz/)
 # as a fast regression suite. Live exploration happens in CI and via

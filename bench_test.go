@@ -139,6 +139,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 // Section 7.3 (cost of scoring one table; fraction spent in the mapping µ).
 func BenchmarkTableScoring(b *testing.B) {
 	env := benchEnvironment(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	var res experiments.ScoringResult
 	for i := 0; i < b.N; i++ {

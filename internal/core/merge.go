@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // MergeRanked merges per-shard rankings into one global top-k. Each input
 // list is expected in the engine's result order — descending score,
@@ -24,10 +27,9 @@ func MergeRanked(lists [][]Result, k int) []Result {
 		if len(l) == 0 {
 			continue
 		}
-		if !sort.SliceIsSorted(l, func(i, j int) bool { return resultLess(l[i], l[j]) }) {
-			sorted := append([]Result(nil), l...)
-			sort.Slice(sorted, func(i, j int) bool { return resultLess(sorted[i], sorted[j]) })
-			l = sorted
+		if !slices.IsSortedFunc(l, compareResults) {
+			l = slices.Clone(l)
+			slices.SortFunc(l, compareResults)
 		}
 		live = append(live, l)
 		total += len(l)
@@ -43,7 +45,7 @@ func MergeRanked(lists [][]Result, k int) []Result {
 	for len(out) < want {
 		best := -1
 		for i, l := range live {
-			if best < 0 || resultLess(l[0], live[best][0]) {
+			if best < 0 || compareResults(l[0], live[best][0]) < 0 {
 				best = i
 			}
 		}
@@ -55,11 +57,15 @@ func MergeRanked(lists [][]Result, k int) []Result {
 	return out
 }
 
-// resultLess is the ranking order shared by Engine.Search and MergeRanked:
-// higher scores first, ties broken toward the smaller table ID.
-func resultLess(a, b Result) bool {
+// compareResults is the ranking order shared by Engine.Search and
+// MergeRanked: higher scores first, ties broken toward the smaller table ID.
+// The order is total, so an unstable sort yields one ranking.
+func compareResults(a, b Result) int {
 	if a.Score != b.Score {
-		return a.Score > b.Score
+		if a.Score > b.Score {
+			return -1
+		}
+		return 1
 	}
-	return a.Table < b.Table
+	return cmp.Compare(a.Table, b.Table)
 }

@@ -2,7 +2,7 @@ package core
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"thetis/internal/lake"
@@ -15,7 +15,7 @@ func mergeReference(lists [][]Result, k int) []Result {
 	for _, l := range lists {
 		all = append(all, l...)
 	}
-	sort.Slice(all, func(i, j int) bool { return resultLess(all[i], all[j]) })
+	slices.SortFunc(all, compareResults)
 	if k >= 0 && k < len(all) {
 		all = all[:k]
 	}
@@ -49,7 +49,7 @@ func randomRankings(rng *rand.Rand, shards, maxLen int) [][]Result {
 			})
 			next++
 		}
-		sort.Slice(lists[s], func(i, j int) bool { return resultLess(lists[s][i], lists[s][j]) })
+		slices.SortFunc(lists[s], compareResults)
 	}
 	return lists
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"thetis/internal/embedding"
@@ -578,7 +578,7 @@ func (x *LSEI) finish(out map[lake.TableID]bool, tally probeTally, tr *obs.Trace
 	for tid := range out {
 		ids = append(ids, tid)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	mPrefilterQueries.Inc()
 	mPrefilterProbes.Add(int64(tally.probes))
 	mPrefilterVotes.Add(int64(tally.votesCast))

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -383,12 +383,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	tr.Add(obs.Stage{Name: "mapping", CPU: stats.MappingTime, Items: len(candidates)})
 	tr.Add(obs.Stage{Name: "score", Wall: scoreWall, Items: len(candidates)})
 	rank := tr.StartStage("rank")
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Score != results[j].Score {
-			return results[i].Score > results[j].Score
-		}
-		return results[i].Table < results[j].Table
-	})
+	slices.SortFunc(results, compareResults)
 	stats.Scored = len(results)
 	if k >= 0 && len(results) > k {
 		results = results[:k]

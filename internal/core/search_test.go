@@ -364,6 +364,11 @@ func TestScoreTableStats(t *testing.T) {
 	if stats.MappingTime <= 0 || stats.MappingTime > stats.TotalTime+time.Millisecond {
 		t.Errorf("MappingTime = %v vs TotalTime %v", stats.MappingTime, stats.TotalTime)
 	}
+	// The µ timer brackets all of a table's tuples at once; the trace's
+	// mapping stage still reports the same cross-worker CPU time.
+	if st := stats.Trace.Stage("mapping"); st == nil || st.CPU != stats.MappingTime {
+		t.Errorf("mapping stage = %+v, want CPU %v", st, stats.MappingTime)
+	}
 }
 
 func TestRankedTables(t *testing.T) {

@@ -127,6 +127,19 @@ type scorer struct {
 	// reused by every tuple that mentions the entity.
 	rowScore [][]float64
 	rowValid []bool
+
+	// Column-mapping workspace, reused for every table this scorer sees so
+	// the steady-state scoring loop allocates nothing. It lives and dies
+	// with the scorer (one per worker per search). matrix holds the row
+	// headers of the score matrix S for the tuple being mapped; solver and
+	// greedyUsed are the two mapping methods' scratch; assignment[ti] is
+	// tuple ti's column assignment for the current table and mapped[ti]
+	// whether its total is positive.
+	matrix     [][]float64
+	solver     hungarian.Solver
+	greedyUsed []bool
+	assignment [][]int
+	mapped     []bool
 }
 
 func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode, mapping MappingMethod, shared *SigmaCache, cross *CrossCache) *scorer {
@@ -141,11 +154,17 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 		slots:   make([][]int, len(q)),
 		shared:  shared,
 		cross:   cross,
+
+		assignment: make([][]int, len(q)),
+		mapped:     make([]bool, len(q)),
 	}
 	slotOf := make(map[kg.EntityID]int)
+	widest := 0
 	for ti, tq := range q {
 		s.weights[ti] = make([]float64, len(tq))
 		s.slots[ti] = make([]int, len(tq))
+		s.assignment[ti] = make([]int, len(tq))
+		widest = max(widest, len(tq))
 		for k, e := range tq {
 			s.weights[ti][k] = inf(e)
 			di, ok := slotOf[e]
@@ -181,6 +200,7 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 	}
 	s.rowScore = make([][]float64, len(s.distinct))
 	s.rowValid = make([]bool, len(s.distinct))
+	s.matrix = make([][]float64, widest)
 	return s
 }
 
@@ -230,6 +250,10 @@ func (s *scorer) resolveSigma(di int, target uint32) float64 {
 // pre-aggregation (nil builds a transient one). A table for which no query
 // entity has any positive similarity scores 0 and is thereby excluded from
 // results, satisfying Problem 2.2.
+//
+// All tuples are mapped first and scored second, so the clock is read once
+// per table rather than twice per tuple; a warm scorer allocates nothing
+// here.
 func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, time.Duration) {
 	if t.NumRows() == 0 || t.NumColumns() == 0 {
 		return 0, 0
@@ -238,26 +262,27 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 		ci = table.BuildColumnIndex(t)
 	}
 	s.beginTable()
-	var mappingTime time.Duration
-	total := 0.0
+	start := time.Now()
 	matched := false
 	for ti := range s.q {
-		start := time.Now()
-		assignment, assignScore := s.mapColumns(ti, ci)
-		mappingTime += time.Since(start)
-		if assignScore <= 0 {
-			// No relevant mapping for this tuple: contributes 0.
-			continue
-		}
-		matched = true
-		if s.mode == ModePairwise {
-			total += s.tupleScorePairwise(ti, t, assignment)
-		} else {
-			total += s.tupleScore(ti, t, ci, assignment)
-		}
+		// A tuple without a relevant mapping contributes 0.
+		s.mapped[ti] = s.mapColumns(ti, ci) > 0
+		matched = matched || s.mapped[ti]
 	}
+	mappingTime := time.Since(start)
 	if !matched {
 		return 0, mappingTime
+	}
+	total := 0.0
+	for ti := range s.q {
+		if !s.mapped[ti] {
+			continue
+		}
+		if s.mode == ModePairwise {
+			total += s.tupleScorePairwise(ti, t, s.assignment[ti])
+		} else {
+			total += s.tupleScore(ti, t, ci, s.assignment[ti])
+		}
 	}
 	return total / float64(len(s.q)), mappingTime
 }
@@ -297,32 +322,36 @@ func (s *scorer) columnScores(di int, ci *table.ColumnIndex) []float64 {
 
 // mapColumns assembles the score matrix S (Section 5.1) for query tuple ti
 // from the memoized per-entity column-score rows and solves the assignment
-// problem, returning per-entity column assignments (-1 = unassigned) and
-// the total assignment score. Tuple entities that repeat share one row
-// (aliased, read-only under both solvers).
-func (s *scorer) mapColumns(ti int, ci *table.ColumnIndex) ([]int, float64) {
+// problem, leaving the per-entity column assignments (-1 = unassigned) in
+// s.assignment[ti] and returning the total assignment score. Tuple entities
+// that repeat share one row (aliased, read-only under both solvers).
+func (s *scorer) mapColumns(ti int, ci *table.ColumnIndex) float64 {
 	slots := s.slots[ti]
-	S := make([][]float64, len(slots))
+	S := s.matrix[:len(slots)]
 	for i, di := range slots {
 		S[i] = s.columnScores(di, ci)
 	}
-	var assignment []int
+	assignment := s.assignment[ti]
 	if s.mapping == MappingGreedy {
-		assignment = greedyMaximize(S)
+		s.greedyMaximize(S, assignment)
 	} else {
-		assignment = hungarian.Maximize(S)
+		copy(assignment, s.solver.Maximize(S))
 	}
-	return assignment, hungarian.TotalScore(S, assignment)
+	return hungarian.TotalScore(S, assignment)
 }
 
-// greedyMaximize assigns each row (query entity) its best still-unused
-// column, in row order. Not optimal; see MappingGreedy.
-func greedyMaximize(S [][]float64) []int {
-	out := make([]int, len(S))
-	used := make([]bool, 0)
-	if len(S) > 0 {
-		used = make([]bool, len(S[0]))
+// greedyMaximize assigns each row of S (query entity) its best still-unused
+// column, in row order, writing the column (-1 = none) to out[row]. Not
+// optimal; see MappingGreedy.
+func (s *scorer) greedyMaximize(S [][]float64, out []int) {
+	if len(S) == 0 {
+		return
 	}
+	if cap(s.greedyUsed) < len(S[0]) {
+		s.greedyUsed = make([]bool, len(S[0]))
+	}
+	used := s.greedyUsed[:len(S[0])]
+	clear(used)
 	for i := range S {
 		out[i] = -1
 		best := 0.0
@@ -335,7 +364,6 @@ func greedyMaximize(S [][]float64) []int {
 			used[out[i]] = true
 		}
 	}
-	return out
 }
 
 // tupleScore computes the weighted-Euclidean SemRel of query tuple ti

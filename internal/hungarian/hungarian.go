@@ -26,88 +26,57 @@ import "math"
 // The solver is exact; negative scores are allowed. An empty matrix yields
 // an empty assignment.
 func Maximize(score [][]float64) []int {
-	n := len(score)
-	if n == 0 {
+	return new(Solver).Maximize(score)
+}
+
+// Solver is a reusable workspace for Maximize: it owns the potentials, the
+// augmenting-path scratch and the output slice, grown on demand and reused
+// across calls, so a caller solving many small problems in a loop (one per
+// query tuple per table) allocates nothing in steady state. The zero value
+// is ready to use. A Solver is not safe for concurrent use.
+type Solver struct {
+	floats []float64 // u | v | minv
+	ints   []int     // p | way | out
+	used   []bool
+}
+
+// Maximize is the package-level Maximize on this solver's workspace. The
+// returned slice is owned by the solver and valid until the next call on
+// the same Solver; copy it to keep it.
+func (s *Solver) Maximize(score [][]float64) []int {
+	rows := len(score)
+	if rows == 0 {
 		return nil
 	}
-	m := len(score[0])
-	if m == 0 {
-		out := make([]int, n)
-		for i := range out {
-			out[i] = -1
-		}
-		return out
+	// The dual method below assigns every row of an n×m problem with
+	// n ≤ m. More rows than columns: solve the transpose, reading
+	// score[j][i] for cost[i][j], and invert the mapping on the way out.
+	n, m := rows, len(score[0])
+	transposed := n > m
+	if transposed {
+		n, m = m, n
 	}
 
-	if n <= m {
-		cost := negate(score, n, m)
-		return minCostAssign(cost, n, m)
-	}
-	// More rows than columns: solve the transpose and invert the mapping.
-	t := make([][]float64, m)
-	for j := 0; j < m; j++ {
-		t[j] = make([]float64, n)
-		for i := 0; i < n; i++ {
-			t[j][i] = -score[i][j]
-		}
-	}
-	colToRow := minCostAssign(t, m, n)
-	out := make([]int, n)
+	s.floats = grow(s.floats, (n+1)+2*(m+1))
+	s.ints = grow(s.ints, 2*(m+1)+rows)
+	s.used = grow(s.used, m+1)
+	u, v, minv := s.floats[:n+1], s.floats[n+1:n+m+2], s.floats[n+m+2:]
+	p, way, out := s.ints[:m+1], s.ints[m+1:2*m+2], s.ints[2*m+2:]
+	used := s.used
+	clear(s.floats[:n+m+2]) // u, v; minv is reset per row below
+	clear(p)                // way is written before it is read in every row
 	for i := range out {
 		out[i] = -1
 	}
-	for j, i := range colToRow {
-		if i >= 0 {
-			out[i] = j
-		}
-	}
-	return out
-}
 
-// TotalScore sums the score of an assignment over the given matrix:
-// Σ score[i][assignment[i]] across assigned rows (unassigned rows, -1,
-// contribute nothing). It accepts any assignment shape Maximize or a
-// greedy alternative produces, so ablations can compare solvers on the
-// same objective.
-func TotalScore(score [][]float64, assignment []int) float64 {
-	var total float64
-	for i, j := range assignment {
-		if j >= 0 {
-			total += score[i][j]
-		}
-	}
-	return total
-}
-
-func negate(score [][]float64, n, m int) [][]float64 {
-	cost := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		cost[i] = make([]float64, m)
-		for j := 0; j < m; j++ {
-			cost[i][j] = -score[i][j]
-		}
-	}
-	return cost
-}
-
-// minCostAssign solves min-cost assignment for an n×m cost matrix with
-// n ≤ m, assigning every row. It returns per-row column indexes.
-//
-// This is the dual (potentials) formulation: u/v are row/column potentials
-// kept feasible (u[i]+v[j] ≤ cost[i][j]); each outer iteration grows the
-// matching by one row via a shortest augmenting path over reduced costs
-// (minv tracks the frontier, way the path). 1-based indexing with column 0
-// as the virtual start keeps the augmenting walk branch-free.
-func minCostAssign(a [][]float64, n, m int) []int {
+	// Min-cost assignment on cost = -score, dual (potentials) formulation:
+	// u/v are row/column potentials kept feasible (u[i]+v[j] ≤ cost[i][j]);
+	// each outer iteration grows the matching by one row via a shortest
+	// augmenting path over reduced costs (minv tracks the frontier, way the
+	// path). 1-based indexing with column 0 as the virtual start keeps the
+	// augmenting walk branch-free. p[j] is the row (1-based) currently
+	// matched to column j, 0 = free; way[j] the previous column on the path.
 	const inf = math.MaxFloat64
-	u := make([]float64, n+1)
-	v := make([]float64, m+1)
-	p := make([]int, m+1)   // p[j]: row (1-based) currently matched to column j; 0 = free
-	way := make([]int, m+1) // way[j]: previous column on the augmenting path
-
-	minv := make([]float64, m+1)
-	used := make([]bool, m+1)
-
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
@@ -124,7 +93,13 @@ func minCostAssign(a [][]float64, n, m int) []int {
 				if used[j] {
 					continue
 				}
-				cur := a[i0-1][j-1] - u[i0] - v[j]
+				var sc float64
+				if transposed {
+					sc = score[j-1][i0-1]
+				} else {
+					sc = score[i0-1][j-1]
+				}
+				cur := -sc - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -154,11 +129,39 @@ func minCostAssign(a [][]float64, n, m int) []int {
 		}
 	}
 
-	out := make([]int, n)
 	for j := 1; j <= m; j++ {
-		if p[j] > 0 {
+		if p[j] == 0 {
+			continue
+		}
+		if transposed {
+			out[j-1] = p[j] - 1
+		} else {
 			out[p[j]-1] = j - 1
 		}
 	}
 	return out
+}
+
+// grow returns s resliced to n elements, reallocating only when its
+// capacity is short. Contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// TotalScore sums the score of an assignment over the given matrix:
+// Σ score[i][assignment[i]] across assigned rows (unassigned rows, -1,
+// contribute nothing). It accepts any assignment shape Maximize or a
+// greedy alternative produces, so ablations can compare solvers on the
+// same objective.
+func TotalScore(score [][]float64, assignment []int) float64 {
+	var total float64
+	for i, j := range assignment {
+		if j >= 0 {
+			total += score[i][j]
+		}
+	}
+	return total
 }

@@ -3,6 +3,7 @@ package hungarian
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -132,17 +133,29 @@ func minInt(a, b int) int {
 
 func TestMaximizeMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 200; trial++ {
+	// One Solver reused across every trial, next to the fresh-workspace
+	// Maximize: shapes arrive in random order (n < m, n = m, n > m, m = 0),
+	// so its workspace both grows and shrinks and every carve-up of the
+	// scratch must agree with a fresh one.
+	var reused Solver
+	for trial := 0; trial < 400; trial++ {
 		n := 1 + rng.Intn(5)
-		m := 1 + rng.Intn(5)
+		m := rng.Intn(6)
+		negative := trial%4 == 3
 		score := make([][]float64, n)
 		for i := range score {
 			score[i] = make([]float64, m)
 			for j := range score[i] {
 				score[i][j] = math.Round(rng.Float64()*100) / 100
+				if negative {
+					score[i][j] -= 0.5
+				}
 			}
 		}
 		got := Maximize(score)
+		if len(got) != n {
+			t.Fatalf("trial %d (%dx%d): %d assignments, want %d", trial, n, m, len(got), n)
+		}
 		// Validity: injective, in range.
 		seen := map[int]bool{}
 		for _, j := range got {
@@ -160,6 +173,10 @@ func TestMaximizeMatchesBruteForce(t *testing.T) {
 		if diff := math.Abs(TotalScore(score, got) - want); diff > 1e-9 {
 			t.Fatalf("trial %d (%dx%d): total %v, brute force %v, matrix %v",
 				trial, n, m, TotalScore(score, got), want, score)
+		}
+		if again := reused.Maximize(score); !slices.Equal(again, got) {
+			t.Fatalf("trial %d (%dx%d): reused solver %v, fresh %v, matrix %v",
+				trial, n, m, again, got, score)
 		}
 	}
 }
@@ -185,18 +202,41 @@ func TestMaximizeAssignsAllRowsWhenPossible(t *testing.T) {
 	}
 }
 
-func BenchmarkMaximize10x20(b *testing.B) {
+func benchMatrix(n, m int) [][]float64 {
 	rng := rand.New(rand.NewSource(1))
-	score := make([][]float64, 10)
+	score := make([][]float64, n)
 	for i := range score {
-		score[i] = make([]float64, 20)
+		score[i] = make([]float64, m)
 		for j := range score[i] {
 			score[i][j] = rng.Float64()
 		}
 	}
+	return score
+}
+
+var benchSink []int
+
+func BenchmarkMaximize10x20(b *testing.B) {
+	score := benchMatrix(10, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Maximize(score)
+		benchSink = Maximize(score)
+	}
+}
+
+// The reused-workspace cases: the scoring loop's shape (a three-entity query
+// tuple against a six-column table) and the wide one above. -benchmem must
+// show 0 allocs/op.
+func BenchmarkSolver3x6(b *testing.B)   { benchSolver(b, 3, 6) }
+func BenchmarkSolver10x20(b *testing.B) { benchSolver(b, 10, 20) }
+
+func benchSolver(b *testing.B, n, m int) {
+	score := benchMatrix(n, m)
+	var s Solver
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink = s.Maximize(score)
 	}
 }
