@@ -1,6 +1,6 @@
 # Development targets. `make check` is the pre-commit gate: formatting,
 # vet, the full test suite under the race detector, the benchmark's smoke
-# test, and one iteration of each scoring benchmark.
+# test, and one iteration of each scoring and query-resolution benchmark.
 
 GO ?= go
 
@@ -39,10 +39,12 @@ benchsmoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of each scoring benchmark (the per-table scoring loop, the
-# wide-query mapping guard, the assignment solver fresh and reused), so one
-# that panics or no longer compiles fails the gate instead of rotting.
+# wide-query mapping guard, the assignment solver fresh and reused) and of
+# the query-resolution pair (ParseQuery over 10k/100k entities, AddEntity's
+# label-index upkeep), so one that panics or no longer compiles fails the
+# gate instead of rotting.
 benchrun:
-	$(GO) test -run '^$$' -bench 'TableScoring|MappingWideQuery|Maximize|Solver' -benchtime 1x . ./internal/hungarian
+	$(GO) test -run '^$$' -bench 'TableScoring|MappingWideQuery|Maximize|Solver|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # `race` runs every differential battery (shard-count invariance, live
 # rebuild-equivalence, ANN, shard-over-HTTP, batch/cross-cache) by package,

@@ -42,18 +42,12 @@ func (q Query) DistinctEntities() []kg.EntityID {
 
 // ParseQuery resolves a textual query into entity tuples. Each line is one
 // tuple; entities are separated by "|" and resolved first as URIs and then
-// as labels via the provided resolver. Unresolvable mentions are skipped
-// (query entities not in the KG are ignored, per Section 2.4); an entirely
-// unresolvable tuple is dropped. The returned error is non-nil only when no
-// tuple survives.
+// as labels (kg.Graph.LookupLabel: case and surrounding whitespace ignored,
+// lowest ID among duplicates), so the cost is O(mentions) whatever the size
+// of the graph. Unresolvable mentions are skipped (query entities not in
+// the KG are ignored, per Section 2.4); an entirely unresolvable tuple is
+// dropped. The returned error is non-nil only when no tuple survives.
 func ParseQuery(g *kg.Graph, text string) (Query, error) {
-	labelIndex := map[string]kg.EntityID{}
-	for e := kg.EntityID(0); int(e) < g.NumEntities(); e++ {
-		label := strings.ToLower(strings.TrimSpace(g.Label(e)))
-		if _, dup := labelIndex[label]; !dup {
-			labelIndex[label] = e
-		}
-	}
 	var q Query
 	for _, line := range strings.Split(text, "\n") {
 		line = strings.TrimSpace(line)
@@ -66,11 +60,11 @@ func ParseQuery(g *kg.Graph, text string) (Query, error) {
 			if mention == "" {
 				continue
 			}
-			if e, ok := g.Lookup(mention); ok {
-				tuple = append(tuple, e)
-				continue
+			e, ok := g.Lookup(mention)
+			if !ok {
+				e, ok = g.LookupLabel(mention)
 			}
-			if e, ok := labelIndex[strings.ToLower(mention)]; ok {
+			if ok {
 				tuple = append(tuple, e)
 			}
 		}

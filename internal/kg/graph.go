@@ -11,7 +11,9 @@ package kg
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // EntityID identifies an entity node in the graph. IDs are dense and start
@@ -53,6 +55,15 @@ type Graph struct {
 	entities []entity
 	uriIndex map[string]EntityID
 
+	// labelIndex maps foldLabel(Label(e)) to the lowest entity carrying that
+	// folded label. labelHeirs holds a key's other carriers while its owner
+	// is still unlabelled: such a key is the owner's folded URI, the one kind
+	// AddEntity withdraws (when the label arrives), and it then passes to
+	// the lowest heir. A labelled owner is never displaced by a higher ID,
+	// so its key needs no heirs and real graphs keep this map almost empty.
+	labelIndex map[string]EntityID
+	labelHeirs map[string][]EntityID
+
 	types     []typeInfo
 	typeIndex map[string]TypeID
 
@@ -71,26 +82,70 @@ type typeInfo struct {
 // NewGraph returns an empty knowledge graph.
 func NewGraph() *Graph {
 	return &Graph{
-		uriIndex:  make(map[string]EntityID),
-		typeIndex: make(map[string]TypeID),
-		predIndex: make(map[string]PredicateID),
+		uriIndex:   make(map[string]EntityID),
+		labelIndex: make(map[string]EntityID),
+		labelHeirs: make(map[string][]EntityID),
+		typeIndex:  make(map[string]TypeID),
+		predIndex:  make(map[string]PredicateID),
 	}
 }
 
 // AddEntity interns an entity by URI and returns its ID. Re-adding an
 // existing URI returns the existing ID; a non-empty label overwrites an
-// empty one.
+// empty one. Both branches keep the label index behind LookupLabel current
+// in O(1) amortised: a new entity is indexed under its folded Label (the
+// URI when label is empty), and a label arriving later moves the entity
+// from its folded-URI key to its folded-label key.
 func (g *Graph) AddEntity(uri, label string) EntityID {
 	if id, ok := g.uriIndex[uri]; ok {
 		if label != "" && g.entities[id].label == "" {
+			g.unindexLabel(foldLabel(uri), id)
 			g.entities[id].label = label
+			g.indexLabel(foldLabel(label), id)
 		}
 		return id
 	}
 	id := EntityID(len(g.entities))
 	g.entities = append(g.entities, entity{uri: uri, label: label})
 	g.uriIndex[uri] = id
+	g.indexLabel(foldLabel(g.Label(id)), id)
 	return id
+}
+
+// foldLabel is the label index's one normalisation rule.
+func foldLabel(s string) string { return strings.ToLower(strings.TrimSpace(s)) }
+
+// indexLabel records id as a carrier of key: the lowest carrier owns it.
+func (g *Graph) indexLabel(key string, id EntityID) {
+	owner, ok := g.labelIndex[key]
+	if !ok {
+		g.labelIndex[key] = id
+		return
+	}
+	lo, hi := min(owner, id), max(owner, id)
+	g.labelIndex[key] = lo
+	if g.entities[lo].label == "" {
+		g.labelHeirs[key] = append(g.labelHeirs[key], hi)
+	} else {
+		delete(g.labelHeirs, key)
+	}
+}
+
+// unindexLabel withdraws the still unlabelled id from key, its folded URI.
+// If id owned the key, the heirs are re-indexed so the lowest inherits it.
+func (g *Graph) unindexLabel(key string, id EntityID) {
+	heirs := g.labelHeirs[key]
+	if g.labelIndex[key] != id {
+		if i := slices.Index(heirs, id); i >= 0 {
+			g.labelHeirs[key] = slices.Delete(heirs, i, i+1)
+		}
+		return
+	}
+	delete(g.labelIndex, key)
+	delete(g.labelHeirs, key)
+	for _, h := range heirs {
+		g.indexLabel(key, h)
+	}
 }
 
 // AddType interns a type by URI and returns its ID.
@@ -154,6 +209,15 @@ func (g *Graph) AddEdge(subject EntityID, p PredicateID, object EntityID) {
 // Lookup resolves an entity URI to its ID, reporting whether it exists.
 func (g *Graph) Lookup(uri string) (EntityID, bool) {
 	id, ok := g.uriIndex[uri]
+	return id, ok
+}
+
+// LookupLabel resolves a mention to the entity whose Label (the URI when no
+// label was recorded) equals it up to case and surrounding whitespace. When
+// several entities share the folded label the lowest ID wins. The index is
+// maintained by AddEntity, so a lookup costs one fold and one map read.
+func (g *Graph) LookupLabel(mention string) (EntityID, bool) {
+	id, ok := g.labelIndex[foldLabel(mention)]
 	return id, ok
 }
 

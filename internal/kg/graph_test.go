@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -271,5 +272,58 @@ func TestTypesReturnedSliceIsStable(t *testing.T) {
 	_ = g.ExpandedTypes(santo)
 	if !reflect.DeepEqual(before, g.Types(santo)) {
 		t.Error("Types slice mutated by read-only operations")
+	}
+}
+
+// TestLookupLabel walks the label index through its rules: mentions fold
+// (case, surrounding whitespace), an unlabelled entity answers to its URI,
+// the lowest ID wins a shared label, and a label arriving late moves the
+// entity off its URI key — which a higher carrier of that key inherits.
+func TestLookupLabel(t *testing.T) {
+	g := NewGraph()
+	lookup := func(mention string) EntityID {
+		t.Helper()
+		e, ok := g.LookupLabel(mention)
+		if !ok {
+			return InvalidEntity
+		}
+		return e
+	}
+	bare := g.AddEntity("dbr:Bare", "")
+	santo := g.AddEntity("dbr:Ron_Santo", " Ron Santo ")
+	g.AddEntity("dbr:Twin", "RON SANTO")
+	other := g.AddEntity("dbr:Other", "dbr:bare")
+	for mention, want := range map[string]EntityID{
+		"  ron santo\t": santo,         // folded; dbr:Twin has the higher ID
+		"DBR:BARE":      bare,          // URI fallback; other has the higher ID
+		"dbr:twin":      InvalidEntity, // a labelled entity does not answer to its URI
+		"":              InvalidEntity,
+	} {
+		if got := lookup(mention); got != want {
+			t.Errorf("LookupLabel(%q) = %d, want %d", mention, got, want)
+		}
+	}
+
+	g.AddEntity("dbr:Bare", "Ron Santo") // the late label of the lowest ID
+	if got := lookup("ron santo"); got != bare {
+		t.Errorf("after the late label LookupLabel(ron santo) = %d, want the lowest ID %d", got, bare)
+	}
+	if got := lookup("dbr:bare"); got != other {
+		t.Errorf("after the late label LookupLabel(dbr:bare) = %d, want the inheriting %d", got, other)
+	}
+}
+
+// BenchmarkAddEntity prices what graph construction pays per entity for the
+// label index: one fold and one map insert on top of the URI interning.
+func BenchmarkAddEntity(b *testing.B) {
+	uris, labels := make([]string, b.N), make([]string, b.N)
+	for i := range uris {
+		uris[i], labels[i] = fmt.Sprintf("res/e%d", i), fmt.Sprintf("Entity %d", i)
+	}
+	g := NewGraph()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.AddEntity(uris[i], labels[i])
 	}
 }

@@ -105,13 +105,9 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 			Truncated:  stats[i].Truncated,
 		}
 		for j, res := range results[i] {
-			name := ""
-			if t := s.sys.Table(res.Table); t != nil {
-				name = t.Name
-			}
 			one.Results[j] = SearchResult{
 				Table: int(res.Table),
-				Name:  name,
+				Name:  s.tableName(res.Table),
 				Score: res.Score,
 			}
 		}

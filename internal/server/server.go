@@ -480,6 +480,17 @@ func parseRequest(r *http.Request) (SearchRequest, error) {
 	return req, nil
 }
 
+// tableName is the name a result row carries. The search has released the
+// read lock by the time its response is built, so a ranked table may have
+// been removed since (Backend.Table is nil for a tombstoned ID): it keeps
+// its place in the ranking, with an empty name.
+func (s *Server) tableName(id thetis.TableID) string {
+	if t := s.sys.Table(id); t != nil {
+		return t.Name
+	}
+	return ""
+}
+
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	req, err := parseRequest(r)
 	if err != nil {
@@ -501,7 +512,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		resp.Results[i] = SearchResult{
 			Table: int(res.Table),
-			Name:  s.sys.Table(res.Table).Name,
+			Name:  s.tableName(res.Table),
 			Score: res.Score,
 		}
 	}
@@ -523,7 +534,7 @@ func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 	ids := s.sys.KeywordSearch(req.Q, req.K)
 	resp := SearchResponse{Results: make([]SearchResult, len(ids))}
 	for i, id := range ids {
-		resp.Results[i] = SearchResult{Table: int(id), Name: s.sys.Table(id).Name}
+		resp.Results[i] = SearchResult{Table: int(id), Name: s.tableName(id)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -546,7 +557,7 @@ func (s *Server) handleHybrid(w http.ResponseWriter, r *http.Request) {
 	ids := s.sys.HybridSearchContext(r.Context(), q, keywords, req.K)
 	resp := SearchResponse{Results: make([]SearchResult, len(ids))}
 	for i, id := range ids {
-		resp.Results[i] = SearchResult{Table: int(id), Name: s.sys.Table(id).Name}
+		resp.Results[i] = SearchResult{Table: int(id), Name: s.tableName(id)}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -778,3 +778,57 @@ func TestLiveDoubleAttachRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLiveLabelIndexFollowsIngest: a URI first seen by AddTableJSON is
+// interned under the write lock, and the graph's label index answers for it
+// on the very next ParseQuery — there is no rebuild step to call — while
+// other goroutines resolve queries throughout (`make race`).
+func TestLiveLabelIndexFollowsIngest(t *testing.T) {
+	g := NewGraph()
+	if err := LoadTriples(g, strings.NewReader(ingestKG)); err != nil {
+		t.Fatal(err)
+	}
+	sys := New(g)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if q, err := sys.ParseQuery("ron santo | res/Chicago_Cubs"); err != nil || len(q[0]) != 2 {
+					t.Errorf("reader: ParseQuery = %v, %v", q, err)
+					return
+				}
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(done)
+
+	for i := 0; i < 50; i++ {
+		uri := fmt.Sprintf("res/Fresh_%d", i)
+		mention := "  " + strings.ToUpper(uri) + " "
+		if q, err := sys.ParseQuery(mention); err == nil {
+			t.Fatalf("%q resolved to %v before its table was added", mention, q)
+		}
+		body := fmt.Sprintf(`{"name":"fresh%d","attributes":["Player"],"rows":[[{"v":"x","e":"%s"}]]}`, i, uri)
+		if _, err := sys.AddTableJSON([]byte(body)); err != nil {
+			t.Fatal(err)
+		}
+		want, ok := g.Lookup(uri)
+		if !ok {
+			t.Fatalf("AddTableJSON did not intern %s", uri)
+		}
+		q, err := sys.ParseQuery(mention)
+		if err != nil || len(q) != 1 || len(q[0]) != 1 || q[0][0] != want {
+			t.Fatalf("ParseQuery(%q) = %v, %v right after AddTableJSON; want entity %d", mention, q, err, want)
+		}
+	}
+}
