@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchrun benchcheck benchsmoke fuzz faults linkcheck
+.PHONY: all build test race vet fmt check bench benchrun benchsmoke fuzz faults linkcheck
 
 all: check
 
@@ -47,7 +47,7 @@ benchrun:
 	$(GO) test -run '^$$' -bench 'TableScoring|MappingWideQuery|Maximize|Solver|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # `race` runs every differential battery (shard-count invariance, live
-# rebuild-equivalence, ANN, shard-over-HTTP, batch/cross-cache) by package,
+# rebuild-equivalence, ANN, shard-over-HTTP, batch) by package,
 # not by test-name regex, so a renamed test cannot leave the gate.
 check: fmt vet build race linkcheck benchsmoke benchrun
 
@@ -67,8 +67,3 @@ faults:
 BENCH ?= .
 bench:
 	$(GO) test -run '^$$' -bench '$(BENCH)' -benchmem .
-
-# Paired σ-cache regression canary (docs/PERFORMANCE.md): default build vs
-# the `nosigmacache` escape hatch, best-of-N, fail on >5% regression.
-benchcheck:
-	./scripts/benchcheck.sh

@@ -7,15 +7,9 @@ import (
 	"thetis/internal/obs"
 )
 
-// Throughput mode (docs/THROUGHPUT.md): the batch search API and the
-// opt-in cross-query σ cache. SearchBatch scores N queries against one
-// corpus snapshot with a batch-scoped σ cache, bit-identical to N
-// sequential Search calls; EnableCrossCache persists σ pairs across
-// searches under mutation-epoch invalidation.
-
-// CrossCacheStats snapshots the cross-query σ cache
-// (System.CrossCacheStats).
-type CrossCacheStats = core.CrossCacheStats
+// The batch search API (docs/THROUGHPUT.md): SearchBatch scores N queries
+// against one corpus snapshot with a batch-scoped σ cache, bit-identical
+// to N sequential Search calls.
 
 var (
 	mBatchSearches = obs.SearchBatchTotal()
@@ -59,44 +53,4 @@ func (s *System) SearchBatchContext(ctx context.Context, queries []Query, k int)
 		results[i], stats[i] = s.coord.Search(ctx, q, k)
 	}
 	return results, stats
-}
-
-// EnableCrossCache attaches one cross-query σ cache of roughly maxBytes,
-// shared by every shard's engine — σ is a global entity-pair property, so
-// shards can share entries (docs/THROUGHPUT.md). Call it at setup time,
-// after selecting a similarity; later similarity changes and Refresh
-// reattach (and flush) it automatically, and every mutation advances its
-// epoch so stale entries lazily invalidate. Resize by enabling again.
-// Results are bit-identical with or without it.
-func (s *System) EnableCrossCache(maxBytes int64) {
-	s.mustEngine()
-	cross := core.NewCrossCache(maxBytes)
-	cross.SetEpoch(s.epoch.Load())
-	s.attachCross(cross)
-}
-
-// DisableCrossCache detaches the cross-query σ cache — the runtime escape
-// hatch mirroring DisableSigmaCache's role for the query-scoped cache.
-func (s *System) DisableCrossCache() { s.attachCross(nil) }
-
-func (s *System) attachCross(cross *core.CrossCache) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.cross = cross
-	for _, sh := range s.shards {
-		if eng := sh.Engine(); eng != nil {
-			eng.Cross = cross
-		}
-	}
-}
-
-// CrossCacheStats snapshots the cross-query σ cache; ok is false when the
-// cache is not enabled.
-func (s *System) CrossCacheStats() (CrossCacheStats, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.cross == nil {
-		return CrossCacheStats{}, false
-	}
-	return s.cross.Stats(), true
 }

@@ -1,11 +1,10 @@
 package thetis
 
-// Throughput battery (docs/THROUGHPUT.md): SearchBatch must be
+// Batch battery (docs/THROUGHPUT.md): SearchBatch must be
 // bit-identical to sequential searches of the core-assembled reference
 // (internal/reference) across aggregation × score mode × parallelism ×
-// shard count × partitioner × LSH, truncation must cut the batch to
-// correctly ranked prefixes, and the cross-query σ cache must never change
-// a ranking — before or after mutation-epoch invalidation.
+// shard count × partitioner × LSH, and truncation must cut the batch to
+// correctly ranked prefixes.
 
 import (
 	"context"
@@ -20,8 +19,8 @@ import (
 
 // assertBatchEquals compares one SearchBatch answer against per-query
 // sequential searches of the reference: same IDs, same scores (bit for
-// bit), same order.
-func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *System, queries []Query, k int) {
+// bit), same order. It returns the batch's per-query stats.
+func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *System, queries []Query, k int) []SearchStats {
 	t.Helper()
 	got, gotStats := s.SearchBatch(queries, k)
 	for qi, q := range queries {
@@ -42,6 +41,7 @@ func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *
 			}
 		}
 	}
+	return gotStats
 }
 
 // TestBatchMatchesSequential sweeps the deployment axis and the scoring
@@ -49,9 +49,13 @@ func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *
 // must reproduce the reference's sequential rankings under every shard
 // count, partitioner, aggregation, score mode, and parallelism, at top-10
 // and unbounded k, unindexed and then LSEI-prefiltered (per-query candidate
-// sets, full-scan rescatter on empty ones) at every vote threshold.
+// sets, full-scan rescatter on empty ones) at every vote threshold. A batch
+// that repeats a query pins what the batch σ scope shares: with one shard
+// and one worker (so the counters are one scorer's), the repeat computes no
+// σ at all — every lookup the first occurrence issued is a hit.
 func TestBatchMatchesSequential(t *testing.T) {
 	_, _, queries := batteryEnv(t)
+	repeated := []Query{queries[0], queries[1], queries[0]}
 	for _, ax := range shardAxes() {
 		ref, sys := buildPair(t, ax.part())
 		for _, cfg := range []struct {
@@ -71,6 +75,14 @@ func TestBatchMatchesSequential(t *testing.T) {
 			sys.SetParallelism(cfg.par)
 			assertBatchEquals(t, ax.name+"/"+cfg.name, ref, sys, queries, 10)
 			assertBatchEquals(t, ax.name+"/"+cfg.name+"/all", ref, sys, queries[:2], -1)
+			st := assertBatchEquals(t, ax.name+"/"+cfg.name+"/repeat", ref, sys, repeated, 10)
+			if sys.NumShards() == 1 && cfg.par == 1 {
+				first, again := st[0], st[2]
+				if lookups := first.SigmaHits + first.SigmaMisses; lookups == 0 || again.SigmaMisses != 0 || again.SigmaHits != lookups {
+					t.Fatalf("%s/%s: repeated query saw σ hits/misses %d/%d, want %d/0 (first occurrence %d/%d)",
+						ax.name, cfg.name, again.SigmaHits, again.SigmaMisses, lookups, first.SigmaHits, first.SigmaMisses)
+				}
+			}
 		}
 		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, DefaultIndexConfig())
 		sys.BuildIndex(DefaultIndexConfig())
@@ -170,7 +182,6 @@ func TestBatchMutationDuringBatch(t *testing.T) {
 		sys.AddTable(tb)
 	}
 	sys.UseTypeSimilarity()
-	sys.EnableCrossCache(8 << 20)
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -222,121 +233,5 @@ func TestBatchMutationDuringBatch(t *testing.T) {
 				t.Fatalf("q%d rank %d: post-mutation %+v, rebuild %+v", qi, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestCrossCacheExactness runs the full query set twice with the cross
-// cache on and compares every ranking against the cache-less reference:
-// hit or miss, σ values are deterministic, so rankings must be
-// bit-identical — and the second pass must actually hit.
-func TestCrossCacheExactness(t *testing.T) {
-	_, _, queries := batteryEnv(t)
-	plain, cached := buildPair(t, NewHashPartitioner(1))
-	cached.EnableCrossCache(16 << 20)
-	for pass := 0; pass < 2; pass++ {
-		for qi, q := range queries {
-			want, _ := plain.Search(q, -1)
-			got, _ := cached.SearchStats(q, -1)
-			if len(got) != len(want) {
-				t.Fatalf("pass %d q%d: cached returned %d results, plain %d", pass, qi, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("pass %d q%d rank %d: cached (%d, %.17g/%#x), plain (%d, %.17g/%#x)",
-						pass, qi, i,
-						got[i].Table, got[i].Score, math.Float64bits(got[i].Score),
-						want[i].Table, want[i].Score, math.Float64bits(want[i].Score))
-				}
-			}
-		}
-	}
-	st, ok := cached.CrossCacheStats()
-	if !ok {
-		t.Fatal("CrossCacheStats reports the cache as disabled")
-	}
-	if st.Hits == 0 {
-		t.Fatalf("two passes over %d queries produced no cross-cache hits: %+v", len(queries), st)
-	}
-	cached.DisableCrossCache()
-	if _, ok := cached.CrossCacheStats(); ok {
-		t.Fatal("CrossCacheStats still reports enabled after DisableCrossCache")
-	}
-}
-
-// TestCrossCacheInvalidationOnEpochBump pins the lifecycle: populate the
-// cache, mutate the corpus (epoch bump), mutate again, and require every
-// post-mutation ranking to match a from-scratch rebuild over the surviving
-// corpus — cached σ from the old epoch must never leak into an answer.
-func TestCrossCacheInvalidationOnEpochBump(t *testing.T) {
-	kgEnv, tables, queries := batteryEnv(t)
-	sys := New(kgEnv.Graph)
-	for _, tb := range tables {
-		sys.AddTable(tb)
-	}
-	sys.UseTypeSimilarity()
-	sys.EnableCrossCache(16 << 20)
-	before, _ := sys.CrossCacheStats()
-
-	// Populate, then mutate: drop the first two tables, re-add one.
-	sys.SearchBatch(queries, 10)
-	if err := sys.RemoveTable(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RemoveTable(1); err != nil {
-		t.Fatal(err)
-	}
-	readded := sys.AddTable(tables[1])
-	after, _ := sys.CrossCacheStats()
-	if after.Epoch <= before.Epoch {
-		t.Fatalf("mutations did not advance the cache epoch: %d -> %d", before.Epoch, after.Epoch)
-	}
-
-	// From-scratch reference over the survivors, in the live-ID order the
-	// mutated system reports (tables 2..n-1, then the re-added table 1).
-	ref := typeReference(t, append(append([]*Table(nil), tables[2:]...), tables[1]))
-	liveIDs := make([]TableID, 0, len(tables)-1)
-	for i := 2; i < len(tables); i++ {
-		liveIDs = append(liveIDs, TableID(i))
-	}
-	liveIDs = append(liveIDs, readded)
-
-	for pass := 0; pass < 2; pass++ { // second pass answers from the repopulated cache
-		for qi, q := range queries {
-			want, _ := ref.Search(q, 10)
-			got, _ := sys.SearchStats(q, 10)
-			if len(got) != len(want) {
-				t.Fatalf("pass %d q%d: mutated returned %d results, rebuild %d", pass, qi, len(got), len(want))
-			}
-			for i := range want {
-				wantID := liveIDs[int(want[i].Table)]
-				if got[i].Table != wantID || got[i].Score != want[i].Score {
-					t.Fatalf("pass %d q%d rank %d: mutated (%d, %.17g), rebuild (%d→%d, %.17g)",
-						pass, qi, i, got[i].Table, got[i].Score, want[i].Table, wantID, want[i].Score)
-				}
-			}
-		}
-	}
-}
-
-// TestCrossCacheSharded checks the deployment-wide cache: one CrossCache
-// shared by every shard engine must leave sharded rankings identical to
-// the reference and collect hits across shards.
-func TestCrossCacheSharded(t *testing.T) {
-	_, _, queries := batteryEnv(t)
-	sys, ss := buildPair(t, NewHashPartitioner(2))
-	ss.EnableCrossCache(16 << 20)
-	for pass := 0; pass < 2; pass++ {
-		assertIdenticalRankings(t, "cross-sharded", sys, ss, queries, 10)
-	}
-	st, ok := ss.CrossCacheStats()
-	if !ok {
-		t.Fatal("sharded CrossCacheStats reports disabled")
-	}
-	if st.Hits == 0 {
-		t.Fatalf("no cross-cache hits across shards: %+v", st)
-	}
-	ss.DisableCrossCache()
-	if _, ok := ss.CrossCacheStats(); ok {
-		t.Fatal("sharded CrossCacheStats still enabled after disable")
 	}
 }

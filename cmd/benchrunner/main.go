@@ -9,10 +9,8 @@
 //	benchrunner -exp fig4            # run one experiment
 //	benchrunner -tables 20000 -queries 50   # approach the paper's scale
 //	benchrunner -list                # list experiment IDs
-//	benchrunner -exp table3 -sigmacache=false   # paired σ-cache runs
 //	benchrunner -exp shards -shards 8    # scatter-gather sweep up to 8 shards
 //	benchrunner -exp ann -json BENCH_ann.json   # ANN recall/NDCG differential
-//	benchrunner -exp throughput -concurrency 8 -duration 2s -json BENCH_throughput.json
 package main
 
 import (
@@ -23,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"thetis/internal/core"
 	"thetis/internal/experiments"
 )
 
@@ -37,21 +34,11 @@ func main() {
 	small := flag.Bool("small", false, "use the fast test-scale environment")
 	bench := flag.String("bench", "", "load a datagen benchmark directory instead of generating")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	sigmacache := flag.Bool("sigmacache", true,
-		"enable the query-scoped similarity cache (pass -sigmacache=false for paired runs, see docs/PERFORMANCE.md)")
 	shards := flag.Int("shards", 0,
 		"largest shard count the scatter-gather experiment sweeps (0 = default, see docs/SHARDING.md)")
 	jsonOut := flag.String("json", "",
 		"write the experiment's machine-readable record to this file (single -exp only)")
-	qps := flag.Float64("qps", 0,
-		"throughput experiment: cap the aggregate request rate (0 = unpaced closed loop, see docs/THROUGHPUT.md)")
-	concurrency := flag.Int("concurrency", 0,
-		"throughput experiment: closed-loop worker count (0 = default 8)")
-	duration := flag.Duration("duration", 0,
-		"throughput experiment: measuring window per cell (0 = default 2s)")
 	flag.Parse()
-
-	core.SetSigmaCacheEnabled(*sigmacache)
 
 	if *list {
 		fmt.Println(strings.Join(experiments.ExperimentIDs(), "\n"))
@@ -70,13 +57,6 @@ func main() {
 	}
 	if *shards > 0 {
 		cfg.Shards = *shards
-	}
-	cfg.QPS = *qps
-	if *concurrency > 0 {
-		cfg.Concurrency = *concurrency
-	}
-	if *duration > 0 {
-		cfg.LoadWindow = *duration
 	}
 
 	start := time.Now()

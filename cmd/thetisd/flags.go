@@ -26,7 +26,6 @@ type flagConfig struct {
 	DeltaLog  string
 	AnnTopK   int
 	AnnEf     int
-	CrossMB   int
 }
 
 // validateFlags returns the first rule the configuration violates, nil if
@@ -53,12 +52,6 @@ func validateFlags(c flagConfig) error {
 	if c.AnnTopK > 0 && c.AnnEf < 1 {
 		return fmt.Errorf("-ann-ef must be >= 1 (got %d)", c.AnnEf)
 	}
-	if c.CrossMB < 0 {
-		return fmt.Errorf("-cross-cache-mb must be >= 0 (got %d)", c.CrossMB)
-	}
-	if c.CrossMB > 0 && c.AnnTopK > 0 {
-		return fmt.Errorf("-cross-cache-mb is incompatible with -ann-topk (top-k searches use per-query sigma functions the cross cache is excluded from, so the cache would never be consulted)")
-	}
 	if c.ShardURLs != "" {
 		// Coordinator mode scatters to remote daemons; everything that
 		// assumes a local index or local mutations is off the table.
@@ -76,9 +69,6 @@ func validateFlags(c flagConfig) error {
 		}
 		if c.AnnTopK > 0 {
 			return fmt.Errorf("-shard-urls is incompatible with -ann-topk (approximate sigma is a shard-daemon setting)")
-		}
-		if c.CrossMB > 0 {
-			return fmt.Errorf("-shard-urls is incompatible with -cross-cache-mb (the coordinator scores nothing locally; enable the cache on the shard daemons)")
 		}
 		if _, err := parseShardURLs(c.ShardURLs); err != nil {
 			return err

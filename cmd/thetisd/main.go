@@ -3,7 +3,7 @@
 //
 //	thetisd -kg bench/kg.nt -corpus bench/corpus.jsonl -addr :8080 \
 //	        [-sim types|embeddings] [-embfile embeddings.bin] \
-//	        [-ann-topk K] [-ann-ef N] [-cross-cache-mb MB] \
+//	        [-ann-topk K] [-ann-ef N] \
 //	        [-shards 1] [-shard-by hash|size] \
 //	        [-shard-urls http://a:8081|http://a2:8081,http://b:8082] [-probe-every 3s] \
 //	        [-lsh] [-votes 3] [-vectors 30] [-band 10] [-indexfile index.bin] \
@@ -36,13 +36,9 @@
 // index epoch; searches fall back to exact σ while the graph rebuilds in
 // the background (thetis_ann_* metrics, GET /debug/ann).
 //
-// Throughput mode (docs/THROUGHPUT.md): POST /search/batch answers N
-// queries in one pass with a batch-shared σ cache, bit-identical to N
-// sequential /search calls. -cross-cache-mb additionally persists σ pairs
-// across requests in a bounded cross-query cache that corpus mutations
-// lazily invalidate (thetis_cross_cache_* metrics); it is incompatible
-// with -ann-topk (top-k σ is excluded from cross-query sharing) and with
-// -shard-urls (a coordinator scores nothing locally).
+// Batch search (docs/THROUGHPUT.md): POST /search/batch answers N queries
+// in one pass with a batch-shared σ cache, bit-identical to N sequential
+// /search calls.
 //
 // Request lifecycle: every search-type request runs under -timeout (an
 // expiring search returns its partial ranking marked "truncated"), at most
@@ -100,7 +96,6 @@ func main() {
 	embFile := flag.String("embfile", "", "embeddings file (for -sim embeddings)")
 	annTopK := flag.Int("ann-topk", 0, "approximate top-k sigma: each query entity keeps its K nearest store entities via HNSW, 0 = exact (requires -sim embeddings)")
 	annEf := flag.Int("ann-ef", 64, "HNSW search beam width for -ann-topk (higher = better recall, slower)")
-	crossMB := flag.Int("cross-cache-mb", 0, "cross-query sigma cache budget in MiB, invalidated on corpus mutation (0 disables; see docs/THROUGHPUT.md)")
 	shards := flag.Int("shards", 1, "in-process shard count for scatter-gather serving")
 	shardBy := flag.String("shard-by", "hash", "partitioning strategy for -shards > 1: hash | size")
 	shardURLs := flag.String("shard-urls", "", "serve as a scatter-gather coordinator over remote shard daemons: shards comma-separated, replicas of one shard |-separated (requires -shard-by hash)")
@@ -138,7 +133,6 @@ func main() {
 		DeltaLog:  *deltaLog,
 		AnnTopK:   *annTopK,
 		AnnEf:     *annEf,
-		CrossMB:   *crossMB,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "thetisd: invalid flags: %v\n", err)
 		flag.Usage()
@@ -196,12 +190,6 @@ func main() {
 		}
 	default:
 		log.Fatalf("unknown similarity %q", *sim)
-	}
-	if *crossMB > 0 {
-		// After similarity selection: EnableCrossCache needs the engine, and
-		// attaches to whichever σ the daemon will serve with.
-		sys.EnableCrossCache(int64(*crossMB) << 20)
-		log.Printf("cross-query sigma cache enabled (%d MiB, stats in thetis_cross_cache_* metrics)", *crossMB)
 	}
 	log.Println("building keyword index…")
 	sys.BuildKeywordIndex()

@@ -42,11 +42,6 @@ func TestValidateFlagsAcceptsBaseline(t *testing.T) {
 	if err := validateFlags(coord); err != nil {
 		t.Fatalf("coordinator config rejected: %v", err)
 	}
-	crossed := validConfig()
-	crossed.CrossMB = 64
-	if err := validateFlags(crossed); err != nil {
-		t.Fatalf("cross-cache config rejected: %v", err)
-	}
 	for _, shardBy := range []string{"hash", "size"} {
 		logged := validConfig()
 		logged.Shards = 2
@@ -77,9 +72,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"shard-urls with delta log", func(c *flagConfig) { c.DeltaLog = "d.log"; c.ShardURLs = "http://a:1" }, "incompatible with -delta-log"},
 		{"shard-urls with indexfile", func(c *flagConfig) { c.IndexFile = "i.bin"; c.ShardURLs = "http://a:1" }, "incompatible with -indexfile"},
 		{"shard-urls with ann", func(c *flagConfig) { c.Sim = "embeddings"; c.AnnTopK = 8; c.ShardURLs = "http://a:1" }, "incompatible with -ann-topk"},
-		{"negative cross cache", func(c *flagConfig) { c.CrossMB = -1 }, "-cross-cache-mb must be >= 0"},
-		{"cross cache with ann", func(c *flagConfig) { c.Sim = "embeddings"; c.AnnTopK = 8; c.CrossMB = 64 }, "incompatible with -ann-topk"},
-		{"shard-urls with cross cache", func(c *flagConfig) { c.CrossMB = 64; c.ShardURLs = "http://a:1" }, "incompatible with -cross-cache-mb"},
 		{"shard-urls empty group", func(c *flagConfig) { c.ShardURLs = "http://a:1,," }, "no replicas"},
 		{"shard-urls bad scheme", func(c *flagConfig) { c.ShardURLs = "ftp://a:1" }, "http://"},
 	}

@@ -84,8 +84,8 @@ func TestGreedySuboptimalCase(t *testing.T) {
 func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 	l, g := fixtureLake(t)
 	q := queryOf(t, g, "santo", "stetter")
-	sc := newScorer(q, NewTypeJaccard(g), UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, nil, nil)
-	scGreedy := newScorer(q, NewTypeJaccard(g), UniformInformativeness, AggregateMax, ModeEntityWise, MappingGreedy, nil, nil)
+	sc := newScorer(q, NewTypeJaccard(g), UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, nil)
+	scGreedy := newScorer(q, NewTypeJaccard(g), UniformInformativeness, AggregateMax, ModeEntityWise, MappingGreedy, nil)
 	for _, tb := range l.Tables() {
 		if tb.NumRows() == 0 {
 			continue
@@ -132,7 +132,7 @@ func TestWarmScorerAllocatesNothing(t *testing.T) {
 			for _, tid := range []lake.TableID{wideID, narrowID} {
 				tb, ci := l.Table(tid), l.ColumnIndex(tid)
 				shared := NewSigmaCache(q, sim, g.NumEntities())
-				sc := newScorer(q, sim, UniformInformativeness, AggregateMax, mode, mapping, shared, nil)
+				sc := newScorer(q, sim, UniformInformativeness, AggregateMax, mode, mapping, shared)
 				want, _ := sc.scoreTable(tb, ci) // warm-up
 				if want <= 0 {
 					t.Fatalf("%v/%v/%q: score %v, want a match", mapping, mode, tb.Name, want)

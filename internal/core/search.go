@@ -28,22 +28,7 @@ var (
 	mSigmaMisses  = obs.SigmaCacheMissesTotal()
 	mSigmaBytes   = obs.SigmaCacheBytes()
 	mSigmaRatio   = obs.SigmaCacheHitRatio()
-	mCrossHits    = obs.CrossCacheHitsTotal()
-	mCrossMisses  = obs.CrossCacheMissesTotal()
-	mCrossBytes   = obs.CrossCacheBytes()
-	mCrossRatio   = obs.CrossCacheHitRatio()
 )
-
-// sigmaCacheRuntimeOff is the process-wide σ-cache kill switch, set by
-// SetSigmaCacheEnabled. It complements the per-engine DisableSigmaCache
-// field and the nosigmacache build tag.
-var sigmaCacheRuntimeOff atomic.Bool
-
-// SetSigmaCacheEnabled toggles the query-scoped σ cache for every engine
-// in the process (default enabled). Benchmark drivers flip it to pair
-// cached against uncached runs inside one binary; results are identical
-// either way, only the runtime changes (see docs/PERFORMANCE.md).
-func SetSigmaCacheEnabled(enabled bool) { sigmaCacheRuntimeOff.Store(!enabled) }
 
 func kgEntity(x uint32) kg.EntityID { return kg.EntityID(x) }
 
@@ -67,9 +52,8 @@ type Engine struct {
 	// DisableSigmaCache turns off the query-scoped σ cache for this
 	// engine, falling back to per-worker memoization. Scores are
 	// bit-identical either way (σ is deterministic; only the amount of
-	// recomputation changes) — the differential test battery and the
-	// benchcheck baseline rely on that. See also SetSigmaCacheEnabled and
-	// the nosigmacache build tag.
+	// recomputation changes) — the differential test battery relies on
+	// that.
 	DisableSigmaCache bool
 	// SigmaTopK > 0 turns on approximate top-k σ scoring (docs/ANN.md):
 	// each query entity resolves its k nearest store entities once per
@@ -81,26 +65,19 @@ type Engine struct {
 	// A nil source or a nil index falls back to exact σ for that search
 	// (counted on thetis_ann_fallbacks_total).
 	Ann AnnSource
-	// Cross is the optional cross-query σ cache (docs/THROUGHPUT.md),
-	// consulted on query-cache misses and persisting across searches under
-	// epoch invalidation. Nil (the default) is the exactness baseline the
-	// differential battery compares against; results are bit-identical
-	// either way. It is never consulted when a search scores with a
-	// per-query top-k σ (docs/ANN.md), whose values are query-relative.
-	Cross *CrossCache
 }
 
 // newSigmaCache returns the σ cache for one search over the given σ (the
 // engine's exact σ, or the search's top-k σ), or nil when caching is
-// disabled by the build tag, the process-wide switch, or the engine.
+// disabled on the engine.
 // When ctx carries a batch-scoped cache (WithBatchSigma) built for the
 // same σ, that shared cache is returned instead of a fresh query-scoped
 // one — the σ-sharing seam of the batch API. A top-k σ never matches the
 // batch cache's σ, so those searches keep their private query-scoped
-// cache, and all the disable switches are checked first, so the escape
-// hatches govern the batch scope too.
+// cache, and DisableSigmaCache is checked first, so the escape hatch
+// governs the batch scope too.
 func (eng *Engine) newSigmaCache(ctx context.Context, q Query, sim Similarity) *SigmaCache {
-	if !sigmaCacheBuildEnabled || eng.DisableSigmaCache || sigmaCacheRuntimeOff.Load() {
+	if eng.DisableSigmaCache {
 		return nil
 	}
 	if eng.Lake == nil || eng.Lake.Graph == nil {
@@ -110,17 +87,6 @@ func (eng *Engine) newSigmaCache(ctx context.Context, q Query, sim Similarity) *
 		return bs.cache
 	}
 	return NewSigmaCache(q, sim, eng.Lake.Graph.NumEntities())
-}
-
-// crossFor returns the engine's cross-query cache when it may serve a
-// search scoring with sim: the cache memoizes the engine's exact σ, so a
-// per-query top-k σ (whose values are relative to one query's ANN
-// neighborhoods) must bypass it.
-func (eng *Engine) crossFor(sim Similarity) *CrossCache {
-	if eng.Cross == nil || sim != eng.Sim {
-		return nil
-	}
-	return eng.Cross
 }
 
 // NewEngine builds an engine with IDF informativeness and MAX aggregation,
@@ -168,12 +134,6 @@ type Stats struct {
 	// not report its memoization). Their sum is the total number of σ
 	// lookups the scoring stage issued through the cache.
 	SigmaHits, SigmaMisses int64
-	// CrossHits and CrossMisses count σ resolutions served from and filled
-	// into the cross-query CrossCache (docs/THROUGHPUT.md). Only lookups
-	// that missed the query/batch-scoped cache reach the cross cache, so
-	// CrossHits+CrossMisses ≤ SigmaMisses when both caches run. Zero when
-	// no cross cache is attached.
-	CrossHits, CrossMisses int64
 	// ShardErrors explains, in human-readable form, why shard legs of a
 	// scatter-gather search contributed nothing: a contained panic, a
 	// remote shard whose every replica/retry failed, and so on. Empty on
@@ -249,11 +209,10 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	}
 
 	type partial struct {
-		results                []Result
-		mapping                time.Duration
-		panicked               int
-		hits, misses           int64
-		crossHits, crossMisses int64
+		results      []Result
+		mapping      time.Duration
+		panicked     int
+		hits, misses int64
 	}
 	// sim is the σ this search scores with: the engine's exact σ, or —
 	// with SigmaTopK on — a per-search top-k neighborhood σ resolved once
@@ -266,10 +225,6 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	// carries one (docs/THROUGHPUT.md). Nil when disabled; scorers then
 	// fall back to per-worker memoization.
 	sigma := eng.newSigmaCache(ctx, q, sim)
-	// cross is the optional cross-query σ cache, consulted by scorers only
-	// on sigma-cache misses. Nil unless attached to the engine and the
-	// search scores with the engine's exact σ.
-	cross := eng.crossFor(sim)
 	// scoreOne contains a panic to the table that caused it: scoring worker
 	// goroutines are outside any net/http recovery, so an uncontained panic
 	// here would kill the whole process.
@@ -310,12 +265,10 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 			defer wg.Done()
 			// Each worker gets its own scorer (scratch rows, local σ
 			// fallback); the SigmaCache is the part they share.
-			sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma, cross)
+			sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
 			defer func() {
 				parts[w].hits += sc.hits
 				parts[w].misses += sc.misses
-				parts[w].crossHits += sc.crossHits
-				parts[w].crossMisses += sc.crossMisses
 			}()
 			for _, tid := range candidates[lo:hi] {
 				if stop.expired() {
@@ -331,9 +284,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 					// cache stays valid.)
 					parts[w].hits += sc.hits
 					parts[w].misses += sc.misses
-					parts[w].crossHits += sc.crossHits
-					parts[w].crossMisses += sc.crossMisses
-					sc = newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma, cross)
+					sc = newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
 					continue
 				}
 				if score > 0 {
@@ -352,8 +303,6 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		stats.Panicked += p.panicked
 		stats.SigmaHits += p.hits
 		stats.SigmaMisses += p.misses
-		stats.CrossHits += p.crossHits
-		stats.CrossMisses += p.crossMisses
 	}
 	if sigma != nil {
 		sigma.addCounts(stats.SigmaHits, stats.SigmaMisses)
@@ -363,16 +312,6 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		if total := stats.SigmaHits + stats.SigmaMisses; total > 0 {
 			mSigmaRatio.Set(float64(stats.SigmaHits) / float64(total))
 		}
-	}
-	if cross != nil {
-		cross.addCounts(stats.CrossHits, stats.CrossMisses)
-		mCrossHits.Add(stats.CrossHits)
-		mCrossMisses.Add(stats.CrossMisses)
-		mCrossBytes.Set(float64(cross.MemoryBytes()))
-		if total := stats.CrossHits + stats.CrossMisses; total > 0 {
-			mCrossRatio.Set(float64(stats.CrossHits) / float64(total))
-		}
-		tr.Add(obs.Stage{Name: "crosscache", Items: int(stats.CrossHits)})
 	}
 	stats.Truncated = truncated.Load()
 	if stats.Truncated {
@@ -407,7 +346,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration) {
 	sim := eng.searchSim(q, nil)
 	sigma := eng.newSigmaCache(context.Background(), q, sim)
-	sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma, eng.crossFor(sim))
+	sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
 	return sc.scoreTable(eng.Lake.Table(tid), eng.Lake.ColumnIndex(tid))
 }
 

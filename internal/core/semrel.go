@@ -82,7 +82,7 @@ func (m MappingMethod) String() string {
 
 // sigmaCache memoizes σ(e, ·) for a fixed distinct query entity — the
 // per-worker fallback used when the shared query-scoped SigmaCache is
-// disabled (Engine.DisableSigmaCache or the nosigmacache build tag).
+// disabled (Engine.DisableSigmaCache).
 type sigmaCache map[uint32]float64
 
 // scorer evaluates SemRel for one query against tables, carrying the
@@ -115,12 +115,6 @@ type scorer struct {
 	// per search, not once per lookup).
 	hits, misses int64
 
-	// cross is the optional cross-query σ cache, consulted only on a
-	// shared/local miss (so its per-lookup cost rides on σ computations,
-	// never on memoized hits); nil when disabled.
-	cross                  *CrossCache
-	crossHits, crossMisses int64
-
 	// Per-table scratch, reset by scoreTable: rowScore[di][j] is the sum
 	// of σ(distinct[di], e) over column j's cells — the σ submatrix row of
 	// the column mapping, computed once per distinct entity per table and
@@ -142,7 +136,7 @@ type scorer struct {
 	mapped     []bool
 }
 
-func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode, mapping MappingMethod, shared *SigmaCache, cross *CrossCache) *scorer {
+func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode, mapping MappingMethod, shared *SigmaCache) *scorer {
 	s := &scorer{
 		sim:     sim,
 		inf:     inf,
@@ -153,7 +147,6 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 		weights: make([][]float64, len(q)),
 		slots:   make([][]int, len(q)),
 		shared:  shared,
-		cross:   cross,
 
 		assignment: make([][]int, len(q)),
 		mapped:     make([]bool, len(q)),
@@ -212,7 +205,7 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 			s.hits++
 			return v
 		}
-		v := s.resolveSigma(di, target)
+		v := s.sim.Score(s.distinct[di], kgEntity(target))
 		s.shared.store(s.cacheSlot[di], target, v)
 		s.misses++
 		return v
@@ -221,26 +214,8 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 	if v, ok := c[target]; ok {
 		return v
 	}
-	v := s.resolveSigma(di, target)
-	c[target] = v
-	return v
-}
-
-// resolveSigma produces σ(distinct[di], target) on a query-cache miss:
-// from the cross-query cache when one is attached (filling it on a cross
-// miss), else by direct evaluation. Either way the value is the same
-// deterministic σ, so attaching a cross cache never changes results.
-func (s *scorer) resolveSigma(di int, target uint32) float64 {
-	if s.cross == nil {
-		return s.sim.Score(s.distinct[di], kgEntity(target))
-	}
-	if v, ok := s.cross.Get(s.distinct[di], target); ok {
-		s.crossHits++
-		return v
-	}
 	v := s.sim.Score(s.distinct[di], kgEntity(target))
-	s.cross.Put(s.distinct[di], target, v)
-	s.crossMisses++
+	c[target] = v
 	return v
 }
 

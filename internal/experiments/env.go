@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"thetis/internal/bm25"
 	"thetis/internal/core"
@@ -37,13 +36,6 @@ type Config struct {
 	// Shards is the largest shard count the scatter-gather experiment
 	// sweeps (powers of two from 1; see RunShards).
 	Shards int
-	// Concurrency, QPS, and LoadWindow shape the throughput experiment's
-	// closed-loop load (benchrunner -concurrency/-qps/-duration): workers,
-	// optional aggregate rate cap (0 = unpaced), and per-cell measuring
-	// window (0 = 2s default).
-	Concurrency int
-	QPS         float64
-	LoadWindow  time.Duration
 }
 
 // DefaultConfig returns the standard experiment environment: a 4,000-table

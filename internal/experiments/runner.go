@@ -37,7 +37,6 @@ var registry = map[string]func(*Env) Renderer{
 	"httpshard":  func(e *Env) Renderer { return RunHTTPShard(e) },
 	"live":       func(e *Env) Renderer { return RunLive(e) },
 	"ann":        func(e *Env) Renderer { return RunANN(e) },
-	"throughput": func(e *Env) Renderer { return RunThroughput(e) },
 }
 
 // ExperimentIDs returns the sorted list of runnable experiment IDs.
@@ -81,7 +80,7 @@ func RunAll(env *Env, w io.Writer) {
 		"table2", "fig4", "fig5", "table3", "fig6",
 		"agg", "overlap", "scoring", "bm25filter",
 		"scoremode", "mapping", "queryagg", "inf", "walks",
-		"scaling", "shards", "httpshard", "ann", "throughput", "live", "wt2019", "gittables", "noisylink",
+		"scaling", "shards", "httpshard", "ann", "live", "wt2019", "gittables", "noisylink",
 	}
 	for _, id := range order {
 		registry[id](env).Render(w)

@@ -56,8 +56,8 @@ func shardSweep(max int) []int {
 
 // pairedSweep times the direct and sharded paths back to back, per query,
 // over reps full passes, keeping each query's fastest time per side.
-// Interleaving the two paths on every query pairs their machine state
-// (same idea as scripts/benchcheck.sh), and per-query minima discard
+// Interleaving the two paths on every query pairs their machine state,
+// and per-query minima discard
 // one-off stalls (GC pauses, scheduler preemption) that would otherwise
 // land on one side of a few-percent overhead comparison. The returned
 // rankings come from the first pass — searches are deterministic, so any

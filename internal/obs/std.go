@@ -68,42 +68,6 @@ func SigmaCacheHitRatio() *Gauge {
 		"Sigma-cache hit ratio of the most recent search.", nil)
 }
 
-// CrossCacheHitsTotal counts σ resolutions served from the cross-query
-// cache (docs/THROUGHPUT.md). Only lookups that missed the query/batch
-// scoped sigma cache consult it.
-func CrossCacheHitsTotal() *Counter {
-	return Default.Counter("thetis_cross_cache_hits_total",
-		"Entity-similarity resolutions served from the cross-query cache.", nil)
-}
-
-// CrossCacheMissesTotal counts σ resolutions computed and filled into the
-// cross-query cache.
-func CrossCacheMissesTotal() *Counter {
-	return Default.Counter("thetis_cross_cache_misses_total",
-		"Entity-similarity resolutions computed and memoized by the cross-query cache.", nil)
-}
-
-// CrossCacheEvictionsTotal counts cross-query cache entries displaced by
-// the clock sweep once a shard reaches its capacity share.
-func CrossCacheEvictionsTotal() *Counter {
-	return Default.Counter("thetis_cross_cache_evictions_total",
-		"Cross-query cache entries evicted by the clock sweep.", nil)
-}
-
-// CrossCacheBytes gauges the resident entry footprint of the cross-query
-// cache (entries × fixed per-entry cost; bounded by -cross-cache-mb).
-func CrossCacheBytes() *Gauge {
-	return Default.Gauge("thetis_cross_cache_bytes",
-		"Resident memory of the cross-query sigma cache.", nil)
-}
-
-// CrossCacheHitRatio gauges the cross-cache hit ratio of the most recent
-// search that consulted it.
-func CrossCacheHitRatio() *Gauge {
-	return Default.Gauge("thetis_cross_cache_hit_ratio",
-		"Cross-query cache hit ratio of the most recent search.", nil)
-}
-
 // SearchBatchTotal counts batch search calls (POST /search/batch and the
 // in-process SearchBatch APIs).
 func SearchBatchTotal() *Counter {

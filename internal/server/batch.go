@@ -3,7 +3,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -44,9 +43,9 @@ type BatchSearchResponse struct {
 // whole batch with an error naming the offending query index, so partial
 // batches are never silently executed (error composition,
 // docs/THROUGHPUT.md).
-func parseBatchRequest(r *http.Request) (BatchSearchRequest, error) {
+func parseBatchRequest(w http.ResponseWriter, r *http.Request) (BatchSearchRequest, error) {
 	var req BatchSearchRequest
-	dec := json.NewDecoder(r.Body)
+	dec := searchBodyDecoder(w, r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
@@ -62,12 +61,7 @@ func parseBatchRequest(r *http.Request) (BatchSearchRequest, error) {
 			return req, fmt.Errorf("query %d must not be empty", i)
 		}
 	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > 1000 {
-		req.K = 1000
-	}
+	req.K = clampK(req.K)
 	return req, nil
 }
 
@@ -77,9 +71,9 @@ func parseBatchRequest(r *http.Request) (BatchSearchRequest, error) {
 // (deadline, cancellation) instead succeeds with per-query Truncated
 // prefixes, mirroring POST /search.
 func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
-	req, err := parseBatchRequest(r)
+	req, err := parseBatchRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeParseError(w, err)
 		return
 	}
 	queries := make([]thetis.Query, len(req.Queries))

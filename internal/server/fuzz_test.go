@@ -30,6 +30,8 @@ func FuzzSearchRequestDecode(f *testing.F) {
 	f.Add(``)
 	f.Add(`[]`)
 	f.Add(`{"query": "a|b|c|d|e|f\ng|h", "k": 1}` + strings.Repeat(" ", 64))
+	// exactly at the body cap
+	f.Add(paddedBody(`{"query": "Ron Santo`, `"}`, maxSearchBody))
 
 	srv := New(demoSystem(f))
 	f.Fuzz(func(t *testing.T, body string) {
@@ -70,6 +72,8 @@ func FuzzSearchBatchDecode(f *testing.F) {
 	f.Add(`{"queries": ["Ron Santo"], "k": 99999999}`)
 	f.Add(`{"queries": ["Ron Santo"], "bogus": true}`)
 	f.Add(`{"query": "Ron Santo"}`) // single-search shape on the batch endpoint
+	// exactly at the body cap
+	f.Add(paddedBody(`{"queries": ["Ron Santo`, `"]}`, maxSearchBody))
 	f.Add("{\"queries\": [\"\u0000\ufffd\"]}")
 	f.Add(`not json at all`)
 	f.Add(``)

@@ -28,6 +28,8 @@
 // Queries use the textual format of System.ParseQuery: entities separated
 // by "|", tuples by newlines (or ";"). Every endpoint is instrumented with
 // request/error counters and a latency histogram (docs/OBSERVABILITY.md).
+// The four POST search endpoints read at most 1 MiB of body (a larger one
+// answers 413) and cap k at 1000.
 //
 // The search-type endpoints (/search, /keyword, /hybrid, /debug/trace) run
 // behind a request-lifecycle guard: an optional bounded-concurrency
@@ -460,10 +462,42 @@ func (s *Server) handleRemoveTable(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxSearchBody bounds the body of POST /search, /search/batch, /hybrid
+// and /keyword, so an oversized body is refused while it streams in rather
+// than buffered whole ahead of the -timeout and -max-inflight guards. 1 MiB
+// leaves 4 KiB a query at the maxBatchQueries limit.
+const maxSearchBody = 1 << 20
+
+// searchBodyDecoder returns a JSON decoder over at most maxSearchBody bytes
+// of the request body.
+func searchBodyDecoder(w http.ResponseWriter, r *http.Request) *json.Decoder {
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSearchBody))
+}
+
+// clampK applies the result-count rule of the POST search endpoints: 10
+// when unset, never more than 1000.
+func clampK(k int) int {
+	if k <= 0 {
+		return 10
+	}
+	return min(k, 1000)
+}
+
+// writeParseError answers a request whose body failed to parse: 413 when
+// it ran past maxSearchBody, 400 otherwise.
+func writeParseError(w http.ResponseWriter, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooLarge.Limit))
+		return
+	}
+	writeError(w, http.StatusBadRequest, err)
+}
+
 // parseRequest decodes and validates a search request body.
-func parseRequest(r *http.Request) (SearchRequest, error) {
+func parseRequest(w http.ResponseWriter, r *http.Request) (SearchRequest, error) {
 	var req SearchRequest
-	dec := json.NewDecoder(r.Body)
+	dec := searchBodyDecoder(w, r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
@@ -471,12 +505,7 @@ func parseRequest(r *http.Request) (SearchRequest, error) {
 	if strings.TrimSpace(req.Query) == "" {
 		return req, errors.New("query must not be empty")
 	}
-	if req.K <= 0 {
-		req.K = 10
-	}
-	if req.K > 1000 {
-		req.K = 1000
-	}
+	req.K = clampK(req.K)
 	return req, nil
 }
 
@@ -492,9 +521,9 @@ func (s *Server) tableName(id thetis.TableID) string {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeParseError(w, err)
 		return
 	}
 	q, err := s.sys.ParseQuery(strings.ReplaceAll(req.Query, ";", "\n"))
@@ -524,13 +553,15 @@ func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 		Q string `json:"q"`
 		K int    `json:"k,omitempty"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || strings.TrimSpace(req.Q) == "" {
+	if err := searchBodyDecoder(w, r).Decode(&req); err != nil {
+		writeParseError(w, fmt.Errorf("body must be {\"q\": \"keywords\"}: %w", err))
+		return
+	}
+	if strings.TrimSpace(req.Q) == "" {
 		writeError(w, http.StatusBadRequest, errors.New("body must be {\"q\": \"keywords\"}"))
 		return
 	}
-	if req.K <= 0 {
-		req.K = 10
-	}
+	req.K = clampK(req.K)
 	ids := s.sys.KeywordSearch(req.Q, req.K)
 	resp := SearchResponse{Results: make([]SearchResult, len(ids))}
 	for i, id := range ids {
@@ -540,9 +571,9 @@ func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHybrid(w http.ResponseWriter, r *http.Request) {
-	req, err := parseRequest(r)
+	req, err := parseRequest(w, r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		writeParseError(w, err)
 		return
 	}
 	q, err := s.sys.ParseQuery(strings.ReplaceAll(req.Query, ";", "\n"))

@@ -145,6 +145,31 @@ func TestSearchEndpointErrors(t *testing.T) {
 	postJSON(t, ts.URL+"/search", `not json`, http.StatusBadRequest)                    // malformed
 }
 
+// paddedBody is head + spaces + tail, size bytes in all: a well-formed
+// request whose one string value is padded out to an exact body length.
+func paddedBody(head, tail string, size int) string {
+	return head + strings.Repeat(" ", size-len(head)-len(tail)) + tail
+}
+
+// TestSearchBodyCap posts each search endpoint a well-formed body exactly at
+// maxSearchBody (served) and one byte over (413, refused at the cap rather
+// than buffered and decoded).
+func TestSearchBodyCap(t *testing.T) {
+	ts := demoServer(t)
+	for _, tc := range []struct{ path, head, tail string }{
+		{"/search", `{"query": "Ron Santo`, `"}`},
+		{"/search/batch", `{"queries": ["Ron Santo`, `"]}`},
+		{"/hybrid", `{"query": "Ron Santo`, `"}`},
+		{"/keyword", `{"q": "ernie banks`, `"}`},
+	} {
+		postJSON(t, ts.URL+tc.path, paddedBody(tc.head, tc.tail, maxSearchBody), http.StatusOK)
+		out := postJSON(t, ts.URL+tc.path, paddedBody(tc.head, tc.tail, maxSearchBody+1), http.StatusRequestEntityTooLarge)
+		if msg, _ := out["error"].(string); !strings.Contains(msg, strconv.Itoa(maxSearchBody)) {
+			t.Errorf("POST %s over the cap: error %q does not name the limit", tc.path, msg)
+		}
+	}
+}
+
 func TestKeywordEndpoint(t *testing.T) {
 	ts := demoServer(t)
 	out := postJSON(t, ts.URL+"/keyword", `{"q": "ernie banks"}`, http.StatusOK)

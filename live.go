@@ -204,11 +204,6 @@ func (s *System) noteEpochLocked() {
 	epoch := s.epoch.Add(1)
 	mIndexEpoch.Set(float64(epoch))
 	mTombstones.Set(float64(len(s.owner) - s.live))
-	if s.cross != nil {
-		// Lazily invalidate the cross-query σ cache: entries tagged with
-		// older epochs miss from now on (docs/THROUGHPUT.md).
-		s.cross.SetEpoch(epoch)
-	}
 }
 
 // logAddLocked write-ahead-logs one addition when a delta log is attached.

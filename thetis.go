@@ -224,7 +224,7 @@ type System struct {
 	// aside and hot-swapped in.
 	maintMu sync.Mutex
 	// epoch counts mutations (one bump per AddTable/RemoveTable); memoized
-	// state — the ANN graph, the cross cache — is validated against it.
+	// state — the ANN graph — is validated against it.
 	epoch atomic.Uint64
 	// delta, when attached, write-ahead-logs every mutation so a restart
 	// can replay base corpus + deltas (AttachDeltaLog). deltaErr is its
@@ -239,11 +239,6 @@ type System struct {
 	ann            atomic.Pointer[annState]
 	annBuilding    atomic.Bool
 	annTopK, annEf int
-
-	// cross, when enabled, memoizes σ across queries under epoch
-	// invalidation, shared by every shard's engine (EnableCrossCache,
-	// docs/THROUGHPUT.md).
-	cross *core.CrossCache
 }
 
 // New creates an empty semantic data lake over the knowledge graph g, held
@@ -395,16 +390,9 @@ func (s *System) LoadEmbeddings(r io.Reader) error {
 // engine drops the shard's index (signatures depend on the similarity).
 func (s *System) installEngines(sim Similarity) {
 	inf := core.IDFInformativenessOver(s.lakes)
-	if s.cross != nil {
-		// The σ function may have changed, so the cache is flushed — its
-		// epoch alone cannot express "same epoch, different σ".
-		s.cross.Flush()
-		s.cross.SetEpoch(s.epoch.Load())
-	}
 	for _, sh := range s.shards {
 		eng := core.NewEngine(sh.Lake(), sim)
 		eng.Inf = inf
-		eng.Cross = s.cross
 		sh.SetEngine(eng)
 	}
 	s.typeFilter = nil
