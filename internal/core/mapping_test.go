@@ -91,10 +91,10 @@ func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 			continue
 		}
 		ci := table.BuildColumnIndex(tb)
-		sc.beginTable()
-		scGreedy.beginTable()
-		hTotal := sc.mapColumns(0, ci)
-		gTotal := scGreedy.mapColumns(0, ci)
+		sc.scoreColumns(ci)
+		scGreedy.scoreColumns(ci)
+		hTotal := sc.mapColumns(0)
+		gTotal := scGreedy.mapColumns(0)
 		if gTotal > hTotal+1e-9 {
 			t.Errorf("table %q: greedy total %v exceeds hungarian %v", tb.Name, gTotal, hTotal)
 		}

@@ -132,7 +132,11 @@ type Stats struct {
 	// filled into the query-scoped SigmaCache during this search. Both
 	// are zero when the cache is disabled (the per-worker fallback does
 	// not report its memoization). Their sum is the total number of σ
-	// lookups the scoring stage issued through the cache.
+	// lookups the scoring stage issued through the cache: per table, one
+	// per (distinct query entity, distinct entity of a column) — MAX
+	// aggregation and repeated tuples read the table's one σ pass, not the
+	// cache — plus, in ModePairwise, one per linked cell of each assigned
+	// column.
 	SigmaHits, SigmaMisses int64
 	// ShardErrors explains, in human-readable form, why shard legs of a
 	// scatter-gather search contributed nothing: a contained panic, a

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync/atomic"
 	"time"
 
 	"thetis/internal/hungarian"
@@ -115,12 +116,16 @@ type scorer struct {
 	// per search, not once per lookup).
 	hits, misses int64
 
-	// Per-table scratch, reset by scoreTable: rowScore[di][j] is the sum
-	// of σ(distinct[di], e) over column j's cells — the σ submatrix row of
-	// the column mapping, computed once per distinct entity per table and
-	// reused by every tuple that mentions the entity.
-	rowScore [][]float64
-	rowValid []bool
+	// Per-table scratch, filled by scoreColumns in one pass over the table's
+	// columns: for distinct query entity di and column j (of cols),
+	// sums[di*cols+j] is Σ σ(distinct[di], e) over column j's cells — one
+	// row of the score matrix S per distinct entity, shared by every tuple
+	// that mentions it — and maxes[di*cols+j] the largest σ among them.
+	// sigmas, colSum and colMax (one value per distinct entity) are the
+	// pass's working rows.
+	cols                   int
+	sums, maxes            []float64
+	sigmas, colSum, colMax []float64
 
 	// Column-mapping workspace, reused for every table this scorer sees so
 	// the steady-state scoring loop allocates nothing. It lives and dies
@@ -191,14 +196,17 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 			s.local[i] = make(sigmaCache)
 		}
 	}
-	s.rowScore = make([][]float64, len(s.distinct))
-	s.rowValid = make([]bool, len(s.distinct))
+	s.sigmas = make([]float64, len(s.distinct))
+	s.colSum = make([]float64, len(s.distinct))
+	s.colMax = make([]float64, len(s.distinct))
 	s.matrix = make([][]float64, widest)
 	return s
 }
 
 // sigma returns σ(distinct[di], target), memoized in the shared query- or
-// batch-scoped cache when one is attached, else in the worker-local map.
+// batch-scoped cache when one is attached, else in the worker-local map. It
+// is the one-cell read of every cache mode: ModePairwise's per-row reads,
+// and readSigmas wherever the dense array does not cover the cell.
 func (s *scorer) sigma(di int, target uint32) float64 {
 	if s.shared != nil {
 		if v, ok := s.shared.lookup(s.cacheSlot[di], target); ok {
@@ -219,6 +227,38 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 	return v
 }
 
+// readSigmas returns σ(distinct[di], target) for every distinct query
+// entity at once, in scorer scratch valid until the next call. A dense
+// shared cache keeps those cells adjacent (entity-major), so the read
+// indexes that row directly — the atomics, sigmaUnset and counting of
+// lookup/store without a call per cell. Everything else — the sharded
+// cache, no cache, an entity interned after the cache was sized — reads
+// cell by cell through sigma.
+func (s *scorer) readSigmas(target uint32) []float64 {
+	out := s.sigmas
+	if c := s.shared; c != nil && c.dense != nil && int(target) < c.n {
+		cells := c.row(target)
+		s.hits += int64(len(out))
+		for di := range out {
+			cell := &cells[s.cacheSlot[di]]
+			if bits := atomic.LoadUint64(cell); bits != sigmaUnset {
+				out[di] = math.Float64frombits(bits)
+				continue
+			}
+			v := s.sim.Score(s.distinct[di], kgEntity(target))
+			atomic.StoreUint64(cell, math.Float64bits(v))
+			s.hits--
+			s.misses++
+			out[di] = v
+		}
+		return out
+	}
+	for di := range out {
+		out[di] = s.sigma(di, target)
+	}
+	return out
+}
+
 // scoreTable computes SemRel(Q, T) per Algorithm 1 and returns the score
 // together with the time spent computing the query-to-column mapping μ
 // (the cost fraction studied in Section 7.3). ci is the table's column
@@ -226,9 +266,10 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 // entity has any positive similarity scores 0 and is thereby excluded from
 // results, satisfying Problem 2.2.
 //
-// All tuples are mapped first and scored second, so the clock is read once
-// per table rather than twice per tuple; a warm scorer allocates nothing
-// here.
+// The σ pass over the columns and the mapping of every tuple run first,
+// under one clock pair — building S is part of µ, as in the paper's 58–78 %
+// — and the tuples are scored second, from scratch alone; a warm scorer
+// allocates nothing here.
 func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, time.Duration) {
 	if t.NumRows() == 0 || t.NumColumns() == 0 {
 		return 0, 0
@@ -236,12 +277,12 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 	if ci == nil {
 		ci = table.BuildColumnIndex(t)
 	}
-	s.beginTable()
 	start := time.Now()
+	s.scoreColumns(ci)
 	matched := false
 	for ti := range s.q {
 		// A tuple without a relevant mapping contributes 0.
-		s.mapped[ti] = s.mapColumns(ti, ci) > 0
+		s.mapped[ti] = s.mapColumns(ti) > 0
 		matched = matched || s.mapped[ti]
 	}
 	mappingTime := time.Since(start)
@@ -256,55 +297,57 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 		if s.mode == ModePairwise {
 			total += s.tupleScorePairwise(ti, t, s.assignment[ti])
 		} else {
-			total += s.tupleScore(ti, t, ci, s.assignment[ti])
+			total += s.tupleScore(ti, t.NumRows(), s.assignment[ti])
 		}
 	}
 	return total / float64(len(s.q)), mappingTime
 }
 
-// beginTable invalidates the per-table memoized column-score rows. Called
-// by scoreTable before each table; callers driving mapColumns directly
-// (tests) must call it when switching tables.
-func (s *scorer) beginTable() {
-	for di := range s.rowValid {
-		s.rowValid[di] = false
+// scoreColumns is the table's one σ pass: it visits each distinct entity of
+// each column once, reads its σ against every distinct query entity, and
+// leaves in sums the score matrix rows (Section 5.1: per-column sums of σ
+// over every cell, as distinct entities × multiplicities) and in maxes the
+// per-column maxima MAX aggregation needs, so mapColumns and tupleScore
+// read scratch only. Per (query entity, column) the sum adds the column's
+// entities in ColumnIndex order.
+func (s *scorer) scoreColumns(ci *table.ColumnIndex) {
+	d, cols := len(s.distinct), len(ci.Cols)
+	s.cols = cols
+	if cap(s.sums) < d*cols {
+		s.sums, s.maxes = make([]float64, d*cols), make([]float64, d*cols)
 	}
-}
-
-// columnScores returns, for distinct query entity di, the per-column sums
-// of σ against every cell — one row of the score matrix S (Section 5.1).
-// Rows are computed lazily per table via the column index (distinct
-// entities × multiplicities instead of raw cells) and reused by every
-// tuple of the query that mentions the entity, so wide queries with
-// repeated entities pay for each σ row once.
-func (s *scorer) columnScores(di int, ci *table.ColumnIndex) []float64 {
-	if s.rowValid[di] {
-		return s.rowScore[di]
-	}
-	row := s.rowScore[di][:0]
+	s.sums, s.maxes = s.sums[:d*cols], s.maxes[:d*cols]
+	colSum, colMax := s.colSum, s.colMax
 	for j := range ci.Cols {
 		cs := &ci.Cols[j]
-		sum := 0.0
+		clear(colSum)
+		clear(colMax)
 		for i, e := range cs.Entities {
-			sum += float64(cs.Counts[i]) * s.sigma(di, uint32(e))
+			count := float64(cs.Counts[i])
+			for di, v := range s.readSigmas(uint32(e)) {
+				colSum[di] += count * v
+				if v > colMax[di] {
+					colMax[di] = v
+				}
+			}
 		}
-		row = append(row, sum)
+		for di := range colSum {
+			s.sums[di*cols+j], s.maxes[di*cols+j] = colSum[di], colMax[di]
+		}
 	}
-	s.rowScore[di] = row
-	s.rowValid[di] = true
-	return row
 }
 
 // mapColumns assembles the score matrix S (Section 5.1) for query tuple ti
-// from the memoized per-entity column-score rows and solves the assignment
-// problem, leaving the per-entity column assignments (-1 = unassigned) in
-// s.assignment[ti] and returning the total assignment score. Tuple entities
-// that repeat share one row (aliased, read-only under both solvers).
-func (s *scorer) mapColumns(ti int, ci *table.ColumnIndex) float64 {
+// from the per-entity rows scoreColumns left for the current table and
+// solves the assignment problem, leaving the per-entity column assignments
+// (-1 = unassigned) in s.assignment[ti] and returning the total assignment
+// score. Tuple entities that repeat share one row (aliased, read-only under
+// both solvers).
+func (s *scorer) mapColumns(ti int) float64 {
 	slots := s.slots[ti]
 	S := s.matrix[:len(slots)]
 	for i, di := range slots {
-		S[i] = s.columnScores(di, ci)
+		S[i] = s.sums[di*s.cols:][:s.cols]
 	}
 	assignment := s.assignment[ti]
 	if s.mapping == MappingGreedy {
@@ -344,13 +387,13 @@ func (s *scorer) greedyMaximize(S [][]float64, out []int) {
 // tupleScore computes the weighted-Euclidean SemRel of query tuple ti
 // against the whole table under the given column assignment (Equations 2–3,
 // Algorithm 1 lines 7–14).
-func (s *scorer) tupleScore(ti int, t *table.Table, ci *table.ColumnIndex, assignment []int) float64 {
+func (s *scorer) tupleScore(ti, numRows int, assignment []int) float64 {
 	slots := s.slots[ti]
 	var distSq float64
 	for i := range slots {
 		x := 0.0
 		if j := assignment[i]; j >= 0 {
-			x = s.aggregateColumn(slots[i], ci, j, t.NumRows())
+			x = s.aggregateColumn(slots[i], j, numRows)
 		}
 		miss := 1 - x
 		distSq += s.weights[ti][i] * miss * miss
@@ -390,25 +433,12 @@ func (s *scorer) tupleScorePairwise(ti int, t *table.Table, assignment []int) fl
 }
 
 // aggregateColumn folds the per-row similarities of distinct query entity
-// di against column j into one score per the configured aggregation,
-// iterating the column's distinct entities with multiplicities instead of
-// its raw cells.
-func (s *scorer) aggregateColumn(di int, ci *table.ColumnIndex, j, numRows int) float64 {
-	switch s.agg {
-	case AggregateAvg:
-		// The per-row σ sum of the column is exactly this entity's score-
-		// matrix cell, already memoized by the mapping step.
-		return s.columnScores(di, ci)[j] / float64(numRows)
-	default: // AggregateMax
-		best := 0.0
-		for _, e := range ci.Cols[j].Entities {
-			if v := s.sigma(di, uint32(e)); v > best {
-				best = v
-				if best >= 1 {
-					return 1
-				}
-			}
-		}
-		return best
+// di against column j into one score per the configured aggregation, from
+// what scoreColumns accumulated: the per-row σ sum of the column is exactly
+// the entity's score-matrix cell, and the maximum is capped at 1.
+func (s *scorer) aggregateColumn(di, j, numRows int) float64 {
+	if s.agg == AggregateAvg {
+		return s.sums[di*s.cols+j] / float64(numRows)
 	}
+	return min(s.maxes[di*s.cols+j], 1)
 }

@@ -41,10 +41,13 @@ const (
 // immutable for the life of a search.
 //
 // Representation: each distinct query entity owns a slot; small corpora
-// get one dense float64-bits slab per slot, addressed by corpus entity ID
-// and updated with lock-free atomics (racing workers write the same bits,
-// so the last write is as good as the first). When the dense footprint
-// would exceed 64 MiB, slots share 64 mutex-guarded map shards instead.
+// get one dense entity-major array of float64 bits — cell (slot, e) lives
+// at e·slots + slot, so the σ of every query entity against one corpus
+// entity are adjacent, which is how the scorer reads them (one pass per
+// column entity, scorer.readSigmas) — updated with lock-free atomics
+// (racing workers write the same bits, so the last write is as good as the
+// first). When the dense footprint would exceed 64 MiB, slots share 64
+// mutex-guarded map shards instead.
 //
 // A SigmaCache is safe for concurrent use.
 type SigmaCache struct {
@@ -53,7 +56,7 @@ type SigmaCache struct {
 	slotOf   map[kg.EntityID]int // entity -> slot
 	n        int                 // corpus entity ID space
 
-	dense  [][]uint64 // per-slot slabs (dense mode), nil in sharded mode
+	dense  []uint64 // n × slots cells, entity-major (dense mode); nil in sharded mode
 	shards []sigmaShard
 
 	hits, misses atomic.Int64
@@ -81,13 +84,9 @@ func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
 		c.slotOf[e] = i
 	}
 	if int64(len(distinct))*int64(numEntities)*8 <= maxSigmaDenseBytes {
-		c.dense = make([][]uint64, len(distinct))
+		c.dense = make([]uint64, len(distinct)*numEntities)
 		for i := range c.dense {
-			slab := make([]uint64, numEntities)
-			for j := range slab {
-				slab[j] = sigmaUnset
-			}
-			c.dense[i] = slab
+			c.dense[i] = sigmaUnset
 		}
 	} else {
 		c.shards = make([]sigmaShard, sigmaShards)
@@ -126,7 +125,7 @@ func (c *SigmaCache) Slot(e kg.EntityID) (int, bool) {
 	return i, ok
 }
 
-// Dense reports whether the cache runs in dense (lock-free slab) mode, as
+// Dense reports whether the cache runs in dense (lock-free array) mode, as
 // opposed to sharded-map mode.
 func (c *SigmaCache) Dense() bool { return c.dense != nil }
 
@@ -137,15 +136,22 @@ func (c *SigmaCache) shard(key uint64) *sigmaShard {
 	return &c.shards[(key*0x9E3779B97F4A7C15)>>58&(sigmaShards-1)]
 }
 
+// row returns the dense cells of corpus entity target, one per slot;
+// target must be below c.n.
+func (c *SigmaCache) row(target uint32) []uint64 {
+	slots := len(c.entities)
+	return c.dense[int(target)*slots:][:slots]
+}
+
 // lookup returns the memoized σ for (slot, target), if present. It does
-// not touch the hit/miss counters — the scorer hot path batches those
-// locally and merges them via addCounts to avoid cross-worker contention.
+// not touch the hit/miss counters — the scorer batches those locally and
+// merges them via addCounts to avoid cross-worker contention.
 func (c *SigmaCache) lookup(slot int, target uint32) (float64, bool) {
 	if c.dense != nil {
 		if int(target) >= c.n {
 			return 0, false
 		}
-		bits := atomic.LoadUint64(&c.dense[slot][target])
+		bits := atomic.LoadUint64(&c.row(target)[slot])
 		if bits == sigmaUnset {
 			return 0, false
 		}
@@ -166,7 +172,7 @@ func (c *SigmaCache) store(slot int, target uint32, v float64) {
 		if int(target) >= c.n {
 			return
 		}
-		atomic.StoreUint64(&c.dense[slot][target], math.Float64bits(v))
+		atomic.StoreUint64(&c.row(target)[slot], math.Float64bits(v))
 		return
 	}
 	key := uint64(slot)<<32 | uint64(target)
@@ -205,8 +211,10 @@ func (c *SigmaCache) addCounts(hits, misses int64) {
 // SigmaCacheStats is a point-in-time snapshot of a cache's effectiveness.
 type SigmaCacheStats struct {
 	// Hits and Misses count lookups served from and filled into the
-	// cache. Under concurrent workers Misses can slightly exceed the
-	// number of distinct pairs: two workers may race to fill the same
+	// cache: Sigma calls, plus what the engine's scorers batch in — one
+	// lookup per (distinct query entity, distinct column entity) per
+	// table scored. Under concurrent workers Misses can slightly exceed
+	// the number of distinct pairs: two workers may race to fill the same
 	// cell, each counting one miss while storing identical values.
 	Hits, Misses int64
 	// Entries is the number of memoized (query entity, corpus entity)
@@ -214,10 +222,10 @@ type SigmaCacheStats struct {
 	Entries int64
 	// Slots is the number of distinct query entities covered.
 	Slots int
-	// Dense reports the representation (true = lock-free dense slabs,
+	// Dense reports the representation (true = lock-free dense array,
 	// false = sharded maps).
 	Dense bool
-	// MemoryBytes is the reserved cache memory: the full slab footprint
+	// MemoryBytes is the reserved cache memory: the full array footprint
 	// in dense mode, the entry footprint in sharded mode.
 	MemoryBytes int64
 }
@@ -231,7 +239,7 @@ func (s SigmaCacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// Stats snapshots the cache. Entry counting scans the dense slabs, so call
+// Stats snapshots the cache. Entry counting scans the dense array, so call
 // it for introspection, not per lookup.
 func (c *SigmaCache) Stats() SigmaCacheStats {
 	st := SigmaCacheStats{
@@ -241,14 +249,12 @@ func (c *SigmaCache) Stats() SigmaCacheStats {
 		Dense:  c.dense != nil,
 	}
 	if c.dense != nil {
-		for _, slab := range c.dense {
-			for i := range slab {
-				if atomic.LoadUint64(&slab[i]) != sigmaUnset {
-					st.Entries++
-				}
+		for i := range c.dense {
+			if atomic.LoadUint64(&c.dense[i]) != sigmaUnset {
+				st.Entries++
 			}
 		}
-		st.MemoryBytes = int64(len(c.dense)) * int64(c.n) * 8
+		st.MemoryBytes = int64(len(c.dense)) * 8
 	} else {
 		for i := range c.shards {
 			sh := &c.shards[i]
@@ -266,7 +272,7 @@ func (c *SigmaCache) Stats() SigmaCacheStats {
 // so this reports the current entry estimate).
 func (c *SigmaCache) MemoryBytes() int64 {
 	if c.dense != nil {
-		return int64(len(c.dense)) * int64(c.n) * 8
+		return int64(len(c.dense)) * 8
 	}
 	var entries int64
 	for i := range c.shards {

@@ -35,7 +35,7 @@ func Maximize(score [][]float64) []int {
 // query tuple per table) allocates nothing in steady state. The zero value
 // is ready to use. A Solver is not safe for concurrent use.
 type Solver struct {
-	floats []float64 // u | v | minv
+	floats []float64 // u | v | minv | col
 	ints   []int     // p | way | out
 	used   []bool
 }
@@ -49,18 +49,19 @@ func (s *Solver) Maximize(score [][]float64) []int {
 		return nil
 	}
 	// The dual method below assigns every row of an n×m problem with
-	// n ≤ m. More rows than columns: solve the transpose, reading
-	// score[j][i] for cost[i][j], and invert the mapping on the way out.
+	// n ≤ m. More rows than columns: solve the transpose, reading column
+	// i of score as row i of the problem (gathered into col, once per
+	// augmenting step), and invert the mapping on the way out.
 	n, m := rows, len(score[0])
 	transposed := n > m
 	if transposed {
 		n, m = m, n
 	}
 
-	s.floats = grow(s.floats, (n+1)+2*(m+1))
+	s.floats = grow(s.floats, (n+1)+2*(m+1)+m)
 	s.ints = grow(s.ints, 2*(m+1)+rows)
 	s.used = grow(s.used, m+1)
-	u, v, minv := s.floats[:n+1], s.floats[n+1:n+m+2], s.floats[n+m+2:]
+	u, v, minv, col := s.floats[:n+1], s.floats[n+1:n+m+2], s.floats[n+m+2:n+2*m+3], s.floats[n+2*m+3:]
 	p, way, out := s.ints[:m+1], s.ints[m+1:2*m+2], s.ints[2*m+2:]
 	used := s.used
 	clear(s.floats[:n+m+2]) // u, v; minv is reset per row below
@@ -87,19 +88,22 @@ func (s *Solver) Maximize(score [][]float64) []int {
 		for {
 			used[j0] = true
 			i0 := p[j0]
+			row := col
+			if transposed {
+				for j := range row {
+					row[j] = score[j][i0-1]
+				}
+			} else {
+				row = score[i0-1][:m]
+			}
+			ui := u[i0]
 			delta := inf
 			j1 := 0
 			for j := 1; j <= m; j++ {
 				if used[j] {
 					continue
 				}
-				var sc float64
-				if transposed {
-					sc = score[j-1][i0-1]
-				} else {
-					sc = score[i0-1][j-1]
-				}
-				cur := -sc - u[i0] - v[j]
+				cur := -row[j-1] - ui - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0

@@ -55,7 +55,7 @@ func SigmaCacheMissesTotal() *Counter {
 }
 
 // SigmaCacheBytes gauges the memory reserved by the most recent search's
-// sigma cache (dense mode reserves its full slab footprint up front).
+// sigma cache (dense mode reserves its full array footprint up front).
 func SigmaCacheBytes() *Gauge {
 	return Default.Gauge("thetis_sigma_cache_bytes",
 		"Memory reserved by the most recent query's sigma cache.", nil)
