@@ -56,7 +56,7 @@ check: fmt vet build race linkcheck benchsmoke benchrun
 # as a fast regression suite. Live exploration happens in CI and via
 # `go test -fuzz <Target> <pkg>`.
 fuzz:
-	$(GO) test -run '^Fuzz' ./internal/atomicio ./internal/bm25 ./internal/core ./internal/embedding ./internal/kg ./internal/lsh ./internal/server
+	$(GO) test -run '^Fuzz' ./internal/atomicio ./internal/bm25 ./internal/core ./internal/kg ./internal/lsh ./internal/server
 
 # Fault-injection and corruption-matrix suite (docs/RELIABILITY.md): every
 # test named Corrupt* or Fault* — single-byte snapshot flips, truncations,

@@ -9,6 +9,7 @@ package thetis
 import (
 	"context"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -19,8 +20,8 @@ import (
 
 // assertBatchEquals compares one SearchBatch answer against per-query
 // sequential searches of the reference: same IDs, same scores (bit for
-// bit), same order. It returns the batch's per-query stats.
-func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *System, queries []Query, k int) []SearchStats {
+// bit), same order. It returns the batch's answer.
+func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *System, queries []Query, k int) ([][]Result, []SearchStats) {
 	t.Helper()
 	got, gotStats := s.SearchBatch(queries, k)
 	for qi, q := range queries {
@@ -41,18 +42,17 @@ func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *
 			}
 		}
 	}
-	return gotStats
+	return got, gotStats
 }
 
 // TestBatchMatchesSequential sweeps the deployment axis and the scoring
-// matrix: a batch — every scatter leg of every query sharing one σ cache —
-// must reproduce the reference's sequential rankings under every shard
-// count, partitioner, aggregation, score mode, and parallelism, at top-10
-// and unbounded k, unindexed and then LSEI-prefiltered (per-query candidate
-// sets, full-scan rescatter on empty ones) at every vote threshold. A batch
-// that repeats a query pins what the batch σ scope shares: with one shard
-// and one worker (so the counters are one scorer's), the repeat computes no
-// σ at all — every lookup the first occurrence issued is a hit.
+// matrix: a batch must reproduce the reference's sequential rankings under
+// every shard count, partitioner, aggregation, score mode, and parallelism,
+// at top-10 and unbounded k, unindexed and then LSEI-prefiltered (per-query
+// candidate sets, full-scan rescatter on empty ones) at every vote
+// threshold. A batch that repeats a query answers the repeat from the first
+// occurrence: the same ranking bit for bit in a slice of its own, the same
+// Candidates and Scored, and no search — zero σ lookups, zero TotalTime.
 func TestBatchMatchesSequential(t *testing.T) {
 	_, _, queries := batteryEnv(t)
 	repeated := []Query{queries[0], queries[1], queries[0]}
@@ -75,13 +75,18 @@ func TestBatchMatchesSequential(t *testing.T) {
 			sys.SetParallelism(cfg.par)
 			assertBatchEquals(t, ax.name+"/"+cfg.name, ref, sys, queries, 10)
 			assertBatchEquals(t, ax.name+"/"+cfg.name+"/all", ref, sys, queries[:2], -1)
-			st := assertBatchEquals(t, ax.name+"/"+cfg.name+"/repeat", ref, sys, repeated, 10)
-			if sys.NumShards() == 1 && cfg.par == 1 {
-				first, again := st[0], st[2]
-				if lookups := first.SigmaHits + first.SigmaMisses; lookups == 0 || again.SigmaMisses != 0 || again.SigmaHits != lookups {
-					t.Fatalf("%s/%s: repeated query saw σ hits/misses %d/%d, want %d/0 (first occurrence %d/%d)",
-						ax.name, cfg.name, again.SigmaHits, again.SigmaMisses, lookups, first.SigmaHits, first.SigmaMisses)
-				}
+			res, st := assertBatchEquals(t, ax.name+"/"+cfg.name+"/repeat", ref, sys, repeated, 10)
+			first, again := st[0], st[2]
+			if first.SigmaHits+first.SigmaMisses == 0 || first.TotalTime == 0 {
+				t.Fatalf("%s/%s: first occurrence was not searched: %+v", ax.name, cfg.name, first)
+			}
+			if again.SigmaHits+again.SigmaMisses != 0 || again.TotalTime != 0 || again.MappingTime != 0 ||
+				again.Candidates != first.Candidates || again.Scored != first.Scored || again.Trace == nil {
+				t.Fatalf("%s/%s: repeated query reports %+v, want the first occurrence's counts %+v with zero times and σ lookups",
+					ax.name, cfg.name, again, first)
+			}
+			if !slices.Equal(res[2], res[0]) || len(res[0]) == 0 || &res[2][0] == &res[0][0] {
+				t.Fatalf("%s/%s: the repeat must be an independent copy of the first occurrence's ranking", ax.name, cfg.name)
 			}
 		}
 		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, DefaultIndexConfig())
@@ -120,7 +125,11 @@ func TestBatchCancelledContext(t *testing.T) {
 // TestBatchTruncationMidBatch cancels while the batch is scoring. Whatever
 // prefix survives must be a correctly ranked subset of the sequential
 // ranking — same scores for the tables it does return, descending order —
-// and every query must carry the Truncated mark.
+// and from the query the cut interrupts onwards every query must carry the
+// Truncated mark. The batch states every query twice, so each repeat comes
+// after the cut: one whose first occurrence completed must not be answered
+// from it once the context has ended, and one whose first occurrence was
+// truncated must not inherit its prefix as a complete answer.
 func TestBatchTruncationMidBatch(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
 	sys := New(kgEnv.Graph)
@@ -139,24 +148,26 @@ func TestBatchTruncationMidBatch(t *testing.T) {
 			oracle[qi][r.Table] = r.Score
 		}
 	}
+	batch := slices.Concat(queries, queries)
 
-	// Cancel mid-flight; retry with a later cancellation if the batch was
-	// cut before any scoring happened, so the test exercises a non-empty
-	// prefix at least once when the machine allows it.
-	for _, delay := range []time.Duration{50 * time.Microsecond, 500 * time.Microsecond, 5 * time.Millisecond} {
+	// Cancel mid-flight, later and later until the batch outruns the
+	// deadline, so the cut lands before, inside and after first occurrences
+	// when the machine allows it.
+	for delay := 50 * time.Microsecond; delay < time.Second; delay *= 2 {
 		ctx, cancel := context.WithTimeout(context.Background(), delay)
-		results, stats := sys.SearchBatchContext(ctx, queries, -1)
+		results, stats := sys.SearchBatchContext(ctx, batch, -1)
 		cancel()
-		if !stats[0].Truncated {
-			continue // batch finished before the deadline; nothing to check
+		cut := slices.IndexFunc(stats, func(st SearchStats) bool { return st.Truncated })
+		if cut < 0 {
+			break // batch finished before the deadline; nothing to check
 		}
-		for qi := range queries {
-			if !stats[qi].Truncated {
-				t.Fatalf("delay %v: q0 truncated but q%d not — truncation must be a batch property", delay, qi)
+		for qi := range batch {
+			if qi >= cut && !stats[qi].Truncated {
+				t.Fatalf("delay %v: q%d truncated but q%d not — truncation runs from the interrupted query to the end of the batch", delay, cut, qi)
 			}
 			prev := math.Inf(1)
 			for i, r := range results[qi] {
-				want, ok := oracle[qi][r.Table]
+				want, ok := oracle[qi%len(queries)][r.Table]
 				if !ok || r.Score != want {
 					t.Fatalf("delay %v q%d rank %d: table %d score %.17g, oracle %.17g (present=%v)",
 						delay, qi, i, r.Table, r.Score, want, ok)

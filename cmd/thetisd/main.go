@@ -37,8 +37,8 @@
 // the background (thetis_ann_* metrics, GET /debug/ann).
 //
 // Batch search (docs/THROUGHPUT.md): POST /search/batch answers N queries
-// in one pass with a batch-shared σ cache, bit-identical to N sequential
-// /search calls.
+// in one round trip under one corpus snapshot, bit-identical to N
+// sequential /search calls.
 //
 // Request lifecycle: every search-type request runs under -timeout (an
 // expiring search returns its partial ranking marked "truncated"), at most

@@ -49,11 +49,10 @@ type Engine struct {
 	Mapping MappingMethod
 	// Parallelism bounds the scoring worker count; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableSigmaCache turns off the query-scoped σ cache for this
-	// engine, falling back to per-worker memoization. Scores are
-	// bit-identical either way (σ is deterministic; only the amount of
-	// recomputation changes) — the differential test battery relies on
-	// that.
+	// DisableSigmaCache turns off σ memoization for this engine: every σ
+	// read calls Sim.Score. Scores are bit-identical either way (σ is
+	// deterministic; only the amount of recomputation changes) — the
+	// differential test battery relies on that.
 	DisableSigmaCache bool
 	// SigmaTopK > 0 turns on approximate top-k σ scoring (docs/ANN.md):
 	// each query entity resolves its k nearest store entities once per
@@ -67,24 +66,12 @@ type Engine struct {
 	Ann AnnSource
 }
 
-// newSigmaCache returns the σ cache for one search over the given σ (the
-// engine's exact σ, or the search's top-k σ), or nil when caching is
+// newSigmaCache returns the σ cache for one search of q over the given σ
+// (the engine's exact σ, or the search's top-k σ), or nil when caching is
 // disabled on the engine.
-// When ctx carries a batch-scoped cache (WithBatchSigma) built for the
-// same σ, that shared cache is returned instead of a fresh query-scoped
-// one — the σ-sharing seam of the batch API. A top-k σ never matches the
-// batch cache's σ, so those searches keep their private query-scoped
-// cache, and DisableSigmaCache is checked first, so the escape hatch
-// governs the batch scope too.
-func (eng *Engine) newSigmaCache(ctx context.Context, q Query, sim Similarity) *SigmaCache {
-	if eng.DisableSigmaCache {
+func (eng *Engine) newSigmaCache(q Query, sim Similarity) *SigmaCache {
+	if eng.DisableSigmaCache || eng.Lake == nil || eng.Lake.Graph == nil {
 		return nil
-	}
-	if eng.Lake == nil || eng.Lake.Graph == nil {
-		return nil
-	}
-	if bs := batchSigmaFrom(ctx); bs != nil && bs.sim == sim && bs.cache != nil {
-		return bs.cache
 	}
 	return NewSigmaCache(q, sim, eng.Lake.Graph.NumEntities())
 }
@@ -130,8 +117,9 @@ type Stats struct {
 	Panicked int
 	// SigmaHits and SigmaMisses count σ evaluations served from and
 	// filled into the query-scoped SigmaCache during this search. Both
-	// are zero when the cache is disabled (the per-worker fallback does
-	// not report its memoization). Their sum is the total number of σ
+	// are zero when the cache is disabled (nothing is memoized), and on a
+	// batch member answered from an earlier, equal query of the same batch
+	// (nothing is scored). Their sum is the total number of σ
 	// lookups the scoring stage issued through the cache: per table, one
 	// per (distinct query entity, distinct entity of a column) — MAX
 	// aggregation and repeated tuples read the table's one σ pass, not the
@@ -225,10 +213,9 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	sim := eng.searchSim(q, tr)
 	// sigma is the query-scoped σ cache, shared by every scoring worker of
 	// this search so each distinct (query entity, cell entity) pair is
-	// scored exactly once per query — or the batch-scoped cache when ctx
-	// carries one (docs/THROUGHPUT.md). Nil when disabled; scorers then
-	// fall back to per-worker memoization.
-	sigma := eng.newSigmaCache(ctx, q, sim)
+	// scored exactly once per query. Nil when disabled; scorers then
+	// compute every σ they read.
+	sigma := eng.newSigmaCache(q, sim)
 	// scoreOne contains a panic to the table that caused it: scoring worker
 	// goroutines are outside any net/http recovery, so an uncontained panic
 	// here would kill the whole process.
@@ -267,8 +254,8 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			// Each worker gets its own scorer (scratch rows, local σ
-			// fallback); the SigmaCache is the part they share.
+			// Each worker gets its own scorer (scratch rows); the
+			// SigmaCache is the part they share.
 			sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
 			defer func() {
 				parts[w].hits += sc.hits
@@ -349,7 +336,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 // the same table earns inside Search.
 func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration) {
 	sim := eng.searchSim(q, nil)
-	sigma := eng.newSigmaCache(context.Background(), q, sim)
+	sigma := eng.newSigmaCache(q, sim)
 	sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
 	return sc.scoreTable(eng.Lake.Table(tid), eng.Lake.ColumnIndex(tid))
 }

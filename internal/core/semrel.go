@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -81,11 +82,6 @@ func (m MappingMethod) String() string {
 	return "hungarian"
 }
 
-// sigmaCache memoizes σ(e, ·) for a fixed distinct query entity — the
-// per-worker fallback used when the shared query-scoped SigmaCache is
-// disabled (Engine.DisableSigmaCache).
-type sigmaCache map[uint32]float64
-
 // scorer evaluates SemRel for one query against tables, carrying the
 // immutable pieces of Algorithm 1's inner loop. Query entities are
 // resolved once to distinct slots, so σ memoization and per-table column
@@ -104,14 +100,10 @@ type scorer struct {
 	distinct []kg.EntityID
 	slots    [][]int
 
-	// shared is the query-scoped (or batch-scoped) σ cache shared across
-	// all workers of one search; nil when disabled, in which case local
-	// memoizes per worker. cacheSlot maps the scorer's distinct-entity
-	// index to the cache's slot: identity for a query-scoped cache, a
-	// union remap for a batch-scoped one (docs/THROUGHPUT.md).
-	shared    *SigmaCache
-	cacheSlot []int
-	local     []sigmaCache
+	// shared is the search's σ cache, built from q and shared by all its
+	// workers, so index di of distinct is slot di of the cache; nil when
+	// disabled (Engine.DisableSigmaCache), and every σ is then computed.
+	shared *SigmaCache
 	// hits/misses batch the shared cache's counters locally (merged once
 	// per search, not once per lookup).
 	hits, misses int64
@@ -156,7 +148,7 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 		assignment: make([][]int, len(q)),
 		mapped:     make([]bool, len(q)),
 	}
-	slotOf := make(map[kg.EntityID]int)
+	index := make(map[kg.EntityID]int)
 	widest := 0
 	for ti, tq := range q {
 		s.weights[ti] = make([]float64, len(tq))
@@ -165,36 +157,17 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 		widest = max(widest, len(tq))
 		for k, e := range tq {
 			s.weights[ti][k] = inf(e)
-			di, ok := slotOf[e]
+			di, ok := index[e]
 			if !ok {
 				di = len(s.distinct)
-				slotOf[e] = di
+				index[e] = di
 				s.distinct = append(s.distinct, e)
 			}
 			s.slots[ti][k] = di
 		}
 	}
-	if shared != nil {
-		// Resolve this scorer's distinct entities to the cache's slots.
-		// A query-scoped cache covers them by construction; a batch-scoped
-		// cache covers the union of its batch's queries. An uncovered
-		// entity means the cache belongs to some other query set — drop it
-		// and fall back to worker-local memoization rather than mis-slot.
-		s.cacheSlot = make([]int, len(s.distinct))
-		for i, e := range s.distinct {
-			slot, ok := shared.Slot(e)
-			if !ok {
-				s.shared, s.cacheSlot = nil, nil
-				break
-			}
-			s.cacheSlot[i] = slot
-		}
-	}
-	if s.shared == nil {
-		s.local = make([]sigmaCache, len(s.distinct))
-		for i := range s.local {
-			s.local[i] = make(sigmaCache)
-		}
+	if shared != nil && !slices.Equal(shared.entities, s.distinct) {
+		panic("core: σ cache was built for another query")
 	}
 	s.sigmas = make([]float64, len(s.distinct))
 	s.colSum = make([]float64, len(s.distinct))
@@ -203,27 +176,21 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 	return s
 }
 
-// sigma returns σ(distinct[di], target), memoized in the shared query- or
-// batch-scoped cache when one is attached, else in the worker-local map. It
-// is the one-cell read of every cache mode: ModePairwise's per-row reads,
-// and readSigmas wherever the dense array does not cover the cell.
+// sigma returns σ(distinct[di], target), memoized in the search's cache when
+// there is one and computed otherwise. It is the one-cell read of every cache
+// mode: ModePairwise's per-row reads, and readSigmas wherever the dense array
+// does not cover the cell.
 func (s *scorer) sigma(di int, target uint32) float64 {
-	if s.shared != nil {
-		if v, ok := s.shared.lookup(s.cacheSlot[di], target); ok {
-			s.hits++
-			return v
-		}
-		v := s.sim.Score(s.distinct[di], kgEntity(target))
-		s.shared.store(s.cacheSlot[di], target, v)
-		s.misses++
-		return v
+	if s.shared == nil {
+		return s.sim.Score(s.distinct[di], kgEntity(target))
 	}
-	c := s.local[di]
-	if v, ok := c[target]; ok {
+	if v, ok := s.shared.lookup(di, target); ok {
+		s.hits++
 		return v
 	}
 	v := s.sim.Score(s.distinct[di], kgEntity(target))
-	c[target] = v
+	s.shared.store(di, target, v)
+	s.misses++
 	return v
 }
 
@@ -240,7 +207,7 @@ func (s *scorer) readSigmas(target uint32) []float64 {
 		cells := c.row(target)
 		s.hits += int64(len(out))
 		for di := range out {
-			cell := &cells[s.cacheSlot[di]]
+			cell := &cells[di]
 			if bits := atomic.LoadUint64(cell); bits != sigmaUnset {
 				out[di] = math.Float64frombits(bits)
 				continue

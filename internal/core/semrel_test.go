@@ -42,9 +42,8 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 // TestScoreColumnsMatchesPerCellWalk pins the σ pass to the walk it
 // replaced — per (query entity, column), Σ count·σ and max σ over the
 // column's entities in ColumnIndex order, one cell at a time — with ==, in
-// every way a cell can be read: the dense array, the sharded maps, no shared
-// cache, a batch-scoped cache whose slots are not the scorer's, and a dense
-// cache sized before the table's entities were interned.
+// every way a cell can be read: the dense array, the sharded maps, no cache
+// at all, and a dense cache sized before the table's entities were interned.
 func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	_, g := randomCorpus(13, 20, 150, 0, 0, 0)
 	n := g.NumEntities()
@@ -55,7 +54,6 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 		"embeddings": NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(4)), g, 16)),
 	}
 	queries := []Query{randomQuery(rng, g, 1, 3), randomQuery(rng, g, 5, 3), randomQuery(rng, g, 3, 1)}
-	other := randomQuery(rng, g, 2, 4) // the batch's first query: shifts q's slots
 
 	// cacheN is the entity ID space the mode's cache is sized for.
 	modes := []struct {
@@ -68,9 +66,6 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 			return NewSigmaCache(q, sim, maxSigmaDenseBytes/8+1)
 		}},
 		{"disabled", 0, func(Query, Similarity) *SigmaCache { return nil }},
-		{"batch", n, func(q Query, sim Similarity) *SigmaCache {
-			return NewBatchSigmaCache([]Query{other, q}, sim, n)
-		}},
 		{"late-entities", n / 3, func(q Query, sim Similarity) *SigmaCache { return NewSigmaCache(q, sim, n/3) }},
 	}
 	for simName, sim := range sims {
@@ -79,16 +74,8 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 				for qi, q := range queries {
 					cache := mode.cache(q, sim)
 					sc := newScorer(q, sim, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, cache)
-					switch mode.name {
-					case "sharded":
-						if cache.Dense() {
-							t.Fatal("oversized ID space should select the sharded representation")
-						}
-					case "batch":
-						if cache.NumSlots() == len(sc.distinct) || sc.cacheSlot[0] == 0 {
-							t.Fatalf("batch cache does not remap: %d slots for %d distinct, first slot %d",
-								cache.NumSlots(), len(sc.distinct), sc.cacheSlot[0])
-						}
+					if mode.name == "sharded" && cache.Dense() {
+						t.Fatal("oversized ID space should select the sharded representation")
 					}
 					for ti, tb := range tables {
 						ci := table.BuildColumnIndex(tb)
@@ -117,7 +104,7 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 							}
 						}
 						// One lookup per (distinct query entity, distinct column
-						// entity); none is reported without a shared cache.
+						// entity); none is reported without a cache.
 						if want := int64(cells * len(sc.distinct)); cache != nil && lookups != want {
 							t.Fatalf("q%d table %d: %d lookups, want %d", qi, ti, lookups, want)
 						} else if cache == nil && lookups != 0 {

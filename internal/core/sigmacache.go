@@ -52,9 +52,8 @@ const (
 // A SigmaCache is safe for concurrent use.
 type SigmaCache struct {
 	sim      Similarity
-	entities []kg.EntityID       // distinct query entities, by slot
-	slotOf   map[kg.EntityID]int // entity -> slot
-	n        int                 // corpus entity ID space
+	entities []kg.EntityID // distinct query entities, by slot
+	n        int           // corpus entity ID space
 
 	dense  []uint64 // n × slots cells, entity-major (dense mode); nil in sharded mode
 	shards []sigmaShard
@@ -77,11 +76,7 @@ func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
 	c := &SigmaCache{
 		sim:      sim,
 		entities: distinct,
-		slotOf:   make(map[kg.EntityID]int, len(distinct)),
 		n:        numEntities,
-	}
-	for i, e := range distinct {
-		c.slotOf[e] = i
 	}
 	if int64(len(distinct))*int64(numEntities)*8 <= maxSigmaDenseBytes {
 		c.dense = make([]uint64, len(distinct)*numEntities)
@@ -97,33 +92,8 @@ func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
 	return c
 }
 
-// NewBatchSigmaCache builds one cache covering the union of the distinct
-// entities of every query in the batch — the batch scope of
-// docs/THROUGHPUT.md. Slots follow first-occurrence order across the
-// queries in batch order, so any query of the batch can share the cache
-// through scorer slot remapping (Slot resolves its entities). Memoized σ
-// values are identical whichever query triggered them, so sharing the
-// cache across the batch cannot change any query's results. The dense/
-// sharded representation switch applies to the union footprint, so large
-// batches degrade to sharded maps exactly like large single queries.
-func NewBatchSigmaCache(queries []Query, sim Similarity, numEntities int) *SigmaCache {
-	var union Query
-	for _, q := range queries {
-		union = append(union, q...)
-	}
-	return NewSigmaCache(union, sim, numEntities)
-}
-
 // NumSlots returns the number of distinct query entities the cache covers.
 func (c *SigmaCache) NumSlots() int { return len(c.entities) }
-
-// Slot returns the slot index of query entity e, or false when e is not a
-// distinct entity of the cache's query. Slots follow the first-occurrence
-// order of Query.DistinctEntities.
-func (c *SigmaCache) Slot(e kg.EntityID) (int, bool) {
-	i, ok := c.slotOf[e]
-	return i, ok
-}
 
 // Dense reports whether the cache runs in dense (lock-free array) mode, as
 // opposed to sharded-map mode.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -91,11 +92,11 @@ func randomEmbeddings(rng *rand.Rand, g *kg.Graph, dim int) *embedding.Store {
 	return st
 }
 
-// TestSigmaCacheDifferentialBattery proves the tentpole's correctness
-// claim: with the query-scoped σ cache (and with it the shared column
-// pre-aggregation) enabled, Search and ScoreTable return bit-identical
-// scores and identical rankings to the uncached engine, across every
-// aggregation, score mode, mapping method, and worker count.
+// TestSigmaCacheDifferentialBattery proves the σ cache's correctness claim:
+// with the query-scoped cache enabled, Search and ScoreTable return
+// bit-identical scores and identical rankings to an engine that memoizes
+// nothing (DisableSigmaCache: every σ read calls Similarity.Score), across
+// every aggregation, score mode, mapping method, and worker count.
 func TestSigmaCacheDifferentialBattery(t *testing.T) {
 	l, g := randomCorpus(7, 24, 120, 40, 12, 4)
 	rng := rand.New(rand.NewSource(11))
@@ -177,8 +178,8 @@ func TestSigmaCacheParallelismInvariant(t *testing.T) {
 }
 
 // TestSigmaCacheDenseMode exercises the dense slab representation
-// directly: hit/miss accounting, slot lookup, entry counting, and value
-// agreement with the raw Similarity.
+// directly: hit/miss accounting, entry counting, and value agreement with
+// the raw Similarity.
 func TestSigmaCacheDenseMode(t *testing.T) {
 	_, g := randomCorpus(5, 8, 40, 1, 1, 1)
 	tj := NewTypeJaccard(g)
@@ -189,12 +190,6 @@ func TestSigmaCacheDenseMode(t *testing.T) {
 	}
 	if c.NumSlots() != 3 {
 		t.Fatalf("NumSlots = %d, want 3 distinct entities", c.NumSlots())
-	}
-	if slot, ok := c.Slot(1); !ok || slot != 1 {
-		t.Fatalf("Slot(1) = %d,%v; want 1,true (first-occurrence order)", slot, ok)
-	}
-	if _, ok := c.Slot(39); ok {
-		t.Fatal("Slot of a non-query entity must report false")
 	}
 	for e := kg.EntityID(0); int(e) < g.NumEntities(); e++ {
 		if got, want := c.Sigma(0, e), tj.Score(0, e); got != want {
@@ -221,6 +216,42 @@ func TestSigmaCacheDenseMode(t *testing.T) {
 	if hr := st.HitRate(); hr != 0.5 {
 		t.Fatalf("HitRate = %v, want 0.5", hr)
 	}
+}
+
+// TestScorerSlotsAreCacheSlots pins the one slot space: for a query that
+// repeats entities within and across tuples, index di of the scorer's
+// distinct entities is slot di of the cache built from the same query (both
+// first-occurrence order), every tuple position resolves to the slot of its
+// entity, and a cache built from another query is refused.
+func TestScorerSlotsAreCacheSlots(t *testing.T) {
+	_, g := randomCorpus(5, 8, 40, 1, 1, 1)
+	tj := NewTypeJaccard(g)
+	q := Query{Tuple{7, 3, 7}, Tuple{3, 9}, Tuple{9, 7, 1}}
+	c := NewSigmaCache(q, tj, g.NumEntities())
+	sc := newScorer(q, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, c)
+	if want := []kg.EntityID{7, 3, 9, 1}; !slices.Equal(sc.distinct, want) || !slices.Equal(c.entities, want) {
+		t.Fatalf("scorer slots %v, cache slots %v, want %v", sc.distinct, c.entities, want)
+	}
+	for ti, tq := range q {
+		for k, e := range tq {
+			if di := sc.slots[ti][k]; sc.distinct[di] != e {
+				t.Fatalf("tuple %d position %d (entity %d) resolves to slot %d = entity %d", ti, k, e, di, sc.distinct[di])
+			}
+		}
+	}
+	for di, e := range sc.distinct {
+		for target := kg.EntityID(0); int(target) < g.NumEntities(); target++ {
+			if got, want := sc.sigma(di, uint32(target)), tj.Score(e, target); got != want || c.Sigma(di, target) != want {
+				t.Fatalf("slot %d: scorer reads σ(%d,%d) = %v, cache %v, want %v", di, e, target, got, c.Sigma(di, target), want)
+			}
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("newScorer accepted a σ cache built for another query")
+		}
+	}()
+	newScorer(Query{Tuple{3, 7}}, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, c)
 }
 
 // TestSigmaCacheShardedMode forces the map-backed representation by

@@ -10,7 +10,7 @@ import (
 
 // HNSWConfig shapes a hierarchical navigable small world graph (Malkov &
 // Yashunin). All parameters are deterministic inputs: two builds over the
-// same store with the same config produce byte-identical graphs.
+// same store with the same config produce identical graphs.
 type HNSWConfig struct {
 	// M is the maximum neighbor count per node on layers above 0; layer 0
 	// allows 2M. Higher M improves recall at the cost of memory and build
@@ -45,7 +45,7 @@ type Neighbor struct {
 }
 
 // HNSW is a pure-Go approximate nearest-neighbor index over an embedding
-// store. It is immutable after Build/Load and safe for concurrent TopK
+// store. It is immutable after BuildHNSW and safe for concurrent TopK
 // calls. Ties are broken by ascending entity ID everywhere, so searches are
 // deterministic across runs and parallelism levels.
 type HNSW struct {
@@ -66,12 +66,6 @@ type HNSW struct {
 	entry    int32 // entry node ordinal; -1 when the graph is empty
 	maxLevel int32
 }
-
-// Config returns the build configuration.
-func (h *HNSW) Config() HNSWConfig { return h.cfg }
-
-// Dim returns the vector dimensionality.
-func (h *HNSW) Dim() int { return h.dim }
 
 // Len returns the number of indexed entities.
 func (h *HNSW) Len() int { return len(h.ids) }
@@ -132,8 +126,7 @@ func (r *levelRNG) level(mL float64) int32 {
 }
 
 // maxHNSWLevel bounds layer stacks: with mL = 1/ln(16) reaching level 63
-// has probability ~16^-63, so the cap never binds on real builds but keeps
-// deserialized shapes plausible.
+// has probability ~16^-63, so the cap never binds on real builds.
 const maxHNSWLevel = 63
 
 func (h *HNSW) vec(n uint32) Vector {
@@ -432,7 +425,7 @@ func (h *HNSW) TopKEf(vec Vector, k, ef int) []Neighbor {
 		out[i] = Neighbor{ID: h.ids[sn.node], Score: sn.score}
 	}
 	// Entity-ID tie-break for equal scores (node ordinals follow ID order
-	// on Build, but loaded graphs keep whatever order was serialized).
+	// under BuildHNSW, but not under every insertion order).
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Score != out[j].Score {
 			return out[i].Score > out[j].Score

@@ -1,7 +1,6 @@
 package embedding
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -84,52 +83,14 @@ func TestHNSWExactWhenEfCoversStore(t *testing.T) {
 }
 
 // TestHNSWBuildDeterminism: two builds over the same store and config must
-// serialize to byte-identical snapshots (seeded level RNG, ID-ordered
+// produce the same graph, field for field (seeded level RNG, ID-ordered
 // inserts, deterministic tie-breaks).
 func TestHNSWBuildDeterminism(t *testing.T) {
 	store := randomStore(400, 12, 21)
 	cfg := HNSWConfig{M: 8, EfConstruction: 100, EfSearch: 32, Seed: 9}
-	var a, b bytes.Buffer
-	if err := BuildHNSW(store, cfg).Write(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := BuildHNSW(store, cfg).Write(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two builds over the same store serialized differently")
-	}
-}
-
-// TestHNSWRoundTrip: Write → LoadHNSW must preserve the graph exactly —
-// identical config, identical TopK results, and a byte-identical re-write.
-func TestHNSWRoundTrip(t *testing.T) {
-	store := randomStore(250, 10, 31)
-	norm := store.Normalized()
-	h := BuildHNSW(store, HNSWConfig{M: 6, EfConstruction: 60, EfSearch: 40, Seed: 5})
-	var buf bytes.Buffer
-	if err := h.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadHNSW(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.Config() != h.Config() || loaded.Len() != h.Len() || loaded.Dim() != h.Dim() {
-		t.Fatalf("round trip changed shape: %+v len=%d dim=%d", loaded.Config(), loaded.Len(), loaded.Dim())
-	}
-	for q := 0; q < 25; q++ {
-		v, _ := norm.Get(kg.EntityID(q * 10))
-		if !reflect.DeepEqual(h.TopK(v, 8), loaded.TopK(v, 8)) {
-			t.Fatalf("query %d: loaded graph ranks differently", q)
-		}
-	}
-	var again bytes.Buffer
-	if err := loaded.Write(&again); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
-		t.Fatal("re-serialized snapshot differs from the original")
+	a, b := BuildHNSW(store, cfg), BuildHNSW(store, cfg)
+	if a.Len() != 400 || !reflect.DeepEqual(a, b) {
+		t.Fatal("two builds over the same store produced different graphs")
 	}
 }
 
@@ -137,13 +98,6 @@ func TestHNSWEdgeCases(t *testing.T) {
 	empty := BuildHNSW(NewStore(0, 4), DefaultHNSWConfig())
 	if got := empty.TopK(Vector{1, 0, 0, 0}, 5); got != nil {
 		t.Fatalf("empty graph returned %v", got)
-	}
-	var buf bytes.Buffer
-	if err := empty.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if loaded, err := LoadHNSW(bytes.NewReader(buf.Bytes())); err != nil || loaded.Len() != 0 {
-		t.Fatalf("empty round trip: %v len=%d", err, loaded.Len())
 	}
 
 	store := randomStore(10, 4, 1)

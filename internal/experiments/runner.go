@@ -34,8 +34,6 @@ var registry = map[string]func(*Env) Renderer{
 	"inf":        func(e *Env) Renderer { return RunInformativenessAblation(e) },
 	"walks":      func(e *Env) Renderer { return RunWalkAblation(e) },
 	"shards":     func(e *Env) Renderer { return RunShards(e) },
-	"httpshard":  func(e *Env) Renderer { return RunHTTPShard(e) },
-	"live":       func(e *Env) Renderer { return RunLive(e) },
 	"ann":        func(e *Env) Renderer { return RunANN(e) },
 }
 
@@ -80,7 +78,7 @@ func RunAll(env *Env, w io.Writer) {
 		"table2", "fig4", "fig5", "table3", "fig6",
 		"agg", "overlap", "scoring", "bm25filter",
 		"scoremode", "mapping", "queryagg", "inf", "walks",
-		"scaling", "shards", "httpshard", "ann", "live", "wt2019", "gittables", "noisylink",
+		"scaling", "shards", "ann", "wt2019", "gittables", "noisylink",
 	}
 	for _, id := range order {
 		registry[id](env).Render(w)

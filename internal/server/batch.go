@@ -1,5 +1,5 @@
 // POST /search/batch (docs/THROUGHPUT.md): N queries answered against one
-// corpus snapshot with batch-shared σ caching.
+// corpus snapshot in one round trip.
 package server
 
 import (
@@ -92,23 +92,8 @@ func (s *Server) handleSearchBatch(w http.ResponseWriter, r *http.Request) {
 		TookMicros: time.Since(start).Microseconds(),
 	}
 	for i := range queries {
-		one := SearchResponse{
-			Results:    make([]SearchResult, len(results[i])),
-			Candidates: stats[i].Candidates,
-			TookMicros: stats[i].TotalTime.Microseconds(),
-			Truncated:  stats[i].Truncated,
-		}
-		for j, res := range results[i] {
-			one.Results[j] = SearchResult{
-				Table: int(res.Table),
-				Name:  s.tableName(res.Table),
-				Score: res.Score,
-			}
-		}
-		if one.Truncated {
-			resp.Truncated = true
-		}
-		resp.Results[i] = one
+		resp.Results[i] = s.searchResponse(results[i], stats[i])
+		resp.Truncated = resp.Truncated || stats[i].Truncated
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

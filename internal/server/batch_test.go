@@ -119,7 +119,7 @@ func TestBatchEndpointLimit(t *testing.T) {
 }
 
 // TestBatchEndpointSharded runs the same endpoint against a two-shard System
-// backend — the coordinator path with the context-planted batch σ cache.
+// backend, where every query of the batch scatters over both shards.
 func TestBatchEndpointSharded(t *testing.T) {
 	sys := demoSystemSharded(t, 2)
 	srv := New(sys)

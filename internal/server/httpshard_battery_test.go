@@ -362,6 +362,15 @@ func TestHTTPShardDeadShardDegradesToRankedPrefix(t *testing.T) {
 			}
 		}
 	}
+	// A batch never answers a repeat from a truncated first occurrence, even
+	// under a live context: the repeat scatters again (its trace has legs).
+	_, stats := d.coord.SearchBatchContext(context.Background(), []thetis.Query{queries[0], queries[0]}, 10)
+	for i, st := range stats {
+		if !st.Truncated || len(st.ShardErrors) == 0 || len(st.Trace.Stages) == 0 {
+			t.Fatalf("batch q%d over a dead shard: truncated=%v errors=%v stages=%d, want a degraded search of its own",
+				i, st.Truncated, st.ShardErrors, len(st.Trace.Stages))
+		}
+	}
 }
 
 func TestHTTPShardAllShardsDeadExplicitEmpty(t *testing.T) {

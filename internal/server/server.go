@@ -532,6 +532,12 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results, stats := s.sys.SearchStatsContext(r.Context(), q, req.K)
+	writeJSON(w, http.StatusOK, s.searchResponse(results, stats))
+}
+
+// searchResponse is the wire form of one semantic search's ranking and
+// stats, for POST /search and for each element of POST /search/batch.
+func (s *Server) searchResponse(results []thetis.Result, stats thetis.SearchStats) SearchResponse {
 	resp := SearchResponse{
 		Results:    make([]SearchResult, len(results)),
 		Candidates: stats.Candidates,
@@ -545,7 +551,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 			Score: res.Score,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp
 }
 
 func (s *Server) handleKeyword(w http.ResponseWriter, r *http.Request) {
