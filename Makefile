@@ -27,9 +27,10 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Docs link checker: every relative markdown link must resolve to a file.
+# Docs checkers: every relative markdown link must resolve to a file, and
+# docs/OBSERVABILITY.md must list exactly the registered metric families.
 linkcheck:
-	$(GO) test -run '^TestDocLinks$$' .
+	$(GO) test -run '^Test(DocLinks|ObservabilityDocMatchesRegistry)$$' .
 
 # The benchmark (bench/, named by BENCHMARK.json) is its own module, so
 # `go build ./...` never compiles it: vet it and run its smoke test — every

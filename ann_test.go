@@ -4,9 +4,9 @@ package thetis
 // overlay — off means rankings bit-identical to the core-assembled exact
 // reference (internal/reference), on means rankings bit-identical to the
 // reference with the same graph wired into its engine, at every shard count
-// and parallelism, and a corpus mutation degrades to exact σ (never a stale
-// graph) until the background rebuild lands. The concurrency legs run under
-// -race via `make race`.
+// and parallelism. The graph follows the embedding store: corpus mutations
+// leave it installed, re-selecting σ drops it. The concurrency leg runs
+// under -race via `make race`.
 
 import (
 	"fmt"
@@ -78,25 +78,6 @@ func rankingsEqual(a, b []Result) bool {
 	return true
 }
 
-// TestANNOffBitIdentical: enabling then disabling ANN must leave the engines
-// scoring bit-identically to the exact reference.
-func TestANNOffBitIdentical(t *testing.T) {
-	_, _, queries := annEnv(t)
-	plain := annReference(t, 200)
-	toggled := annSystem(t, 200, NewHashPartitioner(2))
-	if err := toggled.EnableAnnTopK(10, 64); err != nil {
-		t.Fatal(err)
-	}
-	toggled.DisableAnnTopK()
-	for qi, q := range queries {
-		want, _ := plain.Search(q, 10)
-		got := toggled.Search(q, 10)
-		if !rankingsEqual(want, got) {
-			t.Fatalf("q%d: rankings differ after enable/disable round trip", qi)
-		}
-	}
-}
-
 // TestANNDeterministicAcrossParallelism: neighborhoods are resolved before
 // scoring workers start, so the top-k σ ranking must not depend on the
 // worker count.
@@ -131,7 +112,7 @@ func TestANNMatchesReferenceAtEveryShardCount(t *testing.T) {
 	cfg := embedding.DefaultHNSWConfig()
 	cfg.EfSearch = 64
 	ref.Engine.SigmaTopK = 10
-	ref.Engine.Ann = core.StaticAnn(embedding.BuildHNSW(store, cfg))
+	ref.Engine.Ann = embedding.BuildHNSW(store, cfg)
 	for _, ax := range shardAxes() {
 		ss := annSystem(t, 200, ax.part())
 		if err := ss.EnableAnnTopK(10, 64); err != nil {
@@ -143,56 +124,71 @@ func TestANNMatchesReferenceAtEveryShardCount(t *testing.T) {
 				t.Fatalf("%s q%d: ANN ranking differs from the reference", ax.name, qi)
 			}
 		}
-		if st := ss.AnnStatus(); !st.Enabled || !st.Current || st.GraphNodes == 0 {
+		if st := ss.AnnStatus(); !st.Enabled || st.GraphNodes == 0 {
 			t.Fatalf("%s: AnnStatus = %+v", ax.name, st)
 		}
 	}
 }
 
-// TestANNEpochFallbackAndRebuild: a corpus mutation must flip the graph to
-// stale, searches must serve exact σ meanwhile (never the stale graph), and
-// the background rebuild must converge to a current graph.
-func TestANNEpochFallbackAndRebuild(t *testing.T) {
+// TestANNSurvivesMutation: the graph indexes the embedding store, so a
+// corpus mutation neither replaces it nor takes a search off it — the very
+// next search is scored through the same graph.
+func TestANNSurvivesMutation(t *testing.T) {
 	_, tables, queries := annEnv(t)
 	sys := annSystem(t, 200, NewHashPartitioner(2))
-	exact := annReference(t, 201) // exact σ over the corpus after the mutation
 	if err := sys.EnableAnnTopK(10, 64); err != nil {
 		t.Fatal(err)
 	}
-	if st := sys.AnnStatus(); !st.Enabled || !st.Current {
-		t.Fatalf("fresh AnnStatus = %+v", st)
-	}
+	graph := sys.ann
+	ref := annReference(t, 201) // the corpus after the mutations below
+	ref.Engine.SigmaTopK, ref.Engine.Ann = 10, graph
 
 	sys.AddTable(tables[200])
-	if st := sys.AnnStatus(); st.Current {
-		t.Fatalf("AnnStatus still current after mutation: %+v", st)
+	if err := sys.RemoveTable(sys.AddTable(tables[201])); err != nil {
+		t.Fatal(err)
 	}
-	// The first search after the epoch bump serves the degraded exact
-	// fallback — bit-identical to the pure exact system.
-	for qi, q := range queries {
-		if want, _ := exact.Search(q, 10); !rankingsEqual(want, sys.Search(q, 10)) {
-			t.Fatalf("q%d: degraded fallback differs from exact", qi)
-		}
+	annQueries := obs.AnnQueriesTotal()
+	before := annQueries.Value()
+	_, stats := sys.SearchStats(queries[0], 10)
+	if st := stats.Trace.Stage("ann"); st == nil || st.Items == 0 {
+		t.Fatalf("search after a mutation carries ann stage %+v", st)
 	}
-	// The fallback search kicked a single-flight rebuild; wait for it.
-	deadline := time.Now().Add(10 * time.Second)
-	for !sys.AnnStatus().Current {
-		if time.Now().After(deadline) {
-			t.Fatal("ANN graph never caught up with the corpus epoch")
-		}
-		time.Sleep(5 * time.Millisecond)
+	if annQueries.Value() == before {
+		t.Fatal("search after a mutation did not count on thetis_ann_queries_total")
+	}
+	if sys.ann != graph {
+		t.Fatal("mutation replaced the ANN graph")
 	}
 	for qi, q := range queries {
-		if got := sys.Search(q, 10); len(got) == 0 {
-			t.Fatalf("q%d: no results after rebuild", qi)
+		if want, _ := ref.Search(q, 10); !rankingsEqual(want, sys.Search(q, 10)) {
+			t.Fatalf("q%d: ranking after mutation differs from the reference over the same graph", qi)
 		}
 	}
 }
 
+// TestANNDroppedOnSimilarityReselect: re-selecting σ installs fresh exact
+// engines, so the graph (built over the store σ used to read) goes with
+// them and AnnStatus says what the engines do.
+func TestANNDroppedOnSimilarityReselect(t *testing.T) {
+	store, _, queries := annEnv(t)
+	sys := annSystem(t, 200, NewHashPartitioner(2))
+	if err := sys.EnableAnnTopK(10, 64); err != nil {
+		t.Fatal(err)
+	}
+	sys.SetEmbeddings(store)
+	sys.UseEmbeddingSimilarity()
+	if _, stats := sys.SearchStats(queries[0], 10); stats.Trace.Stage("ann") != nil {
+		t.Fatal("re-selected σ still scores through the old graph")
+	}
+	if st := sys.AnnStatus(); st.Enabled {
+		t.Fatalf("AnnStatus = %+v while the engines score exact σ", st)
+	}
+}
+
 // TestANNConcurrentSearchScrapeRebuild hammers one ANN-enabled system with
-// concurrent searches and /metrics scrapes while corpus mutations force
-// epoch rebuilds mid-flight. Run under -race (make race); the assertion
-// is the absence of races/panics plus non-empty results throughout.
+// concurrent searches, /metrics scrapes and AnnStatus reads while the corpus
+// mutates. Run under -race (make race); the assertion is the absence of
+// races/panics plus non-empty results throughout.
 func TestANNConcurrentSearchScrapeRebuild(t *testing.T) {
 	_, tables, queries := annEnv(t)
 	sys := annSystem(t, 200, NewHashPartitioner(2))
@@ -246,13 +242,11 @@ func TestANNConcurrentSearchScrapeRebuild(t *testing.T) {
 			_ = sys.AnnStatus()
 		}
 	}()
-	// Mutations from the test goroutine: each bumps the epoch, forcing the
-	// searchers through the degraded-fallback + background-rebuild path.
+	// Mutations from the test goroutine, interleaved with the searchers.
 	for i := 200; i < 210 && i < len(tables); i++ {
 		sys.AddTable(tables[i])
 		time.Sleep(10 * time.Millisecond)
 	}
-	time.Sleep(50 * time.Millisecond)
 	close(stop)
 	wg.Wait()
 	select {

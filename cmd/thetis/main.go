@@ -109,8 +109,6 @@ func configureSimilarity(sys *thetis.System, sim, embFile string) {
 	switch sim {
 	case "types":
 		sys.UseTypeSimilarity()
-	case "predicates":
-		sys.UsePredicateSimilarity()
 	case "embeddings":
 		if embFile != "" {
 			f, err := os.Open(embFile)
@@ -128,7 +126,7 @@ func configureSimilarity(sys *thetis.System, sim, embFile string) {
 		}
 		sys.UseEmbeddingSimilarity()
 	default:
-		log.Fatalf("unknown similarity %q", sim)
+		log.Fatalf("unknown similarity %q (want types | embeddings)", sim)
 	}
 }
 
@@ -247,7 +245,7 @@ func runSearch(args []string) {
 	kgPath := fs.String("kg", "bench/kg.nt", "knowledge graph triples file")
 	corpusPath := fs.String("corpus", "bench/corpus.jsonl", "corpus JSONL file")
 	queryText := fs.String("query", "", "query: entities separated by '|', tuples by ';' (labels or URIs)")
-	sim := fs.String("sim", "types", "similarity: types | embeddings | predicates")
+	sim := fs.String("sim", "types", "similarity: types | embeddings")
 	embFile := fs.String("embfile", "", "load embeddings from file instead of training")
 	k := fs.Int("k", 10, "number of results")
 	useLSH := fs.Bool("lsh", false, "enable LSH prefiltering (30,10)")

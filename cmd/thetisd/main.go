@@ -32,9 +32,9 @@
 // Approximate σ (docs/ANN.md): with -sim embeddings, -ann-topk K scores
 // each query entity against only its K nearest store entities (found
 // through a pure-Go HNSW graph; -ann-ef tunes the recall/latency
-// trade-off) instead of the whole entity store. Corpus mutations bump the
-// index epoch; searches fall back to exact σ while the graph rebuilds in
-// the background (thetis_ann_* metrics, GET /debug/ann).
+// trade-off) instead of the whole entity store. The graph is built once
+// at start-up over the embedding store; corpus mutations leave it in
+// place (thetis_ann_* metrics, GET /debug/ann).
 //
 // Batch search (docs/THROUGHPUT.md): POST /search/batch answers N queries
 // in one round trip under one corpus snapshot, bit-identical to N

@@ -1,8 +1,10 @@
 package thetis
 
-// Documentation link checker (wired into `make check` as linkcheck): every
+// Documentation checkers (wired into `make check` as linkcheck): every
 // relative markdown link in the repo's .md files must resolve to an
-// existing file or directory, so docs cannot silently drift as files move.
+// existing file or directory, so docs cannot silently drift as files move,
+// and docs/OBSERVABILITY.md's metric tables must name exactly the families
+// internal/obs/std.go registers.
 
 import (
 	"io/fs"
@@ -73,6 +75,68 @@ func TestDocLinks(t *testing.T) {
 		t.Fatal("no relative links checked — regex or corpus changed?")
 	}
 	t.Logf("checked %d relative links across %d markdown files", checked, len(mdFiles))
+}
+
+// metricLiteral matches the family names internal/obs/std.go registers; a
+// literal ending in "_" is a prefix completed at run time
+// (thetis_ingest_<kind>_…). metricRow matches a family's row in a
+// docs/OBSERVABILITY.md table.
+var (
+	metricLiteral = regexp.MustCompile(`"(thetis_[a-z_]+)"`)
+	metricRow     = regexp.MustCompile("(?m)^\\| `(thetis_[a-z_]+)`")
+)
+
+// TestObservabilityDocMatchesRegistry: every registered metric family has a
+// row in a docs/OBSERVABILITY.md table and every row names a registered
+// family, so deleting a metric cannot leave a stale row behind.
+func TestObservabilityDocMatchesRegistry(t *testing.T) {
+	src, err := os.ReadFile("internal/obs/std.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := os.ReadFile("docs/OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	var prefixes []string
+	for _, m := range metricLiteral.FindAllSubmatch(src, -1) {
+		if name := string(m[1]); strings.HasSuffix(name, "_") {
+			prefixes = append(prefixes, name)
+		} else {
+			registered[name] = true
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("no registered families found — did std.go move?")
+	}
+	documented := map[string]bool{}
+	prefixDocumented := map[string]bool{}
+	for _, m := range metricRow.FindAllSubmatch(doc, -1) {
+		name := string(m[1])
+		documented[name] = true
+		for _, p := range prefixes {
+			if strings.HasPrefix(name, p) {
+				prefixDocumented[p] = true
+				registered[name] = true
+			}
+		}
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("%s is registered in internal/obs/std.go but has no row in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for _, p := range prefixes {
+		if !prefixDocumented[p] {
+			t.Errorf("no %s* family has a row in docs/OBSERVABILITY.md", p)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("docs/OBSERVABILITY.md documents %s, which internal/obs/std.go does not register", name)
+		}
+	}
 }
 
 // changesEntry matches the two forms a PR entry takes in CHANGES.md: a

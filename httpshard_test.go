@@ -64,13 +64,13 @@ func TestResolveWireQueryUnknownURIsAreEphemeral(t *testing.T) {
 // vectors (score 0 off the diagonal), exactly like a freshly interned
 // stranger used to.
 func TestServeShardSearchUnknownURIsStillRank(t *testing.T) {
-	for _, sim := range []string{"type", "predicate"} {
+	for _, sim := range []string{"type", "embedding"} {
 		sys, _ := buildDemoSystem(t)
 		switch sim {
 		case "type":
 			sys.UseTypeSimilarity()
-		case "predicate":
-			sys.UsePredicateSimilarity()
+		case "embedding":
+			useDemoEmbeddings(sys)
 		}
 		before := sys.GraphCounts()
 		p := sys.ServeShardSearch(context.Background(), remote.SearchRequest{

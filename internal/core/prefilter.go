@@ -598,17 +598,13 @@ func (x *LSEI) Candidates(q Query, votes int) []lake.TableID {
 	return x.CandidatesTracedContext(context.Background(), q, votes, nil)
 }
 
-// CandidatesTraced is Candidates recording the prefilter's probe and vote
-// stages onto tr (nil tr skips tracing; metrics are always updated).
-func (x *LSEI) CandidatesTraced(q Query, votes int, tr *obs.Trace) []lake.TableID {
-	return x.CandidatesTracedContext(context.Background(), q, votes, tr)
-}
-
-// CandidatesTracedContext is CandidatesTraced honoring cancellation: the
-// probe/vote loop checks ctx between query entities (and between band
-// probes underneath), so a dead context returns the candidates gathered so
-// far. Callers detect the cutoff via ctx.Err(); the downstream scoring
-// phase bails out immediately anyway and marks its Stats.Truncated.
+// CandidatesTracedContext is Candidates recording the prefilter's probe and
+// vote stages onto tr (nil tr skips tracing; metrics are always updated)
+// and honoring cancellation: the probe/vote loop checks ctx between query
+// entities (and between band probes underneath), so a dead context returns
+// the candidates gathered so far. Callers detect the cutoff via ctx.Err();
+// the downstream scoring phase bails out immediately anyway and marks its
+// Stats.Truncated.
 func (x *LSEI) CandidatesTracedContext(ctx context.Context, q Query, votes int, tr *obs.Trace) []lake.TableID {
 	if votes < 1 {
 		votes = 1

@@ -60,10 +60,9 @@ type Engine struct {
 	// 0 (the default) scores exactly; results are then bit-identical to an
 	// engine without the field.
 	SigmaTopK int
-	// Ann supplies the ANN index for top-k σ, consulted once per search.
-	// A nil source or a nil index falls back to exact σ for that search
-	// (counted on thetis_ann_fallbacks_total).
-	Ann AnnSource
+	// Ann is the ANN index top-k σ resolves neighborhoods through; without
+	// one (or over a σ that is not the embedding cosine) scoring is exact.
+	Ann AnnIndex
 }
 
 // newSigmaCache returns the σ cache for one search of q over the given σ

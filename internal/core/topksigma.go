@@ -26,21 +26,9 @@ type AnnIndex interface {
 	TopK(vec embedding.Vector, k int) []embedding.Neighbor
 }
 
-// AnnSource supplies the ANN index for one search. It is consulted once
-// per search, so a serving layer can hand out the current graph — or nil
-// to force exact σ while a rebuild after a mutation-epoch bump is in
-// flight (the degraded-fallback contract of docs/ANN.md).
-type AnnSource func() AnnIndex
-
-// StaticAnn wraps a fixed index as an AnnSource (tests, experiments).
-func StaticAnn(ix AnnIndex) AnnSource {
-	return func() AnnIndex { return ix }
-}
-
 var (
-	mAnnQueries   = obs.AnnQueriesTotal()
-	mAnnFallbacks = obs.AnnFallbacksTotal()
-	mStageAnn     = obs.SearchStageSeconds("ann")
+	mAnnQueries = obs.AnnQueriesTotal()
+	mStageAnn   = obs.SearchStageSeconds("ann")
 )
 
 // topKSigma is the per-search neighborhood similarity. The neighborhood is
@@ -79,28 +67,15 @@ func (t *topKSigma) Score(a, b kg.EntityID) float64 {
 	return m[b]
 }
 
-// newTopKSigma resolves the query's neighborhoods, or returns nil when the
-// engine cannot run top-k σ for this search (mode off, no index available,
-// or σ is not embedding cosine).
-func (eng *Engine) newTopKSigma(q Query) *topKSigma {
-	if eng.SigmaTopK <= 0 || eng.Ann == nil {
-		return nil
-	}
-	ec, ok := eng.Sim.(*EmbeddingCosine)
-	if !ok {
-		return nil
-	}
-	ix := eng.Ann()
-	if ix == nil {
-		return nil
-	}
+// newTopKSigma resolves the query's neighborhoods through eng.Ann.
+func (eng *Engine) newTopKSigma(q Query, ec *EmbeddingCosine) *topKSigma {
 	t := &topKSigma{exact: ec, hood: make(map[kg.EntityID]map[kg.EntityID]float64)}
 	distinct := q.DistinctEntities()
 	pool := make(map[kg.EntityID]bool, len(distinct)*eng.SigmaTopK)
 	for _, qe := range distinct {
 		pool[qe] = true
 		if v := ec.Vector(qe); v != nil {
-			for _, nb := range ix.TopK(v, eng.SigmaTopK) {
+			for _, nb := range eng.Ann.TopK(v, eng.SigmaTopK) {
 				pool[nb.ID] = true
 			}
 		}
@@ -124,27 +99,20 @@ func (eng *Engine) newTopKSigma(q Query) *topKSigma {
 }
 
 // searchSim returns the σ this search scores with — the engine's exact σ,
-// or a freshly resolved top-k σ — and records the ann trace stage and the
-// query/fallback metrics. The stage is only emitted when the mode is on,
-// so exact-mode traces are unchanged.
+// or, when the mode is on (SigmaTopK > 0 with an index over an embedding
+// cosine), a freshly resolved top-k σ, recording the ann trace stage and
+// the query metric. Exact-mode traces carry no ann stage.
 func (eng *Engine) searchSim(q Query, tr *obs.Trace) Similarity {
-	if eng.SigmaTopK <= 0 {
+	ec, ok := eng.Sim.(*EmbeddingCosine)
+	if eng.SigmaTopK <= 0 || eng.Ann == nil || !ok {
 		return eng.Sim
 	}
 	start := time.Now()
-	t := eng.newTopKSigma(q)
+	t := eng.newTopKSigma(q, ec)
 	d := time.Since(start)
 	mStageAnn.Observe(d.Seconds())
 	if tr != nil {
-		st := obs.Stage{Name: "ann", Wall: d}
-		if t != nil {
-			st.Items = t.neighbors
-		}
-		tr.Add(st)
-	}
-	if t == nil {
-		mAnnFallbacks.Inc()
-		return eng.Sim
+		tr.Add(obs.Stage{Name: "ann", Wall: d, Items: t.neighbors})
 	}
 	mAnnQueries.Inc()
 	return t

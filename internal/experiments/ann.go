@@ -158,7 +158,7 @@ func RunANN(env *Env) ANNResult {
 		if pt.k == 10 {
 			annEng := env.EngineEmbeddings()
 			annEng.SigmaTopK = pt.k
-			annEng.Ann = core.StaticAnn(efIndex{ix: ix, ef: pt.ef})
+			annEng.Ann = efIndex{ix: ix, ef: pt.ef}
 			var annNDCG, agreeSum float64
 			agreed := 0
 			var annTotal time.Duration

@@ -49,10 +49,6 @@ type Lake struct {
 	// removed counts tombstoned slots (nil entries in tables), so the live
 	// table count — the N of every corpus-frequency statistic — stays O(1).
 	removed int
-	// epoch counts corpus mutations (Add and Remove each bump it once).
-	// Anything memoized against the corpus — cross-query caches, the
-	// thetis_index_epoch gauge — keys on it to detect staleness.
-	epoch atomic.Uint64
 }
 
 // New creates an empty lake over graph g.
@@ -75,7 +71,6 @@ func (l *Lake) Add(t *table.Table) TableID {
 		l.postings[e] = append(l.postings[e], id)
 		l.entityFreq[e]++
 	}
-	l.epoch.Add(1)
 	return id
 }
 
@@ -109,7 +104,6 @@ func (l *Lake) Remove(id TableID) bool {
 	l.tables[int(id)] = nil
 	l.colIndex[int(id)].Store(nil)
 	l.removed++
-	l.epoch.Add(1)
 	return true
 }
 
@@ -120,11 +114,6 @@ func (l *Lake) NumTables() int { return len(l.tables) - l.removed }
 // NumSlots returns the number of table ID slots ever allocated, including
 // tombstones. Table IDs are always in [0, NumSlots()).
 func (l *Lake) NumSlots() int { return len(l.tables) }
-
-// Epoch returns the corpus mutation counter: it advances by one on every
-// Add and Remove, so equal epochs imply an identical corpus (within one
-// process).
-func (l *Lake) Epoch() uint64 { return l.epoch.Load() }
 
 // Table returns the table with the given ID, or nil when the ID is out of
 // range or the table was removed.

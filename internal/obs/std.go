@@ -413,14 +413,6 @@ func AnnQueriesTotal() *Counter {
 		"Searches scored with ANN top-k sigma neighborhoods.", nil)
 }
 
-// AnnFallbacksTotal counts searches that wanted top-k σ but served exact σ
-// instead — the graph was rebuilding after an epoch bump, or no usable
-// index/similarity was available. Degraded mode, not an error.
-func AnnFallbacksTotal() *Counter {
-	return Default.Counter("thetis_ann_fallbacks_total",
-		"Top-k sigma searches that fell back to exact sigma (graph rebuilding or unavailable).", nil)
-}
-
 // AnnGraphNodes gauges the entity count of the currently installed HNSW
 // graph.
 func AnnGraphNodes(r *Registry) *Gauge {

@@ -8,7 +8,7 @@ import (
 )
 
 // TestANNStatusEndpoint: /debug/ann reports the ANN serving state — off by
-// default, and current with a populated graph once EnableAnnTopK ran.
+// default, and enabled with a populated graph once EnableAnnTopK ran.
 func TestANNStatusEndpoint(t *testing.T) {
 	ts := demoServer(t)
 	body := getJSON(t, ts.URL+"/debug/ann", 200)
@@ -25,8 +25,8 @@ func TestANNStatusEndpoint(t *testing.T) {
 	ts2 := httptest.NewServer(New(sys))
 	t.Cleanup(ts2.Close)
 	body = getJSON(t, ts2.URL+"/debug/ann", 200)
-	if body["enabled"] != true || body["current"] != true {
-		t.Fatalf("status = %v, want enabled+current", body)
+	if body["enabled"] != true {
+		t.Fatalf("status = %v, want enabled", body)
 	}
 	if body["top_k"].(float64) != 5 || body["ef_search"].(float64) != 32 {
 		t.Fatalf("params = %v", body)

@@ -198,6 +198,9 @@ type System struct {
 	coord   *Coordinator
 	remotes []*RemoteShard
 
+	// tj or ec is the σ every shard engine scores with: installEngines
+	// records the chosen one and nils the other, so exactly one is set once
+	// a similarity is selected.
 	tj    *core.TypeJaccard
 	ec    *core.EmbeddingCosine
 	store *embedding.Store
@@ -223,8 +226,9 @@ type System struct {
 	// maintMu alone so searches keep flowing while a fresh index is built
 	// aside and hot-swapped in.
 	maintMu sync.Mutex
-	// epoch counts mutations (one bump per AddTable/RemoveTable); memoized
-	// state — the ANN graph — is validated against it.
+	// epoch counts mutations (one bump per AddTable/RemoveTable) for
+	// operators and the delta log (IndexEpoch); nothing internal is
+	// validated against it.
 	epoch atomic.Uint64
 	// delta, when attached, write-ahead-logs every mutation so a restart
 	// can replay base corpus + deltas (AttachDeltaLog). deltaErr is its
@@ -232,13 +236,12 @@ type System struct {
 	delta    *deltaLog
 	deltaErr atomic.Pointer[error]
 
-	// ann holds the HNSW graph backing top-k σ mode and the epoch it was
-	// built at (nil when the mode is off); annBuilding single-flights the
-	// background rebuild after an epoch bump. One graph serves every shard:
-	// the embedding store is a graph property. See ann.go / docs/ANN.md.
-	ann            atomic.Pointer[annState]
-	annBuilding    atomic.Bool
-	annTopK, annEf int
+	// ann is the HNSW graph backing top-k σ mode (nil when the mode is
+	// off), a function of the embedding store alone: EnableAnnTopK builds it
+	// once, every shard engine scores through it, and corpus mutations leave
+	// it alone. See ann.go / docs/ANN.md.
+	ann   *embedding.HNSW
+	annEf int
 }
 
 // New creates an empty semantic data lake over the knowledge graph g, held
@@ -330,25 +333,22 @@ func (s *System) IngestCorpus(r io.Reader, opts IngestOptions) (int, error) {
 // large ingestion batches to refresh corpus-frequency weights.
 func (s *System) Refresh() {
 	rebuildIndex := s.hasAnyIndex()
-	rebuildKeyword := s.keyword != nil
+	ann := s.AnnStatus()
 	switch {
-	case s.engine() == nil:
-		// Nothing configured yet.
-	case s.embeddingSim():
+	case s.ec != nil:
 		s.UseEmbeddingSimilarity()
-	default:
-		s.tj = nil
+	case s.tj != nil:
 		s.UseTypeSimilarity()
 	}
-	if rebuildIndex && s.engine() != nil {
+	if rebuildIndex {
 		s.BuildIndex(s.indexCfg)
 	}
-	if rebuildKeyword {
+	if s.keyword != nil {
 		s.BuildKeywordIndex()
 	}
-	if s.annTopK > 0 && s.embeddingSim() {
-		// Fresh engines lost their top-k σ wiring.
-		_ = s.EnableAnnTopK(s.annTopK, s.annEf)
+	if ann.Enabled {
+		// Cannot fail: the same k and ef were accepted over this σ before.
+		_ = s.EnableAnnTopK(ann.TopK, ann.EfSearch)
 	}
 }
 
@@ -384,28 +384,29 @@ func (s *System) LoadEmbeddings(r io.Reader) error {
 	return nil
 }
 
-// installEngines gives every shard a fresh engine over the chosen
-// similarity with GLOBAL informativeness weights — the first of the three
-// globals that keep rankings independent of the shard count. Installing an
-// engine drops the shard's index (signatures depend on the similarity).
+// installEngines records sim as the system's σ and gives every shard a
+// fresh engine over it with GLOBAL informativeness weights — the first of
+// the three globals that keep rankings independent of the shard count. It is
+// the one place that resets what is derived from σ: each shard's index
+// (signatures depend on the similarity), the frequent-type filter, and the
+// ANN graph with its engine wiring.
 func (s *System) installEngines(sim Similarity) {
+	s.tj, _ = sim.(*core.TypeJaccard)
+	s.ec, _ = sim.(*core.EmbeddingCosine)
 	inf := core.IDFInformativenessOver(s.lakes)
 	for _, sh := range s.shards {
 		eng := core.NewEngine(sh.Lake(), sim)
 		eng.Inf = inf
 		sh.SetEngine(eng)
 	}
-	s.typeFilter = nil
-	s.filterState = nil
+	s.typeFilter, s.filterState = nil, nil
+	s.ann, s.annEf = nil, 0
 }
 
 // UseTypeSimilarity configures σ as the adjusted Jaccard of taxonomy-
 // expanded entity type sets (Equation 4; the paper's STST).
 func (s *System) UseTypeSimilarity() {
-	if s.tj == nil {
-		s.tj = core.NewTypeJaccard(s.graph)
-	}
-	s.installEngines(s.tj)
+	s.installEngines(core.NewTypeJaccard(s.graph))
 }
 
 // UseEmbeddingSimilarity configures σ as the clamped cosine of entity
@@ -415,56 +416,7 @@ func (s *System) UseEmbeddingSimilarity() {
 	if s.store == nil {
 		panic("thetis: UseEmbeddingSimilarity before TrainEmbeddings/SetEmbeddings")
 	}
-	s.ec = core.NewEmbeddingCosine(s.graph, s.store)
-	s.installEngines(s.ec)
-}
-
-// UseCombinedSimilarity configures σ as a weighted blend of the type and
-// embedding similarities (the paper's future-work direction of combining
-// similarity measures in a unified manner). Requires trained embeddings.
-// LSH prefiltering built afterwards uses the type index.
-func (s *System) UseCombinedSimilarity(typeWeight, embeddingWeight float64) {
-	if s.store == nil {
-		panic("thetis: UseCombinedSimilarity before TrainEmbeddings/SetEmbeddings")
-	}
-	if s.tj == nil {
-		s.tj = core.NewTypeJaccard(s.graph)
-	}
-	s.ec = core.NewEmbeddingCosine(s.graph, s.store)
-	s.installEngines(core.NewCombinedSimilarity(
-		[]core.Similarity{s.tj, s.ec},
-		[]float64{typeWeight, embeddingWeight}))
-}
-
-// UsePredicateSimilarity configures σ as the Jaccard of the directional
-// predicate sets around entities — the alternative set similarity the paper
-// suggests for KGs with thin taxonomies but rich relation vocabularies.
-// LSH prefiltering is not available for this similarity.
-func (s *System) UsePredicateSimilarity() {
-	s.installEngines(core.NewPredicateJaccard(s.graph))
-}
-
-// RelaxedSearch is Search with automatic relaxation of over-specialized
-// queries: when fewer than minResults tables score at least minScore, the
-// least informative entity is dropped from every tuple and the search
-// retries. It returns the results together with the (possibly relaxed)
-// query that produced them.
-func (s *System) RelaxedSearch(q Query, k, minResults int, minScore float64) ([]Result, Query) {
-	return s.RelaxedSearchContext(context.Background(), q, k, minResults, minScore)
-}
-
-// RelaxedSearchContext is RelaxedSearch honoring cancellation: each round's
-// search is truncatable and no new relaxation round starts once ctx is
-// dead. Every round scores the whole lake (no LSH prefilter).
-func (s *System) RelaxedSearchContext(ctx context.Context, q Query, k, minResults int, minScore float64) ([]Result, Query) {
-	s.mustEngine()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	opt := core.RelaxOptions{K: k, MinResults: minResults, MinScore: minScore}
-	return core.RelaxedSearchWith(ctx, q, opt, s.engine().Inf, func(ctx context.Context, q Query, k int) []Result {
-		res, _ := s.coord.SearchShard(ctx, q, k, ShardSearchOptions{ForceFullScan: true})
-		return res
-	})
+	s.installEngines(core.NewEmbeddingCosine(s.graph, s.store))
 }
 
 // eachEngine applies a knob to every shard's engine.
@@ -742,11 +694,9 @@ var errNoEmbeddings = errors.New("thetis: no embeddings trained or loaded")
 // global informativeness, so any one speaks for all.
 func (s *System) engine() *core.Engine { return s.shards[0].Engine() }
 
-// embeddingSim reports whether the active similarity is the plain
-// embedding cosine, which indexes via hyperplane LSH instead of MinHash.
-func (s *System) embeddingSim() bool {
-	return s.ec != nil && s.engine() != nil && s.engine().Sim == Similarity(s.ec)
-}
+// embeddingSim reports whether the selected similarity is the embedding
+// cosine, which indexes via hyperplane LSH instead of MinHash.
+func (s *System) embeddingSim() bool { return s.ec != nil }
 
 func (s *System) mustEngine() {
 	if s.engine() == nil {

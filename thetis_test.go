@@ -58,6 +58,15 @@ func buildDemoSystem(t *testing.T) (*System, Query) {
 	return sys, q
 }
 
+// useDemoEmbeddings trains small embeddings over the demo KG and selects
+// embedding σ.
+func useDemoEmbeddings(sys *System) {
+	sys.TrainEmbeddings(
+		WalkConfig{WalksPerEntity: 20, Length: 6, Undirected: true, Seed: 1},
+		TrainConfig{Dim: 16, Window: 3, Negatives: 4, Epochs: 6, LearningRate: 0.05, Seed: 1})
+	sys.UseEmbeddingSimilarity()
+}
+
 func TestSystemTypeSearch(t *testing.T) {
 	sys, q := buildDemoSystem(t)
 	sys.UseTypeSimilarity()
@@ -72,10 +81,7 @@ func TestSystemTypeSearch(t *testing.T) {
 
 func TestSystemEmbeddingSearch(t *testing.T) {
 	sys, q := buildDemoSystem(t)
-	sys.TrainEmbeddings(
-		WalkConfig{WalksPerEntity: 20, Length: 6, Undirected: true, Seed: 1},
-		TrainConfig{Dim: 16, Window: 3, Negatives: 4, Epochs: 6, LearningRate: 0.05, Seed: 1})
-	sys.UseEmbeddingSimilarity()
+	useDemoEmbeddings(sys)
 	res := sys.Search(q, 10)
 	if len(res) == 0 || res[0].Table != 0 {
 		t.Fatalf("embedding search = %v, want roster table first", res)
@@ -168,15 +174,6 @@ func TestFuzzyLinkerThroughFacade(t *testing.T) {
 	}
 }
 
-func TestSystemPredicateSimilarity(t *testing.T) {
-	sys, q := buildDemoSystem(t)
-	sys.UsePredicateSimilarity()
-	res := sys.Search(q, 10)
-	if len(res) == 0 || res[0].Table != 0 {
-		t.Fatalf("predicate search = %v, want roster table first", res)
-	}
-}
-
 func TestSystemScoreModeAndMapping(t *testing.T) {
 	sys, q := buildDemoSystem(t)
 	sys.UseTypeSimilarity()
@@ -223,47 +220,57 @@ func TestSystemLoadEmbeddingsBadData(t *testing.T) {
 	}
 }
 
-func TestSystemCombinedSimilarity(t *testing.T) {
-	sys, q := buildDemoSystem(t)
-	sys.TrainEmbeddings(
-		WalkConfig{WalksPerEntity: 10, Length: 5, Undirected: true, Seed: 3},
-		TrainConfig{Dim: 8, Window: 2, Negatives: 3, Epochs: 3, LearningRate: 0.05, Seed: 3})
-	sys.UseCombinedSimilarity(0.6, 0.4)
-	res := sys.Search(q, 10)
-	if len(res) == 0 || res[0].Table != 0 {
-		t.Fatalf("combined search = %v, want roster first", res)
-	}
-	// LSH prefiltering still works on top of the blend (type index).
-	sys.BuildIndex(DefaultIndexConfig())
-	res2 := sys.Search(q, 1)
-	if len(res2) == 0 || res2[0].Table != 0 {
-		t.Fatalf("indexed combined search = %v", res2)
-	}
-}
-
-func TestSystemCombinedWithoutEmbeddingsPanics(t *testing.T) {
-	sys, _ := buildDemoSystem(t)
-	defer func() {
-		if recover() == nil {
-			t.Error("UseCombinedSimilarity without embeddings did not panic")
+// TestRefreshKeepsSimilarity: Refresh re-installs the σ that was selected
+// and rebuilds what was built on it — rankings, the LSEI and the ANN wiring
+// are the same before and after.
+func TestRefreshKeepsSimilarity(t *testing.T) {
+	// annItems is the ann stage's neighborhood size, -1 without the stage.
+	annItems := func(st SearchStats) int {
+		if stage := st.Trace.Stage("ann"); stage != nil {
+			return stage.Items
 		}
-	}()
-	sys.UseCombinedSimilarity(0.5, 0.5)
-}
+		return -1
+	}
+	cases := []struct {
+		name                   string
+		embeddings, annAndLSEI bool
+	}{
+		{name: "type"},
+		{name: "embedding", embeddings: true},
+		{name: "embedding+ann+lsei", embeddings: true, annAndLSEI: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sys, q := buildDemoSystem(t)
+			if tc.embeddings {
+				useDemoEmbeddings(sys)
+			} else {
+				sys.UseTypeSimilarity()
+			}
+			if tc.annAndLSEI {
+				if err := sys.EnableAnnTopK(3, 8); err != nil {
+					t.Fatal(err)
+				}
+				sys.BuildIndex(DefaultIndexConfig())
+			}
+			want, wantStats := sys.SearchStats(q, 10)
+			if len(want) == 0 || (annItems(wantStats) > 0) != tc.annAndLSEI {
+				t.Fatalf("before Refresh: results %v, ann items %d", want, annItems(wantStats))
+			}
 
-func TestSystemRelaxedSearch(t *testing.T) {
-	sys, _ := buildDemoSystem(t)
-	sys.UseTypeSimilarity()
-	q, err := sys.ParseQuery("Ron Santo | Chicago Cubs | Vera Volley")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, relaxed := sys.RelaxedSearch(q, 3, 1, 0.999)
-	if len(res) == 0 || res[0].Score < 0.999 {
-		t.Fatalf("relaxed search = %v", res)
-	}
-	if len(relaxed[0]) >= 3 {
-		t.Errorf("query not relaxed: %v", relaxed)
+			sys.Refresh()
+
+			got, gotStats := sys.SearchStats(q, 10)
+			if !rankingsEqual(want, got) {
+				t.Errorf("rankings changed across Refresh: %v -> %v", want, got)
+			}
+			if sys.HasIndex() != tc.annAndLSEI {
+				t.Errorf("HasIndex after Refresh = %v, want %v", sys.HasIndex(), tc.annAndLSEI)
+			}
+			if annItems(gotStats) != annItems(wantStats) {
+				t.Errorf("ann stage items changed across Refresh: %d -> %d", annItems(wantStats), annItems(gotStats))
+			}
+		})
 	}
 }
 
