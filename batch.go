@@ -31,8 +31,8 @@ func (s *System) SearchBatch(queries []Query, k int) ([][]Result, []SearchStats)
 //
 // A query equal tuple for tuple to an earlier one of the batch that
 // completed untruncated is not searched again: same snapshot, same answer,
-// so it gets a copy of that ranking with the earlier Candidates and Scored
-// and zero times and σ counts.
+// so it gets a copy of that ranking with the earlier Candidates, Scored and
+// Pruned and zero times and σ counts.
 //
 // Cancellation truncates the batch from the query it interrupts onwards:
 // that query and every later one — repeats included — return a correctly

@@ -81,7 +81,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 				t.Fatalf("%s/%s: first occurrence was not searched: %+v", ax.name, cfg.name, first)
 			}
 			if again.SigmaHits+again.SigmaMisses != 0 || again.TotalTime != 0 || again.MappingTime != 0 ||
-				again.Candidates != first.Candidates || again.Scored != first.Scored || again.Trace == nil {
+				again.Candidates != first.Candidates || again.Scored != first.Scored || again.Pruned != first.Pruned || again.Trace == nil {
 				t.Fatalf("%s/%s: repeated query reports %+v, want the first occurrence's counts %+v with zero times and σ lookups",
 					ax.name, cfg.name, again, first)
 			}

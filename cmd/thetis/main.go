@@ -316,7 +316,7 @@ func runSearch(args []string) {
 	for i, r := range results {
 		fmt.Printf("%2d. %-40s score=%.4f\n", i+1, sys.Table(r.Table).Name, r.Score)
 	}
-	fmt.Printf("(%d/%d tables scored in %v)\n", stats.Scored, stats.Candidates, elapsed.Round(time.Millisecond))
+	fmt.Printf("(%d/%d tables scored, %d pruned, in %v)\n", stats.Scored, stats.Candidates, stats.Pruned, elapsed.Round(time.Millisecond))
 	if stats.Truncated {
 		fmt.Printf("(truncated: deadline %v expired; ranking covers tables scored before the cutoff)\n", *timeout)
 	}

@@ -76,6 +76,7 @@ func (s *System) ServeShardSearch(ctx context.Context, req remote.SearchRequest)
 		Stats: remote.WireStats{
 			Candidates:   stats.Candidates,
 			Scored:       stats.Scored,
+			Pruned:       stats.Pruned,
 			MappingMicro: stats.MappingTime.Microseconds(),
 			TotalMicro:   stats.TotalTime.Microseconds(),
 			Truncated:    stats.Truncated,

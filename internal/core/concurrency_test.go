@@ -211,8 +211,8 @@ func TestSearchContextDeadlineTruncatesPromptly(t *testing.T) {
 		t.Fatalf("deadline search not truncated (scored %d/%d in %v)",
 			stats.Scored, stats.Candidates, elapsed)
 	}
-	if stats.Scored >= l.NumTables() {
-		t.Errorf("truncated search scored all %d tables", stats.Scored)
+	if visited := stats.Scored + stats.Pruned; visited >= l.NumTables() {
+		t.Errorf("truncated search visited all %d tables", visited)
 	}
 	// The full slow search would take well over a second (≥4 fresh σ calls
 	// per table × 2ms × 40 tables per worker chain); the cutoff must land
@@ -242,8 +242,8 @@ func TestSearchContextCancelMidSearch(t *testing.T) {
 	if !stats.Truncated {
 		t.Fatal("mid-search cancellation not marked Truncated")
 	}
-	if stats.Scored >= l.NumTables() {
-		t.Errorf("cancelled search scored all %d tables", stats.Scored)
+	if visited := stats.Scored + stats.Pruned; visited >= l.NumTables() {
+		t.Errorf("cancelled search visited all %d tables", visited)
 	}
 	requireRanked(t, results)
 	requireSubsetOfReference(t, results, refScores)

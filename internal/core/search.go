@@ -28,6 +28,7 @@ var (
 	mSigmaMisses  = obs.SigmaCacheMissesTotal()
 	mSigmaBytes   = obs.SigmaCacheBytes()
 	mSigmaRatio   = obs.SigmaCacheHitRatio()
+	mPruned       = obs.SearchPrunedTotal()
 )
 
 func kgEntity(x uint32) kg.EntityID { return kg.EntityID(x) }
@@ -92,8 +93,16 @@ type Result struct {
 type Stats struct {
 	// Candidates is the number of tables considered (after prefiltering).
 	Candidates int
-	// Scored is the number of tables with SemRel > 0.
+	// Scored is the number of tables scored in full with SemRel > 0.
 	Scored int
+	// Pruned is the number of tables a top-k search (k > 0) bounded out:
+	// after the σ pass, the best score any column mapping could give them
+	// was below the k-th best score found so far, so µ and the tuple scoring
+	// were skipped. Pruning never changes the returned ranking. With
+	// Parallelism > 1 the split between Scored and Pruned depends on worker
+	// timing and only the ranking is deterministic; at Parallelism = 1 both
+	// counts are too.
+	Pruned int
 	// MappingTime is CPU time spent in the query-to-column assignment μ,
 	// summed across all tables and all scoring workers. With
 	// Parallelism > 1 it can therefore exceed TotalTime; the wall-clock
@@ -142,8 +151,10 @@ type Stats struct {
 
 // Search scores every table of the lake against q and returns the top-k
 // results (k < 0 returns all) in descending score order. Tables with
-// SemRel(Q,T) = 0 are never returned. It is SearchContext with a
-// background context (never cancelled).
+// SemRel(Q,T) = 0 are never returned. With k > 0 a table that provably
+// cannot reach the top k is not scored in full (Stats.Pruned); the results
+// are the first k of the k < 0 ranking, bit for bit. It is SearchContext
+// with a background context (never cancelled).
 func (eng *Engine) Search(q Query, k int) ([]Result, Stats) {
 	return eng.SearchCandidatesContext(context.Background(), q, nil, k)
 }
@@ -203,6 +214,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		results      []Result
 		mapping      time.Duration
 		panicked     int
+		pruned       int
 		hits, misses int64
 	}
 	// sim is the σ this search scores with: the engine's exact σ, or —
@@ -215,6 +227,19 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	// scored exactly once per query. Nil when disabled; scorers then
 	// compute every σ they read.
 	sigma := eng.newSigmaCache(q, sim)
+	// floor is the k-th best score the workers have found so far; tables
+	// that cannot reach it are pruned (scorer.floor). Nil ranks everything.
+	var floor *scoreFloor
+	if k > 0 {
+		floor = new(scoreFloor)
+	}
+	// Each worker gets its own scorer (scratch rows); the SigmaCache and the
+	// floor are the parts they share.
+	newWorkerScorer := func() *scorer {
+		sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
+		sc.floor = floor
+		return sc
+	}
 	// scoreOne contains a panic to the table that caused it: scoring worker
 	// goroutines are outside any net/http recovery, so an uncontained panic
 	// here would kill the whole process.
@@ -253,13 +278,17 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			// Each worker gets its own scorer (scratch rows); the
-			// SigmaCache is the part they share.
-			sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
-			defer func() {
+			sc := newWorkerScorer()
+			// merge folds a scorer's local counters into the worker's part.
+			merge := func() {
 				parts[w].hits += sc.hits
 				parts[w].misses += sc.misses
-			}()
+				parts[w].pruned += sc.pruned
+			}
+			defer merge()
+			// top holds this worker's k best scores: once it has k, its
+			// smallest is a score k tables reach, and the floor rises to it.
+			top := kBest{k: k, scores: make([]float64, 0, min(max(k, 0), hi-lo))}
 			for _, tid := range candidates[lo:hi] {
 				if stop.expired() {
 					truncated.Store(true)
@@ -272,13 +301,15 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 					// The scorer's scratch may be mid-update; rebuild it.
 					// (SigmaCache entries are stored whole, so the shared
 					// cache stays valid.)
-					parts[w].hits += sc.hits
-					parts[w].misses += sc.misses
-					sc = newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
+					merge()
+					sc = newWorkerScorer()
 					continue
 				}
 				if score > 0 {
 					parts[w].results = append(parts[w].results, Result{Table: tid, Score: score})
+					if floor != nil {
+						floor.raise(top.offer(score))
+					}
 				}
 			}
 		}(w, lo, hi)
@@ -291,6 +322,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		results = append(results, p.results...)
 		stats.MappingTime += p.mapping
 		stats.Panicked += p.panicked
+		stats.Pruned += p.pruned
 		stats.SigmaHits += p.hits
 		stats.SigmaMisses += p.misses
 	}
@@ -303,6 +335,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 			mSigmaRatio.Set(float64(stats.SigmaHits) / float64(total))
 		}
 	}
+	mPruned.Add(int64(stats.Pruned))
 	stats.Truncated = truncated.Load()
 	if stats.Truncated {
 		mTruncated.Inc()

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -401,5 +406,140 @@ func TestConcurrentSearches(t *testing.T) {
 				t.Fatalf("concurrent search diverged at %d: %v vs %v", j, got[j], want[j])
 			}
 		}
+	}
+}
+
+// TestPrunedTopKMatchesFullRanking is the exactness of top-k pruning at the
+// level of a search: Search(q, k) is the first k of Search(q, -1) — which
+// never prunes — bit for bit, on every agg × mode × mapping × σ, for k from 1
+// to the lake size and one to eight workers. Every table of the lake exists
+// twice (IDs i and 200+i), so equal scores straddle rank k for odd k and the
+// strict < against the floor and the table-ID tie-break both decide results:
+// searched in descending ID order, the table that must win a tie at the k-th
+// place arrives after its twin has raised the floor to exactly its score.
+func TestPrunedTopKMatchesFullRanking(t *testing.T) {
+	half, g := randomCorpus(61, 24, 150, 200, 8, 4)
+	l := lake.New(g)
+	for range 2 {
+		for _, tb := range half.Tables() {
+			l.Add(tb.Clone())
+		}
+	}
+	n := l.NumTables()
+	rng := rand.New(rand.NewSource(67))
+	queries := []Query{randomQuery(rng, g, 1, 1), randomQuery(rng, g, 1, 3), randomQuery(rng, g, 5, 3)}
+	descending := l.LiveTableIDs()
+	slices.Reverse(descending)
+	requireSame := func(t *testing.T, what string, got, want []Result) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: got %v, want %v", what, got, want)
+		}
+	}
+	sims := map[string]Similarity{
+		"types":      NewTypeJaccard(g),
+		"embeddings": NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(9)), g, 16)),
+	}
+	for simName, sim := range sims {
+		for _, agg := range []Aggregation{AggregateMax, AggregateAvg} {
+			for _, mode := range []ScoreMode{ModeEntityWise, ModePairwise} {
+				for _, mapping := range []MappingMethod{MappingHungarian, MappingGreedy} {
+					t.Run(fmt.Sprintf("%s/%v/%v/%v", simName, agg, mode, mapping), func(t *testing.T) {
+						eng := &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l), Agg: agg, Mode: mode, Mapping: mapping}
+						for qi, q := range queries {
+							eng.Parallelism = 1
+							full, fullStats := eng.Search(q, -1)
+							if len(full) < 20 || fullStats.Pruned != 0 {
+								t.Fatalf("q%d: the full ranking has %d tables and pruned %d; want a real ranking, nothing pruned", qi, len(full), fullStats.Pruned)
+							}
+							for _, k := range []int{1, 3, 10, n} {
+								want := full[:min(k, len(full))]
+								for _, par := range []int{1, 2, 8} {
+									eng.Parallelism = par
+									got, stats := eng.Search(q, k)
+									requireSame(t, fmt.Sprintf("q%d k=%d par=%d", qi, k, par), got, want)
+									if visited := stats.Scored + stats.Pruned; visited > n || stats.Scored < len(got) {
+										t.Fatalf("q%d k=%d par=%d: scored %d + pruned %d of %d tables, %d returned", qi, k, par, stats.Scored, stats.Pruned, n, len(got))
+									}
+									if par == 1 && k <= 10 && mode == ModeEntityWise && stats.Pruned == 0 {
+										t.Fatalf("q%d k=%d: a serial top-%d search of %d tables pruned nothing", qi, k, k, n)
+									}
+									got, _ = eng.SearchCandidates(q, descending, k)
+									requireSame(t, fmt.Sprintf("q%d k=%d par=%d, descending IDs", qi, k, par), got, want)
+								}
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+
+	eng := NewEngine(l, sims["types"])
+	eng.Parallelism = 1
+	q := queries[2]
+	full := func(q Query) []Result {
+		results, _ := eng.Search(q, -1)
+		return results
+	}
+
+	// No more candidates than k: the floor rises, if at all, after the last
+	// table, and nothing is pruned. The candidates are nine tables of a
+	// one-entity query in strictly descending score order — its bound is its
+	// score, so a floor raised one score early would prune the ninth.
+	var few []lake.TableID
+	var best []Result
+	for _, r := range full(queries[0]) {
+		if len(best) < 9 && (len(best) == 0 || r.Score < best[len(best)-1].Score) {
+			few, best = append(few, r.Table), append(best, r)
+		}
+	}
+	for _, k := range []int{9, 10} {
+		got, stats := eng.SearchCandidates(queries[0], few, k)
+		requireSame(t, fmt.Sprintf("9 candidates, k=%d", k), got, best)
+		if stats.Pruned != 0 {
+			t.Errorf("9 candidates, k=%d: pruned %d tables before knowing a k-th score", k, stats.Pruned)
+		}
+	}
+
+	// A search cut short returns the exact top-k of the tables it visited.
+	// One worker visits a prefix of the candidates, and with no σ cache every
+	// σ read of the σ pass — the same with and without pruning — is an
+	// evaluation, so both searches are cancelled at the same table.
+	truncatedSearch := func(k int) ([]Result, Stats) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		cut := NewEngine(l, cancelSim{inner: sims["types"], after: 20000, calls: new(atomic.Int64), cancel: cancel})
+		cut.Parallelism, cut.DisableSigmaCache = 1, true
+		return cut.SearchContext(ctx, q, k)
+	}
+	want, wantStats := truncatedSearch(-1)
+	got, stats := truncatedSearch(10)
+	if !stats.Truncated || !wantStats.Truncated || wantStats.Scored < 20 || wantStats.Scored >= n/2 {
+		t.Fatalf("cancellation after 20000 σ evaluations: truncated %v/%v with %d tables scored; want a cut mid-search", stats.Truncated, wantStats.Truncated, wantStats.Scored)
+	}
+	requireSame(t, "truncated search, k=10", got, want[:10])
+	if stats.Pruned == 0 {
+		t.Error("truncated search, k=10: pruned nothing before the cut")
+	}
+
+	// A table that panics costs its worker the scorer, not the floor: the
+	// tables after it are pruned as before. The poisoned entity occurs in
+	// one early table (and its twin) outside the top 10.
+	clean, cleanStats := eng.Search(q, 10)
+	poison := slices.IndexFunc(l.DistinctEntities(), func(e kg.EntityID) bool {
+		at := l.TablesWith(e)
+		return len(at) == 2 && at[0] >= 20 && at[0] < 100 && !slices.Contains(slices.Concat(q...), e) &&
+			!slices.ContainsFunc(clean, func(r Result) bool { return r.Table == at[0] })
+	})
+	if poison < 0 {
+		t.Fatal("no entity occurs in exactly one early table outside the top 10")
+	}
+	poisoned := NewEngine(l, poisonSimilarity{inner: sims["types"], poison: l.DistinctEntities()[poison]})
+	poisoned.Parallelism = 1
+	got, stats = poisoned.Search(q, 10)
+	requireSame(t, "poisoned search, k=10", got, clean)
+	if stats.Panicked != 2 || stats.Pruned < cleanStats.Pruned-2 {
+		t.Errorf("poisoned search: %d tables panicked and %d were pruned; want 2 and at least %d", stats.Panicked, stats.Pruned, cleanStats.Pruned-2)
 	}
 }

@@ -114,10 +114,18 @@ type scorer struct {
 	// row of the score matrix S per distinct entity, shared by every tuple
 	// that mentions it — and maxes[di*cols+j] the largest σ among them.
 	// sigmas, colSum and colMax (one value per distinct entity) are the
-	// pass's working rows.
-	cols                   int
-	sums, maxes            []float64
-	sigmas, colSum, colMax []float64
+	// pass's working rows, and best upperBound's.
+	cols                         int
+	sums, maxes                  []float64
+	sigmas, colSum, colMax, best []float64
+
+	// floor is the search's running k-th best score, shared by its workers
+	// (nil: never prune — rank-everything searches and ScoreTable). A table
+	// whose upperBound is below it cannot enter the top k, so scoreTable
+	// returns after the σ pass and counts it in pruned (merged once per
+	// search, like hits and misses).
+	floor  *scoreFloor
+	pruned int
 
 	// Column-mapping workspace, reused for every table this scorer sees so
 	// the steady-state scoring loop allocates nothing. It lives and dies
@@ -172,6 +180,7 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 	s.sigmas = make([]float64, len(s.distinct))
 	s.colSum = make([]float64, len(s.distinct))
 	s.colMax = make([]float64, len(s.distinct))
+	s.best = make([]float64, len(s.distinct))
 	s.matrix = make([][]float64, widest)
 	return s
 }
@@ -236,7 +245,8 @@ func (s *scorer) readSigmas(target uint32) []float64 {
 // The σ pass over the columns and the mapping of every tuple run first,
 // under one clock pair — building S is part of µ, as in the paper's 58–78 %
 // — and the tuples are scored second, from scratch alone; a warm scorer
-// allocates nothing here.
+// allocates nothing here. Between the two, a table that upperBound shows
+// cannot reach the search's floor returns 0 without being mapped or scored.
 func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, time.Duration) {
 	if t.NumRows() == 0 || t.NumColumns() == 0 {
 		return 0, 0
@@ -246,6 +256,12 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 	}
 	start := time.Now()
 	s.scoreColumns(ci)
+	// Strictly below: a table that could tie the k-th score is scored, and
+	// the (score desc, table ID asc) order decides, as without pruning.
+	if floor := s.floor.load(); floor > 0 && s.upperBound(t.NumRows()) < floor {
+		s.pruned++
+		return 0, time.Since(start)
+	}
 	matched := false
 	for ti := range s.q {
 		// A tuple without a relevant mapping contributes 0.
@@ -302,6 +318,48 @@ func (s *scorer) scoreColumns(ci *table.ColumnIndex) {
 			s.sums[di*cols+j], s.maxes[di*cols+j] = colSum[di], colMax[di]
 		}
 	}
+}
+
+// upperBound returns, from the scratch scoreColumns filled, a score the
+// current table cannot exceed under any column assignment: every query
+// entity takes its best column, whether or not another entity wants the same
+// one. It repeats tupleScore's operations in tupleScore's order with x
+// replaced by best ≥ max(x, 0) and the miss clamped at 0 (an x above 1, from
+// a σ outside [0, 1], makes the real miss² positive), so with weights ≥ 0
+// every step is monotone in floating point and the bound holds on the raw
+// float64s, with no epsilon. A pairwise row reads single σ values, each at
+// most its column's maximum; the pairwise AVG fold is replayed row by row
+// because a sum of n equal terms divided by n can round above the term.
+func (s *scorer) upperBound(numRows int) float64 {
+	for di := range s.best {
+		b := 0.0
+		for j := range s.cols {
+			x := s.maxes[di*s.cols+j]
+			if s.mode == ModeEntityWise {
+				x = s.aggregateColumn(di, j, numRows)
+			}
+			b = max(b, x)
+		}
+		s.best[di] = b
+	}
+	total := 0.0
+	for ti, slots := range s.slots {
+		var distSq float64
+		for i, di := range slots {
+			miss := max(1-s.best[di], 0)
+			distSq += s.weights[ti][i] * miss * miss
+		}
+		u := 1 / (math.Sqrt(distSq) + 1)
+		if s.mode == ModePairwise && s.agg == AggregateAvg {
+			sum := 0.0
+			for range numRows {
+				sum += u
+			}
+			u = sum / float64(numRows)
+		}
+		total += u
+	}
+	return total / float64(len(s.q))
 }
 
 // mapColumns assembles the score matrix S (Section 5.1) for query tuple ti

@@ -304,6 +304,166 @@ func TestScoreTableMatchesNaiveSemRel(t *testing.T) {
 	}
 }
 
+// affineSim is a hand-built σ that leaves [0, 1]: scale·σ + shift of the
+// wrapped similarity. The scorer promises nothing about such a σ except
+// that the bound still dominates the score.
+type affineSim struct {
+	inner        Similarity
+	scale, shift float64
+}
+
+func (a affineSim) Score(x, y kg.EntityID) float64 { return a.scale*a.inner.Score(x, y) + a.shift }
+
+// pairSim is a hand-built σ stated pair by pair; unlisted pairs score 0.
+type pairSim map[[2]kg.EntityID]float64
+
+func (p pairSim) Score(x, y kg.EntityID) float64 { return p[[2]kg.EntityID{x, y}] }
+
+// naiveUpperBound is scorer.upperBound read off its definition, over raw
+// cells: every query entity takes the best fold of any one column (never
+// below 0, the value of an unassigned entity), all entities at once, and
+// every tuple counts.
+func naiveUpperBound(q Query, t *table.Table, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode) float64 {
+	total := 0.0
+	for _, tq := range q {
+		distSq := 0.0
+		for _, e := range tq {
+			best := 0.0
+			for j := 0; j < t.NumColumns(); j++ {
+				sum, top := 0.0, 0.0
+				for _, row := range t.Rows {
+					if ce, ok := row[j].EntityID(); ok {
+						sum += sim.Score(e, ce)
+						top = max(top, sim.Score(e, ce))
+					}
+				}
+				if agg == AggregateAvg && mode == ModeEntityWise {
+					best = max(best, sum/float64(len(t.Rows)))
+				} else {
+					best = max(best, top)
+				}
+			}
+			miss := max(1-best, 0)
+			distSq += inf(e) * miss * miss
+		}
+		total += 1 / (math.Sqrt(distSq) + 1)
+	}
+	return total / float64(len(q))
+}
+
+// TestUpperBoundDominatesScore is the exactness of top-k pruning at the
+// level of one table: over generated tables × σ × agg × mode × mapping ×
+// 1/3/5-tuple queries that repeat entities, upperBound ≥ scoreTable on the
+// raw float64s (the search compares them with <, no epsilon), it is the
+// naive bound, and entity-wise it is reached (==) whenever the mapping
+// already gives every entity of every tuple its best column. The tables
+// include unlinked columns, an all-unlinked table, a one-column table and
+// constant columns (every row scores the same: the pairwise AVG fold sums n
+// equal terms, which can round above the term); the σ's include two that
+// leave [0, 1].
+func TestUpperBoundDominatesScore(t *testing.T) {
+	_, g := randomCorpus(53, 20, 120, 0, 0, 0)
+	rng := rand.New(rand.NewSource(59))
+	tables := raggedTables(rng, g, 40)
+	unlinked := table.New("unlinked", make([]string, 3))
+	unlinked.AppendRow(make([]table.Cell, 3))
+	tables = append(tables, unlinked)
+	for _, rows := range []int{1, 3, 6, 7, 10, 13} {
+		oneCol := table.New(fmt.Sprintf("onecol%d", rows), make([]string, 1))
+		constant := table.New(fmt.Sprintf("constant%d", rows), make([]string, 3))
+		a, b := kg.EntityID(rng.Intn(g.NumEntities())), kg.EntityID(rng.Intn(g.NumEntities()))
+		for r := 0; r < rows; r++ {
+			oneCol.AppendRow([]table.Cell{table.LinkedCell("v", kg.EntityID(rng.Intn(g.NumEntities())))})
+			constant.AppendRow([]table.Cell{table.LinkedCell("v", a), {Value: "v"}, table.LinkedCell("v", b)})
+		}
+		tables = append(tables, oneCol, constant)
+	}
+	l := lake.New(g)
+	for _, tb := range tables {
+		l.Add(tb)
+	}
+	inf := IDFInformativeness(l)
+	types := NewTypeJaccard(g)
+	cosine := NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(7)), g, 16))
+	sims := map[string]Similarity{
+		"types":      types,
+		"embeddings": cosine,
+		"above1":     affineSim{inner: types, scale: 1.3},
+		"negative":   affineSim{inner: cosine, scale: 1, shift: -0.3},
+	}
+	queries := []Query{randomQuery(rng, g, 1, 1), randomQuery(rng, g, 1, 3), randomQuery(rng, g, 3, 2), randomQuery(rng, g, 5, 3)}
+	// A tuple that names one entity twice, and a tuple stated twice.
+	queries[1][0][2] = queries[1][0][0]
+	queries[3][4] = queries[3][1]
+	// The clamp, by hand: both query entities average 1.04 in column 0, just
+	// above 1, so the optimal mapping sends entity 0 to column 1, where it
+	// averages exactly 1 and misses by nothing. A bound that squared its
+	// −0.04 miss twice would fall below that score.
+	t.Run("clamp", func(t *testing.T) {
+		q := Query{Tuple{0, 1}}
+		sim := pairSim{{0, 2}: 1.04, {1, 2}: 1.04, {0, 3}: 1, {1, 3}: 0.2}
+		tb := table.New("above1", make([]string, 2))
+		tb.AppendRow([]table.Cell{table.LinkedCell("v", 2), table.LinkedCell("v", 3)})
+		sc := newScorer(q, sim, UniformInformativeness, AggregateAvg, ModeEntityWise, MappingHungarian, nil)
+		score, _ := sc.scoreTable(tb, nil)
+		if a := sc.assignment[0]; a[0] != 1 || a[1] != 0 || !(score < 1) {
+			t.Fatalf("assignment %v scoring %v: the fixture no longer sets the entities against each other", a, score)
+		}
+		if ub := sc.upperBound(1); ub != 1 {
+			t.Fatalf("upper bound %v over score %v, want exactly 1: both entities can miss by nothing", ub, score)
+		}
+	})
+	for simName, sim := range sims {
+		for _, agg := range []Aggregation{AggregateMax, AggregateAvg} {
+			for _, mode := range []ScoreMode{ModeEntityWise, ModePairwise} {
+				for _, mapping := range []MappingMethod{MappingHungarian, MappingGreedy} {
+					t.Run(fmt.Sprintf("%s/%v/%v/%v", simName, agg, mode, mapping), func(t *testing.T) {
+						positive, reached := 0, 0
+						for qi, q := range queries {
+							sc := newScorer(q, sim, inf, agg, mode, mapping, NewSigmaCache(q, sim, g.NumEntities()))
+							for ti, tb := range tables {
+								score, _ := sc.scoreTable(tb, nil)
+								ub := sc.upperBound(tb.NumRows())
+								if !(ub >= score) {
+									t.Fatalf("q%d table %d (%s): upper bound %v < score %v", qi, ti, tb.Name, ub, score)
+								}
+								if want := naiveUpperBound(q, tb, sim, inf, agg, mode); math.Abs(ub-want) > 1e-12 {
+									t.Fatalf("q%d table %d (%s): upper bound %v, naive bound %v", qi, ti, tb.Name, ub, want)
+								}
+								if score > 0 {
+									positive++
+								}
+								// Entity-wise, the bound is the score when every tuple
+								// is mapped and every entity sits in its best column.
+								tight := mode == ModeEntityWise
+								for tqi := range q {
+									tight = tight && sc.mapped[tqi]
+									for i, di := range sc.slots[tqi] {
+										x := 0.0
+										if j := sc.assignment[tqi][i]; j >= 0 {
+											x = sc.aggregateColumn(di, j, tb.NumRows())
+										}
+										tight = tight && x == sc.best[di]
+									}
+								}
+								if tight {
+									reached++
+									if ub != score {
+										t.Fatalf("q%d table %d (%s): every entity has its best column, yet upper bound %v != score %v", qi, ti, tb.Name, ub, score)
+									}
+								}
+							}
+						}
+						if inRange := sim == types || sim == cosine; positive == 0 || reached == 0 && mode == ModeEntityWise && inRange {
+							t.Fatalf("%d tables scored above 0 and %d reached their bound: the comparison is vacuous", positive, reached)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkScoreTable times the scoring kernel alone: one warm scorer (σ
 // cache filled, scratch grown) over a fixed seeded table set, so what is
 // left is the σ pass, the mapping and the aggregation of each table.
@@ -348,5 +508,31 @@ func BenchmarkScoreTable(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(ids)), "ns/table")
 			})
 		}
+	}
+}
+
+// BenchmarkSearchTopK times a full scan of BenchmarkScoreTable's lake as a
+// top-10 search, which prunes, against the rank-everything search, which
+// cannot; tables pruned per search are reported beside the time.
+func BenchmarkSearchTopK(b *testing.B) {
+	l, g := randomCorpus(41, 24, 2000, 200, 20, 6)
+	q := randomQuery(rand.New(rand.NewSource(43)), g, 5, 3)
+	eng := NewEngine(l, NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(8)), g, 32)))
+	eng.Parallelism = 1
+	for _, k := range []int{10, -1} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			want, _ := eng.Search(q, k) // warm-up: column indexes built
+			pruned := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				got, stats := eng.Search(q, k)
+				if len(got) != len(want) || got[0] != want[0] {
+					b.Fatalf("search %d returned %d tables led by %v, warm-up %d led by %v", i, len(got), got[0], len(want), want[0])
+				}
+				pruned += stats.Pruned
+			}
+			b.ReportMetric(float64(pruned)/float64(b.N), "pruned/search")
+		})
 	}
 }

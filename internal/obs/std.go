@@ -39,6 +39,13 @@ func SearchTruncatedTotal() *Counter {
 		"Searches truncated by context cancellation or deadline, returning partial results.", nil)
 }
 
+// SearchPrunedTotal counts candidate tables a top-k search bounded out after
+// the σ pass, skipping their column mapping and scoring (docs/PERFORMANCE.md).
+func SearchPrunedTotal() *Counter {
+	return Default.Counter("thetis_search_pruned_total",
+		"Candidate tables whose score upper bound was below the running k-th score, skipped before column mapping.", nil)
+}
+
 // SigmaCacheHitsTotal counts σ evaluations served from the query-scoped
 // similarity cache (docs/PERFORMANCE.md).
 func SigmaCacheHitsTotal() *Counter {

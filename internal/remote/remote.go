@@ -261,6 +261,7 @@ func (s *Shard) decode(p *SearchPayload) ([]core.Result, core.Stats) {
 	return results, core.Stats{
 		Candidates:  p.Stats.Candidates,
 		Scored:      p.Stats.Scored,
+		Pruned:      p.Stats.Pruned,
 		MappingTime: time.Duration(p.Stats.MappingMicro) * time.Microsecond,
 		TotalTime:   time.Duration(p.Stats.TotalMicro) * time.Microsecond,
 		Truncated:   p.Stats.Truncated,

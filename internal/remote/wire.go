@@ -53,6 +53,7 @@ type WireResult struct {
 type WireStats struct {
 	Candidates   int   `json:"candidates"`
 	Scored       int   `json:"scored"`
+	Pruned       int   `json:"pruned,omitempty"`
 	MappingMicro int64 `json:"mapping_us"`
 	TotalMicro   int64 `json:"total_us"`
 	Truncated    bool  `json:"truncated,omitempty"`

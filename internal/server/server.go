@@ -634,6 +634,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		"trace":      stats.Trace,
 		"candidates": stats.Candidates,
 		"scored":     stats.Scored,
+		"pruned":     stats.Pruned,
 		"results":    len(results),
 		"truncated":  stats.Truncated,
 	})

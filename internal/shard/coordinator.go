@@ -176,6 +176,7 @@ func (c *Coordinator) gather(start time.Time, k int, first, forced []leg) ([]cor
 		st := &deciding[i].stats
 		agg.Candidates += st.Candidates
 		agg.Scored += st.Scored
+		agg.Pruned += st.Pruned
 		agg.MappingTime += st.MappingTime
 		agg.Panicked += st.Panicked
 		agg.SigmaHits += st.SigmaHits
