@@ -206,26 +206,27 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 // readSigmas returns σ(distinct[di], target) for every distinct query
 // entity at once, in scorer scratch valid until the next call. A dense
 // shared cache keeps those cells adjacent (entity-major), so the read
-// indexes that row directly — the atomics, sigmaUnset and counting of
-// lookup/store without a call per cell. Everything else — the sharded
-// cache, no cache, an entity interned after the cache was sized — reads
-// cell by cell through sigma.
+// indexes that row directly — the atomics and the hit/miss counting of
+// lookup/store, one count per cell, without a call per cell — and hands the
+// cells it found empty, still marked with sigmaUnset's bits, to fillRow in
+// one call. Everything else — the sharded cache, no cache, an entity
+// interned after the cache was sized — reads cell by cell through sigma.
 func (s *scorer) readSigmas(target uint32) []float64 {
 	out := s.sigmas
 	if c := s.shared; c != nil && c.dense != nil && int(target) < c.n {
 		cells := c.row(target)
-		s.hits += int64(len(out))
+		var missed int64
 		for di := range out {
-			cell := &cells[di]
-			if bits := atomic.LoadUint64(cell); bits != sigmaUnset {
-				out[di] = math.Float64frombits(bits)
-				continue
+			bits := atomic.LoadUint64(&cells[di])
+			if bits == sigmaUnset {
+				missed++
 			}
-			v := s.sim.Score(s.distinct[di], kgEntity(target))
-			atomic.StoreUint64(cell, math.Float64bits(v))
-			s.hits--
-			s.misses++
-			out[di] = v
+			out[di] = math.Float64frombits(bits)
+		}
+		s.hits += int64(len(out)) - missed
+		if missed > 0 {
+			s.misses += missed
+			c.fillRow(target, out)
 		}
 		return out
 	}

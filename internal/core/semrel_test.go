@@ -43,7 +43,10 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 // replaced — per (query entity, column), Σ count·σ and max σ over the
 // column's entities in ColumnIndex order, one cell at a time — with ==, in
 // every way a cell can be read: the dense array, the sharded maps, no cache
-// at all, and a dense cache sized before the table's entities were interned.
+// at all, a dense cache sized before the table's entities were interned, and
+// a dense cache whose rows were partly filled through SigmaCache.Sigma before
+// the pass. Hits and misses are counted per cell: a lookup misses exactly
+// when its pair was stored neither before the pass nor earlier in it.
 func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	_, g := randomCorpus(13, 20, 150, 0, 0, 0)
 	n := g.NumEntities()
@@ -67,6 +70,13 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 		}},
 		{"disabled", 0, func(Query, Similarity) *SigmaCache { return nil }},
 		{"late-entities", n / 3, func(q Query, sim Similarity) *SigmaCache { return NewSigmaCache(q, sim, n/3) }},
+		{"dense-prefilled", n, func(q Query, sim Similarity) *SigmaCache {
+			c := NewSigmaCache(q, sim, n)
+			for e := 0; e < n; e += 3 {
+				c.Sigma(e%c.NumSlots(), kg.EntityID(e))
+			}
+			return c
+		}},
 	}
 	for simName, sim := range sims {
 		for _, mode := range modes {
@@ -79,9 +89,25 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 					}
 					for ti, tb := range tables {
 						ci := table.BuildColumnIndex(tb)
-						before := sc.hits + sc.misses
+						var wantMisses int64
+						if cache != nil {
+							stored := make(map[[2]int]bool)
+							for j := range ci.Cols {
+								for _, e := range ci.Cols[j].Entities {
+									for di := range sc.distinct {
+										key := [2]int{di, int(e)}
+										if _, ok := cache.lookup(di, uint32(e)); !ok && !stored[key] {
+											wantMisses++
+											stored[key] = int(e) < mode.cacheN
+										}
+									}
+								}
+							}
+						}
+						hitsBefore, missesBefore := sc.hits, sc.misses
 						sc.scoreColumns(ci)
-						lookups, cells := sc.hits+sc.misses-before, 0
+						misses := sc.misses - missesBefore
+						lookups, cells := sc.hits-hitsBefore+misses, 0
 						for j := range ci.Cols {
 							cs := &ci.Cols[j]
 							cells += len(cs.Entities)
@@ -109,6 +135,9 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 							t.Fatalf("q%d table %d: %d lookups, want %d", qi, ti, lookups, want)
 						} else if cache == nil && lookups != 0 {
 							t.Fatalf("q%d table %d: %d lookups reported without a cache", qi, ti, lookups)
+						}
+						if misses != wantMisses {
+							t.Fatalf("q%d table %d: %d of %d lookups missed, want %d", qi, ti, misses, lookups, wantMisses)
 						}
 					}
 					if cache == nil || !cache.Dense() {

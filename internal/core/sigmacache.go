@@ -46,8 +46,10 @@ const (
 // entity are adjacent, which is how the scorer reads them (one pass per
 // column entity, scorer.readSigmas) — updated with lock-free atomics
 // (racing workers write the same bits, so the last write is as good as the
-// first). When the dense footprint would exceed 64 MiB, slots share 64
-// mutex-guarded map shards instead.
+// first). The scorer's misses on a dense row are filled a row at a time
+// (fillRow); over an EmbeddingCosine that is one four-lane cosine kernel per
+// row instead of a Score call per cell. When the dense footprint would exceed
+// 64 MiB, slots share 64 mutex-guarded map shards instead.
 //
 // A SigmaCache is safe for concurrent use.
 type SigmaCache struct {
@@ -57,6 +59,7 @@ type SigmaCache struct {
 
 	dense  []uint64 // n × slots cells, entity-major (dense mode); nil in sharded mode
 	shards []sigmaShard
+	cosine cosineRow // dense mode over an *EmbeddingCosine; zero otherwise
 
 	hits, misses atomic.Int64
 }
@@ -82,6 +85,9 @@ func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
 		c.dense = make([]uint64, len(distinct)*numEntities)
 		for i := range c.dense {
 			c.dense[i] = sigmaUnset
+		}
+		if ec, ok := sim.(*EmbeddingCosine); ok {
+			c.cosine = newCosineRow(ec, distinct)
 		}
 	} else {
 		c.shards = make([]sigmaShard, sigmaShards)
@@ -150,6 +156,25 @@ func (c *SigmaCache) store(slot int, target uint32, v float64) {
 	sh.mu.Lock()
 	sh.m[key] = v
 	sh.mu.Unlock()
+}
+
+// fillRow computes the cells of target's dense row that out, one value per
+// slot, marks with sigmaUnset's bits, stores them, and leaves their σ in out;
+// the other values of out are left as they are. target must be below c.n.
+// Over an EmbeddingCosine that is the row kernel (cosineRow.fill); any other
+// σ is called once per marked cell.
+func (c *SigmaCache) fillRow(target uint32, out []float64) {
+	cells := c.row(target)
+	if c.cosine.ec != nil {
+		c.cosine.fill(kgEntity(target), c.entities, out, cells)
+		return
+	}
+	for di := range out {
+		if math.Float64bits(out[di]) == sigmaUnset {
+			out[di] = c.sim.Score(c.entities[di], kgEntity(target))
+			atomic.StoreUint64(&cells[di], math.Float64bits(out[di]))
+		}
+	}
 }
 
 // Sigma returns σ(query entity of slot, target), computing and memoizing

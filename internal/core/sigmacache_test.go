@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -152,6 +153,127 @@ func TestSigmaCacheDifferentialBattery(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCosineRowMatchesScore pins the dense cache's row kernel to
+// EmbeddingCosine.Score bit for bit (math.Float64bits, so a sum taken in
+// another order fails even where it rounds to a value within 1 ulp), for
+// every (query entity, target) pair over dims that do and do not fill a
+// lane group and over 1…15 distinct query entities, every remainder mod 4.
+// The store gives entities no vector, zero vectors, duplicated and opposed
+// vectors, and leaves the last IDs beyond its arena, so the identity,
+// missing-vector and both clamp rules of Score all fire.
+func TestCosineRowMatchesScore(t *testing.T) {
+	const n, storeN = 60, 56
+	g := kg.NewGraph()
+	for e := 0; e < n; e++ {
+		g.AddEntity(fmt.Sprintf("ent/%d", e), "")
+	}
+	var identityNoVector, above1, atMost0 int
+	for _, dim := range []int{1, 3, 4, 5, 48, 63} {
+		rng := rand.New(rand.NewSource(int64(dim)))
+		store := embedding.NewStore(storeN, dim)
+		last := make(embedding.Vector, dim)
+		for e := 0; e < storeN; e++ {
+			v := make(embedding.Vector, dim)
+			switch e % 7 {
+			case 0: // no vector
+				continue
+			case 1: // zero vector
+			case 2: // duplicate
+				copy(v, last)
+			case 3: // opposed
+				for i := range v {
+					v[i] = -last[i]
+				}
+			default:
+				for i := range v {
+					v[i] = float32(rng.NormFloat64())
+				}
+				copy(last, v)
+			}
+			store.Set(kg.EntityID(e), v)
+		}
+		ec := NewEmbeddingCosine(g, store)
+		for d := 1; d <= 15; d++ {
+			perm := rng.Perm(n)
+			q := Query{make(Tuple, d)}
+			for i := range q[0] {
+				q[0][i] = kg.EntityID(perm[i])
+			}
+			c := NewSigmaCache(q, ec, n)
+			if c.cosine.ec == nil {
+				t.Fatal("a dense cache over an EmbeddingCosine has no row kernel")
+			}
+			out := make([]float64, d)
+			for target := kg.EntityID(0); target < n; target++ {
+				for di := range out {
+					out[di] = math.Float64frombits(sigmaUnset)
+				}
+				c.fillRow(uint32(target), out)
+				for di, qe := range c.entities {
+					want := ec.Score(qe, target)
+					if math.Float64bits(out[di]) != math.Float64bits(want) {
+						t.Fatalf("dim %d, d %d: row σ(%d,%d) = %v, Score %v", dim, d, qe, target, out[di], want)
+					}
+					if v, ok := c.lookup(di, uint32(target)); !ok || math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("dim %d, d %d: σ(%d,%d) stored as %v (%v), want %v", dim, d, qe, target, v, ok, want)
+					}
+					va, vb := ec.Vector(qe), ec.Vector(target)
+					switch {
+					case qe == target:
+						if va == nil {
+							identityNoVector++
+						}
+					case va != nil && vb != nil:
+						if cos := embedding.Dot(va, vb); cos > 1 {
+							above1++
+						} else if cos <= 0 {
+							atMost0++
+						}
+					}
+				}
+			}
+		}
+	}
+	if identityNoVector == 0 || above1 == 0 || atMost0 == 0 {
+		t.Fatalf("vacuous: %d identities without a vector, %d cosines above 1, %d at most 0", identityNoVector, above1, atMost0)
+	}
+}
+
+// BenchmarkSigmaRow times filling one missing dense-cache row at dim 48:
+// "score" is the per-cell Score call any σ without a row kernel takes (the
+// cosine hidden behind another type), "row" the EmbeddingCosine kernel, for
+// d = 1, 5, 7 and 15 distinct query entities (1 and 5 leave one live slot in
+// their last group of four). Both store what they compute.
+func BenchmarkSigmaRow(b *testing.B) {
+	_, g := randomCorpus(47, 8, 2000, 0, 0, 0)
+	n := g.NumEntities()
+	ec := NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(53)), g, 48))
+	for _, d := range []int{1, 5, 7, 15} {
+		q := Query{make(Tuple, d)}
+		for i := range q[0] {
+			q[0][i] = kg.EntityID(i * 97)
+		}
+		for _, kernel := range []struct {
+			name string
+			sim  Similarity
+		}{{"score", struct{ Similarity }{ec}}, {"row", ec}} {
+			b.Run(fmt.Sprintf("d=%d/%s", d, kernel.name), func(b *testing.B) {
+				c := NewSigmaCache(q, kernel.sim, n)
+				out := make([]float64, d)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for di := range out {
+						out[di] = math.Float64frombits(sigmaUnset)
+					}
+					c.fillRow(uint32(i%n), out)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d), "ns/cell")
+			})
 		}
 	}
 }

@@ -6,7 +6,9 @@
 package core
 
 import (
+	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"thetis/internal/embedding"
 	"thetis/internal/kg"
@@ -16,7 +18,10 @@ import (
 // Section 4.1, with σ(e, e) = 1. Implementations must be safe for
 // concurrent use and deterministic: Score must always return the same
 // value for the same pair, which is what lets SigmaCache memoize it
-// without changing any search result.
+// without changing any search result. A σ the cache fills a row at a time
+// with a kernel of its own (EmbeddingCosine, see cosineRow) must agree with
+// Score bit for bit on every cell of the row, for the same reason: a cell
+// is filled by whichever path reaches it first.
 type Similarity interface {
 	// Score returns the semantic similarity of two entities in [0, 1].
 	Score(a, b kg.EntityID) float64
@@ -220,7 +225,12 @@ func (ec *EmbeddingCosine) Score(a, b kg.EntityID) float64 {
 	if va == nil || vb == nil {
 		return 0
 	}
-	cos := embedding.Dot(va, vb)
+	return clampCosine(embedding.Dot(va, vb))
+}
+
+// clampCosine maps a cosine to σ's [0, 1]: Score's last step, and the row
+// kernel's.
+func clampCosine(cos float64) float64 {
 	if cos <= 0 {
 		return 0
 	}
@@ -228,4 +238,90 @@ func (ec *EmbeddingCosine) Score(a, b kg.EntityID) float64 {
 		return 1
 	}
 	return cos
+}
+
+// cosineRow is EmbeddingCosine's row kernel. It scores one corpus entity
+// against every distinct query entity of a search at once, which is how the
+// dense σ cache fills a missing row (SigmaCache.fillRow). The query
+// entities' unit vectors are widened to float64 once, which is exact. They
+// sit in one slab in slot order (lanes[di·dim + i] is coordinate i of query
+// entity di), padded with zero vectors to a multiple of four; the padding's
+// results are discarded. One pass over the target's vector then feeds four
+// lanes: four independent add chains, where a lone embedding.Dot waits on
+// the latency of each add. Each lane adds q[i] · t[i] in index order, which
+// is Dot's own sequence of operations whether or not the backend fuses the
+// multiply-add, so a lane's sum has Dot's bits. Score's identity,
+// missing-vector and clamp rules are applied afterwards, in fill.
+type cosineRow struct {
+	ec    *EmbeddingCosine // nil: the σ has no row kernel
+	dim   int
+	lanes []float64
+	has   []bool // has[di]: query entity di has a vector
+}
+
+// newCosineRow builds the kernel for the distinct query entities of one
+// search.
+func newCosineRow(ec *EmbeddingCosine, entities []kg.EntityID) cosineRow {
+	dim := ec.norm.Dim()
+	k := cosineRow{
+		ec:    ec,
+		dim:   dim,
+		lanes: make([]float64, (len(entities)+3)/4*4*dim),
+		has:   make([]bool, len(entities)),
+	}
+	for di, e := range entities {
+		v := ec.Vector(e)
+		if v == nil {
+			continue
+		}
+		k.has[di] = true
+		for i, x := range v {
+			k.lanes[di*dim+i] = float64(x)
+		}
+	}
+	return k
+}
+
+// fill is Score(entities[di], target) for every slot di whose value in out
+// carries sigmaUnset's bits: it leaves σ in out[di] and stores its bits in
+// cells[di], target's dense row of the σ cache. Other values are left as
+// they are. Every group of four slots costs one cosineLanes pass.
+func (k *cosineRow) fill(target kg.EntityID, entities []kg.EntityID, out []float64, cells []uint64) {
+	t := k.ec.Vector(target)
+	for g := 0; g < len(out); g += 4 {
+		var s [4]float64
+		if t != nil {
+			s[0], s[1], s[2], s[3] = cosineLanes(k.lanes[g*k.dim:], t)
+		}
+		for l, di := 0, g; l < 4 && di < len(out); l, di = l+1, di+1 {
+			if math.Float64bits(out[di]) != sigmaUnset {
+				continue
+			}
+			// Score's rules, in Score's order.
+			v := 0.0
+			switch {
+			case entities[di] == target:
+				v = 1
+			case t != nil && k.has[di]:
+				v = clampCosine(s[l])
+			}
+			out[di] = v
+			atomic.StoreUint64(&cells[di], math.Float64bits(v))
+		}
+	}
+}
+
+// cosineLanes returns the dot products of t with the four consecutive query
+// vectors at the head of q (len(q) ≥ 4·len(t)).
+func cosineLanes(q []float64, t embedding.Vector) (s0, s1, s2, s3 float64) {
+	n := len(t)
+	q0, q1, q2, q3 := q[:n], q[n:][:n], q[2*n:][:n], q[3*n:][:n]
+	for i, x := range t {
+		tx := float64(x)
+		s0 += q0[i] * tx
+		s1 += q1[i] * tx
+		s2 += q2[i] * tx
+		s3 += q3[i] * tx
+	}
+	return
 }
