@@ -42,11 +42,12 @@ benchsmoke:
 # One iteration of each scoring benchmark (the per-table scoring loop, the
 # warm-scorer kernel, the pruned top-k search beside the full ranking, the
 # σ-cache row fill per cell and by the cosine kernel, the wide-query mapping
-# guard, the assignment solver fresh and reused) and of the query-resolution
-# pair (ParseQuery over 10k/100k entities, AddEntity's label-index upkeep),
-# so one that panics or no longer compiles fails the gate instead of rotting.
+# guard, the assignment solver fresh and reused), of the LSEI prefilter
+# alone (one- and five-entity queries) and of the query-resolution pair
+# (ParseQuery over 10k/100k entities, AddEntity's label-index upkeep), so
+# one that panics or no longer compiles fails the gate instead of rotting.
 benchrun:
-	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
+	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # `race` runs every differential battery (shard-count invariance, live
 # rebuild-equivalence, ANN, shard-over-HTTP, batch) by package,

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
+	"sync"
 	"time"
 
 	"thetis/internal/embedding"
@@ -106,6 +106,10 @@ type LSEI struct {
 
 	hyper *lsh.HyperplaneHasher
 	cos   *EmbeddingCosine
+
+	// spaces pools *voteSpace workspaces, one per Candidates call in
+	// flight, so a warm probe allocates nothing per colliding item or table.
+	spaces sync.Pool
 }
 
 // BuildTypeLSEI indexes every distinct lake entity (or every table column)
@@ -539,46 +543,75 @@ type probeTally struct {
 	votesCast int // table votes before thresholding
 }
 
-// probeVote probes the index with one signature, lets colliding entities
-// (or columns) vote for their tables, and merges vote-surviving tables into
-// out, splitting the spent time into the tally's probe and vote stages.
-// The band probes underneath honor ctx (see lsh.Index.QuerySetContext).
-func (x *LSEI) probeVote(ctx context.Context, sig []uint32, votes int, out map[lake.TableID]bool, tally *probeTally) {
+// space takes a vote workspace from the pool, sized to the lake's table
+// slots (AddTable may have grown them since it was last used).
+func (x *LSEI) space() *voteSpace {
+	ws, _ := x.spaces.Get().(*voteSpace)
+	if ws == nil {
+		ws = new(voteSpace)
+	}
+	ws.fitTables(x.lake.NumSlots())
+	return ws
+}
+
+// itemSpace is the size of the index's item-ID space: column UIDs in
+// column-aggregation mode, the graph's entity IDs otherwise.
+func (x *LSEI) itemSpace() int {
+	if x.columnMode {
+		return len(x.colTable)
+	}
+	return x.lake.Graph.NumEntities()
+}
+
+// probeVote probes the index with one signature: each distinct colliding
+// entity (or column) casts one vote for each of its tables, and tables
+// reaching the threshold join the request's candidate bitset. The time
+// spent splits into the tally's probe and vote stages. The band lookups
+// underneath honor ctx (see lsh.Index.Buckets).
+func (x *LSEI) probeVote(ctx context.Context, sig []uint32, votes int, ws *voteSpace, tally *probeTally) {
 	probeStart := time.Now()
 	tally.probes++
-	bag := make(map[lake.TableID]int)
-	if x.columnMode {
-		for col := range x.index.QuerySetContext(ctx, sig) {
-			if tid := x.colTable[col]; tid >= 0 {
-				bag[tid]++
+	ws.advance()
+	gen := ws.gen
+	ws.buckets = x.index.Buckets(ctx, sig, ws.buckets[:0])
+	for _, bucket := range ws.buckets {
+		for _, item := range bucket {
+			if int(item) >= len(ws.itemGen) {
+				ws.fitItems(max(int(item)+1, x.itemSpace()))
 			}
-		}
-	} else {
-		for item := range x.index.QuerySetContext(ctx, sig) {
+			if ws.itemGen[item] == gen {
+				continue // already voted through an earlier band
+			}
+			ws.itemGen[item] = gen
+			if x.columnMode {
+				if tid := x.colTable[item]; tid >= 0 {
+					ws.vote(tid)
+				}
+				continue
+			}
 			for _, tid := range x.lake.TablesWith(kg.EntityID(item)) {
-				bag[tid]++
+				ws.vote(tid)
 			}
 		}
 	}
+	clear(ws.buckets) // drop the views so a pooled workspace pins no bucket
 	voteStart := time.Now()
 	tally.probeWall += voteStart.Sub(probeStart)
-	for tid, n := range bag {
+	for _, tid := range ws.touched {
+		n := int(ws.votes[tid])
 		tally.votesCast += n
 		if n >= votes {
-			out[tid] = true
+			ws.out[tid/64] |= 1 << (tid % 64)
 		}
 	}
 	tally.voteWall += time.Since(voteStart)
 }
 
-// finish sorts the candidate set, records the tally on the trace (probe and
-// vote stages) and the prefilter metrics, and returns the sorted IDs.
-func (x *LSEI) finish(out map[lake.TableID]bool, tally probeTally, tr *obs.Trace) []lake.TableID {
-	ids := make([]lake.TableID, 0, len(out))
-	for tid := range out {
-		ids = append(ids, tid)
-	}
-	slices.Sort(ids)
+// finish drains the candidate bitset in table ID order, records the tally
+// on the trace (probe and vote stages) and the prefilter metrics, and
+// returns the IDs. The workspace is left clean for the pool.
+func (x *LSEI) finish(ws *voteSpace, tally probeTally, tr *obs.Trace) []lake.TableID {
+	ids := ws.take()
 	mPrefilterQueries.Inc()
 	mPrefilterProbes.Add(int64(tally.probes))
 	mPrefilterVotes.Add(int64(tally.votesCast))
@@ -606,23 +639,32 @@ func (x *LSEI) Candidates(q Query, votes int) []lake.TableID {
 // the downstream scoring phase bails out immediately anyway and marks its
 // Stats.Truncated.
 func (x *LSEI) CandidatesTracedContext(ctx context.Context, q Query, votes int, tr *obs.Trace) []lake.TableID {
+	ws := x.space()
+	ids := x.candidates(ctx, q, votes, tr, ws)
+	// Not deferred: a workspace abandoned by a panic may hold a half-built
+	// bitset and must not go back to the pool.
+	x.spaces.Put(ws)
+	return ids
+}
+
+// candidates is CandidatesTracedContext over a caller-held workspace.
+func (x *LSEI) candidates(ctx context.Context, q Query, votes int, tr *obs.Trace, ws *voteSpace) []lake.TableID {
 	if votes < 1 {
 		votes = 1
 	}
 	stop := newCancelProbe(ctx)
-	out := make(map[lake.TableID]bool)
 	var tally probeTally
 	for _, e := range q.DistinctEntities() {
 		if stop.expired() {
-			return x.finish(out, tally, tr)
+			break
 		}
 		sig := x.entitySignature(e)
 		if sig == nil {
 			continue
 		}
-		x.probeVote(ctx, sig, votes, out, &tally)
+		x.probeVote(ctx, sig, votes, ws, &tally)
 	}
-	return x.finish(out, tally, tr)
+	return x.finish(ws, tally, tr)
 }
 
 // CandidatesAggregated is Candidates with query-side column aggregation
@@ -640,7 +682,7 @@ func (x *LSEI) CandidatesAggregated(q Query, votes int) []lake.TableID {
 			width = len(t)
 		}
 	}
-	out := make(map[lake.TableID]bool)
+	ws := x.space()
 	var tally probeTally
 	for col := 0; col < width; col++ {
 		var ents []kg.EntityID
@@ -653,9 +695,11 @@ func (x *LSEI) CandidatesAggregated(q Query, votes int) []lake.TableID {
 		if sig == nil {
 			continue
 		}
-		x.probeVote(context.Background(), sig, votes, out, &tally)
+		x.probeVote(context.Background(), sig, votes, ws, &tally)
 	}
-	return x.finish(out, tally, nil)
+	ids := x.finish(ws, tally, nil)
+	x.spaces.Put(ws)
+	return ids
 }
 
 // groupSignature computes one probe signature for a group of entities:

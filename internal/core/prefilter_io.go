@@ -277,6 +277,10 @@ func readLSEIBody(r io.Reader, x *LSEI) error {
 			if err != nil {
 				return atomicio.Corruptf("core: truncated LSEI column table: %v", err)
 			}
+			// The vote workspace is sized to the lake's table slots.
+			if tid := lake.TableID(v); tid >= 0 && int(tid) >= x.lake.NumSlots() {
+				return atomicio.Corruptf("core: LSEI column table names table %d of a %d-slot lake", tid, x.lake.NumSlots())
+			}
 			x.colTable = append(x.colTable, lake.TableID(v))
 		}
 	} else {

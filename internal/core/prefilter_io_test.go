@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
+
+	"thetis/internal/atomicio"
+	"thetis/internal/lake"
+	"thetis/internal/table"
 )
 
 func TestTypeLSEIRoundTrip(t *testing.T) {
@@ -59,6 +64,23 @@ func TestColumnModeLSEIRoundTrip(t *testing.T) {
 	q := queryOf(t, g, "santo")
 	if !reflect.DeepEqual(x.Candidates(q, 1), back.Candidates(q, 1)) {
 		t.Error("column-mode LSEI candidates differ after round trip")
+	}
+}
+
+// TestColumnModeLSEILoadRejectsSmallerLake: the vote workspace is sized to
+// the lake's table slots, so a column-mode snapshot naming tables the lake
+// it is loaded over does not have is refused, not a panic at the first
+// query.
+func TestColumnModeLSEILoadRejectsSmallerLake(t *testing.T) {
+	x, _, g := typeLSEI(t, LSEIConfig{Vectors: 32, BandSize: 8, Seed: 1, ColumnAggregation: true})
+	var buf bytes.Buffer
+	if err := x.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	smaller := lake.New(g)
+	smaller.Add(table.New("only", []string{"a"}))
+	if _, err := LoadTypeLSEI(smaller, NewTypeJaccard(g), &buf); !errors.Is(err, atomicio.ErrCorruptSnapshot) {
+		t.Fatalf("column snapshot of a 5-table lake loaded over a 1-table lake: err = %v", err)
 	}
 }
 

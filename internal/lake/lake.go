@@ -20,7 +20,6 @@ package lake
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 
 	"thetis/internal/kg"
@@ -37,12 +36,12 @@ type Lake struct {
 	Graph  *kg.Graph
 	tables []*table.Table
 
-	// postings maps each entity to the sorted list of tables mentioning it
-	// (the Φ⁻¹ side of the semantic data lake mapping).
-	postings map[kg.EntityID][]TableID
-	// entityFreq counts, per entity, the number of tables that mention it;
-	// this drives the informativeness weight I(e).
-	entityFreq map[kg.EntityID]int
+	// postings holds, at index e, the sorted list of tables mentioning
+	// entity e (the Φ⁻¹ side of the semantic data lake mapping); nil for an
+	// entity no live table mentions. Table.Entities is distinct, so a
+	// list's length is the entity's table frequency, the df behind the
+	// informativeness weight I(e).
+	postings [][]TableID
 	// colIndex holds one lazily built column index slot per table,
 	// index-aligned with tables.
 	colIndex []*atomic.Pointer[table.ColumnIndex]
@@ -53,11 +52,7 @@ type Lake struct {
 
 // New creates an empty lake over graph g.
 func New(g *kg.Graph) *Lake {
-	return &Lake{
-		Graph:      g,
-		postings:   make(map[kg.EntityID][]TableID),
-		entityFreq: make(map[kg.EntityID]int),
-	}
+	return &Lake{Graph: g}
 }
 
 // Add ingests a table and returns its ID. The table's entity annotations
@@ -68,17 +63,19 @@ func (l *Lake) Add(t *table.Table) TableID {
 	l.tables = append(l.tables, t)
 	l.colIndex = append(l.colIndex, &atomic.Pointer[table.ColumnIndex]{})
 	for _, e := range t.Entities() {
+		if int(e) >= len(l.postings) {
+			l.postings = append(l.postings, make([][]TableID, int(e)+1-len(l.postings))...)
+		}
 		l.postings[e] = append(l.postings[e], id)
-		l.entityFreq[e]++
 	}
 	return id
 }
 
 // Remove tombstones table id: the slot is nilled (every other table keeps
-// its ID), the table's entities are stripped from the posting lists and
-// frequency counts, and its memoized column index is dropped. Removing an
-// unknown or already-removed ID returns false. Like Add, Remove must be
-// serialized against readers by the caller.
+// its ID), the table's entities are stripped from the posting lists (an
+// emptied list is released), and its memoized column index is dropped.
+// Removing an unknown or already-removed ID returns false. Like Add,
+// Remove must be serialized against readers by the caller.
 func (l *Lake) Remove(id TableID) bool {
 	if int(id) < 0 || int(id) >= len(l.tables) || l.tables[int(id)] == nil {
 		return false
@@ -93,13 +90,9 @@ func (l *Lake) Remove(id TableID) bool {
 			}
 		}
 		if len(pl) == 0 {
-			delete(l.postings, e)
-		} else {
-			l.postings[e] = pl
+			pl = nil
 		}
-		if l.entityFreq[e]--; l.entityFreq[e] == 0 {
-			delete(l.entityFreq, e)
-		}
+		l.postings[e] = pl
 	}
 	l.tables[int(id)] = nil
 	l.colIndex[int(id)].Store(nil)
@@ -140,9 +133,15 @@ func (l *Lake) LiveTableIDs() []TableID {
 	return out
 }
 
-// TablesWith returns the IDs of tables mentioning entity e, in ID order.
-// The slice is owned by the lake and must not be modified.
-func (l *Lake) TablesWith(e kg.EntityID) []TableID { return l.postings[e] }
+// TablesWith returns the IDs of tables mentioning entity e, in ID order
+// (nil when none does). The slice is owned by the lake and must not be
+// modified.
+func (l *Lake) TablesWith(e kg.EntityID) []TableID {
+	if int(e) >= len(l.postings) {
+		return nil
+	}
+	return l.postings[e]
+}
 
 // ColumnIndex returns the per-column entity aggregation of table id,
 // building it on first use and memoizing it for every later query (the
@@ -171,16 +170,17 @@ func (l *Lake) ColumnIndex(id TableID) *table.ColumnIndex {
 }
 
 // EntityFrequency returns the number of tables mentioning entity e.
-func (l *Lake) EntityFrequency(e kg.EntityID) int { return l.entityFreq[e] }
+func (l *Lake) EntityFrequency(e kg.EntityID) int { return len(l.TablesWith(e)) }
 
 // DistinctEntities returns all entities mentioned anywhere in the lake,
 // sorted by ID.
 func (l *Lake) DistinctEntities() []kg.EntityID {
-	out := make([]kg.EntityID, 0, len(l.entityFreq))
-	for e := range l.entityFreq {
-		out = append(out, e)
+	var out []kg.EntityID
+	for e, pl := range l.postings {
+		if len(pl) > 0 {
+			out = append(out, kg.EntityID(e))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -197,7 +197,7 @@ type Stats struct {
 
 // ComputeStats scans the live corpus once.
 func (l *Lake) ComputeStats() Stats {
-	s := Stats{Tables: l.NumTables(), DistinctEntities: len(l.entityFreq)}
+	s := Stats{Tables: l.NumTables(), DistinctEntities: len(l.DistinctEntities())}
 	if s.Tables == 0 {
 		return s
 	}

@@ -111,6 +111,95 @@ func TestEntityCountedOncePerTable(t *testing.T) {
 	}
 }
 
+// TestDensePostingsAfterMutation drives the entity-indexed posting lists
+// through interleaved Add/Remove calls — an entity ID far above every
+// earlier one, lists emptied and released, a table re-added over emptied
+// lists — and checks every read against a recount over the live tables.
+func TestDensePostingsAfterMutation(t *testing.T) {
+	const far = kg.EntityID(5000)
+	mk := func(name string, ents ...kg.EntityID) *table.Table {
+		tb := table.New(name, []string{"a", "b"})
+		for i := 0; i < len(ents); i += 2 {
+			row := []table.Cell{table.LinkedCell("x", ents[i]), {Value: "y"}}
+			if i+1 < len(ents) {
+				row[1] = table.LinkedCell("y", ents[i+1])
+			}
+			tb.AppendRow(row)
+		}
+		return tb
+	}
+	l := New(kg.NewGraph())
+	t0 := mk("t0", 1, 2, 3)
+	t1 := mk("t1", 2, 3, 4, 2)
+	t2 := mk("t2", 7, far)
+	check := func(step string) {
+		t.Helper()
+		want := map[kg.EntityID][]TableID{}
+		for id, tb := range l.Tables() {
+			if tb == nil {
+				continue
+			}
+			for _, e := range tb.Entities() {
+				want[e] = append(want[e], TableID(id))
+			}
+		}
+		for e := kg.EntityID(0); e <= far+2; e++ {
+			got := l.TablesWith(e)
+			if len(got) != len(want[e]) || l.EntityFrequency(e) != len(got) {
+				t.Fatalf("%s: entity %d: TablesWith %v, frequency %d, want tables %v", step, e, got, l.EntityFrequency(e), want[e])
+			}
+			for i := range got {
+				if got[i] != want[e][i] {
+					t.Fatalf("%s: entity %d: TablesWith %v, want %v", step, e, got, want[e])
+				}
+			}
+		}
+		if got := l.TablesWith(far + 1_000_000); got != nil {
+			t.Fatalf("%s: out-of-range entity has postings %v", step, got)
+		}
+		ents := l.DistinctEntities()
+		if len(ents) != len(want) {
+			t.Fatalf("%s: DistinctEntities = %v, want the %d entities with tables", step, ents, len(want))
+		}
+		for i, e := range ents {
+			if i > 0 && ents[i-1] >= e {
+				t.Fatalf("%s: DistinctEntities not ascending: %v", step, ents)
+			}
+			if len(want[e]) == 0 {
+				t.Fatalf("%s: DistinctEntities lists %d, which no live table mentions", step, e)
+			}
+		}
+		if s := l.ComputeStats(); s.DistinctEntities != len(ents) {
+			t.Fatalf("%s: ComputeStats().DistinctEntities = %d, want %d", step, s.DistinctEntities, len(ents))
+		}
+	}
+
+	check("empty")
+	id0 := l.Add(t0)
+	check("add t0")
+	id1 := l.Add(t1)
+	check("add t1")
+	id2 := l.Add(t2)
+	check("add t2 (far entity)")
+	l.Remove(id1)
+	check("remove t1")
+	l.Remove(id0)
+	check("remove t0 (lists of 1, 2, 3 emptied)")
+	if l.TablesWith(2) != nil {
+		t.Fatal("an emptied posting list must be released to nil")
+	}
+	l.Add(t0)
+	check("re-add t0 over emptied lists")
+	l.Remove(id2)
+	check("remove t2 (far entity emptied)")
+	l.Add(t2)
+	check("re-add t2")
+	if l.Remove(id2) || l.Remove(id0) {
+		t.Fatal("removing a tombstoned ID reported success")
+	}
+	check("double removes")
+}
+
 func TestColumnIndexMemoized(t *testing.T) {
 	l, _ := buildLake(t)
 	ci1 := l.ColumnIndex(0)

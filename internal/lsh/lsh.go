@@ -181,8 +181,8 @@ func (h *HyperplaneHasher) Signature(v embedding.Vector) []uint32 {
 // concurrent queries; Insert/Remove mutate the bucket maps and must be
 // serialized against queries by the caller (thetis.System holds its write
 // lock across mutations). Queries maintain cumulative probe counters
-// (band-bucket lookups and items scanned), readable via ProbeCounts and
-// mirrored on /metrics.
+// (band-bucket lookups performed and items scanned), readable via
+// ProbeCounts and mirrored on /metrics.
 type Index struct {
 	bandSize int
 	bands    int
@@ -279,62 +279,70 @@ func (ix *Index) Remove(item uint32, sig []uint32) bool {
 	return removed
 }
 
-// Query returns the bag of items sharing at least one bucket with the
-// signature. Items colliding in multiple bands appear multiple times; use
-// QuerySet for deduplicated results.
-func (ix *Index) Query(sig []uint32) []uint32 {
-	var out []uint32
-	for b := 0; b < ix.bands; b++ {
-		key := bandHash(sig, b, ix.bandSize)
-		out = append(out, ix.buckets[b][key]...)
-	}
-	ix.countProbe(len(out))
-	return out
-}
-
-// QuerySet returns the deduplicated set of items colliding with the
-// signature.
-func (ix *Index) QuerySet(sig []uint32) map[uint32]bool {
-	return ix.QuerySetContext(context.Background(), sig)
-}
-
-// QuerySetContext is QuerySet honoring cancellation between band probes: a
-// dead context returns the partial collision set gathered so far (bands
-// already scanned stay in it). Background contexts skip the check entirely.
-func (ix *Index) QuerySetContext(ctx context.Context, sig []uint32) map[uint32]bool {
-	set := make(map[uint32]bool)
+// Buckets is the one probe primitive: it appends to dst every non-empty
+// band bucket the signature hashes into, one per colliding band, and
+// returns the extended slice. The buckets are read-only views into the
+// index — nothing is copied, and with a dst of sufficient capacity nothing
+// is allocated — valid until the next Insert or Remove. An item colliding
+// in several bands appears in several buckets; deduplicating is the
+// caller's business. A dead context stops the probe between bands and
+// returns the buckets gathered so far; background contexts skip the check.
+func (ix *Index) Buckets(ctx context.Context, sig []uint32, dst [][]uint32) [][]uint32 {
 	scanned := 0
 	done := ctx.Done()
 	for b := 0; b < ix.bands; b++ {
 		if done != nil {
 			select {
 			case <-done:
-				ix.countProbe(scanned)
-				return set
+				ix.countProbe(b, scanned)
+				return dst
 			default:
 			}
 		}
-		key := bandHash(sig, b, ix.bandSize)
-		for _, it := range ix.buckets[b][key] {
+		bucket := ix.buckets[b][bandHash(sig, b, ix.bandSize)]
+		scanned += len(bucket)
+		if len(bucket) > 0 {
+			dst = append(dst, bucket)
+		}
+	}
+	ix.countProbe(ix.bands, scanned)
+	return dst
+}
+
+// Query returns the bag of items sharing at least one bucket with the
+// signature. Items colliding in multiple bands appear multiple times; use
+// QuerySet for deduplicated results.
+func (ix *Index) Query(sig []uint32) []uint32 {
+	var out []uint32
+	for _, bucket := range ix.Buckets(context.Background(), sig, nil) {
+		out = append(out, bucket...)
+	}
+	return out
+}
+
+// QuerySet returns the deduplicated set of items colliding with the
+// signature.
+func (ix *Index) QuerySet(sig []uint32) map[uint32]bool {
+	set := make(map[uint32]bool)
+	for _, bucket := range ix.Buckets(context.Background(), sig, nil) {
+		for _, it := range bucket {
 			set[it] = true
 		}
-		scanned += len(ix.buckets[b][key])
 	}
-	ix.countProbe(scanned)
 	return set
 }
 
-// countProbe records one signature probe (ix.bands band-bucket lookups)
-// that scanned the given number of bucket entries.
-func (ix *Index) countProbe(scanned int) {
-	ix.probes.Add(int64(ix.bands))
+// countProbe records one signature probe: the band-bucket lookups it
+// actually performed and the bucket entries they held.
+func (ix *Index) countProbe(looked, scanned int) {
+	ix.probes.Add(int64(looked))
 	ix.scanned.Add(int64(scanned))
-	mBandProbes.Add(int64(ix.bands))
+	mBandProbes.Add(int64(looked))
 	mItemsScanned.Add(int64(scanned))
 }
 
-// ProbeCounts returns this index's cumulative band-bucket lookups and
-// bucket entries scanned across all queries since construction.
+// ProbeCounts returns this index's cumulative band-bucket lookups performed
+// and bucket entries scanned across all queries since construction.
 func (ix *Index) ProbeCounts() (probes, scanned int64) {
 	return ix.probes.Load(), ix.scanned.Load()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"thetis/internal/embedding"
@@ -255,29 +256,70 @@ func BenchmarkHyperplaneSignature128(b *testing.B) {
 	}
 }
 
-func TestQuerySetContextCancelled(t *testing.T) {
+func TestBucketsCancelled(t *testing.T) {
 	ix := NewIndex(32, 8)
 	m := NewMinHasher(32, 1)
 	sig := m.Signature([]uint64{1, 2, 3})
 	ix.Insert(10, sig)
 	ix.Insert(20, m.Signature([]uint64{500, 600, 700}))
 
-	full := ix.QuerySetContext(context.Background(), sig)
-	if !full[10] {
-		t.Fatal("background context lost a collision")
+	full := ix.Buckets(context.Background(), sig, nil)
+	// The identical signature collides in all four bands.
+	if len(full) != 4 {
+		t.Fatalf("background probe returned %d buckets, want 4", len(full))
+	}
+	for _, bucket := range full {
+		if !slices.Contains(bucket, 10) {
+			t.Fatalf("background probe bucket %v lost the collision", bucket)
+		}
+	}
+	probes, scanned := ix.ProbeCounts()
+	if probes != 4 || scanned < 4 {
+		t.Fatalf("after one full probe ProbeCounts = (%d, %d), want 4 lookups", probes, scanned)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial := ix.QuerySetContext(ctx, sig)
-	// A dead context is checked before the first band probe, so nothing
-	// was scanned; the partial set must be a (here: empty) subset.
-	if len(partial) != 0 {
-		t.Errorf("pre-cancelled query returned %d items", len(partial))
+	// A dead context is checked before the first band lookup, so nothing
+	// is looked up, returned or counted.
+	if partial := ix.Buckets(ctx, sig, nil); len(partial) != 0 {
+		t.Errorf("pre-cancelled probe returned %d buckets", len(partial))
 	}
-	for it := range partial {
-		if !full[it] {
-			t.Errorf("cancelled query invented item %d", it)
+	if p, s := ix.ProbeCounts(); p != probes || s != scanned {
+		t.Errorf("pre-cancelled probe moved ProbeCounts (%d, %d) → (%d, %d)", probes, scanned, p, s)
+	}
+}
+
+// TestBucketsAppendsViewsWithoutAllocating pins the probe primitive's
+// contract: colliding buckets are appended to dst as views, so a probe
+// into a dst with room allocates nothing, and Query/QuerySet, the wrappers
+// over it, see exactly the buckets' items.
+func TestBucketsAppendsViewsWithoutAllocating(t *testing.T) {
+	ix := NewIndex(30, 10)
+	m := NewMinHasher(30, 3)
+	sigs := make([][]uint32, 40)
+	for i := range sigs {
+		sigs[i] = m.Signature([]uint64{uint64(i % 5), uint64(i % 3)})
+		ix.Insert(uint32(i), sigs[i])
+	}
+	dst := make([][]uint32, 0, ix.Bands())
+	if allocs := testing.AllocsPerRun(50, func() { dst = ix.Buckets(context.Background(), sigs[7], dst[:0]) }); allocs != 0 {
+		t.Errorf("Buckets into a dst with room allocated %v times a probe, want 0", allocs)
+	}
+	var bag []uint32
+	for _, bucket := range dst {
+		bag = append(bag, bucket...)
+	}
+	if got := ix.Query(sigs[7]); !slices.Equal(got, bag) {
+		t.Errorf("Query = %v, buckets hold %v", got, bag)
+	}
+	set := ix.QuerySet(sigs[7])
+	for _, it := range bag {
+		if !set[it] {
+			t.Errorf("QuerySet lost item %d", it)
 		}
+	}
+	if len(set) > len(bag) {
+		t.Errorf("QuerySet invented items: %d > %d", len(set), len(bag))
 	}
 }
