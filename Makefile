@@ -50,7 +50,7 @@ benchrun:
 	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # `race` runs every differential battery (shard-count invariance, live
-# rebuild-equivalence, ANN, shard-over-HTTP, batch) by package,
+# rebuild-equivalence, shard-over-HTTP, batch) by package,
 # not by test-name regex, so a renamed test cannot leave the gate.
 check: fmt vet build race linkcheck benchsmoke benchrun
 

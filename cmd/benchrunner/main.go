@@ -10,7 +10,6 @@
 //	benchrunner -tables 20000 -queries 50   # approach the paper's scale
 //	benchrunner -list                # list experiment IDs
 //	benchrunner -exp shards -shards 8    # scatter-gather sweep up to 8 shards
-//	benchrunner -exp ann -json BENCH_ann.json   # ANN recall/NDCG differential
 package main
 
 import (
@@ -36,8 +35,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment IDs and exit")
 	shards := flag.Int("shards", 0,
 		"largest shard count the scatter-gather experiment sweeps (0 = default, see docs/SHARDING.md)")
-	jsonOut := flag.String("json", "",
-		"write the experiment's machine-readable record to this file (single -exp only)")
 	flag.Parse()
 
 	if *list {
@@ -72,29 +69,9 @@ func main() {
 	}
 
 	if *exp == "all" {
-		if *jsonOut != "" {
-			log.Fatal("-json requires a single -exp")
-		}
 		experiments.RunAll(env, os.Stdout)
-	} else {
-		res, err := experiments.RunCapture(env, *exp, os.Stdout)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *jsonOut != "" {
-			j, ok := res.(experiments.JSONer)
-			if !ok {
-				log.Fatalf("-json: experiment %q has no JSON record", *exp)
-			}
-			raw, err := j.JSON()
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := os.WriteFile(*jsonOut, append(raw, '\n'), 0o644); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-		}
+	} else if err := experiments.Run(env, *exp, os.Stdout); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "total: %v\n", time.Since(start).Round(time.Millisecond))
 }

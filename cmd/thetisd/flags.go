@@ -24,13 +24,14 @@ type flagConfig struct {
 	Index     thetis.IndexConfig
 	IndexFile string
 	DeltaLog  string
-	AnnTopK   int
-	AnnEf     int
 }
 
 // validateFlags returns the first rule the configuration violates, nil if
 // the combination is serveable.
 func validateFlags(c flagConfig) error {
+	if c.Sim != "types" && c.Sim != "embeddings" {
+		return fmt.Errorf("-sim must be types or embeddings (got %q)", c.Sim)
+	}
 	if err := c.Index.Validate(); err != nil {
 		return err
 	}
@@ -46,12 +47,6 @@ func validateFlags(c flagConfig) error {
 	if c.Shards > 1 && c.IndexFile != "" {
 		return fmt.Errorf("-indexfile requires -shards 1 (snapshots cover one shard's index)")
 	}
-	if c.AnnTopK < 0 || (c.AnnTopK > 0 && c.Sim != "embeddings") {
-		return fmt.Errorf("-ann-topk needs a positive K and -sim embeddings")
-	}
-	if c.AnnTopK > 0 && c.AnnEf < 1 {
-		return fmt.Errorf("-ann-ef must be >= 1 (got %d)", c.AnnEf)
-	}
 	if c.ShardURLs != "" {
 		// Coordinator mode scatters to remote daemons; everything that
 		// assumes a local index or local mutations is off the table.
@@ -66,9 +61,6 @@ func validateFlags(c flagConfig) error {
 		}
 		if c.IndexFile != "" {
 			return fmt.Errorf("-shard-urls is incompatible with -indexfile (the coordinator holds no local index; shards build their own)")
-		}
-		if c.AnnTopK > 0 {
-			return fmt.Errorf("-shard-urls is incompatible with -ann-topk (approximate sigma is a shard-daemon setting)")
 		}
 		if _, err := parseShardURLs(c.ShardURLs); err != nil {
 			return err

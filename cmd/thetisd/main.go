@@ -3,7 +3,6 @@
 //
 //	thetisd -kg bench/kg.nt -corpus bench/corpus.jsonl -addr :8080 \
 //	        [-sim types|embeddings] [-embfile embeddings.bin] \
-//	        [-ann-topk K] [-ann-ef N] \
 //	        [-shards 1] [-shard-by hash|size] \
 //	        [-shard-urls http://a:8081|http://a2:8081,http://b:8082] [-probe-every 3s] \
 //	        [-lsh] [-votes 3] [-vectors 30] [-band 10] [-indexfile index.bin] \
@@ -28,13 +27,6 @@
 // hedging, replica failover, and per-replica circuit breakers
 // (thetis_remote_shard_* metrics; per-replica breakdown on /readyz). The
 // deployment is read-only: POST/DELETE /tables answer 405.
-//
-// Approximate σ (docs/ANN.md): with -sim embeddings, -ann-topk K scores
-// each query entity against only its K nearest store entities (found
-// through a pure-Go HNSW graph; -ann-ef tunes the recall/latency
-// trade-off) instead of the whole entity store. The graph is built once
-// at start-up over the embedding store; corpus mutations leave it in
-// place (thetis_ann_* metrics, GET /debug/ann).
 //
 // Batch search (docs/THROUGHPUT.md): POST /search/batch answers N queries
 // in one round trip under one corpus snapshot, bit-identical to N
@@ -94,8 +86,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	sim := flag.String("sim", "types", "similarity: types | embeddings")
 	embFile := flag.String("embfile", "", "embeddings file (for -sim embeddings)")
-	annTopK := flag.Int("ann-topk", 0, "approximate top-k sigma: each query entity keeps its K nearest store entities via HNSW, 0 = exact (requires -sim embeddings)")
-	annEf := flag.Int("ann-ef", 64, "HNSW search beam width for -ann-topk (higher = better recall, slower)")
 	shards := flag.Int("shards", 1, "in-process shard count for scatter-gather serving")
 	shardBy := flag.String("shard-by", "hash", "partitioning strategy for -shards > 1: hash | size")
 	shardURLs := flag.String("shard-urls", "", "serve as a scatter-gather coordinator over remote shard daemons: shards comma-separated, replicas of one shard |-separated (requires -shard-by hash)")
@@ -131,8 +121,6 @@ func main() {
 		Index:     cfg,
 		IndexFile: *indexFile,
 		DeltaLog:  *deltaLog,
-		AnnTopK:   *annTopK,
-		AnnEf:     *annEf,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "thetisd: invalid flags: %v\n", err)
 		flag.Usage()
@@ -182,14 +170,6 @@ func main() {
 			sys.TrainEmbeddings(thetis.DefaultWalkConfig(), thetis.DefaultTrainConfig())
 		}
 		sys.UseEmbeddingSimilarity()
-		if *annTopK > 0 {
-			log.Printf("building ANN graph (top-%d sigma, ef %d)…", *annTopK, *annEf)
-			if err := sys.EnableAnnTopK(*annTopK, *annEf); err != nil {
-				log.Fatalf("enabling ANN top-k sigma: %v", err)
-			}
-		}
-	default:
-		log.Fatalf("unknown similarity %q", *sim)
 	}
 	log.Println("building keyword index…")
 	sys.BuildKeywordIndex()

@@ -23,7 +23,6 @@ func validConfig() flagConfig {
 		ShardBy: "hash",
 		Votes:   3,
 		Index:   thetis.DefaultIndexConfig(),
-		AnnEf:   64,
 	}
 }
 
@@ -64,14 +63,11 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"zero votes", func(c *flagConfig) { c.Votes = 0 }, "-votes must be >= 1"},
 		{"bad shard-by", func(c *flagConfig) { c.ShardBy = "round-robin" }, "-shard-by must be hash or size"},
 		{"bad index config", func(c *flagConfig) { c.Index.Vectors = 7; c.Index.BandSize = 10 }, ""},
-		{"ann without embeddings", func(c *flagConfig) { c.AnnTopK = 8 }, "-ann-topk"},
-		{"negative ann", func(c *flagConfig) { c.AnnTopK = -1 }, "-ann-topk"},
-		{"ann with bad ef", func(c *flagConfig) { c.Sim = "embeddings"; c.AnnTopK = 8; c.AnnEf = 0 }, "-ann-ef"},
+		{"unknown sim", func(c *flagConfig) { c.Sim = "foo" }, "-sim must be types or embeddings"},
 		{"shard-urls with shards", func(c *flagConfig) { c.Shards = 2; c.ShardURLs = "http://a:1" }, "incompatible with -shards"},
 		{"shard-urls with size placement", func(c *flagConfig) { c.ShardBy = "size"; c.ShardURLs = "http://a:1" }, "requires -shard-by hash"},
 		{"shard-urls with delta log", func(c *flagConfig) { c.DeltaLog = "d.log"; c.ShardURLs = "http://a:1" }, "incompatible with -delta-log"},
 		{"shard-urls with indexfile", func(c *flagConfig) { c.IndexFile = "i.bin"; c.ShardURLs = "http://a:1" }, "incompatible with -indexfile"},
-		{"shard-urls with ann", func(c *flagConfig) { c.Sim = "embeddings"; c.AnnTopK = 8; c.ShardURLs = "http://a:1" }, "incompatible with -ann-topk"},
 		{"shard-urls empty group", func(c *flagConfig) { c.ShardURLs = "http://a:1,," }, "no replicas"},
 		{"shard-urls bad scheme", func(c *flagConfig) { c.ShardURLs = "ftp://a:1" }, "http://"},
 	}

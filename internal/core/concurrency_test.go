@@ -177,20 +177,6 @@ func TestSearchContextPreCancelled(t *testing.T) {
 	}
 }
 
-func TestScoreTableContextCancelled(t *testing.T) {
-	l, g, q := stressLake(t, 4)
-	eng := NewEngine(l, NewTypeJaccard(g))
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if score, mt := eng.ScoreTableContext(ctx, q, 0); score != 0 || mt != 0 {
-		t.Errorf("cancelled ScoreTableContext = (%v, %v), want (0, 0)", score, mt)
-	}
-	want, _ := eng.ScoreTable(q, 0)
-	if got, _ := eng.ScoreTableContext(context.Background(), q, 0); got != want {
-		t.Errorf("live ScoreTableContext = %v, want %v", got, want)
-	}
-}
-
 // A deadline must return promptly with the correctly ranked prefix of
 // tables scored before the cutoff — graceful degradation, not an error.
 func TestSearchContextDeadlineTruncatesPromptly(t *testing.T) {

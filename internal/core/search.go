@@ -55,25 +55,15 @@ type Engine struct {
 	// deterministic; only the amount of recomputation changes) — the
 	// differential test battery relies on that.
 	DisableSigmaCache bool
-	// SigmaTopK > 0 turns on approximate top-k σ scoring (docs/ANN.md):
-	// each query entity resolves its k nearest store entities once per
-	// search through Ann, and pairs outside that neighborhood score σ = 0.
-	// 0 (the default) scores exactly; results are then bit-identical to an
-	// engine without the field.
-	SigmaTopK int
-	// Ann is the ANN index top-k σ resolves neighborhoods through; without
-	// one (or over a σ that is not the embedding cosine) scoring is exact.
-	Ann AnnIndex
 }
 
-// newSigmaCache returns the σ cache for one search of q over the given σ
-// (the engine's exact σ, or the search's top-k σ), or nil when caching is
-// disabled on the engine.
-func (eng *Engine) newSigmaCache(q Query, sim Similarity) *SigmaCache {
+// newSigmaCache returns the σ cache for one search of q over the engine's
+// σ, or nil when caching is disabled on the engine.
+func (eng *Engine) newSigmaCache(q Query) *SigmaCache {
 	if eng.DisableSigmaCache || eng.Lake == nil || eng.Lake.Graph == nil {
 		return nil
 	}
-	return NewSigmaCache(q, sim, eng.Lake.Graph.NumEntities())
+	return NewSigmaCache(q, eng.Sim, eng.Lake.Graph.NumEntities())
 }
 
 // NewEngine builds an engine with IDF informativeness and MAX aggregation,
@@ -217,16 +207,11 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 		pruned       int
 		hits, misses int64
 	}
-	// sim is the σ this search scores with: the engine's exact σ, or —
-	// with SigmaTopK on — a per-search top-k neighborhood σ resolved once
-	// here, before the workers start, so rankings do not depend on
-	// Parallelism.
-	sim := eng.searchSim(q, tr)
 	// sigma is the query-scoped σ cache, shared by every scoring worker of
 	// this search so each distinct (query entity, cell entity) pair is
 	// scored exactly once per query. Nil when disabled; scorers then
 	// compute every σ they read.
-	sigma := eng.newSigmaCache(q, sim)
+	sigma := eng.newSigmaCache(q)
 	// floor is the k-th best score the workers have found so far; tables
 	// that cannot reach it are pruned (scorer.floor). Nil ranks everything.
 	var floor *scoreFloor
@@ -236,7 +221,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	// Each worker gets its own scorer (scratch rows); the SigmaCache and the
 	// floor are the parts they share.
 	newWorkerScorer := func() *scorer {
-		sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
+		sc := newScorer(q, eng.Sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
 		sc.floor = floor
 		return sc
 	}
@@ -367,20 +352,8 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 // cache, column pre-aggregation), so its score is bit-identical to the one
 // the same table earns inside Search.
 func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration) {
-	sim := eng.searchSim(q, nil)
-	sigma := eng.newSigmaCache(q, sim)
-	sc := newScorer(q, sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
+	sc := newScorer(q, eng.Sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, eng.newSigmaCache(q))
 	return sc.scoreTable(eng.Lake.Table(tid), eng.Lake.ColumnIndex(tid))
-}
-
-// ScoreTableContext is ScoreTable honoring cancellation: one table is the
-// scoring granule, so a dead context short-circuits to (0, 0) and a live
-// one scores the table in full.
-func (eng *Engine) ScoreTableContext(ctx context.Context, q Query, tid lake.TableID) (float64, time.Duration) {
-	if ctx.Err() != nil {
-		return 0, 0
-	}
-	return eng.ScoreTable(q, tid)
 }
 
 // RankedTables projects results onto table IDs as plain ints, the shape the

@@ -348,7 +348,7 @@ func TestNoisyLinkShape(t *testing.T) {
 func TestRunRegistry(t *testing.T) {
 	env := sharedEnv(t)
 	ids := ExperimentIDs()
-	if len(ids) != 21 {
+	if len(ids) != 20 {
 		t.Errorf("experiment IDs = %v", ids)
 	}
 	var buf bytes.Buffer

@@ -34,7 +34,6 @@ var registry = map[string]func(*Env) Renderer{
 	"inf":        func(e *Env) Renderer { return RunInformativenessAblation(e) },
 	"walks":      func(e *Env) Renderer { return RunWalkAblation(e) },
 	"shards":     func(e *Env) Renderer { return RunShards(e) },
-	"ann":        func(e *Env) Renderer { return RunANN(e) },
 }
 
 // ExperimentIDs returns the sorted list of runnable experiment IDs.
@@ -47,28 +46,14 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// JSONer is implemented by results that also serialize a machine-readable
-// trajectory record (benchrunner -json, e.g. BENCH_ann.json).
-type JSONer interface {
-	JSON() ([]byte, error)
-}
-
 // Run executes one experiment by ID and renders it to w.
 func Run(env *Env, id string, w io.Writer) error {
-	_, err := RunCapture(env, id, w)
-	return err
-}
-
-// RunCapture executes one experiment by ID, renders it to w, and returns
-// the typed result so callers can serialize it further.
-func RunCapture(env *Env, id string, w io.Writer) (Renderer, error) {
 	f, ok := registry[id]
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, ExperimentIDs())
+		return fmt.Errorf("experiments: unknown experiment %q (known: %v)", id, ExperimentIDs())
 	}
-	res := f(env)
-	res.Render(w)
-	return res, nil
+	f(env).Render(w)
+	return nil
 }
 
 // RunAll executes every experiment in a stable order. "table3" and
@@ -78,7 +63,7 @@ func RunAll(env *Env, w io.Writer) {
 		"table2", "fig4", "fig5", "table3", "fig6",
 		"agg", "overlap", "scoring", "bm25filter",
 		"scoremode", "mapping", "queryagg", "inf", "walks",
-		"scaling", "shards", "ann", "wt2019", "gittables", "noisylink",
+		"scaling", "shards", "wt2019", "gittables", "noisylink",
 	}
 	for _, id := range order {
 		registry[id](env).Render(w)

@@ -412,29 +412,3 @@ func HTTPInFlight(r *Registry) *Gauge {
 	return r.Gauge("thetis_http_inflight",
 		"Search-type requests currently executing.", nil)
 }
-
-// AnnQueriesTotal counts searches scored in top-k σ mode (an ANN
-// neighborhood was resolved and used; see docs/ANN.md).
-func AnnQueriesTotal() *Counter {
-	return Default.Counter("thetis_ann_queries_total",
-		"Searches scored with ANN top-k sigma neighborhoods.", nil)
-}
-
-// AnnGraphNodes gauges the entity count of the currently installed HNSW
-// graph.
-func AnnGraphNodes(r *Registry) *Gauge {
-	if r == nil {
-		r = Default
-	}
-	return r.Gauge("thetis_ann_graph_nodes",
-		"Entities indexed by the installed ANN graph.", nil)
-}
-
-// AnnBuildSeconds gauges the wall time of the most recent ANN graph build.
-func AnnBuildSeconds(r *Registry) *Gauge {
-	if r == nil {
-		r = Default
-	}
-	return r.Gauge("thetis_ann_build_seconds",
-		"Wall time of the most recent ANN graph build.", nil)
-}

@@ -19,7 +19,7 @@ import (
 )
 
 // Reference is one lake with its hand-wired search pipeline. Tests set the
-// engine's knobs (Agg, Mode, Mapping, Parallelism, SigmaTopK, Ann), Votes,
+// engine's knobs (Agg, Mode, Mapping, Parallelism), Votes,
 // and the optional indexes (core.BuildTypeLSEI / core.BuildEmbeddingLSEI /
 // bm25.IndexLake over Lake) directly.
 type Reference struct {

@@ -14,7 +14,6 @@
 //	POST /hybrid            BM25-complemented semantic search
 //	GET  /metrics           Prometheus text-format metrics
 //	GET  /debug/trace       per-stage breakdown of one search (?query=…&k=…)
-//	GET  /debug/ann         ANN top-k σ serving state (docs/ANN.md)
 //	GET  /debug/ingest      quarantine summary of the corpus load (WithIngestReport)
 //	GET  /debug/pprof/*     runtime profiles (opt-in via WithPprof)
 //	POST /shard/search      one scatter leg for a remote coordinator
@@ -79,7 +78,6 @@ type Backend interface {
 	// DeltaLogError is the write-ahead log's sticky failure (nil while
 	// mutations are durable); it must not block behind maintenance.
 	DeltaLogError() error
-	AnnStatus() thetis.AnnStatus
 	// ServeShardSearch answers one remote scatter leg in this backend's own
 	// table IDs; ApplyShardArtifacts installs a coordinator's global
 	// artifacts.
@@ -189,9 +187,6 @@ func New(sys Backend, opts ...Option) *Server {
 	s.handle("POST", "/keyword", s.guard("/keyword", s.handleKeyword))
 	s.handle("POST", "/hybrid", s.guard("/hybrid", s.handleHybrid))
 	s.handle("GET", "/debug/trace", s.guard("/debug/trace", s.handleTrace))
-	s.handle("GET", "/debug/ann", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, s.sys.AnnStatus())
-	})
 	s.handle("POST", "/shard/search", s.handleShardSearch)
 	s.handle("POST", "/shard/artifacts", s.handleShardArtifacts)
 	s.mux.Handle("GET /metrics", s.reg.Handler())

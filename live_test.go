@@ -16,10 +16,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"thetis/internal/atomicio"
@@ -470,6 +472,7 @@ func TestLiveConcurrentSearchDuringMutation(t *testing.T) {
 			configureLive(inc, cfg)
 
 			done := make(chan struct{})
+			var scrapeErr atomic.Value
 			var wg sync.WaitGroup
 			for w := 0; w < 4; w++ {
 				wg.Add(1)
@@ -493,6 +496,13 @@ func TestLiveConcurrentSearchDuringMutation(t *testing.T) {
 						case 3:
 							inc.NumTables()
 							inc.IndexEpoch()
+							// A /metrics scrape reads every series the
+							// searches and mutations above are writing.
+							rec := httptest.NewRecorder()
+							obs.Default.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+							if rec.Code != 200 {
+								scrapeErr.Store(fmt.Errorf("metrics scrape status %d", rec.Code))
+							}
 						}
 					}
 				}(w)
@@ -510,6 +520,9 @@ func TestLiveConcurrentSearchDuringMutation(t *testing.T) {
 			}
 			close(done)
 			wg.Wait()
+			if err, _ := scrapeErr.Load().(error); err != nil {
+				t.Fatal(err)
+			}
 			// After the dust settles the equivalence invariant still holds.
 			ref := buildLiveReference(st, cfg)
 			if err := assertLiveEquivalence(inc, ref, st, cfg, queries, 10); err != nil {

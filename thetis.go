@@ -235,13 +235,6 @@ type System struct {
 	// sticky failure, readable without any lock (DeltaLogError).
 	delta    *deltaLog
 	deltaErr atomic.Pointer[error]
-
-	// ann is the HNSW graph backing top-k σ mode (nil when the mode is
-	// off), a function of the embedding store alone: EnableAnnTopK builds it
-	// once, every shard engine scores through it, and corpus mutations leave
-	// it alone. See ann.go / docs/ANN.md.
-	ann   *embedding.HNSW
-	annEf int
 }
 
 // New creates an empty semantic data lake over the knowledge graph g, held
@@ -333,7 +326,6 @@ func (s *System) IngestCorpus(r io.Reader, opts IngestOptions) (int, error) {
 // large ingestion batches to refresh corpus-frequency weights.
 func (s *System) Refresh() {
 	rebuildIndex := s.hasAnyIndex()
-	ann := s.AnnStatus()
 	switch {
 	case s.ec != nil:
 		s.UseEmbeddingSimilarity()
@@ -345,10 +337,6 @@ func (s *System) Refresh() {
 	}
 	if s.keyword != nil {
 		s.BuildKeywordIndex()
-	}
-	if ann.Enabled {
-		// Cannot fail: the same k and ef were accepted over this σ before.
-		_ = s.EnableAnnTopK(ann.TopK, ann.EfSearch)
 	}
 }
 
@@ -388,8 +376,7 @@ func (s *System) LoadEmbeddings(r io.Reader) error {
 // fresh engine over it with GLOBAL informativeness weights — the first of
 // the three globals that keep rankings independent of the shard count. It is
 // the one place that resets what is derived from σ: each shard's index
-// (signatures depend on the similarity), the frequent-type filter, and the
-// ANN graph with its engine wiring.
+// (signatures depend on the similarity) and the frequent-type filter.
 func (s *System) installEngines(sim Similarity) {
 	s.tj, _ = sim.(*core.TypeJaccard)
 	s.ec, _ = sim.(*core.EmbeddingCosine)
@@ -400,7 +387,6 @@ func (s *System) installEngines(sim Similarity) {
 		sh.SetEngine(eng)
 	}
 	s.typeFilter, s.filterState = nil, nil
-	s.ann, s.annEf = nil, 0
 }
 
 // UseTypeSimilarity configures σ as the adjusted Jaccard of taxonomy-

@@ -2,6 +2,7 @@ package thetis
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -221,23 +222,16 @@ func TestSystemLoadEmbeddingsBadData(t *testing.T) {
 }
 
 // TestRefreshKeepsSimilarity: Refresh re-installs the σ that was selected
-// and rebuilds what was built on it — rankings, the LSEI and the ANN wiring
-// are the same before and after.
+// and rebuilds what was built on it — rankings and the LSEI are the same
+// before and after.
 func TestRefreshKeepsSimilarity(t *testing.T) {
-	// annItems is the ann stage's neighborhood size, -1 without the stage.
-	annItems := func(st SearchStats) int {
-		if stage := st.Trace.Stage("ann"); stage != nil {
-			return stage.Items
-		}
-		return -1
-	}
 	cases := []struct {
-		name                   string
-		embeddings, annAndLSEI bool
+		name           string
+		embeddings, ix bool
 	}{
 		{name: "type"},
 		{name: "embedding", embeddings: true},
-		{name: "embedding+ann+lsei", embeddings: true, annAndLSEI: true},
+		{name: "embedding+lsei", embeddings: true, ix: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -247,28 +241,21 @@ func TestRefreshKeepsSimilarity(t *testing.T) {
 			} else {
 				sys.UseTypeSimilarity()
 			}
-			if tc.annAndLSEI {
-				if err := sys.EnableAnnTopK(3, 8); err != nil {
-					t.Fatal(err)
-				}
+			if tc.ix {
 				sys.BuildIndex(DefaultIndexConfig())
 			}
-			want, wantStats := sys.SearchStats(q, 10)
-			if len(want) == 0 || (annItems(wantStats) > 0) != tc.annAndLSEI {
-				t.Fatalf("before Refresh: results %v, ann items %d", want, annItems(wantStats))
+			want := sys.Search(q, 10)
+			if len(want) == 0 {
+				t.Fatal("no results before Refresh")
 			}
 
 			sys.Refresh()
 
-			got, gotStats := sys.SearchStats(q, 10)
-			if !rankingsEqual(want, got) {
+			if got := sys.Search(q, 10); !slices.Equal(want, got) {
 				t.Errorf("rankings changed across Refresh: %v -> %v", want, got)
 			}
-			if sys.HasIndex() != tc.annAndLSEI {
-				t.Errorf("HasIndex after Refresh = %v, want %v", sys.HasIndex(), tc.annAndLSEI)
-			}
-			if annItems(gotStats) != annItems(wantStats) {
-				t.Errorf("ann stage items changed across Refresh: %d -> %d", annItems(wantStats), annItems(gotStats))
+			if sys.HasIndex() != tc.ix {
+				t.Errorf("HasIndex after Refresh = %v, want %v", sys.HasIndex(), tc.ix)
 			}
 		})
 	}
