@@ -27,10 +27,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# Docs checkers: every relative markdown link must resolve to a file, and
-# docs/OBSERVABILITY.md must list exactly the registered metric families.
+# Docs checkers: every relative markdown link must resolve to a file,
+# docs/OBSERVABILITY.md must list exactly the registered metric families,
+# and documented thetisd command lines may only use flags it defines.
 linkcheck:
-	$(GO) test -run '^Test(DocLinks|ObservabilityDocMatchesRegistry)$$' .
+	$(GO) test -run '^Test(DocLinks|ObservabilityDocMatchesRegistry|DocsUseDefinedDaemonFlags)$$' .
 
 # The benchmark (bench/, named by BENCHMARK.json) is its own module, so
 # `go build ./...` never compiles it: vet it and run its smoke test — every
@@ -49,7 +50,7 @@ benchsmoke:
 benchrun:
 	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
-# `race` runs every differential battery (shard-count invariance, live
+# `race` runs every differential battery (System vs reference, live
 # rebuild-equivalence, shard-over-HTTP, batch) by package,
 # not by test-name regex, so a renamed test cannot leave the gate.
 check: fmt vet build race linkcheck benchsmoke benchrun

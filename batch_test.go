@@ -2,9 +2,8 @@ package thetis
 
 // Batch battery (docs/THROUGHPUT.md): SearchBatch must be
 // bit-identical to sequential searches of the core-assembled reference
-// (internal/reference) across aggregation × score mode × parallelism ×
-// shard count × partitioner × LSH, and truncation must cut the batch to
-// correctly ranked prefixes.
+// (internal/reference) across aggregation × score mode × parallelism × LSH,
+// and truncation must cut the batch to correctly ranked prefixes.
 
 import (
 	"context"
@@ -45,10 +44,9 @@ func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *
 	return got, gotStats
 }
 
-// TestBatchMatchesSequential sweeps the deployment axis and the scoring
-// matrix: a batch must reproduce the reference's sequential rankings under
-// every shard count, partitioner, aggregation, score mode, and parallelism,
-// at top-10 and unbounded k, unindexed and then LSEI-prefiltered (per-query
+// TestBatchMatchesSequential sweeps the scoring matrix: a batch must
+// reproduce the reference's sequential rankings under every aggregation,
+// score mode, and parallelism, at top-10 and unbounded k, unindexed and then LSEI-prefiltered (per-query
 // candidate sets, full-scan rescatter on empty ones) at every vote
 // threshold. A batch that repeats a query answers the repeat from the first
 // occurrence: the same ranking bit for bit in a slice of its own, the same
@@ -56,46 +54,44 @@ func assertBatchEquals(t *testing.T, label string, ref *reference.Reference, s *
 func TestBatchMatchesSequential(t *testing.T) {
 	_, _, queries := batteryEnv(t)
 	repeated := []Query{queries[0], queries[1], queries[0]}
-	for _, ax := range shardAxes() {
-		ref, sys := buildPair(t, ax.part())
-		for _, cfg := range []struct {
-			name string
-			agg  Aggregation
-			mode ScoreMode
-			par  int
-		}{
-			{"max-entitywise-par0", AggregateMax, ModeEntityWise, 0},
-			{"avg-entitywise-par1", AggregateAvg, ModeEntityWise, 1},
-			{"max-pairwise-par4", AggregateMax, ModePairwise, 4},
-			{"avg-pairwise-par1", AggregateAvg, ModePairwise, 1},
-		} {
-			ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
-			sys.SetAggregation(cfg.agg)
-			sys.SetScoreMode(cfg.mode)
-			sys.SetParallelism(cfg.par)
-			assertBatchEquals(t, ax.name+"/"+cfg.name, ref, sys, queries, 10)
-			assertBatchEquals(t, ax.name+"/"+cfg.name+"/all", ref, sys, queries[:2], -1)
-			res, st := assertBatchEquals(t, ax.name+"/"+cfg.name+"/repeat", ref, sys, repeated, 10)
-			first, again := st[0], st[2]
-			if first.SigmaHits+first.SigmaMisses == 0 || first.TotalTime == 0 {
-				t.Fatalf("%s/%s: first occurrence was not searched: %+v", ax.name, cfg.name, first)
-			}
-			if again.SigmaHits+again.SigmaMisses != 0 || again.TotalTime != 0 || again.MappingTime != 0 ||
-				again.Candidates != first.Candidates || again.Scored != first.Scored || again.Pruned != first.Pruned || again.Trace == nil {
-				t.Fatalf("%s/%s: repeated query reports %+v, want the first occurrence's counts %+v with zero times and σ lookups",
-					ax.name, cfg.name, again, first)
-			}
-			if !slices.Equal(res[2], res[0]) || len(res[0]) == 0 || &res[2][0] == &res[0][0] {
-				t.Fatalf("%s/%s: the repeat must be an independent copy of the first occurrence's ranking", ax.name, cfg.name)
-			}
+	ref, sys := buildPair(t)
+	for _, cfg := range []struct {
+		name string
+		agg  Aggregation
+		mode ScoreMode
+		par  int
+	}{
+		{"max-entitywise-par0", AggregateMax, ModeEntityWise, 0},
+		{"avg-entitywise-par1", AggregateAvg, ModeEntityWise, 1},
+		{"max-pairwise-par4", AggregateMax, ModePairwise, 4},
+		{"avg-pairwise-par1", AggregateAvg, ModePairwise, 1},
+	} {
+		ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
+		sys.SetAggregation(cfg.agg)
+		sys.SetScoreMode(cfg.mode)
+		sys.SetParallelism(cfg.par)
+		assertBatchEquals(t, cfg.name, ref, sys, queries, 10)
+		assertBatchEquals(t, cfg.name+"/all", ref, sys, queries[:2], -1)
+		res, st := assertBatchEquals(t, cfg.name+"/repeat", ref, sys, repeated, 10)
+		first, again := st[0], st[2]
+		if first.SigmaHits+first.SigmaMisses == 0 || first.TotalTime == 0 {
+			t.Fatalf("%s: first occurrence was not searched: %+v", cfg.name, first)
 		}
-		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, DefaultIndexConfig())
-		sys.BuildIndex(DefaultIndexConfig())
-		for _, votes := range []int{1, 2, 3} {
-			ref.Votes = votes
-			sys.SetVotes(votes)
-			assertBatchEquals(t, ax.name+"/lsh", ref, sys, queries, 10)
+		if again.SigmaHits+again.SigmaMisses != 0 || again.TotalTime != 0 || again.MappingTime != 0 ||
+			again.Candidates != first.Candidates || again.Scored != first.Scored || again.Pruned != first.Pruned || again.Trace == nil {
+			t.Fatalf("%s: repeated query reports %+v, want the first occurrence's counts %+v with zero times and σ lookups",
+				cfg.name, again, first)
 		}
+		if !slices.Equal(res[2], res[0]) || len(res[0]) == 0 || &res[2][0] == &res[0][0] {
+			t.Fatalf("%s: the repeat must be an independent copy of the first occurrence's ranking", cfg.name)
+		}
+	}
+	ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, DefaultIndexConfig())
+	sys.BuildIndex(DefaultIndexConfig())
+	for _, votes := range []int{1, 2, 3} {
+		ref.Votes = votes
+		sys.SetVotes(votes)
+		assertBatchEquals(t, "lsh", ref, sys, queries, 10)
 	}
 }
 

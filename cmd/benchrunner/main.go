@@ -9,7 +9,6 @@
 //	benchrunner -exp fig4            # run one experiment
 //	benchrunner -tables 20000 -queries 50   # approach the paper's scale
 //	benchrunner -list                # list experiment IDs
-//	benchrunner -exp shards -shards 8    # scatter-gather sweep up to 8 shards
 package main
 
 import (
@@ -33,8 +32,6 @@ func main() {
 	small := flag.Bool("small", false, "use the fast test-scale environment")
 	bench := flag.String("bench", "", "load a datagen benchmark directory instead of generating")
 	list := flag.Bool("list", false, "list experiment IDs and exit")
-	shards := flag.Int("shards", 0,
-		"largest shard count the scatter-gather experiment sweeps (0 = default, see docs/SHARDING.md)")
 	flag.Parse()
 
 	if *list {
@@ -51,9 +48,6 @@ func main() {
 	}
 	if *queries > 0 {
 		cfg.Queries = *queries
-	}
-	if *shards > 0 {
-		cfg.Shards = *shards
 	}
 
 	start := time.Now()

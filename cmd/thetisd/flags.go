@@ -17,8 +17,6 @@ import (
 // validating.
 type flagConfig struct {
 	Sim       string
-	Shards    int
-	ShardBy   string
 	ShardURLs string
 	Votes     int
 	Index     thetis.IndexConfig
@@ -38,24 +36,9 @@ func validateFlags(c flagConfig) error {
 	if c.Votes < 1 {
 		return fmt.Errorf("-votes must be >= 1 (got %d)", c.Votes)
 	}
-	if c.Shards < 1 {
-		return fmt.Errorf("-shards must be >= 1 (got %d)", c.Shards)
-	}
-	if c.ShardBy != "hash" && c.ShardBy != "size" {
-		return fmt.Errorf("-shard-by must be hash or size (got %q)", c.ShardBy)
-	}
-	if c.Shards > 1 && c.IndexFile != "" {
-		return fmt.Errorf("-indexfile requires -shards 1 (snapshots cover one shard's index)")
-	}
 	if c.ShardURLs != "" {
 		// Coordinator mode scatters to remote daemons; everything that
 		// assumes a local index or local mutations is off the table.
-		if c.Shards > 1 {
-			return fmt.Errorf("-shard-urls is incompatible with -shards > 1 (remote and in-process sharding cannot nest)")
-		}
-		if c.ShardBy != "hash" {
-			return fmt.Errorf("-shard-urls requires -shard-by hash (only stateless placement is reproducible across coordinator restarts)")
-		}
 		if c.DeltaLog != "" {
 			return fmt.Errorf("-shard-urls is incompatible with -delta-log (a coordinator is read-only; mutate the shard daemons)")
 		}

@@ -3,25 +3,16 @@
 //
 //	thetisd -kg bench/kg.nt -corpus bench/corpus.jsonl -addr :8080 \
 //	        [-sim types|embeddings] [-embfile embeddings.bin] \
-//	        [-shards 1] [-shard-by hash|size] \
 //	        [-shard-urls http://a:8081|http://a2:8081,http://b:8082] [-probe-every 3s] \
 //	        [-lsh] [-votes 3] [-vectors 30] [-band 10] [-indexfile index.bin] \
 //	        [-lenient-ingest] [-ingest-budget N] [-max-line BYTES] \
 //	        [-delta-log deltas.log] [-compact-every 10m] \
 //	        [-timeout 10s] [-max-inflight 64] [-drain 30s] [-pprof]
 //
-// Sharded serving (docs/SHARDING.md): -shards N partitions the corpus into
-// N in-process shards (-shard-by picks hash or size-balanced placement)
-// searched by scatter-gather; the default -shards 1 is the same system with
-// one shard, rankings are identical at every N, and each shard's LSEI
-// builds and hot-swaps independently (per-shard states on /readyz and
-// thetis_shard_* metrics). -indexfile requires -shards 1: snapshots cover
-// one shard's index.
-//
-// Shard-over-HTTP (docs/SHARDING.md §"Shard-over-HTTP"): -shard-urls turns
-// the daemon into a scatter-gather coordinator over remote shard daemons
-// (plain thetisd instances each serving its hash-assigned slice of the
-// corpus). The coordinator loads the full corpus locally for query
+// Shard-over-HTTP (docs/SHARDING.md): a daemon holds one lake, and
+// -shard-urls turns it into a scatter-gather coordinator over remote shard
+// daemons (plain thetisd instances each serving its hash-assigned slice of
+// the corpus). The coordinator loads the full corpus locally for query
 // parsing, keyword search, and the global-artifact bootstrap it ships to
 // every shard, but answers /search by scattering over HTTP with retries,
 // hedging, replica failover, and per-replica circuit breakers
@@ -49,11 +40,11 @@
 // Live mutation (docs/LIVE_INDEX.md): POST /tables and DELETE /tables/{id}
 // fold additions and removals into every live index without a restart.
 // -delta-log write-ahead-logs each mutation to a checksummed append-only
-// file and replays it over the base corpus on the next start (restart with
-// the same -shards and -shard-by) — a corrupt log refuses to start rather
-// than serve a wrong index, and a log that stops logging mid-run turns
-// /readyz degraded and sets thetis_delta_log_failed. -compact-every periodically rebuilds the LSEI aside to shed
-// tombstones; searches keep flowing through each compaction.
+// file and replays it over the base corpus on the next start — a corrupt
+// log refuses to start rather than serve a wrong index, and a log that
+// stops logging mid-run turns /readyz degraded and sets
+// thetis_delta_log_failed. -compact-every periodically rebuilds the LSEI
+// aside to shed tombstones; searches keep flowing through each compaction.
 //
 // Operational endpoints (docs/OBSERVABILITY.md): GET /metrics exposes
 // Prometheus-format counters and latency histograms, GET /debug/trace
@@ -86,9 +77,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	sim := flag.String("sim", "types", "similarity: types | embeddings")
 	embFile := flag.String("embfile", "", "embeddings file (for -sim embeddings)")
-	shards := flag.Int("shards", 1, "in-process shard count for scatter-gather serving")
-	shardBy := flag.String("shard-by", "hash", "partitioning strategy for -shards > 1: hash | size")
-	shardURLs := flag.String("shard-urls", "", "serve as a scatter-gather coordinator over remote shard daemons: shards comma-separated, replicas of one shard |-separated (requires -shard-by hash)")
+	shardURLs := flag.String("shard-urls", "", "serve as a scatter-gather coordinator over remote shard daemons: shards comma-separated, replicas of one shard |-separated, each shard holding its hash-assigned slice")
 	probeEvery := flag.Duration("probe-every", 3*time.Second, "remote-replica health probe interval for -shard-urls (0 disables probing)")
 	useLSH := flag.Bool("lsh", true, "enable LSH prefiltering")
 	votes := flag.Int("votes", 3, "LSH vote threshold")
@@ -114,8 +103,6 @@ func main() {
 	cfg.BandSize = *band
 	if err := validateFlags(flagConfig{
 		Sim:       *sim,
-		Shards:    *shards,
-		ShardBy:   *shardBy,
 		ShardURLs: *shardURLs,
 		Votes:     *votes,
 		Index:     cfg,
@@ -128,7 +115,7 @@ func main() {
 	}
 
 	report := thetis.NewIngestReport()
-	sys := load(*kgPath, *corpusPath, *shards, *shardBy, thetis.IngestOptions{
+	sys := load(*kgPath, *corpusPath, thetis.IngestOptions{
 		Lenient:      *lenient,
 		MaxLineBytes: *maxLine,
 		ErrorBudget:  *budget,
@@ -200,29 +187,29 @@ func main() {
 		stopProbes = startCoordinator(sys, groups, shardCfg, *votes, *probeEvery, hedge)
 		opts = append(opts, server.WithRemoteShardStatus(sys.ShardStatuses))
 	} else if *useLSH {
-		// Serve immediately — brute force while every shard's index builds
-		// in the background (or the one shard's loads from a snapshot), then
-		// hot-swap shard by shard; /readyz reports the per-shard lifecycle.
-		rds := server.NewReadinesses(nil, sys.NumShards())
-		opts = append(opts, server.WithReadiness(rds))
+		// Serve immediately — brute force while the index builds in the
+		// background (or loads from a snapshot), then hot-swap; /readyz
+		// reports the lifecycle.
+		rd := server.NewReadiness(nil)
+		opts = append(opts, server.WithReadiness(rd))
 		var done <-chan error
 		if *indexFile != "" {
 			f, err := os.Open(*indexFile)
 			if err != nil {
 				log.Fatal(err)
 			}
-			done = server.ActivateIndex(sys, rds, cfg, *votes, bufio.NewReader(f))
+			done = server.ActivateIndex(sys, rd, cfg, *votes, bufio.NewReader(f))
 			f.Close() // the snapshot is read synchronously
 			// A rejected snapshot parks the state at degraded before the
 			// background rebuild starts; surface that in the log so disk
 			// corruption is not hidden behind a successful rebuild.
-			if state, detail, _ := rds[0].Snapshot(); state == server.StateDegraded {
+			if state, detail, _ := rd.Snapshot(); state == server.StateDegraded {
 				log.Printf("%s: %s", *indexFile, detail)
 			}
 		} else {
-			done = server.ActivateIndex(sys, rds, cfg, *votes, nil)
+			done = server.ActivateIndex(sys, rd, cfg, *votes, nil)
 		}
-		go logActivation(rds, done)
+		go logActivation(rd, done)
 	}
 	if *withPprof {
 		opts = append(opts, server.WithPprof())
@@ -249,8 +236,8 @@ func main() {
 	if *shardURLs != "" {
 		role = "coordinating"
 	}
-	log.Printf("%s %d tables across %d shards on %s (metrics on /metrics, timeout %v, max in-flight %d)",
-		role, sys.NumTables(), sys.NumShards(), *addr, *timeout, *maxInflight)
+	log.Printf("%s %d tables on %s (metrics on /metrics, timeout %v, max in-flight %d)",
+		role, sys.NumTables(), *addr, *timeout, *maxInflight)
 	err := server.Run(ctx, *addr, server.New(sys, opts...), *drain)
 	stopProbes()
 	if err != nil {
@@ -269,8 +256,8 @@ func main() {
 // bootstrap that ships the global artifacts (IDF informativeness,
 // frequent-type filter, index spec, votes) to every replica. Bootstrap
 // failure is fatal — serving un-bootstrapped shards would return rankings
-// that differ from the in-process system. It returns the probes' stop
-// function.
+// that differ from one system over the whole corpus. It returns the
+// probes' stop function.
 func startCoordinator(sys *thetis.System, groups [][]string, cfg *thetis.IndexConfig, votes int, probeEvery time.Duration, hedgePct float64) (stopProbes func()) {
 	globals := sys.ShardGlobalIDs(thetis.NewHashPartitioner(len(groups)))
 	shards := make([]*thetis.RemoteShard, len(groups))
@@ -301,27 +288,18 @@ func startCoordinator(sys *thetis.System, groups [][]string, cfg *thetis.IndexCo
 }
 
 // logActivation reports the index lifecycle outcome without blocking
-// startup: how many shard indexes landed once every build has finished.
-func logActivation(rds []*server.Readiness, done <-chan error) {
-	err := <-done
-	ready := 0
-	for _, rd := range rds {
-		if rd.State() == server.StateReady {
-			ready++
-		}
-	}
-	if err != nil {
-		log.Printf("index activation: %d/%d shards ready, first failure: %v (failed shards serve brute force)",
-			ready, len(rds), err)
+// startup.
+func logActivation(rd *server.Readiness, done <-chan error) {
+	if err := <-done; err != nil {
+		log.Printf("index activation failed: %v (serving brute force)", err)
 		return
 	}
-	_, detail, _ := rds[0].Snapshot()
-	log.Printf("shard indexes ready: %d/%d (%s)", ready, len(rds), detail)
+	_, detail, _ := rd.Snapshot()
+	log.Printf("index ready (%s)", detail)
 }
 
-// load builds the graph and ingests the corpus into a System of the given
-// shard count.
-func load(kgPath, corpusPath string, shards int, shardBy string, opts thetis.IngestOptions) *thetis.System {
+// load builds the graph and ingests the corpus into a System.
+func load(kgPath, corpusPath string, opts thetis.IngestOptions) *thetis.System {
 	g := thetis.NewGraph()
 	kf, err := os.Open(kgPath)
 	if err != nil {
@@ -343,11 +321,7 @@ func load(kgPath, corpusPath string, shards int, shardBy string, opts thetis.Ing
 		log.Fatalf("loading KG %s: %v", kgPath, err)
 	}
 
-	part := thetis.NewHashPartitioner(shards)
-	if shardBy == "size" {
-		part = thetis.NewBalancedPartitioner(shards)
-	}
-	sys := thetis.NewSharded(g, part)
+	sys := thetis.New(g)
 	cf, err := os.Open(corpusPath)
 	if err != nil {
 		log.Fatal(err)

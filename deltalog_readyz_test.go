@@ -25,7 +25,7 @@ func TestFaultDeltaLogFailureTurnsReadyzDegraded(t *testing.T) {
 	if err := thetis.LoadTriples(g, strings.NewReader(`<res/santo> <rdf:type> <onto/BaseballPlayer> .`+"\n")); err != nil {
 		t.Fatal(err)
 	}
-	sys := thetis.NewSharded(g, thetis.NewHashPartitioner(2))
+	sys := thetis.New(g)
 	sys.UseTypeSimilarity()
 	if err := sys.AttachDeltaLog(filepath.Join(t.TempDir(), "deltas.log")); err != nil {
 		t.Fatal(err)

@@ -2,9 +2,10 @@ package thetis
 
 // Documentation checkers (wired into `make check` as linkcheck): every
 // relative markdown link in the repo's .md files must resolve to an
-// existing file or directory, so docs cannot silently drift as files move,
-// and docs/OBSERVABILITY.md's metric tables must name exactly the families
-// internal/obs/std.go registers.
+// existing file or directory, so docs cannot silently drift as files move;
+// docs/OBSERVABILITY.md's metric tables must name exactly the families
+// internal/obs/std.go registers; and a documented thetisd command line may
+// only use flags the daemon defines.
 
 import (
 	"io/fs"
@@ -136,6 +137,83 @@ func TestObservabilityDocMatchesRegistry(t *testing.T) {
 		if !registered[name] {
 			t.Errorf("docs/OBSERVABILITY.md documents %s, which internal/obs/std.go does not register", name)
 		}
+	}
+}
+
+// daemonFlagDef matches a flag definition in cmd/thetisd/main.go
+// (flag.Int("votes", …)); cliFlag matches one flag token of a command line
+// (-votes, --votes=3, [-pprof]); thetisdCall matches the word that invokes
+// the daemon (thetisd, ./cmd/thetisd).
+var (
+	daemonFlagDef = regexp.MustCompile(`flag\.\w+\("([a-z0-9-]+)"`)
+	cliFlag       = regexp.MustCompile(`^\[?--?([a-z][a-z0-9-]*)`)
+	thetisdCall   = regexp.MustCompile(`(^|\s)(\S*/)?thetisd(\s|$)`)
+)
+
+// TestDocsUseDefinedDaemonFlags: every fenced code-block command line of the
+// living docs that runs thetisd uses only flags cmd/thetisd/main.go
+// defines, so deleting a flag cannot leave a copy-pasteable command behind
+// that exits 2. bench/, CHANGES.md and ROADMAP.md are history and are not
+// checked. Lines continued with a trailing backslash are one command.
+func TestDocsUseDefinedDaemonFlags(t *testing.T) {
+	src, err := os.ReadFile("cmd/thetisd/main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{"h": true, "help": true}
+	for _, m := range daemonFlagDef.FindAllSubmatch(src, -1) {
+		defined[string(m[1])] = true
+	}
+	if len(defined) < 10 {
+		t.Fatalf("found only %d thetisd flags — did main.go move?", len(defined))
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs, "README.md", "DESIGN.md", "EXPERIMENTS.md")
+	calls := 0
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced, cmd := false, ""
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced, cmd = !fenced, ""
+				continue
+			}
+			if !fenced {
+				continue
+			}
+			if i := strings.Index(line, "#"); i >= 0 {
+				line = line[:i]
+			}
+			cmd += " " + strings.TrimSpace(line)
+			if strings.HasSuffix(cmd, `\`) {
+				cmd = strings.TrimSuffix(cmd, `\`)
+				continue
+			}
+			full := strings.TrimSpace(cmd)
+			cmd = ""
+			call := thetisdCall.FindStringIndex(full)
+			if call == nil {
+				continue
+			}
+			calls++
+			for _, tok := range strings.Fields(full[call[1]:]) {
+				if tok == "|" || tok == "&&" || tok == ";" {
+					break
+				}
+				if m := cliFlag.FindStringSubmatch(tok); m != nil && !defined[m[1]] {
+					t.Errorf("%s: %q uses -%s, which cmd/thetisd/main.go does not define", doc, full, m[1])
+				}
+			}
+		}
+	}
+	if calls == 0 {
+		t.Fatal("no thetisd command lines found in the living docs — format changed?")
 	}
 }
 

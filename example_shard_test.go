@@ -1,8 +1,8 @@
 package thetis_test
 
-// Runnable godoc examples for the sharded serving seams (docs/SHARDING.md):
-// partitioning a System across shards, and driving a Coordinator over
-// custom Shard implementations. `go test` verifies the outputs.
+// Runnable godoc examples: building and searching a System, and driving a
+// Coordinator over custom Shard implementations (docs/SHARDING.md).
+// `go test` verifies the outputs.
 
 import (
 	"context"
@@ -12,12 +12,9 @@ import (
 	"thetis"
 )
 
-// ExampleNewSharded partitions the README's baseball corpus across two
-// shards and searches it by scatter-gather. It is the same System that
-// thetis.New builds with one shard; global table IDs are assigned in
-// ingestion order, so the ranking — IDs and scores — is the same at every
-// shard count.
-func ExampleNewSharded() {
+// ExampleNew ingests the README's baseball corpus into a System and ranks
+// it for one entity.
+func ExampleNew() {
 	g := thetis.NewGraph()
 	triples := `
 <onto/BaseballPlayer> <rdfs:subClassOf> <onto/Athlete> .
@@ -34,7 +31,7 @@ func ExampleNewSharded() {
 	}
 	linker := thetis.NewDictionaryLinker(g)
 
-	ss := thetis.NewSharded(g, thetis.NewHashPartitioner(2))
+	ss := thetis.New(g)
 	for _, name := range []string{"Ron Santo", "Mitch Stetter", "Vera Volley"} {
 		t := thetis.NewTable(strings.ToLower(name), []string{"Player"})
 		t.AppendValues(name)

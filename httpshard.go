@@ -1,14 +1,14 @@
 package thetis
 
 // Shard-over-HTTP (docs/SHARDING.md §"Shard-over-HTTP"): the pieces that
-// turn the in-process scatter-gather seam into a distributed deployment.
+// turn the scatter-gather seam into a distributed deployment.
 //
 // Topology: N shard daemons each run an ordinary thetisd over their slice
 // of the corpus; one coordinator daemon (thetisd -shard-urls) loads the
 // FULL corpus locally — for query parsing, BM25 keyword search, table
 // lookups, and artifact computation — but scatters every semantic search to
 // the shard daemons through remote.Shard clients (one per shard, N replicas
-// each) and merges with the same Coordinator the in-process path uses.
+// each) and merges with the same Coordinator a local search runs through.
 //
 // This file is the root-package glue: the daemon-side handlers a System
 // needs to serve as a remote shard (ServeShardSearch,
@@ -60,10 +60,9 @@ var ErrReadOnly = errors.New("thetis: deployment is read-only (mutate the shard 
 // wire query's entity URIs against this daemon's graph (mapping unknown
 // ones to request-scoped ephemeral IDs, so tuple arity — which the
 // assignment normalization depends on — survives even for entities this
-// daemon has never seen, without growing the graph), runs the same
-// SearchShard an in-process scatter leg runs (FallbackNone; the
-// coordinator owns the full-scan decision), and returns the ranking in
-// this daemon's own table IDs for the client to translate.
+// daemon has never seen, without growing the graph), runs SearchShard
+// (FallbackNone; the coordinator owns the full-scan decision), and returns
+// the ranking in this daemon's own table IDs for the client to translate.
 func (s *System) ServeShardSearch(ctx context.Context, req remote.SearchRequest) remote.SearchPayload {
 	q := s.resolveWireQuery(req.Tuples)
 	results, stats := s.SearchShard(ctx, q, req.K, ShardSearchOptions{ForceFullScan: req.ForceFullScan})
@@ -133,9 +132,9 @@ func (s *System) resolveWireQuery(tuples [][]string) Query {
 // informativeness weights replace the local-lake default, the vote
 // threshold is adopted, and — when an index spec is shipped — the LSEI is
 // built under the GLOBAL frequent-type filter instead of a locally
-// computed one. After this call the daemon's SearchShard legs rank
-// bit-identically to the corresponding in-process shard
-// (docs/SHARDING.md).
+// computed one, and Compact keeps that filter. After this call the
+// daemon's SearchShard legs rank bit-identically to its slice of the
+// coordinator's full corpus (docs/SHARDING.md).
 //
 // The shipped weights and filter are frozen snapshots of the
 // coordinator's corpus: mutating this daemon's corpus afterwards keeps
@@ -189,9 +188,7 @@ func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
 		}
 		return 1
 	}
-	for _, sh := range s.shards {
-		sh.Engine().Inf = inf
-	}
+	s.engine().Inf = inf
 	if a.Votes > 0 {
 		s.SetVotes(a.Votes)
 	}
@@ -205,9 +202,7 @@ func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
 	// (re-balancing against one daemon's sub-corpus would diverge from the
 	// other daemons anyway; see the method comment).
 	s.indexCfg, s.typeFilter, s.filterState = cfg, filter, nil
-	for i := range s.shards {
-		s.buildShardIndexLocked(i)
-	}
+	s.buildIndexLocked()
 	return nil
 }
 
@@ -221,9 +216,9 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	inf := core.IDFInformativenessOver(s.lakes)
+	inf := core.IDFInformativeness(s.lake)
 	weights := make(map[string]float64)
-	for _, e := range s.distinctEntitiesLocked() {
+	for _, e := range s.lake.DistinctEntities() {
 		weights[s.graph.URI(e)] = inf(e)
 	}
 	a := ShardArtifacts{Informativeness: weights, Votes: votes}
@@ -241,7 +236,7 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 	if s.embeddingSim() {
 		return a // embedding LSEIs have no type filter
 	}
-	filter := core.FrequentTypesOver(s.lakes, s.tj, thresholdOf(c))
+	filter := core.FrequentTypesOver(s.lake, s.tj, thresholdOf(c))
 	uris := make([]string, 0, len(filter))
 	for t, dropped := range filter {
 		if dropped {
@@ -254,19 +249,17 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 	return a
 }
 
-// ShardGlobalIDs replays a partitioner over the corpus in global ID
-// (= ingestion) order and returns, per shard, the global IDs of the
-// tables that shard owns — the local→global translation map a RemoteShard
-// needs. Placement is reproducible only for stateless partitioners (hash;
-// thetisd -shard-urls therefore requires -shard-by hash): a fresh
-// balanced partitioner replaying a corpus with removals would not see the
-// load the original saw.
+// ShardGlobalIDs replays a partitioner over the corpus in ID (= ingestion)
+// order and returns, per shard, the IDs of the tables that shard owns —
+// the local→global translation map a RemoteShard needs. The hash
+// partitioner is stateless, so the replay places every table where the
+// shard daemons' own loads did.
 func (s *System) ShardGlobalIDs(part Partitioner) [][]TableID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([][]TableID, part.Shards())
-	for id := range s.owner {
-		if t := s.tableLocked(TableID(id)); t != nil {
+	for id, t := range s.lake.Tables() {
+		if t != nil {
 			si := part.Assign(t)
 			out[si] = append(out[si], TableID(id))
 		}
@@ -276,12 +269,12 @@ func (s *System) ShardGlobalIDs(part Partitioner) [][]TableID {
 
 // UseRemoteShards turns the system into the coordinator daemon's backend
 // (thetisd -shard-urls): the same serving surface with semantic search
-// scattered to the given remote shards instead of the in-process ones. The
+// scattered to the given remote shards instead of the local lake. The
 // local corpus — the FULL corpus, similarity selected, keyword index built
 // if hybrid is served — keeps answering ParseQuery, keyword/hybrid's BM25
 // half, /stats, and /tables/{id}, while every search fans out through the
 // remote clients and merges with the standard Coordinator, so truncation,
-// rescatter, and partial-failure semantics are exactly the in-process ones.
+// rescatter, and partial-failure semantics are exactly the local ones.
 // From here on the system is read-only: mutations return ErrReadOnly.
 // BootstrapShards must succeed before serving.
 func (s *System) UseRemoteShards(shards ...*RemoteShard) {

@@ -16,7 +16,7 @@ var mFilterResigns = obs.IndexFilterResignsTotal(nil)
 // threshold × total and shifts with EVERY add or remove — any type can
 // cross it on any mutation, in either direction). The state keeps the
 // per-type counts, recomputes membership after each mutation, and when a
-// type flips it re-signs every affected item in the attached LSEIs: remove
+// type flips it re-signs every affected item in the attached LSEI: remove
 // under the old filter, toggle the shared map, re-insert under the new one
 // (see LSEI.removeForResign/reinsert).
 //
@@ -26,7 +26,7 @@ var mFilterResigns = obs.IndexFilterResignsTotal(nil)
 // compute — the property the live battery (live_test.go) checks bit for
 // bit.
 //
-// The filter map handed out by Filter is the same instance the LSEIs were
+// The filter map handed out by Filter is the same instance the LSEI was
 // built with (BuildTypeLSEIFiltered) and is mutated in place, so readers
 // must be excluded during AddTable/RemoveTable — thetis.System holds its
 // write lock. Embedding-mode indexes have no type filter and need no
@@ -39,23 +39,11 @@ type TypeFilterState struct {
 	filter    map[kg.TypeID]bool
 }
 
-// NewTypeFilterState computes the filter over the given lakes from
-// scratch, exactly as FrequentTypesOver would. Pass the returned Filter()
-// map to BuildTypeLSEIFiltered so state and index share one instance.
-func NewTypeFilterState(lakes []*lake.Lake, tj *TypeJaccard, threshold float64) *TypeFilterState {
-	fs := &TypeFilterState{
-		tj:        tj,
-		threshold: threshold,
-		counts:    make(map[kg.TypeID]int),
-		filter:    make(map[kg.TypeID]bool),
-	}
-	for _, l := range lakes {
-		for _, t := range l.Tables() {
-			if t != nil {
-				fs.count(t, 1)
-			}
-		}
-	}
+// NewTypeFilterState computes the filter over the lake from scratch (this
+// is what FrequentTypesOver returns). Pass the returned Filter() map to
+// BuildTypeLSEIFiltered so state and index share one instance.
+func NewTypeFilterState(l *lake.Lake, tj *TypeJaccard, threshold float64) *TypeFilterState {
+	fs := countTypes(make(map[kg.TypeID]bool), l, tj, threshold)
 	for _, ty := range fs.flips() {
 		fs.filter[ty] = true
 	}
@@ -65,25 +53,28 @@ func NewTypeFilterState(lakes []*lake.Lake, tj *TypeJaccard, threshold float64) 
 // ResumeTypeFilterState rebuilds mutation state around an existing filter
 // map — the one a built or snapshot-loaded LSEI already carries — so the
 // index's signatures stay valid and later flips propagate through the
-// shared instance. Counts are recomputed from the lakes; if the adopted
-// map disagrees with the recomputed membership (it cannot when filter and
-// corpus were saved together), the attached indexes are re-signed to
-// reconcile.
-func ResumeTypeFilterState(filter map[kg.TypeID]bool, lakes []*lake.Lake, tj *TypeJaccard, threshold float64, ixs ...*LSEI) *TypeFilterState {
+// shared instance. Counts are recomputed from the lake; if the adopted map
+// disagrees with the recomputed membership (it cannot when filter and
+// corpus were saved together), ix is re-signed to reconcile.
+func ResumeTypeFilterState(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, threshold float64, ix *LSEI) *TypeFilterState {
+	fs := countTypes(filter, l, tj, threshold)
+	fs.resign(ix)
+	return fs
+}
+
+// countTypes is a state around filter with every live table of l counted.
+func countTypes(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, threshold float64) *TypeFilterState {
 	fs := &TypeFilterState{
 		tj:        tj,
 		threshold: threshold,
 		counts:    make(map[kg.TypeID]int),
 		filter:    filter,
 	}
-	for _, l := range lakes {
-		for _, t := range l.Tables() {
-			if t != nil {
-				fs.count(t, 1)
-			}
+	for _, t := range l.Tables() {
+		if t != nil {
+			fs.count(t, 1)
 		}
 	}
-	fs.resign(ixs)
 	return fs
 }
 
@@ -92,20 +83,21 @@ func ResumeTypeFilterState(filter map[kg.TypeID]bool, lakes []*lake.Lake, tj *Ty
 func (fs *TypeFilterState) Filter() map[kg.TypeID]bool { return fs.filter }
 
 // AddTable records t joining the corpus and re-signs whatever its arrival
-// flips across the threshold. Call it BEFORE LSEI.AddTable for the same
-// table, so the new table's own signatures are computed under the filter
-// that now includes it.
-func (fs *TypeFilterState) AddTable(t *table.Table, ixs ...*LSEI) {
+// flips across the threshold in ix (nil when no index is built). Call it
+// BEFORE LSEI.AddTable for the same table, so the new table's own
+// signatures are computed under the filter that now includes it.
+func (fs *TypeFilterState) AddTable(t *table.Table, ix *LSEI) {
 	fs.count(t, 1)
-	fs.resign(ixs)
+	fs.resign(ix)
 }
 
 // RemoveTable records t leaving the corpus and re-signs whatever its
-// departure flips. Call it AFTER LSEI.RemoveTable for the same table,
-// which must run while the filter still matches the stored signatures.
-func (fs *TypeFilterState) RemoveTable(t *table.Table, ixs ...*LSEI) {
+// departure flips in ix (nil when no index is built). Call it AFTER
+// LSEI.RemoveTable for the same table, which must run while the filter
+// still matches the stored signatures.
+func (fs *TypeFilterState) RemoveTable(t *table.Table, ix *LSEI) {
 	fs.count(t, -1)
-	fs.resign(ixs)
+	fs.resign(ix)
 }
 
 // count applies one table's expanded type set to the counters with the
@@ -144,17 +136,17 @@ func (fs *TypeFilterState) flips() []kg.TypeID {
 	return out
 }
 
-// resign propagates pending flips: pull affected items out of every index
-// under the old filter, toggle the shared map, re-insert under the new
+// resign propagates pending flips: pull affected items out of ix (when
+// set) under the old filter, toggle the shared map, re-insert under the new
 // one.
-func (fs *TypeFilterState) resign(ixs []*LSEI) {
+func (fs *TypeFilterState) resign(ix *LSEI) {
 	flips := fs.flips()
 	if len(flips) == 0 {
 		return
 	}
-	removed := make([][]uint32, len(ixs))
-	for i, ix := range ixs {
-		removed[i] = ix.removeForResign(flips)
+	var removed []uint32
+	if ix != nil {
+		removed = ix.removeForResign(flips)
 	}
 	for _, ty := range flips {
 		if fs.filter[ty] {
@@ -163,10 +155,8 @@ func (fs *TypeFilterState) resign(ixs []*LSEI) {
 			fs.filter[ty] = true
 		}
 	}
-	n := 0
-	for i, ix := range ixs {
-		ix.reinsert(removed[i])
-		n += len(removed[i])
+	if ix != nil {
+		ix.reinsert(removed)
 	}
-	mFilterResigns.Add(int64(n))
+	mFilterResigns.Add(int64(len(removed)))
 }

@@ -41,36 +41,3 @@ func IDFInformativeness(l *lake.Lake) Informativeness {
 		return math.Log(1+n/df) / math.Log(1+n)
 	}
 }
-
-// IDFInformativenessOver is IDFInformativeness computed across several
-// lakes at once, as if their tables lived in one corpus: N is the total
-// table count and df(e) sums the per-lake frequencies. Sharded deployments
-// use it to give every shard engine the same global entity weights — a
-// shard weighing entities by its own sub-corpus would score tables
-// differently than an unsharded system and break shard-count invariance.
-//
-// Both N and the frequencies are read live, so tables added or removed
-// afterwards are reflected, matching the single-lake behavior.
-func IDFInformativenessOver(lakes []*lake.Lake) Informativeness {
-	if len(lakes) == 1 {
-		return IDFInformativeness(lakes[0])
-	}
-	return func(e kg.EntityID) float64 {
-		n := 0
-		for _, l := range lakes {
-			n += l.NumTables()
-		}
-		if n == 0 {
-			return 1
-		}
-		df := 0
-		for _, l := range lakes {
-			df += l.EntityFrequency(e)
-		}
-		if df == 0 {
-			return 1
-		}
-		nf := float64(n)
-		return math.Log(1+nf/float64(df)) / math.Log(1+nf)
-	}
-}

@@ -119,18 +119,18 @@ func BuildTypeLSEI(l *lake.Lake, tj *TypeJaccard, cfg LSEIConfig) *LSEI {
 }
 
 // BuildTypeLSEIFiltered is BuildTypeLSEI with an injected frequent-type
-// filter instead of one computed from l alone. Sharded deployments pass the
-// filter computed over the whole corpus (FrequentTypesOver) so every
-// shard's index drops exactly the types a global index would drop —
-// signatures, and therefore LSH collisions, then match the unsharded
-// system's bit for bit. A nil filter computes it from l (the single-lake
-// behavior).
+// filter instead of one computed from l alone. thetis.System passes the
+// filter its TypeFilterState keeps current, and a remote shard daemon the
+// one its coordinator computed over the whole corpus, so every shard's
+// index drops exactly the types a global index would drop — signatures,
+// and therefore LSH collisions, then match the unsharded system's bit for
+// bit. A nil filter computes it from l (the single-lake behavior).
 func BuildTypeLSEIFiltered(l *lake.Lake, tj *TypeJaccard, cfg LSEIConfig, filter map[kg.TypeID]bool) *LSEI {
 	if cfg.FrequentTypeThreshold == 0 {
 		cfg.FrequentTypeThreshold = 0.5
 	}
 	if filter == nil {
-		filter = FrequentTypesOver([]*lake.Lake{l}, tj, cfg.FrequentTypeThreshold)
+		filter = FrequentTypesOver(l, tj, cfg.FrequentTypeThreshold)
 	}
 	x := &LSEI{
 		cfg:        cfg,
@@ -411,38 +411,10 @@ func (x *LSEI) typesIntersect(e kg.EntityID, flips map[kg.TypeID]bool) bool {
 }
 
 // FrequentTypesOver returns the types present in more than threshold of
-// all tables across the given lakes (computed over expanded type sets).
-// Since lakes partition disjoint table sets, counting across several lakes
-// equals counting over their union — this is how sharded deployments derive
-// the one global filter shared by every shard's LSEI.
-func FrequentTypesOver(lakes []*lake.Lake, tj *TypeJaccard, threshold float64) map[kg.TypeID]bool {
-	tableCount := make(map[kg.TypeID]int)
-	total := 0
-	for _, l := range lakes {
-		total += l.NumTables()
-		for _, t := range l.Tables() {
-			if t == nil {
-				continue
-			}
-			seen := make(map[kg.TypeID]bool)
-			for _, e := range t.Entities() {
-				for _, ty := range tj.TypeSet(e) {
-					seen[ty] = true
-				}
-			}
-			for ty := range seen {
-				tableCount[ty]++
-			}
-		}
-	}
-	limit := threshold * float64(total)
-	out := make(map[kg.TypeID]bool)
-	for ty, c := range tableCount {
-		if float64(c) > limit {
-			out[ty] = true
-		}
-	}
-	return out
+// the lake's live tables (computed over expanded type sets): the
+// frequent-type filter of Section 6.1.
+func FrequentTypesOver(l *lake.Lake, tj *TypeJaccard, threshold float64) map[kg.TypeID]bool {
+	return NewTypeFilterState(l, tj, threshold).Filter()
 }
 
 // typeShingles merges the filtered type sets of the given entities and
@@ -740,7 +712,7 @@ func (x *LSEI) NumBuckets() int { return x.index.NumBuckets() }
 
 // NumItems exposes how many signatures the underlying index holds
 // (entities in entity mode, columns in column-aggregation mode) —
-// diagnostics for spotting imbalanced shards.
+// diagnostics, exported on thetis_shard_index_items.
 func (x *LSEI) NumItems() int { return x.index.NumItems() }
 
 // Config returns the configuration the index was built or loaded with.

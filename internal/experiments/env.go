@@ -33,9 +33,6 @@ type Config struct {
 	Train embedding.TrainConfig
 	// Seed drives query sampling.
 	Seed int64
-	// Shards is the largest shard count the scatter-gather experiment
-	// sweeps (powers of two from 1; see RunShards).
-	Shards int
 }
 
 // DefaultConfig returns the standard experiment environment: a 4,000-table
@@ -48,7 +45,6 @@ func DefaultConfig() Config {
 		Walks:   embedding.DefaultWalkConfig(),
 		Train:   embedding.DefaultTrainConfig(),
 		Seed:    42,
-		Shards:  4,
 	}
 }
 
@@ -63,10 +59,9 @@ func SmallConfig() Config {
 			Domains: 6, LeafTypesPerDomain: 2, MembersPerLeafType: 80,
 			GroupsPerDomain: 10, Places: 40, EdgesPerMember: 2, Seed: 5,
 		},
-		Walks:  embedding.WalkConfig{WalksPerEntity: 6, Length: 6, Undirected: true, Seed: 5},
-		Train:  embedding.TrainConfig{Dim: 24, Window: 3, Negatives: 4, Epochs: 2, LearningRate: 0.03, Seed: 5},
-		Seed:   5,
-		Shards: 4,
+		Walks: embedding.WalkConfig{WalksPerEntity: 6, Length: 6, Undirected: true, Seed: 5},
+		Train: embedding.TrainConfig{Dim: 24, Window: 3, Negatives: 4, Epochs: 2, LearningRate: 0.03, Seed: 5},
+		Seed:  5,
 	}
 }
 

@@ -33,7 +33,6 @@ var registry = map[string]func(*Env) Renderer{
 	"queryagg":   func(e *Env) Renderer { return RunQueryAggAblation(e) },
 	"inf":        func(e *Env) Renderer { return RunInformativenessAblation(e) },
 	"walks":      func(e *Env) Renderer { return RunWalkAblation(e) },
-	"shards":     func(e *Env) Renderer { return RunShards(e) },
 }
 
 // ExperimentIDs returns the sorted list of runnable experiment IDs.
@@ -63,7 +62,7 @@ func RunAll(env *Env, w io.Writer) {
 		"table2", "fig4", "fig5", "table3", "fig6",
 		"agg", "overlap", "scoring", "bm25filter",
 		"scoremode", "mapping", "queryagg", "inf", "walks",
-		"scaling", "shards", "wt2019", "gittables", "noisylink",
+		"scaling", "wt2019", "gittables", "noisylink",
 	}
 	for _, id := range order {
 		registry[id](env).Render(w)

@@ -6,69 +6,27 @@ import (
 	"thetis/internal/table"
 )
 
-// Partitioner assigns each ingested table to one of a fixed number of
-// shards. Assignment happens once, at ingestion time; a table never moves.
-// Partitioners may keep state (the size-balanced strategy does), so they
-// are not safe for concurrent use — ingestion is single-writer anyway.
-//
-// Both built-in strategies are deterministic for a given ingestion
-// sequence, which is what lets the differential test battery compare
-// sharded against unsharded rankings run-over-run.
-type Partitioner interface {
-	// Shards returns the fixed shard count n.
-	Shards() int
-	// Assign returns the shard in [0, n) that will own t.
-	Assign(t *table.Table) int
-}
+// Partitioner assigns each table to one of a fixed number of shards by the
+// FNV-1a hash of its name modulo n: stateless, deterministic across
+// processes, and independent of ingestion order, so a coordinator can
+// replay it over its corpus to learn which remote shard daemon holds which
+// table. Tables sharing a name land on the same shard.
+type Partitioner struct{ n int }
 
-// NewHashPartitioner partitions by the FNV-1a hash of the table name
-// modulo n: stateless, deterministic across processes, and independent of
-// ingestion order. Tables sharing a name land on the same shard.
+// NewHashPartitioner returns the partitioner over n shards.
 func NewHashPartitioner(n int) Partitioner {
 	if n < 1 {
 		panic("lake: partitioner needs at least 1 shard")
 	}
-	return hashPartitioner{n: n}
+	return Partitioner{n: n}
 }
 
-type hashPartitioner struct{ n int }
+// Shards returns the fixed shard count n.
+func (p Partitioner) Shards() int { return p.n }
 
-func (p hashPartitioner) Shards() int { return p.n }
-
-func (p hashPartitioner) Assign(t *table.Table) int {
+// Assign returns the shard in [0, n) that owns t.
+func (p Partitioner) Assign(t *table.Table) int {
 	h := fnv.New32a()
 	h.Write([]byte(t.Name))
 	return int(h.Sum32() % uint32(p.n))
-}
-
-// NewBalancedPartitioner partitions by load: each table goes to the shard
-// with the fewest cells so far (ties break toward the lowest shard index).
-// This keeps per-shard scoring work even when table sizes are skewed, at
-// the cost of assignments depending on ingestion order.
-func NewBalancedPartitioner(n int) Partitioner {
-	if n < 1 {
-		panic("lake: partitioner needs at least 1 shard")
-	}
-	return &balancedPartitioner{load: make([]int64, n)}
-}
-
-type balancedPartitioner struct{ load []int64 }
-
-func (p *balancedPartitioner) Shards() int { return len(p.load) }
-
-func (p *balancedPartitioner) Assign(t *table.Table) int {
-	best := 0
-	for i := 1; i < len(p.load); i++ {
-		if p.load[i] < p.load[best] {
-			best = i
-		}
-	}
-	// Weigh by cell count, floored at 1 so empty tables still move the
-	// needle and round-robin instead of piling onto shard 0.
-	cells := int64(t.NumRows()) * int64(t.NumColumns())
-	if cells < 1 {
-		cells = 1
-	}
-	p.load[best] += cells
-	return best
 }

@@ -347,8 +347,7 @@ func (ix *Index) ProbeCounts() (probes, scanned int64) {
 	return ix.probes.Load(), ix.scanned.Load()
 }
 
-// NumItems returns how many signatures have been inserted — per-shard
-// index sizes for spotting partitioning imbalance.
+// NumItems returns how many signatures have been inserted.
 func (ix *Index) NumItems() int { return ix.items }
 
 // NumBuckets returns the total number of non-empty buckets across bands.

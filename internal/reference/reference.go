@@ -2,8 +2,8 @@
 // one lake — one core.Engine, an optional LSEI with the single-node
 // full-scan fallback, an optional BM25 index — with no shards, coordinator,
 // locks, or facade in between. It is the independent side of the
-// differential batteries: thetis.System at every shard count, in
-// coordinator mode, after live mutation, in batches and with its caches on
+// differential batteries: thetis.System locally, in coordinator mode over
+// 1, 2 and 4 remote shards, after live mutation, in batches and with its caches on
 // must rank bit-for-bit like this, so the tests never compare the serving
 // path with itself.
 package reference

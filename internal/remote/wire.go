@@ -125,7 +125,7 @@ type IndexSpec struct {
 type Artifacts struct {
 	// Informativeness maps entity URI to the corpus-global IDF weight.
 	// Only entities that occur in the corpus are listed (df > 0);
-	// everything else weighs 1, matching core.IDFInformativenessOver.
+	// everything else weighs 1, matching core.IDFInformativeness.
 	Informativeness map[string]float64 `json:"informativeness"`
 	// FrequentTypes lists type URIs the global filter drops from LSEI
 	// signatures. Meaningful only when HasFilter is true (the embedding

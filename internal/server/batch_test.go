@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"thetis"
 )
 
 func newPost(path, body string) (*http.Request, *httptest.ResponseRecorder) {
@@ -118,12 +120,26 @@ func TestBatchEndpointLimit(t *testing.T) {
 	}
 }
 
-// TestBatchEndpointSharded runs the same endpoint against a two-shard System
-// backend, where every query of the batch scatters over both shards.
+// TestBatchEndpointSharded runs the same endpoint against a coordinator over
+// two remote shard daemons, where every query of the batch scatters over
+// both shards.
 func TestBatchEndpointSharded(t *testing.T) {
-	sys := demoSystemSharded(t, 2)
-	srv := New(sys)
-	queries := []string{"Ron Santo | Chicago Cubs", "Ernie Banks"}
+	kgEnv, _, hsq := hsEnv(t)
+	d := buildRemoteDeployment(t, "batch", 2, 1, thetis.RemoteOptions{}, nil)
+	d.bootstrap(t)
+	srv := New(d.coord)
+	var queries []string
+	for _, q := range hsq[:4] {
+		tuples := make([]string, len(q))
+		for i, tup := range q {
+			uris := make([]string, len(tup))
+			for j, e := range tup {
+				uris[j] = kgEnv.Graph.URI(e)
+			}
+			tuples[i] = strings.Join(uris, " | ")
+		}
+		queries = append(queries, strings.Join(tuples, ";"))
+	}
 	body, _ := json.Marshal(map[string]any{"queries": queries, "k": 5})
 	req, rec := newPost("/search/batch", string(body))
 	srv.ServeHTTP(rec, req)

@@ -48,10 +48,9 @@ func searchTop(t *testing.T, ts *httptest.Server) string {
 // TestReadyzContract: /readyz answers 200 in every state (degraded still
 // serves correct results), while ?full=1 answers 503 until ready.
 func TestReadyzContract(t *testing.T) {
-	rds := NewReadinesses(obs.NewRegistry(), 1)
-	ready := rds[0]
+	ready := NewReadiness(obs.NewRegistry())
 	sys := demoSystem(t)
-	ts := httptest.NewServer(New(sys, WithReadiness(rds)))
+	ts := httptest.NewServer(New(sys, WithReadiness(ready)))
 	t.Cleanup(ts.Close)
 
 	for _, tc := range []struct {
@@ -64,8 +63,11 @@ func TestReadyzContract(t *testing.T) {
 	} {
 		ready.Set(tc.state, "test transition")
 		out := getJSON(t, ts.URL+"/readyz", http.StatusOK)
-		if out["state"] != tc.state.String() || out["detail"] != "test transition" {
+		if out["state"] != tc.state.String() || out["detail"] != "test transition" || out["since"] == nil {
 			t.Errorf("readyz in %v = %v", tc.state, out)
+		}
+		if _, ok := out["shards"]; ok {
+			t.Errorf("a local daemon's readyz has no shards breakdown: %v", out)
 		}
 		getJSON(t, ts.URL+"/readyz?full=1", tc.fullCode)
 		// Every state serves correct results.
@@ -80,9 +82,8 @@ func TestReadyzContract(t *testing.T) {
 func TestActivateIndexValidSnapshot(t *testing.T) {
 	snap := indexSnapshot(t)
 	sys := demoSystem(t)
-	rds := NewReadinesses(obs.NewRegistry(), 1)
-	ready := rds[0]
-	done := ActivateIndex(sys, rds, degradedCfg, 1, bytes.NewReader(snap))
+	ready := NewReadiness(obs.NewRegistry())
+	done := ActivateIndex(sys, ready, degradedCfg, 1, bytes.NewReader(snap))
 	if ready.State() != StateReady {
 		t.Fatalf("state after valid snapshot = %v, want ready", ready.State())
 	}
@@ -111,12 +112,11 @@ func TestActivateIndexCorruptSnapshot(t *testing.T) {
 		t.Fatal("corrupt snapshot installed an index")
 	}
 
-	rds := NewReadinesses(obs.NewRegistry(), 1)
-	ready := rds[0]
-	ts := httptest.NewServer(New(sys, WithReadiness(rds)))
+	ready := NewReadiness(obs.NewRegistry())
+	ts := httptest.NewServer(New(sys, WithReadiness(ready)))
 	t.Cleanup(ts.Close)
 
-	done := ActivateIndex(sys, rds, degradedCfg, 1, bytes.NewReader(snap))
+	done := ActivateIndex(sys, ready, degradedCfg, 1, bytes.NewReader(snap))
 	// The rejection is synchronous: by the time ActivateIndex returns the
 	// daemon is past building — degraded (brute force), or already ready if
 	// the rebuild won the race. Either way searches are correct.
@@ -152,21 +152,17 @@ func TestActivateIndexCorruptSnapshot(t *testing.T) {
 // TestActivateIndexNoSnapshot: without a snapshot the daemon starts in
 // building state and flips to ready when the background build lands.
 func TestActivateIndexNoSnapshot(t *testing.T) {
-	for _, shards := range []int{1, 3} {
-		sys := demoSystemSharded(t, shards)
-		rds := NewReadinesses(obs.NewRegistry(), shards)
-		done := ActivateIndex(sys, rds, degradedCfg, 1, nil)
-		if err := <-done; err != nil {
-			t.Fatal(err)
-		}
-		for i, rd := range rds {
-			if rd.State() != StateReady {
-				t.Fatalf("shards=%d: shard %d state=%v", shards, i, rd.State())
-			}
-		}
-		if !sys.HasIndex() {
-			t.Fatalf("shards=%d: not every shard has an index", shards)
-		}
+	sys := demoSystem(t)
+	ready := NewReadiness(obs.NewRegistry())
+	done := ActivateIndex(sys, ready, degradedCfg, 1, nil)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if ready.State() != StateReady {
+		t.Fatalf("state after build = %v, want ready", ready.State())
+	}
+	if !sys.HasIndex() {
+		t.Fatal("no index active after build")
 	}
 }
 
@@ -176,9 +172,8 @@ func TestActivateIndexNoSnapshot(t *testing.T) {
 func TestFaultBuildPanicContained(t *testing.T) {
 	g := thetis.NewGraph()
 	sys := thetis.New(g) // no UseTypeSimilarity: BuildIndex will panic
-	rds := NewReadinesses(obs.NewRegistry(), 1)
-	ready := rds[0]
-	done := ActivateIndex(sys, rds, degradedCfg, 1, nil)
+	ready := NewReadiness(obs.NewRegistry())
+	done := ActivateIndex(sys, ready, degradedCfg, 1, nil)
 	err := <-done
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("done = %v, want contained panic", err)

@@ -4,8 +4,8 @@ package server
 // §"Shard-over-HTTP"): a System in coordinator mode scattering over
 // thetis.RemoteShard clients to real HTTP daemons — each a full
 // server.New(*thetis.System) stack, not a stub handler — must rank
-// bit-for-bit like the same corpus sharded in-process and like Algorithm 1
-// assembled straight from internal/core (internal/reference). Clean, and
+// bit-for-bit like Algorithm 1 assembled straight from internal/core over
+// the whole corpus (internal/reference), at 1, 2 and 4 shards. Clean, and
 // under every fault class the transport can throw (connection refusal,
 // 500s, truncated and bit-flipped bodies, mid-body stalls, slow-loris):
 // faults the retry budget absorbs must leave rankings untouched; faults
@@ -15,6 +15,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,7 +42,7 @@ var (
 
 // hsEnv generates the battery corpus once: a typed KG, a few hundred
 // WT2015-profile tables in ingestion order, and mixed 1-/5-tuple queries
-// (the same shape as the root package's shard-invariance battery).
+// (the same shape as the root package's reference battery).
 func hsEnv(t *testing.T) (*datagen.KG, []*thetis.Table, []thetis.Query) {
 	t.Helper()
 	hsOnce.Do(func() {
@@ -64,51 +65,70 @@ func hsEnv(t *testing.T) (*datagen.KG, []*thetis.Table, []thetis.Query) {
 }
 
 // remoteDeployment is one fully wired shard-over-HTTP test fleet: the
-// core-assembled reference, the same corpus sharded in-process, one daemon
-// System per shard served by a real server.New over httptest, and the
-// coordinator — a System over the full corpus whose scatter legs are the
-// remote clients.
+// core-assembled reference, one daemon System per shard served by a real
+// server.New over httptest, and the coordinator — a System over the full
+// corpus whose scatter legs are the remote clients.
 type remoteDeployment struct {
 	ref     *reference.Reference
-	ss      *thetis.System
 	coord   *thetis.System
 	daemons []*thetis.System
 	shards  []*thetis.RemoteShard
+
+	// store, when set, is the embedding σ every System and the reference
+	// score with instead of type Jaccard.
+	store *thetis.EmbeddingStore
 
 	// indexCfg and votes are what bootstrap ships to the daemons.
 	indexCfg *thetis.IndexConfig
 	votes    int
 }
 
-// buildRemoteDeployment assembles an n-shard fleet. transport(shard,
-// replica) supplies each replica's RoundTripper (nil = default); extra
-// replicas per shard come from replicasPer > 1, every replica backed by
-// the same daemon server (interchangeable by construction).
+// buildRemoteDeployment assembles an n-shard fleet with type similarity.
+// transport(shard, replica) supplies each replica's RoundTripper (nil =
+// default); extra replicas per shard come from replicasPer > 1, every
+// replica backed by the same daemon server (interchangeable by
+// construction).
 func buildRemoteDeployment(t *testing.T, label string, n, replicasPer int, opt thetis.RemoteOptions, transport func(shard, replica int) http.RoundTripper) *remoteDeployment {
+	return buildRemoteDeploymentSim(t, label, n, replicasPer, opt, transport, nil)
+}
+
+// buildRemoteDeploymentSim is buildRemoteDeployment scoring with embedding
+// cosine σ over store, or type Jaccard when store is nil.
+func buildRemoteDeploymentSim(t *testing.T, label string, n, replicasPer int, opt thetis.RemoteOptions, transport func(shard, replica int) http.RoundTripper, store *thetis.EmbeddingStore) *remoteDeployment {
 	t.Helper()
 	kgEnv, tables, _ := hsEnv(t)
 	part := thetis.NewHashPartitioner(n)
+	useSim := func(sys *thetis.System) {
+		if store == nil {
+			sys.UseTypeSimilarity()
+			return
+		}
+		sys.SetEmbeddings(store)
+		sys.UseEmbeddingSimilarity()
+	}
 
 	coord := thetis.New(kgEnv.Graph)
-	ss := thetis.NewSharded(kgEnv.Graph, part)
 	for i, tb := range tables {
-		if coord.AddTable(tb) != thetis.TableID(i) || ss.AddTable(tb) != thetis.TableID(i) {
+		if coord.AddTable(tb) != thetis.TableID(i) {
 			t.Fatalf("global ID assignment diverged at table %d", i)
 		}
 	}
-	coord.UseTypeSimilarity()
-	ss.UseTypeSimilarity()
+	useSim(coord)
 
 	// One daemon per shard, ingesting exactly its hash-assigned slice in
 	// global ID order — the same replay ShardGlobalIDs performs.
 	globals := coord.ShardGlobalIDs(part)
-	d := &remoteDeployment{ref: reference.New(kgEnv.Graph, tables, hsTJ), ss: ss, coord: coord, votes: 1}
+	var sim core.Similarity = hsTJ
+	if store != nil {
+		sim = core.NewEmbeddingCosine(kgEnv.Graph, store)
+	}
+	d := &remoteDeployment{ref: reference.New(kgEnv.Graph, tables, sim), coord: coord, store: store, votes: 1}
 	for si := 0; si < n; si++ {
 		daemon := thetis.New(kgEnv.Graph)
 		for _, gid := range globals[si] {
 			daemon.AddTable(coord.Table(gid))
 		}
-		daemon.UseTypeSimilarity()
+		useSim(daemon)
 		srv := httptest.NewServer(New(daemon))
 		t.Cleanup(srv.Close)
 		replicas := make([]thetis.RemoteReplica, replicasPer)
@@ -131,19 +151,21 @@ func buildRemoteDeployment(t *testing.T, label string, n, replicasPer int, opt t
 	return d
 }
 
-// index builds the LSEI everywhere: the reference and the in-process
-// shards build directly; the remote daemons build from the index spec the
-// next bootstrap ships, under the shipped global frequent-type filter.
+// index builds the LSEI everywhere: the reference builds directly; the
+// remote daemons build from the index spec the next bootstrap ships, under
+// the shipped global frequent-type filter (type σ).
 func (d *remoteDeployment) index(cfg thetis.IndexConfig) {
-	d.ref.Index = core.BuildTypeLSEI(d.ref.Lake, hsTJ, cfg)
-	d.ss.BuildIndex(cfg)
+	if d.store == nil {
+		d.ref.Index = core.BuildTypeLSEI(d.ref.Lake, hsTJ, cfg)
+	} else {
+		d.ref.Index = core.BuildEmbeddingLSEI(d.ref.Lake, d.ref.Engine.Sim.(*core.EmbeddingCosine), d.store.Dim(), cfg)
+	}
 	d.indexCfg = &cfg
 }
 
 // setVotes fixes the vote threshold everywhere (remote: on next bootstrap).
 func (d *remoteDeployment) setVotes(votes int) {
 	d.ref.Votes = votes
-	d.ss.SetVotes(votes)
 	d.votes = votes
 }
 
@@ -158,14 +180,13 @@ func (d *remoteDeployment) bootstrap(t *testing.T) {
 	}
 }
 
-// assertRemoteIdentical checks remote == in-process == reference, bit for
-// bit, for every query.
+// assertRemoteIdentical checks remote == reference, bit for bit, for every
+// query.
 func assertRemoteIdentical(t *testing.T, label string, d *remoteDeployment, queries []thetis.Query, k int) {
 	t.Helper()
 	ctx := context.Background()
 	for qi, q := range queries {
 		want, wantStats := d.ref.Search(q, k)
-		inproc, _ := d.ss.SearchStatsContext(ctx, q, k)
 		got, gotStats := d.coord.SearchStatsContext(ctx, q, k)
 		if wantStats.Truncated {
 			t.Fatalf("%s q%d: reference truncated", label, qi)
@@ -173,16 +194,12 @@ func assertRemoteIdentical(t *testing.T, label string, d *remoteDeployment, quer
 		if gotStats.Truncated {
 			t.Fatalf("%s q%d: remote truncated: %v", label, qi, gotStats.ShardErrors)
 		}
-		if len(got) != len(want) || len(inproc) != len(want) {
-			t.Fatalf("%s q%d: remote %d / in-process %d / reference %d results",
-				label, qi, len(got), len(inproc), len(want))
+		if len(got) != len(want) {
+			t.Fatalf("%s q%d: remote %d / reference %d results", label, qi, len(got), len(want))
 		}
 		for i := range want {
 			if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
 				t.Fatalf("%s q%d rank %d: remote %+v, reference %+v", label, qi, i, got[i], want[i])
-			}
-			if inproc[i] != got[i] {
-				t.Fatalf("%s q%d rank %d: remote %+v, in-process %+v", label, qi, i, got[i], inproc[i])
 			}
 		}
 	}
@@ -208,6 +225,54 @@ func TestHTTPShardLSHBitIdentity(t *testing.T) {
 		d.setVotes(votes)
 		d.bootstrap(t) // re-ship: votes travel with the artifacts
 		assertRemoteIdentical(t, "lsh", d, queries, 10)
+	}
+}
+
+// TestHTTPShardCompactionKeepsBitIdentity: a shard daemon is a plain
+// thetisd, so it compacts its LSEI like any other (-compact-every). The
+// rebuild must keep the frequent-type filter the coordinator shipped — a
+// filter recomputed from the daemon's own slice drops different types,
+// changes signatures, and so changes which tables the prefilter admits.
+func TestHTTPShardCompactionKeepsBitIdentity(t *testing.T) {
+	_, _, queries := hsEnv(t)
+	for _, n := range []int{2, 3, 4} {
+		d := buildRemoteDeployment(t, "compact"+string(rune('0'+n)), n, 1, thetis.RemoteOptions{}, nil)
+		d.index(thetis.DefaultIndexConfig())
+		for _, votes := range []int{1, 2, 3} {
+			d.setVotes(votes)
+			d.bootstrap(t)
+			for _, daemon := range d.daemons {
+				daemon.Compact()
+			}
+			assertRemoteIdentical(t, fmt.Sprintf("compact/%d/votes%d", n, votes), d, queries, -1)
+		}
+	}
+}
+
+// TestHTTPShardEmbeddingBitIdentity: with embedding σ the bootstrap ships
+// no frequent-type filter, and each daemon builds a hyperplane LSEI over its
+// own slice; brute force and prefiltered, the merged ranking matches the
+// reference over the whole corpus.
+func TestHTTPShardEmbeddingBitIdentity(t *testing.T) {
+	kgEnv, _, queries := hsEnv(t)
+	store := thetis.New(kgEnv.Graph).TrainEmbeddings(
+		thetis.WalkConfig{WalksPerEntity: 4, Length: 5, Undirected: true, Seed: 9},
+		thetis.TrainConfig{Dim: 16, Window: 3, Negatives: 3, Epochs: 2, LearningRate: 0.03, Seed: 9},
+	)
+	for _, n := range []int{2, 4} {
+		d := buildRemoteDeploymentSim(t, "emb"+string(rune('0'+n)), n, 1, thetis.RemoteOptions{}, nil, store)
+		d.bootstrap(t)
+		assertRemoteIdentical(t, fmt.Sprintf("embeddings/%d", n), d, queries, 10)
+
+		d.index(thetis.DefaultIndexConfig())
+		d.setVotes(2)
+		d.bootstrap(t)
+		for i, daemon := range d.daemons {
+			if !daemon.HasIndex() {
+				t.Fatalf("embeddings/%d: daemon %d built no LSEI from the shipped spec", n, i)
+			}
+		}
+		assertRemoteIdentical(t, fmt.Sprintf("embeddings-lsh/%d", n), d, queries, 10)
 	}
 }
 

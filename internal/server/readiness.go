@@ -2,20 +2,17 @@ package server
 
 // Degraded-mode serving: the daemon binds its listener and answers searches
 // immediately — brute force over the whole corpus, correct but slower —
-// while every shard's LSEI prefilter builds in the background (or after a
-// corrupt snapshot was rejected). Each shard's index is hot-swapped into
-// the live System atomically as it lands, so one shard can still be
-// building while the others already answer prefiltered, and searches stay
-// correct throughout because a shard without an index serves brute force.
-// GET /readyz reports the lifecycle so orchestrators can route bulk
-// traffic only at full capacity, while /healthz stays a pure liveness
-// probe.
+// while the LSEI prefilter builds in the background (or after a corrupt
+// snapshot was rejected). The index is hot-swapped into the live System
+// atomically as it lands, and searches stay correct throughout because a
+// system without an index serves brute force. GET /readyz reports the
+// lifecycle so orchestrators can route bulk traffic only at full capacity,
+// while /healthz stays a pure liveness probe.
 
 import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,9 +49,8 @@ func (s IndexState) String() string {
 	}
 }
 
-// Readiness tracks the index lifecycle of one shard. It is safe for
-// concurrent use; the HTTP handlers read it while ActivateIndex's
-// background build writes it.
+// Readiness tracks the index lifecycle. It is safe for concurrent use; the
+// HTTP handlers read it while ActivateIndex's background build writes it.
 type Readiness struct {
 	state atomic.Int32
 	gauge *obs.Gauge
@@ -64,17 +60,13 @@ type Readiness struct {
 	since  time.Time
 }
 
-// NewReadinesses creates one lifecycle tracker per shard in the building
-// state, each mirrored on thetis_shard_index_state{shard="i"} of r
-// (obs.Default when nil). Pass the slice to WithReadiness and
-// ActivateIndex.
-func NewReadinesses(r *obs.Registry, n int) []*Readiness {
-	out := make([]*Readiness, n)
-	for i := range out {
-		out[i] = &Readiness{gauge: obs.ShardIndexState(r, strconv.Itoa(i))}
-		out[i].Set(StateBuilding, "index build pending")
-	}
-	return out
+// NewReadiness creates a lifecycle tracker in the building state, mirrored
+// on thetis_shard_index_state{shard="0"} of r (obs.Default when nil). Pass
+// it to WithReadiness and ActivateIndex.
+func NewReadiness(r *obs.Registry) *Readiness {
+	rd := &Readiness{gauge: obs.ShardIndexState(r, "0")}
+	rd.Set(StateBuilding, "index build pending")
+	return rd
 }
 
 // Set transitions the lifecycle, recording a human-readable detail.
@@ -99,25 +91,11 @@ func (rd *Readiness) Snapshot() (state IndexState, detail string, since time.Tim
 	return state, detail, since
 }
 
-// indexReadiness aggregates the per-shard lifecycles for /readyz: the
-// overall state is the worst across shards (any degraded → degraded, else
-// any building → building, else ready) with that shard's detail and
-// transition time, plus the per-shard breakdown.
-func indexReadiness(rds []*Readiness) (IndexState, map[string]any) {
-	severity := [...]int{StateReady: 0, StateBuilding: 1, StateDegraded: 2}
-	worst, body := StateReady, map[string]any{}
-	shards := make([]map[string]any, len(rds))
-	for i, rd := range rds {
-		state, detail, since := rd.Snapshot()
-		at := since.UTC().Format(time.RFC3339Nano)
-		shards[i] = map[string]any{"shard": i, "state": state.String(), "detail": detail, "since": at}
-		if i == 0 || severity[state] > severity[worst] {
-			worst = state
-			body["detail"], body["since"] = detail, at
-		}
-	}
-	body["shards"] = shards
-	return worst, body
+// indexReadiness is the index lifecycle's /readyz state, with its detail
+// and transition time.
+func indexReadiness(rd *Readiness) (IndexState, map[string]any) {
+	state, detail, since := rd.Snapshot()
+	return state, map[string]any{"detail": detail, "since": since.UTC().Format(time.RFC3339Nano)}
 }
 
 // handleReady reports whether the daemon serves at full capacity. It serves
@@ -127,8 +105,8 @@ func indexReadiness(rds []*Readiness) (IndexState, map[string]any) {
 // traffic only at full capacity can ask with ?full=1, which answers 503
 // until the state is ready.
 //
-// The state comes from the per-shard index lifecycles (WithReadiness) or
-// the remote-replica breakdown (WithRemoteShardStatus); without either the
+// The state comes from the index lifecycle (WithReadiness) or the
+// remote-replica breakdown (WithRemoteShardStatus); without either the
 // daemon was configured synchronously and is ready whenever it is alive. A
 // delta log that stopped logging overrides all of them with degraded: the
 // daemon still answers, but accepted mutations are no longer durable.
@@ -152,70 +130,44 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// ActivateIndex brings every shard's LSEI online without blocking serving.
-// A non-nil snapshot is tried first, synchronously: a valid one activates
+// ActivateIndex brings the LSEI online without blocking serving. A non-nil
+// snapshot is tried first, synchronously: a valid one activates
 // immediately (ready, no build). A corrupt snapshot is rejected — the
 // typed atomicio.ErrCorruptSnapshot guarantee means a flipped byte can
 // never load wrong — and the daemon enters degraded mode while a full
 // rebuild runs in the background; with no snapshot it starts in building
-// mode the same way. Snapshots cover exactly one shard.
+// mode the same way. The build hot-swaps the index in and flips rd to
+// ready; until then the daemon answers correctly by brute force.
 //
-// The background build runs the global index preparation (PrepareIndex —
-// one corpus scan for the shared frequent-type filter), then builds each
-// shard's index aside and hot-swaps it, flipping that shard's Readiness to
-// ready as it lands (builds serialize on the system's maintenance lock).
-// Shards serve brute force until their swap, so the daemon answers
-// correctly from the first request.
-//
-// A build panic is contained per shard: counted on
-// thetis_panics_total{site="build"}, that shard parked at degraded (brute
-// force), the other shards unaffected. The returned channel receives the
-// terminal outcome exactly once — nil when every shard landed, or the
-// first failure.
-func ActivateIndex(sys *thetis.System, rds []*Readiness, cfg thetis.IndexConfig, votes int, snapshot io.Reader) <-chan error {
+// A build panic is contained: counted on thetis_panics_total{site="build"}
+// and parking rd at degraded (brute force). The returned channel receives
+// the terminal outcome exactly once — nil when the index landed, or the
+// failure.
+func ActivateIndex(sys *thetis.System, rd *Readiness, cfg thetis.IndexConfig, votes int, snapshot io.Reader) <-chan error {
 	done := make(chan error, 1)
-	setAll := func(rds []*Readiness, state IndexState, detail string) {
-		for _, rd := range rds {
-			rd.Set(state, detail)
-		}
-	}
 	sys.SetVotes(votes)
 	if snapshot != nil {
 		err := sys.LoadIndex(snapshot)
 		if err == nil {
-			setAll(rds, StateReady, "index loaded from snapshot")
+			rd.Set(StateReady, "index loaded from snapshot")
 			done <- nil
 			return done
 		}
-		setAll(rds, StateDegraded, fmt.Sprintf("index snapshot rejected (%v); serving brute force while rebuilding", err))
+		rd.Set(StateDegraded, fmt.Sprintf("index snapshot rejected (%v); serving brute force while rebuilding", err))
 	} else {
-		setAll(rds, StateBuilding, "building index; serving brute force meanwhile")
+		rd.Set(StateBuilding, "building index; serving brute force meanwhile")
 	}
 	go func() {
-		var first error
-		// contained runs one build step, parking the shards it covers at
-		// degraded when it panics.
-		contained := func(what string, covers []*Readiness, step func()) (ok bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					obs.PanicsTotal(nil, "build").Inc()
-					setAll(covers, StateDegraded, fmt.Sprintf("%s panicked: %v; serving brute force", what, r))
-					if first == nil {
-						first = fmt.Errorf("server: %s panicked: %v", what, r)
-					}
-				}
-			}()
-			step()
-			return true
-		}
-		if contained("index build", rds, func() { sys.PrepareIndex(cfg) }) {
-			for i := range rds {
-				if contained(fmt.Sprintf("shard %d index build", i), rds[i:i+1], func() { sys.BuildShardIndex(i) }) {
-					rds[i].Set(StateReady, "index built")
-				}
+		defer func() {
+			if r := recover(); r != nil {
+				obs.PanicsTotal(nil, "build").Inc()
+				rd.Set(StateDegraded, fmt.Sprintf("index build panicked: %v; serving brute force", r))
+				done <- fmt.Errorf("server: index build panicked: %v", r)
 			}
-		}
-		done <- first
+		}()
+		sys.BuildIndex(cfg)
+		rd.Set(StateReady, "index built")
+		done <- nil
 	}()
 	return done
 }

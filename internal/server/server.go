@@ -20,9 +20,9 @@
 //	POST /shard/artifacts   global-artifact bootstrap from a coordinator
 //
 // The backend behind the handlers is the Backend interface, satisfied by
-// *thetis.System at every shard count and in coordinator mode — scatter-
-// gather shows at the HTTP surface only as shard labels in /debug/trace,
-// thetis_shard_* metrics, and /readyz's per-shard breakdown.
+// *thetis.System, locally and in coordinator mode — scatter-gather shows at
+// the HTTP surface only as shard labels in /debug/trace, thetis_shard_*
+// metrics, and the coordinator's per-replica breakdown on /readyz.
 //
 // Queries use the textual format of System.ParseQuery: entities separated
 // by "|", tuples by newlines (or ";"). Every endpoint is instrumented with
@@ -99,7 +99,7 @@ type Server struct {
 	pprof   bool
 	timeout time.Duration
 	sem     chan struct{}
-	ready   []*Readiness
+	ready   *Readiness
 	ingest  *obs.IngestReport
 
 	// remoteStatus, when set (WithRemoteShardStatus), snapshots the
@@ -153,11 +153,11 @@ func WithMaxInFlight(n int) Option {
 	}
 }
 
-// WithReadiness makes GET /readyz report the per-shard index lifecycles
-// tracked by rds (see NewReadinesses, ActivateIndex). Without it a system
-// configured synchronously is ready whenever it is alive.
-func WithReadiness(rds []*Readiness) Option {
-	return func(s *Server) { s.ready = rds }
+// WithReadiness makes GET /readyz report the index lifecycle tracked by rd
+// (see NewReadiness, ActivateIndex). Without it a system configured
+// synchronously is ready whenever it is alive.
+func WithReadiness(rd *Readiness) Option {
+	return func(s *Server) { s.ready = rd }
 }
 
 // WithIngestReport mounts GET /debug/ingest serving the quarantine

@@ -16,10 +16,7 @@ import (
 
 // demoSystem builds the miniature baseball system shared by the endpoint,
 // fuzz, and lifecycle tests. testing.TB so fuzz targets can call it too.
-func demoSystem(tb testing.TB) *thetis.System { return demoSystemSharded(tb, 1) }
-
-// demoSystemSharded is the demo corpus hash-partitioned into n shards.
-func demoSystemSharded(tb testing.TB, n int) *thetis.System {
+func demoSystem(tb testing.TB) *thetis.System {
 	tb.Helper()
 	g := thetis.NewGraph()
 	triples := `
@@ -35,7 +32,7 @@ func demoSystemSharded(tb testing.TB, n int) *thetis.System {
 	if err := thetis.LoadTriples(g, strings.NewReader(triples)); err != nil {
 		tb.Fatal(err)
 	}
-	sys := thetis.NewSharded(g, thetis.NewHashPartitioner(n))
+	sys := thetis.New(g)
 	linker := thetis.NewDictionaryLinker(g)
 	roster := thetis.NewTable("roster", []string{"Player", "Team"})
 	roster.AppendValues("Ron Santo", "Chicago Cubs")

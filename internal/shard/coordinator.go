@@ -58,9 +58,6 @@ func NewCoordinator(shards ...Searcher) *Coordinator {
 	return c
 }
 
-// NumShards returns how many shards the coordinator fans out to.
-func (c *Coordinator) NumShards() int { return len(c.shards) }
-
 // leg is one shard's response to one scatter round.
 type leg struct {
 	results []core.Result
@@ -97,7 +94,7 @@ func (c *Coordinator) Search(ctx context.Context, q core.Query, k int) ([]core.R
 // SearchShard implements Searcher, so a Coordinator is itself a valid
 // scatter leg: one round with the caller's options and no rescatter — the
 // enclosing coordinator owns the full-scan decision. This is what a daemon
-// runs when it answers POST /shard/search over its own shards.
+// runs when it answers POST /shard/search over its own lake.
 func (c *Coordinator) SearchShard(ctx context.Context, q core.Query, k int, opts SearchOptions) ([]core.Result, core.Stats) {
 	start := time.Now()
 	return c.gather(start, k, c.scatter(ctx, q, k, opts), nil)

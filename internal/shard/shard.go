@@ -1,27 +1,29 @@
-// Package shard implements sharded scatter-gather search: the corpus is
-// partitioned into shards (lake.Partitioner), each shard owns its slice of
-// the tables with its own LSEI, LSH index, column-index memos, and
-// query-scoped σ caches, and a Coordinator fans each query out to every
-// shard concurrently and merges the per-shard rankings into one global
-// top-k (core.MergeRanked).
+// Package shard implements scatter-gather search: a Coordinator fans each
+// query out to its shards (Searchers) concurrently and merges the
+// per-shard rankings into one global top-k (core.MergeRanked). A shard is
+// either a Local — one lake with its own engine, LSEI, column-index memos
+// and query-scoped σ caches — or a remote.Shard proxying to another
+// daemon over HTTP (docs/SHARDING.md).
 //
 // Three pieces of state must stay global for a sharded search to rank
 // exactly like an unsharded one — see docs/SHARDING.md for the full
 // argument:
 //
-//   - informativeness weights (core.IDFInformativenessOver): an entity's
-//     weight depends on how many tables of the whole corpus mention it;
-//   - the LSEI frequent-type filter (core.FrequentTypesOver): which types
-//     are "too common to be informative" is a corpus-level property;
+//   - informativeness weights (core.IDFInformativeness over the whole
+//     corpus): an entity's weight depends on how many tables of the whole
+//     corpus mention it;
+//   - the LSEI frequent-type filter (core.FrequentTypesOver the whole
+//     corpus): which types are "too common to be informative" is a
+//     corpus-level property;
 //   - the empty-prefilter full-scan fallback: whether any shard found
 //     candidates is only knowable after the scatter, so shards never fall
 //     back on their own (core.FallbackNone) and the Coordinator rescatters
 //     with SearchOptions.ForceFullScan when the global candidate count is
 //     zero.
 //
-// The public façade (package thetis) re-exports Searcher as thetis.Shard
-// and wires this machinery into thetis.System — every System is a
-// Coordinator over one or more Locals (thetisd -shards).
+// The public façade (package thetis) re-exports Searcher as thetis.Shard.
+// A thetis.System searches through a Coordinator over its one Local, or
+// over remote shards in coordinator mode (thetisd -shard-urls).
 package shard
 
 import (
@@ -53,21 +55,21 @@ type SearchOptions struct {
 // particular Truncated marks the results as a correctly ranked prefix of
 // what a full evaluation would have returned.
 //
-// Local implements it in-process; a future shard-over-HTTP client
-// implements it by proxying to a remote daemon (docs/SHARDING.md).
+// Local implements it in-process; remote.Shard implements it by proxying
+// to a remote daemon (docs/SHARDING.md).
 type Searcher interface {
 	SearchShard(ctx context.Context, q core.Query, k int, opts SearchOptions) ([]core.Result, core.Stats)
 }
 
-// Local is an in-process shard: one sub-lake plus its private search
-// machinery. The assembler (thetis.System, or a test/benchmark
-// harness) routes tables in via Add, installs a configured Engine whose
-// Lake is the shard's lake — with GLOBAL informativeness weights — and
-// optionally hot-swaps an LSEI built with the GLOBAL frequent-type filter.
+// Local is an in-process shard: one lake plus its private search
+// machinery. The assembler (thetis.System, or a test harness) routes
+// tables in via Add, installs a configured Engine whose Lake is the
+// shard's lake — with GLOBAL informativeness weights — and optionally
+// hot-swaps an LSEI built with the GLOBAL frequent-type filter.
 //
 // Ingestion and configuration must not run concurrently with searches;
 // once configured, a Local is safe for concurrent searches, and SetIndex
-// may hot-swap the LSEI under them (degraded-mode serving, per shard).
+// may hot-swap the LSEI under them (degraded-mode serving).
 type Local struct {
 	id string
 	lk *lake.Lake
@@ -78,8 +80,7 @@ type Local struct {
 	engine *core.Engine
 
 	// index holds the shard's LSEI behind an atomic pointer so a
-	// background build can hot-swap it under live searches, exactly like
-	// the unsharded System's index.
+	// background build can hot-swap it under live searches.
 	index atomic.Pointer[core.LSEI]
 	votes atomic.Int32
 
@@ -98,15 +99,10 @@ func NewLocal(id int, g *kg.Graph) *Local {
 	return s
 }
 
-// Lake exposes the shard's sub-lake (for engine construction and global
-// frequency/filter computation across all shards).
+// Lake exposes the shard's lake (for engine and index construction).
 func (s *Local) Lake() *lake.Lake { return s.lk }
 
-// NumTables returns how many tables this shard owns.
-func (s *Local) NumTables() int { return s.lk.NumTables() }
-
-// Add ingests a table that the partitioner assigned to this shard,
-// recording the global ID it answers with. Like System.AddTable, a live
+// Add ingests a table, recording the global ID it answers with. A live
 // LSEI is extended incrementally. Returns the shard-local ID.
 func (s *Local) Add(t *table.Table, global lake.TableID) lake.TableID {
 	local := s.lk.Add(t)
@@ -154,7 +150,7 @@ func (s *Local) SetEngine(eng *core.Engine) {
 func (s *Local) Engine() *core.Engine { return s.engine }
 
 // SetIndex atomically installs (or, with nil, removes) the shard's LSEI.
-// Safe under concurrent searches — this is the per-shard hot-swap behind
+// Safe under concurrent searches — this is the hot-swap behind
 // degraded-mode serving.
 func (s *Local) SetIndex(ix *core.LSEI) { s.index.Store(ix) }
 

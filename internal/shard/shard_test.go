@@ -8,6 +8,7 @@ import (
 	"thetis/internal/core"
 	"thetis/internal/kg"
 	"thetis/internal/lake"
+	"thetis/internal/obs"
 	"thetis/internal/table"
 )
 
@@ -19,6 +20,10 @@ func fixture(t testing.TB) (*kg.Graph, []*table.Table, []core.Query) {
 	g := kg.NewGraph()
 	player := g.AddType("T:player", "player")
 	city := g.AddType("T:city", "city")
+	// star marks p0 and c0 only: it sits in half the tables, so the default
+	// frequent-type filter keeps it while dropping player and city (in two
+	// thirds) — only p0 and c0 get LSEI signatures.
+	star := g.AddType("T:star", "star")
 	var players, cities []kg.EntityID
 	for i := 0; i < 6; i++ {
 		e := g.AddEntity(fmt.Sprintf("E:p%d", i), fmt.Sprintf("p%d", i))
@@ -28,6 +33,8 @@ func fixture(t testing.TB) (*kg.Graph, []*table.Table, []core.Query) {
 		g.AssignType(c, city)
 		cities = append(cities, c)
 	}
+	g.AssignType(players[0], star)
+	g.AssignType(cities[0], star)
 
 	mk := func(name string, ents []kg.EntityID) *table.Table {
 		tb := table.New(name, []string{"col"})
@@ -53,8 +60,19 @@ func fixture(t testing.TB) (*kg.Graph, []*table.Table, []core.Query) {
 	return g, tables, queries
 }
 
+// fullLake is the whole fixture corpus in one lake, in global ID order —
+// the lake an unsharded search runs over.
+func fullLake(g *kg.Graph, tables []*table.Table) *lake.Lake {
+	all := lake.New(g)
+	for _, tb := range tables {
+		all.Add(tb)
+	}
+	return all
+}
+
 // buildLocals round-robins the fixture tables across n shards wired the way
-// thetis.System wires them: global informativeness, shared graph.
+// a remote shard daemon is after its bootstrap: every shard's engine
+// weighs entities by IDF over the full corpus, not over its own slice.
 func buildLocals(g *kg.Graph, tables []*table.Table, n int) []*Local {
 	locals := make([]*Local, n)
 	for i := range locals {
@@ -63,11 +81,7 @@ func buildLocals(g *kg.Graph, tables []*table.Table, n int) []*Local {
 	for i, tb := range tables {
 		locals[i%n].Add(tb, lake.TableID(i))
 	}
-	lakes := make([]*lake.Lake, n)
-	for i, s := range locals {
-		lakes[i] = s.Lake()
-	}
-	inf := core.IDFInformativenessOver(lakes)
+	inf := core.IDFInformativeness(fullLake(g, tables))
 	tj := core.NewTypeJaccard(g)
 	for _, s := range locals {
 		eng := core.NewEngine(s.Lake(), tj)
@@ -85,29 +99,71 @@ func searchers(locals []*Local) []Searcher {
 	return out
 }
 
+// assertCoordinatorMatches compares the coordinator's ranking of every
+// query with the direct one, IDs and scores bit for bit.
+func assertCoordinatorMatches(t *testing.T, label string, coord *Coordinator, queries []core.Query, direct func(core.Query) []core.Result) {
+	t.Helper()
+	for qi, q := range queries {
+		want := direct(q)
+		got, stats := coord.Search(context.Background(), q, 4)
+		if len(got) != len(want) {
+			t.Fatalf("%s q%d: %d results, want %d", label, qi, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
+				t.Fatalf("%s q%d rank %d: got %+v, want %+v", label, qi, i, got[i], want[i])
+			}
+		}
+		if stats.Truncated {
+			t.Fatalf("%s q%d: unexpected truncation", label, qi)
+		}
+	}
+}
+
+// TestCoordinatorMatchesDirectFullScan: N hand-assembled Locals merged by a
+// Coordinator rank like one engine over the full lake — brute force, and
+// with every Local's LSEI built under the full corpus's frequent-type
+// filter against one index over the full lake. In the fixture only p0 and
+// c0 keep a type past the filter, so queries 1 and 3 find no candidate on
+// any leg and must rescatter as a full scan, as the full-lake search falls
+// back to one.
 func TestCoordinatorMatchesDirectFullScan(t *testing.T) {
 	g, tables, queries := fixture(t)
-	all := lake.New(g)
-	for _, tb := range tables {
-		all.Add(tb)
+	all := fullLake(g, tables)
+	tj := core.NewTypeJaccard(g)
+	direct := core.NewEngine(all, tj)
+	cfg := core.DefaultLSEIConfig()
+	fullIndex := core.BuildTypeLSEI(all, tj, cfg)
+	filter := core.FrequentTypesOver(all, tj, cfg.FrequentTypeThreshold)
+	for qi, q := range queries {
+		c := fullIndex.CandidatesTracedContext(context.Background(), q, 1, nil)
+		if empty := qi == 1 || qi == 3; empty != (len(c) == 0) {
+			t.Fatalf("q%d: the fixture's filter leaves candidates %v", qi, c)
+		}
 	}
-	direct := core.NewEngine(all, core.NewTypeJaccard(g))
 
 	for _, n := range []int{1, 2, 3} {
-		coord := NewCoordinator(searchers(buildLocals(g, tables, n))...)
-		for qi, q := range queries {
-			want, _ := direct.SearchContext(context.Background(), q, 4)
-			got, stats := coord.Search(context.Background(), q, 4)
-			if len(got) != len(want) {
-				t.Fatalf("shards=%d q%d: %d results, want %d", n, qi, len(got), len(want))
+		locals := buildLocals(g, tables, n)
+		coord := NewCoordinator(searchers(locals)...)
+		assertCoordinatorMatches(t, fmt.Sprintf("shards=%d", n), coord, queries, func(q core.Query) []core.Result {
+			res, _ := direct.SearchContext(context.Background(), q, 4)
+			return res
+		})
+
+		for _, s := range locals {
+			s.SetIndex(core.BuildTypeLSEIFiltered(s.Lake(), tj, cfg, filter))
+		}
+		for votes := 1; votes <= 3; votes++ {
+			for _, s := range locals {
+				s.SetVotes(votes)
 			}
-			for i := range want {
-				if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
-					t.Fatalf("shards=%d q%d rank %d: got %+v, want %+v", n, qi, i, got[i], want[i])
-				}
-			}
-			if stats.Truncated {
-				t.Fatalf("shards=%d q%d: unexpected truncation", n, qi)
+			rescatters := obs.ShardRescattersTotal().Value()
+			assertCoordinatorMatches(t, fmt.Sprintf("shards=%d/lsei/votes=%d", n, votes), coord, queries, func(q core.Query) []core.Result {
+				res, _ := core.SearchWithIndex(context.Background(), direct, fullIndex, votes, q, 4, core.FallbackFullScan)
+				return res
+			})
+			if got := obs.ShardRescattersTotal().Value() - rescatters; got < 2 {
+				t.Fatalf("shards=%d votes=%d: %d rescatters, want one for each of queries 1 and 3", n, votes, got)
 			}
 		}
 	}

@@ -3,15 +3,14 @@
 // delta log that lets a restart replay base snapshot + deltas. The design
 // and its rebuild-equivalence invariant — after any mutation sequence,
 // search results are bit-identical to a from-scratch build over the final
-// corpus, at every shard count — are documented in docs/LIVE_INDEX.md and
-// checked by live_test.go.
+// corpus — are documented in docs/LIVE_INDEX.md and checked by
+// live_test.go.
 package thetis
 
 import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 
@@ -40,9 +39,8 @@ const (
 	deltaOpRemove = byte(2) // payload: global table ID as little-endian uint32
 )
 
-// AddTable ingests a table (annotations included): the partitioner picks
-// its shard, and the returned global ID is assigned in ingestion order, the
-// same at every shard count. Tables must be fully annotated before
+// AddTable ingests a table (annotations included) and returns its ID,
+// assigned in ingestion order. Tables must be fully annotated before
 // ingestion; use LinkTable first when links come from a Linker.
 //
 // Ingestion is incremental: tables added after BuildIndex or
@@ -88,12 +86,11 @@ func (s *System) AddTableJSON(data []byte) (TableID, error) {
 }
 
 // RemoveTable removes a table from the corpus and from every live index:
-// its LSH signatures leave its shard's LSEI buckets, the shared
-// frequent-type filter is re-balanced (re-signing whatever the departure
-// flips, on every shard), its BM25 postings disappear, and its memoized
-// column index is dropped. The ID is tombstoned, never reused; Table(id)
-// returns nil afterwards. Removal may run concurrently with searches; it
-// blocks them briefly.
+// its LSH signatures leave the LSEI buckets, the frequent-type filter is
+// re-balanced (re-signing whatever the departure flips), its BM25 postings
+// disappear, and its memoized column index is dropped. The ID is
+// tombstoned, never reused; Table(id) returns nil afterwards. Removal may
+// run concurrently with searches; it blocks them briefly.
 func (s *System) RemoveTable(id TableID) error {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
@@ -102,7 +99,7 @@ func (s *System) RemoveTable(id TableID) error {
 	if s.remotes != nil {
 		return ErrReadOnly
 	}
-	if s.tableLocked(id) == nil {
+	if s.lake.Table(id) == nil {
 		return ErrNoSuchTable
 	}
 	var p [4]byte
@@ -117,18 +114,21 @@ func (s *System) RemoveTable(id TableID) error {
 // unchanged). Memoized state is validated against it.
 func (s *System) IndexEpoch() uint64 { return s.epoch.Load() }
 
-// Compact rebuilds every shard's LSEI (and the shared frequent-type filter
-// state) from the live corpus and hot-swaps them in shard by shard,
+// Compact rebuilds the LSEI from the live corpus and hot-swaps it in,
 // shedding tombstoned column slots and emptied buckets accumulated by
-// removals. Searches keep flowing against the old indexes during the
-// rebuild; the corpus epoch is unchanged. A no-op when no index is active.
+// removals. The rebuild runs under the frequent-type filter in force and
+// never recomputes it: a filter the system maintains already equals the
+// one the live corpus implies, and one a coordinator shipped
+// (ApplyShardArtifacts) must survive. Searches keep flowing against the
+// old index during the rebuild; the corpus epoch is unchanged. A no-op
+// when no index is active.
 func (s *System) Compact() {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	if !s.hasAnyIndex() {
+	if !s.HasIndex() {
 		return
 	}
-	s.rebuildIndexesLocked(s.indexCfg)
+	s.buildIndexLocked()
 	mCompactions.Inc()
 }
 
@@ -155,47 +155,37 @@ func (s *System) GraphCounts() GraphCounts {
 }
 
 // addTableLocked applies one table addition to every live structure. The
-// shared frequent-type filter is re-balanced BEFORE the table joins its
-// shard, so the new table's signatures are computed under the filter that
-// now includes it — the order a from-scratch rebuild implies. Caller holds
+// frequent-type filter is re-balanced BEFORE the table joins the lake, so
+// the new table's signatures are computed under the filter that now
+// includes it — the order a from-scratch rebuild implies. Caller holds
 // maintMu and mu.
 func (s *System) addTableLocked(t *Table) TableID {
-	si := s.part.Assign(t)
-	if si < 0 || si >= len(s.shards) {
-		panic(fmt.Sprintf("thetis: partitioner assigned shard %d outside [0, %d)", si, len(s.shards)))
-	}
 	if s.filterState != nil {
-		s.filterState.AddTable(t, s.liveIndexes()...)
+		s.filterState.AddTable(t, s.local.Index())
 	}
-	global := TableID(len(s.owner))
-	local := s.shards[si].Add(t, global)
-	s.owner = append(s.owner, shardLoc{shard: int32(si), local: local})
-	s.live++
+	id := s.local.Add(t, TableID(s.lake.NumSlots()))
 	if s.keyword != nil {
-		s.keyword.Add(int32(global), bm25.TableText(t))
+		s.keyword.Add(int32(id), bm25.TableText(t))
 		s.keyword.Finish()
 	}
 	mDeltaAdds.Inc()
 	s.noteEpochLocked()
-	return global
+	return id
 }
 
 // removeTableLocked applies one table removal to every live structure. The
-// owning shard's LSEI sheds the table's signatures while the filter still
-// matches them; the filter re-balances AFTER. Caller holds maintMu and mu
-// and has verified the table is live.
+// LSEI sheds the table's signatures while the filter still matches them;
+// the filter re-balances AFTER. Caller holds maintMu and mu and has
+// verified the table is live.
 func (s *System) removeTableLocked(id TableID) {
-	loc := s.owner[int(id)]
-	t := s.shards[loc.shard].Remove(loc.local)
+	t := s.local.Remove(id)
 	if s.filterState != nil {
-		s.filterState.RemoveTable(t, s.liveIndexes()...)
+		s.filterState.RemoveTable(t, s.local.Index())
 	}
 	if s.keyword != nil {
 		s.keyword.Remove(int32(id))
 		s.keyword.Finish()
 	}
-	s.owner[int(id)] = shardLoc{shard: -1}
-	s.live--
 	mDeltaRemoves.Inc()
 	s.noteEpochLocked()
 }
@@ -203,7 +193,7 @@ func (s *System) removeTableLocked(id TableID) {
 func (s *System) noteEpochLocked() {
 	epoch := s.epoch.Add(1)
 	mIndexEpoch.Set(float64(epoch))
-	mTombstones.Set(float64(len(s.owner) - s.live))
+	mTombstones.Set(float64(s.lake.NumSlots() - s.lake.NumTables()))
 }
 
 // logAddLocked write-ahead-logs one addition when a delta log is attached.
@@ -260,17 +250,15 @@ func (s *System) failDeltaLog(err error) {
 // AttachDeltaLog binds path as the system's write-ahead mutation log.
 //
 // A missing or empty file starts a fresh log whose header records the
-// current global table-slot count as the base, and every subsequent
+// current table-slot count as the base, and every subsequent
 // AddTable/AddTableJSON/RemoveTable appends one fsynced record. An existing
 // log is validated against the loaded base corpus (slot-count mismatch is
 // corruption), its records are replayed through the normal mutation path —
 // reproducing exactly the index state the previous process reached — and
 // appending resumes at the next sequence number.
 //
-// The log records global-ID mutations in order and replay routes each
-// addition through the partitioner again, so it covers every shard count:
-// both built-in partitioners place deterministically for a given ingestion
-// sequence, and the restarted process must use the same one.
+// The log records table-ID mutations in order, and an addition replays to
+// the next ID exactly as it was first assigned.
 //
 // Any damage — flipped bytes, truncation mid-record, reordered or
 // duplicated records, a remove of a dead ID — surfaces as
@@ -307,7 +295,7 @@ func (s *System) openDeltaWriter(f *os.File) (*atomicio.DeltaWriter, error) {
 		return nil, err
 	}
 	if st.Size() == 0 {
-		w, err := atomicio.NewDeltaWriter(f, uint64(len(s.owner)))
+		w, err := atomicio.NewDeltaWriter(f, uint64(s.lake.NumSlots()))
 		if err != nil {
 			return nil, err
 		}
@@ -331,7 +319,7 @@ func (s *System) replayDeltas(r io.Reader) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if got, want := dr.BaseTables(), uint64(len(s.owner)); got != want {
+	if got, want := dr.BaseTables(), uint64(s.lake.NumSlots()); got != want {
 		return 0, atomicio.Corruptf(
 			"delta log expects a base of %d table slots, corpus has %d (wrong base snapshot?)", got, want)
 	}
@@ -365,7 +353,7 @@ func (s *System) applyDeltaLocked(op byte, payload []byte) error {
 			return atomicio.Corruptf("delta remove: payload length %d, want 4", len(payload))
 		}
 		id := TableID(binary.LittleEndian.Uint32(payload))
-		if s.tableLocked(id) == nil {
+		if s.lake.Table(id) == nil {
 			return atomicio.Corruptf("delta remove: table %d is not live", id)
 		}
 		s.removeTableLocked(id)

@@ -6,9 +6,8 @@ package thetis
 // order — to a from-scratch build over the surviving corpus, assembled
 // straight from internal/core (internal/reference). The battery runs seeded
 // randomized mutation sequences across aggregations, score modes,
-// parallelism, vote thresholds, shard counts and partitioners, and both
-// similarity families, with and without LSH prefiltering, plus keyword and
-// hybrid search; a failing sequence is automatically shrunk to a minimal
+// parallelism, vote thresholds, and both similarity families, with and
+// without LSH prefiltering, plus keyword and hybrid search; a failing sequence is automatically shrunk to a minimal
 // reproducer. `make race` runs these under the race detector.
 
 import (
@@ -340,21 +339,9 @@ func TestLiveRebuildEquivalence(t *testing.T) {
 	}
 }
 
-func TestLiveRebuildEquivalenceSharded(t *testing.T) {
-	kgEnv, tables, queries := batteryEnv(t)
-	const baseN = 200
-	for i, ax := range shardAxes() {
-		mk := func() *System { return NewSharded(kgEnv.Graph, ax.part()) }
-		cfg := liveConfig{name: ax.name, agg: AggregateMax,
-			mode: ModeEntityWise, votes: 2, lsh: true, keyword: true, compactAfter: -1}
-		ops := genLiveOps(int64(100+i), 50, baseN, baseN, len(tables))
-		checkLive(t, cfg.name, mk, tables, queries, cfg, baseN, ops)
-	}
-}
-
 func TestLiveCompactionPreservesResults(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
-	mk := func() *System { return NewSharded(kgEnv.Graph, NewHashPartitioner(2)) }
+	mk := func() *System { return New(kgEnv.Graph) }
 	const baseN = 200
 	// Compact mid-sequence AND after the final op; results must still match
 	// the rebuild bit for bit (compaction rebuilds the same structures the
@@ -452,92 +439,84 @@ func TestLiveEpochSemantics(t *testing.T) {
 
 func TestLiveConcurrentSearchDuringMutation(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
-	systems := []struct {
-		name string
-		mk   func() *System
-	}{
-		{"shards1", func() *System { return New(kgEnv.Graph) }},
-		{"shards2", func() *System { return NewSharded(kgEnv.Graph, NewHashPartitioner(2)) }},
-	}
 	const baseN = 150
-	for _, sc := range systems {
-		t.Run(sc.name, func(t *testing.T) {
-			inc := sc.mk()
-			st := baseState(baseN, tables)
-			for _, tb := range st.tabs {
-				inc.AddTable(tb)
-			}
-			cfg := liveConfig{agg: AggregateMax, mode: ModeEntityWise,
-				votes: 2, lsh: true, keyword: true, compactAfter: -1}
-			configureLive(inc, cfg)
+	// A System serves its lake as one local shard.
+	t.Run("shards1", func(t *testing.T) {
+		inc := New(kgEnv.Graph)
+		st := baseState(baseN, tables)
+		for _, tb := range st.tabs {
+			inc.AddTable(tb)
+		}
+		cfg := liveConfig{agg: AggregateMax, mode: ModeEntityWise,
+			votes: 2, lsh: true, keyword: true, compactAfter: -1}
+		configureLive(inc, cfg)
 
-			done := make(chan struct{})
-			var scrapeErr atomic.Value
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(w)))
-					for {
-						select {
-						case <-done:
-							return
-						default:
-						}
-						q := queries[rng.Intn(len(queries))]
-						switch w % 4 {
-						case 0:
-							inc.SearchStats(q, 10)
-						case 1:
-							inc.KeywordSearch(liveKeywords, 10)
-						case 2:
-							inc.HybridSearch(q, liveKeywords, 10)
-						case 3:
-							inc.NumTables()
-							inc.IndexEpoch()
-							// A /metrics scrape reads every series the
-							// searches and mutations above are writing.
-							rec := httptest.NewRecorder()
-							obs.Default.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-							if rec.Code != 200 {
-								scrapeErr.Store(fmt.Errorf("metrics scrape status %d", rec.Code))
-							}
+		done := make(chan struct{})
+		var scrapeErr atomic.Value
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(w)))
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					q := queries[rng.Intn(len(queries))]
+					switch w % 4 {
+					case 0:
+						inc.SearchStats(q, 10)
+					case 1:
+						inc.KeywordSearch(liveKeywords, 10)
+					case 2:
+						inc.HybridSearch(q, liveKeywords, 10)
+					case 3:
+						inc.NumTables()
+						inc.IndexEpoch()
+						// A /metrics scrape reads every series the
+						// searches and mutations above are writing.
+						rec := httptest.NewRecorder()
+						obs.Default.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+						if rec.Code != 200 {
+							scrapeErr.Store(fmt.Errorf("metrics scrape status %d", rec.Code))
 						}
 					}
-				}(w)
-			}
-			ops := genLiveOps(99, 40, baseN, baseN, len(tables))
-			for i, op := range ops {
-				if err := st.apply(inc, op, tables); err != nil {
-					close(done)
-					wg.Wait()
-					t.Fatalf("op %d (%s): %v", i, op, err)
 				}
-				if i == len(ops)/2 {
-					inc.Compact() // hot-swap under live queries
-				}
+			}(w)
+		}
+		ops := genLiveOps(99, 40, baseN, baseN, len(tables))
+		for i, op := range ops {
+			if err := st.apply(inc, op, tables); err != nil {
+				close(done)
+				wg.Wait()
+				t.Fatalf("op %d (%s): %v", i, op, err)
 			}
-			close(done)
-			wg.Wait()
-			if err, _ := scrapeErr.Load().(error); err != nil {
-				t.Fatal(err)
+			if i == len(ops)/2 {
+				inc.Compact() // hot-swap under live queries
 			}
-			// After the dust settles the equivalence invariant still holds.
-			ref := buildLiveReference(st, cfg)
-			if err := assertLiveEquivalence(inc, ref, st, cfg, queries, 10); err != nil {
-				t.Fatalf("post-concurrency equivalence broken: %v", err)
-			}
-		})
-	}
+		}
+		close(done)
+		wg.Wait()
+		if err, _ := scrapeErr.Load().(error); err != nil {
+			t.Fatal(err)
+		}
+		// After the dust settles the equivalence invariant still holds.
+		ref := buildLiveReference(st, cfg)
+		if err := assertLiveEquivalence(inc, ref, st, cfg, queries, 10); err != nil {
+			t.Fatalf("post-concurrency equivalence broken: %v", err)
+		}
+	})
 }
 
-// newLiveBase builds a System of the given partitioning over the first baseN
-// battery tables with the default live configuration — the shared starting
-// point of the delta-log tests (a "base snapshot" both the original and the
-// restarted process load).
-func newLiveBase(baseN int, part Partitioner) (*System, *liveState) {
-	sys := NewSharded(batteryKG.Graph, part)
+// newLiveBase builds a System over the first baseN battery tables with the
+// default live configuration — the shared starting point of the delta-log
+// tests (a "base snapshot" both the original and the restarted process
+// load).
+func newLiveBase(baseN int) (*System, *liveState) {
+	sys := New(batteryKG.Graph)
 	st := baseState(baseN, batteryTables)
 	for _, tb := range st.tabs {
 		sys.AddTable(tb)
@@ -552,88 +531,80 @@ func newLiveBase(baseN int, part Partitioner) (*System, *liveState) {
 func TestLiveDeltaLogRestartReplay(t *testing.T) {
 	_, tables, queries := batteryEnv(t)
 	const baseN = 150
-	for _, row := range []struct {
-		name string
-		part func() Partitioner
-	}{
-		{"shards1", func() Partitioner { return NewHashPartitioner(1) }},
-		{"hash2", func() Partitioner { return NewHashPartitioner(2) }},
-		{"size2", func() Partitioner { return NewBalancedPartitioner(2) }},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "deltas.log")
+	// A System serves its lake as one local shard.
+	t.Run("shards1", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "deltas.log")
 
-			// Original process: base corpus, fresh log, live mutations.
-			orig, st := newLiveBase(baseN, row.part())
-			if err := orig.AttachDeltaLog(path); err != nil {
-				t.Fatalf("attach fresh log: %v", err)
+		// Original process: base corpus, fresh log, live mutations.
+		orig, st := newLiveBase(baseN)
+		if err := orig.AttachDeltaLog(path); err != nil {
+			t.Fatalf("attach fresh log: %v", err)
+		}
+		ops := genLiveOps(2025, 40, baseN, baseN, len(tables))
+		for i, op := range ops {
+			if err := st.apply(orig, op, tables); err != nil {
+				t.Fatalf("op %d (%s): %v", i, op, err)
 			}
-			ops := genLiveOps(2025, 40, baseN, baseN, len(tables))
-			for i, op := range ops {
-				if err := st.apply(orig, op, tables); err != nil {
-					t.Fatalf("op %d (%s): %v", i, op, err)
+		}
+		if err := orig.DeltaLogError(); err != nil {
+			t.Fatalf("delta log went sticky-bad during mutation: %v", err)
+		}
+		if err := orig.CloseDeltaLog(); err != nil {
+			t.Fatalf("close log: %v", err)
+		}
+
+		// Restarted process: same base corpus, replay
+		// the log into the live indexes. Every search modality must be
+		// bit-identical — to the original and to a from-scratch
+		// reference over the survivors.
+		restarted, _ := newLiveBase(baseN)
+		if err := restarted.AttachDeltaLog(path); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if got, want := restarted.NumTables(), orig.NumTables(); got != want {
+			t.Fatalf("replayed corpus has %d tables, original %d", got, want)
+		}
+		if got, want := restarted.IndexEpoch(), orig.IndexEpoch(); got != want {
+			t.Fatalf("replayed epoch %d, original %d", got, want)
+		}
+		for qi, q := range queries {
+			want, _ := orig.SearchStats(q, 10)
+			got, _ := restarted.SearchStats(q, 10)
+			if len(got) != len(want) {
+				t.Fatalf("q%d: replay returned %d results, original %d", qi, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
+					t.Fatalf("q%d rank %d: replay %+v, original %+v", qi, i, got[i], want[i])
 				}
 			}
-			if err := orig.DeltaLogError(); err != nil {
-				t.Fatalf("delta log went sticky-bad during mutation: %v", err)
-			}
-			if err := orig.CloseDeltaLog(); err != nil {
-				t.Fatalf("close log: %v", err)
-			}
+		}
+		cfg := liveConfig{agg: AggregateMax, mode: ModeEntityWise, votes: 2, lsh: true, keyword: true}
+		if err := assertLiveEquivalence(restarted, buildLiveReference(st, cfg), st, cfg, queries, 10); err != nil {
+			t.Fatalf("replayed system diverges from a from-scratch build: %v", err)
+		}
 
-			// Restarted process: same base corpus and partitioning, replay
-			// the log into the live indexes. Every search modality must be
-			// bit-identical — to the original and to a from-scratch
-			// reference over the survivors.
-			restarted, _ := newLiveBase(baseN, row.part())
-			if err := restarted.AttachDeltaLog(path); err != nil {
-				t.Fatalf("replay: %v", err)
-			}
-			if got, want := restarted.NumTables(), orig.NumTables(); got != want {
-				t.Fatalf("replayed corpus has %d tables, original %d", got, want)
-			}
-			if got, want := restarted.IndexEpoch(), orig.IndexEpoch(); got != want {
-				t.Fatalf("replayed epoch %d, original %d", got, want)
-			}
-			for qi, q := range queries {
-				want, _ := orig.SearchStats(q, 10)
-				got, _ := restarted.SearchStats(q, 10)
-				if len(got) != len(want) {
-					t.Fatalf("q%d: replay returned %d results, original %d", qi, len(got), len(want))
-				}
-				for i := range want {
-					if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
-						t.Fatalf("q%d rank %d: replay %+v, original %+v", qi, i, got[i], want[i])
-					}
-				}
-			}
-			cfg := liveConfig{agg: AggregateMax, mode: ModeEntityWise, votes: 2, lsh: true, keyword: true}
-			if err := assertLiveEquivalence(restarted, buildLiveReference(st, cfg), st, cfg, queries, 10); err != nil {
-				t.Fatalf("replayed system diverges from a from-scratch build: %v", err)
-			}
-
-			// The restarted process can keep mutating: appends resume at the
-			// next sequence number, and a third process replays the longer
-			// log.
-			extra := restarted.AddTable(tables[len(tables)-1])
-			if err := restarted.RemoveTable(extra); err != nil {
-				t.Fatalf("post-replay mutation: %v", err)
-			}
-			if err := restarted.DeltaLogError(); err != nil {
-				t.Fatalf("resumed log went sticky-bad: %v", err)
-			}
-			if err := restarted.CloseDeltaLog(); err != nil {
-				t.Fatalf("close resumed log: %v", err)
-			}
-			third, _ := newLiveBase(baseN, row.part())
-			if err := third.AttachDeltaLog(path); err != nil {
-				t.Fatalf("second replay: %v", err)
-			}
-			if got, want := third.NumTables(), restarted.NumTables(); got != want {
-				t.Fatalf("second replay has %d tables, want %d", got, want)
-			}
-		})
-	}
+		// The restarted process can keep mutating: appends resume at the
+		// next sequence number, and a third process replays the longer
+		// log.
+		extra := restarted.AddTable(tables[len(tables)-1])
+		if err := restarted.RemoveTable(extra); err != nil {
+			t.Fatalf("post-replay mutation: %v", err)
+		}
+		if err := restarted.DeltaLogError(); err != nil {
+			t.Fatalf("resumed log went sticky-bad: %v", err)
+		}
+		if err := restarted.CloseDeltaLog(); err != nil {
+			t.Fatalf("close resumed log: %v", err)
+		}
+		third, _ := newLiveBase(baseN)
+		if err := third.AttachDeltaLog(path); err != nil {
+			t.Fatalf("second replay: %v", err)
+		}
+		if got, want := third.NumTables(), restarted.NumTables(); got != want {
+			t.Fatalf("second replay has %d tables, want %d", got, want)
+		}
+	})
 }
 
 // TestFaultDeltaLogSyncFailureSurfaces: a failed fsync must not stay a
@@ -644,7 +615,7 @@ func TestLiveDeltaLogRestartReplay(t *testing.T) {
 // deltalog_readyz_test.go.)
 func TestFaultDeltaLogSyncFailureSurfaces(t *testing.T) {
 	_, tables, _ := batteryEnv(t)
-	sys, _ := newLiveBase(20, NewHashPartitioner(2))
+	sys, _ := newLiveBase(20)
 	if err := sys.AttachDeltaLog(filepath.Join(t.TempDir(), "deltas.log")); err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +653,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "deltas.log")
 
-	orig, st := newLiveBase(baseN, NewHashPartitioner(2))
+	orig, st := newLiveBase(baseN)
 	if err := orig.AttachDeltaLog(path); err != nil {
 		t.Fatalf("attach: %v", err)
 	}
@@ -706,7 +677,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		sys, _ := newLiveBase(baseTables, NewHashPartitioner(2))
+		sys, _ := newLiveBase(baseTables)
 		return sys.AttachDeltaLog(p)
 	}
 	mustCorrupt := func(t *testing.T, err error) {
@@ -751,7 +722,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 		// A structurally intact log whose remove targets an ID that is not
 		// live in THIS base (the operator paired the log with the wrong
 		// snapshot generation) must be refused as corruption.
-		src, _ := newLiveBase(baseN, NewHashPartitioner(2))
+		src, _ := newLiveBase(baseN)
 		p := filepath.Join(dir, "deadremove.log")
 		if err := src.AttachDeltaLog(p); err != nil {
 			t.Fatal(err)
@@ -762,7 +733,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 		if err := src.CloseDeltaLog(); err != nil {
 			t.Fatal(err)
 		}
-		victim, _ := newLiveBase(baseN, NewHashPartitioner(2))
+		victim, _ := newLiveBase(baseN)
 		if err := victim.RemoveTable(TableID(baseN - 1)); err != nil {
 			t.Fatal(err)
 		}
@@ -772,7 +743,7 @@ func TestLiveDeltaLogCorruption(t *testing.T) {
 
 func TestLiveDoubleAttachRefused(t *testing.T) {
 	batteryEnv(t)
-	sys, _ := newLiveBase(10, NewHashPartitioner(1))
+	sys, _ := newLiveBase(10)
 	dir := t.TempDir()
 	if err := sys.AttachDeltaLog(filepath.Join(dir, "a.log")); err != nil {
 		t.Fatal(err)

@@ -1,11 +1,12 @@
 package thetis
 
-// Shard-count invariance battery (docs/SHARDING.md): a System must rank
-// bit-for-bit like Algorithm 1 assembled straight from internal/core over
-// one lake (internal/reference) — same global table IDs, same scores, same
-// order — for every shard count, partitioning strategy, similarity,
+// Reference battery: a System must rank bit-for-bit like Algorithm 1
+// assembled straight from internal/core over one lake (internal/reference)
+// — same table IDs, same scores, same order — for every similarity,
 // aggregation, score mode, parallelism, and LSH setting. These tests are
-// the executable form of that contract.
+// the executable form of that contract; the remote battery
+// (internal/server/httpshard_battery_test.go) holds scatter-gather over
+// 1, 2 and 4 shard daemons to the same reference.
 
 import (
 	"context"
@@ -30,7 +31,7 @@ var (
 
 // batteryEnv generates a small synthetic corpus once: a typed KG, a few
 // hundred WT2015-profile tables (iterated in ingestion order so the
-// reference lake and every System assign identical global IDs), and mixed
+// reference lake and every System assign identical IDs), and mixed
 // 1-/5-tuple queries.
 func batteryEnv(t *testing.T) (*datagen.KG, []*Table, []Query) {
 	t.Helper()
@@ -53,24 +54,6 @@ func batteryEnv(t *testing.T) (*datagen.KG, []*Table, []Query) {
 	return batteryKG, batteryTables, batteryQueries
 }
 
-// shardAxis is the deployment axis every battery sweeps: shard counts
-// {1, 2, 4} under both partitioners. part makes a fresh partitioner per
-// system — the size-balanced one is stateful.
-type shardAxis struct {
-	name string
-	part func() Partitioner
-}
-
-func shardAxes() []shardAxis {
-	var out []shardAxis
-	for _, n := range []int{1, 2, 4} {
-		out = append(out,
-			shardAxis{fmt.Sprintf("hash%d", n), func() Partitioner { return NewHashPartitioner(n) }},
-			shardAxis{fmt.Sprintf("size%d", n), func() Partitioner { return NewBalancedPartitioner(n) }})
-	}
-	return out
-}
-
 // typeReference is the core-assembled reference over the given tables with
 // type similarity.
 func typeReference(t *testing.T, tables []*Table) *reference.Reference {
@@ -80,11 +63,11 @@ func typeReference(t *testing.T, tables []*Table) *reference.Reference {
 }
 
 // buildPair ingests the same table sequence into the core-assembled
-// reference and a System partitioned by part, both with type similarity.
-func buildPair(t *testing.T, part Partitioner) (*reference.Reference, *System) {
+// reference and a System, both with type similarity.
+func buildPair(t *testing.T) (*reference.Reference, *System) {
 	t.Helper()
 	kgEnv, tables, _ := batteryEnv(t)
-	ss := NewSharded(kgEnv.Graph, part)
+	ss := New(kgEnv.Graph)
 	for i, tb := range tables {
 		if got := ss.AddTable(tb); got != TableID(i) {
 			t.Fatalf("System assigned ID %d to table %d", got, i)
@@ -129,41 +112,36 @@ func TestShardCountInvarianceFullScan(t *testing.T) {
 		{"max-pairwise-par4", AggregateMax, ModePairwise, 4},
 		{"avg-pairwise-par1", AggregateAvg, ModePairwise, 1},
 	}
-	for _, ax := range shardAxes() {
-		ref, ss := buildPair(t, ax.part())
-		for _, cfg := range configs {
-			ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
-			ss.SetAggregation(cfg.agg)
-			ss.SetScoreMode(cfg.mode)
-			ss.SetParallelism(cfg.par)
-			label := ax.name + "/" + cfg.name
-			assertIdenticalRankings(t, label, ref, ss, queries, 10)
-			assertIdenticalRankings(t, label+"/all", ref, ss, queries[:2], -1)
-		}
+	ref, ss := buildPair(t)
+	for _, cfg := range configs {
+		ref.Engine.Agg, ref.Engine.Mode, ref.Engine.Parallelism = cfg.agg, cfg.mode, cfg.par
+		ss.SetAggregation(cfg.agg)
+		ss.SetScoreMode(cfg.mode)
+		ss.SetParallelism(cfg.par)
+		assertIdenticalRankings(t, cfg.name, ref, ss, queries, 10)
+		assertIdenticalRankings(t, cfg.name+"/all", ref, ss, queries[:2], -1)
 	}
 }
 
 func TestShardCountInvarianceWithLSH(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	for _, ax := range shardAxes() {
-		ref, ss := buildPair(t, ax.part())
-		cfg := DefaultIndexConfig()
-		ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, cfg)
-		ss.BuildIndex(cfg)
-		if !ss.HasIndex() {
-			t.Fatalf("%s: not every shard has an index", ax.name)
-		}
-		for _, votes := range []int{1, 2, 3} {
-			ref.Votes = votes
-			ss.SetVotes(votes)
-			assertIdenticalRankings(t, ax.name+"/lsh", ref, ss, queries, 10)
-		}
+	ref, ss := buildPair(t)
+	cfg := DefaultIndexConfig()
+	ref.Index = core.BuildTypeLSEI(ref.Lake, batteryTJ, cfg)
+	ss.BuildIndex(cfg)
+	if !ss.HasIndex() {
+		t.Fatal("BuildIndex left no index")
+	}
+	for _, votes := range []int{1, 2, 3} {
+		ref.Votes = votes
+		ss.SetVotes(votes)
+		assertIdenticalRankings(t, fmt.Sprintf("lsh/votes%d", votes), ref, ss, queries, 10)
 	}
 }
 
 func TestShardCountInvarianceEmbeddings(t *testing.T) {
 	kgEnv, tables, queries := batteryEnv(t)
-	_, ss := buildPair(t, NewHashPartitioner(3))
+	_, ss := buildPair(t)
 	store := ss.TrainEmbeddings(
 		WalkConfig{WalksPerEntity: 4, Length: 5, Undirected: true, Seed: 9},
 		TrainConfig{Dim: 16, Window: 3, Negatives: 3, Epochs: 2, LearningRate: 0.03, Seed: 9},
@@ -196,7 +174,7 @@ func assertSameIDs(t *testing.T, label string, want, got []TableID) {
 
 func TestShardedKeywordAndHybridMatchReference(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	ref, ss := buildPair(t, NewHashPartitioner(4))
+	ref, ss := buildPair(t)
 	ref.Keyword = bm25.IndexLake(ref.Lake)
 	ss.BuildKeywordIndex()
 	kw := "member domain city"
@@ -206,16 +184,16 @@ func TestShardedKeywordAndHybridMatchReference(t *testing.T) {
 
 func TestShardedIncrementalIngestionKeepsInvariance(t *testing.T) {
 	_, tables, queries := batteryEnv(t)
-	_, ss := buildPair(t, NewHashPartitioner(3))
+	_, ss := buildPair(t)
 	cfg := DefaultIndexConfig()
 	ss.BuildIndex(cfg)
-	// Re-ingest a few tables under fresh IDs after the indexes were built:
+	// Re-ingest a few tables under fresh IDs after the index was built:
 	// the system must extend incrementally and rank like a from-scratch
 	// reference over the longer sequence.
 	all := append(append([]*Table(nil), tables...), tables[:5]...)
 	for i, tb := range tables[:5] {
 		if got, want := ss.AddTable(tb), TableID(len(tables)+i); got != want {
-			t.Fatalf("post-index global ID %d, want %d", got, want)
+			t.Fatalf("post-index ID %d, want %d", got, want)
 		}
 	}
 	ref := typeReference(t, all)
@@ -344,33 +322,21 @@ func TestCoordinatorCrossShardTiesStableUnderShardOrder(t *testing.T) {
 
 func TestShardedSearchContextCancellation(t *testing.T) {
 	_, _, queries := batteryEnv(t)
-	_, ss := buildPair(t, NewHashPartitioner(2))
+	_, ss := buildPair(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, stats := ss.SearchStatsContext(ctx, queries[1], 10)
 	if !stats.Truncated {
-		t.Fatal("cancelled sharded search must report truncation")
+		t.Fatal("cancelled search must report truncation")
 	}
 }
 
 func TestShardedStatsMatchReference(t *testing.T) {
-	ref, ss := buildPair(t, NewBalancedPartitioner(4))
-	a, b := ref.Lake.ComputeStats(), ss.Stats()
-	if a.Tables != b.Tables || a.DistinctEntities != b.DistinctEntities {
-		t.Fatalf("aggregate stats diverge: %+v vs %+v", a, b)
+	ref, ss := buildPair(t)
+	if a, b := ref.Lake.ComputeStats(), ss.Stats(); a != b {
+		t.Fatalf("stats diverge: reference %+v, system %+v", a, b)
 	}
-	const eps = 1e-9
-	if diff := a.MeanRows - b.MeanRows; diff > eps || diff < -eps {
-		t.Fatalf("mean rows diverge: %v vs %v", a.MeanRows, b.MeanRows)
-	}
-	if diff := a.MeanColumns - b.MeanColumns; diff > eps || diff < -eps {
-		t.Fatalf("mean columns diverge: %v vs %v", a.MeanColumns, b.MeanColumns)
-	}
-	total := 0
-	for i := 0; i < ss.NumShards(); i++ {
-		total += ss.ShardNumTables(i)
-	}
-	if total != ss.NumTables() {
-		t.Fatalf("shards own %d tables, system reports %d", total, ss.NumTables())
+	if got, want := ss.NumTables(), ref.Lake.NumTables(); got != want {
+		t.Fatalf("NumTables = %d, reference %d", got, want)
 	}
 }

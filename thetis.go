@@ -162,53 +162,44 @@ func DefaultWalkConfig() WalkConfig { return embedding.DefaultWalkConfig() }
 func DefaultTrainConfig() TrainConfig { return embedding.DefaultTrainConfig() }
 
 // System is a semantic data lake with its search machinery: the KG, the
-// table corpus partitioned into one or more in-process shards, an entity
-// similarity, optional LSH prefiltering indexes, and a BM25 keyword index
-// for hybrid search. Ingest tables first, then choose a similarity, then
-// search. New builds the one-shard system; NewSharded partitions the corpus
-// (docs/SHARDING.md). Every search is a scatter over the shards merged by
-// one Coordinator, and one shard is simply the smallest scatter — rankings
-// are bit-identical at every shard count.
+// table corpus in one lake, an entity similarity, an optional LSH
+// prefiltering index, and a BM25 keyword index for hybrid search. Ingest
+// tables first, then choose a similarity, then search. A table's ID is its
+// lake ID, assigned in ingestion order and never reused.
 //
-// What stays global: table IDs (assigned in ingestion order), IDF
-// informativeness weights, the LSEI frequent-type filter, the BM25 keyword
-// index, the mutation epoch and delta log, and the full-scan fallback
-// decision. What each shard owns: its slice of the tables, its LSEI and LSH
-// buckets, its column-index memos, and its query-scoped σ caches.
+// Every search runs through one Coordinator: over the local lake, or — in
+// coordinator mode (UseRemoteShards) — over remote shard daemons, each
+// serving its hash-assigned slice of the corpus (docs/SHARDING.md). Either
+// way the rankings are bit-identical.
 //
 // Once configured, a System is safe for concurrent searches AND concurrent
 // mutations (AddTable/AddTableJSON/RemoveTable, docs/LIVE_INDEX.md): search
 // paths hold a read lock for their full duration, mutations a brief write
-// lock, so every search observes the corpus, the LSEIs, the frequent-type
-// filter, and the keyword index at one consistent epoch. The locking is
-// system-wide, not per shard, because scoring on one shard reads global
-// structures. Configuration calls (similarity selection, embedding
-// training) remain setup-time and must not race with serving.
+// lock, so every search observes the corpus, the LSEI, the frequent-type
+// filter, and the keyword index at one consistent epoch. Configuration
+// calls (similarity selection, embedding training) remain setup-time and
+// must not race with serving.
 type System struct {
 	graph *Graph
-	part  Partitioner
 
-	// shards are the in-process partitions and lakes their sub-lakes, in
-	// shard order; owner locates every global table ID. coord scatters over
-	// the shards — or, in coordinator mode (UseRemoteShards), over remotes.
-	shards  []*shard.Local
-	lakes   []*lake.Lake
-	owner   []shardLoc
-	live    int // owner slots not tombstoned
+	// local holds the lake with its engine and LSEI. coord scatters over
+	// local — or, in coordinator mode (UseRemoteShards), over remotes.
+	local   *shard.Local
+	lake    *lake.Lake
 	coord   *Coordinator
 	remotes []*RemoteShard
 
-	// tj or ec is the σ every shard engine scores with: installEngines
-	// records the chosen one and nils the other, so exactly one is set once
-	// a similarity is selected.
+	// tj or ec is the σ the engine scores with: installEngine records the
+	// chosen one and nils the other, so exactly one is set once a
+	// similarity is selected.
 	tj    *core.TypeJaccard
 	ec    *core.EmbeddingCosine
 	store *embedding.Store
 
-	// indexCfg and typeFilter are what every shard's LSEI is built with
-	// (PrepareIndex); filterState keeps the filter — and through it every
-	// shard's signatures — current under mutation (nil for embedding
-	// indexes, frozen shipped filters, or when no index is prepared).
+	// indexCfg and typeFilter are what the LSEI is built with (BuildIndex,
+	// LoadIndex, ApplyShardArtifacts); filterState keeps the filter — and
+	// through it the LSEI's signatures — current under mutation (nil for
+	// embedding indexes, frozen shipped filters, or when no index is built).
 	// Guarded by maintMu for structure, mu for the shared filter map.
 	indexCfg    IndexConfig
 	typeFilter  map[kg.TypeID]bool
@@ -217,8 +208,8 @@ type System struct {
 	keyword *bm25.Index
 
 	// mu is the serving lock: searches (and other corpus reads) hold RLock
-	// for their full duration, mutations hold Lock while they patch a shard,
-	// the filter, and the keyword index together.
+	// for their full duration, mutations hold Lock while they patch the
+	// lake, the LSEI, the filter, and the keyword index together.
 	mu sync.RWMutex
 	// maintMu serializes maintenance against mutations: AddTable/
 	// RemoveTable, index builds and loads, Compact, and AttachDeltaLog all
@@ -237,9 +228,11 @@ type System struct {
 	deltaErr atomic.Pointer[error]
 }
 
-// New creates an empty semantic data lake over the knowledge graph g, held
-// in one shard.
-func New(g *Graph) *System { return NewSharded(g, NewHashPartitioner(1)) }
+// New creates an empty semantic data lake over the knowledge graph g.
+func New(g *Graph) *System {
+	local := shard.NewLocal(0, g)
+	return &System{graph: g, local: local, lake: local.Lake(), coord: NewCoordinator(local)}
+}
 
 // Graph returns the underlying knowledge graph.
 func (s *System) Graph() *Graph { return s.graph }
@@ -248,26 +241,15 @@ func (s *System) Graph() *Graph { return s.graph }
 func (s *System) NumTables() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.live
+	return s.lake.NumTables()
 }
 
-// Table returns an ingested table by its global ID, or nil when the ID was
-// never assigned or the table has been removed.
+// Table returns an ingested table by its ID, or nil when the ID was never
+// assigned or the table has been removed.
 func (s *System) Table(id TableID) *Table {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tableLocked(id)
-}
-
-func (s *System) tableLocked(id TableID) *Table {
-	if id < 0 || int(id) >= len(s.owner) {
-		return nil
-	}
-	loc := s.owner[int(id)]
-	if loc.shard < 0 {
-		return nil
-	}
-	return s.lakes[loc.shard].Table(loc.local)
+	return s.lake.Table(id)
 }
 
 // IngestOptions configures IngestCorpus. The zero value is strict
@@ -325,7 +307,7 @@ func (s *System) IngestCorpus(r io.Reader, opts IngestOptions) (int, error) {
 // it after ingesting tables that mention newly added KG entities, or after
 // large ingestion batches to refresh corpus-frequency weights.
 func (s *System) Refresh() {
-	rebuildIndex := s.hasAnyIndex()
+	rebuildIndex := s.HasIndex()
 	switch {
 	case s.ec != nil:
 		s.UseEmbeddingSimilarity()
@@ -345,7 +327,6 @@ func LinkTable(t *Table, l Linker) int { return linking.LinkTable(t, l) }
 
 // TrainEmbeddings generates random walks over the KG and trains skip-gram
 // entity embeddings (the RDF2Vec substitute), storing them on the system.
-// Embeddings are a graph property, shared by every shard.
 func (s *System) TrainEmbeddings(w WalkConfig, t TrainConfig) *EmbeddingStore {
 	s.store = embedding.TrainGraph(s.graph, w, t)
 	return s.store
@@ -372,27 +353,21 @@ func (s *System) LoadEmbeddings(r io.Reader) error {
 	return nil
 }
 
-// installEngines records sim as the system's σ and gives every shard a
-// fresh engine over it with GLOBAL informativeness weights — the first of
-// the three globals that keep rankings independent of the shard count. It is
-// the one place that resets what is derived from σ: each shard's index
-// (signatures depend on the similarity) and the frequent-type filter.
-func (s *System) installEngines(sim Similarity) {
+// installEngine records sim as the system's σ and gives the lake a fresh
+// engine over it, weighing entities by IDF over the lake. It is the one
+// place that resets what is derived from σ: the index (signatures depend
+// on the similarity) and the frequent-type filter.
+func (s *System) installEngine(sim Similarity) {
 	s.tj, _ = sim.(*core.TypeJaccard)
 	s.ec, _ = sim.(*core.EmbeddingCosine)
-	inf := core.IDFInformativenessOver(s.lakes)
-	for _, sh := range s.shards {
-		eng := core.NewEngine(sh.Lake(), sim)
-		eng.Inf = inf
-		sh.SetEngine(eng)
-	}
+	s.local.SetEngine(core.NewEngine(s.lake, sim))
 	s.typeFilter, s.filterState = nil, nil
 }
 
 // UseTypeSimilarity configures σ as the adjusted Jaccard of taxonomy-
 // expanded entity type sets (Equation 4; the paper's STST).
 func (s *System) UseTypeSimilarity() {
-	s.installEngines(core.NewTypeJaccard(s.graph))
+	s.installEngine(core.NewTypeJaccard(s.graph))
 }
 
 // UseEmbeddingSimilarity configures σ as the clamped cosine of entity
@@ -402,38 +377,33 @@ func (s *System) UseEmbeddingSimilarity() {
 	if s.store == nil {
 		panic("thetis: UseEmbeddingSimilarity before TrainEmbeddings/SetEmbeddings")
 	}
-	s.installEngines(core.NewEmbeddingCosine(s.graph, s.store))
-}
-
-// eachEngine applies a knob to every shard's engine.
-func (s *System) eachEngine(set func(*core.Engine)) {
-	s.mustEngine()
-	for _, sh := range s.shards {
-		set(sh.Engine())
-	}
+	s.installEngine(core.NewEmbeddingCosine(s.graph, s.store))
 }
 
 // SetAggregation switches between MAX (default, recommended) and AVG
 // row-score aggregation.
 func (s *System) SetAggregation(a Aggregation) {
-	s.eachEngine(func(e *core.Engine) { e.Agg = a })
+	s.mustEngine()
+	s.engine().Agg = a
 }
 
 // SetScoreMode switches between entity-wise (default) and pairwise SemRel.
 func (s *System) SetScoreMode(m ScoreMode) {
-	s.eachEngine(func(e *core.Engine) { e.Mode = m })
+	s.mustEngine()
+	s.engine().Mode = m
 }
 
 // SetMapping switches the query-to-column assignment algorithm.
 func (s *System) SetMapping(m MappingMethod) {
-	s.eachEngine(func(e *core.Engine) { e.Mapping = m })
+	s.mustEngine()
+	s.engine().Mapping = m
 }
 
-// SetParallelism bounds the scoring worker count per shard per search
-// (0 = one worker per CPU, in every shard at once — fine for throughput,
-// see docs/SHARDING.md for latency tuning).
+// SetParallelism bounds the scoring worker count per search (0 = one
+// worker per CPU).
 func (s *System) SetParallelism(p int) {
-	s.eachEngine(func(e *core.Engine) { e.Parallelism = p })
+	s.mustEngine()
+	s.engine().Parallelism = p
 }
 
 // thresholdOf resolves the effective frequent-type threshold of a config
@@ -447,25 +417,55 @@ func thresholdOf(cfg IndexConfig) float64 {
 
 // SetVotes sets the LSEI vote threshold used by Search (1 disables voting;
 // the paper finds 3 faster at equal quality). Votes threshold per-entity
-// collision counts within one shard, and a table's collisions all come from
-// its own shard, so the threshold needs no rescaling across shard counts.
-func (s *System) SetVotes(v int) {
-	for _, sh := range s.shards {
-		sh.SetVotes(v)
+// collision counts, and a table's collisions all come from the shard that
+// holds it, so a remote shard daemon takes the same threshold.
+func (s *System) SetVotes(v int) { s.local.SetVotes(v) }
+
+// BuildIndex builds the LSH prefiltering index (LSEI) for the currently
+// selected similarity, synchronously: with type similarity under a fresh
+// frequent-type filter that AddTable/RemoveTable then keep current.
+//
+// The index is built aside and installed atomically, so BuildIndex may run
+// concurrently with searches (which serve brute force until the swap). It
+// serializes against ingestion via the maintenance lock; similarity
+// changes remain setup-time. The daemon runs it in the background
+// (server.ActivateIndex).
+func (s *System) BuildIndex(cfg IndexConfig) {
+	s.mustEngine()
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	cfg.FrequentTypeThreshold = thresholdOf(cfg)
+	s.indexCfg = cfg
+	s.typeFilter, s.filterState = nil, nil
+	if !s.embeddingSim() {
+		s.filterState = core.NewTypeFilterState(s.lake, s.tj, cfg.FrequentTypeThreshold)
+		s.typeFilter = s.filterState.Filter()
 	}
+	s.buildIndexLocked()
 }
 
-var errSnapshotOneShard = errors.New("thetis: index snapshots cover exactly one shard")
+// buildIndexLocked builds and hot-swaps the LSEI under the configuration
+// and frequent-type filter in force. Caller holds maintMu.
+func (s *System) buildIndexLocked() {
+	var ix *core.LSEI
+	if s.embeddingSim() {
+		ix = core.BuildEmbeddingLSEI(s.lake, s.ec, s.store.Dim(), s.indexCfg)
+	} else {
+		ix = core.BuildTypeLSEIFiltered(s.lake, s.tj, s.indexCfg, s.typeFilter)
+	}
+	s.local.SetIndex(ix)
+	obs.ShardIndexItems(nil, "0").Set(float64(ix.NumItems()))
+}
+
+// HasIndex reports whether an LSEI is active.
+func (s *System) HasIndex() bool { return s.local.Index() != nil }
 
 // SaveIndex serializes the built LSEI so a later process can LoadIndex
-// instead of re-hashing the corpus. Snapshots cover one shard.
+// instead of re-hashing the corpus.
 func (s *System) SaveIndex(w io.Writer) error {
-	if len(s.shards) != 1 {
-		return errSnapshotOneShard
-	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ix := s.shards[0].Index()
+	ix := s.local.Index()
 	if ix == nil {
 		return errors.New("thetis: no index built")
 	}
@@ -480,30 +480,26 @@ func (s *System) SaveIndex(w io.Writer) error {
 // the previously active index (if any) in place.
 func (s *System) LoadIndex(r io.Reader) error {
 	s.mustEngine()
-	if len(s.shards) != 1 {
-		return errSnapshotOneShard
-	}
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
-	sh := s.shards[0]
 	if s.embeddingSim() {
-		x, err := core.LoadEmbeddingLSEI(sh.Lake(), s.ec, r)
+		x, err := core.LoadEmbeddingLSEI(s.lake, s.ec, r)
 		if err != nil {
 			return err
 		}
 		s.indexCfg, s.typeFilter, s.filterState = x.Config(), nil, nil
-		sh.SetIndex(x)
+		s.local.SetIndex(x)
 		return nil
 	}
-	x, err := core.LoadTypeLSEI(sh.Lake(), s.tj, r)
+	x, err := core.LoadTypeLSEI(s.lake, s.tj, r)
 	if err != nil {
 		return err
 	}
 	// Adopt the snapshot's filter map as live mutation state so later
 	// AddTable/RemoveTable keep filter and signatures in lockstep.
 	s.indexCfg, s.typeFilter = x.Config(), x.TypeFilter()
-	s.filterState = core.ResumeTypeFilterState(x.TypeFilter(), s.lakes, s.tj, thresholdOf(x.Config()), x)
-	sh.SetIndex(x)
+	s.filterState = core.ResumeTypeFilterState(x.TypeFilter(), s.lake, s.tj, thresholdOf(x.Config()), x)
+	s.local.SetIndex(x)
 	return nil
 }
 
@@ -524,25 +520,26 @@ func (s *System) SearchContext(ctx context.Context, q Query, k int) []Result {
 	return res
 }
 
-// SearchStats is Search returning aggregated statistics as well: per-shard
-// counters sum, Truncated ORs across shards, TotalTime is the slowest
-// shard's engine time (the quantity of the paper's Table 3), and the Trace
-// carries every shard's scatter leg and stages labeled with its shard —
-// probe and vote when an index is built, then mapping/score/rank — plus the
-// coordinator's merge stage; Trace.Total spans everything.
+// SearchStats is Search returning statistics as well: TotalTime is the
+// engine time (the quantity of the paper's Table 3; over remote shards the
+// slowest leg's), and the Trace carries the scatter leg and its stages
+// labeled with its shard ("0") — probe and vote when an index is built,
+// then mapping/score/rank — plus the coordinator's merge stage;
+// Trace.Total spans everything. In coordinator mode the per-leg counters
+// sum and Truncated ORs across the remote legs.
 //
-// When the prefilter yields no candidates on any shard (e.g. every query
-// entity's types were dropped by the frequent-type filter), the search
-// rescatters as a full scan rather than silently returning nothing.
+// When the prefilter yields no candidates (e.g. every query entity's types
+// were dropped by the frequent-type filter), the search rescatters as a
+// full scan rather than silently returning nothing.
 func (s *System) SearchStats(q Query, k int) ([]Result, SearchStats) {
 	return s.SearchStatsContext(context.Background(), q, k)
 }
 
 // SearchStatsContext is SearchStats honoring cancellation and deadlines.
-// Every scatter leg shares ctx; when it dies mid-search the results are a
-// best-effort, correctly ranked subset and Stats.Truncated is set —
-// graceful degradation, not an error. In coordinator mode failed remote
-// legs additionally surface in Stats.ShardErrors.
+// When ctx dies mid-search the results are a best-effort, correctly ranked
+// subset and Stats.Truncated is set — graceful degradation, not an error.
+// In coordinator mode failed remote legs additionally surface in
+// Stats.ShardErrors.
 func (s *System) SearchStatsContext(ctx context.Context, q Query, k int) ([]Result, SearchStats) {
 	s.mustEngine()
 	s.mu.RLock()
@@ -567,9 +564,9 @@ func (s *System) BuildKeywordIndex() {
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
 	kw := bm25.NewIndex()
-	for gid := range s.owner {
-		if t := s.tableLocked(TableID(gid)); t != nil {
-			kw.Add(int32(gid), bm25.TableText(t))
+	for id, t := range s.lake.Tables() {
+		if t != nil {
+			kw.Add(int32(id), bm25.TableText(t))
 		}
 	}
 	kw.Finish()
@@ -633,52 +630,17 @@ func (s *System) HybridSearchContext(ctx context.Context, q Query, keywords stri
 }
 
 // Stats returns corpus statistics (table count, mean rows/columns, link
-// coverage) across all shards; an entity mentioned on two shards counts
-// once, like in one lake.
+// coverage, distinct entities).
 func (s *System) Stats() lake.Stats {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	st := lake.Stats{Tables: s.live, DistinctEntities: len(s.distinctEntitiesLocked())}
-	if st.Tables == 0 {
-		return st
-	}
-	var rows, cols, cov float64
-	for _, l := range s.lakes {
-		for _, t := range l.Tables() {
-			if t == nil {
-				continue
-			}
-			rows += float64(t.NumRows())
-			cols += float64(t.NumColumns())
-			cov += t.LinkCoverage()
-		}
-	}
-	n := float64(st.Tables)
-	st.MeanRows, st.MeanColumns, st.MeanCoverage = rows/n, cols/n, cov/n
-	return st
-}
-
-// distinctEntitiesLocked unions the entities mentioned on any shard.
-func (s *System) distinctEntitiesLocked() []EntityID {
-	seen := make(map[EntityID]struct{})
-	var out []EntityID
-	for _, l := range s.lakes {
-		for _, e := range l.DistinctEntities() {
-			if _, dup := seen[e]; !dup {
-				seen[e] = struct{}{}
-				out = append(out, e)
-			}
-		}
-	}
-	return out
+	return s.lake.ComputeStats()
 }
 
 var errNoEmbeddings = errors.New("thetis: no embeddings trained or loaded")
 
-// engine returns shard 0's scoring engine — nil until a similarity is
-// selected. Every shard's engine carries the same similarity, knobs, and
-// global informativeness, so any one speaks for all.
-func (s *System) engine() *core.Engine { return s.shards[0].Engine() }
+// engine returns the scoring engine — nil until a similarity is selected.
+func (s *System) engine() *core.Engine { return s.local.Engine() }
 
 // embeddingSim reports whether the selected similarity is the embedding
 // cosine, which indexes via hyperplane LSH instead of MinHash.
