@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check bench benchrun benchsmoke fuzz faults linkcheck
+.PHONY: all build test race vet fmt check bench benchrun benchsmoke fuzz faults linkcheck loc
 
 all: check
 
@@ -49,6 +49,12 @@ benchsmoke:
 # one that panics or no longer compiles fails the gate instead of rotting.
 benchrun:
 	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
+
+# Line counts quoted by simplicity entries in CHANGES.md: non-test Go
+# outside bench/, then the root package's non-test Go. Not part of check.
+loc:
+	@printf 'non-test Go outside bench/: %s\n' "$$(find . -name '*.go' ! -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' -not -path './.git/*' -exec cat {} + | wc -l)"
+	@printf 'root package non-test Go:   %s\n' "$$(cat $$(ls *.go | grep -v '_test\.go$$') | wc -l)"
 
 # `race` runs every differential battery (System vs reference, live
 # rebuild-equivalence, shard-over-HTTP, batch) by package,

@@ -23,11 +23,11 @@ func (s *System) SearchBatch(queries []Query, k int) ([][]Result, []SearchStats)
 	return s.SearchBatchContext(context.Background(), queries, k)
 }
 
-// SearchBatchContext runs a batch of queries through the shard coordinator
-// under a single read lock: every query sees the same corpus epoch and is
-// otherwise searched exactly as SearchStatsContext would search it, so
-// results and stats come back in query order and are bit-identical to
-// issuing the queries one by one against an unchanged corpus.
+// SearchBatchContext runs a batch of queries under a single read lock:
+// every query sees the same corpus epoch and is otherwise searched exactly
+// as SearchStatsContext would search it, so results and stats come back in
+// query order and are bit-identical to issuing the queries one by one
+// against an unchanged corpus.
 //
 // A query equal tuple for tuple to an earlier one of the batch that
 // completed untruncated is not searched again: same snapshot, same answer,
@@ -56,7 +56,7 @@ func (s *System) SearchBatchContext(ctx context.Context, queries []Query, k int)
 			stats[i].Trace = obs.NewTrace("search")
 			continue
 		}
-		results[i], stats[i] = s.coord.Search(ctx, q, k)
+		results[i], stats[i] = s.search(ctx, q, k)
 	}
 	return results, stats
 }

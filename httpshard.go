@@ -8,13 +8,13 @@ package thetis
 // FULL corpus locally — for query parsing, BM25 keyword search, table
 // lookups, and artifact computation — but scatters every semantic search to
 // the shard daemons through remote.Shard clients (one per shard, N replicas
-// each) and merges with the same Coordinator a local search runs through.
+// each) and merges them with a Coordinator.
 //
 // This file is the root-package glue: the daemon-side handlers a System
 // needs to serve as a remote shard (ServeShardSearch,
 // ApplyShardArtifacts), the coordinator-side artifact computation and
-// global ID mapping, and coordinator mode itself — the same System with its
-// scatter legs swapped for remote clients (UseRemoteShards).
+// global ID mapping, and coordinator mode itself — the same System
+// scattering over remote clients (UseRemoteShards).
 
 import (
 	"context"
@@ -141,7 +141,7 @@ func (s *System) resolveWireQuery(tuples [][]string) Query {
 // serving correct local rankings but breaks the deployment-wide
 // bit-identity until the coordinator re-bootstraps.
 func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
-	if s.engine() == nil {
+	if s.eng == nil {
 		return errors.New("thetis: select a similarity before ApplyShardArtifacts")
 	}
 	var cfg IndexConfig
@@ -188,7 +188,7 @@ func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
 		}
 		return 1
 	}
-	s.engine().Inf = inf
+	s.eng.Inf = inf
 	if a.Votes > 0 {
 		s.SetVotes(a.Votes)
 	}

@@ -14,7 +14,9 @@ type PrefilterFallback int
 
 const (
 	// FallbackFullScan degrades to scoring the whole lake rather than
-	// silently returning nothing — the single-node behavior.
+	// silently returning nothing — the single-node behavior, counted on
+	// thetis_shard_rescatters_total. A search whose context is already
+	// dead skips it, as a coordinator skips its rescatter.
 	FallbackFullScan PrefilterFallback = iota
 	// FallbackNone returns the empty ranking. Shards use this: whether a
 	// full scan is warranted is only knowable globally, so the coordinator
@@ -41,7 +43,7 @@ func SearchWithIndex(ctx context.Context, eng *Engine, ix *LSEI, votes int, q Qu
 		results []Result
 		stats   Stats
 	)
-	if len(cands) > 0 || fb == FallbackNone {
+	if len(cands) > 0 || fb == FallbackNone || ctx.Err() != nil {
 		// An empty candidate slice (non-nil) scores nothing and reports
 		// Candidates: 0, which is what lets a coordinator distinguish "the
 		// prefilter pruned everything" from "this shard scored and found
@@ -50,6 +52,7 @@ func SearchWithIndex(ctx context.Context, eng *Engine, ix *LSEI, votes int, q Qu
 	} else {
 		// Keep the empty prefilter's stages so the trace shows why the
 		// search degraded to a full scan.
+		mFallbacks.Inc()
 		results, stats = eng.SearchContext(ctx, q, k)
 	}
 	if ctx.Err() != nil {

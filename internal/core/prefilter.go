@@ -712,7 +712,7 @@ func (x *LSEI) NumBuckets() int { return x.index.NumBuckets() }
 
 // NumItems exposes how many signatures the underlying index holds
 // (entities in entity mode, columns in column-aggregation mode) —
-// diagnostics, exported on thetis_shard_index_items.
+// diagnostics, exported on thetis_index_items. O(1).
 func (x *LSEI) NumItems() int { return x.index.NumItems() }
 
 // Config returns the configuration the index was built or loaded with.

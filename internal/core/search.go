@@ -29,6 +29,7 @@ var (
 	mSigmaBytes   = obs.SigmaCacheBytes()
 	mSigmaRatio   = obs.SigmaCacheHitRatio()
 	mPruned       = obs.SearchPrunedTotal()
+	mFallbacks    = obs.ShardRescattersTotal() // shared with coordinator rescatters
 )
 
 func kgEntity(x uint32) kg.EntityID { return kg.EntityID(x) }
@@ -134,7 +135,7 @@ type Stats struct {
 	ShardErrors []string
 	// Trace is the structured per-stage breakdown of this search
 	// (mapping → score → rank, with prefilter probe/vote stages prepended
-	// by System.SearchStats when an LSEI is active). Always non-nil on
+	// by SearchWithIndex when an LSEI is active). Always non-nil on
 	// searches executed by Search/SearchCandidates.
 	Trace *obs.Trace
 }

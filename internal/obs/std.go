@@ -219,8 +219,8 @@ func IndexFilterResignsTotal(r *Registry) *Counter {
 		"LSEI items re-signed after frequent-type filter flips.", nil)
 }
 
-// ShardSearchesTotal counts per-shard scatter legs executed by the
-// coordinator, by shard ("0", "1", …).
+// ShardSearchesTotal counts per-shard scatter legs executed by a
+// coordinator over remote shards, by shard ("0", "1", …).
 func ShardSearchesTotal(shard string) *Counter {
 	return Default.Counter("thetis_shard_searches_total",
 		"Scatter legs executed against one shard by the coordinator.",
@@ -228,8 +228,7 @@ func ShardSearchesTotal(shard string) *Counter {
 }
 
 // ShardSearchSeconds observes one shard's scatter-leg latency, by shard.
-// The spread across shards is the skew the size-balanced partitioner
-// exists to flatten.
+// The spread across shards is the skew a coordinator waits on.
 func ShardSearchSeconds(shard string) *Histogram {
 	return Default.Histogram("thetis_shard_search_seconds",
 		"Per-shard scatter-leg wall time in seconds.",
@@ -252,43 +251,39 @@ func ShardMergeSeconds() *Histogram {
 		LatencyBuckets, nil)
 }
 
-// ShardRescattersTotal counts second scatter rounds forced by a globally
-// empty prefilter (the sharded analogue of the single-node full-scan
-// fallback).
+// ShardRescattersTotal counts full-scan fallbacks after an empty
+// prefilter: a coordinator's second scatter round after a globally empty
+// one, and a local search's fallback (core.FallbackFullScan).
 func ShardRescattersTotal() *Counter {
 	return Default.Counter("thetis_shard_rescatters_total",
-		"Full-scan rescatter rounds after a globally empty prefilter.", nil)
+		"Full-scan fallbacks after an empty prefilter (local searches and coordinator rescatter rounds).", nil)
 }
 
-// ShardTables gauges how many tables each shard owns — partitioning
-// balance at a glance.
-func ShardTables(r *Registry, shard string) *Gauge {
+// LakeTables gauges the live tables of the local lake.
+func LakeTables(r *Registry) *Gauge {
 	if r == nil {
 		r = Default
 	}
-	return r.Gauge("thetis_shard_tables",
-		"Tables owned by one shard.", Labels{"shard": shard})
+	return r.Gauge("thetis_lake_tables", "Live tables in the local lake.", nil)
 }
 
-// ShardIndexItems gauges the signatures held by one shard's LSEI
-// (entities, or columns in column-aggregation mode).
-func ShardIndexItems(r *Registry, shard string) *Gauge {
+// IndexItems gauges the signatures held by the active LSEI (entities, or
+// columns in column-aggregation mode); 0 without an index.
+func IndexItems(r *Registry) *Gauge {
 	if r == nil {
 		r = Default
 	}
-	return r.Gauge("thetis_shard_index_items",
-		"Signatures held by one shard's LSEI.", Labels{"shard": shard})
+	return r.Gauge("thetis_index_items", "Signatures held by the active LSEI.", nil)
 }
 
-// ShardIndexState gauges one shard's prefilter lifecycle, with the same
-// encoding as IndexState: 0 building, 1 degraded, 2 ready.
-func ShardIndexState(r *Registry, shard string) *Gauge {
+// IndexState gauges the prefilter lifecycle: 0 building, 1 degraded,
+// 2 ready.
+func IndexState(r *Registry) *Gauge {
 	if r == nil {
 		r = Default
 	}
-	return r.Gauge("thetis_shard_index_state",
-		"Per-shard prefilter index state: 0 building, 1 degraded (brute force), 2 ready.",
-		Labels{"shard": shard})
+	return r.Gauge("thetis_index_state",
+		"Prefilter index state: 0 building, 1 degraded (brute force), 2 ready.", nil)
 }
 
 // RemoteShardRetriesTotal counts retry attempts (attempts beyond the

@@ -1,9 +1,9 @@
 // Package remote implements the shard-over-HTTP client side of the
-// scatter-gather seam (docs/SHARDING.md): Shard satisfies the same
-// contract as an in-process shard.Local but proxies SearchShard to a
-// remote unsharded thetisd over POST /shard/search, translating the
-// daemon's local table IDs into the coordinator's disjoint global ID
-// space. Because a shard leg now crosses a network, the client wraps
+// scatter-gather seam (docs/SHARDING.md): Shard implements shard.Searcher
+// by proxying SearchShard to a remote thetisd over POST /shard/search —
+// where thetis.System.SearchShard answers from that daemon's lake — and
+// translating the daemon's local table IDs into the coordinator's disjoint
+// global ID space. Because a shard leg crosses a network, the client wraps
 // every leg in a robustness layer — per-attempt deadlines carved from the
 // coordinator budget, bounded retry with exponential backoff and
 // deterministic jitter, optional hedged requests after a latency

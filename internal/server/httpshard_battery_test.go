@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -225,6 +226,14 @@ func TestHTTPShardLSHBitIdentity(t *testing.T) {
 		d.setVotes(votes)
 		d.bootstrap(t) // re-ship: votes travel with the artifacts
 		assertRemoteIdentical(t, "lsh", d, queries, 10)
+	}
+
+	// A coordinator's trace stays scatter-gather shaped: every leg's
+	// scatter stage and its own stages labelled with its shard, then the
+	// merge.
+	_, stats := d.coord.SearchStats(queries[0], 10)
+	if got, want := stats.Trace.String(), "s0:scatter .* s0:remote .* s1:scatter .* s1:remote .* s2:scatter .* s2:remote .* merge "; !regexp.MustCompile(want).MatchString(got) {
+		t.Fatalf("coordinator trace %q, want stages matching %q", got, want)
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 )
 
 // IndexState is the prefilter lifecycle phase reported on /readyz and the
-// thetis_shard_index_state gauge.
+// thetis_index_state gauge.
 type IndexState int32
 
 const (
@@ -61,10 +61,10 @@ type Readiness struct {
 }
 
 // NewReadiness creates a lifecycle tracker in the building state, mirrored
-// on thetis_shard_index_state{shard="0"} of r (obs.Default when nil). Pass
-// it to WithReadiness and ActivateIndex.
+// on thetis_index_state of r (obs.Default when nil). Pass it to
+// WithReadiness and ActivateIndex.
 func NewReadiness(r *obs.Registry) *Readiness {
-	rd := &Readiness{gauge: obs.ShardIndexState(r, "0")}
+	rd := &Readiness{gauge: obs.IndexState(r)}
 	rd.Set(StateBuilding, "index build pending")
 	return rd
 }

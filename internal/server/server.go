@@ -20,9 +20,10 @@
 //	POST /shard/artifacts   global-artifact bootstrap from a coordinator
 //
 // The backend behind the handlers is the Backend interface, satisfied by
-// *thetis.System, locally and in coordinator mode — scatter-gather shows at
-// the HTTP surface only as shard labels in /debug/trace, thetis_shard_*
-// metrics, and the coordinator's per-replica breakdown on /readyz.
+// *thetis.System, locally and in coordinator mode — a coordinator's
+// scatter-gather shows at the HTTP surface only as shard labels in
+// /debug/trace, thetis_shard_* metrics, and the per-replica breakdown on
+// /readyz.
 //
 // Queries use the textual format of System.ParseQuery: entities separated
 // by "|", tuples by newlines (or ";"). Every endpoint is instrumented with
@@ -333,7 +334,8 @@ type SearchResult struct {
 // SearchResponse is the body returned by the search endpoints.
 type SearchResponse struct {
 	Results []SearchResult `json:"results"`
-	// Candidates and ScoredTables report search effort (semantic only).
+	// Candidates reports search effort: the tables the prefilter left for
+	// scoring (semantic search only).
 	Candidates int `json:"candidates,omitempty"`
 	// TookMicros is the server-side search duration.
 	TookMicros int64 `json:"took_us"`

@@ -91,15 +91,6 @@ func (c *Coordinator) Search(ctx context.Context, q core.Query, k int) ([]core.R
 	return c.gather(start, k, legs, nil)
 }
 
-// SearchShard implements Searcher, so a Coordinator is itself a valid
-// scatter leg: one round with the caller's options and no rescatter — the
-// enclosing coordinator owns the full-scan decision. This is what a daemon
-// runs when it answers POST /shard/search over its own lake.
-func (c *Coordinator) SearchShard(ctx context.Context, q core.Query, k int, opts SearchOptions) ([]core.Result, core.Stats) {
-	start := time.Now()
-	return c.gather(start, k, c.scatter(ctx, q, k, opts), nil)
-}
-
 // scatter runs one concurrent fan-out round. The caller's goroutine takes
 // the first leg and every other shard gets its own, so a one-shard scatter
 // spawns nothing; a panicking shard is contained to an empty truncated leg

@@ -70,41 +70,67 @@ func fullLake(g *kg.Graph, tables []*table.Table) *lake.Lake {
 	return all
 }
 
-// buildLocals round-robins the fixture tables across n shards wired the way
-// a remote shard daemon is after its bootstrap: every shard's engine
-// weighs entities by IDF over the full corpus, not over its own slice.
-func buildLocals(g *kg.Graph, tables []*table.Table, n int) []*Local {
-	locals := make([]*Local, n)
-	for i := range locals {
-		locals[i] = NewLocal(i, g)
+// testLeg is one shard wired the way a remote shard daemon is after its
+// bootstrap: its own lake, an engine weighing entities by IDF over the
+// full corpus rather than its own slice, an optional LSEI with its vote
+// threshold, and the global IDs of its tables in local ID order. It
+// answers a leg the way thetis.System.SearchShard does, translated to
+// global IDs the way remote.Shard translates a daemon's response.
+type testLeg struct {
+	lake   *lake.Lake
+	engine *core.Engine
+	index  *core.LSEI
+	votes  int
+	global []lake.TableID
+}
+
+func (l *testLeg) SearchShard(ctx context.Context, q core.Query, k int, opts SearchOptions) ([]core.Result, core.Stats) {
+	ix := l.index
+	if opts.ForceFullScan {
+		ix = nil
+	}
+	results, stats := core.SearchWithIndex(ctx, l.engine, ix, l.votes, q, k, core.FallbackNone)
+	for i := range results {
+		results[i].Table = l.global[results[i].Table]
+	}
+	return results, stats
+}
+
+// buildLegs round-robins the fixture tables across n legs, unindexed.
+func buildLegs(g *kg.Graph, tables []*table.Table, n int) []*testLeg {
+	legs := make([]*testLeg, n)
+	for i := range legs {
+		legs[i] = &testLeg{lake: lake.New(g), votes: 1}
 	}
 	for i, tb := range tables {
-		locals[i%n].Add(tb, lake.TableID(i))
+		l := legs[i%n]
+		l.lake.Add(tb)
+		l.global = append(l.global, lake.TableID(i))
 	}
 	inf := core.IDFInformativeness(fullLake(g, tables))
 	tj := core.NewTypeJaccard(g)
-	for _, s := range locals {
-		eng := core.NewEngine(s.Lake(), tj)
-		eng.Inf = inf
-		s.SetEngine(eng)
+	for _, l := range legs {
+		l.engine = core.NewEngine(l.lake, tj)
+		l.engine.Inf = inf
 	}
-	return locals
+	return legs
 }
 
-func searchers(locals []*Local) []Searcher {
-	out := make([]Searcher, len(locals))
-	for i, s := range locals {
-		out[i] = s
+func searchers(legs []*testLeg) []Searcher {
+	out := make([]Searcher, len(legs))
+	for i, l := range legs {
+		out[i] = l
 	}
 	return out
 }
 
 // assertCoordinatorMatches compares the coordinator's ranking of every
-// query with the direct one, IDs and scores bit for bit.
-func assertCoordinatorMatches(t *testing.T, label string, coord *Coordinator, queries []core.Query, direct func(core.Query) []core.Result) {
+// query with the direct one (wants[qi] for queries[qi]), IDs and scores
+// bit for bit.
+func assertCoordinatorMatches(t *testing.T, label string, coord *Coordinator, queries []core.Query, wants [][]core.Result) {
 	t.Helper()
 	for qi, q := range queries {
-		want := direct(q)
+		want := wants[qi]
 		got, stats := coord.Search(context.Background(), q, 4)
 		if len(got) != len(want) {
 			t.Fatalf("%s q%d: %d results, want %d", label, qi, len(got), len(want))
@@ -120,9 +146,9 @@ func assertCoordinatorMatches(t *testing.T, label string, coord *Coordinator, qu
 	}
 }
 
-// TestCoordinatorMatchesDirectFullScan: N hand-assembled Locals merged by a
+// TestCoordinatorMatchesDirectFullScan: N hand-assembled legs merged by a
 // Coordinator rank like one engine over the full lake — brute force, and
-// with every Local's LSEI built under the full corpus's frequent-type
+// with every leg's LSEI built under the full corpus's frequent-type
 // filter against one index over the full lake. In the fixture only p0 and
 // c0 keep a type past the filter, so queries 1 and 3 find no candidate on
 // any leg and must rescatter as a full scan, as the full-lake search falls
@@ -142,77 +168,43 @@ func TestCoordinatorMatchesDirectFullScan(t *testing.T) {
 		}
 	}
 
-	for _, n := range []int{1, 2, 3} {
-		locals := buildLocals(g, tables, n)
-		coord := NewCoordinator(searchers(locals)...)
-		assertCoordinatorMatches(t, fmt.Sprintf("shards=%d", n), coord, queries, func(q core.Query) []core.Result {
-			res, _ := direct.SearchContext(context.Background(), q, 4)
-			return res
-		})
+	directRanks := func(search func(core.Query) []core.Result) [][]core.Result {
+		wants := make([][]core.Result, len(queries))
+		for qi, q := range queries {
+			wants[qi] = search(q)
+		}
+		return wants
+	}
+	bruteForce := directRanks(func(q core.Query) []core.Result {
+		res, _ := direct.SearchContext(context.Background(), q, 4)
+		return res
+	})
 
-		for _, s := range locals {
-			s.SetIndex(core.BuildTypeLSEIFiltered(s.Lake(), tj, cfg, filter))
+	for _, n := range []int{1, 2, 3} {
+		legs := buildLegs(g, tables, n)
+		coord := NewCoordinator(searchers(legs)...)
+		assertCoordinatorMatches(t, fmt.Sprintf("shards=%d", n), coord, queries, bruteForce)
+
+		for _, l := range legs {
+			l.index = core.BuildTypeLSEIFiltered(l.lake, tj, cfg, filter)
 		}
 		for votes := 1; votes <= 3; votes++ {
-			for _, s := range locals {
-				s.SetVotes(votes)
+			for _, l := range legs {
+				l.votes = votes
 			}
-			rescatters := obs.ShardRescattersTotal().Value()
-			assertCoordinatorMatches(t, fmt.Sprintf("shards=%d/lsei/votes=%d", n, votes), coord, queries, func(q core.Query) []core.Result {
+			// The direct search falls back on its own; rank it before
+			// reading the counter so only the coordinator's rescatters count.
+			wants := directRanks(func(q core.Query) []core.Result {
 				res, _ := core.SearchWithIndex(context.Background(), direct, fullIndex, votes, q, 4, core.FallbackFullScan)
 				return res
 			})
+			rescatters := obs.ShardRescattersTotal().Value()
+			assertCoordinatorMatches(t, fmt.Sprintf("shards=%d/lsei/votes=%d", n, votes), coord, queries, wants)
 			if got := obs.ShardRescattersTotal().Value() - rescatters; got < 2 {
 				t.Fatalf("shards=%d votes=%d: %d rescatters, want one for each of queries 1 and 3", n, votes, got)
 			}
 		}
 	}
-}
-
-func TestLocalTranslatesToGlobalIDs(t *testing.T) {
-	g, tables, _ := fixture(t)
-	locals := buildLocals(g, tables, 2)
-	// Shard 1 owns the odd global IDs under round-robin placement.
-	p0, _ := g.Lookup("E:p3")
-	results, _ := locals[1].SearchShard(context.Background(), core.Query{core.Tuple{p0}}, 10, SearchOptions{})
-	if len(results) == 0 {
-		t.Fatal("no results from shard 1")
-	}
-	for _, r := range results {
-		if int(r.Table)%2 != 1 {
-			t.Fatalf("shard 1 returned global ID %d, which it does not own", r.Table)
-		}
-	}
-	if got := locals[1].GlobalID(0); got != 1 {
-		t.Fatalf("GlobalID(0) = %d, want 1", got)
-	}
-}
-
-func TestLocalSetEngineDropsIndex(t *testing.T) {
-	g, tables, _ := fixture(t)
-	locals := buildLocals(g, tables, 1)
-	s := locals[0]
-	tj := core.NewTypeJaccard(g)
-	ix := core.BuildTypeLSEI(s.Lake(), tj, core.LSEIConfig{Vectors: 8, BandSize: 4, Seed: 1})
-	s.SetIndex(ix)
-	if s.Index() == nil {
-		t.Fatal("index not installed")
-	}
-	s.SetEngine(s.Engine())
-	if s.Index() != nil {
-		t.Fatal("SetEngine must drop the index (signatures depend on σ)")
-	}
-}
-
-func TestLocalPanicsWithoutEngine(t *testing.T) {
-	g, _, _ := fixture(t)
-	s := NewLocal(0, g)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic searching an engineless shard")
-		}
-	}()
-	s.SearchShard(context.Background(), core.Query{}, 1, SearchOptions{})
 }
 
 // fakeShard scripts per-round responses for coordinator tests.
@@ -291,7 +283,7 @@ func TestCoordinatorSkipsRescatterWhenCancelled(t *testing.T) {
 
 func TestCoordinatorTraceCarriesShardLabels(t *testing.T) {
 	g, tables, queries := fixture(t)
-	coord := NewCoordinator(searchers(buildLocals(g, tables, 2))...)
+	coord := NewCoordinator(searchers(buildLegs(g, tables, 2))...)
 	_, stats := coord.Search(context.Background(), queries[0], 3)
 	if stats.Trace == nil {
 		t.Fatal("merged stats missing trace")

@@ -22,6 +22,8 @@ import (
 
 var (
 	mIndexEpoch     = obs.IndexEpoch(nil)
+	mLakeTables     = obs.LakeTables(nil)
+	mIndexItems     = obs.IndexItems(nil)
 	mDeltaAdds      = obs.IndexDeltasTotal(nil, "add")
 	mDeltaRemoves   = obs.IndexDeltasTotal(nil, "remove")
 	mTombstones     = obs.IndexTombstones(nil)
@@ -160,10 +162,14 @@ func (s *System) GraphCounts() GraphCounts {
 // includes it — the order a from-scratch rebuild implies. Caller holds
 // maintMu and mu.
 func (s *System) addTableLocked(t *Table) TableID {
+	ix := s.index.Load()
 	if s.filterState != nil {
-		s.filterState.AddTable(t, s.local.Index())
+		s.filterState.AddTable(t, ix)
 	}
-	id := s.local.Add(t, TableID(s.lake.NumSlots()))
+	id := s.lake.Add(t)
+	if ix != nil {
+		ix.AddTable(id)
+	}
 	if s.keyword != nil {
 		s.keyword.Add(int32(id), bm25.TableText(t))
 		s.keyword.Finish()
@@ -178,9 +184,14 @@ func (s *System) addTableLocked(t *Table) TableID {
 // the filter re-balances AFTER. Caller holds maintMu and mu and has
 // verified the table is live.
 func (s *System) removeTableLocked(id TableID) {
-	t := s.local.Remove(id)
+	t := s.lake.Table(id)
+	s.lake.Remove(id)
+	ix := s.index.Load()
+	if ix != nil {
+		ix.RemoveTable(id, t)
+	}
 	if s.filterState != nil {
-		s.filterState.RemoveTable(t, s.local.Index())
+		s.filterState.RemoveTable(t, ix)
 	}
 	if s.keyword != nil {
 		s.keyword.Remove(int32(id))
@@ -190,10 +201,15 @@ func (s *System) removeTableLocked(id TableID) {
 	s.noteEpochLocked()
 }
 
+// noteEpochLocked bumps the epoch after a mutation and refreshes the
+// gauges it moved: lake size, tombstones, and index items (the LSEI gained
+// or lost signatures, and a filter flip may have re-signed more).
 func (s *System) noteEpochLocked() {
 	epoch := s.epoch.Add(1)
 	mIndexEpoch.Set(float64(epoch))
+	mLakeTables.Set(float64(s.lake.NumTables()))
 	mTombstones.Set(float64(s.lake.NumSlots() - s.lake.NumTables()))
+	s.setIndex(s.index.Load())
 }
 
 // logAddLocked write-ahead-logs one addition when a delta log is attached.

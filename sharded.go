@@ -3,6 +3,7 @@ package thetis
 import (
 	"context"
 
+	"thetis/internal/core"
 	"thetis/internal/lake"
 	"thetis/internal/shard"
 )
@@ -38,15 +39,20 @@ func NewHashPartitioner(n int) Partitioner { return lake.NewHashPartitioner(n) }
 
 // SearchShard implements Shard, making a System usable as one scatter leg
 // of a Coordinator — the shape a shard-over-HTTP deployment takes, where
-// each remote daemon hosts one System (docs/SHARDING.md). The returned
-// table IDs are the System's own, so the deployment must give each such
-// System a disjoint ID range (or translate in the proxy). Unlike
+// each remote daemon hosts one System (docs/SHARDING.md). It always
+// answers from the System's own lake, in coordinator mode too, and the
+// returned table IDs are the System's own, so the deployment must give
+// each such System a disjoint ID range (or translate in the proxy). Unlike
 // SearchStatsContext, an empty prefilter does not fall back to a full
 // scan: the coordinator decides that globally and rescatters with
-// opts.ForceFullScan.
+// opts.ForceFullScan, which searches without the index.
 func (s *System) SearchShard(ctx context.Context, q Query, k int, opts ShardSearchOptions) ([]Result, SearchStats) {
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.coord.SearchShard(ctx, q, k, opts)
+	ix := s.index.Load()
+	if opts.ForceFullScan {
+		ix = nil
+	}
+	return core.SearchWithIndex(ctx, s.eng, ix, int(s.votes.Load()), q, k, core.FallbackNone)
 }

@@ -36,7 +36,6 @@ import (
 	"thetis/internal/lake"
 	"thetis/internal/linking"
 	"thetis/internal/obs"
-	"thetis/internal/shard"
 	"thetis/internal/table"
 )
 
@@ -167,10 +166,11 @@ func DefaultTrainConfig() TrainConfig { return embedding.DefaultTrainConfig() }
 // tables first, then choose a similarity, then search. A table's ID is its
 // lake ID, assigned in ingestion order and never reused.
 //
-// Every search runs through one Coordinator: over the local lake, or — in
-// coordinator mode (UseRemoteShards) — over remote shard daemons, each
-// serving its hash-assigned slice of the corpus (docs/SHARDING.md). Either
-// way the rankings are bit-identical.
+// A search is one pipeline over the lake: the LSEI prefilter when an index
+// is active, then Algorithm 1 over the candidates. In coordinator mode
+// (UseRemoteShards) it scatters over remote shard daemons instead, each
+// serving its hash-assigned slice of the corpus (docs/SHARDING.md), with
+// bit-identical rankings.
 //
 // Once configured, a System is safe for concurrent searches AND concurrent
 // mutations (AddTable/AddTableJSON/RemoveTable, docs/LIVE_INDEX.md): search
@@ -182,10 +182,16 @@ func DefaultTrainConfig() TrainConfig { return embedding.DefaultTrainConfig() }
 type System struct {
 	graph *Graph
 
-	// local holds the lake with its engine and LSEI. coord scatters over
-	// local — or, in coordinator mode (UseRemoteShards), over remotes.
-	local   *shard.Local
-	lake    *lake.Lake
+	// eng scores the lake (nil until a similarity is selected). index holds
+	// the LSEI behind an atomic pointer so a background build can hot-swap
+	// it under live searches; votes is its vote threshold.
+	lake  *lake.Lake
+	eng   *core.Engine
+	index atomic.Pointer[core.LSEI]
+	votes atomic.Int32
+
+	// coord scatters searches over remotes; both are nil unless
+	// UseRemoteShards has run.
 	coord   *Coordinator
 	remotes []*RemoteShard
 
@@ -230,8 +236,9 @@ type System struct {
 
 // New creates an empty semantic data lake over the knowledge graph g.
 func New(g *Graph) *System {
-	local := shard.NewLocal(0, g)
-	return &System{graph: g, local: local, lake: local.Lake(), coord: NewCoordinator(local)}
+	s := &System{graph: g, lake: lake.New(g)}
+	s.votes.Store(1)
+	return s
 }
 
 // Graph returns the underlying knowledge graph.
@@ -360,7 +367,8 @@ func (s *System) LoadEmbeddings(r io.Reader) error {
 func (s *System) installEngine(sim Similarity) {
 	s.tj, _ = sim.(*core.TypeJaccard)
 	s.ec, _ = sim.(*core.EmbeddingCosine)
-	s.local.SetEngine(core.NewEngine(s.lake, sim))
+	s.eng = core.NewEngine(s.lake, sim)
+	s.setIndex(nil)
 	s.typeFilter, s.filterState = nil, nil
 }
 
@@ -384,26 +392,26 @@ func (s *System) UseEmbeddingSimilarity() {
 // row-score aggregation.
 func (s *System) SetAggregation(a Aggregation) {
 	s.mustEngine()
-	s.engine().Agg = a
+	s.eng.Agg = a
 }
 
 // SetScoreMode switches between entity-wise (default) and pairwise SemRel.
 func (s *System) SetScoreMode(m ScoreMode) {
 	s.mustEngine()
-	s.engine().Mode = m
+	s.eng.Mode = m
 }
 
 // SetMapping switches the query-to-column assignment algorithm.
 func (s *System) SetMapping(m MappingMethod) {
 	s.mustEngine()
-	s.engine().Mapping = m
+	s.eng.Mapping = m
 }
 
 // SetParallelism bounds the scoring worker count per search (0 = one
 // worker per CPU).
 func (s *System) SetParallelism(p int) {
 	s.mustEngine()
-	s.engine().Parallelism = p
+	s.eng.Parallelism = p
 }
 
 // thresholdOf resolves the effective frequent-type threshold of a config
@@ -419,7 +427,7 @@ func thresholdOf(cfg IndexConfig) float64 {
 // the paper finds 3 faster at equal quality). Votes threshold per-entity
 // collision counts, and a table's collisions all come from the shard that
 // holds it, so a remote shard daemon takes the same threshold.
-func (s *System) SetVotes(v int) { s.local.SetVotes(v) }
+func (s *System) SetVotes(v int) { s.votes.Store(int32(v)) }
 
 // BuildIndex builds the LSH prefiltering index (LSEI) for the currently
 // selected similarity, synchronously: with type similarity under a fresh
@@ -453,19 +461,30 @@ func (s *System) buildIndexLocked() {
 	} else {
 		ix = core.BuildTypeLSEIFiltered(s.lake, s.tj, s.indexCfg, s.typeFilter)
 	}
-	s.local.SetIndex(ix)
-	obs.ShardIndexItems(nil, "0").Set(float64(ix.NumItems()))
+	s.setIndex(ix)
+}
+
+// setIndex atomically installs ix (nil removes the index), safely under
+// concurrent searches, and sets thetis_index_items to its signature count.
+// Mutations reinstall the live index to refresh the gauge.
+func (s *System) setIndex(ix *core.LSEI) {
+	s.index.Store(ix)
+	n := 0
+	if ix != nil {
+		n = ix.NumItems()
+	}
+	mIndexItems.Set(float64(n))
 }
 
 // HasIndex reports whether an LSEI is active.
-func (s *System) HasIndex() bool { return s.local.Index() != nil }
+func (s *System) HasIndex() bool { return s.index.Load() != nil }
 
 // SaveIndex serializes the built LSEI so a later process can LoadIndex
 // instead of re-hashing the corpus.
 func (s *System) SaveIndex(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ix := s.local.Index()
+	ix := s.index.Load()
 	if ix == nil {
 		return errors.New("thetis: no index built")
 	}
@@ -488,7 +507,7 @@ func (s *System) LoadIndex(r io.Reader) error {
 			return err
 		}
 		s.indexCfg, s.typeFilter, s.filterState = x.Config(), nil, nil
-		s.local.SetIndex(x)
+		s.setIndex(x)
 		return nil
 	}
 	x, err := core.LoadTypeLSEI(s.lake, s.tj, r)
@@ -499,7 +518,7 @@ func (s *System) LoadIndex(r io.Reader) error {
 	// AddTable/RemoveTable keep filter and signatures in lockstep.
 	s.indexCfg, s.typeFilter = x.Config(), x.TypeFilter()
 	s.filterState = core.ResumeTypeFilterState(x.TypeFilter(), s.lake, s.tj, thresholdOf(x.Config()), x)
-	s.local.SetIndex(x)
+	s.setIndex(x)
 	return nil
 }
 
@@ -522,14 +541,14 @@ func (s *System) SearchContext(ctx context.Context, q Query, k int) []Result {
 
 // SearchStats is Search returning statistics as well: TotalTime is the
 // engine time (the quantity of the paper's Table 3; over remote shards the
-// slowest leg's), and the Trace carries the scatter leg and its stages
-// labeled with its shard ("0") — probe and vote when an index is built,
-// then mapping/score/rank — plus the coordinator's merge stage;
-// Trace.Total spans everything. In coordinator mode the per-leg counters
-// sum and Truncated ORs across the remote legs.
+// slowest leg's), and the Trace carries the pipeline's stages — probe and
+// vote when an index is active, then mapping/score/rank — with Trace.Total
+// spanning everything. In coordinator mode the Trace instead carries every
+// remote leg's scatter stage and its stages labeled with its shard, plus
+// the merge stage; the per-leg counters sum and Truncated ORs across legs.
 //
 // When the prefilter yields no candidates (e.g. every query entity's types
-// were dropped by the frequent-type filter), the search rescatters as a
+// were dropped by the frequent-type filter), the search falls back to a
 // full scan rather than silently returning nothing.
 func (s *System) SearchStats(q Query, k int) ([]Result, SearchStats) {
 	return s.SearchStatsContext(context.Background(), q, k)
@@ -544,7 +563,17 @@ func (s *System) SearchStatsContext(ctx context.Context, q Query, k int) ([]Resu
 	s.mustEngine()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.coord.Search(ctx, q, k)
+	return s.search(ctx, q, k)
+}
+
+// search runs one semantic search under the caller's read lock: the one
+// pipeline over the lake, with the full-scan fallback on an empty
+// prefilter, or in coordinator mode a scatter over the remote shards.
+func (s *System) search(ctx context.Context, q Query, k int) ([]Result, SearchStats) {
+	if s.coord != nil {
+		return s.coord.Search(ctx, q, k)
+	}
+	return core.SearchWithIndex(ctx, s.eng, s.index.Load(), int(s.votes.Load()), q, k, core.FallbackFullScan)
 }
 
 // ParseQuery resolves a textual query ("entity | entity" per line, matching
@@ -611,7 +640,7 @@ func (s *System) HybridSearchContext(ctx context.Context, q Query, keywords stri
 	// safely under a waiting writer).
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	sem, _ := s.coord.Search(ctx, q, k)
+	sem, _ := s.search(ctx, q, k)
 	semIDs := make([]int, len(sem))
 	for i, r := range sem {
 		semIDs[i] = int(r.Table)
@@ -639,15 +668,12 @@ func (s *System) Stats() lake.Stats {
 
 var errNoEmbeddings = errors.New("thetis: no embeddings trained or loaded")
 
-// engine returns the scoring engine — nil until a similarity is selected.
-func (s *System) engine() *core.Engine { return s.local.Engine() }
-
 // embeddingSim reports whether the selected similarity is the embedding
 // cosine, which indexes via hyperplane LSH instead of MinHash.
 func (s *System) embeddingSim() bool { return s.ec != nil }
 
 func (s *System) mustEngine() {
-	if s.engine() == nil {
+	if s.eng == nil {
 		panic("thetis: select a similarity first (UseTypeSimilarity or UseEmbeddingSimilarity)")
 	}
 }
