@@ -44,11 +44,12 @@ benchsmoke:
 # warm-scorer kernel, the pruned top-k search beside the full ranking, the
 # σ-cache row fill per cell and by the cosine kernel, the wide-query mapping
 # guard, the assignment solver fresh and reused), of the LSEI prefilter
-# alone (one- and five-entity queries) and of the query-resolution pair
+# alone and of a warm search behind it with pooled σ slabs (one- and
+# five-entity queries each) and of the query-resolution pair
 # (ParseQuery over 10k/100k entities, AddEntity's label-index upkeep), so
 # one that panics or no longer compiles fails the gate instead of rotting.
 benchrun:
-	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
+	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|SearchWarm|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # Line counts quoted by simplicity entries in CHANGES.md: non-test Go
 # outside bench/, then the root package's non-test Go. Not part of check.

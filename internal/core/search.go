@@ -59,12 +59,13 @@ type Engine struct {
 }
 
 // newSigmaCache returns the σ cache for one search of q over the engine's
-// σ, or nil when caching is disabled on the engine.
-func (eng *Engine) newSigmaCache(q Query) *SigmaCache {
+// σ, its dense cells drawn from slab, or nil when caching is disabled on the
+// engine.
+func (eng *Engine) newSigmaCache(q Query, slab *sigmaSlab) *SigmaCache {
 	if eng.DisableSigmaCache || eng.Lake == nil || eng.Lake.Graph == nil {
 		return nil
 	}
-	return NewSigmaCache(q, eng.Sim, eng.Lake.Graph.NumEntities())
+	return newSigmaCache(q, eng.Sim, eng.Lake.Graph.NumEntities(), slab)
 }
 
 // NewEngine builds an engine with IDF informativeness and MAX aggregation,
@@ -169,6 +170,15 @@ func (eng *Engine) SearchCandidates(q Query, candidates []lake.TableID, k int) (
 // SearchCandidatesContext is SearchCandidates honoring cancellation (see
 // SearchContext for the truncation contract).
 func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candidates []lake.TableID, k int) ([]Result, Stats) {
+	slab := takeSigmaSlab()
+	defer sigmaSlabs.Put(slab)
+	return eng.searchCandidates(ctx, q, candidates, k, slab)
+}
+
+// searchCandidates is SearchCandidatesContext with the σ cache's dense
+// cells drawn from slab. Every scoring worker has returned when it does, so
+// the caller may hand slab to the next search.
+func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []lake.TableID, k int, slab *sigmaSlab) ([]Result, Stats) {
 	start := time.Now()
 	tr := obs.NewTrace("search")
 	if candidates == nil {
@@ -212,7 +222,7 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 	// this search so each distinct (query entity, cell entity) pair is
 	// scored exactly once per query. Nil when disabled; scorers then
 	// compute every σ they read.
-	sigma := eng.newSigmaCache(q)
+	sigma := eng.newSigmaCache(q, slab)
 	// floor is the k-th best score the workers have found so far; tables
 	// that cannot reach it are pruned (scorer.floor). Nil ranks everything.
 	var floor *scoreFloor
@@ -351,10 +361,17 @@ func (eng *Engine) SearchCandidatesContext(ctx context.Context, q Query, candida
 // and the time spent in the column-mapping step (the microbenchmark of
 // Section 7.3). It shares the search path's memoization (query-scoped σ
 // cache, column pre-aggregation), so its score is bit-identical to the one
-// the same table earns inside Search.
+// the same table earns inside Search. A removed or unknown table scores 0,
+// as a stale candidate does inside Search.
 func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration) {
-	sc := newScorer(q, eng.Sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, eng.newSigmaCache(q))
-	return sc.scoreTable(eng.Lake.Table(tid), eng.Lake.ColumnIndex(tid))
+	t := eng.Lake.Table(tid)
+	if t == nil {
+		return 0, 0
+	}
+	slab := takeSigmaSlab()
+	defer sigmaSlabs.Put(slab)
+	sc := newScorer(q, eng.Sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, eng.newSigmaCache(q, slab))
+	return sc.scoreTable(t, eng.Lake.ColumnIndex(tid))
 }
 
 // RankedTables projects results onto table IDs as plain ints, the shape the

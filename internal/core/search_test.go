@@ -374,6 +374,13 @@ func TestScoreTableStats(t *testing.T) {
 	if st := stats.Trace.Stage("mapping"); st == nil || st.CPU != stats.MappingTime {
 		t.Errorf("mapping stage = %+v, want CPU %v", st, stats.MappingTime)
 	}
+	// A removed or unknown table scores 0, as a stale search candidate does.
+	l.Remove(1)
+	for _, tid := range []lake.TableID{1, 99999} {
+		if score, mapping := eng.ScoreTable(q, tid); score != 0 || mapping != 0 {
+			t.Errorf("ScoreTable(table %d) = (%v, %v), want (0, 0)", tid, score, mapping)
+		}
+	}
 }
 
 func TestRankedTables(t *testing.T) {

@@ -205,8 +205,9 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 
 // readSigmas returns σ(distinct[di], target) for every distinct query
 // entity at once, in scorer scratch valid until the next call. A dense
-// shared cache keeps those cells adjacent (entity-major), so the read
-// indexes that row directly — the atomics and the hit/miss counting of
+// shared cache keeps those cells adjacent (entity-major), so the read takes
+// the row through SigmaCache.row, which resets it if its stamp is stale, and
+// indexes it directly — the atomics and the hit/miss counting of
 // lookup/store, one count per cell, without a call per cell — and hands the
 // cells it found empty, still marked with sigmaUnset's bits, to fillRow in
 // one call. Everything else — the sharded cache, no cache, an entity

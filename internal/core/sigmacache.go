@@ -46,10 +46,13 @@ const (
 // entity are adjacent, which is how the scorer reads them (one pass per
 // column entity, scorer.readSigmas) — updated with lock-free atomics
 // (racing workers write the same bits, so the last write is as good as the
-// first). The scorer's misses on a dense row are filled a row at a time
-// (fillRow); over an EmbeddingCosine that is one four-lane cosine kernel per
-// row instead of a Score call per cell. When the dense footprint would exceed
-// 64 MiB, slots share 64 mutex-guarded map shards instead.
+// first). An engine search draws that array from a pooled slab (sigmaSlab)
+// instead of allocating it, and a row is valid only under the search's
+// generation stamp: the first reader of a stale row resets it (row). The
+// scorer's misses on a dense row are filled a row at a time (fillRow); over
+// an EmbeddingCosine that is one four-lane cosine kernel per row instead of
+// a Score call per cell. When the dense footprint would exceed 64 MiB,
+// slots share 64 mutex-guarded map shards instead.
 //
 // A SigmaCache is safe for concurrent use.
 type SigmaCache struct {
@@ -58,6 +61,8 @@ type SigmaCache struct {
 	n        int           // corpus entity ID space
 
 	dense  []uint64 // n × slots cells, entity-major (dense mode); nil in sharded mode
+	stamps []uint32 // stamps[e] == gen: dense row e belongs to this cache
+	gen    uint32
 	shards []sigmaShard
 	cosine cosineRow // dense mode over an *EmbeddingCosine; zero otherwise
 
@@ -69,12 +74,63 @@ type sigmaShard struct {
 	m  map[uint64]float64
 }
 
+// sigmaSlabs pools the dense storage of engine searches' σ caches, so a
+// warm search allocates no σ storage. A slab goes back only after every
+// worker of its search has returned, so two live searches never share one.
+var sigmaSlabs sync.Pool
+
+// takeSigmaSlab returns a pooled slab, or a new empty one.
+func takeSigmaSlab() *sigmaSlab {
+	if s, ok := sigmaSlabs.Get().(*sigmaSlab); ok {
+		return s
+	}
+	return new(sigmaSlab)
+}
+
+// sigmaSlab is the dense storage of one search's SigmaCache at a time.
+// Rows are generation-stamped: row e holds the current search's σ only while
+// stamps[e] == gen; any other stamp marks values of an earlier search,
+// possibly in another slot layout, which the row's first reader resets
+// (SigmaCache.row). Nothing is cleared between searches; each advances gen.
+//
+// Memory: 8 B per cell at the widest query the slab has served, plus 4 B
+// per corpus entity.
+type sigmaSlab struct {
+	gen    uint32
+	cells  []uint64
+	stamps []uint32
+}
+
+// use readies the slab for a search of slots query entities over n corpus
+// entities: it grows the arrays to cover them and advances gen. New stamps
+// are 0, which is never a live generation; when gen wraps, every stamp is
+// cleared so that none written 2³² searches ago can match again.
+func (s *sigmaSlab) use(slots, n int) {
+	if need := slots * n; need > len(s.cells) {
+		s.cells = make([]uint64, need)
+	}
+	if n > len(s.stamps) {
+		s.stamps = append(s.stamps, make([]uint32, n-len(s.stamps))...)
+	}
+	s.gen++
+	if s.gen == 0 {
+		clear(s.stamps)
+		s.gen = 1
+	}
+}
+
 // NewSigmaCache builds a cache for the distinct entities of q over a
 // corpus ID space of numEntities (typically Graph.NumEntities), evaluating
 // sim on each first lookup. Engine wires one up per search automatically;
 // construct one directly only to introspect hit rates or to memoize a σ
 // outside the engine.
 func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
+	return newSigmaCache(q, sim, numEntities, new(sigmaSlab))
+}
+
+// newSigmaCache is NewSigmaCache with the dense cells drawn from slab, which
+// the caller must not hand to another cache while this one is in use.
+func newSigmaCache(q Query, sim Similarity, numEntities int, slab *sigmaSlab) *SigmaCache {
 	distinct := q.DistinctEntities()
 	c := &SigmaCache{
 		sim:      sim,
@@ -82,10 +138,10 @@ func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
 		n:        numEntities,
 	}
 	if int64(len(distinct))*int64(numEntities)*8 <= maxSigmaDenseBytes {
-		c.dense = make([]uint64, len(distinct)*numEntities)
-		for i := range c.dense {
-			c.dense[i] = sigmaUnset
-		}
+		slab.use(len(distinct), numEntities)
+		c.dense = slab.cells[:len(distinct)*numEntities]
+		c.stamps = slab.stamps[:numEntities]
+		c.gen = slab.gen
 		if ec, ok := sim.(*EmbeddingCosine); ok {
 			c.cosine = newCosineRow(ec, distinct)
 		}
@@ -113,10 +169,23 @@ func (c *SigmaCache) shard(key uint64) *sigmaShard {
 }
 
 // row returns the dense cells of corpus entity target, one per slot;
-// target must be below c.n.
+// target must be below c.n. Every dense access goes through it. A row whose
+// stamp is not the cache's generation still holds an earlier search's
+// values, so its first reader stores sigmaUnset into every cell and only
+// then publishes the stamp: a reader that sees the stamp sees the reset.
+// Racing first readers may both reset the row; a reset writes only
+// sigmaUnset, so a cell holds either that or this search's σ, and a late
+// reset at worst drops a value to be computed again. No CAS is needed.
 func (c *SigmaCache) row(target uint32) []uint64 {
 	slots := len(c.entities)
-	return c.dense[int(target)*slots:][:slots]
+	cells := c.dense[int(target)*slots:][:slots]
+	if stamp := &c.stamps[target]; atomic.LoadUint32(stamp) != c.gen {
+		for i := range cells {
+			atomic.StoreUint64(&cells[i], sigmaUnset)
+		}
+		atomic.StoreUint32(stamp, c.gen)
+	}
+	return cells
 }
 
 // lookup returns the memoized σ for (slot, target), if present. It does
@@ -220,8 +289,10 @@ type SigmaCacheStats struct {
 	// Dense reports the representation (true = lock-free dense array,
 	// false = sharded maps).
 	Dense bool
-	// MemoryBytes is the reserved cache memory: the full array footprint
-	// in dense mode, the entry footprint in sharded mode.
+	// MemoryBytes is the cache memory in use: in dense mode the bytes
+	// the dense view spans (slots × corpus entities × 8, drawn from a
+	// pooled slab on engine searches rather than allocated per search),
+	// in sharded mode the entry footprint.
 	MemoryBytes int64
 }
 
@@ -235,7 +306,8 @@ func (s SigmaCacheStats) HitRate() float64 {
 }
 
 // Stats snapshots the cache. Entry counting scans the dense array, so call
-// it for introspection, not per lookup.
+// it for introspection, not per lookup; a dense row counts only while it
+// carries the cache's generation stamp.
 func (c *SigmaCache) Stats() SigmaCacheStats {
 	st := SigmaCacheStats{
 		Hits:   c.hits.Load(),
@@ -244,9 +316,16 @@ func (c *SigmaCache) Stats() SigmaCacheStats {
 		Dense:  c.dense != nil,
 	}
 	if c.dense != nil {
-		for i := range c.dense {
-			if atomic.LoadUint64(&c.dense[i]) != sigmaUnset {
-				st.Entries++
+		slots := len(c.entities)
+		for e := range c.stamps {
+			if atomic.LoadUint32(&c.stamps[e]) != c.gen {
+				continue
+			}
+			row := c.dense[e*slots:][:slots]
+			for i := range row {
+				if atomic.LoadUint64(&row[i]) != sigmaUnset {
+					st.Entries++
+				}
 			}
 		}
 		st.MemoryBytes = int64(len(c.dense)) * 8
@@ -262,9 +341,9 @@ func (c *SigmaCache) Stats() SigmaCacheStats {
 	return st
 }
 
-// MemoryBytes returns the reserved cache memory without scanning (dense
-// mode reserves its full footprint up front; sharded mode grows with use,
-// so this reports the current entry estimate).
+// MemoryBytes returns the cache memory in use without scanning (dense mode
+// spans its full view from the start; sharded mode grows with use, so this
+// reports the current entry estimate).
 func (c *SigmaCache) MemoryBytes() int64 {
 	if c.dense != nil {
 		return int64(len(c.dense)) * 8

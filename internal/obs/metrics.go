@@ -29,6 +29,17 @@ func (c *Counter) Add(delta int64) {
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
+// raise lifts the count to total if it is below it: a counter that mirrors
+// a monotone total kept elsewhere. Racing calls leave the larger total.
+func (c *Counter) raise(total int64) {
+	for {
+		old := c.v.Load()
+		if total <= old || c.v.CompareAndSwap(old, total) {
+			return
+		}
+	}
+}
+
 // Gauge is a float64 metric that can go up and down.
 type Gauge struct {
 	bits atomic.Uint64

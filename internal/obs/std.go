@@ -5,6 +5,8 @@ package obs
 // with docs/OBSERVABILITY.md; instrumented packages call these once (at
 // init or construction) and cache the returned handles.
 
+import "runtime/metrics"
+
 // SearchesTotal counts completed engine searches.
 func SearchesTotal() *Counter {
 	return Default.Counter("thetis_search_total",
@@ -406,4 +408,30 @@ func HTTPInFlight(r *Registry) *Gauge {
 	}
 	return r.Gauge("thetis_http_inflight",
 		"Search-type requests currently executing.", nil)
+}
+
+// GoRuntimeMetrics registers two Go runtime allocation series on r and
+// returns the function that refreshes them from runtime/metrics: the
+// /metrics handler calls it on each scrape, and nothing on the search path
+// does. thetis_go_gc_cycles_total mirrors /gc/cycles/total:gc-cycles and
+// thetis_go_heap_alloc_bytes_total mirrors /gc/heap/allocs:bytes.
+func GoRuntimeMetrics(r *Registry) (refresh func()) {
+	if r == nil {
+		r = Default
+	}
+	counters := []*Counter{
+		r.Counter("thetis_go_gc_cycles_total",
+			"Completed Go garbage-collection cycles since the process started.", nil),
+		r.Counter("thetis_go_heap_alloc_bytes_total",
+			"Bytes allocated on the Go heap since the process started.", nil),
+	}
+	return func() {
+		samples := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/gc/heap/allocs:bytes"}}
+		metrics.Read(samples)
+		for i, s := range samples {
+			if s.Value.Kind() == metrics.KindUint64 {
+				counters[i].raise(int64(s.Value.Uint64()))
+			}
+		}
+	}
 }

@@ -190,7 +190,11 @@ func New(sys Backend, opts ...Option) *Server {
 	s.handle("GET", "/debug/trace", s.guard("/debug/trace", s.handleTrace))
 	s.handle("POST", "/shard/search", s.handleShardSearch)
 	s.handle("POST", "/shard/artifacts", s.handleShardArtifacts)
-	s.mux.Handle("GET /metrics", s.reg.Handler())
+	refreshRuntime, metrics := obs.GoRuntimeMetrics(s.reg), s.reg.Handler()
+	s.mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+		refreshRuntime()
+		metrics.ServeHTTP(w, r)
+	})
 	if s.pprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

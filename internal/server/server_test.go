@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -222,6 +223,42 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
+	}
+}
+
+// allocSink keeps TestMetricsGoRuntimeSeries's allocation on the heap.
+var allocSink []byte
+
+// TestMetricsGoRuntimeSeries: the Go runtime series on /metrics are read
+// when /metrics is scraped, so what the process allocates and collects
+// between two scrapes moves them.
+func TestMetricsGoRuntimeSeries(t *testing.T) {
+	ts := demoServer(t)
+	scrape := func(family string) int64 {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		m := regexp.MustCompile(`(?m)^` + family + ` ([0-9]+)$`).FindSubmatch(body)
+		if m == nil {
+			t.Fatalf("/metrics has no %s sample", family)
+		}
+		n, _ := strconv.ParseInt(string(m[1]), 10, 64)
+		return n
+	}
+	const size = 8 << 20
+	bytes0, cycles0 := scrape("thetis_go_heap_alloc_bytes_total"), scrape("thetis_go_gc_cycles_total")
+	allocSink = make([]byte, size)
+	runtime.GC()
+	allocSink = nil
+	if bytes1 := scrape("thetis_go_heap_alloc_bytes_total"); bytes1-bytes0 < size {
+		t.Errorf("thetis_go_heap_alloc_bytes_total moved %d → %d across a %d-byte allocation", bytes0, bytes1, size)
+	}
+	if cycles1 := scrape("thetis_go_gc_cycles_total"); cycles1 <= cycles0 {
+		t.Errorf("thetis_go_gc_cycles_total moved %d → %d across runtime.GC", cycles0, cycles1)
 	}
 }
 
