@@ -70,9 +70,11 @@ fuzz:
 
 # Fault-injection and corruption-matrix suite (docs/RELIABILITY.md): every
 # test named Corrupt* or Fault* — single-byte snapshot flips, truncations,
-# injected device errors, contained panics.
+# injected device errors, contained panics — and the replica tier's
+# RemoteShard* and HTTPShard* tests: retries, failover, breakers, probes,
+# dead shards and the network fault matrix.
 faults:
-	$(GO) test -run '^Test(Corrupt|Fault)' ./...
+	$(GO) test -run '^Test(Corrupt|Fault|RemoteShard|HTTPShard)' ./...
 
 # Paper-table benchmarks (bench_test.go); pass BENCH=<regex> to narrow.
 BENCH ?= .

@@ -15,7 +15,7 @@
 // the corpus). The coordinator loads the full corpus locally for query
 // parsing, keyword search, and the global-artifact bootstrap it ships to
 // every shard, but answers /search by scattering over HTTP with retries,
-// hedging, replica failover, and per-replica circuit breakers
+// replica failover, and per-replica circuit breakers
 // (thetis_remote_shard_* metrics; per-replica breakdown on /readyz). The
 // deployment is read-only: POST/DELETE /tables answer 405.
 //
@@ -176,15 +176,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err) // unreachable: validateFlags already parsed it
 		}
-		var hedge float64
-		if *timeout > 0 {
-			hedge = 0.95
-		}
 		var shardCfg *thetis.IndexConfig
 		if *useLSH {
 			shardCfg = &cfg
 		}
-		stopProbes = startCoordinator(sys, groups, shardCfg, *votes, *probeEvery, hedge)
+		stopProbes = startCoordinator(sys, groups, shardCfg, *votes, *probeEvery)
 		opts = append(opts, server.WithRemoteShardStatus(sys.ShardStatuses))
 	} else if *useLSH {
 		// Serve immediately — brute force while the index builds in the
@@ -258,7 +254,7 @@ func main() {
 // failure is fatal — serving un-bootstrapped shards would return rankings
 // that differ from one system over the whole corpus. It returns the
 // probes' stop function.
-func startCoordinator(sys *thetis.System, groups [][]string, cfg *thetis.IndexConfig, votes int, probeEvery time.Duration, hedgePct float64) (stopProbes func()) {
+func startCoordinator(sys *thetis.System, groups [][]string, cfg *thetis.IndexConfig, votes int, probeEvery time.Duration) (stopProbes func()) {
 	globals := sys.ShardGlobalIDs(thetis.NewHashPartitioner(len(groups)))
 	shards := make([]*thetis.RemoteShard, len(groups))
 	for i, urls := range groups {
@@ -266,9 +262,7 @@ func startCoordinator(sys *thetis.System, groups [][]string, cfg *thetis.IndexCo
 		for j, u := range urls {
 			replicas[j] = thetis.RemoteReplica{URL: u}
 		}
-		sh, err := thetis.NewRemoteShard(fmt.Sprintf("%d", i), sys.Graph(), globals[i], replicas, thetis.RemoteOptions{
-			HedgePercentile: hedgePct,
-		})
+		sh, err := thetis.NewRemoteShard(fmt.Sprintf("%d", i), sys.Graph(), globals[i], replicas, thetis.RemoteOptions{})
 		if err != nil {
 			log.Fatalf("shard %d: %v", i, err)
 		}

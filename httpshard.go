@@ -32,8 +32,8 @@ import (
 // Remote shard-over-HTTP seams, re-exported from internal/remote.
 type (
 	// RemoteShard is the HTTP shard client: a Shard whose SearchShard
-	// proxies to a remote unsharded thetisd with retries, hedging,
-	// replica failover, and circuit breaking.
+	// proxies to a remote unsharded thetisd with retries, replica
+	// failover, and circuit breaking.
 	RemoteShard = remote.Shard
 	// RemoteReplica is one interchangeable daemon serving a shard.
 	RemoteReplica = remote.Replica

@@ -296,11 +296,11 @@ func RemoteShardRetriesTotal(shard string) *Counter {
 		Labels{"shard": shard})
 }
 
-// RemoteShardHedgesTotal counts hedged (duplicate, latency-racing)
-// requests fired after the hedge delay elapsed, by shard.
+// RemoteShardHedgesTotal is never incremented since hedging was removed;
+// registered only because bench/run.go reads it (ROADMAP item 1).
 func RemoteShardHedgesTotal(shard string) *Counter {
 	return Default.Counter("thetis_remote_shard_hedges_total",
-		"Hedged duplicate requests fired against a second replica, by shard.",
+		"Never incremented since hedging was removed.",
 		Labels{"shard": shard})
 }
 

@@ -39,9 +39,9 @@ func (s breakerState) String() string {
 // The half-open probe slot is a lease: acquire hands it out and every
 // admitted probe MUST settle it through exactly one of success, fail, or
 // abandon. Without abandon, a probe whose outcome is discarded (the
-// request was never sent, or was cancelled by a hedge winner) would leave
-// the breaker half-open with the slot consumed forever — the replica
-// blackholed until restart.
+// request was never sent, or its caller gave up) would leave the breaker
+// half-open with the slot consumed forever — the replica blackholed until
+// restart.
 type breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -136,9 +136,9 @@ func (b *breaker) fail() {
 }
 
 // abandon releases a half-open probe slot whose request recorded no
-// outcome — it was cancelled by a hedge winner or by the caller giving
-// up. The breaker stays half-open with the slot free, so the next
-// acquire (search attempt or background probe) retries immediately.
+// outcome because the caller gave up. The breaker stays half-open with
+// the slot free, so the next acquire (search attempt or background probe)
+// retries immediately.
 func (b *breaker) abandon() {
 	b.mu.Lock()
 	defer b.mu.Unlock()

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,7 +35,7 @@ type Replica struct {
 
 // Options tunes the robustness layer. The zero value gets sensible
 // defaults (3 attempts, 2s per attempt, 5ms..250ms backoff, breaker
-// threshold 3 / cooldown 2s, hedging off).
+// threshold 3 / cooldown 2s).
 type Options struct {
 	// MaxAttempts bounds search attempts per leg, across replicas
 	// (default 3). Searches are idempotent, so retrying is always safe.
@@ -51,16 +50,6 @@ type Options struct {
 	// (half fixed, half random). Defaults 5ms and 250ms.
 	BackoffBase time.Duration
 	BackoffMax  time.Duration
-	// HedgeDelay, when positive, fires a duplicate request on a second
-	// replica if the first has not answered within the delay; the first
-	// success wins and the loser is cancelled. Zero disables hedging
-	// unless HedgePercentile is set.
-	HedgeDelay time.Duration
-	// HedgePercentile, when in (0,1), derives the hedge delay from the
-	// observed latency distribution of successful requests (e.g. 0.95
-	// hedges requests slower than the p95) once enough samples exist;
-	// until then HedgeDelay (if set) applies.
-	HedgePercentile float64
 	// BreakerThreshold trips a replica's circuit breaker after this many
 	// consecutive failures (default 3); BreakerCooldown is how long it
 	// stays parked before a half-open probe (default 2s).
@@ -116,14 +105,12 @@ type Shard struct {
 	replicas []*replica
 	opt      Options
 
-	rr  atomic.Uint32 // round-robin cursor
-	lat latencies
+	rr atomic.Uint32 // round-robin cursor
 
 	jmu sync.Mutex
 	rng *rand.Rand
 
 	mRetries   *obs.Counter
-	mHedges    *obs.Counter
 	mFailovers *obs.Counter
 }
 
@@ -146,7 +133,6 @@ func NewShard(label string, g *kg.Graph, globals []lake.TableID, replicas []Repl
 		opt:        opt,
 		rng:        rand.New(rand.NewSource(opt.Seed)),
 		mRetries:   obs.RemoteShardRetriesTotal(label),
-		mHedges:    obs.RemoteShardHedgesTotal(label),
 		mFailovers: obs.RemoteShardFailoversTotal(label),
 	}
 	breakerOpens := obs.RemoteShardBreakerOpenTotal(label)
@@ -221,7 +207,7 @@ func (s *Shard) SearchShard(ctx context.Context, q core.Query, k int, opts shard
 		attempts++
 
 		actx, cancel := context.WithTimeout(ctx, s.attemptTimeout(ctx, s.opt.MaxAttempts-attempt+1))
-		payload, aerr := s.tryHedged(actx, ri, probe, body)
+		payload, aerr := s.attempt(actx, ri, probe, body)
 		cancel()
 		if aerr == nil {
 			results, stats := s.decode(payload)
@@ -312,7 +298,7 @@ func (s *Shard) sleepBackoff(ctx context.Context, attempt int) {
 // round-robin, preferring one different from the replica that just failed
 // (failover) when more than one is available. probe is true when the
 // admission consumed the replica's half-open probe slot; the caller must
-// then guarantee the request settles it (tryHedged does). acquire is only
+// then guarantee the request settles it (attempt does). acquire is only
 // called on a replica that is actually returned — probing a replica and
 // then skipping it would consume its probe slot with no request to record
 // an outcome, wedging the breaker half-open forever.
@@ -335,119 +321,27 @@ func (s *Shard) pickReplica(last int) (ri int, probe bool) {
 	return -1, false
 }
 
-// pickHedge chooses a replica other than primary for a hedged request,
-// without preferring freshness (any admitted replica will do). Like
-// pickReplica it only acquires the replica it returns.
-func (s *Shard) pickHedge(primary int) (ri int, probe bool) {
-	n := len(s.replicas)
-	if n < 2 {
-		return -1, false
-	}
-	start := int(s.rr.Add(1)) % n
-	for i := 0; i < n; i++ {
-		ri := (start + i) % n
-		if ri == primary {
-			continue
+// attempt sends one request to replica ri and settles its breaker:
+// success closes it; a failure — including an attempt that burned its
+// whole per-attempt deadline, the stalled-replica case the breaker exists
+// for — counts against the replica. Only a request cut short because the
+// caller gave up records no outcome, and if it held the half-open probe
+// slot the slot is released (breaker.abandon) rather than leaked.
+func (s *Shard) attempt(ctx context.Context, ri int, probe bool, body []byte) (*SearchPayload, error) {
+	br := s.replicas[ri].br
+	p, err := s.do(ctx, ri, body)
+	switch {
+	case err == nil:
+		br.success()
+		return p, nil
+	case errors.Is(err, context.Canceled):
+		if probe {
+			br.abandon()
 		}
-		if ok, probe := s.replicas[ri].br.acquire(); ok {
-			return ri, probe
-		}
+	default:
+		br.fail()
 	}
-	return -1, false
-}
-
-// hedgeDelay resolves the configured hedging policy to a concrete delay:
-// the sampled latency percentile once enough successes have been
-// observed, else the static HedgeDelay, else 0 (off).
-func (s *Shard) hedgeDelay() time.Duration {
-	if p := s.opt.HedgePercentile; p > 0 && p < 1 {
-		if d, ok := s.lat.percentile(p); ok {
-			return d
-		}
-	}
-	return s.opt.HedgeDelay
-}
-
-// tryHedged runs one attempt against primary, racing a hedged duplicate
-// on another replica if the hedge delay elapses first. The first success
-// wins and cancels the loser. Breaker bookkeeping happens per completed
-// sub-request and every sub-request settles: successes close; failures —
-// including an attempt that burned its whole per-attempt deadline, the
-// stalled-replica case the breaker exists for — count against the replica
-// that served them; only a loser we cancelled ourselves after a winner
-// (settled), or a request cut short because the caller gave up, records
-// no outcome — and if it held a half-open probe slot, the slot is
-// released (breaker.abandon) rather than leaked.
-func (s *Shard) tryHedged(ctx context.Context, primary int, primaryProbe bool, body []byte) (*SearchPayload, error) {
-	hd := s.hedgeDelay()
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// settled flips before the winner's return cancels the losers, so a
-	// loser can tell our own cancellation from a real failure: deadline
-	// expiry (slow-loris, mid-body stall) arrives as DeadlineExceeded with
-	// settled still false and must trip the breaker.
-	var settled atomic.Bool
-	type outcome struct {
-		p   *SearchPayload
-		err error
-		ri  int
-	}
-	ch := make(chan outcome, 2)
-	launch := func(ri int, probe bool) {
-		go func() {
-			p, err := s.do(cctx, ri, body)
-			br := s.replicas[ri].br
-			switch {
-			case err == nil:
-				br.success()
-			case settled.Load() || errors.Is(err, context.Canceled):
-				// Cancelled — by us after a winner, or by the caller giving
-				// up — so the replica's health is unknown: no outcome, but
-				// a held probe slot must not leak.
-				if probe {
-					br.abandon()
-				}
-			default:
-				br.fail()
-			}
-			ch <- outcome{p, err, ri}
-		}()
-	}
-	launch(primary, primaryProbe)
-
-	var hedgeC <-chan time.Time
-	if hd > 0 && len(s.replicas) > 1 {
-		t := time.NewTimer(hd)
-		defer t.Stop()
-		hedgeC = t.C
-	}
-
-	inflight := 1
-	var firstErr error
-	for {
-		select {
-		case out := <-ch:
-			inflight--
-			if out.err == nil {
-				settled.Store(true)
-				return out.p, nil
-			}
-			if firstErr == nil {
-				firstErr = fmt.Errorf("%s: %w", s.replicas[out.ri].url, out.err)
-			}
-			if inflight == 0 {
-				return nil, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if ri, probe := s.pickHedge(primary); ri >= 0 {
-				s.mHedges.Inc()
-				inflight++
-				launch(ri, probe)
-			}
-		}
-	}
+	return nil, fmt.Errorf("%s: %w", s.replicas[ri].url, err)
 }
 
 // do performs one HTTP round trip against replica ri, verifies the CRC
@@ -456,7 +350,6 @@ func (s *Shard) tryHedged(ctx context.Context, primary int, primaryProbe bool, b
 // not be merged).
 func (s *Shard) do(ctx context.Context, ri int, body []byte) (*SearchPayload, error) {
 	r := s.replicas[ri]
-	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, r.url+"/shard/search", bytes.NewReader(body))
 	if err != nil {
 		return nil, err
@@ -483,7 +376,6 @@ func (s *Shard) do(ctx context.Context, ri int, body []byte) (*SearchPayload, er
 			return nil, fmt.Errorf("remote: table id %d outside shard's %d-table slice (wrong corpus?)", wr.Table, len(s.globals))
 		}
 	}
-	s.lat.add(time.Since(start))
 	return &p, nil
 }
 
@@ -572,17 +464,6 @@ func (s *Shard) Status() Status {
 	return st
 }
 
-// Healthy reports whether at least one replica's breaker currently admits
-// traffic without transitioning state.
-func (s *Shard) Healthy() bool {
-	for _, r := range s.replicas {
-		if state, _ := r.br.snapshot(); state == breakerClosed {
-			return true
-		}
-	}
-	return false
-}
-
 // ProbeOnce health-checks every replica whose breaker is not closed: a
 // GET /readyz answering one of the statuses the endpoint actually emits
 // (200 ready, 503 degraded-but-serving) counts as alive and feeds the
@@ -669,44 +550,4 @@ func firstLine(b []byte) string {
 		s = s[:200]
 	}
 	return s
-}
-
-// latencies is a fixed-size ring of successful-request durations backing
-// the hedge percentile.
-type latencies struct {
-	mu  sync.Mutex
-	buf [64]time.Duration
-	n   int // total observed
-}
-
-// sampleMin is how many observations the percentile needs before it
-// overrides the static hedge delay.
-const sampleMin = 16
-
-func (l *latencies) add(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.n%len(l.buf)] = d
-	l.n++
-	l.mu.Unlock()
-}
-
-func (l *latencies) percentile(p float64) (time.Duration, bool) {
-	l.mu.Lock()
-	size := l.n
-	if size > len(l.buf) {
-		size = len(l.buf)
-	}
-	if size < sampleMin {
-		l.mu.Unlock()
-		return 0, false
-	}
-	snap := make([]time.Duration, size)
-	copy(snap, l.buf[:size])
-	l.mu.Unlock()
-	sort.Slice(snap, func(i, j int) bool { return snap[i] < snap[j] })
-	idx := int(p * float64(size))
-	if idx >= size {
-		idx = size - 1
-	}
-	return snap[idx], true
 }

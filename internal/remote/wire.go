@@ -6,9 +6,8 @@
 // global ID space. Because a shard leg crosses a network, the client wraps
 // every leg in a robustness layer — per-attempt deadlines carved from the
 // coordinator budget, bounded retry with exponential backoff and
-// deterministic jitter, optional hedged requests after a latency
-// percentile, N-replica failover with health probes, and a per-replica
-// circuit breaker — and composes total failure into the same
+// deterministic jitter, N-replica failover with health probes, and a
+// per-replica circuit breaker — and composes total failure into the same
 // correctly ranked Truncated prefix an in-process deadline produces.
 //
 // The wire types in this file are shared with the server handlers

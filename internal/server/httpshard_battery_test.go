@@ -21,6 +21,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -525,6 +526,74 @@ func TestHTTPShardReplicaFailoverKeepsIdentity(t *testing.T) {
 		t.Fatalf("want exactly the broken replica parked, got %+v", st)
 	}
 }
+
+// TestHTTPShardProbesRestoreIdleReadiness is why background probes stay:
+// a coordinator that receives no searches can only close a healed
+// replica's breaker through a probe, and until it does /readyz?full=1
+// answers 503 to an orchestrator waiting for full capacity.
+func TestHTTPShardProbesRestoreIdleReadiness(t *testing.T) {
+	_, _, queries := hsEnv(t)
+	opt := thetis.RemoteOptions{
+		MaxAttempts:      1,
+		AttemptTimeout:   250 * time.Millisecond,
+		BreakerThreshold: 1,
+		BreakerCooldown:  10 * time.Millisecond,
+	}
+	label := "idleprobe"
+	ft := &faultio.FaultTransport{Script: []faultio.Fault{faultio.Status500}, Loop: true}
+	var searches atomic.Int32 // /shard/search requests that reach the replica
+	d := buildRemoteDeployment(t, label, 1, 1, opt, func(shard, replica int) http.RoundTripper {
+		return roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			if r.URL.Path == "/shard/search" {
+				searches.Add(1)
+			}
+			return ft.RoundTrip(r)
+		})
+	})
+	coord := httptest.NewServer(New(d.coord, WithRemoteShardStatus(d.coord.ShardStatuses)))
+	t.Cleanup(coord.Close)
+	readyFull := func() int {
+		resp, err := http.Get(coord.URL + "/readyz?full=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	// One search against the failing replica trips its breaker.
+	if _, stats := d.coord.SearchStatsContext(context.Background(), queries[0], 10); !stats.Truncated {
+		t.Fatal("search over a failing replica did not truncate")
+	}
+	if code := readyFull(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz?full=1 = %d with the only breaker open, want 503", code)
+	}
+
+	// The replica heals; only the probes run, no search is sent.
+	ft.Script = nil
+	healed := searches.Load()
+	stop := d.coord.StartProbes(5 * time.Millisecond)
+	defer stop()
+	deadline := time.Now().Add(2 * time.Second)
+	for readyFull() != http.StatusOK {
+		if time.Now().After(deadline) {
+			t.Fatalf("/readyz?full=1 still not 200 after 2s of probes: %+v", d.shards[0].Status())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	url := d.shards[0].Status().Replicas[0].URL
+	if up := obs.RemoteShardReplicaUp(label+"-0", url).Value(); up != 1 {
+		t.Fatalf("thetis_remote_shard_replica_up = %v after the probe closed the breaker, want 1", up)
+	}
+	if n := searches.Load() - healed; n != 0 {
+		t.Fatalf("%d /shard/search requests reached the replica after the heal, want 0", n)
+	}
+}
+
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
 
 func TestHTTPShardHybridAndReadOnly(t *testing.T) {
 	_, _, queries := hsEnv(t)
