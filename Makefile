@@ -42,7 +42,8 @@ benchsmoke:
 
 # One iteration of each scoring benchmark (the per-table scoring loop, the
 # warm-scorer kernel, the pruned top-k search beside the full ranking, the
-# σ-cache row fill per cell and by the cosine kernel, the wide-query mapping
+# σ-cache row fill per cell, by the cosine kernel, and for type σ in rows
+# keyed by type set and by corpus entity, the wide-query mapping
 # guard, the assignment solver fresh and reused), of the LSEI prefilter
 # alone and of a warm search behind it with pooled σ slabs (one- and
 # five-entity queries each) and of the query-resolution pair

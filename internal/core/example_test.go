@@ -92,7 +92,10 @@ func ExampleNewEngine() {
 // cache. Engine.Search wires one of these per query automatically (the
 // hit/miss tallies surface in Stats.SigmaHits/SigmaMisses and the
 // thetis_sigma_cache_* metrics); constructing one directly shows what the
-// scoring workers share.
+// scoring workers share. Type σ is cached by interned type set, not by
+// corpus entity: the 8 entities here have 5 distinct type sets, so the
+// first pass already hits wherever an entity shares its set with one scored
+// before it, and 2 slots × 5 type sets = 10 entries remain.
 func ExampleNewSigmaCache() {
 	_, g, q := exampleLake()
 	cache := core.NewSigmaCache(q, core.NewTypeJaccard(g), g.NumEntities())
@@ -111,8 +114,8 @@ func ExampleNewSigmaCache() {
 	fmt.Printf("slots=%d dense=%v entries=%d\n", st.Slots, st.Dense, st.Entries)
 	fmt.Printf("hits=%d misses=%d hit rate %.0f%%\n", st.Hits, st.Misses, 100*st.HitRate())
 	// Output:
-	// slots=2 dense=true entries=16
-	// hits=16 misses=16 hit rate 50%
+	// slots=2 dense=true entries=10
+	// hits=22 misses=10 hit rate 69%
 }
 
 // ExampleBuildTypeLSEI prefilters the search space with a MinHash LSEI

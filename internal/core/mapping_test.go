@@ -91,8 +91,8 @@ func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 			continue
 		}
 		ci := table.BuildColumnIndex(tb)
-		sc.scoreColumns(ci)
-		scGreedy.scoreColumns(ci)
+		sc.scoreColumns(ci, tb.NumRows())
+		scGreedy.scoreColumns(ci, tb.NumRows())
 		hTotal := sc.mapColumns(0)
 		gTotal := scGreedy.mapColumns(0)
 		if gTotal > hTotal+1e-9 {

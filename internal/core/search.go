@@ -124,7 +124,10 @@ type Stats struct {
 	// per (distinct query entity, distinct entity of a column) — MAX
 	// aggregation and repeated tuples read the table's one σ pass, not the
 	// cache — plus, in ModePairwise, one per linked cell of each assigned
-	// column.
+	// column. A miss fills one cache cell: a (query entity, corpus entity)
+	// pair, or under type σ, which the cache keys by interned type set, a
+	// (query entity, type set) pair, so a type-σ search misses at most
+	// once per distinct query entity and type set (plus racing fills).
 	SigmaHits, SigmaMisses int64
 	// ShardErrors explains, in human-readable form, why shard legs of a
 	// scatter-gather search contributed nothing: a contained panic, a

@@ -114,7 +114,8 @@ type scorer struct {
 	// row of the score matrix S per distinct entity, shared by every tuple
 	// that mentions it — and maxes[di*cols+j] the largest σ among them.
 	// sigmas, colSum and colMax (one value per distinct entity) are the
-	// pass's working rows, and best upperBound's.
+	// pass's working rows, and best[di] the largest column score of
+	// distinct entity di, which the pass keeps for upperBound.
 	cols                         int
 	sums, maxes                  []float64
 	sigmas, colSum, colMax, best []float64
@@ -197,42 +198,54 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 		s.hits++
 		return v
 	}
-	v := s.sim.Score(s.distinct[di], kgEntity(target))
-	s.shared.store(di, target, v)
 	s.misses++
-	return v
+	return s.shared.fill(di, target)
 }
 
 // readSigmas returns σ(distinct[di], target) for every distinct query
 // entity at once, in scorer scratch valid until the next call. A dense
-// shared cache keeps those cells adjacent (entity-major), so the read takes
-// the row through SigmaCache.row, which resets it if its stamp is stale, and
-// indexes it directly — the atomics and the hit/miss counting of
-// lookup/store, one count per cell, without a call per cell — and hands the
-// cells it found empty, still marked with sigmaUnset's bits, to fillRow in
-// one call. Everything else — the sharded cache, no cache, an entity
-// interned after the cache was sized — reads cell by cell through sigma.
+// shared cache keeps those cells adjacent (key-major), so the read takes
+// target's row (SigmaCache.rowKey) through SigmaCache.row, which resets it
+// if its stamp is stale, and indexes it directly — the atomics and the
+// hit/miss counting of lookup/fill, one count per cell, without a call per
+// cell — and hands the cells it found empty, still marked with sigmaUnset's
+// bits, to fillRow in one call. Under a keyed σ the row is shared by every
+// entity with target's key, so the query entity that is target itself, if
+// any, reads 1 on top of it (SigmaCache.identity). Everything else — the
+// sharded cache, no cache, an entity interned after an un-keyed cache was
+// sized — reads cell by cell through sigma.
 func (s *scorer) readSigmas(target uint32) []float64 {
 	out := s.sigmas
-	if c := s.shared; c != nil && c.dense != nil && int(target) < c.n {
-		cells := c.row(target)
-		var missed int64
+	c := s.shared
+	var key uint32
+	ok := c != nil
+	if ok {
+		key, ok = c.rowKey(target)
+	}
+	if !ok {
 		for di := range out {
-			bits := atomic.LoadUint64(&cells[di])
-			if bits == sigmaUnset {
-				missed++
-			}
-			out[di] = math.Float64frombits(bits)
-		}
-		s.hits += int64(len(out)) - missed
-		if missed > 0 {
-			s.misses += missed
-			c.fillRow(target, out)
+			out[di] = s.sigma(di, target)
 		}
 		return out
 	}
+	cells := c.row(key)
+	var missed int64
 	for di := range out {
-		out[di] = s.sigma(di, target)
+		bits := atomic.LoadUint64(&cells[di])
+		if bits == sigmaUnset {
+			missed++
+		}
+		out[di] = math.Float64frombits(bits)
+	}
+	s.hits += int64(len(out)) - missed
+	if missed > 0 {
+		s.misses += missed
+		c.fillRow(key, target, out)
+	}
+	if c.keyed != nil {
+		if di := slices.Index(s.distinct, kgEntity(target)); di >= 0 {
+			out[di] = 1
+		}
 	}
 	return out
 }
@@ -257,7 +270,7 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 		ci = table.BuildColumnIndex(t)
 	}
 	start := time.Now()
-	s.scoreColumns(ci)
+	s.scoreColumns(ci, t.NumRows())
 	// Strictly below: a table that could tie the k-th score is scored, and
 	// the (score desc, table ID asc) order decides, as without pruning.
 	if floor := s.floor.load(); floor > 0 && s.upperBound(t.NumRows()) < floor {
@@ -294,8 +307,11 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 // over every cell, as distinct entities × multiplicities) and in maxes the
 // per-column maxima MAX aggregation needs, so mapColumns and tupleScore
 // read scratch only. Per (query entity, column) the sum adds the column's
-// entities in ColumnIndex order.
-func (s *scorer) scoreColumns(ci *table.ColumnIndex) {
+// entities in ColumnIndex order. As it writes each column it keeps, in
+// best, each query entity's best column score for upperBound over a table
+// of numRows rows: the entity-wise aggregate (aggregateColumn), or in
+// ModePairwise the column maximum, from 0, taken in column order.
+func (s *scorer) scoreColumns(ci *table.ColumnIndex, numRows int) {
 	d, cols := len(s.distinct), len(ci.Cols)
 	s.cols = cols
 	if cap(s.sums) < d*cols {
@@ -303,6 +319,7 @@ func (s *scorer) scoreColumns(ci *table.ColumnIndex) {
 	}
 	s.sums, s.maxes = s.sums[:d*cols], s.maxes[:d*cols]
 	colSum, colMax := s.colSum, s.colMax
+	clear(s.best)
 	for j := range ci.Cols {
 		cs := &ci.Cols[j]
 		clear(colSum)
@@ -318,14 +335,19 @@ func (s *scorer) scoreColumns(ci *table.ColumnIndex) {
 		}
 		for di := range colSum {
 			s.sums[di*cols+j], s.maxes[di*cols+j] = colSum[di], colMax[di]
+			x := colMax[di]
+			if s.mode == ModeEntityWise {
+				x = s.aggregateColumn(di, j, numRows)
+			}
+			s.best[di] = max(s.best[di], x)
 		}
 	}
 }
 
-// upperBound returns, from the scratch scoreColumns filled, a score the
-// current table cannot exceed under any column assignment: every query
-// entity takes its best column, whether or not another entity wants the same
-// one. It repeats tupleScore's operations in tupleScore's order with x
+// upperBound returns, from the best column scores scoreColumns kept for a
+// table of numRows rows, a score the current table cannot exceed under any
+// column assignment: every query entity takes its best column, whether or
+// not another entity wants the same one. It repeats tupleScore's operations in tupleScore's order with x
 // replaced by best ≥ max(x, 0) and the miss clamped at 0 (an x above 1, from
 // a σ outside [0, 1], makes the real miss² positive), so with weights ≥ 0
 // every step is monotone in floating point and the bound holds on the raw
@@ -333,17 +355,6 @@ func (s *scorer) scoreColumns(ci *table.ColumnIndex) {
 // most its column's maximum; the pairwise AVG fold is replayed row by row
 // because a sum of n equal terms divided by n can round above the term.
 func (s *scorer) upperBound(numRows int) float64 {
-	for di := range s.best {
-		b := 0.0
-		for j := range s.cols {
-			x := s.maxes[di*s.cols+j]
-			if s.mode == ModeEntityWise {
-				x = s.aggregateColumn(di, j, numRows)
-			}
-			b = max(b, x)
-		}
-		s.best[di] = b
-	}
 	total := 0.0
 	for ti, slots := range s.slots {
 		var distSq float64

@@ -46,15 +46,22 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 // at all, a dense cache sized before the table's entities were interned, and
 // a dense cache whose rows were partly filled through SigmaCache.Sigma before
 // the pass. Hits and misses are counted per cell: a lookup misses exactly
-// when its pair was stored neither before the pass nor earlier in it.
+// when its cell was stored neither before the pass nor earlier in it. Type σ
+// runs twice: behind another type ("types"), so its rows are corpus entities
+// like any σ's, and as itself ("types-keyed"), where a cell is a (slot, type
+// set) pair shared by every entity of the set. A keyed σ sizes its cache by
+// its own key space, so the modes that force a representation through the
+// entity ID space (sharded, late-entities) do not apply to it.
 func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	_, g := randomCorpus(13, 20, 150, 0, 0, 0)
 	n := g.NumEntities()
 	rng := rand.New(rand.NewSource(17))
 	tables := raggedTables(rng, g, 30)
+	tj := NewTypeJaccard(g)
 	sims := map[string]Similarity{
-		"types":      NewTypeJaccard(g),
-		"embeddings": NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(4)), g, 16)),
+		"types":       struct{ Similarity }{tj},
+		"types-keyed": tj,
+		"embeddings":  NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(4)), g, 16)),
 	}
 	queries := []Query{randomQuery(rng, g, 1, 3), randomQuery(rng, g, 5, 3), randomQuery(rng, g, 3, 1)}
 
@@ -80,6 +87,9 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	}
 	for simName, sim := range sims {
 		for _, mode := range modes {
+			if _, keyed := sim.(keyedSimilarity); keyed && (mode.name == "sharded" || mode.name == "late-entities") {
+				continue
+			}
 			t.Run(simName+"/"+mode.name, func(t *testing.T) {
 				for qi, q := range queries {
 					cache := mode.cache(q, sim)
@@ -95,17 +105,20 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 							for j := range ci.Cols {
 								for _, e := range ci.Cols[j].Entities {
 									for di := range sc.distinct {
-										key := [2]int{di, int(e)}
-										if _, ok := cache.lookup(di, uint32(e)); !ok && !stored[key] {
+										cell := [2]int{di, int(e)}
+										if cache.keyed != nil {
+											cell[1] = int(tj.key(e))
+										}
+										if _, ok := cache.lookup(di, uint32(e)); !ok && !stored[cell] {
 											wantMisses++
-											stored[key] = int(e) < mode.cacheN
+											stored[cell] = cache.keyed != nil || int(e) < mode.cacheN
 										}
 									}
 								}
 							}
 						}
 						hitsBefore, missesBefore := sc.hits, sc.misses
-						sc.scoreColumns(ci)
+						sc.scoreColumns(ci, tb.NumRows())
 						misses := sc.misses - missesBefore
 						lookups, cells := sc.hits-hitsBefore+misses, 0
 						for j := range ci.Cols {
@@ -145,8 +158,13 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 					}
 					// Entities beyond the cache's ID space were scored above
 					// (out of bounds would have panicked) and stored nowhere.
+					// A keyed cache spans type sets + 1 rows, whatever cacheN.
 					st := cache.Stats()
-					if want := int64(st.Slots * mode.cacheN); st.MemoryBytes != 8*want || st.Entries > want {
+					rows := mode.cacheN
+					if cache.keyed != nil {
+						rows = tj.NumTypeSets() + 1
+					}
+					if want := int64(st.Slots * rows); st.MemoryBytes != 8*want || st.Entries > want {
 						t.Fatalf("q%d: %d entries in %d bytes, want at most %d cells", qi, st.Entries, st.MemoryBytes, want)
 					}
 				}

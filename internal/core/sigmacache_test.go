@@ -212,7 +212,7 @@ func TestCosineRowMatchesScore(t *testing.T) {
 				for di := range out {
 					out[di] = math.Float64frombits(sigmaUnset)
 				}
-				c.fillRow(uint32(target), out)
+				c.fillRow(uint32(target), uint32(target), out)
 				for di, qe := range c.entities {
 					want := ec.Score(qe, target)
 					if math.Float64bits(out[di]) != math.Float64bits(want) {
@@ -243,15 +243,119 @@ func TestCosineRowMatchesScore(t *testing.T) {
 	}
 }
 
-// BenchmarkSigmaRow times filling one missing dense-cache row at dim 48:
+// TestTypeSigmaKeyMatchesScore pins the keyed type-σ path to
+// TypeJaccard.Score bit for bit: for every (query entity, target) pair of a
+// fixture graph, the scorer's row read (readSigmas), its one-cell read
+// (sigma) and SigmaCache.Sigma all return Score, whether rows are filled
+// whole or cell by cell first. The graph has untyped entities, an entity
+// interned after NewTypeJaccard, two distinct entities with equal type sets
+// (0.95) and every entity against itself (1, which no keyed cell holds).
+// Each read runs on a fresh slab and on one reused at a stale generation,
+// whose rows hold another query's σ in another slot layout.
+func TestTypeSigmaKeyMatchesScore(t *testing.T) {
+	g := kg.NewGraph()
+	thing := g.AddType("Thing", "")
+	person := g.AddType("Person", "")
+	place := g.AddType("Place", "")
+	city := g.AddType("City", "")
+	g.AddSubtype(person, thing)
+	g.AddSubtype(place, thing)
+	g.AddSubtype(city, place)
+	for i, types := range [][]kg.TypeID{{person}, {person}, {place}, {city}, {}, {person, city}, {}, {thing}} {
+		e := g.AddEntity(fmt.Sprintf("ent/%d", i), "")
+		for _, ty := range types {
+			g.AssignType(e, ty)
+		}
+	}
+	tj := NewTypeJaccard(g)
+	late := g.AddEntity("ent/late", "")
+	g.AssignType(late, person)
+	n := g.NumEntities()
+	q := Query{Tuple{0, 1, 2}, Tuple{3, 4, late}, Tuple{5, 7}}
+	// Wider than q, so q's cache reuses its cells rather than growing them.
+	other := Query{Tuple{late, 7, 6, 5}, Tuple{4, 3, 2, 1, 0}}
+
+	var untyped, lateSeen, equalSets, identity int
+	for _, stale := range []bool{false, true} {
+		for _, rowsFirst := range []bool{true, false} {
+			slab := new(sigmaSlab)
+			var before []uint64
+			if stale {
+				prev := newSigmaCache(other, tj, n, slab)
+				sc := newScorer(other, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, prev)
+				for target := 0; target < n; target++ {
+					sc.readSigmas(uint32(target))
+				}
+				before = slices.Clone(slab.cells)
+			}
+			c := newSigmaCache(q, tj, n, slab)
+			if c.keyed == nil || c.n != tj.NumTypeSets()+1 {
+				t.Fatalf("type σ cache spans %d rows (keyed %v), want %d type sets + 1", c.n, c.keyed != nil, tj.NumTypeSets())
+			}
+			if st := c.Stats(); st.MemoryBytes != int64(st.Slots*c.n*8) {
+				t.Fatalf("memory %d bytes, want slots × keys × 8 = %d", st.MemoryBytes, st.Slots*c.n*8)
+			}
+			sc := newScorer(q, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, c)
+			for pass := 0; pass < 2; pass++ {
+				for target := kg.EntityID(0); int(target) < n; target++ {
+					var row []float64
+					if rowsFirst == (pass == 0) {
+						row = slices.Clone(sc.readSigmas(uint32(target)))
+					}
+					for di, a := range sc.distinct {
+						want := tj.Score(a, target)
+						got := sc.sigma(di, uint32(target))
+						if row != nil && math.Float64bits(row[di]) != math.Float64bits(want) {
+							t.Fatalf("stale=%v: readSigmas σ(%d,%d) = %v, Score %v", stale, a, target, row[di], want)
+						}
+						if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(c.Sigma(di, target)) != math.Float64bits(want) {
+							t.Fatalf("stale=%v: sigma σ(%d,%d) = %v, Sigma %v, Score %v", stale, a, target, got, c.Sigma(di, target), want)
+						}
+						switch {
+						case a == target:
+							identity++
+						case tj.SetID(target) < 0 && target != late:
+							untyped++
+						case target == late:
+							lateSeen++
+						case want == MaxJaccard:
+							equalSets++
+						}
+					}
+				}
+			}
+			if stale {
+				// The reused rows held σ that is wrong for this query's slots.
+				wrong := 0
+				for i, bits := range before[:len(c.dense)] {
+					if bits != sigmaUnset && bits != c.dense[i] {
+						wrong++
+					}
+				}
+				if wrong == 0 {
+					t.Fatal("vacuous: the stale slab held no cell that differs from this query's σ")
+				}
+			}
+		}
+	}
+	if untyped == 0 || lateSeen == 0 || equalSets == 0 || identity == 0 {
+		t.Fatalf("vacuous: %d untyped, %d late, %d equal-set, %d identity reads", untyped, lateSeen, equalSets, identity)
+	}
+}
+
+// BenchmarkSigmaRow times filling one missing dense-cache row: at dim 48,
 // "score" is the per-cell Score call any σ without a row kernel takes (the
-// cosine hidden behind another type), "row" the EmbeddingCosine kernel, for
-// d = 1, 5, 7 and 15 distinct query entities (1 and 5 leave one live slot in
-// their last group of four). Both store what they compute.
+// cosine hidden behind another type), "row" the EmbeddingCosine kernel; over
+// type σ, "types/keyed" fills a row keyed by type set through scoreKey, and
+// "types/entity" a row keyed by corpus entity through Score (TypeJaccard
+// behind another type). Each runs for d = 1, 5, 7 and 15 distinct query
+// entities (1 and 5 leave one live slot in their last group of four), and
+// all of them store what they compute.
 func BenchmarkSigmaRow(b *testing.B) {
 	_, g := randomCorpus(47, 8, 2000, 0, 0, 0)
 	n := g.NumEntities()
 	ec := NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(53)), g, 48))
+	tj := NewTypeJaccard(g)
 	for _, d := range []int{1, 5, 7, 15} {
 		q := Query{make(Tuple, d)}
 		for i := range q[0] {
@@ -260,7 +364,7 @@ func BenchmarkSigmaRow(b *testing.B) {
 		for _, kernel := range []struct {
 			name string
 			sim  Similarity
-		}{{"score", struct{ Similarity }{ec}}, {"row", ec}} {
+		}{{"score", struct{ Similarity }{ec}}, {"row", ec}, {"types/keyed", tj}, {"types/entity", struct{ Similarity }{tj}}} {
 			b.Run(fmt.Sprintf("d=%d/%s", d, kernel.name), func(b *testing.B) {
 				c := NewSigmaCache(q, kernel.sim, n)
 				out := make([]float64, d)
@@ -270,7 +374,9 @@ func BenchmarkSigmaRow(b *testing.B) {
 					for di := range out {
 						out[di] = math.Float64frombits(sigmaUnset)
 					}
-					c.fillRow(uint32(i%n), out)
+					target := uint32(i % n)
+					key, _ := c.rowKey(target)
+					c.fillRow(key, target, out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d), "ns/cell")
 			})
@@ -301,12 +407,14 @@ func TestSigmaCacheParallelismInvariant(t *testing.T) {
 
 // TestSigmaCacheDenseMode exercises the dense slab representation
 // directly: hit/miss accounting, entry counting, and value agreement with
-// the raw Similarity.
+// the raw Similarity. The σ is type σ behind another type, so rows are
+// corpus entities, one cell per (slot, entity); TestTypeSigmaKeyMatchesScore
+// covers the keyed layout.
 func TestSigmaCacheDenseMode(t *testing.T) {
 	_, g := randomCorpus(5, 8, 40, 1, 1, 1)
 	tj := NewTypeJaccard(g)
 	q := Query{Tuple{0, 1}, Tuple{1, 2}} // entity 1 repeats across tuples
-	c := NewSigmaCache(q, tj, g.NumEntities())
+	c := NewSigmaCache(q, struct{ Similarity }{tj}, g.NumEntities())
 	if !c.Dense() {
 		t.Fatal("small corpus should use the dense representation")
 	}
@@ -378,14 +486,15 @@ func TestScorerSlotsAreCacheSlots(t *testing.T) {
 
 // TestSigmaCacheShardedMode forces the map-backed representation by
 // claiming a corpus ID space too large for dense slabs, and checks the
-// same contract holds.
+// same contract holds. The σ is type σ behind another type: TypeJaccard
+// itself sizes its cache by type sets, not by the ID space claimed here.
 func TestSigmaCacheShardedMode(t *testing.T) {
 	_, g := randomCorpus(5, 8, 40, 1, 1, 1)
 	tj := NewTypeJaccard(g)
 	q := Query{Tuple{0, 1}}
 	// Two slots over an ID space this large puts the dense footprint well
 	// past maxSigmaDenseBytes, forcing sharded mode.
-	c := NewSigmaCache(q, tj, maxSigmaDenseBytes/8+1)
+	c := NewSigmaCache(q, struct{ Similarity }{tj}, maxSigmaDenseBytes/8+1)
 	if c.Dense() {
 		t.Fatal("oversized ID space should select the sharded representation")
 	}
@@ -419,7 +528,7 @@ func TestSigmaCacheConcurrentStress(t *testing.T) {
 	q := Query{Tuple{0, 5, 9}, Tuple{5, 14}}
 	for name, c := range map[string]*SigmaCache{
 		"dense":   NewSigmaCache(q, tj, g.NumEntities()),
-		"sharded": NewSigmaCache(q, tj, 2*(maxSigmaDenseBytes/8)),
+		"sharded": NewSigmaCache(q, struct{ Similarity }{tj}, 2*(maxSigmaDenseBytes/8)),
 	} {
 		t.Run(name, func(t *testing.T) {
 			var wg sync.WaitGroup

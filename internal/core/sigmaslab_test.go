@@ -114,11 +114,14 @@ func TestSigmaSlabReuseMatchesFresh(t *testing.T) {
 // where a search at generation 0 would take never-written stamps for its
 // own, and on one whose rows still carry stamps 1 and 2 from searches of
 // other queries, which the searches after the wrap would take for their own
-// without the clear. Either way they would read cells that are not σ.
+// without the clear. Either way they would read cells that are not σ. The σ
+// is type σ behind another type, so rows are corpus entities and each third
+// of the lake reaches rows of its own; TypeJaccard itself keys rows by type
+// set, which every third shares.
 func TestSigmaSlabGenerationWrap(t *testing.T) {
 	l, g := randomCorpus(7, 24, 120, 40, 12, 4)
 	tj := NewTypeJaccard(g)
-	eng := &Engine{Lake: l, Sim: tj, Inf: IDFInformativeness(l), Parallelism: 2}
+	eng := &Engine{Lake: l, Sim: struct{ Similarity }{tj}, Inf: IDFInformativeness(l), Parallelism: 2}
 	fresh := &Engine{Lake: l, Sim: tj, Inf: IDFInformativeness(l), Parallelism: 2, DisableSigmaCache: true}
 	var thirds [3][]lake.TableID
 	for _, tid := range l.LiveTableIDs() {
@@ -160,10 +163,12 @@ func TestSigmaSlabGenerationWrap(t *testing.T) {
 // storage from the pool instead of allocating it: the median search
 // allocates under a quarter of one slab. (The median, not the mean: under
 // the race detector sync.Pool drops a quarter of what it is given on
-// purpose, so a quarter of those searches allocate a slab anyway.)
+// purpose, so a quarter of those searches allocate a slab anyway.) The σ is
+// type σ behind another type, so the slab has a row per corpus entity:
+// TypeJaccard's own, keyed by type set, is too small to tell apart.
 func TestWarmSearchReusesSigmaSlab(t *testing.T) {
 	l, g := randomCorpus(5, 24, 4000, 30, 6, 3)
-	eng := &Engine{Lake: l, Sim: NewTypeJaccard(g), Inf: IDFInformativeness(l), Parallelism: 1}
+	eng := &Engine{Lake: l, Sim: struct{ Similarity }{NewTypeJaccard(g)}, Inf: IDFInformativeness(l), Parallelism: 1}
 	q := Query{{1, 2, 3}, {4, 5}}
 	slabBytes := uint64(len(q.DistinctEntities()) * g.NumEntities() * 8)
 	if slabBytes < 64<<10 {

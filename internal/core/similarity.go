@@ -27,6 +27,21 @@ type Similarity interface {
 	Score(a, b kg.EntityID) float64
 }
 
+// keyedSimilarity is a Similarity whose value for a ≠ b depends on b only
+// through a key from a space of numKeys values, far smaller than the entity
+// space: scoreKey(a, key(b)) == Score(a, b) bit for bit whenever a ≠ b. The
+// dense σ cache then keeps one row per key instead of one per corpus entity
+// (SigmaCache), and the scorer supplies σ(a, a) = 1 itself, since a keyed
+// row is shared by every entity with that key. key must map every entity ID,
+// including ones interned after the σ was built, into [0, numKeys).
+// TypeJaccard is one, keyed by interned type set.
+type keyedSimilarity interface {
+	Similarity
+	numKeys() int
+	key(e kg.EntityID) uint32
+	scoreKey(a kg.EntityID, key uint32) float64
+}
+
 // MaxJaccard caps the adjusted type-Jaccard similarity for non-identical
 // entities (Equation 4 of the paper).
 const MaxJaccard = 0.95
@@ -149,10 +164,25 @@ func (tj *TypeJaccard) Score(a, b kg.EntityID) float64 {
 	if a == b {
 		return 1
 	}
-	if int(a) >= len(tj.setID) || int(b) >= len(tj.setID) {
-		return 0
-	}
-	sa, sb := tj.setID[a], tj.setID[b]
+	return tj.setScore(tj.SetID(a), tj.SetID(b))
+}
+
+// numKeys, key and scoreKey make TypeJaccard a keyedSimilarity: Equation 4
+// for a ≠ b reads b only through its interned type set, so key 0 is the
+// empty set (untyped entities, and entities interned after construction)
+// and key i+1 is set i.
+func (tj *TypeJaccard) numKeys() int { return len(tj.sets) + 1 }
+
+func (tj *TypeJaccard) key(e kg.EntityID) uint32 { return uint32(tj.SetID(e) + 1) }
+
+func (tj *TypeJaccard) scoreKey(a kg.EntityID, key uint32) float64 {
+	return tj.setScore(tj.SetID(a), int32(key)-1)
+}
+
+// setScore is Equation 4 for two non-identical entities with interned type
+// sets sa and sb (-1: no types): the Jaccard of the sets, capped at
+// MaxJaccard.
+func (tj *TypeJaccard) setScore(sa, sb int32) float64 {
 	if sa < 0 || sb < 0 {
 		return 0
 	}

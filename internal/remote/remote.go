@@ -296,15 +296,22 @@ func (s *Shard) sleepBackoff(ctx context.Context, attempt int) {
 
 // pickReplica chooses the next replica whose breaker admits traffic,
 // round-robin, preferring one different from the replica that just failed
-// (failover) when more than one is available. probe is true when the
-// admission consumed the replica's half-open probe slot; the caller must
-// then guarantee the request settles it (attempt does). acquire is only
-// called on a replica that is actually returned — probing a replica and
-// then skipping it would consume its probe slot with no request to record
-// an outcome, wedging the breaker half-open forever.
+// (failover) when more than one is available. Only a leg's first pick
+// (last < 0) advances the round-robin cursor; a failover scans on from
+// last+1, so consecutive legs start on consecutive replicas even when some
+// of them fail over. probe is true when the admission consumed the
+// replica's half-open probe slot; the caller must then guarantee the
+// request settles it (attempt does). acquire is only called on a replica
+// that is actually returned — probing a replica and then skipping it would
+// consume its probe slot with no request to record an outcome, wedging the
+// breaker half-open forever.
 func (s *Shard) pickReplica(last int) (ri int, probe bool) {
 	n := len(s.replicas)
-	start := int(s.rr.Add(1)) % n
+	start := last + 1
+	if last < 0 {
+		start = int(s.rr.Add(1))
+	}
+	start %= n
 	for pass := 0; pass < 2; pass++ {
 		for i := 0; i < n; i++ {
 			ri := (start + i) % n

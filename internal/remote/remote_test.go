@@ -258,6 +258,51 @@ func TestRemoteShardFailsOverToHealthyReplica(t *testing.T) {
 	}
 }
 
+// countingTransport counts the round trips it is given before passing them
+// on.
+type countingTransport struct {
+	n    atomic.Int32
+	next http.RoundTripper
+}
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return c.next.RoundTrip(r)
+}
+
+// TestRemoteShardRoundRobinSurvivesFailover: with breakers that never trip,
+// consecutive legs must still start on consecutive replicas when one of
+// them fails over. A cursor that also advanced on the failover pick would
+// move by two per leg and start every leg on the dead replica.
+func TestRemoteShardRoundRobinSurvivesFailover(t *testing.T) {
+	g := testGraph(t)
+	want := SearchPayload{Results: []WireResult{{Table: 0, Score: 1}}}
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // connection refused from now on
+	live := httptest.NewServer(shardHandler(t, want, nil))
+	defer live.Close()
+
+	deadRT := &countingTransport{next: http.DefaultTransport}
+	opt := fastOpts(1)
+	opt.BreakerThreshold = 1 << 30
+	opt.MaxAttempts = 2
+	s, err := NewShard("t-rr-failover", g, []lake.TableID{7},
+		[]Replica{{URL: live.URL}, {URL: dead.URL, Client: &http.Client{Transport: deadRT}}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const searches = 20
+	for i := 0; i < searches; i++ {
+		results, stats := s.SearchShard(context.Background(), testQuery(g), 1, shard.SearchOptions{})
+		if stats.Truncated || len(results) != 1 || results[0].Table != 7 {
+			t.Fatalf("search %d: results %+v stats %+v", i, results, stats)
+		}
+	}
+	if got := deadRT.n.Load(); got > searches/2+1 {
+		t.Fatalf("the dead replica got %d requests over %d searches, want at most %d", got, searches, searches/2+1)
+	}
+}
+
 func TestRemoteShardAllAttemptsFailDegrades(t *testing.T) {
 	g := testGraph(t)
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
