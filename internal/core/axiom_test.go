@@ -217,11 +217,7 @@ func TestSemRelRangeProperty(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			agg = AggregateAvg
 		}
-		mode := ModeEntityWise
-		if rng.Intn(2) == 0 {
-			mode = ModePairwise
-		}
-		eng := &Engine{Lake: l, Sim: sim, Inf: infm, Agg: agg, Mode: mode, Parallelism: 1}
+		eng := &Engine{Lake: l, Sim: sim, Inf: infm, Agg: agg, Parallelism: 1}
 		q := Query{Tuple{e[rng.Intn(n)], e[rng.Intn(n)]}}
 		res, _ := eng.Search(q, -1)
 		for _, r := range res {

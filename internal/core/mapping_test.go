@@ -5,16 +5,19 @@ import (
 
 	"thetis/internal/hungarian"
 	"thetis/internal/lake"
+	"thetis/internal/oracle"
 	"thetis/internal/table"
 )
+
+// The greedy mapping lives in the oracle, for the mapping ablation
+// (oracle.Greedy); these tests pin it beside the engine's Hungarian µ.
 
 func TestGreedyMaximizeBasics(t *testing.T) {
 	S := [][]float64{
 		{10, 9},
 		{9, 1},
 	}
-	got := make([]int, len(S))
-	new(scorer).greedyMaximize(S, got)
+	got := oracle.Greedy(S)
 	// Greedy takes (0,0)=10 then (1,1)=1 -> total 11; optimal is 18.
 	if got[0] != 0 || got[1] != 1 {
 		t.Fatalf("greedy = %v, want [0 1]", got)
@@ -25,20 +28,17 @@ func TestGreedyMaximizeBasics(t *testing.T) {
 }
 
 func TestGreedyMaximizeSkipsZeroColumns(t *testing.T) {
-	// One scorer throughout, so the used-column marks are reused scratch.
-	var sc scorer
-	got := []int{0}
-	if sc.greedyMaximize([][]float64{{0, 0}}, got); got[0] != -1 {
+	if got := oracle.Greedy([][]float64{{0, 0}}); got[0] != -1 {
 		t.Errorf("greedy assigned a zero-score column: %v", got)
 	}
-	// A used mark left by one call must not leak into the next.
-	if sc.greedyMaximize([][]float64{{0, 5}}, got); got[0] != 1 {
-		t.Errorf("greedy = %v, want [1]", got)
+	// A column taken by an earlier entity is not offered to a later one,
+	// even when only it scores.
+	if got := oracle.Greedy([][]float64{{0, 5}, {0, 7}}); got[0] != 1 || got[1] != -1 {
+		t.Errorf("greedy = %v, want [1 -1]", got)
 	}
-	if sc.greedyMaximize([][]float64{{0, 7}}, got); got[0] != 1 {
-		t.Errorf("greedy on reused scratch = %v, want [1]", got)
+	if got := oracle.Greedy(nil); len(got) != 0 {
+		t.Errorf("greedy on an empty matrix = %v", got)
 	}
-	sc.greedyMaximize(nil, nil) // an empty matrix is a no-op
 }
 
 // Greedy can pick a suboptimal assignment when an early query entity takes
@@ -60,10 +60,10 @@ func TestGreedySuboptimalCase(t *testing.T) {
 
 	q := queryOf(t, g, "santo", "stetter")
 	hung := NewEngine(l, NewTypeJaccard(g))
-	greedy := NewEngine(l, NewTypeJaccard(g))
-	greedy.Mapping = MappingGreedy
+	greedy := oracleOf(hung.Sim, hung.Inf, hung.Agg)
+	greedy.Greedy = true
 	rh, _ := hung.Search(q, -1)
-	rg, _ := greedy.Search(q, -1)
+	rg := greedy.Rank(l, oracle.Tuples(q))
 	if len(rh) != 1 || len(rg) != 1 {
 		t.Fatalf("results: %v / %v", rh, rg)
 	}
@@ -81,21 +81,22 @@ func TestGreedySuboptimalCase(t *testing.T) {
 // objective). Greedy can never exceed it on that objective — though the
 // downstream MAX-aggregated SemRel is a different function and may
 // occasionally disagree, which is exactly what the ablation quantifies.
+// The engine's totals are its own S; greedy's are the oracle's, which sums
+// S row by row, hence the 1e-9.
 func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 	l, g := fixtureLake(t)
 	q := queryOf(t, g, "santo", "stetter")
-	sc := newScorer(q, NewTypeJaccard(g), UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, nil)
-	scGreedy := newScorer(q, NewTypeJaccard(g), UniformInformativeness, AggregateMax, ModeEntityWise, MappingGreedy, nil)
+	sim := NewTypeJaccard(g)
+	sc := newScorer(q, UniformInformativeness, AggregateMax, NewSigmaCache(q, sim, g.NumEntities()))
+	greedy := oracle.Config{Sim: sim, Greedy: true}
 	for _, tb := range l.Tables() {
 		if tb.NumRows() == 0 {
 			continue
 		}
-		ci := table.BuildColumnIndex(tb)
-		sc.scoreColumns(ci, tb.NumRows())
-		scGreedy.scoreColumns(ci, tb.NumRows())
+		sc.scoreColumns(table.BuildColumnIndex(tb), tb.NumRows())
 		hTotal := sc.mapColumns(0)
-		gTotal := scGreedy.mapColumns(0)
-		if gTotal > hTotal+1e-9 {
+		S := greedy.Matrix(tb, q[0])
+		if gTotal := hungarian.TotalScore(S, oracle.Greedy(S)); gTotal > hTotal+1e-9 {
 			t.Errorf("table %q: greedy total %v exceeds hungarian %v", tb.Name, gTotal, hTotal)
 		}
 	}
@@ -103,9 +104,8 @@ func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 
 // A warm scorer — one that has already scored a table at least as wide —
 // scores a table without allocating: the score matrix headers, the solver's
-// potentials, greedy's marks and the per-tuple assignments are all scorer
-// scratch. Covers both mapping methods, both score modes, and both shapes
-// of the assignment problem (table wider than the query tuple, and narrower,
+// potentials and the per-tuple assignments are all scorer scratch. Covers
+// both shapes of the assignment problem (table wider than the query tuple, and narrower,
 // which the Hungarian solver handles through its transposed read).
 func TestWarmScorerAllocatesNothing(t *testing.T) {
 	l, g := fixtureLake(t)
@@ -127,31 +127,20 @@ func TestWarmScorerAllocatesNothing(t *testing.T) {
 		t.Fatalf("fixture drift: wide table has %d columns, narrow %d", w, narrow.NumColumns())
 	}
 	sim := NewTypeJaccard(g)
-	for _, mapping := range []MappingMethod{MappingHungarian, MappingGreedy} {
-		for _, mode := range []ScoreMode{ModeEntityWise, ModePairwise} {
-			for _, tid := range []lake.TableID{wideID, narrowID} {
-				tb, ci := l.Table(tid), l.ColumnIndex(tid)
-				shared := NewSigmaCache(q, sim, g.NumEntities())
-				sc := newScorer(q, sim, UniformInformativeness, AggregateMax, mode, mapping, shared)
-				want, _ := sc.scoreTable(tb, ci) // warm-up
-				if want <= 0 {
-					t.Fatalf("%v/%v/%q: score %v, want a match", mapping, mode, tb.Name, want)
-				}
-				allocs := testing.AllocsPerRun(50, func() {
-					if got, _ := sc.scoreTable(tb, ci); got != want {
-						t.Errorf("%v/%v/%q: score %v on reused scratch, first %v", mapping, mode, tb.Name, got, want)
-					}
-				})
-				if allocs != 0 {
-					t.Errorf("%v/%v/%q: %v allocs per table on a warm scorer, want 0", mapping, mode, tb.Name, allocs)
-				}
-			}
+	for _, tid := range []lake.TableID{wideID, narrowID} {
+		tb, ci := l.Table(tid), l.ColumnIndex(tid)
+		sc := newScorer(q, UniformInformativeness, AggregateMax, NewSigmaCache(q, sim, g.NumEntities()))
+		want, _ := sc.scoreTable(tb, ci) // warm-up
+		if want <= 0 {
+			t.Fatalf("%q: score %v, want a match", tb.Name, want)
 		}
-	}
-}
-
-func TestMappingMethodString(t *testing.T) {
-	if MappingHungarian.String() != "hungarian" || MappingGreedy.String() != "greedy" {
-		t.Error("MappingMethod.String wrong")
+		allocs := testing.AllocsPerRun(50, func() {
+			if got, _ := sc.scoreTable(tb, ci); got != want {
+				t.Errorf("%q: score %v on reused scratch, first %v", tb.Name, got, want)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%q: %v allocs per table on a warm scorer, want 0", tb.Name, allocs)
+		}
 	}
 }

@@ -4,15 +4,25 @@ import (
 	"testing"
 
 	"thetis/internal/lake"
+	"thetis/internal/oracle"
 	"thetis/internal/table"
 )
 
+// The pairwise reading of Equation 1 lives in the oracle, for the score-mode
+// ablation; these tests pin it on the fixture lake, beside the engine's
+// entity-wise Algorithm 1.
+
+// pairwise is the oracle's pairwise reading of eng.
+func pairwise(eng *Engine) oracle.Config {
+	c := oracleOf(eng.Sim, eng.Inf, eng.Agg)
+	c.Pairwise = true
+	return c
+}
+
 func TestPairwiseModeExactRowScoresOne(t *testing.T) {
 	l, g := fixtureLake(t)
-	eng := NewEngine(l, NewTypeJaccard(g))
-	eng.Mode = ModePairwise
 	q := queryOf(t, g, "santo", "cubs")
-	results, _ := eng.Search(q, -1)
+	results := pairwise(NewEngine(l, NewTypeJaccard(g))).Rank(l, oracle.Tuples(q))
 	if len(results) == 0 || results[0].Table != 0 {
 		t.Fatalf("pairwise results = %v, want table 0 first", results)
 	}
@@ -39,12 +49,9 @@ func TestPairwiseVsEntityWiseCrossRow(t *testing.T) {
 	l.Add(tb)
 
 	q := queryOf(t, g, "santo", "cubs")
-	ew := NewEngine(l, NewTypeJaccard(g))
-	pw := NewEngine(l, NewTypeJaccard(g))
-	pw.Mode = ModePairwise
-
-	rew, _ := ew.Search(q, -1)
-	rpw, _ := pw.Search(q, -1)
+	eng := NewEngine(l, NewTypeJaccard(g))
+	rew, _ := eng.Search(q, -1)
+	rpw := pairwise(eng).Rank(l, oracle.Tuples(q))
 	if len(rew) != 1 || len(rpw) != 1 {
 		t.Fatalf("results: %v / %v", rew, rpw)
 	}
@@ -72,17 +79,12 @@ func TestPairwiseAvgDilutes(t *testing.T) {
 		tb.AppendRow([]table.Cell{le("chicago")})
 	}
 	l.Add(tb)
-	q := queryOf(t, g, "santo")
+	q := oracle.Tuples(queryOf(t, g, "santo"))
 
-	pwMax := NewEngine(l, NewTypeJaccard(g))
-	pwMax.Mode = ModePairwise
-	pwMax.Agg = AggregateMax
-	pwAvg := NewEngine(l, NewTypeJaccard(g))
-	pwAvg.Mode = ModePairwise
-	pwAvg.Agg = AggregateAvg
-
-	rMax, _ := pwMax.Search(q, -1)
-	rAvg, _ := pwAvg.Search(q, -1)
+	eng := NewEngine(l, NewTypeJaccard(g))
+	rMax := pairwise(eng).Rank(l, q)
+	eng.Agg = AggregateAvg
+	rAvg := pairwise(eng).Rank(l, q)
 	if len(rMax) != 1 || len(rAvg) != 1 {
 		t.Fatalf("results: %v / %v", rMax, rAvg)
 	}
@@ -97,19 +99,10 @@ func TestPairwiseAvgDilutes(t *testing.T) {
 
 func TestPairwiseIrrelevantStillZero(t *testing.T) {
 	l, g := fixtureLake(t)
-	eng := NewEngine(l, NewTypeJaccard(g))
-	eng.Mode = ModePairwise
 	q := queryOf(t, g, "santo", "cubs")
-	results, _ := eng.Search(q, -1)
-	for _, r := range results {
+	for _, r := range pairwise(NewEngine(l, NewTypeJaccard(g))).Rank(l, oracle.Tuples(q)) {
 		if r.Table == 4 {
-			t.Error("pairwise mode returned the unlinked table")
+			t.Error("pairwise reading ranked the unlinked table")
 		}
-	}
-}
-
-func TestScoreModeString(t *testing.T) {
-	if ModeEntityWise.String() != "entitywise" || ModePairwise.String() != "pairwise" {
-		t.Error("ScoreMode.String wrong")
 	}
 }

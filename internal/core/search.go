@@ -43,28 +43,13 @@ type Engine struct {
 	Sim  Similarity
 	Inf  Informativeness
 	Agg  Aggregation
-	// Mode selects Algorithm 1's entity-wise aggregation (default) or the
-	// pairwise tuple-to-tuple reading of Equation 1.
-	Mode ScoreMode
-	// Mapping selects the query-to-column assignment algorithm (Hungarian
-	// by default; greedy as a cheaper, suboptimal ablation).
-	Mapping MappingMethod
 	// Parallelism bounds the scoring worker count; 0 means GOMAXPROCS.
 	Parallelism int
-	// DisableSigmaCache turns off σ memoization for this engine: every σ
-	// read calls Sim.Score. Scores are bit-identical either way (σ is
-	// deterministic; only the amount of recomputation changes) — the
-	// differential test battery relies on that.
-	DisableSigmaCache bool
 }
 
 // newSigmaCache returns the σ cache for one search of q over the engine's
-// σ, its dense cells drawn from slab, or nil when caching is disabled on the
-// engine.
+// σ, its dense cells drawn from slab.
 func (eng *Engine) newSigmaCache(q Query, slab *sigmaSlab) *SigmaCache {
-	if eng.DisableSigmaCache || eng.Lake == nil || eng.Lake.Graph == nil {
-		return nil
-	}
 	return newSigmaCache(q, eng.Sim, eng.Lake.Graph.NumEntities(), slab)
 }
 
@@ -117,14 +102,12 @@ type Stats struct {
 	Panicked int
 	// SigmaHits and SigmaMisses count σ evaluations served from and
 	// filled into the query-scoped SigmaCache during this search. Both
-	// are zero when the cache is disabled (nothing is memoized), and on a
-	// batch member answered from an earlier, equal query of the same batch
-	// (nothing is scored). Their sum is the total number of σ
-	// lookups the scoring stage issued through the cache: per table, one
+	// are zero on a batch member answered from an earlier, equal query of
+	// the same batch (nothing is scored). Their sum is the total number of
+	// σ lookups the scoring stage issued through the cache: per table, one
 	// per (distinct query entity, distinct entity of a column) — MAX
 	// aggregation and repeated tuples read the table's one σ pass, not the
-	// cache — plus, in ModePairwise, one per linked cell of each assigned
-	// column. A miss fills one cache cell: a (query entity, corpus entity)
+	// cache. A miss fills one cache cell: a (query entity, corpus entity)
 	// pair, or under type σ, which the cache keys by interned type set, a
 	// (query entity, type set) pair, so a type-σ search misses at most
 	// once per distinct query entity and type set (plus racing fills).
@@ -223,8 +206,7 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 	}
 	// sigma is the query-scoped σ cache, shared by every scoring worker of
 	// this search so each distinct (query entity, cell entity) pair is
-	// scored exactly once per query. Nil when disabled; scorers then
-	// compute every σ they read.
+	// scored exactly once per query.
 	sigma := eng.newSigmaCache(q, slab)
 	// floor is the k-th best score the workers have found so far; tables
 	// that cannot reach it are pruned (scorer.floor). Nil ranks everything.
@@ -235,7 +217,7 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 	// Each worker gets its own scorer (scratch rows); the SigmaCache and the
 	// floor are the parts they share.
 	newWorkerScorer := func() *scorer {
-		sc := newScorer(q, eng.Sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, sigma)
+		sc := newScorer(q, eng.Inf, eng.Agg, sigma)
 		sc.floor = floor
 		return sc
 	}
@@ -325,14 +307,12 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 		stats.SigmaHits += p.hits
 		stats.SigmaMisses += p.misses
 	}
-	if sigma != nil {
-		sigma.addCounts(stats.SigmaHits, stats.SigmaMisses)
-		mSigmaHits.Add(stats.SigmaHits)
-		mSigmaMisses.Add(stats.SigmaMisses)
-		mSigmaBytes.Set(float64(sigma.MemoryBytes()))
-		if total := stats.SigmaHits + stats.SigmaMisses; total > 0 {
-			mSigmaRatio.Set(float64(stats.SigmaHits) / float64(total))
-		}
+	sigma.addCounts(stats.SigmaHits, stats.SigmaMisses)
+	mSigmaHits.Add(stats.SigmaHits)
+	mSigmaMisses.Add(stats.SigmaMisses)
+	mSigmaBytes.Set(float64(sigma.MemoryBytes()))
+	if total := stats.SigmaHits + stats.SigmaMisses; total > 0 {
+		mSigmaRatio.Set(float64(stats.SigmaHits) / float64(total))
 	}
 	mPruned.Add(int64(stats.Pruned))
 	stats.Truncated = truncated.Load()
@@ -373,7 +353,7 @@ func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration
 	}
 	slab := takeSigmaSlab()
 	defer sigmaSlabs.Put(slab)
-	sc := newScorer(q, eng.Sim, eng.Inf, eng.Agg, eng.Mode, eng.Mapping, eng.newSigmaCache(q, slab))
+	sc := newScorer(q, eng.Inf, eng.Agg, eng.newSigmaCache(q, slab))
 	return sc.scoreTable(t, eng.Lake.ColumnIndex(tid))
 }
 

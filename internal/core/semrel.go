@@ -34,65 +34,14 @@ func (a Aggregation) String() string {
 	return "max"
 }
 
-// ScoreMode selects between the two interpretations of SemRel(Q, T)
-// discussed in Section 4.1 of the paper.
-type ScoreMode int
-
-const (
-	// ModeEntityWise is Algorithm 1: per query entity, row scores down the
-	// assigned column are aggregated first, then one weighted Euclidean
-	// distance is computed per query tuple. This is the default.
-	ModeEntityWise ScoreMode = iota
-	// ModePairwise is Equation 1's reading: every table row is scored as a
-	// whole tuple against the query tuple (its own weighted Euclidean
-	// distance), and the per-row SemRel values are then folded across rows
-	// with the configured aggregation ("the average of the score within
-	// each tuple-to-tuple comparison or … the best match between query
-	// tuples and tuples in the table").
-	ModePairwise
-)
-
-// String implements fmt.Stringer.
-func (m ScoreMode) String() string {
-	if m == ModePairwise {
-		return "pairwise"
-	}
-	return "entitywise"
-}
-
-// MappingMethod selects how query entities are assigned to table columns.
-type MappingMethod int
-
-const (
-	// MappingHungarian solves the assignment optimally (Section 5.1, the
-	// paper's choice). O(k²·n) in query width k and column count n.
-	MappingHungarian MappingMethod = iota
-	// MappingGreedy assigns each query entity its best still-free column
-	// in query order. Cheaper but can pick a suboptimal assignment when
-	// entities compete for the same column — the ablation quantifying why
-	// the paper uses the Hungarian method.
-	MappingGreedy
-)
-
-// String implements fmt.Stringer.
-func (m MappingMethod) String() string {
-	if m == MappingGreedy {
-		return "greedy"
-	}
-	return "hungarian"
-}
-
 // scorer evaluates SemRel for one query against tables, carrying the
 // immutable pieces of Algorithm 1's inner loop. Query entities are
 // resolved once to distinct slots, so σ memoization and per-table column
 // scores are shared between tuples that repeat an entity.
 type scorer struct {
-	sim     Similarity
-	inf     Informativeness
-	agg     Aggregation
-	mode    ScoreMode
-	mapping MappingMethod
-	q       Query
+	inf Informativeness
+	agg Aggregation
+	q   Query
 	// weights[ti][k] = I(q[ti][k]), precomputed.
 	weights [][]float64
 	// distinct are the deduplicated query entities; slots[ti][k] indexes
@@ -101,8 +50,7 @@ type scorer struct {
 	slots    [][]int
 
 	// shared is the search's σ cache, built from q and shared by all its
-	// workers, so index di of distinct is slot di of the cache; nil when
-	// disabled (Engine.DisableSigmaCache), and every σ is then computed.
+	// workers, so index di of distinct is slot di of the cache.
 	shared *SigmaCache
 	// hits/misses batch the shared cache's counters locally (merged once
 	// per search, not once per lookup).
@@ -131,24 +79,20 @@ type scorer struct {
 	// Column-mapping workspace, reused for every table this scorer sees so
 	// the steady-state scoring loop allocates nothing. It lives and dies
 	// with the scorer (one per worker per search). matrix holds the row
-	// headers of the score matrix S for the tuple being mapped; solver and
-	// greedyUsed are the two mapping methods' scratch; assignment[ti] is
-	// tuple ti's column assignment for the current table and mapped[ti]
-	// whether its total is positive.
+	// headers of the score matrix S for the tuple being mapped; solver is
+	// the assignment's scratch; assignment[ti] is tuple ti's column
+	// assignment for the current table and mapped[ti] whether its total is
+	// positive.
 	matrix     [][]float64
 	solver     hungarian.Solver
-	greedyUsed []bool
 	assignment [][]int
 	mapped     []bool
 }
 
-func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode, mapping MappingMethod, shared *SigmaCache) *scorer {
+func newScorer(q Query, inf Informativeness, agg Aggregation, shared *SigmaCache) *scorer {
 	s := &scorer{
-		sim:     sim,
 		inf:     inf,
 		agg:     agg,
-		mode:    mode,
-		mapping: mapping,
 		q:       q,
 		weights: make([][]float64, len(q)),
 		slots:   make([][]int, len(q)),
@@ -175,7 +119,7 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 			s.slots[ti][k] = di
 		}
 	}
-	if shared != nil && !slices.Equal(shared.entities, s.distinct) {
+	if !slices.Equal(shared.entities, s.distinct) {
 		panic("core: σ cache was built for another query")
 	}
 	s.sigmas = make([]float64, len(s.distinct))
@@ -186,14 +130,10 @@ func newScorer(q Query, sim Similarity, inf Informativeness, agg Aggregation, mo
 	return s
 }
 
-// sigma returns σ(distinct[di], target), memoized in the search's cache when
-// there is one and computed otherwise. It is the one-cell read of every cache
-// mode: ModePairwise's per-row reads, and readSigmas wherever the dense array
-// does not cover the cell.
+// sigma returns σ(distinct[di], target), memoized in the search's cache: the
+// one-cell read of readSigmas wherever the dense array does not cover the
+// cell.
 func (s *scorer) sigma(di int, target uint32) float64 {
-	if s.shared == nil {
-		return s.sim.Score(s.distinct[di], kgEntity(target))
-	}
 	if v, ok := s.shared.lookup(di, target); ok {
 		s.hits++
 		return v
@@ -212,16 +152,12 @@ func (s *scorer) sigma(di int, target uint32) float64 {
 // bits, to fillRow in one call. Under a keyed σ the row is shared by every
 // entity with target's key, so the query entity that is target itself, if
 // any, reads 1 on top of it (SigmaCache.identity). Everything else — the
-// sharded cache, no cache, an entity interned after an un-keyed cache was
-// sized — reads cell by cell through sigma.
+// sharded cache, an entity interned after an un-keyed cache was sized —
+// reads cell by cell through sigma.
 func (s *scorer) readSigmas(target uint32) []float64 {
 	out := s.sigmas
 	c := s.shared
-	var key uint32
-	ok := c != nil
-	if ok {
-		key, ok = c.rowKey(target)
-	}
+	key, ok := c.rowKey(target)
 	if !ok {
 		for di := range out {
 			out[di] = s.sigma(di, target)
@@ -273,7 +209,7 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 	s.scoreColumns(ci, t.NumRows())
 	// Strictly below: a table that could tie the k-th score is scored, and
 	// the (score desc, table ID asc) order decides, as without pruning.
-	if floor := s.floor.load(); floor > 0 && s.upperBound(t.NumRows()) < floor {
+	if floor := s.floor.load(); floor > 0 && s.upperBound() < floor {
 		s.pruned++
 		return 0, time.Since(start)
 	}
@@ -289,12 +225,7 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 	}
 	total := 0.0
 	for ti := range s.q {
-		if !s.mapped[ti] {
-			continue
-		}
-		if s.mode == ModePairwise {
-			total += s.tupleScorePairwise(ti, t, s.assignment[ti])
-		} else {
+		if s.mapped[ti] {
 			total += s.tupleScore(ti, t.NumRows(), s.assignment[ti])
 		}
 	}
@@ -309,8 +240,8 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 // read scratch only. Per (query entity, column) the sum adds the column's
 // entities in ColumnIndex order. As it writes each column it keeps, in
 // best, each query entity's best column score for upperBound over a table
-// of numRows rows: the entity-wise aggregate (aggregateColumn), or in
-// ModePairwise the column maximum, from 0, taken in column order.
+// of numRows rows: the aggregate (aggregateColumn), from 0, taken in column
+// order.
 func (s *scorer) scoreColumns(ci *table.ColumnIndex, numRows int) {
 	d, cols := len(s.distinct), len(ci.Cols)
 	s.cols = cols
@@ -335,26 +266,20 @@ func (s *scorer) scoreColumns(ci *table.ColumnIndex, numRows int) {
 		}
 		for di := range colSum {
 			s.sums[di*cols+j], s.maxes[di*cols+j] = colSum[di], colMax[di]
-			x := colMax[di]
-			if s.mode == ModeEntityWise {
-				x = s.aggregateColumn(di, j, numRows)
-			}
-			s.best[di] = max(s.best[di], x)
+			s.best[di] = max(s.best[di], s.aggregateColumn(di, j, numRows))
 		}
 	}
 }
 
-// upperBound returns, from the best column scores scoreColumns kept for a
-// table of numRows rows, a score the current table cannot exceed under any
-// column assignment: every query entity takes its best column, whether or
-// not another entity wants the same one. It repeats tupleScore's operations in tupleScore's order with x
-// replaced by best ≥ max(x, 0) and the miss clamped at 0 (an x above 1, from
-// a σ outside [0, 1], makes the real miss² positive), so with weights ≥ 0
-// every step is monotone in floating point and the bound holds on the raw
-// float64s, with no epsilon. A pairwise row reads single σ values, each at
-// most its column's maximum; the pairwise AVG fold is replayed row by row
-// because a sum of n equal terms divided by n can round above the term.
-func (s *scorer) upperBound(numRows int) float64 {
+// upperBound returns, from the best column scores scoreColumns kept for the
+// current table, a score the table cannot exceed under any column
+// assignment: every query entity takes its best column, whether or not
+// another entity wants the same one. It repeats tupleScore's operations in
+// tupleScore's order with x replaced by best ≥ max(x, 0) and the miss
+// clamped at 0 (an x above 1, from a σ outside [0, 1], makes the real miss²
+// positive), so with weights ≥ 0 every step is monotone in floating point
+// and the bound holds on the raw float64s, with no epsilon.
+func (s *scorer) upperBound() float64 {
 	total := 0.0
 	for ti, slots := range s.slots {
 		var distSq float64
@@ -362,15 +287,7 @@ func (s *scorer) upperBound(numRows int) float64 {
 			miss := max(1-s.best[di], 0)
 			distSq += s.weights[ti][i] * miss * miss
 		}
-		u := 1 / (math.Sqrt(distSq) + 1)
-		if s.mode == ModePairwise && s.agg == AggregateAvg {
-			sum := 0.0
-			for range numRows {
-				sum += u
-			}
-			u = sum / float64(numRows)
-		}
-		total += u
+		total += 1 / (math.Sqrt(distSq) + 1)
 	}
 	return total / float64(len(s.q))
 }
@@ -379,8 +296,8 @@ func (s *scorer) upperBound(numRows int) float64 {
 // from the per-entity rows scoreColumns left for the current table and
 // solves the assignment problem, leaving the per-entity column assignments
 // (-1 = unassigned) in s.assignment[ti] and returning the total assignment
-// score. Tuple entities that repeat share one row (aliased, read-only under
-// both solvers).
+// score. Tuple entities that repeat share one row (aliased, read-only to
+// the solver).
 func (s *scorer) mapColumns(ti int) float64 {
 	slots := s.slots[ti]
 	S := s.matrix[:len(slots)]
@@ -388,38 +305,8 @@ func (s *scorer) mapColumns(ti int) float64 {
 		S[i] = s.sums[di*s.cols:][:s.cols]
 	}
 	assignment := s.assignment[ti]
-	if s.mapping == MappingGreedy {
-		s.greedyMaximize(S, assignment)
-	} else {
-		copy(assignment, s.solver.Maximize(S))
-	}
+	copy(assignment, s.solver.Maximize(S))
 	return hungarian.TotalScore(S, assignment)
-}
-
-// greedyMaximize assigns each row of S (query entity) its best still-unused
-// column, in row order, writing the column (-1 = none) to out[row]. Not
-// optimal; see MappingGreedy.
-func (s *scorer) greedyMaximize(S [][]float64, out []int) {
-	if len(S) == 0 {
-		return
-	}
-	if cap(s.greedyUsed) < len(S[0]) {
-		s.greedyUsed = make([]bool, len(S[0]))
-	}
-	used := s.greedyUsed[:len(S[0])]
-	clear(used)
-	for i := range S {
-		out[i] = -1
-		best := 0.0
-		for j, v := range S[i] {
-			if !used[j] && v > best {
-				best, out[i] = v, j
-			}
-		}
-		if out[i] >= 0 {
-			used[out[i]] = true
-		}
-	}
 }
 
 // tupleScore computes the weighted-Euclidean SemRel of query tuple ti
@@ -437,37 +324,6 @@ func (s *scorer) tupleScore(ti, numRows int, assignment []int) float64 {
 		distSq += s.weights[ti][i] * miss * miss
 	}
 	return 1 / (math.Sqrt(distSq) + 1)
-}
-
-// tupleScorePairwise computes SemRel for one query tuple under
-// ModePairwise: each table row becomes a point in the query's Euclidean
-// space and earns its own SemRel, which is then folded across rows by the
-// configured aggregation.
-func (s *scorer) tupleScorePairwise(ti int, t *table.Table, assignment []int) float64 {
-	slots := s.slots[ti]
-	best, sum := 0.0, 0.0
-	for _, row := range t.Rows {
-		var distSq float64
-		for i := range slots {
-			x := 0.0
-			if j := assignment[i]; j >= 0 {
-				if e, ok := row[j].EntityID(); ok {
-					x = s.sigma(slots[i], uint32(e))
-				}
-			}
-			miss := 1 - x
-			distSq += s.weights[ti][i] * miss * miss
-		}
-		rowScore := 1 / (math.Sqrt(distSq) + 1)
-		sum += rowScore
-		if rowScore > best {
-			best = rowScore
-		}
-	}
-	if s.agg == AggregateAvg {
-		return sum / float64(t.NumRows())
-	}
-	return best
 }
 
 // aggregateColumn folds the per-row similarities of distinct query entity

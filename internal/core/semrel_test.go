@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"thetis/internal/hungarian"
 	"thetis/internal/kg"
 	"thetis/internal/lake"
+	"thetis/internal/oracle"
 	"thetis/internal/table"
 )
 
@@ -42,10 +44,11 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 // TestScoreColumnsMatchesPerCellWalk pins the σ pass to the walk it
 // replaced — per (query entity, column), Σ count·σ and max σ over the
 // column's entities in ColumnIndex order, one cell at a time — with ==, in
-// every way a cell can be read: the dense array, the sharded maps, no cache
-// at all, a dense cache sized before the table's entities were interned, and
-// a dense cache whose rows were partly filled through SigmaCache.Sigma before
-// the pass. Hits and misses are counted per cell: a lookup misses exactly
+// every way a cell can be read: the dense array, the sharded maps, a dense
+// cache over an empty ID space ("disabled": it stores nothing, so every read
+// computes σ), a dense cache sized before the table's entities were
+// interned, and a dense cache whose rows were partly filled through
+// SigmaCache.Sigma before the pass. Hits and misses are counted per cell: a lookup misses exactly
 // when its cell was stored neither before the pass nor earlier in it. Type σ
 // runs twice: behind another type ("types"), so its rows are corpus entities
 // like any σ's, and as itself ("types-keyed"), where a cell is a (slot, type
@@ -75,7 +78,7 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 		{"sharded", maxSigmaDenseBytes/8 + 1, func(q Query, sim Similarity) *SigmaCache {
 			return NewSigmaCache(q, sim, maxSigmaDenseBytes/8+1)
 		}},
-		{"disabled", 0, func(Query, Similarity) *SigmaCache { return nil }},
+		{"disabled", 0, func(q Query, sim Similarity) *SigmaCache { return NewSigmaCache(q, sim, 0) }},
 		{"late-entities", n / 3, func(q Query, sim Similarity) *SigmaCache { return NewSigmaCache(q, sim, n/3) }},
 		{"dense-prefilled", n, func(q Query, sim Similarity) *SigmaCache {
 			c := NewSigmaCache(q, sim, n)
@@ -93,26 +96,24 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 			t.Run(simName+"/"+mode.name, func(t *testing.T) {
 				for qi, q := range queries {
 					cache := mode.cache(q, sim)
-					sc := newScorer(q, sim, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, cache)
+					sc := newScorer(q, UniformInformativeness, AggregateMax, cache)
 					if mode.name == "sharded" && cache.Dense() {
 						t.Fatal("oversized ID space should select the sharded representation")
 					}
 					for ti, tb := range tables {
 						ci := table.BuildColumnIndex(tb)
 						var wantMisses int64
-						if cache != nil {
-							stored := make(map[[2]int]bool)
-							for j := range ci.Cols {
-								for _, e := range ci.Cols[j].Entities {
-									for di := range sc.distinct {
-										cell := [2]int{di, int(e)}
-										if cache.keyed != nil {
-											cell[1] = int(tj.key(e))
-										}
-										if _, ok := cache.lookup(di, uint32(e)); !ok && !stored[cell] {
-											wantMisses++
-											stored[cell] = cache.keyed != nil || int(e) < mode.cacheN
-										}
+						stored := make(map[[2]int]bool)
+						for j := range ci.Cols {
+							for _, e := range ci.Cols[j].Entities {
+								for di := range sc.distinct {
+									cell := [2]int{di, int(e)}
+									if cache.keyed != nil {
+										cell[1] = int(tj.key(e))
+									}
+									if _, ok := cache.lookup(di, uint32(e)); !ok && !stored[cell] {
+										wantMisses++
+										stored[cell] = cache.keyed != nil || int(e) < mode.cacheN
 									}
 								}
 							}
@@ -143,17 +144,15 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 							}
 						}
 						// One lookup per (distinct query entity, distinct column
-						// entity); none is reported without a cache.
-						if want := int64(cells * len(sc.distinct)); cache != nil && lookups != want {
+						// entity).
+						if want := int64(cells * len(sc.distinct)); lookups != want {
 							t.Fatalf("q%d table %d: %d lookups, want %d", qi, ti, lookups, want)
-						} else if cache == nil && lookups != 0 {
-							t.Fatalf("q%d table %d: %d lookups reported without a cache", qi, ti, lookups)
 						}
 						if misses != wantMisses {
 							t.Fatalf("q%d table %d: %d of %d lookups missed, want %d", qi, ti, misses, lookups, wantMisses)
 						}
 					}
-					if cache == nil || !cache.Dense() {
+					if !cache.Dense() {
 						continue
 					}
 					// Entities beyond the cache's ID space were scored above
@@ -173,107 +172,26 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	}
 }
 
-// naiveSemRel is Algorithm 1 read off the paper, over raw cells: no column
-// index, no σ cache, no distinct-entity slots. Given each query tuple's
-// column assignment (-1 = unassigned) it returns SemRel(Q, T): a tuple whose
-// assignment total Σᵢ Σ_rows σ(eᵢ, row[µ(i)]) is not positive contributes
-// 0; otherwise each entity's row similarities down its column are folded
-// by agg and the tuple scores 1/(1+weighted Euclidean distance to the
-// ideal point) — or, in pairwise mode, every row scores that way on its
-// own and agg folds the row scores.
-func naiveSemRel(q Query, t *table.Table, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode, assignment [][]int) float64 {
-	cellSigma := func(e kg.EntityID, row []table.Cell, j int) float64 {
-		if j < 0 {
-			return 0
-		}
-		if ce, ok := row[j].EntityID(); ok {
-			return sim.Score(e, ce)
-		}
-		return 0
-	}
-	fold := func(xs []float64) float64 {
-		sum, best := 0.0, 0.0
-		for _, x := range xs {
-			sum += x
-			best = max(best, x)
-		}
-		if agg == AggregateAvg {
-			return sum / float64(len(xs))
-		}
-		return best
-	}
-	semRel := func(tq Tuple, x []float64) float64 {
-		distSq := 0.0
-		for i, e := range tq {
-			distSq += inf(e) * (1 - x[i]) * (1 - x[i])
-		}
-		return 1 / (math.Sqrt(distSq) + 1)
-	}
-	total := 0.0
-	for ti, tq := range q {
-		assigned := 0.0
-		for i, e := range tq {
-			for _, row := range t.Rows {
-				assigned += cellSigma(e, row, assignment[ti][i])
-			}
-		}
-		if !(assigned > 0) {
-			continue
-		}
-		x := make([]float64, len(tq))
-		perRow := make([]float64, len(t.Rows))
-		if mode == ModePairwise {
-			for r, row := range t.Rows {
-				for i, e := range tq {
-					x[i] = cellSigma(e, row, assignment[ti][i])
-				}
-				perRow[r] = semRel(tq, x)
-			}
-			total += fold(perRow)
-			continue
-		}
-		for i, e := range tq {
-			for r, row := range t.Rows {
-				perRow[r] = cellSigma(e, row, assignment[ti][i])
-			}
-			x[i] = fold(perRow)
-		}
-		total += semRel(tq, x)
-	}
-	return total / float64(len(q))
-}
+// paperCell reports whether a grid cell names the engine's own reading of
+// Algorithm 1 (entity-wise, Hungarian); the other cells of the grids below
+// hold the oracle's ablation readings to the engine instead (checkReading),
+// since the engine has no other reading.
+func paperCell(mode, mapping string) bool { return mode == "entitywise" && mapping == "hungarian" }
 
-// bestAssignmentTotal is the optimum of the column-mapping objective for
-// one tuple by exhaustive search: every injective map of tuple entities to
-// columns, entities left over when the table is narrower going unassigned.
-func bestAssignmentTotal(S [][]float64, i int, used []bool) float64 {
-	if i == len(S) {
-		return 0
-	}
-	best := math.Inf(-1)
-	free := 0
-	for j := range used {
-		if used[j] {
-			continue
-		}
-		free++
-		used[j] = true
-		best = max(best, S[i][j]+bestAssignmentTotal(S, i+1, used))
-		used[j] = false
-	}
-	// Skipping an entity is allowed only when columns are short.
-	if remaining := len(S) - i; free < remaining {
-		best = max(best, bestAssignmentTotal(S, i+1, used))
-	}
-	return best
+// ablation is the oracle's reading of a grid cell over the engine's σ,
+// weights and aggregation.
+func ablation(sim Similarity, inf Informativeness, agg Aggregation, mode, mapping string) oracle.Config {
+	r := oracleOf(sim, inf, agg)
+	r.Pairwise, r.Greedy = mode == "pairwise", mapping == "greedy"
+	return r
 }
 
 // TestScoreTableMatchesNaiveSemRel checks scorer.scoreTable, with all its
-// pre-aggregation and caching, against the naive reading of Algorithm 1
-// over agg × mode × mapping × σ: the Hungarian assignment's total is the
-// brute-force optimum (1e-9: row-order and count-weighted sums associate
-// differently), a greedy one is a valid assignment that does not beat it,
-// and under the scorer's own assignment the score is the naive score.
+// pre-aggregation and caching, against the oracle over agg × σ: the
+// scorer's µ of every tuple is injective and optimal on the oracle's S
+// (within 1e-9: the two sides sum S in different orders), and its score is
+// the oracle's under the comparison rule. The pairwise and greedy cells hold
+// those readings of the oracle to the engine's ranking of the same tables.
 func TestScoreTableMatchesNaiveSemRel(t *testing.T) {
 	_, g := randomCorpus(29, 20, 120, 0, 0, 0)
 	rng := rand.New(rand.NewSource(31))
@@ -290,51 +208,42 @@ func TestScoreTableMatchesNaiveSemRel(t *testing.T) {
 	queries := []Query{randomQuery(rng, g, 1, 2), randomQuery(rng, g, 4, 3), randomQuery(rng, g, 2, 5)}
 	for simName, sim := range sims {
 		for _, agg := range []Aggregation{AggregateMax, AggregateAvg} {
-			for _, mode := range []ScoreMode{ModeEntityWise, ModePairwise} {
-				for _, mapping := range []MappingMethod{MappingHungarian, MappingGreedy} {
-					t.Run(fmt.Sprintf("%s/%v/%v/%v", simName, agg, mode, mapping), func(t *testing.T) {
+			for _, mode := range []string{"entitywise", "pairwise"} {
+				for _, mapping := range []string{"hungarian", "greedy"} {
+					t.Run(fmt.Sprintf("%s/%v/%s/%s", simName, agg, mode, mapping), func(t *testing.T) {
+						if !paperCell(mode, mapping) {
+							eng := &Engine{Lake: l, Sim: sim, Inf: inf, Agg: agg}
+							for qi, q := range queries {
+								got, _ := eng.Search(q, -1)
+								if err := checkReading(eng, q, ablation(sim, inf, agg, mode, mapping), got); err != nil {
+									t.Fatalf("q%d: %v", qi, err)
+								}
+							}
+							return
+						}
+						c := oracleOf(sim, inf, agg)
 						matched := 0
 						for qi, q := range queries {
-							sc := newScorer(q, sim, inf, agg, mode, mapping, NewSigmaCache(q, sim, g.NumEntities()))
+							sc := newScorer(q, inf, agg, NewSigmaCache(q, sim, g.NumEntities()))
 							for ti, tb := range tables {
 								got, _ := sc.scoreTable(tb, nil)
-								for tqi, tq := range q {
-									// The naive score matrix: σ summed over raw cells.
-									S := make([][]float64, len(tq))
-									for i, e := range tq {
-										S[i] = make([]float64, tb.NumColumns())
-										for _, row := range tb.Rows {
-											for j := range row {
-												if ce, ok := row[j].EntityID(); ok {
-													S[i][j] += sim.Score(e, ce)
-												}
-											}
-										}
-									}
+								_, mu := c.Score(tb, oracle.Tuples(q))
+								for tqi, tq := range oracle.Tuples(q) {
+									S := c.Matrix(tb, tq)
 									a := sc.assignment[tqi]
 									seen := make(map[int]bool)
-									total := 0.0
-									for i, j := range a {
-										if j < 0 {
-											continue
-										}
-										if j >= tb.NumColumns() || seen[j] {
+									for _, j := range a {
+										if j >= tb.NumColumns() || j >= 0 && seen[j] {
 											t.Fatalf("q%d table %d tuple %d: assignment %v is not injective into %d columns", qi, ti, tqi, a, tb.NumColumns())
 										}
 										seen[j] = true
-										total += S[i][j]
 									}
-									opt := bestAssignmentTotal(S, 0, make([]bool, tb.NumColumns()))
-									if mapping == MappingHungarian && math.Abs(total-opt) > 1e-9 {
-										t.Fatalf("q%d table %d tuple %d: assignment %v totals %v, optimum %v", qi, ti, tqi, a, total, opt)
-									}
-									if total > opt+1e-9 {
-										t.Fatalf("q%d table %d tuple %d: total %v beats the optimum %v", qi, ti, tqi, total, opt)
+									if total, opt := hungarian.TotalScore(S, a), hungarian.TotalScore(S, mu[tqi]); math.Abs(total-opt) > 1e-9 {
+										t.Fatalf("q%d table %d tuple %d: assignment %v totals %v, the oracle's %v totals %v", qi, ti, tqi, a, total, mu[tqi], opt)
 									}
 								}
-								want := naiveSemRel(q, tb, sim, inf, agg, mode, sc.assignment)
-								if math.Abs(got-want) > 1e-12 {
-									t.Fatalf("q%d table %d: scoreTable %v, naive SemRel %v under %v", qi, ti, got, want, sc.assignment)
+								if want := oracleScore(c, q, tb, sc.assignment); !oracle.Agree(agg == AggregateAvg, got, want) {
+									t.Fatalf("q%d table %d: scoreTable %v, oracle %v under %v", qi, ti, got, want, sc.assignment)
 								}
 								if got > 0 {
 									matched++
@@ -366,48 +275,18 @@ type pairSim map[[2]kg.EntityID]float64
 
 func (p pairSim) Score(x, y kg.EntityID) float64 { return p[[2]kg.EntityID{x, y}] }
 
-// naiveUpperBound is scorer.upperBound read off its definition, over raw
-// cells: every query entity takes the best fold of any one column (never
-// below 0, the value of an unassigned entity), all entities at once, and
-// every tuple counts.
-func naiveUpperBound(q Query, t *table.Table, sim Similarity, inf Informativeness, agg Aggregation, mode ScoreMode) float64 {
-	total := 0.0
-	for _, tq := range q {
-		distSq := 0.0
-		for _, e := range tq {
-			best := 0.0
-			for j := 0; j < t.NumColumns(); j++ {
-				sum, top := 0.0, 0.0
-				for _, row := range t.Rows {
-					if ce, ok := row[j].EntityID(); ok {
-						sum += sim.Score(e, ce)
-						top = max(top, sim.Score(e, ce))
-					}
-				}
-				if agg == AggregateAvg && mode == ModeEntityWise {
-					best = max(best, sum/float64(len(t.Rows)))
-				} else {
-					best = max(best, top)
-				}
-			}
-			miss := max(1-best, 0)
-			distSq += inf(e) * miss * miss
-		}
-		total += 1 / (math.Sqrt(distSq) + 1)
-	}
-	return total / float64(len(q))
-}
-
 // TestUpperBoundDominatesScore is the exactness of top-k pruning at the
-// level of one table: over generated tables × σ × agg × mode × mapping ×
-// 1/3/5-tuple queries that repeat entities, upperBound ≥ scoreTable on the
-// raw float64s (the search compares them with <, no epsilon), it is the
-// naive bound, and entity-wise it is reached (==) whenever the mapping
-// already gives every entity of every tuple its best column. The tables
-// include unlinked columns, an all-unlinked table, a one-column table and
-// constant columns (every row scores the same: the pairwise AVG fold sums n
-// equal terms, which can round above the term); the σ's include two that
-// leave [0, 1].
+// level of one table: over generated tables × σ × agg × 1/3/5-tuple queries
+// that repeat entities, upperBound ≥ scoreTable on the raw float64s (the
+// search compares them with <, no epsilon), it is the oracle's bound under
+// the comparison rule, and it is reached (==) whenever the mapping already
+// gives every entity of every tuple its best column. The tables include
+// unlinked columns, an all-unlinked table, a one-column table and constant
+// columns; the σ's include two that leave [0, 1]. The pairwise and greedy
+// cells hold the oracle's readings under the bound: greedy is one more
+// entity-wise mapping, and a pairwise row scores its own σ, each at most its
+// column's maximum, so no reading scores above the MAX bound (within the
+// rule's tolerance where a fold averages).
 func TestUpperBoundDominatesScore(t *testing.T) {
 	_, g := randomCorpus(53, 20, 120, 0, 0, 0)
 	rng := rand.New(rand.NewSource(59))
@@ -451,38 +330,53 @@ func TestUpperBoundDominatesScore(t *testing.T) {
 		sim := pairSim{{0, 2}: 1.04, {1, 2}: 1.04, {0, 3}: 1, {1, 3}: 0.2}
 		tb := table.New("above1", make([]string, 2))
 		tb.AppendRow([]table.Cell{table.LinkedCell("v", 2), table.LinkedCell("v", 3)})
-		sc := newScorer(q, sim, UniformInformativeness, AggregateAvg, ModeEntityWise, MappingHungarian, nil)
+		sc := newScorer(q, UniformInformativeness, AggregateAvg, NewSigmaCache(q, sim, 4))
 		score, _ := sc.scoreTable(tb, nil)
 		if a := sc.assignment[0]; a[0] != 1 || a[1] != 0 || !(score < 1) {
 			t.Fatalf("assignment %v scoring %v: the fixture no longer sets the entities against each other", a, score)
 		}
-		if ub := sc.upperBound(1); ub != 1 {
+		if ub := sc.upperBound(); ub != 1 {
 			t.Fatalf("upper bound %v over score %v, want exactly 1: both entities can miss by nothing", ub, score)
 		}
 	})
 	for simName, sim := range sims {
 		for _, agg := range []Aggregation{AggregateMax, AggregateAvg} {
-			for _, mode := range []ScoreMode{ModeEntityWise, ModePairwise} {
-				for _, mapping := range []MappingMethod{MappingHungarian, MappingGreedy} {
-					t.Run(fmt.Sprintf("%s/%v/%v/%v", simName, agg, mode, mapping), func(t *testing.T) {
+			for _, mode := range []string{"entitywise", "pairwise"} {
+				for _, mapping := range []string{"hungarian", "greedy"} {
+					t.Run(fmt.Sprintf("%s/%v/%s/%s", simName, agg, mode, mapping), func(t *testing.T) {
+						c := ablation(sim, inf, agg, mode, mapping)
+						boundAgg := agg
+						if c.Pairwise {
+							boundAgg = AggregateMax
+						}
 						positive, reached := 0, 0
 						for qi, q := range queries {
-							sc := newScorer(q, sim, inf, agg, mode, mapping, NewSigmaCache(q, sim, g.NumEntities()))
+							sc := newScorer(q, inf, boundAgg, NewSigmaCache(q, sim, g.NumEntities()))
 							for ti, tb := range tables {
 								score, _ := sc.scoreTable(tb, nil)
-								ub := sc.upperBound(tb.NumRows())
+								ub := sc.upperBound()
+								if !paperCell(mode, mapping) {
+									reading, _ := c.Score(tb, oracle.Tuples(q))
+									if reading > ub && !oracle.Agree(c.Avg, ub, reading) {
+										t.Fatalf("q%d table %d (%s): the reading scores %v above the bound %v", qi, ti, tb.Name, reading, ub)
+									}
+									if reading > 0 {
+										positive++
+									}
+									continue
+								}
 								if !(ub >= score) {
 									t.Fatalf("q%d table %d (%s): upper bound %v < score %v", qi, ti, tb.Name, ub, score)
 								}
-								if want := naiveUpperBound(q, tb, sim, inf, agg, mode); math.Abs(ub-want) > 1e-12 {
-									t.Fatalf("q%d table %d (%s): upper bound %v, naive bound %v", qi, ti, tb.Name, ub, want)
+								if want := c.UpperBound(tb, oracle.Tuples(q)); !oracle.Agree(c.Avg, ub, want) {
+									t.Fatalf("q%d table %d (%s): upper bound %v, oracle's bound %v", qi, ti, tb.Name, ub, want)
 								}
 								if score > 0 {
 									positive++
 								}
-								// Entity-wise, the bound is the score when every tuple
-								// is mapped and every entity sits in its best column.
-								tight := mode == ModeEntityWise
+								// The bound is the score when every tuple is mapped
+								// and every entity sits in its best column.
+								tight := true
 								for tqi := range q {
 									tight = tight && sc.mapped[tqi]
 									for i, di := range sc.slots[tqi] {
@@ -501,7 +395,7 @@ func TestUpperBoundDominatesScore(t *testing.T) {
 								}
 							}
 						}
-						if inRange := sim == types || sim == cosine; positive == 0 || reached == 0 && mode == ModeEntityWise && inRange {
+						if inRange := sim == types || sim == cosine; positive == 0 || reached == 0 && paperCell(mode, mapping) && inRange {
 							t.Fatalf("%d tables scored above 0 and %d reached their bound: the comparison is vacuous", positive, reached)
 						}
 					})
@@ -535,8 +429,7 @@ func BenchmarkScoreTable(b *testing.B) {
 	for _, s := range sims {
 		for _, qc := range queries {
 			b.Run(s.name+"/"+qc.name, func(b *testing.B) {
-				sc := newScorer(qc.q, s.sim, IDFInformativeness(l), AggregateMax, ModeEntityWise, MappingHungarian,
-					NewSigmaCache(qc.q, s.sim, g.NumEntities()))
+				sc := newScorer(qc.q, IDFInformativeness(l), AggregateMax, NewSigmaCache(qc.q, s.sim, g.NumEntities()))
 				pass := func() (total float64) {
 					for _, tid := range ids {
 						score, _ := sc.scoreTable(l.Table(tid), l.ColumnIndex(tid))

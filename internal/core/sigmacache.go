@@ -72,6 +72,9 @@ type SigmaCache struct {
 	stamps []uint32 // stamps[key] == gen: dense row key belongs to this cache
 	gen    uint32
 	keyed  keyedSimilarity // dense mode over a keyedSimilarity; nil otherwise
+	// shards are the sharded mode's maps, nil in dense mode: newSigmaCache
+	// picks the mode by the dense footprint alone, and a dense cache over
+	// an empty key space (n = 0) has no cells at all.
 	shards []sigmaShard
 	cosine cosineRow // dense mode over an *EmbeddingCosine; zero otherwise
 
@@ -175,7 +178,7 @@ func (c *SigmaCache) NumSlots() int { return len(c.entities) }
 
 // Dense reports whether the cache runs in dense (lock-free array) mode, as
 // opposed to sharded-map mode.
-func (c *SigmaCache) Dense() bool { return c.dense != nil }
+func (c *SigmaCache) Dense() bool { return c.shards == nil }
 
 // shard maps a (slot, entity) key to its map shard by a multiplicative
 // hash of the entity ID (Fibonacci hashing), spreading corpus entities
@@ -226,7 +229,7 @@ func (c *SigmaCache) lookup(slot int, target uint32) (float64, bool) {
 		}
 		return c.identity(slot, target, math.Float64frombits(bits)), true
 	}
-	if c.dense != nil {
+	if c.shards == nil {
 		return 0, false
 	}
 	key := uint64(slot)<<32 | uint64(target)
@@ -247,7 +250,7 @@ func (c *SigmaCache) fill(slot int, target uint32) float64 {
 		return c.identity(slot, target, v)
 	}
 	v := c.sim.Score(c.entities[slot], kgEntity(target))
-	if c.dense != nil {
+	if c.shards == nil {
 		return v
 	}
 	key := uint64(slot)<<32 | uint64(target)
@@ -365,9 +368,9 @@ func (c *SigmaCache) Stats() SigmaCacheStats {
 		Hits:   c.hits.Load(),
 		Misses: c.misses.Load(),
 		Slots:  len(c.entities),
-		Dense:  c.dense != nil,
+		Dense:  c.shards == nil,
 	}
-	if c.dense != nil {
+	if c.shards == nil {
 		slots := len(c.entities)
 		for key := range c.stamps {
 			if atomic.LoadUint32(&c.stamps[key]) != c.gen {
@@ -397,7 +400,7 @@ func (c *SigmaCache) Stats() SigmaCacheStats {
 // spans its full view from the start; sharded mode grows with use, so this
 // reports the current entry estimate).
 func (c *SigmaCache) MemoryBytes() int64 {
-	if c.dense != nil {
+	if c.shards == nil {
 		return int64(len(c.dense)) * 8
 	}
 	var entries int64

@@ -11,6 +11,7 @@ import (
 	"thetis/internal/embedding"
 	"thetis/internal/kg"
 	"thetis/internal/lake"
+	"thetis/internal/oracle"
 	"thetis/internal/table"
 )
 
@@ -94,10 +95,11 @@ func randomEmbeddings(rng *rand.Rand, g *kg.Graph, dim int) *embedding.Store {
 }
 
 // TestSigmaCacheDifferentialBattery proves the σ cache's correctness claim:
-// with the query-scoped cache enabled, Search and ScoreTable return
-// bit-identical scores and identical rankings to an engine that memoizes
-// nothing (DisableSigmaCache: every σ read calls Similarity.Score), across
-// every aggregation, score mode, mapping method, and worker count.
+// Search and ScoreTable, which read every σ through the query-scoped cache,
+// rank like the oracle, which memoizes nothing, under the comparison rule,
+// across every aggregation and worker count. The pairwise and greedy cells
+// hold those readings of the oracle to the engine's ranking at the same
+// worker count (checkReading).
 func TestSigmaCacheDifferentialBattery(t *testing.T) {
 	l, g := randomCorpus(7, 24, 120, 40, 12, 4)
 	rng := rand.New(rand.NewSource(11))
@@ -112,40 +114,33 @@ func TestSigmaCacheDifferentialBattery(t *testing.T) {
 	}
 	for simName, sim := range sims {
 		for _, agg := range []Aggregation{AggregateMax, AggregateAvg} {
-			for _, mode := range []ScoreMode{ModeEntityWise, ModePairwise} {
-				for _, mapping := range []MappingMethod{MappingHungarian, MappingGreedy} {
+			for _, mode := range []string{"entitywise", "pairwise"} {
+				for _, mapping := range []string{"hungarian", "greedy"} {
 					for _, par := range []int{1, 4, 16} {
-						name := fmt.Sprintf("%s/%v/%v/%v/par%d", simName, agg, mode, mapping, par)
+						name := fmt.Sprintf("%s/%v/%s/%s/par%d", simName, agg, mode, mapping, par)
 						t.Run(name, func(t *testing.T) {
-							cached := &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l),
-								Agg: agg, Mode: mode, Mapping: mapping, Parallelism: par}
-							uncached := &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l),
-								Agg: agg, Mode: mode, Mapping: mapping, Parallelism: par,
-								DisableSigmaCache: true}
+							eng := &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l), Agg: agg, Parallelism: par}
+							c := oracleOf(sim, eng.Inf, agg)
 							for qi, q := range queries {
-								rc, sc := cached.Search(q, -1)
-								ru, su := uncached.Search(q, -1)
-								if len(rc) != len(ru) {
-									t.Fatalf("q%d: cached %d results, uncached %d", qi, len(rc), len(ru))
-								}
-								for i := range rc {
-									if rc[i].Table != ru[i].Table || rc[i].Score != ru[i].Score {
-										t.Fatalf("q%d result %d: cached %v, uncached %v (must be bit-identical)",
-											qi, i, rc[i], ru[i])
+								got, stats := eng.Search(q, -1)
+								if !paperCell(mode, mapping) {
+									if err := checkReading(eng, q, ablation(sim, eng.Inf, agg, mode, mapping), got); err != nil {
+										t.Fatalf("q%d: %v", qi, err)
 									}
+									continue
 								}
-								if su.SigmaHits != 0 || su.SigmaMisses != 0 {
-									t.Errorf("q%d: uncached engine reported cache traffic %d/%d",
-										qi, su.SigmaHits, su.SigmaMisses)
+								if err := matchesOracle(eng, q, nil, got, -1); err != nil {
+									t.Fatalf("q%d: %v", qi, err)
 								}
-								if sc.SigmaHits+sc.SigmaMisses == 0 && sc.Scored > 0 {
-									t.Errorf("q%d: cached engine reported no σ lookups", qi)
+								if stats.SigmaHits+stats.SigmaMisses == 0 && stats.Scored > 0 {
+									t.Errorf("q%d: the engine reported no σ lookups", qi)
 								}
-								for tid := 0; tid < 5; tid++ {
-									vc, _ := cached.ScoreTable(q, lake.TableID(tid))
-									vu, _ := uncached.ScoreTable(q, lake.TableID(tid))
-									if vc != vu {
-										t.Fatalf("q%d table %d: ScoreTable cached %v != uncached %v", qi, tid, vc, vu)
+								for tid := lake.TableID(0); tid < 5; tid++ {
+									score, _ := eng.ScoreTable(q, tid)
+									sc := newScorer(q, eng.Inf, agg, NewSigmaCache(q, sim, g.NumEntities()))
+									sc.scoreTable(l.Table(tid), nil)
+									if want := oracleScore(c, q, l.Table(tid), sc.assignment); !oracle.Agree(agg == AggregateAvg, score, want) {
+										t.Fatalf("q%d table %d: ScoreTable %v, oracle %v", qi, tid, score, want)
 									}
 								}
 							}
@@ -282,7 +277,7 @@ func TestTypeSigmaKeyMatchesScore(t *testing.T) {
 			var before []uint64
 			if stale {
 				prev := newSigmaCache(other, tj, n, slab)
-				sc := newScorer(other, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, prev)
+				sc := newScorer(other, UniformInformativeness, AggregateMax, prev)
 				for target := 0; target < n; target++ {
 					sc.readSigmas(uint32(target))
 				}
@@ -295,7 +290,7 @@ func TestTypeSigmaKeyMatchesScore(t *testing.T) {
 			if st := c.Stats(); st.MemoryBytes != int64(st.Slots*c.n*8) {
 				t.Fatalf("memory %d bytes, want slots × keys × 8 = %d", st.MemoryBytes, st.Slots*c.n*8)
 			}
-			sc := newScorer(q, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, c)
+			sc := newScorer(q, UniformInformativeness, AggregateMax, c)
 			for pass := 0; pass < 2; pass++ {
 				for target := kg.EntityID(0); int(target) < n; target++ {
 					var row []float64
@@ -458,7 +453,7 @@ func TestScorerSlotsAreCacheSlots(t *testing.T) {
 	tj := NewTypeJaccard(g)
 	q := Query{Tuple{7, 3, 7}, Tuple{3, 9}, Tuple{9, 7, 1}}
 	c := NewSigmaCache(q, tj, g.NumEntities())
-	sc := newScorer(q, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, c)
+	sc := newScorer(q, UniformInformativeness, AggregateMax, c)
 	if want := []kg.EntityID{7, 3, 9, 1}; !slices.Equal(sc.distinct, want) || !slices.Equal(c.entities, want) {
 		t.Fatalf("scorer slots %v, cache slots %v, want %v", sc.distinct, c.entities, want)
 	}
@@ -481,7 +476,7 @@ func TestScorerSlotsAreCacheSlots(t *testing.T) {
 			t.Fatal("newScorer accepted a σ cache built for another query")
 		}
 	}()
-	newScorer(Query{Tuple{3, 7}}, tj, UniformInformativeness, AggregateMax, ModeEntityWise, MappingHungarian, c)
+	newScorer(Query{Tuple{3, 7}}, UniformInformativeness, AggregateMax, c)
 }
 
 // TestSigmaCacheShardedMode forces the map-backed representation by
@@ -529,8 +524,14 @@ func TestSigmaCacheConcurrentStress(t *testing.T) {
 	for name, c := range map[string]*SigmaCache{
 		"dense":   NewSigmaCache(q, tj, g.NumEntities()),
 		"sharded": NewSigmaCache(q, struct{ Similarity }{tj}, 2*(maxSigmaDenseBytes/8)),
+		// A dense cache over an empty key space: no cell to store, every
+		// lookup a miss computed from σ.
+		"empty-key-space": NewSigmaCache(q, struct{ Similarity }{tj}, 0),
 	} {
 		t.Run(name, func(t *testing.T) {
+			if c.Dense() != (name != "sharded") {
+				t.Fatalf("Dense() = %v: the representation follows the dense footprint, 64 MiB at most", c.Dense())
+			}
 			var wg sync.WaitGroup
 			errs := make(chan string, 16)
 			for w := 0; w < 16; w++ {
@@ -559,6 +560,9 @@ func TestSigmaCacheConcurrentStress(t *testing.T) {
 			st := c.Stats()
 			if st.Hits+st.Misses != 16*2000 {
 				t.Fatalf("lookups = %d, want %d", st.Hits+st.Misses, 16*2000)
+			}
+			if name == "empty-key-space" && (st.Hits != 0 || st.Entries != 0 || st.MemoryBytes != 0) {
+				t.Fatalf("an empty key space stored something: %+v", st)
 			}
 		})
 	}

@@ -36,42 +36,41 @@ func slabQueries() []Query {
 	}
 }
 
-// slabEngines returns, per σ, an engine with the σ cache and one without it
-// over l, both with par scoring workers.
-func slabEngines(l *lake.Lake, g *kg.Graph, par int) map[string][2]*Engine {
+// slabEngines returns, per σ, an engine over l with par scoring workers.
+func slabEngines(l *lake.Lake, g *kg.Graph, par int) map[string]*Engine {
 	sims := map[string]Similarity{
 		"types":      NewTypeJaccard(g),
 		"embeddings": NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(2)), g, 16)),
 	}
-	out := map[string][2]*Engine{}
+	out := map[string]*Engine{}
 	for name, sim := range sims {
-		cached := &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l), Parallelism: par}
-		uncached := &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l), Parallelism: par, DisableSigmaCache: true}
-		out[name] = [2]*Engine{cached, uncached}
+		out[name] = &Engine{Lake: l, Sim: sim, Inf: IDFInformativeness(l), Parallelism: par}
 	}
 	return out
 }
 
 // TestSigmaSlabReuseMatchesFresh runs one engine over a sequence of queries
-// with one reused slab, and checks every ranking bit for bit against an
-// engine that memoizes nothing. Every search is a full scan, so each reads
-// the rows the one before it wrote; a row read under a new generation must
-// be reset before it is trusted: its cells hold the previous search's σ, in
-// that search's slot layout.
+// with one reused slab, and checks every ranking against the oracle, which
+// memoizes nothing. Every search is a full scan, so each reads the rows the
+// one before it wrote; a row read under a new generation must be reset
+// before it is trusted: its cells hold the previous search's σ, in that
+// search's slot layout.
 func TestSigmaSlabReuseMatchesFresh(t *testing.T) {
 	l, g := randomCorpus(7, 24, 120, 40, 12, 4)
 	qs := slabQueries()
 	for _, par := range []int{1, 4} {
-		for name, engs := range slabEngines(l, g, par) {
+		for name, eng := range slabEngines(l, g, par) {
 			t.Run(fmt.Sprintf("%s/par%d", name, par), func(t *testing.T) {
-				cached, uncached := engs[0], engs[1]
+				want := make([][]Result, len(qs))
+				for i, q := range qs {
+					want[i] = oracleRanking(eng, q, nil)
+				}
 				slab := new(sigmaSlab)
 				for round := 0; round < 2; round++ {
 					for i, q := range qs {
 						k := []int{-1, 5}[(round+i)%2]
-						want, _ := uncached.Search(q, k)
-						got, _ := cached.searchCandidates(context.Background(), q, nil, k, slab)
-						if err := sameResults(got, want); err != nil {
+						got, _ := eng.searchCandidates(context.Background(), q, nil, k, slab)
+						if err := agreeWithOracle(eng.Agg, got, want[i], k); err != nil {
 							t.Fatalf("round %d query %d (k=%d): %v", round, i, k, err)
 						}
 					}
@@ -82,11 +81,10 @@ func TestSigmaSlabReuseMatchesFresh(t *testing.T) {
 	// Two sequences at once on one engine, through the pooled slabs: two
 	// live searches must never share a slab.
 	t.Run("concurrent", func(t *testing.T) {
-		for name, engs := range slabEngines(l, g, 4) {
-			cached, uncached := engs[0], engs[1]
+		for name, eng := range slabEngines(l, g, 4) {
 			want := make([][]Result, len(qs))
 			for i, q := range qs {
-				want[i], _ = uncached.Search(q, -1)
+				want[i] = oracleRanking(eng, q, nil)
 			}
 			var wg sync.WaitGroup
 			for w := 0; w < 2; w++ {
@@ -95,8 +93,8 @@ func TestSigmaSlabReuseMatchesFresh(t *testing.T) {
 					defer wg.Done()
 					for n := 0; n < 3*len(qs); n++ {
 						i := (n + w*3) % len(qs)
-						got, _ := cached.Search(qs[i], -1)
-						if err := sameResults(got, want[i]); err != nil {
+						got, _ := eng.Search(qs[i], -1)
+						if err := agreeWithOracle(eng.Agg, got, want[i], -1); err != nil {
 							t.Errorf("%s: sequence %d query %d: %v", name, w, i, err)
 							return
 						}
@@ -122,7 +120,6 @@ func TestSigmaSlabGenerationWrap(t *testing.T) {
 	l, g := randomCorpus(7, 24, 120, 40, 12, 4)
 	tj := NewTypeJaccard(g)
 	eng := &Engine{Lake: l, Sim: struct{ Similarity }{tj}, Inf: IDFInformativeness(l), Parallelism: 2}
-	fresh := &Engine{Lake: l, Sim: tj, Inf: IDFInformativeness(l), Parallelism: 2, DisableSigmaCache: true}
 	var thirds [3][]lake.TableID
 	for _, tid := range l.LiveTableIDs() {
 		thirds[tid%3] = append(thirds[tid%3], tid)
@@ -139,9 +136,9 @@ func TestSigmaSlabGenerationWrap(t *testing.T) {
 		}
 		slab.gen = math.MaxUint32 - 1
 		for i, q := range qs {
-			want, _ := fresh.SearchCandidates(q, thirds[i], -1)
+			want := oracleRanking(eng, q, thirds[i])
 			got, _ := eng.searchCandidates(context.Background(), q, thirds[i], -1, slab)
-			if err := sameResults(got, want); err != nil {
+			if err := agreeWithOracle(eng.Agg, got, want, -1); err != nil {
 				t.Fatalf("stale=%v search %d across the wrap: %v", stale, i, err)
 			}
 			if i == 0 {

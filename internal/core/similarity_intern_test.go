@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"thetis/internal/kg"
+	"thetis/internal/oracle"
 )
 
 // internFixture builds a graph with extraTypes padding types beyond the
@@ -80,5 +82,46 @@ func TestTypeJaccardBitsetMatchesMerge(t *testing.T) {
 	}
 	if got := small.Score(0, 3); got != 0 {
 		t.Errorf("disjoint sets score = %v, want 0", got)
+	}
+}
+
+// TestTypeJaccardMatchesEquation4 checks TypeJaccard against the oracle's
+// Equation 4, computed from the graph's taxonomy-expanded type sets with
+// plain maps, bit for bit on every ordered pair of generated KGs: Score, and
+// for a ≠ b the keyed read scoreKey(a, key(b)) the σ cache stores. Both the
+// bitset and the linear-merge intersection run, and an entity typed after
+// construction counts as untyped on both sides.
+func TestTypeJaccardMatchesEquation4(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		_, g := randomCorpus(seed, 4+int(seed)*6, 60, 0, 0, 0)
+		if seed%2 == 0 {
+			for i := 0; i < bitsetMaxTypes; i++ {
+				g.AddType(fmt.Sprintf("pad%d", i), "")
+			}
+		}
+		tj, eq4 := NewTypeJaccard(g), oracle.NewTypeJaccard(g)
+		late := g.AddEntity("late", "")
+		g.AssignType(late, 0)
+		typed := 0
+		for a := kg.EntityID(0); int(a) < g.NumEntities(); a++ {
+			for b := kg.EntityID(0); int(b) < g.NumEntities(); b++ {
+				want := eq4.Score(a, b)
+				if got := tj.Score(a, b); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d: Score(%d, %d) = %v, Equation 4 %v", seed, a, b, got, want)
+				}
+				if a == b {
+					continue
+				}
+				if got := tj.scoreKey(a, tj.key(b)); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("seed %d: scoreKey(%d, key(%d)) = %v, Equation 4 %v", seed, a, b, got, want)
+				}
+				if want > 0 && want < MaxJaccard {
+					typed++
+				}
+			}
+		}
+		if typed == 0 {
+			t.Fatalf("seed %d: no pair scored strictly between 0 and the cap: the comparison is vacuous", seed)
+		}
 	}
 }

@@ -390,8 +390,8 @@ func TestMappingAblationShape(t *testing.T) {
 	// Hungarian should not be clearly worse than greedy on quality.
 	for _, tuples := range []int{1, 5} {
 		for _, method := range []string{"STST", "STSE"} {
-			h := res.Mean(method, tuples, core.MappingHungarian)
-			g := res.Mean(method, tuples, core.MappingGreedy)
+			h := res.Mean(method, tuples, "hungarian")
+			g := res.Mean(method, tuples, "greedy")
 			if h < g*0.95 {
 				t.Errorf("%s tuples=%d: hungarian NDCG %v well below greedy %v", method, tuples, h, g)
 			}

@@ -9,15 +9,21 @@ import (
 	"thetis/internal/datagen"
 	"thetis/internal/lake"
 	"thetis/internal/metrics"
+	"thetis/internal/oracle"
 )
 
 // --- Score-mode ablation (Section 4.1's two SemRel interpretations) ---
 
-// ScoreModeRow is one (similarity, tuples, mode) cell.
+// The ablations run on internal/oracle, which holds the readings the served
+// engine does not: the pairwise SemRel of Equation 1 and the greedy column
+// mapping. Every cell, the paper's own included, ranks the whole lake there.
+
+// ScoreModeRow is one (similarity, tuples, mode) cell; Mode is "entitywise"
+// or "pairwise".
 type ScoreModeRow struct {
 	Method  string
 	Tuples  int
-	Mode    core.ScoreMode
+	Mode    string
 	Summary metrics.Summary
 }
 
@@ -35,10 +41,8 @@ func RunScoreModeAblation(env *Env) ScoreModeResult {
 	for _, tuples := range []int{1, 5} {
 		queries := env.QuerySet(tuples)
 		for _, kind := range []SimKind{SimTypes, SimEmbeddings} {
-			for _, mode := range []core.ScoreMode{core.ModeEntityWise, core.ModePairwise} {
-				eng := engineFor(env, kind)
-				eng.Mode = mode
-				r := engineRunner(fmt.Sprintf("STS%v/%v", kind, mode), eng)
+			for _, mode := range []string{"entitywise", "pairwise"} {
+				r := oracleRunner(env, kind, oracle.Config{Pairwise: mode == "pairwise"})
 				sample := evalNDCG(env, r, queries, 10)
 				out.Rows = append(out.Rows, ScoreModeRow{
 					Method: fmt.Sprintf("STS%v", kind), Tuples: tuples, Mode: mode,
@@ -63,17 +67,19 @@ func (r ScoreModeResult) Render(w io.Writer) {
 
 // --- Mapping-method ablation (Section 5.1's Hungarian choice) ---
 
-// MappingRow is one (similarity, tuples, method) cell.
+// MappingRow is one (similarity, tuples, method) cell; Mapping is
+// "hungarian" or "greedy".
 type MappingRow struct {
 	Method   string
 	Tuples   int
-	Mapping  core.MappingMethod
+	Mapping  string
 	MeanNDCG float64
 	MeanTime time.Duration
 }
 
 // MappingResult quantifies the Hungarian-vs-greedy column mapping choice:
-// quality (NDCG@10) and cost (mean search time).
+// quality (NDCG@10) and cost (mean oracle search time, a full scan that
+// maps every table).
 type MappingResult struct {
 	Rows []MappingRow
 }
@@ -84,10 +90,8 @@ func RunMappingAblation(env *Env) MappingResult {
 	for _, tuples := range []int{1, 5} {
 		queries := env.QuerySet(tuples)
 		for _, kind := range []SimKind{SimTypes, SimEmbeddings} {
-			for _, mapping := range []core.MappingMethod{core.MappingHungarian, core.MappingGreedy} {
-				eng := engineFor(env, kind)
-				eng.Mapping = mapping
-				r := engineRunner(fmt.Sprintf("STS%v/%v", kind, mapping), eng)
+			for _, mapping := range []string{"hungarian", "greedy"} {
+				r := oracleRunner(env, kind, oracle.Config{Greedy: mapping == "greedy"})
 				var ndcg []float64
 				var total time.Duration
 				for _, bq := range queries {
@@ -120,7 +124,7 @@ func (r MappingResult) Render(w io.Writer) {
 }
 
 // Mean returns the mean NDCG of a cell, or -1.
-func (r MappingResult) Mean(method string, tuples int, mapping core.MappingMethod) float64 {
+func (r MappingResult) Mean(method string, tuples int, mapping string) float64 {
 	for _, row := range r.Rows {
 		if row.Method == method && row.Tuples == tuples && row.Mapping == mapping {
 			return row.MeanNDCG
@@ -210,6 +214,28 @@ func engineFor(env *Env, kind SimKind) *core.Engine {
 		return env.EngineEmbeddings()
 	}
 	return env.EngineTypes()
+}
+
+// oracleRunner ranks the whole lake with the oracle under cfg, over the σ
+// and informativeness of the kind's engine, and cuts the ranking at k.
+func oracleRunner(env *Env, kind SimKind, cfg oracle.Config) Runner {
+	eng := engineFor(env, kind)
+	cfg.Sim, cfg.Weight = eng.Sim, eng.Inf
+	return Runner{
+		Name: fmt.Sprintf("STS%v/oracle", kind),
+		Search: func(bq datagen.BenchmarkQuery, k int) ([]int, core.Stats) {
+			ranked := cfg.Rank(env.Lake, oracle.Tuples(bq.Query))
+			stats := core.Stats{Candidates: env.Lake.NumTables(), Scored: len(ranked)}
+			if k >= 0 && k < len(ranked) {
+				ranked = ranked[:k]
+			}
+			ids := make([]int, len(ranked))
+			for i, r := range ranked {
+				ids[i] = int(r.Table)
+			}
+			return ids, stats
+		},
+	}
 }
 
 // engineRunner wraps a configured engine as a Runner.

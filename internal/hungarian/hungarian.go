@@ -3,8 +3,8 @@
 // with n ≤ m; the transpose is solved when n > m). Thetis uses it to map
 // query-tuple entities to table columns such that the summed
 // column-relevance score is maximized — the mapping µ of Section 5.1 of the
-// paper, whose optimality the greedy-mapping ablation (core.MappingGreedy)
-// quantifies.
+// paper, whose optimality the greedy-mapping ablation (oracle.Greedy, run by
+// `benchrunner -exp mapping`) quantifies.
 //
 // The solver is exact and deterministic, which matters beyond correctness:
 // the scoring pipeline memoizes entity similarities across workers

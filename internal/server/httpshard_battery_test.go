@@ -3,9 +3,9 @@ package server
 // Shard-over-HTTP differential battery (docs/SHARDING.md
 // §"Shard-over-HTTP"): a System in coordinator mode scattering over
 // thetis.RemoteShard clients to real HTTP daemons — each a full
-// server.New(*thetis.System) stack, not a stub handler — must rank
-// bit-for-bit like Algorithm 1 assembled straight from internal/core over
-// the whole corpus (internal/reference), at 1, 2 and 4 shards. Clean, and
+// server.New(*thetis.System) stack, not a stub handler — must rank like the
+// naive oracle over the whole corpus (internal/reference), under the
+// oracle's comparison rule (MAX here: bit for bit), at 1, 2 and 4 shards. Clean, and
 // under every fault class the transport can throw (connection refusal,
 // 500s, truncated and bit-flipped bodies, mid-body stalls, slow-loris):
 // faults the retry budget absorbs must leave rankings untouched; faults
@@ -38,6 +38,7 @@ var (
 	hsOnce    sync.Once
 	hsKG      *datagen.KG
 	hsTJ      *core.TypeJaccard
+	hsRef     *reference.Reference // type σ over hsTables; deployments copy it
 	hsTables  []*thetis.Table
 	hsQueries []thetis.Query
 )
@@ -62,12 +63,13 @@ func hsEnv(t *testing.T) (*datagen.KG, []*thetis.Table, []thetis.Query) {
 			hsQueries = append(hsQueries, bq.Truncate(1).Query, bq.Query)
 		}
 		hsTJ = core.NewTypeJaccard(hsKG.Graph)
+		hsRef = reference.New(hsKG.Graph, hsTables, hsTJ)
 	})
 	return hsKG, hsTables, hsQueries
 }
 
 // remoteDeployment is one fully wired shard-over-HTTP test fleet: the
-// core-assembled reference, one daemon System per shard served by a real
+// oracle-scored reference, one daemon System per shard served by a real
 // server.New over httptest, and the coordinator — a System over the full
 // corpus whose scatter legs are the remote clients.
 type remoteDeployment struct {
@@ -120,11 +122,14 @@ func buildRemoteDeploymentSim(t *testing.T, label string, n, replicasPer int, op
 	// One daemon per shard, ingesting exactly its hash-assigned slice in
 	// global ID order — the same replay ShardGlobalIDs performs.
 	globals := coord.ShardGlobalIDs(part)
-	var sim core.Similarity = hsTJ
+	// Under type σ every deployment copies one reference, so the oracle
+	// ranks each query once per test binary, not once per deployment.
+	copied := *hsRef
+	ref := &copied
 	if store != nil {
-		sim = core.NewEmbeddingCosine(kgEnv.Graph, store)
+		ref = reference.New(kgEnv.Graph, tables, core.NewEmbeddingCosine(kgEnv.Graph, store))
 	}
-	d := &remoteDeployment{ref: reference.New(kgEnv.Graph, tables, sim), coord: coord, store: store, votes: 1}
+	d := &remoteDeployment{ref: ref, coord: coord, store: store, votes: 1}
 	for si := 0; si < n; si++ {
 		daemon := thetis.New(kgEnv.Graph)
 		for _, gid := range globals[si] {
@@ -160,7 +165,7 @@ func (d *remoteDeployment) index(cfg thetis.IndexConfig) {
 	if d.store == nil {
 		d.ref.Index = core.BuildTypeLSEI(d.ref.Lake, hsTJ, cfg)
 	} else {
-		d.ref.Index = core.BuildEmbeddingLSEI(d.ref.Lake, d.ref.Engine.Sim.(*core.EmbeddingCosine), d.store.Dim(), cfg)
+		d.ref.Index = core.BuildEmbeddingLSEI(d.ref.Lake, d.ref.Sim.(*core.EmbeddingCosine), d.store.Dim(), cfg)
 	}
 	d.indexCfg = &cfg
 }
@@ -182,27 +187,18 @@ func (d *remoteDeployment) bootstrap(t *testing.T) {
 	}
 }
 
-// assertRemoteIdentical checks remote == reference, bit for bit, for every
+// assertRemoteIdentical checks remote against the reference for every
 // query.
 func assertRemoteIdentical(t *testing.T, label string, d *remoteDeployment, queries []thetis.Query, k int) {
 	t.Helper()
 	ctx := context.Background()
 	for qi, q := range queries {
-		want, wantStats := d.ref.Search(q, k)
 		got, gotStats := d.coord.SearchStatsContext(ctx, q, k)
-		if wantStats.Truncated {
-			t.Fatalf("%s q%d: reference truncated", label, qi)
-		}
 		if gotStats.Truncated {
 			t.Fatalf("%s q%d: remote truncated: %v", label, qi, gotStats.ShardErrors)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s q%d: remote %d / reference %d results", label, qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].Table != want[i].Table || got[i].Score != want[i].Score {
-				t.Fatalf("%s q%d rank %d: remote %+v, reference %+v", label, qi, i, got[i], want[i])
-			}
+		if err := d.ref.Agree(got, d.ref.Search(q, -1), k); err != nil {
+			t.Fatalf("%s q%d: remote against the reference: %v", label, qi, err)
 		}
 	}
 }
@@ -354,11 +350,8 @@ func TestHTTPShardFaultMatrixRetriesToBitIdentity(t *testing.T) {
 			if stats.Truncated {
 				t.Fatalf("retry budget did not absorb %s: %v", name, stats.ShardErrors)
 			}
-			want, _ := d.ref.Search(queries[0], 10)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s rank %d: remote %+v, reference %+v", name, i, got[i], want[i])
-				}
+			if err := d.ref.Agree(got, d.ref.Search(queries[0], -1), 10); err != nil {
+				t.Fatalf("%s: remote against the reference: %v", name, err)
 			}
 			if obs.RemoteShardRetriesTotal(label+"-0").Value() == retriesBefore {
 				t.Fatalf("%s: faults injected but no retry recorded", name)
@@ -418,23 +411,15 @@ func TestHTTPShardDeadShardDegradesToRankedPrefix(t *testing.T) {
 		}
 		// The prefix must be exactly the reference ranking with the dead
 		// shard's tables removed — correctly ranked, nothing invented.
-		full, _ := d.ref.Search(q, -1)
+		full := d.ref.Search(q, -1)
 		var want []thetis.Result
 		for _, r := range full {
 			if !deadTables[r.Table] {
 				want = append(want, r)
 			}
 		}
-		if len(want) > 10 {
-			want = want[:10]
-		}
-		if len(got) != len(want) {
-			t.Fatalf("q%d: degraded prefix has %d results, want %d", qi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("q%d rank %d: degraded %+v, want %+v", qi, i, got[i], want[i])
-			}
+		if err := d.ref.Agree(got, want, 10); err != nil {
+			t.Fatalf("q%d: degraded prefix against the reference: %v", qi, err)
 		}
 	}
 	// A batch never answers a repeat from a truncated first occurrence, even
@@ -506,7 +491,7 @@ func TestHTTPShardReplicaFailoverKeepsIdentity(t *testing.T) {
 	broken.Script = []faultio.Fault{faultio.Status500}
 	broken.Loop = true
 	before := obs.RemoteShardBreakerOpenTotal(label + "-0").Value()
-	// Every search must come back clean and bit-identical: attempts that
+	// Every search must come back clean and match the reference: attempts that
 	// land on the broken replica fail over to the healthy one, and after
 	// BreakerThreshold failures the breaker parks the broken replica so
 	// later searches stop paying for it.

@@ -82,11 +82,6 @@ type (
 	TrainConfig = embedding.TrainConfig
 	// Aggregation selects MAX or AVG row-score aggregation.
 	Aggregation = core.Aggregation
-	// ScoreMode selects entity-wise (Algorithm 1) or pairwise (Equation 1)
-	// SemRel computation.
-	ScoreMode = core.ScoreMode
-	// MappingMethod selects the query-to-column assignment algorithm.
-	MappingMethod = core.MappingMethod
 	// LoadOptions configures lenient (quarantine-based) triple loading.
 	LoadOptions = kg.LoadOptions
 	// Quarantine collects records rejected by lenient ingestion.
@@ -100,18 +95,6 @@ type (
 const (
 	AggregateMax = core.AggregateMax
 	AggregateAvg = core.AggregateAvg
-)
-
-// Score modes (Section 4.1; entity-wise is Algorithm 1 and the default).
-const (
-	ModeEntityWise = core.ModeEntityWise
-	ModePairwise   = core.ModePairwise
-)
-
-// Mapping methods (Section 5.1; Hungarian is the paper's choice).
-const (
-	MappingHungarian = core.MappingHungarian
-	MappingGreedy    = core.MappingGreedy
 )
 
 // NewGraph returns an empty knowledge graph.
@@ -393,18 +376,6 @@ func (s *System) UseEmbeddingSimilarity() {
 func (s *System) SetAggregation(a Aggregation) {
 	s.mustEngine()
 	s.eng.Agg = a
-}
-
-// SetScoreMode switches between entity-wise (default) and pairwise SemRel.
-func (s *System) SetScoreMode(m ScoreMode) {
-	s.mustEngine()
-	s.eng.Mode = m
-}
-
-// SetMapping switches the query-to-column assignment algorithm.
-func (s *System) SetMapping(m MappingMethod) {
-	s.mustEngine()
-	s.eng.Mapping = m
 }
 
 // SetParallelism bounds the scoring worker count per search (0 = one

@@ -175,17 +175,6 @@ func TestFuzzyLinkerThroughFacade(t *testing.T) {
 	}
 }
 
-func TestSystemScoreModeAndMapping(t *testing.T) {
-	sys, q := buildDemoSystem(t)
-	sys.UseTypeSimilarity()
-	sys.SetScoreMode(ModePairwise)
-	sys.SetMapping(MappingGreedy)
-	res := sys.Search(q, 10)
-	if len(res) == 0 {
-		t.Fatal("no results under pairwise/greedy configuration")
-	}
-}
-
 func TestSystemEmbeddingPersistence(t *testing.T) {
 	sys, q := buildDemoSystem(t)
 	sys.TrainEmbeddings(
