@@ -46,11 +46,12 @@ benchsmoke:
 # keyed by type set and by corpus entity, the wide-query mapping
 # guard, the assignment solver fresh and reused), of the LSEI prefilter
 # alone and of a warm search behind it with pooled σ slabs (one- and
-# five-entity queries each) and of the query-resolution pair
+# five-entity queries each), of the type LSEI build (its frequent-type
+# filter count alone and the whole build) and of the query-resolution pair
 # (ParseQuery over 10k/100k entities, AddEntity's label-index upkeep), so
 # one that panics or no longer compiles fails the gate instead of rotting.
 benchrun:
-	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|SearchWarm|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
+	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|SearchWarm|BuildTypeLSEI|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # Line counts quoted by simplicity entries in CHANGES.md: non-test Go
 # outside bench/, then the root package's non-test Go. Not part of check.

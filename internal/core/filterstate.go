@@ -34,9 +34,13 @@ var mFilterResigns = obs.IndexFilterResignsTotal(nil)
 type TypeFilterState struct {
 	tj        *TypeJaccard
 	threshold float64
-	counts    map[kg.TypeID]int
+	counts    []int // by type ID: live tables whose expanded types hold it
 	total     int
 	filter    map[kg.TypeID]bool
+	// setSeen and typeSeen stamp the type sets and types met in the table
+	// count walks, under generation gen (64 bits: it never wraps).
+	setSeen, typeSeen []uint64
+	gen               uint64
 }
 
 // NewTypeFilterState computes the filter over the lake from scratch (this
@@ -67,8 +71,10 @@ func countTypes(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, thresh
 	fs := &TypeFilterState{
 		tj:        tj,
 		threshold: threshold,
-		counts:    make(map[kg.TypeID]int),
+		counts:    make([]int, tj.numTypes),
 		filter:    filter,
+		setSeen:   make([]uint64, tj.NumTypeSets()),
+		typeSeen:  make([]uint64, tj.numTypes),
 	}
 	for _, t := range l.Tables() {
 		if t != nil {
@@ -101,35 +107,46 @@ func (fs *TypeFilterState) RemoveTable(t *table.Table, ix *LSEI) {
 }
 
 // count applies one table's expanded type set to the counters with the
-// given delta (+1 add, -1 remove).
+// given delta (+1 add, -1 remove), expanding each distinct interned type
+// set of its cells once.
 func (fs *TypeFilterState) count(t *table.Table, delta int) {
-	seen := make(map[kg.TypeID]bool)
-	for _, e := range t.Entities() {
-		for _, ty := range fs.tj.TypeSet(e) {
-			seen[ty] = true
-		}
-	}
+	fs.gen++
 	fs.total += delta
-	for ty := range seen {
-		if fs.counts[ty] += delta; fs.counts[ty] == 0 {
-			delete(fs.counts, ty)
+	for _, r := range t.Rows {
+		for _, c := range r {
+			e, ok := c.EntityID()
+			if !ok {
+				continue
+			}
+			id := fs.tj.SetID(e)
+			if id < 0 || fs.setSeen[id] == fs.gen {
+				continue
+			}
+			fs.setSeen[id] = fs.gen
+			for _, ty := range fs.tj.sets[id] {
+				if fs.typeSeen[ty] != fs.gen {
+					fs.typeSeen[ty] = fs.gen
+					fs.counts[ty] += delta
+				}
+			}
 		}
 	}
 }
 
 // flips returns every type whose frequent-ness disagrees with the current
 // filter map. Because the limit moves with the total, this scans all
-// counted types, plus filtered types whose count dropped to zero.
+// counted types, plus filtered types whose count dropped to zero. Frequent
+// means in MORE than threshold of the tables (Section 6.1).
 func (fs *TypeFilterState) flips() []kg.TypeID {
 	limit := fs.threshold * float64(fs.total)
 	var out []kg.TypeID
 	for ty, c := range fs.counts {
-		if (float64(c) > limit) != fs.filter[ty] {
-			out = append(out, ty)
+		if c > 0 && (float64(c) > limit) != fs.filter[kg.TypeID(ty)] {
+			out = append(out, kg.TypeID(ty))
 		}
 	}
 	for ty := range fs.filter {
-		if fs.counts[ty] == 0 {
+		if int(ty) >= len(fs.counts) || fs.counts[ty] == 0 {
 			out = append(out, ty)
 		}
 	}

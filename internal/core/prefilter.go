@@ -103,6 +103,11 @@ type LSEI struct {
 	minHash    *lsh.MinHasher
 	typeFilter map[kg.TypeID]bool // frequent types to drop
 	typeSets   *TypeJaccard
+	// setSigs holds, in type/entity mode, the signature of each interned
+	// type set (TypeJaccard.SetID) met so far under the current filter (nil:
+	// not met; empty: no type passes the filter). Only builds, loads and
+	// writers holding the system's write lock fill it; probes read it.
+	setSigs [][]uint32
 
 	hyper *lsh.HyperplaneHasher
 	cos   *EmbeddingCosine
@@ -145,6 +150,7 @@ func BuildTypeLSEIFiltered(l *lake.Lake, tj *TypeJaccard, cfg LSEIConfig, filter
 		x.buildTypeColumns()
 	} else {
 		x.indexed = make(map[kg.EntityID]bool)
+		x.setSigs = make([][]uint32, tj.NumTypeSets())
 		for _, e := range l.DistinctEntities() {
 			x.insertEntity(e)
 		}
@@ -184,11 +190,11 @@ func (x *LSEI) insertEntity(e kg.EntityID) {
 	}
 	x.indexed[e] = true
 	if x.minHash != nil {
-		sh := x.typeShingles([]kg.EntityID{e})
-		if len(sh) == 0 {
-			return
+		if id := x.typeSets.SetID(e); id >= 0 {
+			if sig := x.setSignature(id, true); len(sig) > 0 {
+				x.index.Insert(uint32(e), sig)
+			}
 		}
-		x.index.Insert(uint32(e), x.minHash.Signature(sh))
 		return
 	}
 	if v := x.cos.Vector(e); v != nil {
@@ -241,9 +247,8 @@ func (x *LSEI) AddTable(tid lake.TableID) {
 // RemoveTable unindexes a table that was just removed from the lake. The
 // caller passes the detached *table.Table (the lake slot is already nil).
 // In entity mode, entities whose last table disappeared are dropped from
-// the index — the stored signature is recomputed (signatures are
-// deterministic in the entity's types/embedding and the current filter, so
-// nothing extra needs storing) and removed bucket by bucket. In
+// the index — under the signature they were inserted with (their type
+// set's, or their embedding's recomputed) — bucket by bucket. In
 // column-aggregation mode the table's column UIDs are removed and their
 // colTable slots tombstoned to -1. Must be called before any filter update
 // for this removal (signatures are recomputed under the filter they were
@@ -332,8 +337,10 @@ func (x *LSEI) ensureColOf() {
 // removeForResign pulls every item whose signature involves one of the
 // flipped types out of the LSH index, under the current (pre-toggle)
 // filter, and returns the affected item IDs so reinsert can put them back
-// once the shared filter map has been toggled. Embedding-mode indexes have
-// no type filter and return nil. See TypeFilterState.
+// once the shared filter map has been toggled; in entity mode it forgets
+// the touched type sets' signatures, for reinsert to sign again.
+// Embedding-mode indexes have no type filter and return nil. See
+// TypeFilterState.
 func (x *LSEI) removeForResign(flips []kg.TypeID) []uint32 {
 	if x.minHash == nil || len(flips) == 0 {
 		return nil
@@ -344,12 +351,19 @@ func (x *LSEI) removeForResign(flips []kg.TypeID) []uint32 {
 	}
 	var out []uint32
 	if !x.columnMode {
+		old := make([][]uint32, len(x.setSigs)) // the touched sets' signatures
+		for id, sig := range x.setSigs {
+			if sig != nil && intersects(x.typeSets.sets[id], fl) {
+				old[id], x.setSigs[id] = sig, nil
+			}
+		}
 		for e := range x.indexed {
-			if !x.typesIntersect(e, fl) {
+			id := x.typeSets.SetID(e)
+			if id < 0 || old[id] == nil {
 				continue
 			}
-			if sig := x.entitySignature(e); sig != nil {
-				x.index.Remove(uint32(e), sig)
+			if len(old[id]) > 0 {
+				x.index.Remove(uint32(e), old[id])
 			}
 			delete(x.indexed, e)
 			out = append(out, uint32(e))
@@ -364,7 +378,7 @@ func (x *LSEI) removeForResign(flips []kg.TypeID) []uint32 {
 		ents := x.lake.Table(tid).ColumnEntities(int(x.colOf[uid]))
 		hit := false
 		for _, e := range ents {
-			if x.typesIntersect(e, fl) {
+			if intersects(x.typeSets.TypeSet(e), fl) {
 				hit = true
 				break
 			}
@@ -400,9 +414,9 @@ func (x *LSEI) reinsert(items []uint32) {
 	}
 }
 
-// typesIntersect reports whether e's type set contains any flipped type.
-func (x *LSEI) typesIntersect(e kg.EntityID, flips map[kg.TypeID]bool) bool {
-	for _, ty := range x.typeSets.TypeSet(e) {
+// intersects reports whether the type set contains any flipped type.
+func intersects(types []kg.TypeID, flips map[kg.TypeID]bool) bool {
+	for _, ty := range types {
 		if flips[ty] {
 			return true
 		}
@@ -489,15 +503,42 @@ func (x *LSEI) buildEmbeddingColumns() {
 	}
 }
 
-// entitySignature computes the probe signature for one query entity, or
-// nil when the entity has no indexable representation.
+// setSignature is the signature of interned type set id under the current
+// filter — the MinHash of the type-pair shingles of its unfiltered types
+// (Section 6.1), empty when the filter drops them all — read from setSigs
+// when met, else signed, and stored when store is set (index writers only).
+// The result is shared and must not be modified.
+func (x *LSEI) setSignature(id int32, store bool) []uint32 {
+	if int(id) < len(x.setSigs) && x.setSigs[id] != nil {
+		return x.setSigs[id]
+	}
+	var kept []uint32
+	for _, ty := range x.typeSets.sets[id] {
+		if !x.typeFilter[ty] {
+			kept = append(kept, uint32(ty))
+		}
+	}
+	var sig []uint32
+	if len(kept) > 0 {
+		sig = x.minHash.Signature(lsh.TypePairShingles(kept))
+	}
+	if store {
+		x.setSigs[id] = append([]uint32{}, sig...) // non-nil: met
+	}
+	return sig
+}
+
+// entitySignature returns the probe signature for one entity (shared, not
+// to be modified), or nil when the entity has no indexable representation.
+// Probes never store a signature, so concurrent ones only read setSigs.
 func (x *LSEI) entitySignature(e kg.EntityID) []uint32 {
 	if x.minHash != nil {
-		sh := x.typeShingles([]kg.EntityID{e})
-		if len(sh) == 0 {
-			return nil
+		if id := x.typeSets.SetID(e); id >= 0 {
+			if sig := x.setSignature(id, false); len(sig) > 0 {
+				return sig
+			}
 		}
-		return x.minHash.Signature(sh)
+		return nil
 	}
 	v := x.cos.Vector(e)
 	if v == nil {

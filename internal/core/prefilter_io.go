@@ -15,8 +15,9 @@ import (
 )
 
 // LSEI persistence: a built index can be written to disk and reloaded
-// against the same lake and similarity structures, skipping the per-entity
-// hashing pass at startup. The caller is responsible for pairing the
+// against the same lake and similarity structures, skipping the bucket
+// build at startup (a type index re-signs only the interned type sets of
+// its indexed entities). The caller is responsible for pairing the
 // snapshot with the same corpus it was built from.
 //
 // The snapshot is framed in the checksummed atomicio envelope (magic +
@@ -28,8 +29,10 @@ import (
 // serving).
 
 const (
-	lseiMagic   = uint32(0x544C5332) // "TLS2"
-	lseiVersion = uint32(1)
+	lseiMagic = uint32(0x544C5332) // "TLS2"
+	// Version 1 buckets hold MinHash values whose multiply wrapped past
+	// 2^64; refuse them rather than probe them with exact ones.
+	lseiVersion = uint32(2)
 )
 
 // Write serializes the LSEI (configuration, hashers, filters, bucket
@@ -205,6 +208,14 @@ func LoadTypeLSEI(l *lake.Lake, tj *TypeJaccard, r io.Reader) (*LSEI, error) {
 	}
 	if err := sr.Close(); err != nil {
 		return nil, err
+	}
+	if !x.columnMode { // derive the signature table for the indexed entities
+		x.setSigs = make([][]uint32, tj.NumTypeSets())
+		for e := range x.indexed {
+			if id := tj.SetID(e); id >= 0 {
+				x.setSignature(id, true)
+			}
+		}
 	}
 	return x, nil
 }

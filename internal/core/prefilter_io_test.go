@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"thetis/internal/atomicio"
@@ -102,5 +104,22 @@ func TestLSEILoadGarbage(t *testing.T) {
 	l, g := fixtureLake(t)
 	if _, err := LoadTypeLSEI(l, NewTypeJaccard(g), bytes.NewReader([]byte("garbage data"))); err == nil {
 		t.Error("garbage accepted as LSEI snapshot")
+	}
+}
+
+// TestLSEILoadRefusesVersion1 checks that a version-1 snapshot, whose
+// buckets hold signatures of the old wrapping MinHash multiply, is refused
+// rather than probed with today's signatures.
+func TestLSEILoadRefusesVersion1(t *testing.T) {
+	x, l, g := typeLSEI(t, LSEIConfig{Vectors: 32, BandSize: 8, Seed: 1})
+	var buf bytes.Buffer
+	if err := x.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	binary.LittleEndian.PutUint32(data[4:], 1) // the envelope's version field
+	_, err := LoadTypeLSEI(l, NewTypeJaccard(g), bytes.NewReader(data))
+	if !errors.Is(err, atomicio.ErrCorruptSnapshot) || !strings.Contains(err.Error(), "unsupported LSEI snapshot version 1") {
+		t.Fatalf("v1 snapshot: err = %v, want the unsupported-version error", err)
 	}
 }

@@ -71,6 +71,8 @@ type TypeJaccard struct {
 	// bitsets[i] is the bitset of sets[i]; nil when the taxonomy is too
 	// large for bitset mode.
 	bitsets [][]uint64
+	// numTypes bounds the type IDs in sets: the graph's type count.
+	numTypes int
 }
 
 // NewTypeJaccard precomputes expanded type sets for every entity of g.
@@ -100,7 +102,7 @@ func NewTypeJaccard(g *kg.Graph) *TypeJaccard {
 		_, id := in.Intern(ts)
 		tj.setID[e] = id
 	}
-	tj.sets = in.Sets()
+	tj.sets, tj.numTypes = in.Sets(), g.NumTypes()
 	if g.NumTypes() <= bitsetMaxTypes {
 		words := (g.NumTypes() + 63) / 64
 		tj.bitsets = make([][]uint64, len(tj.sets))

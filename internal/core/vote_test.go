@@ -297,8 +297,9 @@ func TestCandidatesMatchNaiveVote(t *testing.T) {
 }
 
 // TestCandidatesWarmAllocs pins what a warm probe allocates: the query's
-// distinct entities, each probe signature, the returned IDs and the trace
-// stages — nothing per colliding item or table. The same queries over an
+// distinct entities, the returned IDs and the trace stages — no signature
+// (each is read from the index's per-type-set table) and nothing per
+// colliding item or table. The same queries over an
 // LSEI with ten times the tables (and so many more collisions) allocate
 // the same. The workspace is held rather than pooled, so the count does not
 // depend on the pool keeping it.
@@ -348,10 +349,10 @@ func TestCandidatesWarmAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name    string
 		q       Query
-		ceiling float64 // as measured: 7 and 32 of them are the signatures
+		ceiling float64 // as measured
 	}{
-		{"1entity", one, 10},
-		{"5entity", five, 35},
+		{"1entity", one, 4},
+		{"5entity", five, 6},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			as, ns := measure(xs, c.q, true)
@@ -365,8 +366,8 @@ func TestCandidatesWarmAllocs(t *testing.T) {
 			if al > c.ceiling {
 				t.Errorf("a warm traced probe allocates %v, ceiling %v", al, c.ceiling)
 			}
-			// Untraced, past the query's distinct entities and signatures
-			// only the returned IDs remain.
+			// Untraced, past the query's distinct entities (and any
+			// signature) only the returned IDs remain.
 			bare, _ := measure(xl, c.q, false)
 			t.Logf("allocs a warm probe: traced %v over %d and %v over %d candidates; untraced %v, signatures %v", as, ns, al, nl, bare, sigAllocs(xl, c.q))
 			if extra := bare - sigAllocs(xl, c.q); extra != 1 {

@@ -20,6 +20,7 @@ package lake
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"thetis/internal/kg"
@@ -38,9 +39,9 @@ type Lake struct {
 
 	// postings holds, at index e, the sorted list of tables mentioning
 	// entity e (the Φ⁻¹ side of the semantic data lake mapping); nil for an
-	// entity no live table mentions. Table.Entities is distinct, so a
-	// list's length is the entity's table frequency, the df behind the
-	// informativeness weight I(e).
+	// entity no live table mentions. A table is listed once however many
+	// of its cells link e, so a list's length is the entity's table
+	// frequency, the df behind the informativeness weight I(e).
 	postings [][]TableID
 	// colIndex holds one lazily built column index slot per table,
 	// index-aligned with tables.
@@ -62,11 +63,21 @@ func (l *Lake) Add(t *table.Table) TableID {
 	id := TableID(len(l.tables))
 	l.tables = append(l.tables, t)
 	l.colIndex = append(l.colIndex, &atomic.Pointer[table.ColumnIndex]{})
-	for _, e := range t.Entities() {
-		if int(e) >= len(l.postings) {
-			l.postings = append(l.postings, make([][]TableID, int(e)+1-len(l.postings))...)
+	// An entity met again in the table already ends its posting list with
+	// id: no per-table set of entities is needed.
+	for _, r := range t.Rows {
+		for _, c := range r {
+			e, ok := c.EntityID()
+			if !ok {
+				continue
+			}
+			if int(e) >= len(l.postings) {
+				l.postings = append(l.postings, make([][]TableID, int(e)+1-len(l.postings))...)
+			}
+			if pl := l.postings[e]; len(pl) == 0 || pl[len(pl)-1] != id {
+				l.postings[e] = append(pl, id)
+			}
 		}
-		l.postings[e] = append(l.postings[e], id)
 	}
 	return id
 }
@@ -80,19 +91,20 @@ func (l *Lake) Remove(id TableID) bool {
 	if int(id) < 0 || int(id) >= len(l.tables) || l.tables[int(id)] == nil {
 		return false
 	}
-	t := l.tables[int(id)]
-	for _, e := range t.Entities() {
-		pl := l.postings[e]
-		for i, tid := range pl {
-			if tid == id {
-				pl = append(pl[:i], pl[i+1:]...)
-				break
+	// Posting lists are sorted, and an entity met again in the same table
+	// no longer finds id in its list.
+	for _, r := range l.tables[int(id)].Rows {
+		for _, c := range r {
+			e, ok := c.EntityID()
+			if !ok {
+				continue
+			}
+			if i, found := slices.BinarySearch(l.postings[e], id); found {
+				if l.postings[e] = slices.Delete(l.postings[e], i, i+1); len(l.postings[e]) == 0 {
+					l.postings[e] = nil
+				}
 			}
 		}
-		if len(pl) == 0 {
-			pl = nil
-		}
-		l.postings[e] = pl
 	}
 	l.tables[int(id)] = nil
 	l.colIndex[int(id)].Store(nil)

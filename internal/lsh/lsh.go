@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math/bits"
 	"math/rand"
 	"sync/atomic"
 
@@ -79,39 +80,15 @@ func (m *MinHasher) Signature(shingles []uint64) []uint32 {
 	return sig
 }
 
-// mulmod61 multiplies two values modulo 2^61-1 without overflow, using
-// 128-bit intermediate arithmetic via math/bits-style splitting.
+// mulmod61 returns a·b mod 2^61-1 for any two 64-bit values: the exact
+// 128-bit product from bits.Mul64, folded in 61-bit limbs (2^61 ≡ 1, so
+// the limbs of the product sum to it modulo the prime).
 func mulmod61(a, b uint64) uint64 {
-	// Split a into high and low 32-bit halves: a = ah*2^32 + al.
-	ah, al := a>>32, a&0xFFFFFFFF
-	bh, bl := b>>32, b&0xFFFFFFFF
-	// a*b = ah*bh*2^64 + (ah*bl + al*bh)*2^32 + al*bl (mod 2^61-1)
-	// 2^61 ≡ 1, so 2^64 ≡ 8 and 2^32 parts are folded via shifts.
-	hi := ah * bh
-	mid := ah*bl + al*bh // may overflow; reduce each term
-	lo := al * bl
-	res := mod61(lo)
-	res = mod61(res + mod61shift(mid, 32))
-	res = mod61(res + mod61shift(hi, 64))
-	return res
-}
-
-// mod61shift reduces x·2^s modulo 2^61-1.
-func mod61shift(x uint64, s uint) uint64 {
-	r := mod61(x)
-	for s >= 61 {
-		s -= 61 // 2^61 ≡ 1
-	}
-	// r·2^s may overflow 64 bits when s > 3; reduce in chunks of 30 bits.
-	for s > 0 {
-		chunk := s
-		if chunk > 2 {
-			chunk = 2
-		}
-		r = mod61(r << chunk)
-		s -= chunk
-	}
-	return r
+	hi, lo := bits.Mul64(a, b)
+	l0 := lo & mersenne61
+	l1 := (lo>>61 | hi<<3) & mersenne61
+	l2 := hi >> 58
+	return mod61(mod61(l0+l1) + l2)
 }
 
 func mod61(x uint64) uint64 {

@@ -199,6 +199,14 @@ func IndexCompactionsTotal(r *Registry) *Counter {
 		"Background index compactions (rebuild + hot swap).", nil)
 }
 
+// IndexBuildSeconds observes one from-scratch LSEI build: each BuildIndex
+// (frequent-type filter count included) and each compaction rebuild.
+func IndexBuildSeconds() *Histogram {
+	return Default.Histogram("thetis_index_build_seconds",
+		"Wall time of one LSEI build (BuildIndex, Compact) in seconds.",
+		LatencyBuckets, nil)
+}
+
 // DeltaLogFailed gauges the write-ahead delta log's sticky failure: 0 while
 // every mutation has been durably logged, 1 from the first failed append
 // or fsync on — mutations since are served but not durable

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"time"
 
 	"thetis/internal/atomicio"
 	"thetis/internal/bm25"
@@ -28,6 +29,7 @@ var (
 	mDeltaRemoves   = obs.IndexDeltasTotal(nil, "remove")
 	mTombstones     = obs.IndexTombstones(nil)
 	mCompactions    = obs.IndexCompactionsTotal(nil)
+	mIndexBuild     = obs.IndexBuildSeconds()
 	mDeltaLogFailed = obs.DeltaLogFailed(nil)
 )
 
@@ -130,7 +132,9 @@ func (s *System) Compact() {
 	if !s.HasIndex() {
 		return
 	}
+	start := time.Now()
 	s.buildIndexLocked()
+	mIndexBuild.Observe(time.Since(start).Seconds())
 	mCompactions.Inc()
 }
 

@@ -28,6 +28,7 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"thetis/internal/bm25"
 	"thetis/internal/core"
@@ -413,6 +414,7 @@ func (s *System) BuildIndex(cfg IndexConfig) {
 	s.mustEngine()
 	s.maintMu.Lock()
 	defer s.maintMu.Unlock()
+	start := time.Now()
 	cfg.FrequentTypeThreshold = thresholdOf(cfg)
 	s.indexCfg = cfg
 	s.typeFilter, s.filterState = nil, nil
@@ -421,6 +423,7 @@ func (s *System) BuildIndex(cfg IndexConfig) {
 		s.typeFilter = s.filterState.Filter()
 	}
 	s.buildIndexLocked()
+	mIndexBuild.Observe(time.Since(start).Seconds())
 }
 
 // buildIndexLocked builds and hot-swaps the LSEI under the configuration
