@@ -236,7 +236,14 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 	if s.embeddingSim() {
 		return a // embedding LSEIs have no type filter
 	}
-	filter := core.FrequentTypesOver(s.lake, s.tj, thresholdOf(c))
+	// The live filter state already holds the current filter at its
+	// threshold; any other threshold is counted over the lake.
+	var filter map[kg.TypeID]bool
+	if fs := s.filterState; fs != nil && fs.Threshold() == thresholdOf(c) {
+		filter = fs.Filter()
+	} else {
+		filter = core.FrequentTypesOver(s.lake, s.tj, thresholdOf(c))
+	}
 	uris := make([]string, 0, len(filter))
 	for t, dropped := range filter {
 		if dropped {

@@ -6,6 +6,7 @@ package thetis
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"thetis/internal/remote"
@@ -104,4 +105,42 @@ func TestResolveWireQueryAllUnknownEmptyRanking(t *testing.T) {
 			t.Fatalf("all-unknown query scored a table: %+v", p.Results)
 		}
 	}
+}
+
+// TestShardArtifactsFromLiveFilter: ComputeShardArtifacts reads the
+// frequent-type filter from the live filter state when its threshold is
+// the one asked for, and the payload equals the one counted over every
+// cell of the lake — after BuildIndex, and again after live adds and
+// removes have moved the filter state.
+func TestShardArtifactsFromLiveFilter(t *testing.T) {
+	_, tables, _ := batteryEnv(t)
+	sys, _ := newLiveBase(40)
+	cfg := DefaultIndexConfig()
+	check := func(when string) {
+		t.Helper()
+		live := sys.ComputeShardArtifacts(&cfg, 2)
+		fs := sys.filterState
+		if fs == nil {
+			t.Fatalf("%s: no live filter state", when)
+		}
+		sys.filterState = nil
+		counted := sys.ComputeShardArtifacts(&cfg, 2)
+		sys.filterState = fs
+		if !reflect.DeepEqual(live, counted) {
+			t.Fatalf("%s: artifacts from the live filter %+v, counted %+v", when, live.FrequentTypes, counted.FrequentTypes)
+		}
+		if len(live.FrequentTypes) == 0 || !live.HasFilter {
+			t.Fatalf("%s: vacuous: no frequent type in the filter", when)
+		}
+	}
+	check("after BuildIndex")
+	for _, tb := range tables[40:60] {
+		sys.AddTable(tb)
+	}
+	for id := TableID(0); id < 30; id += 2 {
+		if err := sys.RemoveTable(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after live adds and removes")
 }

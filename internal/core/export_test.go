@@ -15,3 +15,7 @@ func (x *LSEI) EntitySignature(e kg.EntityID) []uint32 { return x.entitySignatur
 func (x *LSEI) BucketsOf(sig []uint32) [][]uint32 {
 	return x.index.Buckets(context.Background(), sig, nil)
 }
+
+// RandomCorpus is randomCorpus: a seeded random lake over a random typed
+// graph.
+var RandomCorpus = randomCorpus

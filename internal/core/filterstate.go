@@ -88,6 +88,10 @@ func countTypes(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, thresh
 // read-only and hold the owning system's read lock while consulting it.
 func (fs *TypeFilterState) Filter() map[kg.TypeID]bool { return fs.filter }
 
+// Threshold returns the frequent-type threshold the state keeps the filter
+// at.
+func (fs *TypeFilterState) Threshold() float64 { return fs.threshold }
+
 // AddTable records t joining the corpus and re-signs whatever its arrival
 // flips across the threshold in ix (nil when no index is built). Call it
 // BEFORE LSEI.AddTable for the same table, so the new table's own

@@ -92,7 +92,7 @@ func FuzzScoreTableMatchesOracle(f *testing.F) {
 			}
 		}
 		sc := newScorer(q, inf, agg, NewSigmaCache(q, sim, n))
-		got, _ := sc.scoreTable(tb, nil)
+		got, _ := sc.scoreBare(tb, nil)
 		want := oracleScore(oracleOf(sim, inf, agg), q, tb, sc.assignment)
 		if !oracle.Agree(agg == AggregateAvg, got, want) {
 			t.Fatalf("scoreTable %v, oracle %v (µ %v, agg %v)", got, want, sc.assignment, agg)

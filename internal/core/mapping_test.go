@@ -93,7 +93,7 @@ func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 		if tb.NumRows() == 0 {
 			continue
 		}
-		sc.scoreColumns(table.BuildColumnIndex(tb), tb.NumRows())
+		sc.sigmaPass(bareView(sc, tb, nil))
 		hTotal := sc.mapColumns(0)
 		S := greedy.Matrix(tb, q[0])
 		if gTotal := hungarian.TotalScore(S, oracle.Greedy(S)); gTotal > hTotal+1e-9 {
@@ -128,14 +128,15 @@ func TestWarmScorerAllocatesNothing(t *testing.T) {
 	}
 	sim := NewTypeJaccard(g)
 	for _, tid := range []lake.TableID{wideID, narrowID} {
-		tb, ci := l.Table(tid), l.ColumnIndex(tid)
+		tb := l.Table(tid)
 		sc := newScorer(q, UniformInformativeness, AggregateMax, NewSigmaCache(q, sim, g.NumEntities()))
-		want, _ := sc.scoreTable(tb, ci) // warm-up
+		v, _ := viewOf(l, sc.shared, tid, holdsAny(l, sc.distinct, tid))
+		want, _ := sc.scoreTable(v, true) // warm-up
 		if want <= 0 {
 			t.Fatalf("%q: score %v, want a match", tb.Name, want)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
-			if got, _ := sc.scoreTable(tb, ci); got != want {
+			if got, _ := sc.scoreTable(v, true); got != want {
 				t.Errorf("%q: score %v on reused scratch, first %v", tb.Name, got, want)
 			}
 		})

@@ -218,8 +218,14 @@ func (x *LSEI) AddTable(tid lake.TableID) {
 		return
 	}
 	if !x.columnMode {
-		for _, e := range t.Entities() {
-			x.insertEntity(e)
+		// insertEntity skips an entity met before, in this table or another:
+		// the cells are walked without a per-table set.
+		for _, r := range t.Rows {
+			for _, c := range r {
+				if e, ok := c.EntityID(); ok {
+					x.insertEntity(e)
+				}
+			}
 		}
 		return
 	}
@@ -258,14 +264,19 @@ func (x *LSEI) RemoveTable(tid lake.TableID, t *table.Table) {
 		return
 	}
 	if !x.columnMode {
-		for _, e := range t.Entities() {
-			if x.lake.EntityFrequency(e) != 0 || !x.indexed[e] {
-				continue
+		// An entity met again in the table is no longer indexed: the cells
+		// are walked without a per-table set.
+		for _, r := range t.Rows {
+			for _, c := range r {
+				e, ok := c.EntityID()
+				if !ok || x.lake.EntityFrequency(e) != 0 || !x.indexed[e] {
+					continue
+				}
+				if sig := x.entitySignature(e); sig != nil {
+					x.index.Remove(uint32(e), sig)
+				}
+				delete(x.indexed, e)
 			}
-			if sig := x.entitySignature(e); sig != nil {
-				x.index.Remove(uint32(e), sig)
-			}
-			delete(x.indexed, e)
 		}
 		return
 	}

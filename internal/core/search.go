@@ -53,6 +53,54 @@ func (eng *Engine) newSigmaCache(q Query, slab *sigmaSlab) *SigmaCache {
 	return newSigmaCache(q, eng.Sim, eng.Lake.Graph.NumEntities(), slab)
 }
 
+// viewOf returns what scoreTable reads of table tid of l under c's σ, or
+// false for a removed or unknown table. Under a keyed σ that is the table's
+// key groups, memoized on the lake per σ, and, when holds (some query
+// entity is in the table, so its σ pass needs scorer.identity), its column
+// index; under any other σ the column index and the row count.
+func viewOf(l *lake.Lake, c *SigmaCache, tid lake.TableID, holds bool) (tableView, bool) {
+	if c.keyed != nil {
+		g := l.KeyGroups(tid, c.keyed, c.keyOf)
+		if g == nil {
+			return tableView{}, false
+		}
+		v := tableView{rows: g.NumRows, groups: g}
+		if holds {
+			v.ci = l.ColumnIndex(tid)
+		}
+		return v, true
+	}
+	t := l.Table(tid)
+	if t == nil {
+		return tableView{}, false
+	}
+	return tableView{rows: t.NumRows(), ci: l.ColumnIndex(tid)}, true
+}
+
+// holdsAny reports whether table tid of l mentions one of entities, from
+// the lake's sorted posting lists.
+func holdsAny(l *lake.Lake, entities []kg.EntityID, tid lake.TableID) bool {
+	for _, e := range entities {
+		if _, ok := slices.BinarySearch(l.TablesWith(e), tid); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// mappingSample is the share of tables whose µ a search times
+// (Stats.MappingTime): one in mappingSample of a worker's tables, by
+// position, from a phase that advances with every search (mappingPhase),
+// so that over successive searches every position — the first, which pays
+// the search's cold σ rows, too — is timed equally often. The worker scales
+// the sum to all of its tables. A worker with fewer than 2 × mappingSample
+// tables times every one.
+const mappingSample = 16
+
+// mappingPhase counts searches; a search's sampling phase is its count
+// modulo mappingSample.
+var mappingPhase atomic.Uint32
+
 // NewEngine builds an engine with IDF informativeness and MAX aggregation,
 // the configuration the paper recommends.
 func NewEngine(l *lake.Lake, sim Similarity) *Engine {
@@ -80,11 +128,20 @@ type Stats struct {
 	// timing and only the ranking is deterministic; at Parallelism = 1 both
 	// counts are too.
 	Pruned int
-	// MappingTime is CPU time spent in the query-to-column assignment μ,
-	// summed across all tables and all scoring workers. With
-	// Parallelism > 1 it can therefore exceed TotalTime; the wall-clock
-	// stage breakdown lives in Trace (the mapping stage carries this same
-	// value in its CPU field, inside the score stage's wall time).
+	// MappingTime is CPU time spent in the query-to-column assignment μ
+	// (the σ pass that builds S, then the mapping of every tuple), summed
+	// across all tables and all scoring workers. With Parallelism > 1 it
+	// can therefore exceed TotalTime; the wall-clock stage breakdown lives
+	// in Trace (the mapping stage carries this same value in its CPU field,
+	// inside the score stage's wall time).
+	//
+	// A search does not read the clock for every table. A worker with
+	// fewer than 32 tables times each one; a longer worker times one table
+	// in 16, at positions whose phase advances with every search, and
+	// scales their sum by its table count over the timed count. The value
+	// is therefore an estimate for one search and unbiased over many;
+	// Engine.ScoreTable, the per-table microbenchmark of Section 7.3, times
+	// its table exactly.
 	MappingTime time.Duration
 	// TotalTime is the wall-clock duration of the engine search. It does
 	// not include LSEI prefiltering, which runs before the engine; the
@@ -105,12 +162,16 @@ type Stats struct {
 	// are zero on a batch member answered from an earlier, equal query of
 	// the same batch (nothing is scored). Their sum is the total number of
 	// σ lookups the scoring stage issued through the cache: per table, one
-	// per (distinct query entity, distinct entity of a column) — MAX
-	// aggregation and repeated tuples read the table's one σ pass, not the
-	// cache. A miss fills one cache cell: a (query entity, corpus entity)
-	// pair, or under type σ, which the cache keys by interned type set, a
-	// (query entity, type set) pair, so a type-σ search misses at most
-	// once per distinct query entity and type set (plus racing fills).
+	// per (distinct query entity, distinct entity of a column), or under
+	// type σ, which the cache keys by interned type set, one per
+	// (distinct query entity, type set of a column) — MAX aggregation and
+	// repeated tuples read the table's one σ pass, not the cache, and a
+	// type-σ table that holds a query entity corrects that entity's own
+	// cells to σ = 1 from the table's column index, without a lookup. A
+	// miss fills one cache cell: a (query entity, corpus entity) pair, or
+	// under type σ a (query entity, type set) pair, so a type-σ search
+	// misses at most once per distinct query entity and type set (plus
+	// racing fills).
 	SigmaHits, SigmaMisses int64
 	// ShardErrors explains, in human-readable form, why shard legs of a
 	// scatter-gather search contributed nothing: a contained panic, a
@@ -208,6 +269,11 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 	// this search so each distinct (query entity, cell entity) pair is
 	// scored exactly once per query.
 	sigma := eng.newSigmaCache(q, slab)
+	// Under a keyed σ, the tables that hold a query entity are marked once
+	// for the workers, from the lake's posting lists.
+	if sigma.keyed != nil {
+		slab.holders.mark(eng.Lake, sigma.entities)
+	}
 	// floor is the k-th best score the workers have found so far; tables
 	// that cannot reach it are pruned (scorer.floor). Nil ranks everything.
 	var floor *scoreFloor
@@ -224,22 +290,23 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 	// scoreOne contains a panic to the table that caused it: scoring worker
 	// goroutines are outside any net/http recovery, so an uncontained panic
 	// here would kill the whole process.
-	scoreOne := func(sc *scorer, tid lake.TableID) (score float64, mt time.Duration, panicked bool) {
+	scoreOne := func(sc *scorer, tid lake.TableID, timed bool) (score float64, mt time.Duration, panicked bool) {
 		defer func() {
 			if r := recover(); r != nil {
 				panicked = true
 				mSearchPanics.Inc()
 			}
 		}()
-		t := eng.Lake.Table(tid)
-		if t == nil {
+		v, ok := viewOf(eng.Lake, sigma, tid, slab.holders.has(tid))
+		if !ok {
 			// Removed table: a stale candidate (e.g. from an index snapshot
 			// predating the removal) scores 0 rather than crashing a worker.
 			return 0, 0, false
 		}
-		score, mt = sc.scoreTable(t, eng.Lake.ColumnIndex(tid))
+		score, mt = sc.scoreTable(v, timed)
 		return
 	}
+	phase := int64(mappingPhase.Add(1) % mappingSample)
 	parts := make([]partial, workers)
 	var wg sync.WaitGroup
 	scoreStart := time.Now()
@@ -260,13 +327,22 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			sc := newWorkerScorer()
+			// visited counts the worker's tables and timed the sampled ones,
+			// whose µ time sampled sums.
+			var visited, timed int64
+			var sampled time.Duration
 			// merge folds a scorer's local counters into the worker's part.
 			merge := func() {
 				parts[w].hits += sc.hits
 				parts[w].misses += sc.misses
 				parts[w].pruned += sc.pruned
 			}
-			defer merge()
+			defer func() {
+				merge()
+				if timed > 0 {
+					parts[w].mapping = time.Duration(int64(sampled) * visited / timed)
+				}
+			}()
 			// top holds this worker's k best scores: once it has k, its
 			// smallest is a score k tables reach, and the floor rises to it.
 			top := kBest{k: k, scores: make([]float64, 0, min(max(k, 0), hi-lo))}
@@ -275,8 +351,13 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 					truncated.Store(true)
 					return
 				}
-				score, mt, panicked := scoreOne(sc, tid)
-				parts[w].mapping += mt
+				sample := hi-lo < 2*mappingSample || (visited+phase)%mappingSample == 0
+				score, mt, panicked := scoreOne(sc, tid, sample)
+				visited++
+				if sample {
+					timed++
+					sampled += mt
+				}
 				if panicked {
 					parts[w].panicked++
 					// The scorer's scratch may be mid-update; rebuild it.
@@ -342,19 +423,20 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 
 // ScoreTable computes SemRel(Q, T) for a single table, returning the score
 // and the time spent in the column-mapping step (the microbenchmark of
-// Section 7.3). It shares the search path's memoization (query-scoped σ
-// cache, column pre-aggregation), so its score is bit-identical to the one
-// the same table earns inside Search. A removed or unknown table scores 0,
-// as a stale candidate does inside Search.
+// Section 7.3), timed exactly. It shares the search path's memoization
+// (query-scoped σ cache, column pre-aggregation, key groups) and its σ
+// pass, so its score is bit-identical to the one the same table earns
+// inside Search. A removed or unknown table scores 0, as a stale candidate
+// does inside Search.
 func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration) {
-	t := eng.Lake.Table(tid)
-	if t == nil {
-		return 0, 0
-	}
 	slab := takeSigmaSlab()
 	defer sigmaSlabs.Put(slab)
-	sc := newScorer(q, eng.Inf, eng.Agg, eng.newSigmaCache(q, slab))
-	return sc.scoreTable(t, eng.Lake.ColumnIndex(tid))
+	c := eng.newSigmaCache(q, slab)
+	v, ok := viewOf(eng.Lake, c, tid, c.keyed != nil && holdsAny(eng.Lake, c.entities, tid))
+	if !ok {
+		return 0, 0
+	}
+	return newScorer(q, eng.Inf, eng.Agg, c).scoreTable(v, true)
 }
 
 // RankedTables projects results onto table IDs as plain ints, the shape the

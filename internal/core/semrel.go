@@ -56,7 +56,7 @@ type scorer struct {
 	// per search, not once per lookup).
 	hits, misses int64
 
-	// Per-table scratch, filled by scoreColumns in one pass over the table's
+	// Per-table scratch, filled by sigmaPass in one pass over the table's
 	// columns: for distinct query entity di and column j (of cols),
 	// sums[di*cols+j] is Σ σ(distinct[di], e) over column j's cells — one
 	// row of the score matrix S per distinct entity, shared by every tuple
@@ -130,40 +130,59 @@ func newScorer(q Query, inf Informativeness, agg Aggregation, shared *SigmaCache
 	return s
 }
 
-// sigma returns σ(distinct[di], target), memoized in the search's cache: the
-// one-cell read of readSigmas wherever the dense array does not cover the
-// cell.
-func (s *scorer) sigma(di int, target uint32) float64 {
-	if v, ok := s.shared.lookup(di, target); ok {
+// cell returns cell (di, key) of the search's cache for target, whose row
+// is key, filling it on a miss: the one-cell read wherever the dense array
+// does not cover the row.
+func (s *scorer) cell(di int, key, target uint32) float64 {
+	if v, ok := s.shared.get(di, key); ok {
 		s.hits++
 		return v
 	}
 	s.misses++
-	return s.shared.fill(di, target)
+	return s.shared.put(di, key, target)
 }
 
 // readSigmas returns σ(distinct[di], target) for every distinct query
-// entity at once, in scorer scratch valid until the next call. A dense
-// shared cache keeps those cells adjacent (key-major), so the read takes
-// target's row (SigmaCache.rowKey) through SigmaCache.row, which resets it
-// if its stamp is stale, and indexes it directly — the atomics and the
-// hit/miss counting of lookup/fill, one count per cell, without a call per
-// cell — and hands the cells it found empty, still marked with sigmaUnset's
-// bits, to fillRow in one call. Under a keyed σ the row is shared by every
-// entity with target's key, so the query entity that is target itself, if
-// any, reads 1 on top of it (SigmaCache.identity). Everything else — the
-// sharded cache, an entity interned after an un-keyed cache was sized —
-// reads cell by cell through sigma.
+// entity at once under an un-keyed σ, whose rows are corpus entities, in
+// scorer scratch valid until the next call: the dense row through
+// readRow, and otherwise — the sharded cache, an entity interned after
+// the cache was sized — cell by cell.
 func (s *scorer) readSigmas(target uint32) []float64 {
+	if key, dense := s.shared.rowKey(target); dense {
+		return s.readRow(key, target)
+	}
+	out := s.sigmas
+	for di := range out {
+		out[di] = s.cell(di, target, target)
+	}
+	return out
+}
+
+// keyRow returns row key of a keyed σ's cache — σ(distinct[di], e) for
+// every entity e ≠ distinct[di] with that key — in scorer scratch valid
+// until the next call: the dense row through readRow, and cell by cell in
+// sharded mode. It carries no identity: the σ pass corrects a query
+// entity's own cells itself (identity).
+func (s *scorer) keyRow(key uint32) []float64 {
+	if int(key) < s.shared.n {
+		return s.readRow(key, 0)
+	}
+	out := s.sigmas
+	for di := range out {
+		out[di] = s.cell(di, key, 0)
+	}
+	return out
+}
+
+// readRow reads dense row key, whose cells are target's σ (target is unused
+// under a keyed σ), for every slot: it takes the row through
+// SigmaCache.row, which resets it if its stamp is stale, and indexes it
+// directly — the atomics and the hit/miss counting of get/put, one count
+// per cell, without a call per cell — and hands the cells it found empty,
+// still marked with sigmaUnset's bits, to fillRow in one call.
+func (s *scorer) readRow(key, target uint32) []float64 {
 	out := s.sigmas
 	c := s.shared
-	key, ok := c.rowKey(target)
-	if !ok {
-		for di := range out {
-			out[di] = s.sigma(di, target)
-		}
-		return out
-	}
 	cells := c.row(key)
 	var missed int64
 	for di := range out {
@@ -178,40 +197,53 @@ func (s *scorer) readSigmas(target uint32) []float64 {
 		s.misses += missed
 		c.fillRow(key, target, out)
 	}
-	if c.keyed != nil {
-		if di := slices.Index(s.distinct, kgEntity(target)); di >= 0 {
-			out[di] = 1
-		}
-	}
 	return out
+}
+
+// tableView is what scoreTable reads of one table. Under a keyed σ that is
+// the table's column key groups (lake.KeyGroups) and, only when some query
+// entity sits in the table, its column index, for the identity correction;
+// under any other σ, the column index and the row count.
+type tableView struct {
+	rows   int
+	groups *table.KeyGroups   // keyed σ
+	ci     *table.ColumnIndex // un-keyed σ; under a keyed σ nil unless a query entity is in the table
+}
+
+// numColumns returns the table's column count.
+func (v tableView) numColumns() int {
+	if v.groups != nil {
+		return v.groups.NumColumns()
+	}
+	return len(v.ci.Cols)
 }
 
 // scoreTable computes SemRel(Q, T) per Algorithm 1 and returns the score
 // together with the time spent computing the query-to-column mapping μ
-// (the cost fraction studied in Section 7.3). ci is the table's column
-// pre-aggregation (nil builds a transient one). A table for which no query
-// entity has any positive similarity scores 0 and is thereby excluded from
-// results, satisfying Problem 2.2.
+// (the cost fraction studied in Section 7.3) when timed, 0 otherwise. A
+// table for which no query entity has any positive similarity scores 0 and
+// is thereby excluded from results, satisfying Problem 2.2.
 //
 // The σ pass over the columns and the mapping of every tuple run first,
-// under one clock pair — building S is part of µ, as in the paper's 58–78 %
-// — and the tuples are scored second, from scratch alone; a warm scorer
-// allocates nothing here. Between the two, a table that upperBound shows
-// cannot reach the search's floor returns 0 without being mapped or scored.
-func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, time.Duration) {
-	if t.NumRows() == 0 || t.NumColumns() == 0 {
+// under one clock pair when timed — building S is part of µ, as in the
+// paper's 58–78 % — and the tuples are scored second, from scratch alone; a
+// warm scorer allocates nothing here. Between the two, a table that
+// upperBound shows cannot reach the search's floor returns 0 without being
+// mapped or scored.
+func (s *scorer) scoreTable(v tableView, timed bool) (float64, time.Duration) {
+	if v.rows == 0 || v.numColumns() == 0 {
 		return 0, 0
 	}
-	if ci == nil {
-		ci = table.BuildColumnIndex(t)
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
-	start := time.Now()
-	s.scoreColumns(ci, t.NumRows())
+	s.sigmaPass(v)
 	// Strictly below: a table that could tie the k-th score is scored, and
 	// the (score desc, table ID asc) order decides, as without pruning.
 	if floor := s.floor.load(); floor > 0 && s.upperBound() < floor {
 		s.pruned++
-		return 0, time.Since(start)
+		return 0, since(start)
 	}
 	matched := false
 	for ti := range s.q {
@@ -219,31 +251,42 @@ func (s *scorer) scoreTable(t *table.Table, ci *table.ColumnIndex) (float64, tim
 		s.mapped[ti] = s.mapColumns(ti) > 0
 		matched = matched || s.mapped[ti]
 	}
-	mappingTime := time.Since(start)
+	mappingTime := since(start)
 	if !matched {
 		return 0, mappingTime
 	}
 	total := 0.0
 	for ti := range s.q {
 		if s.mapped[ti] {
-			total += s.tupleScore(ti, t.NumRows(), s.assignment[ti])
+			total += s.tupleScore(ti, v.rows, s.assignment[ti])
 		}
 	}
 	return total / float64(len(s.q)), mappingTime
 }
 
-// scoreColumns is the table's one σ pass: it visits each distinct entity of
-// each column once, reads its σ against every distinct query entity, and
-// leaves in sums the score matrix rows (Section 5.1: per-column sums of σ
-// over every cell, as distinct entities × multiplicities) and in maxes the
+// since is time.Since(start), or 0 for the zero start of an untimed table.
+func since(start time.Time) time.Duration {
+	if start.IsZero() {
+		return 0
+	}
+	return time.Since(start)
+}
+
+// sigmaPass is the table's one σ pass. It leaves in sums the score matrix
+// rows (Section 5.1: per-column sums of σ over every cell) and in maxes the
 // per-column maxima MAX aggregation needs, so mapColumns and tupleScore
-// read scratch only. Per (query entity, column) the sum adds the column's
-// entities in ColumnIndex order. As it writes each column it keeps, in
-// best, each query entity's best column score for upperBound over a table
-// of numRows rows: the aggregate (aggregateColumn), from 0, taken in column
-// order.
-func (s *scorer) scoreColumns(ci *table.ColumnIndex, numRows int) {
-	d, cols := len(s.distinct), len(ci.Cols)
+// read scratch only. As it writes each column it keeps, in best, each
+// query entity's best column score for upperBound: the aggregate
+// (aggregateColumn), from 0, taken in column order.
+//
+// Under a keyed σ the pass reads each column by key group: one cache row
+// per (column, key), added count × σ in group order — Σ count × σ per key,
+// where the cells themselves would add σ per cell. A query entity's own
+// cells read its key's value there, which identity then corrects to σ = 1.
+// Under any other σ it reads one cache row per distinct entity of each
+// column, added count × σ in ColumnIndex order.
+func (s *scorer) sigmaPass(v tableView) {
+	d, cols := len(s.distinct), v.numColumns()
 	s.cols = cols
 	if cap(s.sums) < d*cols {
 		s.sums, s.maxes = make([]float64, d*cols), make([]float64, d*cols)
@@ -251,27 +294,56 @@ func (s *scorer) scoreColumns(ci *table.ColumnIndex, numRows int) {
 	s.sums, s.maxes = s.sums[:d*cols], s.maxes[:d*cols]
 	colSum, colMax := s.colSum, s.colMax
 	clear(s.best)
-	for j := range ci.Cols {
-		cs := &ci.Cols[j]
-		clear(colSum)
-		clear(colMax)
-		for i, e := range cs.Entities {
-			count := float64(cs.Counts[i])
-			for di, v := range s.readSigmas(uint32(e)) {
-				colSum[di] += count * v
-				if v > colMax[di] {
-					colMax[di] = v
-				}
+	for j := range cols {
+		for di := range colSum {
+			colSum[di], colMax[di] = 0, 0
+		}
+		if g := v.groups; g != nil {
+			for i := g.Offsets[j]; i < g.Offsets[j+1]; i++ {
+				addRow(colSum, colMax, float64(g.Counts[i]), s.keyRow(g.Keys[i]))
+			}
+			if v.ci != nil {
+				s.identity(&v.ci.Cols[j])
+			}
+		} else {
+			cs := &v.ci.Cols[j]
+			for i, e := range cs.Entities {
+				addRow(colSum, colMax, float64(cs.Counts[i]), s.readSigmas(uint32(e)))
 			}
 		}
 		for di := range colSum {
 			s.sums[di*cols+j], s.maxes[di*cols+j] = colSum[di], colMax[di]
-			s.best[di] = max(s.best[di], s.aggregateColumn(di, j, numRows))
+			s.best[di] = max(s.best[di], s.aggregateColumn(di, j, v.rows))
 		}
 	}
 }
 
-// upperBound returns, from the best column scores scoreColumns kept for the
+// addRow folds one σ row, read for count cells of a column, into the
+// column's running sums and maxima.
+func addRow(colSum, colMax []float64, count float64, row []float64) {
+	for di, v := range row {
+		colSum[di] += count * v
+		if v > colMax[di] {
+			colMax[di] = v
+		}
+	}
+}
+
+// identity applies σ(e, e) = 1 to the current column under a keyed σ, whose
+// key rows hold Equation 4 for e' ≠ e only: for each query entity among the
+// column's entities (cs, the column's ColumnIndex entry), the count cells it
+// occupies were added at its key's value (SigmaCache.self), so the sum
+// gains count × (1 − self), and the maximum becomes 1.
+func (s *scorer) identity(cs *table.ColumnEntityStats) {
+	for i, e := range cs.Entities {
+		if di := slices.Index(s.distinct, e); di >= 0 {
+			s.colSum[di] += float64(cs.Counts[i]) * (1 - s.shared.self[di])
+			s.colMax[di] = max(s.colMax[di], 1)
+		}
+	}
+}
+
+// upperBound returns, from the best column scores sigmaPass kept for the
 // current table, a score the table cannot exceed under any column
 // assignment: every query entity takes its best column, whether or not
 // another entity wants the same one. It repeats tupleScore's operations in
@@ -293,7 +365,7 @@ func (s *scorer) upperBound() float64 {
 }
 
 // mapColumns assembles the score matrix S (Section 5.1) for query tuple ti
-// from the per-entity rows scoreColumns left for the current table and
+// from the per-entity rows sigmaPass left for the current table and
 // solves the assignment problem, leaving the per-entity column assignments
 // (-1 = unassigned) in s.assignment[ti] and returning the total assignment
 // score. Tuple entities that repeat share one row (aliased, read-only to
@@ -328,7 +400,7 @@ func (s *scorer) tupleScore(ti, numRows int, assignment []int) float64 {
 
 // aggregateColumn folds the per-row similarities of distinct query entity
 // di against column j into one score per the configured aggregation, from
-// what scoreColumns accumulated: the per-row σ sum of the column is exactly
+// what sigmaPass accumulated: the per-row σ sum of the column is exactly
 // the entity's score-matrix cell, and the maximum is capped at 1.
 func (s *scorer) aggregateColumn(di, j, numRows int) float64 {
 	if s.agg == AggregateAvg {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"thetis/internal/hungarian"
 	"thetis/internal/kg"
@@ -41,6 +42,33 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 	return tables
 }
 
+// sigma returns σ(distinct[di], target) read through the scorer's cache
+// cell by cell, counted as the σ pass counts its reads.
+func (s *scorer) sigma(di int, target uint32) float64 {
+	key, _ := s.shared.rowKey(target)
+	return s.shared.identity(di, target, s.cell(di, key, target))
+}
+
+// bareView is what scoreTable reads of tb outside any lake: ci (a
+// transient column index when nil) and, under a keyed σ, transient key
+// groups, with the identity correction applied wherever a query entity is
+// in the table.
+func bareView(sc *scorer, tb *table.Table, ci *table.ColumnIndex) tableView {
+	if ci == nil {
+		ci = table.BuildColumnIndex(tb)
+	}
+	v := tableView{rows: tb.NumRows(), ci: ci}
+	if k := sc.shared.keyed; k != nil {
+		v.groups = table.BuildKeyGroups(tb, k.key)
+	}
+	return v
+}
+
+// scoreBare is scoreTable over tb outside any lake (bareView), timed.
+func (s *scorer) scoreBare(tb *table.Table, ci *table.ColumnIndex) (float64, time.Duration) {
+	return s.scoreTable(bareView(s, tb, ci), true)
+}
+
 // TestScoreColumnsMatchesPerCellWalk pins the σ pass to the walk it
 // replaced — per (query entity, column), Σ count·σ and max σ over the
 // column's entities in ColumnIndex order, one cell at a time — with ==, in
@@ -52,9 +80,12 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 // when its cell was stored neither before the pass nor earlier in it. Type σ
 // runs twice: behind another type ("types"), so its rows are corpus entities
 // like any σ's, and as itself ("types-keyed"), where a cell is a (slot, type
-// set) pair shared by every entity of the set. A keyed σ sizes its cache by
-// its own key space, so the modes that force a representation through the
-// entity ID space (sharded, late-entities) do not apply to it.
+// set) pair shared by every entity of the set and the pass reads a column
+// by key group instead: Σ count·σ over the column's keys in group order,
+// one read per (query entity, key), plus the identity correction where a
+// query entity sits in the column. A keyed σ sizes its cache by its own key
+// space, so the modes that force a representation through the entity ID
+// space (sharded, late-entities) do not apply to it.
 func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	_, g := randomCorpus(13, 20, 150, 0, 0, 0)
 	n := g.NumEntities()
@@ -101,50 +132,83 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 						t.Fatal("oversized ID space should select the sharded representation")
 					}
 					for ti, tb := range tables {
-						ci := table.BuildColumnIndex(tb)
+						v := bareView(sc, tb, nil)
+						ci := v.ci
+						// reads lists, per column, the rows the pass reads and
+						// the cells each covers: distinct entities, or under a
+						// keyed σ key groups.
+						type read struct {
+							row   uint32
+							count int32
+						}
+						reads := make([][]read, len(ci.Cols))
+						for j := range ci.Cols {
+							if g := v.groups; g != nil {
+								for i := g.Offsets[j]; i < g.Offsets[j+1]; i++ {
+									reads[j] = append(reads[j], read{g.Keys[i], g.Counts[i]})
+								}
+								continue
+							}
+							for i, e := range ci.Cols[j].Entities {
+								reads[j] = append(reads[j], read{uint32(e), ci.Cols[j].Counts[i]})
+							}
+						}
 						var wantMisses int64
 						stored := make(map[[2]int]bool)
-						for j := range ci.Cols {
-							for _, e := range ci.Cols[j].Entities {
+						for j := range reads {
+							for _, r := range reads[j] {
 								for di := range sc.distinct {
-									cell := [2]int{di, int(e)}
-									if cache.keyed != nil {
-										cell[1] = int(tj.key(e))
-									}
-									if _, ok := cache.lookup(di, uint32(e)); !ok && !stored[cell] {
+									cell := [2]int{di, int(r.row)}
+									if _, ok := cache.get(di, r.row); !ok && !stored[cell] {
 										wantMisses++
-										stored[cell] = cache.keyed != nil || int(e) < mode.cacheN
+										stored[cell] = cache.keyed != nil || int(r.row) < mode.cacheN
 									}
 								}
 							}
 						}
 						hitsBefore, missesBefore := sc.hits, sc.misses
-						sc.scoreColumns(ci, tb.NumRows())
+						sc.sigmaPass(v)
 						misses := sc.misses - missesBefore
 						lookups, cells := sc.hits-hitsBefore+misses, 0
 						for j := range ci.Cols {
 							cs := &ci.Cols[j]
-							cells += len(cs.Entities)
+							cells += len(reads[j])
 							for di, qe := range sc.distinct {
-								sum, best := 0.0, 0.0
-								for i, e := range cs.Entities {
-									v := sim.Score(qe, e)
-									if got := sc.sigma(di, uint32(e)); got != v {
+								for _, e := range cs.Entities {
+									if got, v := sc.sigma(di, uint32(e)), sim.Score(qe, e); got != v {
 										t.Fatalf("q%d table %d: σ(%d,%d) reads %v after the pass, want %v", qi, ti, qe, e, got, v)
 									}
-									sum += float64(cs.Counts[i]) * v
+								}
+								sum, best := 0.0, 0.0
+								for _, r := range reads[j] {
+									var v float64
+									if cache.keyed != nil {
+										v = tj.scoreKey(qe, r.row)
+									} else {
+										v = sim.Score(qe, kg.EntityID(r.row))
+									}
+									sum += float64(r.count) * v
 									best = max(best, v)
 								}
+								if cache.keyed != nil {
+									// Identity: the query entity's own cells read
+									// its key's value, corrected to 1.
+									for i, e := range cs.Entities {
+										if e == qe {
+											sum += float64(cs.Counts[i]) * (1 - tj.scoreKey(qe, tj.key(qe)))
+											best = max(best, 1)
+										}
+									}
+								}
 								if got := sc.sums[di*sc.cols+j]; got != sum {
-									t.Fatalf("q%d table %d entity %d column %d: sum %v, per-cell walk %v", qi, ti, di, j, got, sum)
+									t.Fatalf("q%d table %d entity %d column %d: sum %v, per-row walk %v", qi, ti, di, j, got, sum)
 								}
 								if got := sc.maxes[di*sc.cols+j]; got != best {
-									t.Fatalf("q%d table %d entity %d column %d: max %v, per-cell walk %v", qi, ti, di, j, got, best)
+									t.Fatalf("q%d table %d entity %d column %d: max %v, per-row walk %v", qi, ti, di, j, got, best)
 								}
 							}
 						}
-						// One lookup per (distinct query entity, distinct column
-						// entity).
+						// One lookup per (distinct query entity, row read).
 						if want := int64(cells * len(sc.distinct)); lookups != want {
 							t.Fatalf("q%d table %d: %d lookups, want %d", qi, ti, lookups, want)
 						}
@@ -226,7 +290,7 @@ func TestScoreTableMatchesNaiveSemRel(t *testing.T) {
 						for qi, q := range queries {
 							sc := newScorer(q, inf, agg, NewSigmaCache(q, sim, g.NumEntities()))
 							for ti, tb := range tables {
-								got, _ := sc.scoreTable(tb, nil)
+								got, _ := sc.scoreBare(tb, nil)
 								_, mu := c.Score(tb, oracle.Tuples(q))
 								for tqi, tq := range oracle.Tuples(q) {
 									S := c.Matrix(tb, tq)
@@ -331,7 +395,7 @@ func TestUpperBoundDominatesScore(t *testing.T) {
 		tb := table.New("above1", make([]string, 2))
 		tb.AppendRow([]table.Cell{table.LinkedCell("v", 2), table.LinkedCell("v", 3)})
 		sc := newScorer(q, UniformInformativeness, AggregateAvg, NewSigmaCache(q, sim, 4))
-		score, _ := sc.scoreTable(tb, nil)
+		score, _ := sc.scoreBare(tb, nil)
 		if a := sc.assignment[0]; a[0] != 1 || a[1] != 0 || !(score < 1) {
 			t.Fatalf("assignment %v scoring %v: the fixture no longer sets the entities against each other", a, score)
 		}
@@ -353,7 +417,7 @@ func TestUpperBoundDominatesScore(t *testing.T) {
 						for qi, q := range queries {
 							sc := newScorer(q, inf, boundAgg, NewSigmaCache(q, sim, g.NumEntities()))
 							for ti, tb := range tables {
-								score, _ := sc.scoreTable(tb, nil)
+								score, _ := sc.scoreBare(tb, nil)
 								ub := sc.upperBound()
 								if !paperCell(mode, mapping) {
 									reading, _ := c.Score(tb, oracle.Tuples(q))
@@ -430,9 +494,14 @@ func BenchmarkScoreTable(b *testing.B) {
 		for _, qc := range queries {
 			b.Run(s.name+"/"+qc.name, func(b *testing.B) {
 				sc := newScorer(qc.q, IDFInformativeness(l), AggregateMax, NewSigmaCache(qc.q, s.sim, g.NumEntities()))
+				// The views a search reads, from the lake's memos.
+				views := make([]tableView, len(ids))
+				for i, tid := range ids {
+					views[i], _ = viewOf(l, sc.shared, tid, holdsAny(l, sc.distinct, tid))
+				}
 				pass := func() (total float64) {
-					for _, tid := range ids {
-						score, _ := sc.scoreTable(l.Table(tid), l.ColumnIndex(tid))
+					for i := range ids {
+						score, _ := sc.scoreTable(views[i], true)
 						total += score
 					}
 					return total

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"thetis/internal/kg"
+	"thetis/internal/lake"
 )
 
 // Query-scoped σ memoization. One SearchContext call evaluates σ(q_e, e)
@@ -29,7 +30,7 @@ const (
 	maxSigmaDenseBytes = 64 << 20
 
 	// sigmaShards is the shard count of the map-backed cache. Shards are
-	// picked by a multiplicative hash of the corpus entity ID, so workers
+	// picked by a multiplicative hash of the (slot, row) cell, so workers
 	// scoring different tables rarely contend on one mutex.
 	sigmaShards = 64
 )
@@ -51,8 +52,8 @@ const (
 // Representation: each distinct query entity owns a slot; small key spaces
 // get one dense key-major array of float64 bits — cell (slot, key) lives at
 // key·slots + slot, so the σ of every query entity against one target are
-// adjacent, which is how the scorer reads them (one pass per column entity,
-// scorer.readSigmas) — updated with lock-free atomics (racing workers write
+// adjacent, which is how the scorer reads them (one row per column entity,
+// scorer.readSigmas, or per column key, scorer.keyRow) — updated with lock-free atomics (racing workers write
 // the same bits, so the last write is as good as the first). An engine
 // search draws that array from a pooled slab (sigmaSlab) instead of
 // allocating it, and a row is valid only under the search's generation
@@ -60,7 +61,7 @@ const (
 // misses on a dense row are filled a row at a time (fillRow); over an
 // EmbeddingCosine that is one four-lane cosine kernel per row instead of a
 // Score call per cell. When the dense footprint would exceed 64 MiB, slots
-// share 64 mutex-guarded map shards keyed by corpus entity instead.
+// share 64 mutex-guarded map shards keyed by (slot, row) instead.
 //
 // A SigmaCache is safe for concurrent use.
 type SigmaCache struct {
@@ -71,7 +72,13 @@ type SigmaCache struct {
 	dense  []uint64 // n × slots cells, key-major (dense mode); nil in sharded mode
 	stamps []uint32 // stamps[key] == gen: dense row key belongs to this cache
 	gen    uint32
-	keyed  keyedSimilarity // dense mode over a keyedSimilarity; nil otherwise
+	keyed  keyedSimilarity // the σ as a keyedSimilarity; nil for an un-keyed σ
+	// keyOf is keyed's key, as the function value lake.KeyGroups takes, and
+	// self[slot] the cell of the slot's query entity in its own key's row:
+	// the value a σ pass reads for the entity's own cells before
+	// scorer.identity lifts them to 1. Both nil for an un-keyed σ.
+	keyOf func(kg.EntityID) uint32
+	self  []float64
 	// shards are the sharded mode's maps, nil in dense mode: newSigmaCache
 	// picks the mode by the dense footprint alone, and a dense cache over
 	// an empty key space (n = 0) has no cells at all.
@@ -112,6 +119,43 @@ type sigmaSlab struct {
 	gen    uint32
 	cells  []uint64
 	stamps []uint32
+	// holders marks the tables that hold a query entity of the slab's
+	// search, under a keyed σ (searchCandidates).
+	holders tableMarks
+}
+
+// tableMarks marks a set of table IDs, generation-stamped like the slab's
+// rows: table tid is marked while stamps[tid] == gen, so a new set costs
+// its own tables, not a clear of the old one.
+//
+// Memory: 4 B per table slot of the largest lake marked.
+type tableMarks struct {
+	gen    uint32
+	stamps []uint32
+}
+
+// mark replaces the marked set with the tables of l that mention one of
+// entities, read from the lake's posting lists. New stamps are 0, which is
+// never a live generation, and a wrapped gen clears them all, as in use.
+func (m *tableMarks) mark(l *lake.Lake, entities []kg.EntityID) {
+	if n := l.NumSlots(); n > len(m.stamps) {
+		m.stamps = append(m.stamps, make([]uint32, n-len(m.stamps))...)
+	}
+	m.gen++
+	if m.gen == 0 {
+		clear(m.stamps)
+		m.gen = 1
+	}
+	for _, e := range entities {
+		for _, tid := range l.TablesWith(e) {
+			m.stamps[tid] = m.gen
+		}
+	}
+}
+
+// has reports whether table tid is marked.
+func (m *tableMarks) has(tid lake.TableID) bool {
+	return int(tid) < len(m.stamps) && m.stamps[tid] == m.gen
 }
 
 // use readies the slab for a search of slots query entities over n keys:
@@ -153,6 +197,14 @@ func newSigmaCache(q Query, sim Similarity, numEntities int, slab *sigmaSlab) *S
 	c := &SigmaCache{
 		sim:      sim,
 		entities: distinct,
+		keyed:    keyed,
+	}
+	if keyed != nil {
+		c.keyOf = keyed.key
+		c.self = make([]float64, len(distinct))
+		for slot, e := range distinct {
+			c.self[slot] = keyed.scoreKey(e, keyed.key(e))
+		}
 	}
 	if int64(len(distinct))*int64(numEntities)*8 <= maxSigmaDenseBytes {
 		slab.use(len(distinct), numEntities)
@@ -160,7 +212,6 @@ func newSigmaCache(q Query, sim Similarity, numEntities int, slab *sigmaSlab) *S
 		c.dense = slab.cells[:len(distinct)*numEntities]
 		c.stamps = slab.stamps[:numEntities]
 		c.gen = slab.gen
-		c.keyed = keyed
 		if ec, ok := sim.(*EmbeddingCosine); ok {
 			c.cosine = newCosineRow(ec, distinct)
 		}
@@ -180,22 +231,25 @@ func (c *SigmaCache) NumSlots() int { return len(c.entities) }
 // opposed to sharded-map mode.
 func (c *SigmaCache) Dense() bool { return c.shards == nil }
 
-// shard maps a (slot, entity) key to its map shard by a multiplicative
-// hash of the entity ID (Fibonacci hashing), spreading corpus entities
-// that arrive in dense ID order across shards.
+// shard maps a (slot, row) cell to its map shard by a multiplicative hash
+// (Fibonacci hashing), spreading rows that arrive in dense ID order across
+// shards.
 func (c *SigmaCache) shard(key uint64) *sigmaShard {
 	return &c.shards[(key*0x9E3779B97F4A7C15)>>58&(sigmaShards-1)]
 }
 
-// rowKey returns the dense row that holds target's σ: its key under a keyed
-// σ, which covers every entity, and otherwise the entity itself, if it is
-// below c.n. ok is false in sharded mode and for an entity interned after
-// an un-keyed cache was sized; such a cell is not stored in a dense row.
-func (c *SigmaCache) rowKey(target uint32) (key uint32, ok bool) {
+// rowKey returns the row that holds target's σ: its key under a keyed σ,
+// which covers every entity, and otherwise the entity itself. dense reports
+// whether the row is in the dense array: false in sharded mode, and for an
+// entity interned after an un-keyed cache was sized, whose cells are not
+// stored at all.
+func (c *SigmaCache) rowKey(target uint32) (key uint32, dense bool) {
 	if c.keyed != nil {
-		return c.keyed.key(kgEntity(target)), true
+		key = c.keyed.key(kgEntity(target))
+	} else {
+		key = target
 	}
-	return target, int(target) < c.n
+	return key, int(key) < c.n
 }
 
 // row returns the dense cells of row key, one per slot; key must be below
@@ -218,51 +272,63 @@ func (c *SigmaCache) row(key uint32) []uint64 {
 	return cells
 }
 
-// lookup returns the memoized σ for (slot, target), if present. It does
-// not touch the hit/miss counters — the scorer batches those locally and
-// merges them via addCounts to avoid cross-worker contention.
-func (c *SigmaCache) lookup(slot int, target uint32) (float64, bool) {
-	if key, ok := c.rowKey(target); ok {
+// get returns the memoized cell (slot, key) of row key, if present: without
+// identity, and without touching the hit/miss counters — the scorer
+// batches those locally and merges them via addCounts to avoid
+// cross-worker contention.
+func (c *SigmaCache) get(slot int, key uint32) (float64, bool) {
+	if int(key) < c.n {
 		bits := atomic.LoadUint64(&c.row(key)[slot])
-		if bits == sigmaUnset {
-			return 0, false
-		}
-		return c.identity(slot, target, math.Float64frombits(bits)), true
+		return math.Float64frombits(bits), bits != sigmaUnset
 	}
 	if c.shards == nil {
 		return 0, false
 	}
-	key := uint64(slot)<<32 | uint64(target)
-	sh := c.shard(key)
+	k := uint64(slot)<<32 | uint64(key)
+	sh := c.shard(k)
 	sh.mu.Lock()
-	v, ok := sh.m[key]
+	v, ok := sh.m[k]
 	sh.mu.Unlock()
 	return v, ok
 }
 
-// fill computes σ for (slot, target) on a lookup miss, memoizes it, and
-// returns it. Racing fills store identical bits (σ is deterministic), so no
-// compare-and-swap is needed.
-func (c *SigmaCache) fill(slot int, target uint32) float64 {
-	if key, ok := c.rowKey(target); ok {
-		v := c.cell(slot, key, target)
+// put computes cell (slot, key) for target, whose row is key, on a miss,
+// memoizes it where the cache has room for it, and returns it. Racing puts
+// store identical bits (σ is deterministic), so no compare-and-swap is
+// needed.
+func (c *SigmaCache) put(slot int, key, target uint32) float64 {
+	v := c.cell(slot, key, target)
+	if int(key) < c.n {
 		atomic.StoreUint64(&c.row(key)[slot], math.Float64bits(v))
-		return c.identity(slot, target, v)
+	} else if c.shards != nil {
+		k := uint64(slot)<<32 | uint64(key)
+		sh := c.shard(k)
+		sh.mu.Lock()
+		sh.m[k] = v
+		sh.mu.Unlock()
 	}
-	v := c.sim.Score(c.entities[slot], kgEntity(target))
-	if c.shards == nil {
-		return v
-	}
-	key := uint64(slot)<<32 | uint64(target)
-	sh := c.shard(key)
-	sh.mu.Lock()
-	sh.m[key] = v
-	sh.mu.Unlock()
 	return v
 }
 
-// cell is the value dense cell (slot, key) holds for target, whose row is
-// key: scoreKey under a keyed σ, which is Score unless the query entity is
+// lookup returns the memoized σ for (slot, target), if present.
+func (c *SigmaCache) lookup(slot int, target uint32) (float64, bool) {
+	key, _ := c.rowKey(target)
+	v, ok := c.get(slot, key)
+	if !ok {
+		return 0, false
+	}
+	return c.identity(slot, target, v), true
+}
+
+// fill computes σ for (slot, target) on a lookup miss, memoizes it, and
+// returns it.
+func (c *SigmaCache) fill(slot int, target uint32) float64 {
+	key, _ := c.rowKey(target)
+	return c.identity(slot, target, c.put(slot, key, target))
+}
+
+// cell is the value cell (slot, key) holds for target, whose row is key:
+// scoreKey under a keyed σ, which is Score unless the query entity is
 // target itself, and Score otherwise.
 func (c *SigmaCache) cell(slot int, key, target uint32) float64 {
 	if c.keyed != nil {
@@ -271,9 +337,9 @@ func (c *SigmaCache) cell(slot int, key, target uint32) float64 {
 	return c.sim.Score(c.entities[slot], kgEntity(target))
 }
 
-// identity returns v, a dense cell of target's row read for slot, as σ: 1
-// when a keyed cache's query entity is target itself, since a keyed row is
-// shared by every entity with target's key and cannot hold σ(e, e).
+// identity returns v, a cell of target's row read for slot, as σ: 1 when a
+// keyed cache's query entity is target itself, since a keyed row is shared
+// by every entity with target's key and cannot hold σ(e, e).
 func (c *SigmaCache) identity(slot int, target uint32, v float64) float64 {
 	if c.keyed != nil && c.entities[slot] == kgEntity(target) {
 		return 1
@@ -330,7 +396,8 @@ type SigmaCacheStats struct {
 	// Hits and Misses count lookups served from and filled into the
 	// cache: Sigma calls, plus what the engine's scorers batch in — one
 	// lookup per (distinct query entity, distinct column entity) per
-	// table scored. Under concurrent workers Misses can slightly exceed
+	// table scored, or under a σ with its own key space one per (distinct
+	// query entity, column key). Under concurrent workers Misses can slightly exceed
 	// the number of distinct pairs: two workers may race to fill the same
 	// cell, each counting one miss while storing identical values.
 	Hits, Misses int64

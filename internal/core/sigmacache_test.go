@@ -138,7 +138,7 @@ func TestSigmaCacheDifferentialBattery(t *testing.T) {
 								for tid := lake.TableID(0); tid < 5; tid++ {
 									score, _ := eng.ScoreTable(q, tid)
 									sc := newScorer(q, eng.Inf, agg, NewSigmaCache(q, sim, g.NumEntities()))
-									sc.scoreTable(l.Table(tid), nil)
+									sc.scoreBare(l.Table(tid), nil)
 									if want := oracleScore(c, q, l.Table(tid), sc.assignment); !oracle.Agree(agg == AggregateAvg, score, want) {
 										t.Fatalf("q%d table %d: ScoreTable %v, oracle %v", qi, tid, score, want)
 									}
@@ -240,8 +240,10 @@ func TestCosineRowMatchesScore(t *testing.T) {
 
 // TestTypeSigmaKeyMatchesScore pins the keyed type-σ path to
 // TypeJaccard.Score bit for bit: for every (query entity, target) pair of a
-// fixture graph, the scorer's row read (readSigmas), its one-cell read
-// (sigma) and SigmaCache.Sigma all return Score, whether rows are filled
+// fixture graph, the scorer's one-cell read (sigma) and SigmaCache.Sigma
+// return Score, and its row read (keyRow, over target's key) Score too
+// except against the query entity itself, where the row holds the key's
+// value and not the identity, whether rows are filled
 // whole or cell by cell first. The graph has untyped entities, an entity
 // interned after NewTypeJaccard, two distinct entities with equal type sets
 // (0.95) and every entity against itself (1, which no keyed cell holds).
@@ -279,7 +281,8 @@ func TestTypeSigmaKeyMatchesScore(t *testing.T) {
 				prev := newSigmaCache(other, tj, n, slab)
 				sc := newScorer(other, UniformInformativeness, AggregateMax, prev)
 				for target := 0; target < n; target++ {
-					sc.readSigmas(uint32(target))
+					key, _ := prev.rowKey(uint32(target))
+					sc.keyRow(key)
 				}
 				before = slices.Clone(slab.cells)
 			}
@@ -295,13 +298,20 @@ func TestTypeSigmaKeyMatchesScore(t *testing.T) {
 				for target := kg.EntityID(0); int(target) < n; target++ {
 					var row []float64
 					if rowsFirst == (pass == 0) {
-						row = slices.Clone(sc.readSigmas(uint32(target)))
+						key, _ := c.rowKey(uint32(target))
+						row = slices.Clone(sc.keyRow(key))
 					}
 					for di, a := range sc.distinct {
 						want := tj.Score(a, target)
 						got := sc.sigma(di, uint32(target))
-						if row != nil && math.Float64bits(row[di]) != math.Float64bits(want) {
-							t.Fatalf("stale=%v: readSigmas σ(%d,%d) = %v, Score %v", stale, a, target, row[di], want)
+						// A key row holds no identity: the σ pass corrects a
+						// query entity's own cells from its key's value.
+						rowWant := want
+						if a == target {
+							rowWant = tj.scoreKey(a, tj.key(a))
+						}
+						if row != nil && math.Float64bits(row[di]) != math.Float64bits(rowWant) {
+							t.Fatalf("stale=%v: keyRow σ(%d,%d) = %v, want %v", stale, a, target, row[di], rowWant)
 						}
 						if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(c.Sigma(di, target)) != math.Float64bits(want) {
 							t.Fatalf("stale=%v: sigma σ(%d,%d) = %v, Sigma %v, Score %v", stale, a, target, got, c.Sigma(di, target), want)

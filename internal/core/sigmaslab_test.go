@@ -190,33 +190,3 @@ func TestWarmSearchReusesSigmaSlab(t *testing.T) {
 			median, searches, slabBytes/4, slabBytes)
 	}
 }
-
-// BenchmarkSearchWarm times a warm type-σ search behind the LSEI prefilter —
-// probe, vote, σ, mapping, rank — for one- and five-entity queries over a
-// generated lake in the paper's (30,10) configuration. Its allocations are
-// what a search costs once the σ slab and vote workspace are pooled.
-func BenchmarkSearchWarm(b *testing.B) {
-	l, g := randomCorpus(41, 24, 8000, 4000, 6, 3)
-	tj := NewTypeJaccard(g)
-	x := BuildTypeLSEI(l, tj, DefaultLSEIConfig())
-	eng := NewEngine(l, tj)
-	queries := []struct {
-		name string
-		q    Query
-	}{
-		{"1entity", Query{{1}}},
-		{"5entity", Query{{1, 2, 3}, {4, 5}}},
-	}
-	for _, qc := range queries {
-		b.Run(qc.name, func(b *testing.B) {
-			want, _ := SearchWithIndex(context.Background(), eng, x, 1, qc.q, 10, FallbackFullScan)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got, _ := SearchWithIndex(context.Background(), eng, x, 1, qc.q, 10, FallbackFullScan); len(got) != len(want) {
-					b.Fatalf("run %d: %d results, warm-up %d", i, len(got), len(want))
-				}
-			}
-		})
-	}
-}

@@ -10,8 +10,9 @@
 // mentioning them (the Φ⁻¹ direction, which both the LSEI prefilter votes
 // and the IDF informativeness weighting consume), per-entity table
 // frequencies, and lazily built per-table column indexes
-// (table.ColumnIndex) that let the scorer fold a column by distinct
-// entities instead of raw cells. Tables can be added at any time and
+// (table.ColumnIndex) and column key groups (table.KeyGroups) that let the
+// scorer fold a column by distinct entities, or by distinct keys, instead
+// of raw cells. Tables can be added at any time and
 // removed again (Remove tombstones the slot so every other table keeps its
 // ID — see docs/LIVE_INDEX.md); a Lake is safe for concurrent readers, and
 // mutation must be serialized against them by the caller (thetis.System
@@ -43,12 +44,26 @@ type Lake struct {
 	// of its cells link e, so a list's length is the entity's table
 	// frequency, the df behind the informativeness weight I(e).
 	postings [][]TableID
-	// colIndex holds one lazily built column index slot per table,
+	// memos holds one slot of lazily built per-table summaries per table,
 	// index-aligned with tables.
-	colIndex []*atomic.Pointer[table.ColumnIndex]
+	memos []*tableMemo
 	// removed counts tombstoned slots (nil entries in tables), so the live
 	// table count — the N of every corpus-frequency statistic — stays O(1).
 	removed int
+}
+
+// tableMemo holds a table's lazily built read-side summaries: its column
+// index, and its column key groups under the keying that last asked.
+type tableMemo struct {
+	colIndex  atomic.Pointer[table.ColumnIndex]
+	keyGroups atomic.Pointer[taggedKeyGroups]
+}
+
+// taggedKeyGroups are key groups with the tag of the keying they were built
+// under.
+type taggedKeyGroups struct {
+	tag any
+	table.KeyGroups
 }
 
 // New creates an empty lake over graph g.
@@ -62,7 +77,7 @@ func New(g *kg.Graph) *Lake {
 func (l *Lake) Add(t *table.Table) TableID {
 	id := TableID(len(l.tables))
 	l.tables = append(l.tables, t)
-	l.colIndex = append(l.colIndex, &atomic.Pointer[table.ColumnIndex]{})
+	l.memos = append(l.memos, new(tableMemo))
 	// An entity met again in the table already ends its posting list with
 	// id: no per-table set of entities is needed.
 	for _, r := range t.Rows {
@@ -84,7 +99,8 @@ func (l *Lake) Add(t *table.Table) TableID {
 
 // Remove tombstones table id: the slot is nilled (every other table keeps
 // its ID), the table's entities are stripped from the posting lists (an
-// emptied list is released), and its memoized column index is dropped.
+// emptied list is released), and its memoized column index and key groups
+// are dropped.
 // Removing an unknown or already-removed ID returns false. Like Add,
 // Remove must be serialized against readers by the caller.
 func (l *Lake) Remove(id TableID) bool {
@@ -107,7 +123,8 @@ func (l *Lake) Remove(id TableID) bool {
 		}
 	}
 	l.tables[int(id)] = nil
-	l.colIndex[int(id)].Store(nil)
+	l.memos[int(id)].colIndex.Store(nil)
+	l.memos[int(id)].keyGroups.Store(nil)
 	l.removed++
 	return true
 }
@@ -163,10 +180,10 @@ func (l *Lake) TablesWith(e kg.EntityID) []TableID {
 // annotations, consistent with the lake's own "re-ingest to update"
 // contract.
 func (l *Lake) ColumnIndex(id TableID) *table.ColumnIndex {
-	if int(id) < 0 || int(id) >= len(l.colIndex) {
+	if int(id) < 0 || int(id) >= len(l.memos) {
 		return nil
 	}
-	slot := l.colIndex[int(id)]
+	slot := &l.memos[int(id)].colIndex
 	if ci := slot.Load(); ci != nil {
 		return ci
 	}
@@ -179,6 +196,30 @@ func (l *Lake) ColumnIndex(id TableID) *table.ColumnIndex {
 	ci := table.BuildColumnIndex(t)
 	slot.Store(ci)
 	return ci
+}
+
+// KeyGroups returns the column key groups of table id under key
+// (table.BuildKeyGroups), building them on first use and memoizing them for
+// later queries, or nil for a removed or unknown table. tag names the
+// keying and must be comparable, typically the pointer to whatever defines
+// key: a table keeps the groups of one keying at a time, and a call with
+// another tag rebuilds them. Like ColumnIndex, concurrent first calls may
+// build the groups twice, and both results are identical.
+func (l *Lake) KeyGroups(id TableID, tag any, key func(kg.EntityID) uint32) *table.KeyGroups {
+	if int(id) < 0 || int(id) >= len(l.memos) {
+		return nil
+	}
+	slot := &l.memos[int(id)].keyGroups
+	if g := slot.Load(); g != nil && g.tag == tag {
+		return &g.KeyGroups
+	}
+	t := l.tables[int(id)]
+	if t == nil {
+		return nil
+	}
+	g := &taggedKeyGroups{tag: tag, KeyGroups: *table.BuildKeyGroups(t, key)}
+	slot.Store(g)
+	return &g.KeyGroups
 }
 
 // EntityFrequency returns the number of tables mentioning entity e.

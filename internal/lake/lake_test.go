@@ -230,3 +230,34 @@ func TestColumnIndexConcurrentFirstUse(t *testing.T) {
 		}
 	}
 }
+
+// TestKeyGroupsMemoizedPerTag: a table's key groups are built once per
+// keying tag and served from the memo after; another tag rebuilds them;
+// Remove drops them, and an unknown ID has none.
+func TestKeyGroupsMemoizedPerTag(t *testing.T) {
+	l, _ := buildLake(t)
+	builds := 0
+	counting := func(tag uint32) func(kg.EntityID) uint32 {
+		return func(kg.EntityID) uint32 { builds++; return tag }
+	}
+	a, b := new(int), new(int) // two keyings' tags
+	g := l.KeyGroups(1, a, counting(7))
+	if g == nil || g.NumRows != 2 || g.NumColumns() != 2 || len(g.Keys) != 1 || g.Keys[0] != 7 || g.Counts[0] != 2 {
+		t.Fatalf("t2 groups = %+v", g)
+	}
+	if again := l.KeyGroups(1, a, counting(7)); again != g || builds != 2 {
+		t.Fatalf("second read under the same tag rebuilt the groups (%d key calls)", builds)
+	}
+	if other := l.KeyGroups(1, b, counting(9)); other == g || other.Keys[0] != 9 {
+		t.Fatalf("another tag served %+v", other)
+	}
+	if !l.Remove(1) {
+		t.Fatal("remove failed")
+	}
+	if g := l.KeyGroups(1, b, counting(9)); g != nil {
+		t.Fatalf("removed table keeps groups %+v", g)
+	}
+	if g := l.KeyGroups(99, a, nil); g != nil {
+		t.Fatalf("unknown table has groups %+v", g)
+	}
+}
