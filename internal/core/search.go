@@ -45,6 +45,10 @@ type Engine struct {
 	Agg  Aggregation
 	// Parallelism bounds the scoring worker count; 0 means GOMAXPROCS.
 	Parallelism int
+	// ExactMapping makes a search time µ for every table rather than
+	// sample one in mappingSample, so Stats.MappingTime is a measurement,
+	// not an estimate. The table-scoring microbenchmark sets it.
+	ExactMapping bool
 }
 
 // newSigmaCache returns the σ cache for one search of q over the engine's
@@ -93,8 +97,9 @@ func holdsAny(l *lake.Lake, entities []kg.EntityID, tid lake.TableID) bool {
 // position, from a phase that advances with every search (mappingPhase),
 // so that over successive searches every position — the first, which pays
 // the search's cold σ rows, too — is timed equally often. The worker scales
-// the sum to all of its tables. A worker with fewer than 2 × mappingSample
-// tables times every one.
+// the sum to all of its tables, capped at the worker's own wall time, which
+// its µ time cannot exceed. A worker with fewer than 2 × mappingSample
+// tables, or any worker of an Engine with ExactMapping, times every one.
 const mappingSample = 16
 
 // mappingPhase counts searches; a search's sampling phase is its count
@@ -138,8 +143,9 @@ type Stats struct {
 	// A search does not read the clock for every table. A worker with
 	// fewer than 32 tables times each one; a longer worker times one table
 	// in 16, at positions whose phase advances with every search, and
-	// scales their sum by its table count over the timed count. The value
-	// is therefore an estimate for one search and unbiased over many;
+	// scales their sum by its table count over the timed count, capped at
+	// the worker's wall time. The value is therefore an estimate for one
+	// search; Engine.ExactMapping times every table instead, and
 	// Engine.ScoreTable, the per-table microbenchmark of Section 7.3, times
 	// its table exactly.
 	MappingTime time.Duration
@@ -327,6 +333,7 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			sc := newWorkerScorer()
+			workerStart := time.Now()
 			// visited counts the worker's tables and timed the sampled ones,
 			// whose µ time sampled sums.
 			var visited, timed int64
@@ -340,7 +347,8 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 			defer func() {
 				merge()
 				if timed > 0 {
-					parts[w].mapping = time.Duration(int64(sampled) * visited / timed)
+					est := time.Duration(int64(sampled) * visited / timed)
+					parts[w].mapping = min(est, time.Since(workerStart))
 				}
 			}()
 			// top holds this worker's k best scores: once it has k, its
@@ -351,7 +359,7 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 					truncated.Store(true)
 					return
 				}
-				sample := hi-lo < 2*mappingSample || (visited+phase)%mappingSample == 0
+				sample := eng.ExactMapping || hi-lo < 2*mappingSample || (visited+phase)%mappingSample == 0
 				score, mt, panicked := scoreOne(sc, tid, sample)
 				visited++
 				if sample {

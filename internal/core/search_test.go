@@ -351,6 +351,34 @@ func TestIDFRareBeatsFrequent(t *testing.T) {
 	}
 }
 
+// A single worker over enough tables to sample µ scales its sampled time,
+// but never past its own wall time, so MappingTime stays within TotalTime
+// at every sampling phase; ExactMapping times every table.
+func TestMappingTimeWithinTotal(t *testing.T) {
+	l, g := fixtureLake(t)
+	for i := 0; i < 4*mappingSample; i++ {
+		tb := table.New("copy", []string{"Player", "Team"})
+		tb.AppendRow([]table.Cell{
+			table.LinkedCell("santo", ent(t, g, "santo")),
+			table.LinkedCell("cubs", ent(t, g, "cubs")),
+		})
+		l.Add(tb)
+	}
+	q := queryOf(t, g, "santo", "cubs")
+	for _, exact := range []bool{false, true} {
+		eng := NewEngine(l, NewTypeJaccard(g))
+		eng.Parallelism = 1
+		eng.ExactMapping = exact
+		for i := 0; i < 2*mappingSample; i++ {
+			_, stats := eng.Search(q, -1)
+			if stats.MappingTime <= 0 || stats.MappingTime > stats.TotalTime {
+				t.Fatalf("exact=%v search %d: MappingTime = %v vs TotalTime %v",
+					exact, i, stats.MappingTime, stats.TotalTime)
+			}
+		}
+	}
+}
+
 func TestScoreTableStats(t *testing.T) {
 	l, g := fixtureLake(t)
 	eng := NewEngine(l, NewTypeJaccard(g))

@@ -248,6 +248,7 @@ func RunScoring(env *Env) ScoringResult {
 				eng = env.EngineTypes()
 			}
 			eng.Parallelism = 1 // per-table timing wants a single thread
+			eng.ExactMapping = true
 			var total, mapping time.Duration
 			tables := 0
 			for _, bq := range queries {
