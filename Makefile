@@ -68,13 +68,13 @@ check: fmt vet build race linkcheck benchsmoke benchrun
 # as a fast regression suite. Live exploration happens in CI and via
 # `go test -fuzz <Target> <pkg>`.
 fuzz:
-	$(GO) test -run '^Fuzz' ./internal/atomicio ./internal/bm25 ./internal/core ./internal/kg ./internal/lsh ./internal/server
+	$(GO) test -run '^Fuzz' ./internal/atomicio ./internal/bm25 ./internal/core ./internal/kg ./internal/server
 
 # Fault-injection and corruption-matrix suite (docs/RELIABILITY.md): every
-# test named Corrupt* or Fault* — single-byte snapshot flips, truncations,
-# injected device errors, contained panics — and the replica tier's
-# RemoteShard* and HTTPShard* tests: retries, failover, breakers, probes,
-# dead shards and the network fault matrix.
+# test named Corrupt* or Fault* — corrupt embedding stores, injected
+# device errors (delta-log fsync, line reads), contained panics — and the
+# replica tier's RemoteShard* and HTTPShard* tests: retries, failover,
+# breakers, probes, dead shards and the network fault matrix.
 faults:
 	$(GO) test -run '^Test(Corrupt|Fault|RemoteShard|HTTPShard)' ./...
 

@@ -4,11 +4,9 @@
 //
 //	thetis stats  -kg kg.nt -corpus corpus.jsonl
 //	thetis embed  -kg kg.nt -out embeddings.bin [-dim 48] [-epochs 3]
-//	thetis index  -kg kg.nt -corpus corpus.jsonl -out index.bin \
-//	              [-sim types|embeddings] [-embfile embeddings.bin]
 //	thetis search -kg kg.nt -corpus corpus.jsonl -query "Ron Santo | Chicago Cubs" \
 //	              [-sim types|embeddings] [-embfile embeddings.bin] \
-//	              [-k 10] [-lsh] [-indexfile index.bin] [-votes 3] [-hybrid] \
+//	              [-k 10] [-lsh] [-votes 3] [-hybrid] \
 //	              [-timeout 5s]
 //
 // The corpus is a JSONL file of entity-annotated tables as produced by
@@ -20,17 +18,14 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"strings"
 	"time"
 
 	"thetis"
-	"thetis/internal/atomicio"
 )
 
 func main() {
@@ -44,8 +39,6 @@ func main() {
 		runStats(os.Args[2:])
 	case "embed":
 		runEmbed(os.Args[2:])
-	case "index":
-		runIndex(os.Args[2:])
 	case "search":
 		runSearch(os.Args[2:])
 	default:
@@ -54,46 +47,8 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: thetis <stats|embed|index|search> [flags]")
+	fmt.Fprintln(os.Stderr, "usage: thetis <stats|embed|search> [flags]")
 	os.Exit(2)
-}
-
-func runIndex(args []string) {
-	fs := flag.NewFlagSet("index", flag.ExitOnError)
-	kgPath := fs.String("kg", "bench/kg.nt", "knowledge graph triples file")
-	corpusPath := fs.String("corpus", "bench/corpus.jsonl", "corpus JSONL file")
-	out := fs.String("out", "index.bin", "output index file")
-	sim := fs.String("sim", "types", "similarity: types | embeddings")
-	embFile := fs.String("embfile", "", "embeddings file (for -sim embeddings)")
-	vectors := fs.Int("vectors", 30, "LSH permutations/projections")
-	band := fs.Int("band", 10, "LSH band size")
-	lenient, budget, maxLine := ingestFlags(fs)
-	fs.Parse(args)
-
-	cfg := thetis.DefaultIndexConfig()
-	cfg.Vectors = *vectors
-	cfg.BandSize = *band
-	if err := cfg.Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "thetis index: invalid flags: %v\n", err)
-		fs.Usage()
-		os.Exit(2)
-	}
-
-	sys := loadSystem(*kgPath, *corpusPath, *lenient, *budget, *maxLine)
-	configureSimilarity(sys, *sim, *embFile)
-	log.Println("building LSEI…")
-	sys.BuildIndex(cfg)
-
-	// The snapshot is written atomically (temp file + rename) so a crash
-	// mid-write can never leave a half-written index at -out; loads verify
-	// checksums regardless.
-	err := atomicio.WriteFileAtomic(*out, func(w io.Writer) error {
-		return sys.SaveIndex(w)
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	log.Printf("wrote %s", *out)
 }
 
 // ingestFlags registers the shared lenient-ingestion flags.
@@ -249,7 +204,6 @@ func runSearch(args []string) {
 	embFile := fs.String("embfile", "", "load embeddings from file instead of training")
 	k := fs.Int("k", 10, "number of results")
 	useLSH := fs.Bool("lsh", false, "enable LSH prefiltering (30,10)")
-	indexFile := fs.String("indexfile", "", "load a prebuilt LSEI instead of building one")
 	votes := fs.Int("votes", 1, "LSH vote threshold")
 	hybrid := fs.Bool("hybrid", false, "complement with BM25 keyword search")
 	timeout := fs.Duration("timeout", 0, "search deadline; an expiring search prints the partial ranking (0 disables)")
@@ -266,22 +220,7 @@ func runSearch(args []string) {
 	}
 	sys := loadSystem(*kgPath, *corpusPath, *lenient, *budget, *maxLine)
 	configureSimilarity(sys, *sim, *embFile)
-	switch {
-	case *indexFile != "":
-		f, err := os.Open(*indexFile)
-		if err != nil {
-			log.Fatal(err)
-		}
-		err = sys.LoadIndex(bufio.NewReader(f))
-		f.Close()
-		if err != nil {
-			if errors.Is(err, atomicio.ErrCorruptSnapshot) {
-				log.Fatalf("index %s is corrupt (%v); rebuild it with `thetis index`", *indexFile, err)
-			}
-			log.Fatalf("loading index: %v", err)
-		}
-		sys.SetVotes(*votes)
-	case *useLSH:
+	if *useLSH {
 		log.Println("building LSEI…")
 		sys.BuildIndex(thetis.DefaultIndexConfig())
 		sys.SetVotes(*votes)

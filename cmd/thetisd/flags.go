@@ -20,7 +20,6 @@ type flagConfig struct {
 	ShardURLs string
 	Votes     int
 	Index     thetis.IndexConfig
-	IndexFile string
 	DeltaLog  string
 }
 
@@ -41,9 +40,6 @@ func validateFlags(c flagConfig) error {
 		// assumes a local index or local mutations is off the table.
 		if c.DeltaLog != "" {
 			return fmt.Errorf("-shard-urls is incompatible with -delta-log (a coordinator is read-only; mutate the shard daemons)")
-		}
-		if c.IndexFile != "" {
-			return fmt.Errorf("-shard-urls is incompatible with -indexfile (the coordinator holds no local index; shards build their own)")
 		}
 		if _, err := parseShardURLs(c.ShardURLs); err != nil {
 			return err

@@ -4,7 +4,7 @@
 //	thetisd -kg bench/kg.nt -corpus bench/corpus.jsonl -addr :8080 \
 //	        [-sim types|embeddings] [-embfile embeddings.bin] \
 //	        [-shard-urls http://a:8081|http://a2:8081,http://b:8082] [-probe-every 3s] \
-//	        [-lsh] [-votes 3] [-vectors 30] [-band 10] [-indexfile index.bin] \
+//	        [-lsh] [-votes 3] [-vectors 30] [-band 10] \
 //	        [-lenient-ingest] [-ingest-budget N] [-max-line BYTES] \
 //	        [-delta-log deltas.log] [-compact-every 10m] \
 //	        [-timeout 10s] [-max-inflight 64] [-drain 30s] [-pprof]
@@ -33,9 +33,7 @@
 // KG lines and corpus tables — quarantining up to -ingest-budget of them,
 // inspectable on GET /debug/ingest — instead of refusing to start. With
 // -lsh the daemon serves immediately, brute-force, while the LSEI builds
-// in the background; -indexfile loads a checksummed snapshot instead, and
-// a corrupt snapshot is rejected (never loaded wrong) with the same
-// degraded-then-rebuild fallback. GET /readyz reports the index lifecycle.
+// in the background. GET /readyz reports the index lifecycle.
 //
 // Live mutation (docs/LIVE_INDEX.md): POST /tables and DELETE /tables/{id}
 // fold additions and removals into every live index without a restart.
@@ -83,7 +81,6 @@ func main() {
 	votes := flag.Int("votes", 3, "LSH vote threshold")
 	vectors := flag.Int("vectors", 30, "LSH permutations/projections")
 	band := flag.Int("band", 10, "LSH band size")
-	indexFile := flag.String("indexfile", "", "load a checksummed LSEI snapshot instead of building (rebuilds in background if corrupt)")
 	lenient := flag.Bool("lenient-ingest", false, "skip malformed KG lines and corpus tables instead of aborting (see /debug/ingest)")
 	budget := flag.Int("ingest-budget", 1000, "max records lenient ingestion may quarantine before giving up (-1 = unlimited)")
 	maxLine := flag.Int("max-line", 0, "max bytes per KG/corpus line (0 = 16 MiB default)")
@@ -106,7 +103,6 @@ func main() {
 		ShardURLs: *shardURLs,
 		Votes:     *votes,
 		Index:     cfg,
-		IndexFile: *indexFile,
 		DeltaLog:  *deltaLog,
 	}); err != nil {
 		fmt.Fprintf(os.Stderr, "thetisd: invalid flags: %v\n", err)
@@ -184,28 +180,10 @@ func main() {
 		opts = append(opts, server.WithRemoteShardStatus(sys.ShardStatuses))
 	} else if *useLSH {
 		// Serve immediately — brute force while the index builds in the
-		// background (or loads from a snapshot), then hot-swap; /readyz
-		// reports the lifecycle.
+		// background, then hot-swap; /readyz reports the lifecycle.
 		rd := server.NewReadiness(nil)
 		opts = append(opts, server.WithReadiness(rd))
-		var done <-chan error
-		if *indexFile != "" {
-			f, err := os.Open(*indexFile)
-			if err != nil {
-				log.Fatal(err)
-			}
-			done = server.ActivateIndex(sys, rd, cfg, *votes, bufio.NewReader(f))
-			f.Close() // the snapshot is read synchronously
-			// A rejected snapshot parks the state at degraded before the
-			// background rebuild starts; surface that in the log so disk
-			// corruption is not hidden behind a successful rebuild.
-			if state, detail, _ := rd.Snapshot(); state == server.StateDegraded {
-				log.Printf("%s: %s", *indexFile, detail)
-			}
-		} else {
-			done = server.ActivateIndex(sys, rd, cfg, *votes, nil)
-		}
-		go logActivation(rd, done)
+		go logActivation(rd, server.ActivateIndex(sys, rd, cfg, *votes))
 	}
 	if *withPprof {
 		opts = append(opts, server.WithPprof())

@@ -32,9 +32,8 @@ func TestValidateFlagsAcceptsBaseline(t *testing.T) {
 	}
 	logged := validConfig()
 	logged.DeltaLog = "d.log"
-	logged.IndexFile = "i.bin"
 	if err := validateFlags(logged); err != nil {
-		t.Fatalf("-delta-log with -indexfile rejected: %v", err)
+		t.Fatalf("-delta-log rejected: %v", err)
 	}
 }
 
@@ -48,7 +47,6 @@ func TestValidateFlagsRejections(t *testing.T) {
 		{"bad index config", func(c *flagConfig) { c.Index.Vectors = 7; c.Index.BandSize = 10 }, ""},
 		{"unknown sim", func(c *flagConfig) { c.Sim = "foo" }, "-sim must be types or embeddings"},
 		{"shard-urls with delta log", func(c *flagConfig) { c.DeltaLog = "d.log"; c.ShardURLs = "http://a:1" }, "incompatible with -delta-log"},
-		{"shard-urls with indexfile", func(c *flagConfig) { c.IndexFile = "i.bin"; c.ShardURLs = "http://a:1" }, "incompatible with -indexfile"},
 		{"shard-urls empty group", func(c *flagConfig) { c.ShardURLs = "http://a:1,," }, "no replicas"},
 		{"shard-urls bad scheme", func(c *flagConfig) { c.ShardURLs = "ftp://a:1" }, "http://"},
 	}

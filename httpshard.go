@@ -150,7 +150,6 @@ func (s *System) ApplyShardArtifacts(a remote.Artifacts) error {
 			Vectors:               a.Index.Vectors,
 			BandSize:              a.Index.BandSize,
 			FrequentTypeThreshold: a.Index.Threshold,
-			ColumnAggregation:     a.Index.ColumnAggregation,
 			Seed:                  a.Index.Seed,
 		}
 		if err := cfg.Validate(); err != nil {
@@ -227,11 +226,10 @@ func (s *System) ComputeShardArtifacts(cfg *IndexConfig, votes int) ShardArtifac
 	}
 	c := *cfg
 	a.Index = &remote.IndexSpec{
-		Vectors:           c.Vectors,
-		BandSize:          c.BandSize,
-		Threshold:         thresholdOf(c),
-		ColumnAggregation: c.ColumnAggregation,
-		Seed:              c.Seed,
+		Vectors:   c.Vectors,
+		BandSize:  c.BandSize,
+		Threshold: thresholdOf(c),
+		Seed:      c.Seed,
 	}
 	if s.embeddingSim() {
 		return a // embedding LSEIs have no type filter

@@ -1,15 +1,10 @@
 // Package atomicio provides the robust I/O primitives of the fault-tolerant
-// data plane: atomic (temp-file → fsync → rename) file writes, a checksummed
-// and versioned snapshot envelope shared by the LSEI and LSH serializers,
-// CRC32C section writers/readers, and a bounded line reader that the lenient
-// ingestion paths use to skip over-long lines instead of aborting.
-//
-// The envelope wire format is documented in docs/RELIABILITY.md: an 8-byte
-// header (magic, version), the payload (whose components carry their own
-// section checksums), and a 16-byte footer (footer magic, CRC32C of header +
-// payload, total length). Loads verify every layer and surface any mismatch
-// as ErrCorruptSnapshot, so a flipped bit is always detected rather than
-// silently deserialized into a wrong index.
+// data plane: CRC32C section writers/readers, which seal the delta log's
+// header and records (delta.go, wire format in docs/RELIABILITY.md), and a
+// bounded line reader that the lenient ingestion paths use to skip
+// over-long lines instead of aborting. Loads surface every mismatch as
+// ErrCorruptSnapshot, so a flipped bit is always detected rather than
+// silently replayed.
 package atomicio
 
 import (
@@ -19,15 +14,12 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 )
 
-// ErrCorruptSnapshot is the typed error returned when loading a snapshot
+// ErrCorruptSnapshot is the typed error returned when loading a delta log
 // whose bytes fail validation: bad magic, unsupported version, checksum
 // mismatch, truncation, or structurally implausible contents. Callers match
-// it with errors.Is and fall back to rebuilding (degraded-mode serving)
-// instead of trusting a damaged index.
+// it with errors.Is and refuse to start rather than replay a damaged log.
 var ErrCorruptSnapshot = errors.New("corrupt snapshot")
 
 // Corruptf builds an error wrapping ErrCorruptSnapshot with detail.
@@ -35,18 +27,8 @@ func Corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorruptSnapshot, fmt.Sprintf(format, args...))
 }
 
-// AsCorrupt coerces err into the ErrCorruptSnapshot family: errors already
-// in it pass through, anything else (including bare io errors from a
-// truncated stream) is wrapped. nil stays nil.
-func AsCorrupt(err error) error {
-	if err == nil || errors.Is(err, ErrCorruptSnapshot) {
-		return err
-	}
-	return fmt.Errorf("%w: %v", ErrCorruptSnapshot, err)
-}
-
 // castagnoli is the CRC32C polynomial table (hardware-accelerated on
-// amd64/arm64), the checksum of all snapshot sections and footers.
+// amd64/arm64), the checksum of every delta-log section.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // CRCWriter forwards writes to W while accumulating a CRC32C of every byte
@@ -69,9 +51,6 @@ func (cw *CRCWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// Sum32 returns the running CRC32C.
-func (cw *CRCWriter) Sum32() uint32 { return cw.crc }
-
 // Count returns the number of bytes written so far.
 func (cw *CRCWriter) Count() uint64 { return cw.n }
 
@@ -91,7 +70,6 @@ func (cw *CRCWriter) WriteSum() error {
 type CRCReader struct {
 	R   io.Reader
 	crc uint32
-	n   uint64
 }
 
 // NewCRCReader wraps r.
@@ -101,15 +79,8 @@ func NewCRCReader(r io.Reader) *CRCReader { return &CRCReader{R: r} }
 func (cr *CRCReader) Read(p []byte) (int, error) {
 	n, err := cr.R.Read(p)
 	cr.crc = crc32.Update(cr.crc, castagnoli, p[:n])
-	cr.n += uint64(n)
 	return n, err
 }
-
-// Sum32 returns the running CRC32C.
-func (cr *CRCReader) Sum32() uint32 { return cr.crc }
-
-// Count returns the number of bytes read so far.
-func (cr *CRCReader) Count() uint64 { return cr.n }
 
 // VerifySum reads a section checksum written by CRCWriter.WriteSum from the
 // underlying reader (outside the running CRC) and compares it against the
@@ -122,141 +93,6 @@ func (cr *CRCReader) VerifySum() error {
 	}
 	if got := binary.LittleEndian.Uint32(buf[:]); got != want {
 		return Corruptf("section checksum mismatch: stored %#x, computed %#x", got, want)
-	}
-	return nil
-}
-
-// snapshotFooterMagic marks the envelope footer ("TFT1"). A payload that
-// over- or under-consumes (e.g. a flipped length field) lands the reader on
-// non-footer bytes and fails this check.
-const snapshotFooterMagic = uint32(0x54465431)
-
-// SnapshotWriter frames a payload in the checksummed envelope. Create it
-// with NewSnapshotWriter (which emits the header), write the payload through
-// it, then Close to emit the footer.
-type SnapshotWriter struct {
-	cw *CRCWriter
-}
-
-// NewSnapshotWriter writes the envelope header (magic, version) to w and
-// returns a writer accumulating the envelope checksum.
-func NewSnapshotWriter(w io.Writer, magic, version uint32) (*SnapshotWriter, error) {
-	sw := &SnapshotWriter{cw: NewCRCWriter(w)}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
-	if _, err := sw.cw.Write(hdr[:]); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-// Write implements io.Writer over the payload.
-func (sw *SnapshotWriter) Write(p []byte) (int, error) { return sw.cw.Write(p) }
-
-// Close writes the footer: footer magic, CRC32C over header + payload, and
-// the total header + payload length. It does not close the underlying
-// writer.
-func (sw *SnapshotWriter) Close() error {
-	var f [16]byte
-	binary.LittleEndian.PutUint32(f[0:], snapshotFooterMagic)
-	binary.LittleEndian.PutUint32(f[4:], sw.cw.Sum32())
-	binary.LittleEndian.PutUint64(f[8:], sw.cw.Count())
-	_, err := sw.cw.W.Write(f[:])
-	return err
-}
-
-// SnapshotReader unwraps the checksummed envelope. Create it with
-// NewSnapshotReader (which validates the header), read the payload through
-// it, then Close to validate the footer. Every validation failure is an
-// ErrCorruptSnapshot.
-type SnapshotReader struct {
-	cr      *CRCReader
-	version uint32
-}
-
-// NewSnapshotReader reads and validates the envelope header. A magic
-// mismatch — whether a flipped byte or a non-snapshot file — returns
-// ErrCorruptSnapshot.
-func NewSnapshotReader(r io.Reader, magic uint32) (*SnapshotReader, error) {
-	sr := &SnapshotReader{cr: NewCRCReader(r)}
-	var hdr [8]byte
-	if _, err := io.ReadFull(sr.cr, hdr[:]); err != nil {
-		return nil, Corruptf("truncated snapshot header: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != magic {
-		return nil, Corruptf("bad snapshot magic %#x, want %#x", got, magic)
-	}
-	sr.version = binary.LittleEndian.Uint32(hdr[4:])
-	return sr, nil
-}
-
-// Version returns the format version from the header. Callers reject
-// unsupported versions with ErrCorruptSnapshot (a flipped version byte is
-// indistinguishable from a future format).
-func (sr *SnapshotReader) Version() uint32 { return sr.version }
-
-// Read implements io.Reader over the payload.
-func (sr *SnapshotReader) Read(p []byte) (int, error) { return sr.cr.Read(p) }
-
-// Close reads and validates the footer against the bytes consumed so far.
-// It must be called after the payload has been fully read.
-func (sr *SnapshotReader) Close() error {
-	want, n := sr.cr.Sum32(), sr.cr.Count()
-	var f [16]byte
-	if _, err := io.ReadFull(sr.cr.R, f[:]); err != nil {
-		return Corruptf("truncated snapshot footer: %v", err)
-	}
-	if got := binary.LittleEndian.Uint32(f[0:]); got != snapshotFooterMagic {
-		return Corruptf("bad footer magic %#x (payload length drift or flipped bytes)", got)
-	}
-	if got := binary.LittleEndian.Uint32(f[4:]); got != want {
-		return Corruptf("envelope checksum mismatch: stored %#x, computed %#x", got, want)
-	}
-	if got := binary.LittleEndian.Uint64(f[8:]); got != n {
-		return Corruptf("envelope length mismatch: stored %d, read %d", got, n)
-	}
-	return nil
-}
-
-// WriteFileAtomic writes a file so that readers observe either the previous
-// contents or the complete new contents, never a partial write: fn streams
-// into a temp file in the target's directory, which is fsynced and renamed
-// over path (the directory is fsynced too, making the rename durable). On
-// any error the temp file is removed and the target left untouched.
-func WriteFileAtomic(path string, fn func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
-	if err = fn(bw); err != nil {
-		return err
-	}
-	if err = bw.Flush(); err != nil {
-		return err
-	}
-	if err = tmp.Sync(); err != nil {
-		return err
-	}
-	if err = tmp.Close(); err != nil {
-		return err
-	}
-	if err = os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Fsync the directory so the rename itself survives a crash. Best
-	// effort: some filesystems refuse directory fsync.
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
 	}
 	return nil
 }

@@ -4,92 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"thetis/internal/faultio"
 )
-
-// envelope builds a sealed snapshot (header + CRC-sealed payload section +
-// footer) for corruption tests.
-func envelope(t *testing.T, magic, version uint32, payload []byte) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	sw, err := NewSnapshotWriter(&buf, magic, version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cw := NewCRCWriter(sw)
-	if _, err := cw.Write(payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := cw.WriteSum(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// open reads an envelope end to end the way snapshot loaders do.
-func open(data []byte, magic, version uint32, payloadLen int) error {
-	sr, err := NewSnapshotReader(bytes.NewReader(data), magic)
-	if err != nil {
-		return err
-	}
-	if sr.Version() != version {
-		return Corruptf("unsupported version %d", sr.Version())
-	}
-	cr := NewCRCReader(sr)
-	got := make([]byte, payloadLen)
-	if _, err := io.ReadFull(cr, got); err != nil {
-		return Corruptf("truncated payload: %v", err)
-	}
-	if err := cr.VerifySum(); err != nil {
-		return err
-	}
-	return sr.Close()
-}
-
-func TestSnapshotEnvelopeRoundTrip(t *testing.T) {
-	payload := []byte("the quick brown fox jumps over the lazy dog")
-	data := envelope(t, 0xAB12, 3, payload)
-	if err := open(data, 0xAB12, 3, len(payload)); err != nil {
-		t.Fatalf("clean envelope rejected: %v", err)
-	}
-	if err := open(data, 0xAB13, 3, len(payload)); !errors.Is(err, ErrCorruptSnapshot) {
-		t.Errorf("wrong magic: got %v, want ErrCorruptSnapshot", err)
-	}
-}
-
-// TestCorruptEnvelopeEveryByte is the core single-byte corruption matrix:
-// flipping any byte of the envelope — header, payload, section checksum,
-// footer — must be detected.
-func TestCorruptEnvelopeEveryByte(t *testing.T) {
-	payload := []byte("semantic data lakes hold fantastic tables")
-	data := envelope(t, 0x1234, 1, payload)
-	for i := range data {
-		mut := bytes.Clone(data)
-		mut[i] ^= 0x01
-		if err := open(mut, 0x1234, 1, len(payload)); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("byte %d flipped: got %v, want ErrCorruptSnapshot", i, err)
-		}
-	}
-}
-
-// TestCorruptEnvelopeTruncation: every proper prefix must be rejected.
-func TestCorruptEnvelopeTruncation(t *testing.T) {
-	payload := []byte("short payload")
-	data := envelope(t, 0x1234, 1, payload)
-	for n := 0; n < len(data); n++ {
-		if err := open(data[:n], 0x1234, 1, len(payload)); !errors.Is(err, ErrCorruptSnapshot) {
-			t.Fatalf("prefix of %d bytes: got %v, want ErrCorruptSnapshot", n, err)
-		}
-	}
-}
 
 func TestCRCSectionRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -109,61 +28,6 @@ func TestCRCSectionRoundTrip(t *testing.T) {
 	}
 	if err := cr.VerifySum(); err != nil {
 		t.Fatalf("clean section rejected: %v", err)
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.bin")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("v1"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "v1" {
-		t.Fatalf("content = %q", got)
-	}
-	// Overwrite keeps either old or new, here: new.
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("v2-longer"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "v2-longer" {
-		t.Fatalf("content after rewrite = %q", got)
-	}
-}
-
-// TestFaultWriteFileAtomicFailure: a failing payload writer must leave the
-// previous file contents intact and no temp litter behind.
-func TestFaultWriteFileAtomicFailure(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.bin")
-	if err := WriteFileAtomic(path, func(w io.Writer) error {
-		_, err := w.Write([]byte("good"))
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	err := WriteFileAtomic(path, func(w io.Writer) error {
-		fw := faultio.NewFailingWriter(w, 2, nil)
-		_, err := fw.Write([]byte("partial write then crash"))
-		return err
-	})
-	if !errors.Is(err, faultio.ErrInjected) {
-		t.Fatalf("injected write fault not surfaced: %v", err)
-	}
-	if got, _ := os.ReadFile(path); string(got) != "good" {
-		t.Fatalf("previous contents clobbered by failed write: %q", got)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) != 1 {
-		t.Fatalf("temp litter left behind: %v", ents)
 	}
 }
 

@@ -11,6 +11,10 @@ import (
 // EntitySignature is the probe signature of e (nil when e has none).
 func (x *LSEI) EntitySignature(e kg.EntityID) []uint32 { return x.entitySignature(e) }
 
+// TypeFilter is the frequent-type filter map x signs under (the live
+// instance the system's TypeFilterState mutates; nil for embedding indexes).
+func (x *LSEI) TypeFilter() map[kg.TypeID]bool { return x.typeFilter }
+
 // BucketsOf returns the band buckets sig collides with in x's index.
 func (x *LSEI) BucketsOf(sig []uint32) [][]uint32 {
 	return x.index.Buckets(context.Background(), sig, nil)

@@ -47,32 +47,11 @@ type TypeFilterState struct {
 // is what FrequentTypesOver returns). Pass the returned Filter() map to
 // BuildTypeLSEIFiltered so state and index share one instance.
 func NewTypeFilterState(l *lake.Lake, tj *TypeJaccard, threshold float64) *TypeFilterState {
-	fs := countTypes(make(map[kg.TypeID]bool), l, tj, threshold)
-	for _, ty := range fs.flips() {
-		fs.filter[ty] = true
-	}
-	return fs
-}
-
-// ResumeTypeFilterState rebuilds mutation state around an existing filter
-// map — the one a built or snapshot-loaded LSEI already carries — so the
-// index's signatures stay valid and later flips propagate through the
-// shared instance. Counts are recomputed from the lake; if the adopted map
-// disagrees with the recomputed membership (it cannot when filter and
-// corpus were saved together), ix is re-signed to reconcile.
-func ResumeTypeFilterState(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, threshold float64, ix *LSEI) *TypeFilterState {
-	fs := countTypes(filter, l, tj, threshold)
-	fs.resign(ix)
-	return fs
-}
-
-// countTypes is a state around filter with every live table of l counted.
-func countTypes(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, threshold float64) *TypeFilterState {
 	fs := &TypeFilterState{
 		tj:        tj,
 		threshold: threshold,
 		counts:    make([]int, tj.numTypes),
-		filter:    filter,
+		filter:    make(map[kg.TypeID]bool),
 		setSeen:   make([]uint64, tj.NumTypeSets()),
 		typeSeen:  make([]uint64, tj.numTypes),
 	}
@@ -80,6 +59,9 @@ func countTypes(filter map[kg.TypeID]bool, l *lake.Lake, tj *TypeJaccard, thresh
 		if t != nil {
 			fs.count(t, 1)
 		}
+	}
+	for _, ty := range fs.flips() {
+		fs.filter[ty] = true
 	}
 	return fs
 }
@@ -165,7 +147,7 @@ func (fs *TypeFilterState) resign(ix *LSEI) {
 	if len(flips) == 0 {
 		return
 	}
-	var removed []uint32
+	var removed []kg.EntityID
 	if ix != nil {
 		removed = ix.removeForResign(flips)
 	}

@@ -1,46 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"errors"
 	"math/rand"
 	"testing"
 
-	"thetis/internal/atomicio"
 	"thetis/internal/kg"
 	"thetis/internal/oracle"
 	"thetis/internal/table"
 )
-
-// FuzzLoadTypeLSEI: the snapshot loader must never panic, never allocate
-// unboundedly, and on arbitrary input either load a usable index (only for
-// bytes that re-serialize from a valid one) or return the typed
-// ErrCorruptSnapshot. Seeds live in testdata/fuzz/FuzzLoadTypeLSEI.
-func FuzzLoadTypeLSEI(f *testing.F) {
-	x, l, g := typeLSEI(f, LSEIConfig{Vectors: 16, BandSize: 4, Seed: 1})
-	var buf bytes.Buffer
-	if err := x.Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
-	f.Add([]byte("garbage data"))
-	f.Add([]byte{})
-	sim := NewTypeJaccard(g)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		back, err := LoadTypeLSEI(l, sim, bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, atomicio.ErrCorruptSnapshot) {
-				t.Fatalf("non-typed load error: %v", err)
-			}
-			return
-		}
-		// A load that succeeded must be usable.
-		q := queryOf(t, g, "santo")
-		_ = back.Candidates(q, 1)
-	})
-}
 
 // FuzzScoreTableMatchesOracle decodes a small table, a query, a σ and an
 // aggregation from the fuzz input and checks scorer.scoreTable, reading σ

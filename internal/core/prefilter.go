@@ -38,9 +38,6 @@ type LSEIConfig struct {
 	// uses 0.5: "a type that describes more than half of the entities
 	// cannot be really informative". Zero means the default 0.5.
 	FrequentTypeThreshold float64
-	// ColumnAggregation indexes one aggregated signature per table column
-	// instead of one per entity (the space optimization of Section 6.2).
-	ColumnAggregation bool
 	// Seed fixes the random permutations/projections.
 	Seed int64
 }
@@ -58,7 +55,7 @@ const maxVectors = 1 << 20
 // Validate rejects configurations that would make index construction panic
 // or behave nonsensically: a band size outside [1, Vectors] (the lsh.NewIndex
 // panic), non-positive vector counts, or a frequent-type threshold outside
-// [0, 1]. Callers deriving a config from flags or snapshot headers should
+// [0, 1]. Callers deriving a config from flags or a wire payload should
 // validate before building.
 func (cfg LSEIConfig) Validate() error {
 	if cfg.Vectors < 1 || cfg.Vectors > maxVectors {
@@ -77,36 +74,24 @@ func (cfg LSEIConfig) Validate() error {
 // a query returns the subset of tables worth scoring, cutting runtime by up
 // to 17× in the paper without reducing NDCG.
 type LSEI struct {
-	cfg   LSEIConfig
-	lake  *lake.Lake
+	lake *lake.Lake
+	// index holds lake entities: an item is an entity ID, and its tables
+	// are reached through the lake's posting lists.
 	index *lsh.Index
 
-	// Entity-level mode: items inserted into the LSH index are entity IDs;
-	// tables are reached through the lake's posting lists.
-	// Column-aggregation mode: items are dense column UIDs mapped to their
-	// table by colTable; RemoveTable tombstones a UID's slot to -1 (UIDs are
-	// never reused).
-	columnMode bool
-	colTable   []lake.TableID
-	// colOf maps each column UID to its column number within its table —
-	// what RemoveTable and filter resigning need to recompute the UID's
-	// stored signature. Maintained alongside colTable on every insert; not
-	// serialized (ensureColOf rebuilds it deterministically for
-	// snapshot-loaded indexes).
-	colOf []int32
-	// indexed tracks which entities have signatures (entity mode), so
-	// incremental AddTable only inserts new ones and RemoveTable knows what
-	// to drop when an entity's last table disappears.
+	// indexed tracks which entities have signatures, so incremental
+	// AddTable only inserts new ones and RemoveTable knows what to drop
+	// when an entity's last table disappears.
 	indexed map[kg.EntityID]bool
 
 	// Exactly one of the signature sources is set.
 	minHash    *lsh.MinHasher
 	typeFilter map[kg.TypeID]bool // frequent types to drop
 	typeSets   *TypeJaccard
-	// setSigs holds, in type/entity mode, the signature of each interned
-	// type set (TypeJaccard.SetID) met so far under the current filter (nil:
-	// not met; empty: no type passes the filter). Only builds, loads and
-	// writers holding the system's write lock fill it; probes read it.
+	// setSigs holds, in type mode, the signature of each interned type set
+	// (TypeJaccard.SetID) met so far under the current filter (nil: not met;
+	// empty: no type passes the filter). Only builds and writers holding the
+	// system's write lock fill it; probes read it.
 	setSigs [][]uint32
 
 	hyper *lsh.HyperplaneHasher
@@ -117,8 +102,8 @@ type LSEI struct {
 	spaces sync.Pool
 }
 
-// BuildTypeLSEI indexes every distinct lake entity (or every table column)
-// by the MinHash signature of its type-pair shingles.
+// BuildTypeLSEI indexes every distinct lake entity by the MinHash signature
+// of its type-pair shingles.
 func BuildTypeLSEI(l *lake.Lake, tj *TypeJaccard, cfg LSEIConfig) *LSEI {
 	return BuildTypeLSEIFiltered(l, tj, cfg, nil)
 }
@@ -138,52 +123,39 @@ func BuildTypeLSEIFiltered(l *lake.Lake, tj *TypeJaccard, cfg LSEIConfig, filter
 		filter = FrequentTypesOver(l, tj, cfg.FrequentTypeThreshold)
 	}
 	x := &LSEI{
-		cfg:        cfg,
 		lake:       l,
 		index:      lsh.NewIndex(cfg.Vectors, cfg.BandSize),
-		columnMode: cfg.ColumnAggregation,
+		indexed:    make(map[kg.EntityID]bool),
 		minHash:    lsh.NewMinHasher(cfg.Vectors, cfg.Seed),
-		typeSets:   tj,
 		typeFilter: filter,
+		typeSets:   tj,
+		setSigs:    make([][]uint32, tj.NumTypeSets()),
 	}
-	if x.columnMode {
-		x.buildTypeColumns()
-	} else {
-		x.indexed = make(map[kg.EntityID]bool)
-		x.setSigs = make([][]uint32, tj.NumTypeSets())
-		for _, e := range l.DistinctEntities() {
-			x.insertEntity(e)
-		}
+	for _, e := range l.DistinctEntities() {
+		x.insertEntity(e)
 	}
 	return x
 }
 
-// BuildEmbeddingLSEI indexes every distinct lake entity (or every table
-// column) by the hyperplane signature of its embedding. Entities without an
-// embedding are skipped; their tables remain reachable through co-occurring
-// entities.
+// BuildEmbeddingLSEI indexes every distinct lake entity by the hyperplane
+// signature of its embedding. Entities without an embedding are skipped;
+// their tables remain reachable through co-occurring entities.
 func BuildEmbeddingLSEI(l *lake.Lake, ec *EmbeddingCosine, dim int, cfg LSEIConfig) *LSEI {
 	x := &LSEI{
-		cfg:        cfg,
-		lake:       l,
-		index:      lsh.NewIndex(cfg.Vectors, cfg.BandSize),
-		columnMode: cfg.ColumnAggregation,
-		hyper:      lsh.NewHyperplaneHasher(cfg.Vectors, dim, cfg.Seed),
-		cos:        ec,
+		lake:    l,
+		index:   lsh.NewIndex(cfg.Vectors, cfg.BandSize),
+		indexed: make(map[kg.EntityID]bool),
+		hyper:   lsh.NewHyperplaneHasher(cfg.Vectors, dim, cfg.Seed),
+		cos:     ec,
 	}
-	if x.columnMode {
-		x.buildEmbeddingColumns()
-	} else {
-		x.indexed = make(map[kg.EntityID]bool)
-		for _, e := range l.DistinctEntities() {
-			x.insertEntity(e)
-		}
+	for _, e := range l.DistinctEntities() {
+		x.insertEntity(e)
 	}
 	return x
 }
 
-// insertEntity indexes one entity's signature (entity mode). Entities with
-// no indexable representation are remembered but not inserted.
+// insertEntity indexes one entity's signature. Entities with no indexable
+// representation are remembered but not inserted.
 func (x *LSEI) insertEntity(e kg.EntityID) {
 	if x.indexed[e] {
 		return
@@ -204,10 +176,9 @@ func (x *LSEI) insertEntity(e kg.EntityID) {
 
 // AddTable incrementally indexes a table ingested after the LSEI was
 // built, implementing the semantic-data-lake principle that new datasets
-// are added effortlessly. In entity mode, only entities unseen so far get
-// new signatures (known entities already reach the table through the
-// lake's posting lists); in column-aggregation mode, the table's columns
-// are appended. Signatures use the current frequent-type filter — callers
+// are added effortlessly. Only entities unseen so far get new signatures
+// (known entities already reach the table through the lake's posting
+// lists). Signatures use the current frequent-type filter — callers
 // maintaining exact rebuild equivalence update the shared filter first
 // (TypeFilterState resigns affected items), batch callers keep the built
 // filter as an approximation. Not safe to call concurrently with
@@ -217,142 +188,52 @@ func (x *LSEI) AddTable(tid lake.TableID) {
 	if t == nil {
 		return
 	}
-	if !x.columnMode {
-		// insertEntity skips an entity met before, in this table or another:
-		// the cells are walked without a per-table set.
-		for _, r := range t.Rows {
-			for _, c := range r {
-				if e, ok := c.EntityID(); ok {
-					x.insertEntity(e)
-				}
+	// insertEntity skips an entity met before, in this table or another:
+	// the cells are walked without a per-table set.
+	for _, r := range t.Rows {
+		for _, c := range r {
+			if e, ok := c.EntityID(); ok {
+				x.insertEntity(e)
 			}
 		}
-		return
-	}
-	x.ensureColOf()
-	for j := 0; j < t.NumColumns(); j++ {
-		ents := t.ColumnEntities(j)
-		if len(ents) == 0 {
-			continue
-		}
-		var sig []uint32
-		if x.minHash != nil {
-			sig = x.minHash.Signature(x.typeShingles(ents))
-		} else {
-			sig = x.groupSignature(ents)
-			if sig == nil {
-				continue
-			}
-		}
-		x.index.Insert(uint32(len(x.colTable)), sig)
-		x.colTable = append(x.colTable, tid)
-		x.colOf = append(x.colOf, int32(j))
 	}
 }
 
 // RemoveTable unindexes a table that was just removed from the lake. The
 // caller passes the detached *table.Table (the lake slot is already nil).
-// In entity mode, entities whose last table disappeared are dropped from
-// the index — under the signature they were inserted with (their type
-// set's, or their embedding's recomputed) — bucket by bucket. In
-// column-aggregation mode the table's column UIDs are removed and their
-// colTable slots tombstoned to -1. Must be called before any filter update
-// for this removal (signatures are recomputed under the filter they were
-// inserted with). Not safe to call concurrently with Candidates.
-func (x *LSEI) RemoveTable(tid lake.TableID, t *table.Table) {
+// Entities whose last table disappeared are dropped from the index —
+// under the signature they were inserted with (their type set's, or their
+// embedding's recomputed) — bucket by bucket. Must be called before any
+// filter update for this removal (signatures are recomputed under the
+// filter they were inserted with). Not safe to call concurrently with
+// Candidates.
+func (x *LSEI) RemoveTable(t *table.Table) {
 	if t == nil {
 		return
 	}
-	if !x.columnMode {
-		// An entity met again in the table is no longer indexed: the cells
-		// are walked without a per-table set.
-		for _, r := range t.Rows {
-			for _, c := range r {
-				e, ok := c.EntityID()
-				if !ok || x.lake.EntityFrequency(e) != 0 || !x.indexed[e] {
-					continue
-				}
-				if sig := x.entitySignature(e); sig != nil {
-					x.index.Remove(uint32(e), sig)
-				}
-				delete(x.indexed, e)
+	// An entity met again in the table is no longer indexed: the cells are
+	// walked without a per-table set.
+	for _, r := range t.Rows {
+		for _, c := range r {
+			e, ok := c.EntityID()
+			if !ok || x.lake.EntityFrequency(e) != 0 || !x.indexed[e] {
+				continue
 			}
+			if sig := x.entitySignature(e); sig != nil {
+				x.index.Remove(uint32(e), sig)
+			}
+			delete(x.indexed, e)
 		}
-		return
-	}
-	x.ensureColOf()
-	for uid, owner := range x.colTable {
-		if owner != tid {
-			continue
-		}
-		ents := t.ColumnEntities(int(x.colOf[uid]))
-		var sig []uint32
-		if x.minHash != nil {
-			sig = x.minHash.Signature(x.typeShingles(ents))
-		} else {
-			sig = x.groupSignature(ents)
-		}
-		if sig != nil {
-			x.index.Remove(uint32(uid), sig)
-		}
-		x.colTable[uid] = -1
-		x.colOf[uid] = -1
 	}
 }
 
-// columnIndexed reports whether column j of t gets a signature at build
-// time — the predicate behind ensureColOf's deterministic replay of the
-// build walk.
-func (x *LSEI) columnIndexed(t *table.Table, j int) bool {
-	ents := t.ColumnEntities(j)
-	if len(ents) == 0 {
-		return false
-	}
-	if x.minHash != nil {
-		return true
-	}
-	for _, e := range ents {
-		if x.cos.Vector(e) != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// ensureColOf reconstructs colOf for a snapshot-loaded column-mode index
-// (the snapshot format stores colTable only). UIDs were assigned by
-// walking tables in ID order and columns in position order, skipping
-// columns that produce no signature, so pairing each table's UIDs with its
-// indexable columns in order recovers the mapping exactly.
-func (x *LSEI) ensureColOf() {
-	if !x.columnMode || len(x.colOf) == len(x.colTable) {
-		return
-	}
-	x.colOf = make([]int32, len(x.colTable))
-	next := make(map[lake.TableID]int)
-	for uid, tid := range x.colTable {
-		if tid < 0 {
-			x.colOf[uid] = -1
-			continue
-		}
-		t := x.lake.Table(tid)
-		j := next[tid]
-		for t != nil && j < t.NumColumns() && !x.columnIndexed(t, j) {
-			j++
-		}
-		x.colOf[uid] = int32(j)
-		next[tid] = j + 1
-	}
-}
-
-// removeForResign pulls every item whose signature involves one of the
+// removeForResign pulls every entity whose type set holds one of the
 // flipped types out of the LSH index, under the current (pre-toggle)
-// filter, and returns the affected item IDs so reinsert can put them back
-// once the shared filter map has been toggled; in entity mode it forgets
-// the touched type sets' signatures, for reinsert to sign again.
-// Embedding-mode indexes have no type filter and return nil. See
-// TypeFilterState.
-func (x *LSEI) removeForResign(flips []kg.TypeID) []uint32 {
+// filter, forgets the touched type sets' signatures, and returns the
+// affected entities so reinsert can sign them again once the shared filter
+// map has been toggled. Embedding indexes have no type filter and return
+// nil. See TypeFilterState.
+func (x *LSEI) removeForResign(flips []kg.TypeID) []kg.EntityID {
 	if x.minHash == nil || len(flips) == 0 {
 		return nil
 	}
@@ -360,68 +241,32 @@ func (x *LSEI) removeForResign(flips []kg.TypeID) []uint32 {
 	for _, ty := range flips {
 		fl[ty] = true
 	}
-	var out []uint32
-	if !x.columnMode {
-		old := make([][]uint32, len(x.setSigs)) // the touched sets' signatures
-		for id, sig := range x.setSigs {
-			if sig != nil && intersects(x.typeSets.sets[id], fl) {
-				old[id], x.setSigs[id] = sig, nil
-			}
+	old := make([][]uint32, len(x.setSigs)) // the touched sets' signatures
+	for id, sig := range x.setSigs {
+		if sig != nil && intersects(x.typeSets.sets[id], fl) {
+			old[id], x.setSigs[id] = sig, nil
 		}
-		for e := range x.indexed {
-			id := x.typeSets.SetID(e)
-			if id < 0 || old[id] == nil {
-				continue
-			}
-			if len(old[id]) > 0 {
-				x.index.Remove(uint32(e), old[id])
-			}
-			delete(x.indexed, e)
-			out = append(out, uint32(e))
-		}
-		return out
 	}
-	x.ensureColOf()
-	for uid, tid := range x.colTable {
-		if tid < 0 {
+	var out []kg.EntityID
+	for e := range x.indexed {
+		id := x.typeSets.SetID(e)
+		if id < 0 || old[id] == nil {
 			continue
 		}
-		ents := x.lake.Table(tid).ColumnEntities(int(x.colOf[uid]))
-		hit := false
-		for _, e := range ents {
-			if intersects(x.typeSets.TypeSet(e), fl) {
-				hit = true
-				break
-			}
+		if len(old[id]) > 0 {
+			x.index.Remove(uint32(e), old[id])
 		}
-		if !hit {
-			continue
-		}
-		x.index.Remove(uint32(uid), x.minHash.Signature(x.typeShingles(ents)))
-		out = append(out, uint32(uid))
+		delete(x.indexed, e)
+		out = append(out, e)
 	}
 	return out
 }
 
-// reinsert restores items removed by removeForResign, computing fresh
-// signatures under the (now toggled) filter.
-func (x *LSEI) reinsert(items []uint32) {
-	if x.minHash == nil {
-		return
-	}
-	if !x.columnMode {
-		for _, it := range items {
-			x.insertEntity(kg.EntityID(it))
-		}
-		return
-	}
-	for _, uid := range items {
-		tid := x.colTable[uid]
-		if tid < 0 {
-			continue
-		}
-		ents := x.lake.Table(tid).ColumnEntities(int(x.colOf[uid]))
-		x.index.Insert(uid, x.minHash.Signature(x.typeShingles(ents)))
+// reinsert restores entities removed by removeForResign, signing them
+// under the (now toggled) filter.
+func (x *LSEI) reinsert(ents []kg.EntityID) {
+	for _, e := range ents {
+		x.insertEntity(e)
 	}
 }
 
@@ -442,12 +287,12 @@ func FrequentTypesOver(l *lake.Lake, tj *TypeJaccard, threshold float64) map[kg.
 	return NewTypeFilterState(l, tj, threshold).Filter()
 }
 
-// typeShingles merges the filtered type sets of the given entities and
-// shingles them pairwise. Entities repeating an already-merged interned
-// type set (TypeJaccard.SetID) are skipped: shingling deduplicates types
-// anyway, so dropping whole duplicate sets changes nothing in the shingle
-// set while column aggregation over skewed corpora merges far fewer
-// elements.
+// typeShingles merges the filtered type sets of the given entities (one
+// aggregated query position, groupSignature) and shingles them pairwise.
+// Entities repeating an already-merged interned type set
+// (TypeJaccard.SetID) are skipped: shingling deduplicates types anyway, so
+// dropping whole duplicate sets changes nothing in the shingle set while
+// merging far fewer elements.
 func (x *LSEI) typeShingles(ents []kg.EntityID) []uint64 {
 	var merged []uint32
 	var seenSets map[int32]bool
@@ -471,47 +316,6 @@ func (x *LSEI) typeShingles(ents []kg.EntityID) []uint64 {
 		}
 	}
 	return lsh.TypePairShingles(merged)
-}
-
-func (x *LSEI) buildTypeColumns() {
-	for tid, t := range x.lake.Tables() {
-		if t == nil {
-			continue
-		}
-		for j := 0; j < t.NumColumns(); j++ {
-			ents := t.ColumnEntities(j)
-			if len(ents) == 0 {
-				continue
-			}
-			sig := x.minHash.Signature(x.typeShingles(ents))
-			x.index.Insert(uint32(len(x.colTable)), sig)
-			x.colTable = append(x.colTable, lake.TableID(tid))
-			x.colOf = append(x.colOf, int32(j))
-		}
-	}
-}
-
-func (x *LSEI) buildEmbeddingColumns() {
-	for tid, t := range x.lake.Tables() {
-		if t == nil {
-			continue
-		}
-		for j := 0; j < t.NumColumns(); j++ {
-			var vecs []embedding.Vector
-			for _, e := range t.ColumnEntities(j) {
-				if v := x.cos.Vector(e); v != nil {
-					vecs = append(vecs, v)
-				}
-			}
-			if len(vecs) == 0 {
-				continue
-			}
-			sig := x.hyper.Signature(embedding.Mean(vecs))
-			x.index.Insert(uint32(len(x.colTable)), sig)
-			x.colTable = append(x.colTable, lake.TableID(tid))
-			x.colOf = append(x.colOf, int32(j))
-		}
-	}
 }
 
 // setSignature is the signature of interned type set id under the current
@@ -578,17 +382,8 @@ func (x *LSEI) space() *voteSpace {
 	return ws
 }
 
-// itemSpace is the size of the index's item-ID space: column UIDs in
-// column-aggregation mode, the graph's entity IDs otherwise.
-func (x *LSEI) itemSpace() int {
-	if x.columnMode {
-		return len(x.colTable)
-	}
-	return x.lake.Graph.NumEntities()
-}
-
 // probeVote probes the index with one signature: each distinct colliding
-// entity (or column) casts one vote for each of its tables, and tables
+// entity casts one vote for each of its tables, and tables
 // reaching the threshold join the request's candidate bitset. The time
 // spent splits into the tally's probe and vote stages. The band lookups
 // underneath honor ctx (see lsh.Index.Buckets).
@@ -601,18 +396,12 @@ func (x *LSEI) probeVote(ctx context.Context, sig []uint32, votes int, ws *voteS
 	for _, bucket := range ws.buckets {
 		for _, item := range bucket {
 			if int(item) >= len(ws.itemGen) {
-				ws.fitItems(max(int(item)+1, x.itemSpace()))
+				ws.fitItems(max(int(item)+1, x.lake.Graph.NumEntities()))
 			}
 			if ws.itemGen[item] == gen {
 				continue // already voted through an earlier band
 			}
 			ws.itemGen[item] = gen
-			if x.columnMode {
-				if tid := x.colTable[item]; tid >= 0 {
-					ws.vote(tid)
-				}
-				continue
-			}
 			for _, tid := range x.lake.TablesWith(kg.EntityID(item)) {
 				ws.vote(tid)
 			}
@@ -647,7 +436,7 @@ func (x *LSEI) finish(ws *voteSpace, tally probeTally, tr *obs.Trace) []lake.Tab
 }
 
 // Candidates returns the prefiltered table set for a query: each query
-// entity probes the index, colliding entities (or columns) vote for their
+// entity probes the index, colliding entities vote for their
 // tables, and tables reaching the vote threshold for at least one query
 // entity survive. votes <= 1 disables voting. The result is sorted by
 // table ID.
@@ -762,16 +551,7 @@ func (x *LSEI) Reduction(candidates []lake.TableID) float64 {
 // NumBuckets exposes the underlying index's bucket count (diagnostics).
 func (x *LSEI) NumBuckets() int { return x.index.NumBuckets() }
 
-// NumItems exposes how many signatures the underlying index holds
-// (entities in entity mode, columns in column-aggregation mode) —
-// diagnostics, exported on thetis_index_items. O(1).
+// NumItems exposes how many signatures the underlying index holds — one
+// per lake entity with an indexable representation; diagnostics, exported
+// on thetis_index_items. O(1).
 func (x *LSEI) NumItems() int { return x.index.NumItems() }
-
-// Config returns the configuration the index was built or loaded with.
-func (x *LSEI) Config() LSEIConfig { return x.cfg }
-
-// TypeFilter returns the frequent-type filter map the index's signatures
-// were computed under (nil-or-empty for embedding mode). It is the live
-// instance, not a copy: ResumeTypeFilterState adopts it after a snapshot
-// load so later mutations can keep filter and signatures in lockstep.
-func (x *LSEI) TypeFilter() map[kg.TypeID]bool { return x.typeFilter }

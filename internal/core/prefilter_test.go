@@ -77,19 +77,6 @@ func TestLSEISearchMatchesBruteForceTop1(t *testing.T) {
 	}
 }
 
-func TestTypeLSEIColumnAggregation(t *testing.T) {
-	x, _, g := typeLSEI(t, LSEIConfig{Vectors: 32, BandSize: 8, Seed: 1, ColumnAggregation: true})
-	q := queryOf(t, g, "santo", "cubs")
-	cands := x.Candidates(q, 1)
-	found := map[lake.TableID]bool{}
-	for _, c := range cands {
-		found[c] = true
-	}
-	if !found[0] {
-		t.Errorf("column-aggregated prefilter dropped table 0; candidates %v", cands)
-	}
-}
-
 func TestFrequentTypeFilter(t *testing.T) {
 	l, g := fixtureLake(t)
 	tj := NewTypeJaccard(g)
@@ -144,22 +131,6 @@ func TestEmbeddingLSEI(t *testing.T) {
 	}
 	if found[4] {
 		t.Error("unlinked table candidate")
-	}
-}
-
-func TestEmbeddingLSEIColumnAggregation(t *testing.T) {
-	l, g, ec := embeddingFixture(t)
-	x := BuildEmbeddingLSEI(l, ec, 4, LSEIConfig{Vectors: 32, BandSize: 8, Seed: 1, ColumnAggregation: true})
-	q := queryOf(t, g, "santo")
-	cands := x.Candidates(q, 1)
-	found := false
-	for _, c := range cands {
-		if c == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("column-aggregated embedding prefilter dropped table 0: %v", cands)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"context"
 	"maps"
 	"slices"
@@ -64,9 +63,8 @@ func sortedBuckets(buckets [][]uint32) [][]uint32 {
 // signature meets the same item sets in both indexes; the item and bucket
 // counts agree. (Equal item sets alone would pass an index that kept a
 // whole set under a stale signature: its bucket holds the same entities.)
-func assertMatchesPerEntity(t *testing.T, step string, x *core.LSEI, l *lake.Lake, tj *core.TypeJaccard, queryEnts []kg.EntityID) {
+func assertMatchesPerEntity(t *testing.T, step string, x *core.LSEI, cfg core.LSEIConfig, l *lake.Lake, tj *core.TypeJaccard, queryEnts []kg.EntityID) {
 	t.Helper()
-	cfg := x.Config()
 	filter := core.FrequentTypesOver(l, tj, cfg.FrequentTypeThreshold)
 	if !maps.Equal(x.TypeFilter(), filter) {
 		t.Fatalf("%s: index filter %v, from-scratch filter %v", step, x.TypeFilter(), filter)
@@ -112,15 +110,15 @@ func (s *liveTypeIndex) add(t *table.Table) lake.TableID {
 func (s *liveTypeIndex) remove(id lake.TableID) {
 	t := s.l.Table(id)
 	s.l.Remove(id)
-	s.x.RemoveTable(id, t)
+	s.x.RemoveTable(t)
 	s.fs.RemoveTable(t, s.x)
 }
 
 // TestSetSignaturesMatchPerEntityReference checks the type LSEI, which signs
 // each interned type set once, against the index that signs every entity
 // directly: at build, after live mutations that flip the frequent-type
-// filter both ways, after a compaction rebuild, and after a snapshot round
-// trip followed by more mutations.
+// filter both ways, after a compaction rebuild, and after more mutations of
+// the rebuilt index.
 func TestSetSignaturesMatchPerEntityReference(t *testing.T) {
 	k := datagen.GenerateKG(datagen.KGConfig{
 		Domains: 5, LeafTypesPerDomain: 2, MembersPerLeafType: 40,
@@ -140,7 +138,7 @@ func TestSetSignaturesMatchPerEntityReference(t *testing.T) {
 	}
 	fs := core.NewTypeFilterState(l, tj, cfg.FrequentTypeThreshold)
 	s := &liveTypeIndex{l: l, fs: fs, x: core.BuildTypeLSEIFiltered(l, tj, cfg, fs.Filter())}
-	assertMatchesPerEntity(t, "build", s.x, l, tj, queryEnts)
+	assertMatchesPerEntity(t, "build", s.x, cfg, l, tj, queryEnts)
 
 	// The least frequent filtered type: remove its tables until it leaves
 	// the filter, then add them back until it returns.
@@ -186,7 +184,7 @@ func TestSetSignaturesMatchPerEntityReference(t *testing.T) {
 	resigns := obs.IndexFilterResignsTotal(nil)
 	before := resigns.Value()
 	removed := flipOut()
-	assertMatchesPerEntity(t, "flipped out", s.x, l, tj, queryEnts)
+	assertMatchesPerEntity(t, "flipped out", s.x, cfg, l, tj, queryEnts)
 	for _, tb := range removed {
 		s.add(tb)
 	}
@@ -201,31 +199,20 @@ func TestSetSignaturesMatchPerEntityReference(t *testing.T) {
 	}
 	t.Logf("type %d (in %d of %d base tables) flipped out and back: %d items re-signed",
 		target, fewest, baseN, resigns.Value()-before)
-	assertMatchesPerEntity(t, "flipped back", s.x, l, tj, queryEnts)
+	assertMatchesPerEntity(t, "flipped back", s.x, cfg, l, tj, queryEnts)
 
 	// Compaction: a rebuild under the filter the state keeps current.
 	s.x = core.BuildTypeLSEIFiltered(l, tj, cfg, fs.Filter())
-	assertMatchesPerEntity(t, "compacted", s.x, l, tj, queryEnts)
+	assertMatchesPerEntity(t, "compacted", s.x, cfg, l, tj, queryEnts)
 
-	// Snapshot round trip, then live again on the loaded index.
-	var buf bytes.Buffer
-	if err := s.x.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := core.LoadTypeLSEI(l, tj, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.x = loaded
-	s.fs = core.ResumeTypeFilterState(loaded.TypeFilter(), l, tj, cfg.FrequentTypeThreshold, loaded)
-	assertMatchesPerEntity(t, "loaded", s.x, l, tj, queryEnts)
+	// Live again on the rebuilt index.
 	before = resigns.Value()
 	flipOut()
 	for _, tb := range corpus.Tables()[baseN+20:] {
 		s.add(tb)
 	}
 	if resigns.Value() == before {
-		t.Fatal("no filter flip after the snapshot load: the loaded signature table is not exercised")
+		t.Fatal("no filter flip after the compaction: the rebuilt signature table is not exercised")
 	}
-	assertMatchesPerEntity(t, "loaded, then mutated", s.x, l, tj, queryEnts)
+	assertMatchesPerEntity(t, "compacted, then mutated", s.x, cfg, l, tj, queryEnts)
 }

@@ -19,7 +19,7 @@ import (
 // workspace, the oracle the pooled vote answers to: per probe signature,
 // the set of colliding items (QuerySet), the number of distinct colliding
 // items per table — an entity counts for every live table mentioning it,
-// found by scanning the tables, a column for its owner — thresholded at
+// found by scanning the tables — thresholded at
 // votes; the union over probes, sorted. It also returns the votes cast
 // before thresholding.
 func naiveVote(x *LSEI, sigs [][]uint32, votes int) (ids []lake.TableID, cast int) {
@@ -39,12 +39,6 @@ func naiveVote(x *LSEI, sigs [][]uint32, votes int) (ids []lake.TableID, cast in
 	for _, sig := range sigs {
 		bag := map[lake.TableID]int{}
 		for item := range x.index.QuerySet(sig) {
-			if x.columnMode {
-				if tid := x.colTable[item]; tid >= 0 {
-					bag[tid]++
-				}
-				continue
-			}
 			for _, tid := range mentions[kg.EntityID(item)] {
 				bag[tid]++
 			}
@@ -191,7 +185,7 @@ func voteQueries(rng *rand.Rand, hi int) []Query {
 // TestCandidatesMatchNaiveVote pins the pooled, generation-stamped vote to
 // the naive map-based oracle: candidate slices, the probe and vote trace
 // stages' Items, and the probes and votes counted on /metrics, over type
-// and embedding LSEIs in entity and column mode at votes 1–3, before and
+// and embedding LSEIs at votes 1–3, before and
 // after a run of AddTable/RemoveTable that brings in entities beyond the
 // original ID range (and beyond the graph the index was built over).
 func TestCandidatesMatchNaiveVote(t *testing.T) {
@@ -202,14 +196,8 @@ func TestCandidatesMatchNaiveVote(t *testing.T) {
 		{"types(32,8)", func(l *lake.Lake, g *kg.Graph, _ *embedding.Store) *LSEI {
 			return BuildTypeLSEI(l, NewTypeJaccard(g), LSEIConfig{Vectors: 32, BandSize: 8, Seed: 1})
 		}},
-		{"types(30,10)/columns", func(l *lake.Lake, g *kg.Graph, _ *embedding.Store) *LSEI {
-			return BuildTypeLSEI(l, NewTypeJaccard(g), LSEIConfig{Vectors: 30, BandSize: 10, Seed: 1, ColumnAggregation: true})
-		}},
 		{"embeddings(16,4)", func(l *lake.Lake, g *kg.Graph, st *embedding.Store) *LSEI {
 			return BuildEmbeddingLSEI(l, NewEmbeddingCosine(g, st), st.Dim(), LSEIConfig{Vectors: 16, BandSize: 4, Seed: 1})
-		}},
-		{"embeddings(16,4)/columns", func(l *lake.Lake, g *kg.Graph, st *embedding.Store) *LSEI {
-			return BuildEmbeddingLSEI(l, NewEmbeddingCosine(g, st), st.Dim(), LSEIConfig{Vectors: 16, BandSize: 4, Seed: 1, ColumnAggregation: true})
 		}},
 	}
 	store := voteEmbeddings()
@@ -275,7 +263,7 @@ func TestCandidatesMatchNaiveVote(t *testing.T) {
 			remove := func(tid lake.TableID) {
 				tb := l.Table(tid)
 				l.Remove(tid)
-				x.RemoveTable(tid, tb)
+				x.RemoveTable(tb)
 			}
 			for i := 0; i < 6; i++ {
 				add(fmt.Sprintf("late%d", i))

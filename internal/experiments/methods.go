@@ -76,7 +76,7 @@ func (m *Methods) SemanticBrute(kind SimKind) Runner {
 
 // LSEI returns the (lazily built) prefilter index for a kind/config pair.
 func (m *Methods) LSEI(kind SimKind, cfg core.LSEIConfig) *core.LSEI {
-	key := fmt.Sprintf("%v-%d-%d-%v", kind, cfg.Vectors, cfg.BandSize, cfg.ColumnAggregation)
+	key := fmt.Sprintf("%v-%d-%d", kind, cfg.Vectors, cfg.BandSize)
 	if x, ok := m.lseis[key]; ok {
 		return x
 	}

@@ -4,8 +4,8 @@
 // offsets, or stall mid-transfer — plus a fault-injecting http.RoundTripper
 // (FaultTransport) that misbehaves at the network layer: connection
 // refusal, 500s, truncated and bit-flipped responses, mid-body stalls,
-// slow-loris. The snapshot and loader test suites drive corruption matrices
-// and partial-write scenarios through the stream wrappers (make faults);
+// slow-loris. The embedding-store and line-reader tests drive truncation
+// and read-fault scenarios through the stream wrappers (make faults);
 // the shard-over-HTTP battery drives every remote-leg fault class through
 // FaultTransport (internal/server/httpshard_battery_test.go). The package depends only on the
 // standard library and is usable from any test.

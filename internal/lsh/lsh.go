@@ -174,8 +174,8 @@ type Index struct {
 // into bands of bandSize values. The trailing remainder of a signature that
 // does not fill a whole band is ignored, mirroring the (30,10) setup where
 // 30 values form exactly 3 bands. It panics on out-of-range parameters;
-// code handling untrusted configuration (CLI flags, snapshot headers)
-// should use NewIndexChecked instead.
+// code handling untrusted configuration (CLI flags, wire payloads) should
+// use NewIndexChecked instead.
 func NewIndex(permutations, bandSize int) *Index {
 	ix, err := NewIndexChecked(permutations, bandSize)
 	if err != nil {
@@ -186,7 +186,7 @@ func NewIndex(permutations, bandSize int) *Index {
 
 // NewIndexChecked is NewIndex returning an error instead of panicking when
 // the band size is outside [1, permutations] — the validating constructor
-// for parameters derived from flags or deserialized headers.
+// for parameters derived from flags or decoded requests.
 func NewIndexChecked(permutations, bandSize int) (*Index, error) {
 	if bandSize <= 0 || permutations < bandSize {
 		return nil, fmt.Errorf("lsh: band size must be in [1, permutations]: got permutations=%d bandSize=%d",

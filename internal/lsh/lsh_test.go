@@ -182,6 +182,29 @@ func TestNewIndexPanicsOnBadBand(t *testing.T) {
 	}
 }
 
+func TestNewIndexChecked(t *testing.T) {
+	if _, err := NewIndexChecked(16, 0); err == nil {
+		t.Error("band size 0 accepted")
+	}
+	if _, err := NewIndexChecked(16, -1); err == nil {
+		t.Error("negative band size accepted")
+	}
+	if _, err := NewIndexChecked(4, 8); err == nil {
+		t.Error("band size > permutations accepted")
+	}
+	ix, err := NewIndexChecked(16, 4)
+	if err != nil || ix == nil || ix.Bands() != 4 {
+		t.Errorf("valid shape rejected: %v", err)
+	}
+	// NewIndex keeps its panicking contract for programmer errors.
+	defer func() {
+		if recover() == nil {
+			t.Error("NewIndex(4, 8) did not panic")
+		}
+	}()
+	NewIndex(4, 8)
+}
+
 func TestNumBuckets(t *testing.T) {
 	ix := NewIndex(16, 8)
 	m := NewMinHasher(16, 2)

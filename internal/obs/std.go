@@ -277,8 +277,8 @@ func LakeTables(r *Registry) *Gauge {
 	return r.Gauge("thetis_lake_tables", "Live tables in the local lake.", nil)
 }
 
-// IndexItems gauges the signatures held by the active LSEI (entities, or
-// columns in column-aggregation mode); 0 without an index.
+// IndexItems gauges the signatures held by the active LSEI, one per
+// indexed lake entity; 0 without an index.
 func IndexItems(r *Registry) *Gauge {
 	if r == nil {
 		r = Default

@@ -108,11 +108,10 @@ func Open(data []byte, v any) error {
 // IndexSpec tells a shard daemon to build its LSEI with the given
 // configuration (mirrors core.LSEIConfig minus process-local state).
 type IndexSpec struct {
-	Vectors           int     `json:"vectors"`
-	BandSize          int     `json:"band_size"`
-	Threshold         float64 `json:"threshold"`
-	ColumnAggregation bool    `json:"column_aggregation,omitempty"`
-	Seed              int64   `json:"seed"`
+	Vectors   int     `json:"vectors"`
+	BandSize  int     `json:"band_size"`
+	Threshold float64 `json:"threshold"`
+	Seed      int64   `json:"seed"`
 }
 
 // Artifacts is the body of POST /shard/artifacts: the bootstrap payload

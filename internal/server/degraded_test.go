@@ -1,39 +1,22 @@
 package server
 
 // Degraded-mode serving and panic-containment tests (acceptance criteria of
-// the fault-tolerant data plane): a corrupt snapshot is rejected but the
-// daemon keeps serving correct brute-force results until the background
-// rebuild hot-swaps a fresh index in; panics in handlers become 500s and a
-// counter, never a dead process.
+// the fault-tolerant data plane): the daemon serves correct brute-force
+// results until the background build hot-swaps the index in; panics in the
+// build or in handlers become a degraded state, a 500 and a counter, never
+// a dead process.
 
 import (
-	"bytes"
-	"errors"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"strings"
 	"testing"
 
 	"thetis"
-	"thetis/internal/atomicio"
 	"thetis/internal/obs"
 )
 
 var degradedCfg = thetis.IndexConfig{Vectors: 16, BandSize: 4, Seed: 1}
-
-// indexSnapshot builds and serializes a valid LSEI snapshot for the demo
-// system's corpus.
-func indexSnapshot(t *testing.T) []byte {
-	t.Helper()
-	sys := demoSystem(t)
-	sys.BuildIndex(degradedCfg)
-	var buf bytes.Buffer
-	if err := sys.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
 
 func searchTop(t *testing.T, ts *httptest.Server) string {
 	t.Helper()
@@ -77,84 +60,12 @@ func TestReadyzContract(t *testing.T) {
 	}
 }
 
-// TestActivateIndexValidSnapshot: an intact snapshot activates synchronously
-// — ready before ActivateIndex even returns, no background build.
-func TestActivateIndexValidSnapshot(t *testing.T) {
-	snap := indexSnapshot(t)
-	sys := demoSystem(t)
-	ready := NewReadiness(obs.NewRegistry())
-	done := ActivateIndex(sys, ready, degradedCfg, 1, bytes.NewReader(snap))
-	if ready.State() != StateReady {
-		t.Fatalf("state after valid snapshot = %v, want ready", ready.State())
-	}
-	if !sys.HasIndex() {
-		t.Fatal("no index active after snapshot load")
-	}
-	if err := <-done; err != nil {
-		t.Fatalf("done = %v", err)
-	}
-}
-
-// TestActivateIndexCorruptSnapshot is the degraded-mode acceptance path: a
-// snapshot with one flipped byte is rejected (typed corruption, never a
-// wrong load), the daemon keeps serving correct brute-force results, and the
-// background rebuild eventually flips /readyz to ready with searches intact.
-func TestActivateIndexCorruptSnapshot(t *testing.T) {
-	snap := indexSnapshot(t)
-	snap[len(snap)/2] ^= 0x40
-
-	// The loader itself reports typed corruption and leaves no index.
-	sys := demoSystem(t)
-	if err := sys.LoadIndex(bytes.NewReader(snap)); !errors.Is(err, atomicio.ErrCorruptSnapshot) {
-		t.Fatalf("corrupt snapshot load: %v, want ErrCorruptSnapshot", err)
-	}
-	if sys.HasIndex() {
-		t.Fatal("corrupt snapshot installed an index")
-	}
-
-	ready := NewReadiness(obs.NewRegistry())
-	ts := httptest.NewServer(New(sys, WithReadiness(ready)))
-	t.Cleanup(ts.Close)
-
-	done := ActivateIndex(sys, ready, degradedCfg, 1, bytes.NewReader(snap))
-	// The rejection is synchronous: by the time ActivateIndex returns the
-	// daemon is past building — degraded (brute force), or already ready if
-	// the rebuild won the race. Either way searches are correct.
-	if st := ready.State(); st == StateBuilding {
-		t.Fatalf("state after corrupt snapshot = %v", st)
-	}
-	if top := searchTop(t, ts); top != "roster" {
-		t.Errorf("degraded-mode top result = %q, want roster", top)
-	}
-
-	if err := <-done; err != nil {
-		t.Fatalf("background rebuild: %v", err)
-	}
-	if ready.State() != StateReady || !sys.HasIndex() {
-		t.Fatalf("after rebuild: state=%v hasIndex=%v", ready.State(), sys.HasIndex())
-	}
-	out := getJSON(t, ts.URL+"/readyz?full=1", http.StatusOK)
-	if out["state"] != "ready" {
-		t.Errorf("readyz after rebuild = %v", out)
-	}
-	// Index-backed results match a never-degraded system's.
-	fresh := demoSystem(t)
-	fresh.BuildIndex(degradedCfg)
-	q, err := sys.ParseQuery("Ron Santo | Chicago Cubs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := sys.Search(q, 5), fresh.Search(q, 5); !reflect.DeepEqual(got, want) {
-		t.Errorf("post-rebuild results differ:\n got %v\nwant %v", got, want)
-	}
-}
-
-// TestActivateIndexNoSnapshot: without a snapshot the daemon starts in
+// TestActivateIndexNoSnapshot: the daemon starts in
 // building state and flips to ready when the background build lands.
 func TestActivateIndexNoSnapshot(t *testing.T) {
 	sys := demoSystem(t)
 	ready := NewReadiness(obs.NewRegistry())
-	done := ActivateIndex(sys, ready, degradedCfg, 1, nil)
+	done := ActivateIndex(sys, ready, degradedCfg, 1)
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +84,7 @@ func TestFaultBuildPanicContained(t *testing.T) {
 	g := thetis.NewGraph()
 	sys := thetis.New(g) // no UseTypeSimilarity: BuildIndex will panic
 	ready := NewReadiness(obs.NewRegistry())
-	done := ActivateIndex(sys, ready, degradedCfg, 1, nil)
+	done := ActivateIndex(sys, ready, degradedCfg, 1)
 	err := <-done
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("done = %v, want contained panic", err)

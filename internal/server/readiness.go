@@ -2,16 +2,15 @@ package server
 
 // Degraded-mode serving: the daemon binds its listener and answers searches
 // immediately — brute force over the whole corpus, correct but slower —
-// while the LSEI prefilter builds in the background (or after a corrupt
-// snapshot was rejected). The index is hot-swapped into the live System
-// atomically as it lands, and searches stay correct throughout because a
-// system without an index serves brute force. GET /readyz reports the
-// lifecycle so orchestrators can route bulk traffic only at full capacity,
-// while /healthz stays a pure liveness probe.
+// while the LSEI prefilter builds in the background. The index is
+// hot-swapped into the live System atomically as it lands, and searches
+// stay correct throughout because a system without an index serves brute
+// force. GET /readyz reports the lifecycle so orchestrators can route bulk
+// traffic only at full capacity, while /healthz stays a pure liveness
+// probe.
 
 import (
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -29,8 +28,8 @@ const (
 	// StateBuilding: no index yet; the initial build is in progress and
 	// searches run brute force.
 	StateBuilding IndexState = iota
-	// StateDegraded: the index snapshot was rejected (corrupt) or a build
-	// failed; searches run brute force while a rebuild is attempted.
+	// StateDegraded: the index build panicked or the delta log stopped
+	// logging; searches still run, brute force when no index landed.
 	StateDegraded
 	// StateReady: the LSEI is active; searches are prefiltered.
 	StateReady
@@ -130,33 +129,19 @@ func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// ActivateIndex brings the LSEI online without blocking serving. A non-nil
-// snapshot is tried first, synchronously: a valid one activates
-// immediately (ready, no build). A corrupt snapshot is rejected — the
-// typed atomicio.ErrCorruptSnapshot guarantee means a flipped byte can
-// never load wrong — and the daemon enters degraded mode while a full
-// rebuild runs in the background; with no snapshot it starts in building
-// mode the same way. The build hot-swaps the index in and flips rd to
-// ready; until then the daemon answers correctly by brute force.
+// ActivateIndex brings the LSEI online without blocking serving: rd enters
+// building while the index builds in the background, and the build
+// hot-swaps the index in and flips rd to ready; until then the daemon
+// answers correctly by brute force.
 //
 // A build panic is contained: counted on thetis_panics_total{site="build"}
 // and parking rd at degraded (brute force). The returned channel receives
 // the terminal outcome exactly once — nil when the index landed, or the
 // failure.
-func ActivateIndex(sys *thetis.System, rd *Readiness, cfg thetis.IndexConfig, votes int, snapshot io.Reader) <-chan error {
+func ActivateIndex(sys *thetis.System, rd *Readiness, cfg thetis.IndexConfig, votes int) <-chan error {
 	done := make(chan error, 1)
 	sys.SetVotes(votes)
-	if snapshot != nil {
-		err := sys.LoadIndex(snapshot)
-		if err == nil {
-			rd.Set(StateReady, "index loaded from snapshot")
-			done <- nil
-			return done
-		}
-		rd.Set(StateDegraded, fmt.Sprintf("index snapshot rejected (%v); serving brute force while rebuilding", err))
-	} else {
-		rd.Set(StateBuilding, "building index; serving brute force meanwhile")
-	}
+	rd.Set(StateBuilding, "building index; serving brute force meanwhile")
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {

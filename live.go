@@ -119,8 +119,7 @@ func (s *System) RemoveTable(id TableID) error {
 func (s *System) IndexEpoch() uint64 { return s.epoch.Load() }
 
 // Compact rebuilds the LSEI from the live corpus and hot-swaps it in,
-// shedding tombstoned column slots and emptied buckets accumulated by
-// removals. The rebuild runs under the frequent-type filter in force and
+// shedding the bucket capacity removals leave behind. The rebuild runs under the frequent-type filter in force and
 // never recomputes it: a filter the system maintains already equals the
 // one the live corpus implies, and one a coordinator shipped
 // (ApplyShardArtifacts) must survive. Searches keep flowing against the
@@ -192,7 +191,7 @@ func (s *System) removeTableLocked(id TableID) {
 	s.lake.Remove(id)
 	ix := s.index.Load()
 	if ix != nil {
-		ix.RemoveTable(id, t)
+		ix.RemoveTable(t)
 	}
 	if s.filterState != nil {
 		s.filterState.RemoveTable(t, ix)
@@ -285,7 +284,7 @@ func (s *System) failDeltaLog(err error) {
 // atomicio.ErrCorruptSnapshot and leaves no log attached; records before
 // the damage may already have mutated the corpus (the replay loop applies
 // as it reads), so callers must treat an error as "restore from base and a
-// clean log", matching the snapshot discipline in docs/RELIABILITY.md.
+// clean log", the contract in docs/RELIABILITY.md.
 //
 // Attach after loading the base corpus and before serving.
 func (s *System) AttachDeltaLog(path string) error {

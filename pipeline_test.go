@@ -1,7 +1,6 @@
 package thetis
 
 import (
-	"bytes"
 	"context"
 	"slices"
 	"testing"
@@ -65,7 +64,7 @@ func TestLocalSearchIsOnePipeline(t *testing.T) {
 }
 
 // TestIndexItemsGaugeTracksIndex: thetis_index_items equals the active
-// LSEI's NumItems after every install (build, load, shard artifacts,
+// LSEI's NumItems after every install (build, shard artifacts,
 // σ re-selection) and every mutation (add, remove, and the filter
 // re-signs they trigger).
 func TestIndexItemsGaugeTracksIndex(t *testing.T) {
@@ -104,28 +103,6 @@ func TestIndexItemsGaugeTracksIndex(t *testing.T) {
 	if obs.IndexFilterResignsTotal(nil).Value() == resigns {
 		t.Fatal("no mutation re-signed an item; the corpus no longer exercises filter flips")
 	}
-
-	var snap bytes.Buffer
-	if err := sys.SaveIndex(&snap); err != nil {
-		t.Fatal(err)
-	}
-	fresh := New(kgEnv.Graph)
-	for id := range sys.lake.Tables() {
-		if tb := sys.Table(TableID(id)); tb != nil {
-			fresh.AddTable(tb)
-		} else {
-			fresh.AddTable(tables[id])
-			if err := fresh.RemoveTable(TableID(id)); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fresh.UseTypeSimilarity()
-	gauge.Set(0) // as a fresh process (thetisd -indexfile) starts
-	if err := fresh.LoadIndex(&snap); err != nil {
-		t.Fatal(err)
-	}
-	check("load", fresh)
 
 	cfg := DefaultIndexConfig()
 	daemon := New(kgEnv.Graph)

@@ -187,7 +187,7 @@ type System struct {
 	store *embedding.Store
 
 	// indexCfg and typeFilter are what the LSEI is built with (BuildIndex,
-	// LoadIndex, ApplyShardArtifacts); filterState keeps the filter — and
+	// ApplyShardArtifacts); filterState keeps the filter — and
 	// through it the LSEI's signatures — current under mutation (nil for
 	// embedding indexes, frozen shipped filters, or when no index is built).
 	// Guarded by maintMu for structure, mu for the shared filter map.
@@ -202,7 +202,7 @@ type System struct {
 	// lake, the LSEI, the filter, and the keyword index together.
 	mu sync.RWMutex
 	// maintMu serializes maintenance against mutations: AddTable/
-	// RemoveTable, index builds and loads, Compact, and AttachDeltaLog all
+	// RemoveTable, index builds, Compact, and AttachDeltaLog all
 	// hold it (lock order: maintMu before mu). Index builds run under
 	// maintMu alone so searches keep flowing while a fresh index is built
 	// aside and hot-swapped in.
@@ -452,49 +452,6 @@ func (s *System) setIndex(ix *core.LSEI) {
 
 // HasIndex reports whether an LSEI is active.
 func (s *System) HasIndex() bool { return s.index.Load() != nil }
-
-// SaveIndex serializes the built LSEI so a later process can LoadIndex
-// instead of re-hashing the corpus.
-func (s *System) SaveIndex(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ix := s.index.Load()
-	if ix == nil {
-		return errors.New("thetis: no index built")
-	}
-	return ix.Write(w)
-}
-
-// LoadIndex installs an LSEI snapshot previously written by SaveIndex. The
-// snapshot must match the currently selected similarity (type snapshots
-// for type similarity, embedding snapshots for embedding similarity) and
-// the corpus it was built over. A snapshot damaged in any way — flipped
-// bytes, truncation — fails with atomicio.ErrCorruptSnapshot and leaves
-// the previously active index (if any) in place.
-func (s *System) LoadIndex(r io.Reader) error {
-	s.mustEngine()
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	if s.embeddingSim() {
-		x, err := core.LoadEmbeddingLSEI(s.lake, s.ec, r)
-		if err != nil {
-			return err
-		}
-		s.indexCfg, s.typeFilter, s.filterState = x.Config(), nil, nil
-		s.setIndex(x)
-		return nil
-	}
-	x, err := core.LoadTypeLSEI(s.lake, s.tj, r)
-	if err != nil {
-		return err
-	}
-	// Adopt the snapshot's filter map as live mutation state so later
-	// AddTable/RemoveTable keep filter and signatures in lockstep.
-	s.indexCfg, s.typeFilter = x.Config(), x.TypeFilter()
-	s.filterState = core.ResumeTypeFilterState(x.TypeFilter(), s.lake, s.tj, thresholdOf(x.Config()), x)
-	s.setIndex(x)
-	return nil
-}
 
 // Search ranks tables by semantic relevance to the query and returns the
 // top-k (k < 0 returns all relevant tables). When an index has been built,

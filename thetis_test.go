@@ -323,45 +323,3 @@ func TestIncrementalIngestionNewEntityNeedsRefresh(t *testing.T) {
 		t.Error("refresh did not give the new entity a type profile")
 	}
 }
-
-func TestSystemIndexPersistence(t *testing.T) {
-	sys, q := buildDemoSystem(t)
-	sys.UseTypeSimilarity()
-	sys.BuildIndex(DefaultIndexConfig())
-	want := sys.Search(q, 3)
-
-	var buf bytes.Buffer
-	if err := sys.SaveIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sys2, _ := buildDemoSystem(t)
-	sys2.UseTypeSimilarity()
-	if err := sys2.LoadIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got := sys2.Search(q, 3)
-	if len(got) != len(want) {
-		t.Fatalf("results after index load: %v vs %v", got, want)
-	}
-	for i := range want {
-		if got[i].Table != want[i].Table {
-			t.Fatalf("ranking changed after index load: %v vs %v", got, want)
-		}
-	}
-}
-
-func TestSystemSaveIndexWithoutBuild(t *testing.T) {
-	sys, _ := buildDemoSystem(t)
-	var buf bytes.Buffer
-	if err := sys.SaveIndex(&buf); err == nil {
-		t.Error("SaveIndex without BuildIndex did not error")
-	}
-}
-
-func TestSystemLoadIndexGarbage(t *testing.T) {
-	sys, _ := buildDemoSystem(t)
-	sys.UseTypeSimilarity()
-	if err := sys.LoadIndex(strings.NewReader("junk")); err == nil {
-		t.Error("garbage index accepted")
-	}
-}
