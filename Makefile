@@ -47,11 +47,12 @@ benchsmoke:
 # guard, the assignment solver fresh and reused), of the LSEI prefilter
 # alone and of a warm search behind it with pooled σ slabs (one- and
 # five-entity queries each), of the type LSEI build (its frequent-type
-# filter count alone and the whole build) and of the query-resolution pair
+# filter count alone and the whole build), of the column key-group builds
+# (by type set and by entity, over a whole lake) and of the query-resolution pair
 # (ParseQuery over 10k/100k entities, AddEntity's label-index upkeep), so
 # one that panics or no longer compiles fails the gate instead of rotting.
 benchrun:
-	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|SearchWarm|BuildTypeLSEI|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
+	$(GO) test -run '^$$' -bench 'TableScoring|ScoreTable|SearchTopK|SigmaRow|MappingWideQuery|Maximize|Solver|Candidates|SearchWarm|BuildTypeLSEI|BuildKeyGroups|ParseQuery|AddEntity' -benchtime 1x . ./internal/hungarian ./internal/core ./internal/kg
 
 # Line counts quoted by simplicity entries in CHANGES.md: non-test Go
 # outside bench/, then the root package's non-test Go. Not part of check.
@@ -68,7 +69,7 @@ check: fmt vet build race linkcheck benchsmoke benchrun
 # as a fast regression suite. Live exploration happens in CI and via
 # `go test -fuzz <Target> <pkg>`.
 fuzz:
-	$(GO) test -run '^Fuzz' ./internal/atomicio ./internal/bm25 ./internal/core ./internal/kg ./internal/server
+	$(GO) test -run '^Fuzz' ./internal/atomicio ./internal/bm25 ./internal/core ./internal/kg ./internal/server ./internal/table
 
 # Fault-injection and corruption-matrix suite (docs/RELIABILITY.md): every
 # test named Corrupt* or Fault* — corrupt embedding stores, injected

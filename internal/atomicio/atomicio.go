@@ -37,7 +37,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 type CRCWriter struct {
 	W   io.Writer
 	crc uint32
-	n   uint64
 }
 
 // NewCRCWriter wraps w.
@@ -47,12 +46,8 @@ func NewCRCWriter(w io.Writer) *CRCWriter { return &CRCWriter{W: w} }
 func (cw *CRCWriter) Write(p []byte) (int, error) {
 	n, err := cw.W.Write(p)
 	cw.crc = crc32.Update(cw.crc, castagnoli, p[:n])
-	cw.n += uint64(n)
 	return n, err
 }
-
-// Count returns the number of bytes written so far.
-func (cw *CRCWriter) Count() uint64 { return cw.n }
 
 // WriteSum appends the running checksum (little-endian uint32) to the
 // underlying writer, sealing the section. The sum bytes themselves are not

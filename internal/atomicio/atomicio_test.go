@@ -18,8 +18,8 @@ func TestCRCSectionRoundTrip(t *testing.T) {
 	if err := cw.WriteSum(); err != nil {
 		t.Fatal(err)
 	}
-	if cw.Count() != 11 {
-		t.Errorf("Count = %d, want 11", cw.Count())
+	if buf.Len() != 11+4 {
+		t.Errorf("section is %d bytes, want 11 and a 4-byte sum", buf.Len())
 	}
 	cr := NewCRCReader(&buf)
 	got := make([]byte, 11)

@@ -8,6 +8,7 @@ import (
 	"thetis/internal/core"
 	"thetis/internal/datagen"
 	"thetis/internal/lake"
+	"thetis/internal/table"
 )
 
 var (
@@ -52,6 +53,32 @@ func BenchmarkBuildTypeLSEI(b *testing.B) {
 			core.BuildTypeLSEI(l, tj, cfg)
 		}
 	})
+}
+
+// BenchmarkBuildKeyGroups times summarizing every table of benchBuildLake by
+// column key groups, the build a table pays on its first read under a σ:
+// "types" keys its cells by interned type set (type σ, lake.KeyGroups),
+// "entities" by entity (every other σ, and type σ's identity correction:
+// lake.ColumnIndex). One op is the whole lake.
+func BenchmarkBuildKeyGroups(b *testing.B) {
+	l, tj := benchBuildLake()
+	typeKey := tj.Key
+	for _, keying := range []struct {
+		name  string
+		build func(*table.Table)
+	}{
+		{"types", func(t *table.Table) { table.BuildKeyGroups(t, typeKey) }},
+		{"entities", func(t *table.Table) { table.BuildColumnIndex(t) }},
+	} {
+		b.Run(keying.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				for _, t := range l.Tables() {
+					keying.build(t)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSearchWarm times a warm type-σ search behind the LSEI prefilter —

@@ -20,6 +20,10 @@ func (x *LSEI) BucketsOf(sig []uint32) [][]uint32 {
 	return x.index.Buckets(context.Background(), sig, nil)
 }
 
+// Key is tj's keying of an entity by interned type set, the key type σ's
+// column key groups are built under.
+func (tj *TypeJaccard) Key(e kg.EntityID) uint32 { return tj.key(e) }
+
 // RandomCorpus is randomCorpus: a seeded random lake over a random typed
 // graph.
 var RandomCorpus = randomCorpus

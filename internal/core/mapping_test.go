@@ -93,7 +93,7 @@ func TestHungarianDominatesGreedyOnAssignmentTotal(t *testing.T) {
 		if tb.NumRows() == 0 {
 			continue
 		}
-		sc.sigmaPass(bareView(sc, tb, nil))
+		sc.sigmaPass(bareView(sc, tb))
 		hTotal := sc.mapColumns(0)
 		S := greedy.Matrix(tb, q[0])
 		if gTotal := hungarian.TotalScore(S, oracle.Greedy(S)); gTotal > hTotal+1e-9 {

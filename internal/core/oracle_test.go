@@ -53,7 +53,7 @@ func oracleRanking(eng *Engine, q Query, candidates []lake.TableID) []Result {
 		if tb == nil || tb.NumRows() == 0 || tb.NumColumns() == 0 {
 			continue
 		}
-		sc.scoreBare(tb, nil)
+		sc.scoreBare(tb)
 		if s := oracleScore(c, q, tb, sc.assignment); s > 0 {
 			out = append(out, Result{Table: tid, Score: s})
 		}
@@ -109,7 +109,7 @@ func checkReading(eng *Engine, q Query, r oracle.Config, got []Result) error {
 		if tb.NumRows() == 0 || tb.NumColumns() == 0 {
 			continue
 		}
-		sc.scoreBare(tb, nil)
+		sc.scoreBare(tb)
 		e := engine[tid]
 		a, mu := r.Score(tb, oq)
 		if (a > 0) != (e > 0) {

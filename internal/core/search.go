@@ -58,27 +58,19 @@ func (eng *Engine) newSigmaCache(q Query, slab *sigmaSlab) *SigmaCache {
 }
 
 // viewOf returns what scoreTable reads of table tid of l under c's σ, or
-// false for a removed or unknown table. Under a keyed σ that is the table's
-// key groups, memoized on the lake per σ, and, when holds (some query
-// entity is in the table, so its σ pass needs scorer.identity), its column
-// index; under any other σ the column index and the row count.
+// false for a removed or unknown table. Keyed by entity that is the table's
+// groups by entity (lake.ColumnIndex). Under a key space of the σ's own it
+// is the table's key groups, memoized on the lake per σ, and, when holds
+// (some query entity is in the table, so its σ pass needs
+// scorer.identity), its groups by entity.
 func viewOf(l *lake.Lake, c *SigmaCache, tid lake.TableID, holds bool) (tableView, bool) {
-	if c.keyed != nil {
-		g := l.KeyGroups(tid, c.keyed, c.keyOf)
-		if g == nil {
-			return tableView{}, false
-		}
-		v := tableView{rows: g.NumRows, groups: g}
-		if holds {
-			v.ci = l.ColumnIndex(tid)
-		}
-		return v, true
+	var v tableView
+	if c.self == nil {
+		v.groups = l.ColumnIndex(tid)
+	} else if v.groups = l.KeyGroups(tid, c.keyed, c.keyOf); holds {
+		v.ci = l.ColumnIndex(tid)
 	}
-	t := l.Table(tid)
-	if t == nil {
-		return tableView{}, false
-	}
-	return tableView{rows: t.NumRows(), ci: l.ColumnIndex(tid)}, true
+	return v, v.groups != nil
 }
 
 // holdsAny reports whether table tid of l mentions one of entities, from
@@ -168,16 +160,16 @@ type Stats struct {
 	// are zero on a batch member answered from an earlier, equal query of
 	// the same batch (nothing is scored). Their sum is the total number of
 	// σ lookups the scoring stage issued through the cache: per table, one
-	// per (distinct query entity, distinct entity of a column), or under
-	// type σ, which the cache keys by interned type set, one per
-	// (distinct query entity, type set of a column) — MAX aggregation and
-	// repeated tuples read the table's one σ pass, not the cache, and a
-	// type-σ table that holds a query entity corrects that entity's own
-	// cells to σ = 1 from the table's column index, without a lookup. A
-	// miss fills one cache cell: a (query entity, corpus entity) pair, or
-	// under type σ a (query entity, type set) pair, so a type-σ search
-	// misses at most once per distinct query entity and type set (plus
-	// racing fills).
+	// per (distinct query entity, key group of a column), where a group is
+	// one of the column's distinct entities, or under type σ, which the
+	// cache keys by interned type set, one of its type sets — MAX
+	// aggregation and repeated tuples read the table's one σ pass, not the
+	// cache, and a type-σ table that holds a query entity corrects that
+	// entity's own cells to σ = 1 from the table's groups by entity,
+	// without a lookup. A miss fills one cache cell: a (query entity,
+	// corpus entity) pair, or under type σ a (query entity, type set) pair,
+	// so a type-σ search misses at most once per distinct query entity and
+	// type set (plus racing fills).
 	SigmaHits, SigmaMisses int64
 	// ShardErrors explains, in human-readable form, why shard legs of a
 	// scatter-gather search contributed nothing: a contained panic, a
@@ -275,9 +267,9 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 	// this search so each distinct (query entity, cell entity) pair is
 	// scored exactly once per query.
 	sigma := eng.newSigmaCache(q, slab)
-	// Under a keyed σ, the tables that hold a query entity are marked once
-	// for the workers, from the lake's posting lists.
-	if sigma.keyed != nil {
+	// Under a key space of the σ's own, the tables that hold a query entity
+	// are marked once for the workers, from the lake's posting lists.
+	if sigma.self != nil {
 		slab.holders.mark(eng.Lake, sigma.entities)
 	}
 	// floor is the k-th best score the workers have found so far; tables
@@ -432,15 +424,15 @@ func (eng *Engine) searchCandidates(ctx context.Context, q Query, candidates []l
 // ScoreTable computes SemRel(Q, T) for a single table, returning the score
 // and the time spent in the column-mapping step (the microbenchmark of
 // Section 7.3), timed exactly. It shares the search path's memoization
-// (query-scoped σ cache, column pre-aggregation, key groups) and its σ
-// pass, so its score is bit-identical to the one the same table earns
-// inside Search. A removed or unknown table scores 0, as a stale candidate
-// does inside Search.
+// (query-scoped σ cache, column key groups) and its σ pass, so its score
+// is bit-identical to the one the same table earns inside Search. A
+// removed or unknown table scores 0, as a stale candidate does inside
+// Search.
 func (eng *Engine) ScoreTable(q Query, tid lake.TableID) (float64, time.Duration) {
 	slab := takeSigmaSlab()
 	defer sigmaSlabs.Put(slab)
 	c := eng.newSigmaCache(q, slab)
-	v, ok := viewOf(eng.Lake, c, tid, c.keyed != nil && holdsAny(eng.Lake, c.entities, tid))
+	v, ok := viewOf(eng.Lake, c, tid, c.self != nil && holdsAny(eng.Lake, c.entities, tid))
 	if !ok {
 		return 0, 0
 	}

@@ -130,57 +130,41 @@ func newScorer(q Query, inf Informativeness, agg Aggregation, shared *SigmaCache
 	return s
 }
 
-// cell returns cell (di, key) of the search's cache for target, whose row
-// is key, filling it on a miss: the one-cell read wherever the dense array
-// does not cover the row.
-func (s *scorer) cell(di int, key, target uint32) float64 {
+// cell returns cell (di, key) of the search's cache, filling it on a miss:
+// the one-cell read wherever the dense array does not cover the row.
+func (s *scorer) cell(di int, key uint32) float64 {
 	if v, ok := s.shared.get(di, key); ok {
 		s.hits++
 		return v
 	}
 	s.misses++
-	return s.shared.put(di, key, target)
+	return s.shared.put(di, key)
 }
 
-// readSigmas returns σ(distinct[di], target) for every distinct query
-// entity at once under an un-keyed σ, whose rows are corpus entities, in
-// scorer scratch valid until the next call: the dense row through
-// readRow, and otherwise — the sharded cache, an entity interned after
-// the cache was sized — cell by cell.
-func (s *scorer) readSigmas(target uint32) []float64 {
-	if key, dense := s.shared.rowKey(target); dense {
-		return s.readRow(key, target)
-	}
-	out := s.sigmas
-	for di := range out {
-		out[di] = s.cell(di, target, target)
-	}
-	return out
-}
-
-// keyRow returns row key of a keyed σ's cache — σ(distinct[di], e) for
-// every entity e ≠ distinct[di] with that key — in scorer scratch valid
-// until the next call: the dense row through readRow, and cell by cell in
-// sharded mode. It carries no identity: the σ pass corrects a query
-// entity's own cells itself (identity).
+// keyRow returns row key of the search's cache — σ(distinct[di], e) for
+// every entity e with that key, or under a σ with a key space of its own
+// every such e ≠ distinct[di] — in scorer scratch valid until the next
+// call: the dense row through readRow, and otherwise (the sharded cache, an
+// entity interned after an entity-keyed cache was sized) cell by cell. It
+// carries no identity: the σ pass corrects a query entity's own cells
+// itself where its σ needs that (identity).
 func (s *scorer) keyRow(key uint32) []float64 {
 	if int(key) < s.shared.n {
-		return s.readRow(key, 0)
+		return s.readRow(key)
 	}
 	out := s.sigmas
 	for di := range out {
-		out[di] = s.cell(di, key, 0)
+		out[di] = s.cell(di, key)
 	}
 	return out
 }
 
-// readRow reads dense row key, whose cells are target's σ (target is unused
-// under a keyed σ), for every slot: it takes the row through
+// readRow reads dense row key for every slot: it takes the row through
 // SigmaCache.row, which resets it if its stamp is stale, and indexes it
 // directly — the atomics and the hit/miss counting of get/put, one count
 // per cell, without a call per cell — and hands the cells it found empty,
 // still marked with sigmaUnset's bits, to fillRow in one call.
-func (s *scorer) readRow(key, target uint32) []float64 {
+func (s *scorer) readRow(key uint32) []float64 {
 	out := s.sigmas
 	c := s.shared
 	cells := c.row(key)
@@ -195,27 +179,19 @@ func (s *scorer) readRow(key, target uint32) []float64 {
 	s.hits += int64(len(out)) - missed
 	if missed > 0 {
 		s.misses += missed
-		c.fillRow(key, target, out)
+		c.fillRow(key, out)
 	}
 	return out
 }
 
-// tableView is what scoreTable reads of one table. Under a keyed σ that is
-// the table's column key groups (lake.KeyGroups) and, only when some query
-// entity sits in the table, its column index, for the identity correction;
-// under any other σ, the column index and the row count.
+// tableView is what scoreTable reads of one table: its column key groups
+// under the σ's keying (lake.ColumnIndex by entity, lake.KeyGroups under a
+// key space of the σ's own) and, only under a key space of the σ's own and
+// when some query entity sits in the table, its groups by entity, for the
+// identity correction.
 type tableView struct {
-	rows   int
-	groups *table.KeyGroups   // keyed σ
-	ci     *table.ColumnIndex // un-keyed σ; under a keyed σ nil unless a query entity is in the table
-}
-
-// numColumns returns the table's column count.
-func (v tableView) numColumns() int {
-	if v.groups != nil {
-		return v.groups.NumColumns()
-	}
-	return len(v.ci.Cols)
+	groups *table.KeyGroups
+	ci     *table.KeyGroups // by entity; nil unless the pass needs identity
 }
 
 // scoreTable computes SemRel(Q, T) per Algorithm 1 and returns the score
@@ -231,7 +207,7 @@ func (v tableView) numColumns() int {
 // upperBound shows cannot reach the search's floor returns 0 without being
 // mapped or scored.
 func (s *scorer) scoreTable(v tableView, timed bool) (float64, time.Duration) {
-	if v.rows == 0 || v.numColumns() == 0 {
+	if v.groups.NumRows == 0 || v.groups.NumColumns() == 0 {
 		return 0, 0
 	}
 	var start time.Time
@@ -258,7 +234,7 @@ func (s *scorer) scoreTable(v tableView, timed bool) (float64, time.Duration) {
 	total := 0.0
 	for ti := range s.q {
 		if s.mapped[ti] {
-			total += s.tupleScore(ti, v.rows, s.assignment[ti])
+			total += s.tupleScore(ti, v.groups.NumRows, s.assignment[ti])
 		}
 	}
 	return total / float64(len(s.q)), mappingTime
@@ -279,14 +255,15 @@ func since(start time.Time) time.Duration {
 // query entity's best column score for upperBound: the aggregate
 // (aggregateColumn), from 0, taken in column order.
 //
-// Under a keyed σ the pass reads each column by key group: one cache row
-// per (column, key), added count × σ in group order — Σ count × σ per key,
-// where the cells themselves would add σ per cell. A query entity's own
-// cells read its key's value there, which identity then corrects to σ = 1.
-// Under any other σ it reads one cache row per distinct entity of each
-// column, added count × σ in ColumnIndex order.
+// The pass reads each column by key group: one cache row per (column, key),
+// added count × σ in group order — Σ count × σ per key, where the cells
+// themselves would add σ per cell. Keyed by entity, a group is one of the
+// column's distinct entities. Under a key space of the σ's own, a query
+// entity's own cells read its key's value, which identity then corrects to
+// σ = 1.
 func (s *scorer) sigmaPass(v tableView) {
-	d, cols := len(s.distinct), v.numColumns()
+	g := v.groups
+	d, cols := len(s.distinct), g.NumColumns()
 	s.cols = cols
 	if cap(s.sums) < d*cols {
 		s.sums, s.maxes = make([]float64, d*cols), make([]float64, d*cols)
@@ -298,22 +275,15 @@ func (s *scorer) sigmaPass(v tableView) {
 		for di := range colSum {
 			colSum[di], colMax[di] = 0, 0
 		}
-		if g := v.groups; g != nil {
-			for i := g.Offsets[j]; i < g.Offsets[j+1]; i++ {
-				addRow(colSum, colMax, float64(g.Counts[i]), s.keyRow(g.Keys[i]))
-			}
-			if v.ci != nil {
-				s.identity(&v.ci.Cols[j])
-			}
-		} else {
-			cs := &v.ci.Cols[j]
-			for i, e := range cs.Entities {
-				addRow(colSum, colMax, float64(cs.Counts[i]), s.readSigmas(uint32(e)))
-			}
+		for i := g.Offsets[j]; i < g.Offsets[j+1]; i++ {
+			addRow(colSum, colMax, float64(g.Counts[i]), s.keyRow(g.Keys[i]))
+		}
+		if v.ci != nil {
+			s.identity(v.ci, j)
 		}
 		for di := range colSum {
 			s.sums[di*cols+j], s.maxes[di*cols+j] = colSum[di], colMax[di]
-			s.best[di] = max(s.best[di], s.aggregateColumn(di, j, v.rows))
+			s.best[di] = max(s.best[di], s.aggregateColumn(di, j, g.NumRows))
 		}
 	}
 }
@@ -329,15 +299,16 @@ func addRow(colSum, colMax []float64, count float64, row []float64) {
 	}
 }
 
-// identity applies σ(e, e) = 1 to the current column under a keyed σ, whose
-// key rows hold Equation 4 for e' ≠ e only: for each query entity among the
-// column's entities (cs, the column's ColumnIndex entry), the count cells it
-// occupies were added at its key's value (SigmaCache.self), so the sum
-// gains count × (1 − self), and the maximum becomes 1.
-func (s *scorer) identity(cs *table.ColumnEntityStats) {
-	for i, e := range cs.Entities {
-		if di := slices.Index(s.distinct, e); di >= 0 {
-			s.colSum[di] += float64(cs.Counts[i]) * (1 - s.shared.self[di])
+// identity applies σ(e, e) = 1 to column j under a key space of the σ's
+// own, whose key rows hold Equation 4 for e' ≠ e only: for each query
+// entity among the column's entities (ci, the table's groups by entity),
+// the count cells it occupies were added at its key's value
+// (SigmaCache.self), so the sum gains count × (1 − self), and the maximum
+// becomes 1.
+func (s *scorer) identity(ci *table.KeyGroups, j int) {
+	for i := ci.Offsets[j]; i < ci.Offsets[j+1]; i++ {
+		if di := slices.Index(s.distinct, kgEntity(ci.Keys[i])); di >= 0 {
+			s.colSum[di] += float64(ci.Counts[i]) * (1 - s.shared.self[di])
 			s.colMax[di] = max(s.colMax[di], 1)
 		}
 	}

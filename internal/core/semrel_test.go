@@ -45,47 +45,58 @@ func raggedTables(rng *rand.Rand, g *kg.Graph, numTables int) []*table.Table {
 // sigma returns σ(distinct[di], target) read through the scorer's cache
 // cell by cell, counted as the σ pass counts its reads.
 func (s *scorer) sigma(di int, target uint32) float64 {
-	key, _ := s.shared.rowKey(target)
-	return s.shared.identity(di, target, s.cell(di, key, target))
+	return s.shared.identity(di, target, s.cell(di, s.shared.keyed.key(kgEntity(target))))
 }
 
-// bareView is what scoreTable reads of tb outside any lake: ci (a
-// transient column index when nil) and, under a keyed σ, transient key
+// bareView is what scoreTable reads of tb outside any lake: transient
+// groups by entity and, under a key space of the σ's own, transient key
 // groups, with the identity correction applied wherever a query entity is
 // in the table.
-func bareView(sc *scorer, tb *table.Table, ci *table.ColumnIndex) tableView {
-	if ci == nil {
-		ci = table.BuildColumnIndex(tb)
+func bareView(sc *scorer, tb *table.Table) tableView {
+	ci := table.BuildColumnIndex(tb)
+	if c := sc.shared; c.self != nil {
+		return tableView{groups: table.BuildKeyGroups(tb, c.keyOf), ci: ci}
 	}
-	v := tableView{rows: tb.NumRows(), ci: ci}
-	if k := sc.shared.keyed; k != nil {
-		v.groups = table.BuildKeyGroups(tb, k.key)
-	}
-	return v
+	return tableView{groups: ci}
 }
 
 // scoreBare is scoreTable over tb outside any lake (bareView), timed.
-func (s *scorer) scoreBare(tb *table.Table, ci *table.ColumnIndex) (float64, time.Duration) {
-	return s.scoreTable(bareView(s, tb, ci), true)
+func (s *scorer) scoreBare(tb *table.Table) (float64, time.Duration) {
+	return s.scoreTable(bareView(s, tb), true)
+}
+
+// halfSelf is a σ whose σ(e, e) is 0.5, not 1: every other pair reads the σ
+// it wraps. Keyed by entity, its rows hold that 0.5 like any other cell, so
+// a σ pass that lifted a query entity's own cells to 1 would be wrong for
+// it.
+type halfSelf struct{ Similarity }
+
+func (h halfSelf) Score(a, b kg.EntityID) float64 {
+	if a == b {
+		return 0.5
+	}
+	return h.Similarity.Score(a, b)
 }
 
 // TestScoreColumnsMatchesPerCellWalk pins the σ pass to the walk it
 // replaced — per (query entity, column), Σ count·σ and max σ over the
-// column's entities in ColumnIndex order, one cell at a time — with ==, in
-// every way a cell can be read: the dense array, the sharded maps, a dense
-// cache over an empty ID space ("disabled": it stores nothing, so every read
-// computes σ), a dense cache sized before the table's entities were
-// interned, and a dense cache whose rows were partly filled through
-// SigmaCache.Sigma before the pass. Hits and misses are counted per cell: a lookup misses exactly
-// when its cell was stored neither before the pass nor earlier in it. Type σ
-// runs twice: behind another type ("types"), so its rows are corpus entities
-// like any σ's, and as itself ("types-keyed"), where a cell is a (slot, type
-// set) pair shared by every entity of the set and the pass reads a column
-// by key group instead: Σ count·σ over the column's keys in group order,
-// one read per (query entity, key), plus the identity correction where a
-// query entity sits in the column. A keyed σ sizes its cache by its own key
-// space, so the modes that force a representation through the entity ID
-// space (sharded, late-entities) do not apply to it.
+// column's distinct entities in first-occurrence order, one cell at a time —
+// with ==, in every way a cell can be read: the dense array, the sharded
+// maps, a dense cache over an empty ID space ("disabled": it stores nothing,
+// so every read computes σ), a dense cache sized before the table's entities
+// were interned, and a dense cache whose rows were partly filled through
+// SigmaCache.Sigma before the pass. Hits and misses are counted per cell: a
+// lookup misses exactly when its cell was stored neither before the pass nor
+// earlier in it. Type σ runs twice: behind another type ("types"), so its
+// rows are corpus entities like any σ's, and as itself ("types-keyed"),
+// where a cell is a (slot, type set) pair shared by every entity of the set
+// and a column's groups are its type sets: Σ count·σ over the column's keys
+// in group order, one read per (query entity, key), plus the identity
+// correction where a query entity sits in the column. "half-self" is a σ
+// with σ(e, e) = 0.5, keyed by entity: its rows keep that value, with no
+// identity correction. A σ with a key space of its own sizes its cache by
+// that space, so the modes that force a representation through the entity
+// ID space (sharded, late-entities) do not apply to it.
 func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 	_, g := randomCorpus(13, 20, 150, 0, 0, 0)
 	n := g.NumEntities()
@@ -96,6 +107,7 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 		"types":       struct{ Similarity }{tj},
 		"types-keyed": tj,
 		"embeddings":  NewEmbeddingCosine(g, randomEmbeddings(rand.New(rand.NewSource(4)), g, 16)),
+		"half-self":   halfSelf{tj},
 	}
 	queries := []Query{randomQuery(rng, g, 1, 3), randomQuery(rng, g, 5, 3), randomQuery(rng, g, 3, 1)}
 
@@ -132,25 +144,19 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 						t.Fatal("oversized ID space should select the sharded representation")
 					}
 					for ti, tb := range tables {
-						v := bareView(sc, tb, nil)
-						ci := v.ci
+						v := bareView(sc, tb)
+						ci := table.BuildColumnIndex(tb)
 						// reads lists, per column, the rows the pass reads and
 						// the cells each covers: distinct entities, or under a
-						// keyed σ key groups.
+						// key space of the σ's own key groups.
 						type read struct {
 							row   uint32
 							count int32
 						}
-						reads := make([][]read, len(ci.Cols))
-						for j := range ci.Cols {
-							if g := v.groups; g != nil {
-								for i := g.Offsets[j]; i < g.Offsets[j+1]; i++ {
-									reads[j] = append(reads[j], read{g.Keys[i], g.Counts[i]})
-								}
-								continue
-							}
-							for i, e := range ci.Cols[j].Entities {
-								reads[j] = append(reads[j], read{uint32(e), ci.Cols[j].Counts[i]})
+						reads := make([][]read, ci.NumColumns())
+						for j := range reads {
+							for i := v.groups.Offsets[j]; i < v.groups.Offsets[j+1]; i++ {
+								reads[j] = append(reads[j], read{v.groups.Keys[i], v.groups.Counts[i]})
 							}
 						}
 						var wantMisses int64
@@ -161,7 +167,7 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 									cell := [2]int{di, int(r.row)}
 									if _, ok := cache.get(di, r.row); !ok && !stored[cell] {
 										wantMisses++
-										stored[cell] = cache.keyed != nil || int(r.row) < mode.cacheN
+										stored[cell] = cache.self != nil || int(r.row) < mode.cacheN
 									}
 								}
 							}
@@ -170,19 +176,20 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 						sc.sigmaPass(v)
 						misses := sc.misses - missesBefore
 						lookups, cells := sc.hits-hitsBefore+misses, 0
-						for j := range ci.Cols {
-							cs := &ci.Cols[j]
+						for j := range reads {
+							entities := ci.Keys[ci.Offsets[j]:ci.Offsets[j+1]]
 							cells += len(reads[j])
 							for di, qe := range sc.distinct {
-								for _, e := range cs.Entities {
-									if got, v := sc.sigma(di, uint32(e)), sim.Score(qe, e); got != v {
+								for _, k := range entities {
+									e := kg.EntityID(k)
+									if got, v := sc.sigma(di, k), sim.Score(qe, e); got != v {
 										t.Fatalf("q%d table %d: σ(%d,%d) reads %v after the pass, want %v", qi, ti, qe, e, got, v)
 									}
 								}
 								sum, best := 0.0, 0.0
 								for _, r := range reads[j] {
 									var v float64
-									if cache.keyed != nil {
+									if cache.self != nil {
 										v = tj.scoreKey(qe, r.row)
 									} else {
 										v = sim.Score(qe, kg.EntityID(r.row))
@@ -190,12 +197,12 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 									sum += float64(r.count) * v
 									best = max(best, v)
 								}
-								if cache.keyed != nil {
+								if cache.self != nil {
 									// Identity: the query entity's own cells read
 									// its key's value, corrected to 1.
-									for i, e := range cs.Entities {
-										if e == qe {
-											sum += float64(cs.Counts[i]) * (1 - tj.scoreKey(qe, tj.key(qe)))
+									for i, k := range entities {
+										if kg.EntityID(k) == qe {
+											sum += float64(ci.Counts[int(ci.Offsets[j])+i]) * (1 - tj.scoreKey(qe, tj.key(qe)))
 											best = max(best, 1)
 										}
 									}
@@ -224,7 +231,7 @@ func TestScoreColumnsMatchesPerCellWalk(t *testing.T) {
 					// A keyed cache spans type sets + 1 rows, whatever cacheN.
 					st := cache.Stats()
 					rows := mode.cacheN
-					if cache.keyed != nil {
+					if cache.self != nil {
 						rows = tj.NumTypeSets() + 1
 					}
 					if want := int64(st.Slots * rows); st.MemoryBytes != 8*want || st.Entries > want {
@@ -290,7 +297,7 @@ func TestScoreTableMatchesNaiveSemRel(t *testing.T) {
 						for qi, q := range queries {
 							sc := newScorer(q, inf, agg, NewSigmaCache(q, sim, g.NumEntities()))
 							for ti, tb := range tables {
-								got, _ := sc.scoreBare(tb, nil)
+								got, _ := sc.scoreBare(tb)
 								_, mu := c.Score(tb, oracle.Tuples(q))
 								for tqi, tq := range oracle.Tuples(q) {
 									S := c.Matrix(tb, tq)
@@ -395,7 +402,7 @@ func TestUpperBoundDominatesScore(t *testing.T) {
 		tb := table.New("above1", make([]string, 2))
 		tb.AppendRow([]table.Cell{table.LinkedCell("v", 2), table.LinkedCell("v", 3)})
 		sc := newScorer(q, UniformInformativeness, AggregateAvg, NewSigmaCache(q, sim, 4))
-		score, _ := sc.scoreBare(tb, nil)
+		score, _ := sc.scoreBare(tb)
 		if a := sc.assignment[0]; a[0] != 1 || a[1] != 0 || !(score < 1) {
 			t.Fatalf("assignment %v scoring %v: the fixture no longer sets the entities against each other", a, score)
 		}
@@ -417,7 +424,7 @@ func TestUpperBoundDominatesScore(t *testing.T) {
 						for qi, q := range queries {
 							sc := newScorer(q, inf, boundAgg, NewSigmaCache(q, sim, g.NumEntities()))
 							for ti, tb := range tables {
-								score, _ := sc.scoreBare(tb, nil)
+								score, _ := sc.scoreBare(tb)
 								ub := sc.upperBound()
 								if !paperCell(mode, mapping) {
 									reading, _ := c.Score(tb, oracle.Tuples(q))
@@ -530,7 +537,7 @@ func BenchmarkSearchTopK(b *testing.B) {
 	eng.Parallelism = 1
 	for _, k := range []int{10, -1} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			want, _ := eng.Search(q, k) // warm-up: column indexes built
+			want, _ := eng.Search(q, k) // warm-up: column key groups built
 			pruned := 0
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -41,20 +41,22 @@ const (
 // discarded with it — no invalidation, since σ is deterministic and
 // immutable for the life of a search.
 //
-// Key space: a target entity's row is its key. For most σ the key is the
-// corpus entity ID itself, so the space is the corpus entity ID space. A
-// keyedSimilarity names its own, smaller space: TypeJaccard keys a target
-// by its interned type set, so a type-σ search keeps slots × (type sets + 1)
-// cells whatever the size of the KG. A keyed row is shared by every entity
-// of the set, so it holds Equation 4's value for non-identical entities, and
-// σ(e, e) = 1 is laid over the cell read, never stored (identity).
+// Key space: a target entity's row is its key under the σ's keying
+// (keyedSimilarity), and the cache needs nothing else. For most σ the key is
+// the corpus entity ID itself (entityKeys), so the space is the corpus
+// entity ID space. A σ with a key space of its own names a smaller one:
+// TypeJaccard keys a target by its interned type set, so a type-σ search
+// keeps slots × (type sets + 1) cells whatever the size of the KG. Such a
+// row is shared by every entity of the set, so it holds Equation 4's value
+// for non-identical entities, and σ(e, e) = 1 is laid over the cell read,
+// never stored (identity, and scorer.identity in the σ pass).
 //
 // Representation: each distinct query entity owns a slot; small key spaces
 // get one dense key-major array of float64 bits — cell (slot, key) lives at
-// key·slots + slot, so the σ of every query entity against one target are
-// adjacent, which is how the scorer reads them (one row per column entity,
-// scorer.readSigmas, or per column key, scorer.keyRow) — updated with lock-free atomics (racing workers write
-// the same bits, so the last write is as good as the first). An engine
+// key·slots + slot, so the σ of every query entity against one key are
+// adjacent, which is how the scorer reads them (one row per column key
+// group, scorer.keyRow) — updated with lock-free atomics (racing workers
+// write the same bits, so the last write is as good as the first). An engine
 // search draws that array from a pooled slab (sigmaSlab) instead of
 // allocating it, and a row is valid only under the search's generation
 // stamp: the first reader of a stale row resets it (row). The scorer's
@@ -65,18 +67,20 @@ const (
 //
 // A SigmaCache is safe for concurrent use.
 type SigmaCache struct {
-	sim      Similarity
 	entities []kg.EntityID // distinct query entities, by slot
 	n        int           // rows of the dense array: the key space; 0 in sharded mode
 
 	dense  []uint64 // n × slots cells, key-major (dense mode); nil in sharded mode
 	stamps []uint32 // stamps[key] == gen: dense row key belongs to this cache
 	gen    uint32
-	keyed  keyedSimilarity // the σ as a keyedSimilarity; nil for an un-keyed σ
+	// keyed is the σ as a keyedSimilarity: itself if it has a key space of
+	// its own, entityKeys over the corpus otherwise.
+	keyed keyedSimilarity
 	// keyOf is keyed's key, as the function value lake.KeyGroups takes, and
 	// self[slot] the cell of the slot's query entity in its own key's row:
 	// the value a σ pass reads for the entity's own cells before
-	// scorer.identity lifts them to 1. Both nil for an un-keyed σ.
+	// scorer.identity lifts them to 1. Both nil under entityKeys, whose rows
+	// hold σ(e, e) like any other cell.
 	keyOf func(kg.EntityID) uint32
 	self  []float64
 	// shards are the sharded mode's maps, nil in dense mode: newSigmaCache
@@ -120,7 +124,7 @@ type sigmaSlab struct {
 	cells  []uint64
 	stamps []uint32
 	// holders marks the tables that hold a query entity of the slab's
-	// search, under a keyed σ (searchCandidates).
+	// search, under a σ with a key space of its own (searchCandidates).
 	holders tableMarks
 }
 
@@ -190,27 +194,21 @@ func NewSigmaCache(q Query, sim Similarity, numEntities int) *SigmaCache {
 // the caller must not hand to another cache while this one is in use.
 func newSigmaCache(q Query, sim Similarity, numEntities int, slab *sigmaSlab) *SigmaCache {
 	distinct := q.DistinctEntities()
-	keyed, _ := sim.(keyedSimilarity)
-	if keyed != nil {
-		numEntities = keyed.numKeys()
-	}
-	c := &SigmaCache{
-		sim:      sim,
-		entities: distinct,
-		keyed:    keyed,
-	}
-	if keyed != nil {
-		c.keyOf = keyed.key
+	c := &SigmaCache{entities: distinct}
+	if keyed, ok := sim.(keyedSimilarity); ok {
+		c.keyed, c.keyOf = keyed, keyed.key
 		c.self = make([]float64, len(distinct))
 		for slot, e := range distinct {
 			c.self[slot] = keyed.scoreKey(e, keyed.key(e))
 		}
+	} else {
+		c.keyed = entityKeys{sim, numEntities}
 	}
-	if int64(len(distinct))*int64(numEntities)*8 <= maxSigmaDenseBytes {
-		slab.use(len(distinct), numEntities)
-		c.n = numEntities
-		c.dense = slab.cells[:len(distinct)*numEntities]
-		c.stamps = slab.stamps[:numEntities]
+	if n := c.keyed.numKeys(); int64(len(distinct))*int64(n)*8 <= maxSigmaDenseBytes {
+		slab.use(len(distinct), n)
+		c.n = n
+		c.dense = slab.cells[:len(distinct)*n]
+		c.stamps = slab.stamps[:n]
 		c.gen = slab.gen
 		if ec, ok := sim.(*EmbeddingCosine); ok {
 			c.cosine = newCosineRow(ec, distinct)
@@ -236,20 +234,6 @@ func (c *SigmaCache) Dense() bool { return c.shards == nil }
 // shards.
 func (c *SigmaCache) shard(key uint64) *sigmaShard {
 	return &c.shards[(key*0x9E3779B97F4A7C15)>>58&(sigmaShards-1)]
-}
-
-// rowKey returns the row that holds target's σ: its key under a keyed σ,
-// which covers every entity, and otherwise the entity itself. dense reports
-// whether the row is in the dense array: false in sharded mode, and for an
-// entity interned after an un-keyed cache was sized, whose cells are not
-// stored at all.
-func (c *SigmaCache) rowKey(target uint32) (key uint32, dense bool) {
-	if c.keyed != nil {
-		key = c.keyed.key(kgEntity(target))
-	} else {
-		key = target
-	}
-	return key, int(key) < c.n
 }
 
 // row returns the dense cells of row key, one per slot; key must be below
@@ -292,12 +276,11 @@ func (c *SigmaCache) get(slot int, key uint32) (float64, bool) {
 	return v, ok
 }
 
-// put computes cell (slot, key) for target, whose row is key, on a miss,
-// memoizes it where the cache has room for it, and returns it. Racing puts
-// store identical bits (σ is deterministic), so no compare-and-swap is
-// needed.
-func (c *SigmaCache) put(slot int, key, target uint32) float64 {
-	v := c.cell(slot, key, target)
+// put computes cell (slot, key) on a miss, memoizes it where the cache has
+// room for it, and returns it. Racing puts store identical bits (σ is
+// deterministic), so no compare-and-swap is needed.
+func (c *SigmaCache) put(slot int, key uint32) float64 {
+	v := c.keyed.scoreKey(c.entities[slot], key)
 	if int(key) < c.n {
 		atomic.StoreUint64(&c.row(key)[slot], math.Float64bits(v))
 	} else if c.shards != nil {
@@ -312,8 +295,7 @@ func (c *SigmaCache) put(slot int, key, target uint32) float64 {
 
 // lookup returns the memoized σ for (slot, target), if present.
 func (c *SigmaCache) lookup(slot int, target uint32) (float64, bool) {
-	key, _ := c.rowKey(target)
-	v, ok := c.get(slot, key)
+	v, ok := c.get(slot, c.keyed.key(kgEntity(target)))
 	if !ok {
 		return 0, false
 	}
@@ -323,25 +305,15 @@ func (c *SigmaCache) lookup(slot int, target uint32) (float64, bool) {
 // fill computes σ for (slot, target) on a lookup miss, memoizes it, and
 // returns it.
 func (c *SigmaCache) fill(slot int, target uint32) float64 {
-	key, _ := c.rowKey(target)
-	return c.identity(slot, target, c.put(slot, key, target))
+	return c.identity(slot, target, c.put(slot, c.keyed.key(kgEntity(target))))
 }
 
-// cell is the value cell (slot, key) holds for target, whose row is key:
-// scoreKey under a keyed σ, which is Score unless the query entity is
-// target itself, and Score otherwise.
-func (c *SigmaCache) cell(slot int, key, target uint32) float64 {
-	if c.keyed != nil {
-		return c.keyed.scoreKey(c.entities[slot], key)
-	}
-	return c.sim.Score(c.entities[slot], kgEntity(target))
-}
-
-// identity returns v, a cell of target's row read for slot, as σ: 1 when a
-// keyed cache's query entity is target itself, since a keyed row is shared
-// by every entity with target's key and cannot hold σ(e, e).
+// identity returns v, a cell of target's row read for slot, as σ: 1 when the
+// query entity is target itself under a σ with a key space of its own,
+// whose row is shared by every entity with target's key and cannot hold
+// σ(e, e).
 func (c *SigmaCache) identity(slot int, target uint32, v float64) float64 {
-	if c.keyed != nil && c.entities[slot] == kgEntity(target) {
+	if c.self != nil && c.entities[slot] == kgEntity(target) {
 		return 1
 	}
 	return v
@@ -349,19 +321,19 @@ func (c *SigmaCache) identity(slot int, target uint32, v float64) float64 {
 
 // fillRow computes the cells of row key that out, one value per slot, marks
 // with sigmaUnset's bits, stores them, and leaves them in out; the other
-// values of out are left as they are. key is target's row (rowKey). Over an
-// EmbeddingCosine that is the row kernel (cosineRow.fill); any other σ is
-// called once per marked cell. Under a keyed σ, out then holds the row's
-// cells, without identity.
-func (c *SigmaCache) fillRow(key, target uint32, out []float64) {
+// values of out are left as they are. Over an EmbeddingCosine, keyed by
+// entity, that is the row kernel (cosineRow.fill); any other σ is called
+// once per marked cell (scoreKey). out then holds the row's cells, without
+// identity.
+func (c *SigmaCache) fillRow(key uint32, out []float64) {
 	cells := c.row(key)
 	if c.cosine.ec != nil {
-		c.cosine.fill(kgEntity(target), c.entities, out, cells)
+		c.cosine.fill(kgEntity(key), c.entities, out, cells)
 		return
 	}
 	for di := range out {
 		if math.Float64bits(out[di]) == sigmaUnset {
-			out[di] = c.cell(di, key, target)
+			out[di] = c.keyed.scoreKey(c.entities[di], key)
 			atomic.StoreUint64(&cells[di], math.Float64bits(out[di]))
 		}
 	}
@@ -395,11 +367,12 @@ func (c *SigmaCache) addCounts(hits, misses int64) {
 type SigmaCacheStats struct {
 	// Hits and Misses count lookups served from and filled into the
 	// cache: Sigma calls, plus what the engine's scorers batch in — one
-	// lookup per (distinct query entity, distinct column entity) per
-	// table scored, or under a σ with its own key space one per (distinct
-	// query entity, column key). Under concurrent workers Misses can slightly exceed
-	// the number of distinct pairs: two workers may race to fill the same
-	// cell, each counting one miss while storing identical values.
+	// lookup per (distinct query entity, column key group) per table
+	// scored: a distinct entity of the column, or under a σ with its own
+	// key space a distinct key. Under concurrent workers Misses can
+	// slightly exceed the number of distinct pairs: two workers may race
+	// to fill the same cell, each counting one miss while storing
+	// identical values.
 	Hits, Misses int64
 	// Entries is the number of memoized cells currently stored: (query
 	// entity, corpus entity) pairs, or (query entity, key) pairs under a σ

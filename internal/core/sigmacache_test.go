@@ -138,7 +138,7 @@ func TestSigmaCacheDifferentialBattery(t *testing.T) {
 								for tid := lake.TableID(0); tid < 5; tid++ {
 									score, _ := eng.ScoreTable(q, tid)
 									sc := newScorer(q, eng.Inf, agg, NewSigmaCache(q, sim, g.NumEntities()))
-									sc.scoreBare(l.Table(tid), nil)
+									sc.scoreBare(l.Table(tid))
 									if want := oracleScore(c, q, l.Table(tid), sc.assignment); !oracle.Agree(agg == AggregateAvg, score, want) {
 										t.Fatalf("q%d table %d: ScoreTable %v, oracle %v", qi, tid, score, want)
 									}
@@ -207,7 +207,7 @@ func TestCosineRowMatchesScore(t *testing.T) {
 				for di := range out {
 					out[di] = math.Float64frombits(sigmaUnset)
 				}
-				c.fillRow(uint32(target), uint32(target), out)
+				c.fillRow(uint32(target), out)
 				for di, qe := range c.entities {
 					want := ec.Score(qe, target)
 					if math.Float64bits(out[di]) != math.Float64bits(want) {
@@ -281,14 +281,13 @@ func TestTypeSigmaKeyMatchesScore(t *testing.T) {
 				prev := newSigmaCache(other, tj, n, slab)
 				sc := newScorer(other, UniformInformativeness, AggregateMax, prev)
 				for target := 0; target < n; target++ {
-					key, _ := prev.rowKey(uint32(target))
-					sc.keyRow(key)
+					sc.keyRow(prev.keyed.key(kg.EntityID(target)))
 				}
 				before = slices.Clone(slab.cells)
 			}
 			c := newSigmaCache(q, tj, n, slab)
-			if c.keyed == nil || c.n != tj.NumTypeSets()+1 {
-				t.Fatalf("type σ cache spans %d rows (keyed %v), want %d type sets + 1", c.n, c.keyed != nil, tj.NumTypeSets())
+			if c.self == nil || c.n != tj.NumTypeSets()+1 {
+				t.Fatalf("type σ cache spans %d rows (keyed by type set %v), want %d type sets + 1", c.n, c.self != nil, tj.NumTypeSets())
 			}
 			if st := c.Stats(); st.MemoryBytes != int64(st.Slots*c.n*8) {
 				t.Fatalf("memory %d bytes, want slots × keys × 8 = %d", st.MemoryBytes, st.Slots*c.n*8)
@@ -298,8 +297,7 @@ func TestTypeSigmaKeyMatchesScore(t *testing.T) {
 				for target := kg.EntityID(0); int(target) < n; target++ {
 					var row []float64
 					if rowsFirst == (pass == 0) {
-						key, _ := c.rowKey(uint32(target))
-						row = slices.Clone(sc.keyRow(key))
+						row = slices.Clone(sc.keyRow(c.keyed.key(target)))
 					}
 					for di, a := range sc.distinct {
 						want := tj.Score(a, target)
@@ -380,8 +378,7 @@ func BenchmarkSigmaRow(b *testing.B) {
 						out[di] = math.Float64frombits(sigmaUnset)
 					}
 					target := uint32(i % n)
-					key, _ := c.rowKey(target)
-					c.fillRow(key, target, out)
+					c.fillRow(c.keyed.key(kgEntity(target)), out)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*d), "ns/cell")
 			})

@@ -12,6 +12,7 @@ import (
 
 	"thetis/internal/embedding"
 	"thetis/internal/kg"
+	"thetis/internal/table"
 )
 
 // Similarity is the entity semantic similarity σ : N × N → [0, 1] of
@@ -28,18 +29,39 @@ type Similarity interface {
 }
 
 // keyedSimilarity is a Similarity whose value for a ≠ b depends on b only
-// through a key from a space of numKeys values, far smaller than the entity
-// space: scoreKey(a, key(b)) == Score(a, b) bit for bit whenever a ≠ b. The
-// dense σ cache then keeps one row per key instead of one per corpus entity
-// (SigmaCache), and the scorer supplies σ(a, a) = 1 itself, since a keyed
-// row is shared by every entity with that key. key must map every entity ID,
-// including ones interned after the σ was built, into [0, numKeys).
-// TypeJaccard is one, keyed by interned type set.
+// through a key from a space of numKeys values: scoreKey(a, key(b)) ==
+// Score(a, b) bit for bit whenever a ≠ b. The σ cache keeps one row per key
+// (SigmaCache), and the σ pass reads a column by key group. Every σ is read
+// through one: a σ without a key space of its own is keyed by entity
+// (entityKeys). A σ with one, such as TypeJaccard, keyed by interned type
+// set, shares a row between every entity with that key, so the row cannot
+// hold σ(a, a) and the scorer supplies σ(a, a) = 1 itself. key must map every
+// entity ID, including ones interned after the σ was built, into [0,
+// numKeys), or, for entityKeys, to the entity itself.
 type keyedSimilarity interface {
 	Similarity
 	numKeys() int
 	key(e kg.EntityID) uint32
 	scoreKey(a kg.EntityID, key uint32) float64
+}
+
+// entityKeys keys a σ without a key space of its own by corpus entity, over
+// an ID space of n entities: each entity is its own key (table.EntityKey,
+// the keying of the lake's groups by entity), so a row holds σ(e, e) like
+// any other cell and needs no identity correction. An entity interned after
+// the cache was sized keys past n, where the cache stores nothing and
+// computes its cells on every read.
+type entityKeys struct {
+	Similarity
+	n int
+}
+
+func (k entityKeys) numKeys() int { return k.n }
+
+func (entityKeys) key(e kg.EntityID) uint32 { return table.EntityKey(e) }
+
+func (k entityKeys) scoreKey(a kg.EntityID, key uint32) float64 {
+	return k.Score(a, kg.EntityID(key))
 }
 
 // MaxJaccard caps the adjusted type-Jaccard similarity for non-identical

@@ -11,13 +11,24 @@ import (
 	"thetis/internal/embedding"
 	"thetis/internal/kg"
 	"thetis/internal/lake"
+	"thetis/internal/lsh"
 	"thetis/internal/obs"
 	"thetis/internal/table"
 )
 
+// collisions returns the items colliding with sig in ix, once per colliding
+// band, read through Buckets.
+func collisions(ix *lsh.Index, sig []uint32) []uint32 {
+	var bag []uint32
+	for _, bucket := range ix.Buckets(context.Background(), sig, nil) {
+		bag = append(bag, bucket...)
+	}
+	return bag
+}
+
 // naiveVote is the LSEI vote of Section 6.2 written out with maps and no
 // workspace, the oracle the pooled vote answers to: per probe signature,
-// the set of colliding items (QuerySet), the number of distinct colliding
+// the set of colliding items (collisions), the number of distinct colliding
 // items per table — an entity counts for every live table mentioning it,
 // found by scanning the tables — thresholded at
 // votes; the union over probes, sorted. It also returns the votes cast
@@ -37,8 +48,12 @@ func naiveVote(x *LSEI, sigs [][]uint32, votes int) (ids []lake.TableID, cast in
 	}
 	union := map[lake.TableID]bool{}
 	for _, sig := range sigs {
+		colliding := map[uint32]bool{}
+		for _, item := range collisions(x.index, sig) {
+			colliding[item] = true
+		}
 		bag := map[lake.TableID]int{}
-		for item := range x.index.QuerySet(sig) {
+		for item := range colliding {
 			for _, tid := range mentions[kg.EntityID(item)] {
 				bag[tid]++
 			}
@@ -217,7 +232,7 @@ func TestCandidatesMatchNaiveVote(t *testing.T) {
 					sigs := entitySigs(x, q)
 					for _, sig := range sigs {
 						seen := map[uint32]bool{}
-						for _, it := range x.index.Query(sig) {
+						for _, it := range collisions(x.index, sig) {
 							if seen[it] {
 								multiBand++
 							}

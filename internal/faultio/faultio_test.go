@@ -1,12 +1,10 @@
 package faultio
 
 import (
-	"bytes"
 	"errors"
 	"io"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestFailingReader(t *testing.T) {
@@ -34,78 +32,5 @@ func TestShortReader(t *testing.T) {
 	}
 	if string(got) != "012345" {
 		t.Fatalf("delivered %q, want first 6 bytes then clean EOF", got)
-	}
-}
-
-func TestFlipReader(t *testing.T) {
-	fr := NewFlipReader(strings.NewReader("0123456789"), 3, 0xFF)
-	got, err := io.ReadAll(fr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte("0123456789")
-	want[3] ^= 0xFF
-	if !bytes.Equal(got, want) {
-		t.Fatalf("got %q, want %q", got, want)
-	}
-
-	// Mask 0 must still change the byte.
-	fr = NewFlipReader(strings.NewReader("aaa"), 1, 0)
-	got, _ = io.ReadAll(fr)
-	if string(got) != "a\x60a" {
-		t.Fatalf("zero mask: got %q", got)
-	}
-
-	// Offset straddling two reads: flip lands in the second read.
-	fr = NewFlipReader(strings.NewReader("abcdef"), 4, 0x01)
-	buf := make([]byte, 3)
-	io.ReadFull(fr, buf)
-	io.ReadFull(fr, buf)
-	if buf[1] != 'e'^0x01 {
-		t.Fatalf("flip across read boundary: got %q", buf)
-	}
-}
-
-func TestStallReader(t *testing.T) {
-	sr := NewStallReader(strings.NewReader("0123456789"), 5, 20*time.Millisecond)
-	start := time.Now()
-	got, err := io.ReadAll(sr)
-	if err != nil || string(got) != "0123456789" {
-		t.Fatalf("got %q, %v", got, err)
-	}
-	if time.Since(start) < 20*time.Millisecond {
-		t.Fatal("stall did not delay the stream")
-	}
-}
-
-func TestFailingWriter(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFailingWriter(&buf, 4, nil)
-	n, err := fw.Write([]byte("0123456789"))
-	if !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
-	}
-	if n != 4 || buf.String() != "0123" {
-		t.Fatalf("accepted %d bytes %q, want exactly 4", n, buf.String())
-	}
-	if _, err := fw.Write([]byte("x")); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write after fault: %v", err)
-	}
-}
-
-func TestFlipWriter(t *testing.T) {
-	var buf bytes.Buffer
-	fw := NewFlipWriter(&buf, 2, 0x80)
-	src := []byte("abcd")
-	if _, err := fw.Write(src); err != nil {
-		t.Fatal(err)
-	}
-	if string(src) != "abcd" {
-		t.Fatal("FlipWriter modified the caller's buffer")
-	}
-	want := []byte("abcd")
-	want[2] ^= 0x80
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("got %q, want %q", buf.Bytes(), want)
 	}
 }

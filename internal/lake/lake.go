@@ -9,8 +9,8 @@
 // the search pipeline needs: posting lists from entities to the tables
 // mentioning them (the Φ⁻¹ direction, which both the LSEI prefilter votes
 // and the IDF informativeness weighting consume), per-entity table
-// frequencies, and lazily built per-table column indexes
-// (table.ColumnIndex) and column key groups (table.KeyGroups) that let the
+// frequencies, and lazily built per-table column key groups
+// (table.KeyGroups), by entity and under a σ's own keying, that let the
 // scorer fold a column by distinct entities, or by distinct keys, instead
 // of raw cells. Tables can be added at any time and
 // removed again (Remove tombstones the slot so every other table keeps its
@@ -53,9 +53,9 @@ type Lake struct {
 }
 
 // tableMemo holds a table's lazily built read-side summaries: its column
-// index, and its column key groups under the keying that last asked.
+// key groups by entity, and under the keying that last asked.
 type tableMemo struct {
-	colIndex  atomic.Pointer[table.ColumnIndex]
+	colIndex  atomic.Pointer[table.KeyGroups]
 	keyGroups atomic.Pointer[taggedKeyGroups]
 }
 
@@ -99,8 +99,7 @@ func (l *Lake) Add(t *table.Table) TableID {
 
 // Remove tombstones table id: the slot is nilled (every other table keeps
 // its ID), the table's entities are stripped from the posting lists (an
-// emptied list is released), and its memoized column index and key groups
-// are dropped.
+// emptied list is released), and its memoized key groups are dropped.
 // Removing an unknown or already-removed ID returns false. Like Add,
 // Remove must be serialized against readers by the caller.
 func (l *Lake) Remove(id TableID) bool {
@@ -172,14 +171,15 @@ func (l *Lake) TablesWith(e kg.EntityID) []TableID {
 	return l.postings[e]
 }
 
-// ColumnIndex returns the per-column entity aggregation of table id,
-// building it on first use and memoizing it for every later query (the
-// scoring hot path folds columns through it instead of iterating raw
-// cells). Concurrent first calls may build the index twice; both results
-// are identical and one wins benignly. The index snapshots the table's
-// annotations, consistent with the lake's own "re-ingest to update"
-// contract.
-func (l *Lake) ColumnIndex(id TableID) *table.ColumnIndex {
+// ColumnIndex returns the column key groups of table id by entity
+// (table.BuildColumnIndex), building them on first use and memoizing them
+// for every later query, or nil for a removed or unknown table. The memo
+// carries no tag: an entity keying depends on nothing that changes, where a
+// tag would name the entity space, which grows with the graph. Concurrent
+// first calls may build the groups twice; both results are identical and
+// one wins benignly. The groups snapshot the table's annotations,
+// consistent with the lake's own "re-ingest to update" contract.
+func (l *Lake) ColumnIndex(id TableID) *table.KeyGroups {
 	if int(id) < 0 || int(id) >= len(l.memos) {
 		return nil
 	}

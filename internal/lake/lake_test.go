@@ -212,20 +212,20 @@ func TestColumnIndexMemoized(t *testing.T) {
 	}
 	// The index reflects the table's annotations: t1 has one linked entity
 	// per column.
-	if len(ci1.Cols) != 2 || ci1.Cols[0].Linked != 1 || len(ci1.Cols[0].Entities) != 1 {
+	if ci1.NumColumns() != 2 || ci1.Offsets[1] != 1 || ci1.Counts[0] != 1 {
 		t.Fatalf("t1 index = %+v", ci1)
 	}
 }
 
 func TestColumnIndexConcurrentFirstUse(t *testing.T) {
 	l, _ := buildLake(t)
-	results := make(chan *table.ColumnIndex, 8)
+	results := make(chan *table.KeyGroups, 8)
 	for i := 0; i < 8; i++ {
 		go func() { results <- l.ColumnIndex(1) }()
 	}
 	for i := 0; i < 8; i++ {
 		ci := <-results
-		if ci == nil || len(ci.Cols) != 2 {
+		if ci == nil || ci.NumColumns() != 2 {
 			t.Fatalf("concurrent first build returned %+v", ci)
 		}
 	}

@@ -17,7 +17,6 @@ import (
 	"hash/fnv"
 	"math/bits"
 	"math/rand"
-	"sync/atomic"
 
 	"thetis/internal/embedding"
 	"thetis/internal/obs"
@@ -52,9 +51,6 @@ func NewMinHasher(permutations int, seed int64) *MinHasher {
 	}
 	return m
 }
-
-// Permutations returns the signature length.
-func (m *MinHasher) Permutations() int { return len(m.a) }
 
 // Signature computes the MinHash signature of a shingle set. An empty set
 // yields a signature of all-max values (colliding only with other empty
@@ -132,9 +128,6 @@ func NewHyperplaneHasher(projections, dim int, seed int64) *HyperplaneHasher {
 	return h
 }
 
-// Projections returns the signature length.
-func (h *HyperplaneHasher) Projections() int { return len(h.planes) }
-
 // Dim returns the expected vector dimensionality.
 func (h *HyperplaneHasher) Dim() int { return h.dim }
 
@@ -157,17 +150,14 @@ func (h *HyperplaneHasher) Signature(v embedding.Vector) []uint32 {
 // Index is a banded LSH bucket index over uint32 item IDs. It is safe for
 // concurrent queries; Insert/Remove mutate the bucket maps and must be
 // serialized against queries by the caller (thetis.System holds its write
-// lock across mutations). Queries maintain cumulative probe counters
-// (band-bucket lookups performed and items scanned), readable via
-// ProbeCounts and mirrored on /metrics.
+// lock across mutations). Every probe counts its band-bucket lookups and the
+// items they held on /metrics (thetis_lsh_band_probes_total,
+// thetis_lsh_items_scanned_total).
 type Index struct {
 	bandSize int
 	bands    int
 	buckets  []map[uint64][]uint32 // one bucket map per band group
-
-	probes  atomic.Int64 // band-bucket lookups across all queries
-	scanned atomic.Int64 // items read out of colliding buckets
-	items   int          // signatures inserted
+	items    int                   // signatures inserted
 }
 
 // NewIndex creates an index for signatures of length permutations, divided
@@ -199,9 +189,6 @@ func NewIndexChecked(permutations, bandSize int) (*Index, error) {
 	}
 	return ix, nil
 }
-
-// Bands returns the number of band groups.
-func (ix *Index) Bands() int { return ix.bands }
 
 // bandHash hashes one band of a signature together with the band number, so
 // identical values in different bands land in different bucket groups.
@@ -271,7 +258,7 @@ func (ix *Index) Buckets(ctx context.Context, sig []uint32, dst [][]uint32) [][]
 		if done != nil {
 			select {
 			case <-done:
-				ix.countProbe(b, scanned)
+				countProbe(b, scanned)
 				return dst
 			default:
 			}
@@ -282,46 +269,15 @@ func (ix *Index) Buckets(ctx context.Context, sig []uint32, dst [][]uint32) [][]
 			dst = append(dst, bucket)
 		}
 	}
-	ix.countProbe(ix.bands, scanned)
+	countProbe(ix.bands, scanned)
 	return dst
 }
 
-// Query returns the bag of items sharing at least one bucket with the
-// signature. Items colliding in multiple bands appear multiple times; use
-// QuerySet for deduplicated results.
-func (ix *Index) Query(sig []uint32) []uint32 {
-	var out []uint32
-	for _, bucket := range ix.Buckets(context.Background(), sig, nil) {
-		out = append(out, bucket...)
-	}
-	return out
-}
-
-// QuerySet returns the deduplicated set of items colliding with the
-// signature.
-func (ix *Index) QuerySet(sig []uint32) map[uint32]bool {
-	set := make(map[uint32]bool)
-	for _, bucket := range ix.Buckets(context.Background(), sig, nil) {
-		for _, it := range bucket {
-			set[it] = true
-		}
-	}
-	return set
-}
-
-// countProbe records one signature probe: the band-bucket lookups it
-// actually performed and the bucket entries they held.
-func (ix *Index) countProbe(looked, scanned int) {
-	ix.probes.Add(int64(looked))
-	ix.scanned.Add(int64(scanned))
+// countProbe records one signature probe on /metrics: the band-bucket
+// lookups it actually performed and the bucket entries they held.
+func countProbe(looked, scanned int) {
 	mBandProbes.Add(int64(looked))
 	mItemsScanned.Add(int64(scanned))
-}
-
-// ProbeCounts returns this index's cumulative band-bucket lookups performed
-// and bucket entries scanned across all queries since construction.
-func (ix *Index) ProbeCounts() (probes, scanned int64) {
-	return ix.probes.Load(), ix.scanned.Load()
 }
 
 // NumItems returns how many signatures have been inserted.

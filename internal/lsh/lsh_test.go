@@ -10,6 +10,32 @@ import (
 	"thetis/internal/embedding"
 )
 
+// collisions returns the items colliding with sig in ix, once per colliding
+// band, read through Buckets.
+func collisions(ix *Index, sig []uint32) []uint32 {
+	var bag []uint32
+	for _, bucket := range ix.Buckets(context.Background(), sig, nil) {
+		bag = append(bag, bucket...)
+	}
+	return bag
+}
+
+// collisionSet returns the distinct items colliding with sig in ix.
+func collisionSet(ix *Index, sig []uint32) map[uint32]bool {
+	set := make(map[uint32]bool)
+	for _, it := range collisions(ix, sig) {
+		set[it] = true
+	}
+	return set
+}
+
+// probeCounts returns the band-bucket lookups and bucket entries scanned by
+// every probe in the process so far (thetis_lsh_band_probes_total and
+// thetis_lsh_items_scanned_total); a test reads deltas of them.
+func probeCounts() (probes, scanned int64) {
+	return mBandProbes.Value(), mItemsScanned.Value()
+}
+
 func TestMinHashIdenticalSets(t *testing.T) {
 	m := NewMinHasher(64, 1)
 	s := []uint64{1, 2, 3, 99}
@@ -133,8 +159,8 @@ func agreement(a, b []uint32) float64 {
 
 func TestIndexInsertQuery(t *testing.T) {
 	ix := NewIndex(32, 8)
-	if ix.Bands() != 4 {
-		t.Fatalf("bands = %d, want 4", ix.Bands())
+	if ix.bands != 4 {
+		t.Fatalf("bands = %d, want 4", ix.bands)
 	}
 	m := NewMinHasher(32, 1)
 	sigA := m.Signature([]uint64{1, 2, 3})
@@ -142,14 +168,14 @@ func TestIndexInsertQuery(t *testing.T) {
 	sigC := m.Signature([]uint64{500, 600, 700})
 	ix.Insert(10, sigA)
 	ix.Insert(20, sigC)
-	got := ix.QuerySet(sigB)
+	got := collisionSet(ix, sigB)
 	if !got[10] {
 		t.Error("identical signature did not collide")
 	}
 	if got[20] {
 		t.Error("unrelated signature collided in every band (suspicious)")
 	}
-	bag := ix.Query(sigB)
+	bag := collisions(ix, sigB)
 	// Identical signatures collide in all 4 bands.
 	count := 0
 	for _, it := range bag {
@@ -164,8 +190,8 @@ func TestIndexInsertQuery(t *testing.T) {
 
 func TestIndexRemainderBandsIgnored(t *testing.T) {
 	ix := NewIndex(30, 10)
-	if ix.Bands() != 3 {
-		t.Fatalf("bands = %d, want 3", ix.Bands())
+	if ix.bands != 3 {
+		t.Fatalf("bands = %d, want 3", ix.bands)
 	}
 }
 
@@ -193,7 +219,7 @@ func TestNewIndexChecked(t *testing.T) {
 		t.Error("band size > permutations accepted")
 	}
 	ix, err := NewIndexChecked(16, 4)
-	if err != nil || ix == nil || ix.Bands() != 4 {
+	if err != nil || ix == nil || ix.bands != 4 {
 		t.Errorf("valid shape rejected: %v", err)
 	}
 	// NewIndex keeps its panicking contract for programmer errors.
@@ -241,10 +267,10 @@ func TestBandingCollisionMonotonicity(t *testing.T) {
 		m2 := NewMinHasher(32, int64(100+trial))
 		ix2 := NewIndex(32, 8)
 		ix2.Insert(1, m2.Signature(base))
-		if len(ix2.Query(m2.Signature(similar))) > 0 {
+		if len(collisions(ix2, m2.Signature(similar))) > 0 {
 			simHits++
 		}
-		if len(ix2.Query(m2.Signature(dissimilar))) > 0 {
+		if len(collisions(ix2, m2.Signature(dissimilar))) > 0 {
 			disHits++
 		}
 	}
@@ -286,6 +312,7 @@ func TestBucketsCancelled(t *testing.T) {
 	ix.Insert(10, sig)
 	ix.Insert(20, m.Signature([]uint64{500, 600, 700}))
 
+	probes0, scanned0 := probeCounts()
 	full := ix.Buckets(context.Background(), sig, nil)
 	// The identical signature collides in all four bands.
 	if len(full) != 4 {
@@ -296,9 +323,9 @@ func TestBucketsCancelled(t *testing.T) {
 			t.Fatalf("background probe bucket %v lost the collision", bucket)
 		}
 	}
-	probes, scanned := ix.ProbeCounts()
-	if probes != 4 || scanned < 4 {
-		t.Fatalf("after one full probe ProbeCounts = (%d, %d), want 4 lookups", probes, scanned)
+	probes, scanned := probeCounts()
+	if probes-probes0 != 4 || scanned-scanned0 < 4 {
+		t.Fatalf("one full probe counted (%d, %d), want 4 lookups", probes-probes0, scanned-scanned0)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -308,15 +335,15 @@ func TestBucketsCancelled(t *testing.T) {
 	if partial := ix.Buckets(ctx, sig, nil); len(partial) != 0 {
 		t.Errorf("pre-cancelled probe returned %d buckets", len(partial))
 	}
-	if p, s := ix.ProbeCounts(); p != probes || s != scanned {
-		t.Errorf("pre-cancelled probe moved ProbeCounts (%d, %d) → (%d, %d)", probes, scanned, p, s)
+	if p, s := probeCounts(); p != probes || s != scanned {
+		t.Errorf("pre-cancelled probe moved the probe counters (%d, %d) → (%d, %d)", probes, scanned, p, s)
 	}
 }
 
 // TestBucketsAppendsViewsWithoutAllocating pins the probe primitive's
 // contract: colliding buckets are appended to dst as views, so a probe
-// into a dst with room allocates nothing, and Query/QuerySet, the wrappers
-// over it, see exactly the buckets' items.
+// into a dst with room allocates nothing, and an item's own signature finds
+// it in every band.
 func TestBucketsAppendsViewsWithoutAllocating(t *testing.T) {
 	ix := NewIndex(30, 10)
 	m := NewMinHasher(30, 3)
@@ -325,24 +352,16 @@ func TestBucketsAppendsViewsWithoutAllocating(t *testing.T) {
 		sigs[i] = m.Signature([]uint64{uint64(i % 5), uint64(i % 3)})
 		ix.Insert(uint32(i), sigs[i])
 	}
-	dst := make([][]uint32, 0, ix.Bands())
+	dst := make([][]uint32, 0, ix.bands)
 	if allocs := testing.AllocsPerRun(50, func() { dst = ix.Buckets(context.Background(), sigs[7], dst[:0]) }); allocs != 0 {
 		t.Errorf("Buckets into a dst with room allocated %v times a probe, want 0", allocs)
 	}
-	var bag []uint32
+	if len(dst) != ix.bands {
+		t.Fatalf("%d buckets for an inserted signature, want one per band (%d)", len(dst), ix.bands)
+	}
 	for _, bucket := range dst {
-		bag = append(bag, bucket...)
-	}
-	if got := ix.Query(sigs[7]); !slices.Equal(got, bag) {
-		t.Errorf("Query = %v, buckets hold %v", got, bag)
-	}
-	set := ix.QuerySet(sigs[7])
-	for _, it := range bag {
-		if !set[it] {
-			t.Errorf("QuerySet lost item %d", it)
+		if !slices.Contains(bucket, 7) {
+			t.Errorf("bucket %v lost item 7, whose own signature was probed", bucket)
 		}
-	}
-	if len(set) > len(bag) {
-		t.Errorf("QuerySet invented items: %d > %d", len(set), len(bag))
 	}
 }

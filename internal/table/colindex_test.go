@@ -13,29 +13,28 @@ func TestBuildColumnIndex(t *testing.T) {
 	tb.AppendRow([]Cell{LinkedCell("y", 3), LinkedCell("z", 7)})
 	tb.AppendRow([]Cell{LinkedCell("x", 7), {Value: "-"}})
 	ci := BuildColumnIndex(tb)
-	if len(ci.Cols) != 2 {
-		t.Fatalf("Cols = %d, want 2", len(ci.Cols))
+	if ci.NumRows != 3 || ci.NumColumns() != 2 {
+		t.Fatalf("%d rows, %d columns, want 3 and 2", ci.NumRows, ci.NumColumns())
 	}
-	a := ci.Cols[0]
 	// Distinct entities in first-occurrence order, with multiplicities.
-	if len(a.Entities) != 2 || a.Entities[0] != 7 || a.Entities[1] != 3 {
-		t.Fatalf("col a entities = %v, want [7 3]", a.Entities)
+	want := []struct {
+		keys   []uint32
+		counts []int32
+	}{
+		{[]uint32{7, 3}, []int32{2, 1}},
+		{[]uint32{7}, []int32{1}},
 	}
-	if a.Counts[0] != 2 || a.Counts[1] != 1 {
-		t.Fatalf("col a counts = %v, want [2 1]", a.Counts)
-	}
-	if a.Linked != 3 {
-		t.Fatalf("col a linked = %d, want 3", a.Linked)
-	}
-	b := ci.Cols[1]
-	if len(b.Entities) != 1 || b.Entities[0] != kg.EntityID(7) || b.Counts[0] != 1 || b.Linked != 1 {
-		t.Fatalf("col b = %+v", b)
+	for j, w := range want {
+		lo, hi := ci.Offsets[j], ci.Offsets[j+1]
+		if !slices.Equal(ci.Keys[lo:hi], w.keys) || !slices.Equal(ci.Counts[lo:hi], w.counts) {
+			t.Fatalf("col %d: entities %v counts %v, want %v %v", j, ci.Keys[lo:hi], ci.Counts[lo:hi], w.keys, w.counts)
+		}
 	}
 }
 
 func TestBuildColumnIndexEmptyTable(t *testing.T) {
 	ci := BuildColumnIndex(New("empty", []string{"a"}))
-	if len(ci.Cols) != 1 || len(ci.Cols[0].Entities) != 0 || ci.Cols[0].Linked != 0 {
+	if ci.NumColumns() != 1 || len(ci.Keys) != 0 || ci.Offsets[1] != 0 {
 		t.Fatalf("empty table index = %+v", ci)
 	}
 }

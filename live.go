@@ -92,7 +92,7 @@ func (s *System) AddTableJSON(data []byte) (TableID, error) {
 // RemoveTable removes a table from the corpus and from every live index:
 // its LSH signatures leave the LSEI buckets, the frequent-type filter is
 // re-balanced (re-signing whatever the departure flips), its BM25 postings
-// disappear, and its memoized column index is dropped. The ID is
+// disappear, and its memoized column key groups are dropped. The ID is
 // tombstoned, never reused; Table(id) returns nil afterwards. Removal may
 // run concurrently with searches; it blocks them briefly.
 func (s *System) RemoveTable(id TableID) error {

@@ -22,7 +22,7 @@ func TestSearchContextDeadlineOnFullCorpus(t *testing.T) {
 	eng := core.NewEngine(env.Lake, env.TJ)
 	q := env.Queries5[0].Query
 
-	// The lake memoizes per-table column indexes on first use
+	// The lake memoizes per-table column key groups on first use
 	// (docs/PERFORMANCE.md §4), so a cold search is slower than every
 	// search after it. Warm the corpus first: the deadline below is scaled
 	// from the calibration search's TotalTime and must reflect the
